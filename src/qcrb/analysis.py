@@ -7,6 +7,7 @@ stationary curve), the G = JS weight (a function of the beta spectrum), and
 coherent models (all beta equal to 1). Everything else goes to the oracle.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -49,57 +50,72 @@ class BoundaryCurve:
     samples: np.ndarray      # rows (x, z, u, v)
 
 
-def _invsqrt_js(JS):
-    try:
-        return matkernel.invsqrt_psd(JS)
-    except NotPSD as exc:
-        raise SingularFisher(str(exc)) from exc
+class Spectrum:
+    """The decompositions of one working point, each computed on first use.
+
+    `js_inverses` is (JS^{-1}, JS^{-1/2}) from one eigendecomposition of JS,
+    or raises SingularFisher. `canonical` is (K, Q, pairs, zero_count, beta)
+    from one canonical form of the complex structure K = JS^{-1/2} Jt JS^{-1/2},
+    with beta its classified BetaSpectrum. `spectrum(fd)` caches it on fd.
+    """
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    @functools.cached_property
+    def js_inverses(self):
+        try:
+            return matkernel.psd_powers(self.fd.JS, -1, -0.5)
+        except NotPSD as exc:
+            raise SingularFisher(str(exc)) from exc
+
+    @functools.cached_property
+    def canonical(self):
+        w = self.js_inverses[1]
+        k = matkernel.antisymmetrize(w @ self.fd.Jt @ w)
+        q, pairs, zero_count = matkernel.antisym_canonical(k)
+        # pairs come sorted descending, so this is |beta| in descending order
+        betas = np.concatenate([np.repeat(pairs, 2), np.zeros(zero_count)])
+        if betas.size and betas[0] > 1.0 + CLASSIFY_DUST:
+            raise DomainError(f"beta {betas[0]} exceeds 1 beyond tolerance")
+        betas = np.clip(betas, 0.0, 1.0)
+        # 2/(1+sqrt(1-b^2)) has infinite slope at b=1, so a coherent direction
+        # contaminated at machine precision would smear downstream values by
+        # sqrt(eps); snap within the classification dust
+        betas[betas >= 1.0 - CLASSIFY_DUST] = 1.0
+        if np.all(betas <= CLASSIFY_DUST):
+            cls = "quasi_classical"
+        elif np.all(betas >= 1.0 - CLASSIFY_DUST):
+            cls = "coherent"
+        else:
+            cls = "generic"
+        assert betas.shape == self.fd.JS.shape[:1]
+        return k, q, pairs, zero_count, BetaSpectrum(betas=betas, classification=cls)
+
+    js_inv = property(lambda self: self.js_inverses[0])
+    beta = property(lambda self: self.canonical[4])
 
 
-def _inv_js(JS):
-    try:
-        return matkernel.inv_psd(JS)
-    except NotPSD as exc:
-        raise SingularFisher(str(exc)) from exc
+def spectrum(fd):
+    """The Spectrum of fd, built on first use and cached on fd."""
+    if fd._spectrum is None:
+        fd._spectrum = Spectrum(fd)
+    return fd._spectrum
 
 
 def beta_spectrum(fd):
     """|imaginary parts| of the eigenvalues of JS^{-1} Jt, with classification."""
-    m = fd.JS.shape[0]
-    w = _invsqrt_js(fd.JS)
-    k = matkernel.antisymmetrize(w @ fd.Jt @ w)
-    _, pairs, zero_count = matkernel.antisym_canonical(k)
-    betas = []
-    for b in pairs:
-        betas.extend([b, b])
-    betas.extend([0.0] * zero_count)
-    betas = np.array(sorted(betas, reverse=True))
-    if betas.size and betas[0] > 1.0 + CLASSIFY_DUST:
-        raise DomainError(f"beta {betas[0]} exceeds 1 beyond tolerance")
-    betas = np.clip(betas, 0.0, 1.0)
-    # 2/(1+sqrt(1-b^2)) has infinite slope at b=1, so a coherent direction
-    # contaminated at machine precision would smear downstream values by
-    # sqrt(eps); snap within the classification dust
-    betas[betas >= 1.0 - CLASSIFY_DUST] = 1.0
-    if np.all(betas <= CLASSIFY_DUST):
-        cls = "quasi_classical"
-    elif np.all(betas >= 1.0 - CLASSIFY_DUST):
-        cls = "coherent"
-    else:
-        cls = "generic"
-    assert betas.shape == (m,)
-    return BetaSpectrum(betas=betas, classification=cls)
+    return spectrum(fd).beta
 
 
 def quasi_classical_test(fd):
-    """True iff Jt vanishes at the dust level."""
+    """True iff Jt vanishes at the dust level; needs no decomposition."""
     return matkernel.mnorm(fd.Jt) <= CLASSIFY_DUST * max(1.0, matkernel.mnorm(fd.JS))
 
 
 def coherent_test(fd):
     """True iff all beta equal 1; cross-checks |det JS| = |det Jt|."""
-    spec = beta_spectrum(fd)
-    ok = spec.classification == "coherent"
+    ok = spectrum(fd).beta.classification == "coherent"
     if ok:
         djs = abs(np.linalg.det(fd.JS))
         djt = abs(np.linalg.det(fd.Jt))
@@ -112,7 +128,7 @@ def coherent_test(fd):
 def sld_bound(fd, G):
     """Tr(G JS^{-1}): a lower bound to CR(G), tight iff quasi-classical or m=1."""
     G = matkernel.symmetrize(G)
-    return float(np.trace(G @ _inv_js(fd.JS)))
+    return float(np.trace(G @ spectrum(fd).js_inv))
 
 
 def _curve_q(p, beta, c):
@@ -189,11 +205,11 @@ def cr_bound_2param(fd, G):
     G = matkernel.symmetrize(G)
     if not matkernel.is_psd(G):
         raise DomainError("weight matrix must be PSD")
-    w = _invsqrt_js(fd.JS)
-    jsinv = _inv_js(fd.JS)
+    jsinv, w = spectrum(fd).js_inverses
+    jsinv = jsinv.copy()
     gp = matkernel.symmetrize(w @ G @ w)
     g, r = np.linalg.eigh(gp)
-    beta = float(beta_spectrum(fd).betas[0])
+    beta = float(spectrum(fd).beta.betas[0])
     dust = CLASSIFY_DUST * max(1.0, g[-1])
     notes = {"beta": beta}
 
@@ -244,13 +260,13 @@ def cr_bound_js_weight(fd):
     Cross-checked against the matrix form Tr {Re sqrt(I + i K)}^{-2} with
     K = JS^{-1/2} Jt JS^{-1/2}.
     """
-    spec = beta_spectrum(fd)
-    value = float(sum(2.0 / (1.0 + math.sqrt(max(0.0, 1.0 - b * b)))
-                      for b in spec.betas))
-    m = fd.JS.shape[0]
-    w = _invsqrt_js(fd.JS)
-    k = matkernel.antisymmetrize(w @ fd.Jt @ w)
-    s = np.eye(m) + 1j * k
+    spec = spectrum(fd)
+    betas = spec.beta.betas
+    # per-direction inflation 2/(1+sqrt(1-beta^2)), in the column order of Q
+    diag = [2.0 / (1.0 + math.sqrt(max(0.0, 1.0 - b * b))) for b in betas]
+    value = float(sum(diag))
+    k, q = spec.canonical[:2]
+    s = np.eye(len(k)) + 1j * k
     ws, us = matkernel.hermitian_eig(s)
     ws = np.clip(ws, 0.0, None)
     ws[ws <= CLASSIFY_DUST] = 0.0  # same snap as beta_spectrum at beta = 1
@@ -261,18 +277,11 @@ def cr_bound_js_weight(fd):
     if abs(value - value_matrix) > 1e-9:
         raise ConsistencyError(
             f"spectrum form {value!r} vs matrix form {value_matrix!r}")
-    # optimal covariance: block inflation 2/(1+sqrt(1-beta^2)) per pair
-    q, pairs, zero_count = matkernel.antisym_canonical(k)
-    diag = []
-    for b in pairs:
-        b = 1.0 if b >= 1.0 - CLASSIFY_DUST else min(b, 1.0)
-        z = 2.0 / (1.0 + math.sqrt(max(0.0, 1.0 - b * b)))
-        diag.extend([z, z])
-    diag.extend([1.0] * zero_count)
+    w = spec.js_inverses[1]
     v_opt = matkernel.symmetrize(w @ (q @ np.diag(diag) @ q.T) @ w)
     return BoundReport(G=fd.JS.copy(), value=value, attained=True, V_opt=v_opt,
                        method="closed_form_JS_weight",
-                       notes={"betas": spec.betas.tolist(),
+                       notes={"betas": betas.tolist(),
                               "matrix_form": value_matrix})
 
 
@@ -281,13 +290,13 @@ def cr_bound_coherent(fd, G):
     if not coherent_test(fd):
         raise NotCoherent("model is not coherent (some beta < 1)")
     G = matkernel.symmetrize(G)
-    wg, _ = matkernel.hermitian_eig(G)
-    if wg.min() <= matkernel.EIGEN_DUST * max(1.0, matkernel.mnorm(G)):
-        raise SingularWeight("weight matrix must be strictly positive definite")
-    a = _inv_js(fd.JS)
+    try:
+        sq, isq = matkernel.psd_powers(G, 0.5, -0.5)
+    except NotPSD as exc:
+        raise SingularWeight(
+            "weight matrix must be strictly positive definite") from exc
+    a = spectrum(fd).js_inv
     c = matkernel.antisymmetrize(a @ fd.Jt @ a)
-    sq = matkernel.sqrt_psd(G)
-    isq = matkernel.invsqrt_psd(G)
     mmat = matkernel.antisymmetrize(sq @ c @ sq)
     absm = matkernel.abs_sym(mmat)
     value = float(np.trace(G @ a) + np.trace(absm))
@@ -306,12 +315,11 @@ def marginal_infimum(fd, i):
     m = fd.JS.shape[0]
     if not (0 <= i < m):
         raise DomainError(f"index {i} out of range for m = {m}")
-    jsinv = _inv_js(fd.JS)
-    value = float(jsinv[i, i])
+    value = float(spectrum(fd).js_inv[i, i])
     if m == 1 or quasi_classical_test(fd):
         hint = True
     elif m == 2:
-        hint = bool(beta_spectrum(fd).betas[0] < 1.0 - CLASSIFY_DUST)
+        hint = bool(spectrum(fd).beta.betas[0] < 1.0 - CLASSIFY_DUST)
     else:
         hint = False
     return value, hint
@@ -344,23 +352,31 @@ def exclusiveness_test(fd, i, j):
     return bool(abs(g.real) <= tol and abs(g.imag) >= (1.0 - CLASSIFY_DUST) * cap)
 
 
-def cr_bound(fd, G, oracle_options=None):
-    """Dispatch to the applicable closed form, else to the oracle."""
+def closed_form(fd, G):
+    """The applicable closed-form BoundReport, or None if only the oracle applies."""
     G = matkernel.symmetrize(G)
     m = fd.JS.shape[0]
     if m == 1 or quasi_classical_test(fd):
-        jsinv = _inv_js(fd.JS)
+        jsinv = spectrum(fd).js_inv.copy()
         return BoundReport(G=G, value=float(np.trace(G @ jsinv)), attained=True,
                            V_opt=jsinv, method="quasi_classical", notes={})
     if m == 2:
         return cr_bound_2param(fd, G)
     wg, _ = matkernel.hermitian_eig(G)
     g_pd = wg.min() > matkernel.EIGEN_DUST * max(1.0, matkernel.mnorm(G))
-    spec = beta_spectrum(fd)
-    if spec.classification == "coherent" and g_pd:
+    if spectrum(fd).beta.classification == "coherent" and g_pd:
         return cr_bound_coherent(fd, G)
     if matkernel.mnorm(G - fd.JS) <= CLASSIFY_DUST * max(1.0, matkernel.mnorm(fd.JS)):
         return cr_bound_js_weight(fd)
+    return None
+
+
+def cr_bound(fd, G, oracle_options=None):
+    """The applicable closed form, else the oracle."""
+    report = closed_form(fd, G)
+    if report is not None:
+        return report
+    G = matkernel.symmetrize(G)
     from . import oracle as oracle_mod
     opts = dict(oracle_options or {})
     problem = oracle_mod.OracleProblem(gram=fd.gram, G=G, **opts)

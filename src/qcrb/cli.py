@@ -16,6 +16,8 @@ from . import errors
 from . import model as model_mod
 from . import oracle as oracle_mod
 
+ORACLE_AGREEMENT_TOL = 1e-4   # largest |oracle - closed form| that agrees
+
 
 def _exit_code(exc):
     if isinstance(exc, (errors.SchemaError, errors.DomainError,
@@ -40,17 +42,18 @@ def _load_json(path, what):
         raise errors.SchemaError(f"{what} is not valid JSON: {exc}") from exc
 
 
-def _resolve_weight(spec_str, fd):
+def _resolve_weight(spec_str, js):
+    """--weight as a matrix: identity, sld (the Fisher matrix js) or a JSON file."""
+    m = js.shape[0]
     if spec_str is None or spec_str == "identity":
-        return np.eye(fd.JS.shape[0]), "identity"
+        return np.eye(m), "identity"
     if spec_str == "sld":
-        return fd.JS.copy(), "sld"
+        return js.copy(), "sld"
     doc = _load_json(spec_str, "weight")
     try:
         g = np.asarray(doc, dtype=float)
     except (TypeError, ValueError) as exc:
         raise errors.SchemaError("weight file must hold a numeric matrix") from exc
-    m = fd.JS.shape[0]
     if g.shape != (m, m):
         raise errors.SchemaError(f"weight shape {g.shape} does not match m = {m}")
     g = matkernel.symmetrize(g)
@@ -119,7 +122,7 @@ def cmd_analyze(args):
 
 def cmd_bound(args):
     doc, model, frame, fd = _model_and_point(args)
-    g, wname = _resolve_weight(args.weight, fd)
+    g, wname = _resolve_weight(args.weight, fd.JS)
     opts = dict(doc.get("oracle", {}))
     if args.seed is not None:
         opts["seed"] = args.seed
@@ -136,9 +139,9 @@ def cmd_bound(args):
             "value": result.value,
             "residuals": result.residuals,
             "difference": diff,
-            "agreement": bool(diff <= 1e-4),
+            "agreement": bool(diff <= ORACLE_AGREEMENT_TOL),
         }
-        if diff > 1e-4:
+        if diff > ORACLE_AGREEMENT_TOL:
             rep["DISAGREEMENT"] = True
             code = 4
     _emit(reportio.dumps(rep), args.out)
@@ -156,17 +159,14 @@ def cmd_boundary(args):
             raise errors.DomainError("boundary curve requires a two-parameter model")
         beta = float(analysis.beta_spectrum(fd).betas[0])
         if args.weight is not None:
-            g, _ = _resolve_weight(args.weight, fd)
-            w = matkernel.invsqrt_psd(fd.JS)
+            g, _ = _resolve_weight(args.weight, fd.JS)
+            w = analysis.spectrum(fd).js_inverses[1]
             g = matkernel.symmetrize(w @ g @ w)
     elif args.beta is not None:
         beta = args.beta
         if args.weight is not None:
-            if args.weight in ("identity", "sld"):
-                g = np.eye(2)
-            else:
-                g = matkernel.symmetrize(np.asarray(
-                    _load_json(args.weight, "weight"), dtype=float))
+            # normalized coordinates, where JS is the identity
+            g, _ = _resolve_weight(args.weight, np.eye(2))
     else:
         raise errors.SchemaError("boundary needs --config or --beta")
     curve = analysis.boundary_2param(beta, count=args.samples,
@@ -184,7 +184,7 @@ def cmd_boundary(args):
 
 def cmd_pvm(args):
     doc, model, frame, fd = _model_and_point(args)
-    g, wname = _resolve_weight(args.weight, fd)
+    g, wname = _resolve_weight(args.weight, fd.JS)
     spec = analysis.beta_spectrum(fd)
     if spec.classification == "quasi_classical" or fd.JS.shape[0] == 1:
         ev = measurement.optimal_vectors_quasi_classical(frame, fd)
@@ -261,7 +261,7 @@ def cmd_simulate(args):
 
 def cmd_oracle(args):
     doc, model, frame, fd = _model_and_point(args)
-    g, wname = _resolve_weight(args.weight, fd)
+    g, wname = _resolve_weight(args.weight, fd.JS)
     opts = dict(doc.get("oracle", {}))
     if args.seed is not None:
         opts["seed"] = args.seed
@@ -289,7 +289,7 @@ def cmd_oracle(args):
         },
     })
     try:
-        closed = _closed_form_or_none(fd, g)
+        closed = analysis.closed_form(fd, g)
     except errors.QcrbError:
         closed = None
     if closed is not None:
@@ -300,20 +300,6 @@ def cmd_oracle(args):
         }
     _emit(reportio.dumps(rep), args.out)
     return 0
-
-
-def _closed_form_or_none(fd, g):
-    m = fd.JS.shape[0]
-    if m == 1 or analysis.quasi_classical_test(fd) or m == 2:
-        return analysis.cr_bound(fd, g)
-    spec = analysis.beta_spectrum(fd)
-    g_pd = bool(np.linalg.eigvalsh(g).min()
-                > matkernel.EIGEN_DUST * max(1.0, matkernel.mnorm(g)))
-    if spec.classification == "coherent" and g_pd:
-        return analysis.cr_bound_coherent(fd, g)
-    if matkernel.mnorm(g - fd.JS) <= 1e-9 * max(1.0, matkernel.mnorm(fd.JS)):
-        return analysis.cr_bound_js_weight(fd)
-    return None
 
 
 def _error_json(exc, code):

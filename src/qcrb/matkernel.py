@@ -60,45 +60,44 @@ def hermitian_eig(a):
     return w, u
 
 
-def sqrt_psd(a):
-    """PSD square root. Real symmetric input gives a real result.
+def psd_powers(a, *powers):
+    """A^p for each p in `powers` (1/2, -1/2 or -1), from one eigendecomposition.
 
-    Negative eigenvalue dust (within EIGEN_DUST * max(1, ||A||)) is clipped
-    to zero; anything more negative raises NotPSD.
+    The PSD floor is decided here for the whole package. Negative eigenvalue
+    dust within EIGEN_DUST * max(1, ||A||) is clipped to zero; anything more
+    negative raises NotPSD. A negative power also raises NotPSD unless every
+    eigenvalue lies above that dust. Real symmetric input gives real results.
     """
     w, u = hermitian_eig(a)
-    floor = -EIGEN_DUST * max(1.0, mnorm(a))
-    if w.min(initial=0.0) < floor:
-        raise NotPSD(f"min eigenvalue {w.min():.3e} below PSD floor {floor:.3e}")
+    dust = EIGEN_DUST * max(1.0, mnorm(a))
+    if min(powers) < 0:
+        if w.min() <= dust:
+            raise NotPSD(f"matrix is singular at dust level (min eig {w.min():.3e})")
+    elif w.min(initial=0.0) < -dust:
+        raise NotPSD(f"min eigenvalue {w.min():.3e} below PSD floor {-dust:.3e}")
     w = np.clip(w, 0.0, None)
-    r = (u * np.sqrt(w)) @ u.conj().T
-    if not np.iscomplexobj(np.asarray(a)):
-        return symmetrize(r.real)
-    return 0.5 * (r + r.conj().T)
+    real = not np.iscomplexobj(np.asarray(a))
+    out = []
+    for p in powers:
+        root = w if p == -1 else np.sqrt(w)
+        r = (u * root if p > 0 else u / root) @ u.conj().T
+        out.append(symmetrize(r.real) if real else 0.5 * (r + r.conj().T))
+    return out
 
 
-def inv_psd(a, floor_scale=EIGEN_DUST):
-    """Inverse of a PD matrix via eigendecomposition; raises NotPSD if singular."""
-    w, u = hermitian_eig(a)
-    floor = floor_scale * max(1.0, mnorm(a))
-    if w.min() <= floor:
-        raise NotPSD(f"matrix is singular at dust level (min eig {w.min():.3e})")
-    r = (u / w) @ u.conj().T
-    if not np.iscomplexobj(np.asarray(a)):
-        return symmetrize(r.real)
-    return 0.5 * (r + r.conj().T)
+def sqrt_psd(a):
+    """PSD square root; see psd_powers for the floor."""
+    return psd_powers(a, 0.5)[0]
 
 
-def invsqrt_psd(a, floor_scale=EIGEN_DUST):
+def inv_psd(a):
+    """Inverse of a PD matrix; raises NotPSD if singular at the dust level."""
+    return psd_powers(a, -1)[0]
+
+
+def invsqrt_psd(a):
     """Inverse square root of a PD matrix."""
-    w, u = hermitian_eig(a)
-    floor = floor_scale * max(1.0, mnorm(a))
-    if w.min() <= floor:
-        raise NotPSD(f"matrix is singular at dust level (min eig {w.min():.3e})")
-    r = (u / np.sqrt(w)) @ u.conj().T
-    if not np.iscomplexobj(np.asarray(a)):
-        return symmetrize(r.real)
-    return 0.5 * (r + r.conj().T)
+    return psd_powers(a, -0.5)[0]
 
 
 def abs_sym(a):

@@ -72,20 +72,13 @@ class SampleResult:
     seed: int
 
 
-def naimark_frame(source, theta=None):
-    """Embed the state and lifts isometrically in a 2m+1 dimensional space.
+def naimark_frame(fd, theta=None):
+    """Embed the state and lifts of fd isometrically in a 2m+1 dimensional space.
 
-    Accepts a FisherData (uses its Gram) or a tangent frame. phi' is the
-    first basis vector and the lift images occupy coordinates 1..m, so
-    <phi'|l'_i> = 0 holds exactly and the Gram is reproduced.
+    phi' is the first basis vector and the lift images occupy coordinates
+    1..m, so <phi'|l'_i> = 0 holds exactly and the Gram of fd is reproduced.
     """
-    if hasattr(source, "gram"):
-        gram = source.gram
-        th = theta
-    else:
-        gram = source.lifts.conj().T @ source.lifts
-        th = source.theta if theta is None else theta
-    gram = 0.5 * (gram + gram.conj().T)
+    gram = 0.5 * (fd.gram + fd.gram.conj().T)
     m = gram.shape[0]
     try:
         froot = matkernel.sqrt_psd(gram)
@@ -100,7 +93,7 @@ def naimark_frame(source, theta=None):
     if resid > 1e-10 * max(1.0, matkernel.mnorm(gram)):
         raise ConsistencyError(f"Gram reproduction residual {resid:.3e}")
     return NaimarkFrame(dim=dim, phi=phi, lifts=lifts, gram=gram,
-                        theta=None if th is None else np.asarray(th, dtype=float))
+                        theta=None if theta is None else np.asarray(theta, dtype=float))
 
 
 def estimation_residuals(ev, lifts):
@@ -118,14 +111,14 @@ def optimal_vectors_quasi_classical(frame, fd):
     """X = L JS^{-1}: attains the inverse Fisher matrix for quasi-classical models."""
     if not analysis.quasi_classical_test(fd):
         raise NotQuasiClassical("Im X*X would not vanish: model is not quasi-classical")
-    x = frame.lifts @ matkernel.inv_psd(fd.JS)
+    x = frame.lifts @ analysis.spectrum(fd).js_inv
     return EstimationVectors(X=x, phi=frame.phi)
 
 
 def optimal_vectors_coherent(nf, fd, G):
     """Estimation vectors attaining the coherent-model bound for PD weight G."""
     report = analysis.cr_bound_coherent(fd, G)   # raises NotCoherent/SingularWeight
-    a = matkernel.inv_psd(fd.JS)
+    a = analysis.spectrum(fd).js_inv
     m = fd.JS.shape[0]
     x0 = nf.lifts @ a
     h = report.V_opt - a @ nf.gram @ a
@@ -352,8 +345,7 @@ def marginal_vectors(frame, fd, i):
     Its variance is exactly (JS^{-1})_ii and Im X*X vanishes trivially, so a
     projective measurement for the i-th parameter alone always exists.
     """
-    jsinv = matkernel.inv_psd(fd.JS)
-    x = frame.lifts @ jsinv[:, [i]]
+    x = frame.lifts @ analysis.spectrum(fd).js_inv[:, [i]]
     return EstimationVectors(X=x, phi=frame.phi)
 
 

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg
 
-from . import matkernel
+from . import analysis, matkernel
 from .errors import (
     DegenerateModel,
     DomainError,
@@ -40,6 +40,9 @@ class PureStateModel:
     derivative_mode: str = "analytic"   # or "finite_difference"
     fd_step: float = FD_STEP
     theta0: Optional[np.ndarray] = None
+    # tangent frame at theta0 that truncation growth verified; see tangent_frame
+    _frame: Optional["TangentFrame"] = field(
+        default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -54,6 +57,8 @@ class FisherData:
     JS: np.ndarray           # real symmetric, positive definite
     Jt: np.ndarray           # real antisymmetric
     gram: np.ndarray         # L*L, Hermitian PSD
+    # analysis.Spectrum cache: the fields above must not change once it is set
+    _spectrum: object = field(default=None, init=False, repr=False, compare=False)
 
 
 def _phase_align(ref, v):
@@ -89,9 +94,12 @@ def _fd_derivatives(model, theta, phi):
 
 def tangent_frame(model, theta):
     """Evaluate the state and its horizontal lifts at theta."""
-    theta = np.asarray(theta, dtype=float)
+    theta = np.array(theta, dtype=float)   # a copy, so the stored frame keeps its point
     if theta.shape != (model.m,):
         raise DomainError(f"theta must have length {model.m}")
+    # the frame truncation growth verified is reused at its exact point
+    if model._frame is not None and np.array_equal(theta, model._frame.theta):
+        return model._frame
     phi = _evaluate_state(model, theta)
     if model.derivative_mode == "analytic" and model.derivative is not None:
         dphi = np.asarray(model.derivative(theta), dtype=complex)
@@ -119,21 +127,12 @@ def fisher_data(frame):
     """Gram matrix of the lifts and its real/imaginary split."""
     gram = frame.lifts.conj().T @ frame.lifts
     gram = 0.5 * (gram + gram.conj().T)
-    w, _ = matkernel.hermitian_eig(gram)
-    if w.min(initial=0.0) < -matkernel.EIGEN_DUST * max(1.0, matkernel.mnorm(gram)):
-        raise GramNotPSD(f"lift Gram has negative eigenvalue {w.min():.3e}")
-    JS = matkernel.symmetrize(gram.real)
-    Jt = matkernel.antisymmetrize(gram.imag)
-    wj, _ = matkernel.hermitian_eig(JS)
-    if wj.min() < matkernel.EIGEN_DUST * max(1.0, matkernel.mnorm(JS)):
-        raise SingularFisher(f"JS min eigenvalue {wj.min():.3e} at dust level")
-    return FisherData(JS=JS, Jt=Jt, gram=gram)
-
-
-def frame_and_fisher(model, theta=None):
-    th = model.theta0 if theta is None else theta
-    frame = tangent_frame(model, th)
-    return frame, fisher_data(frame)
+    if not matkernel.is_psd(gram):
+        raise GramNotPSD("lift Gram has a negative eigenvalue beyond dust")
+    fd = FisherData(JS=matkernel.symmetrize(gram.real),
+                    Jt=matkernel.antisymmetrize(gram.imag), gram=gram)
+    analysis.spectrum(fd).js_inverses   # raises SingularFisher; cached for later use
+    return fd
 
 
 # --- spin rotation family ---
@@ -209,11 +208,6 @@ def catalog_spin_rotation(s, m_z, theta=None):
     )
 
 
-def spin_rotation_beta(s, m_z):
-    """Closed-form |beta| of the spin rotation model."""
-    return abs(m_z) / (s * (s + 1) - m_z * m_z)
-
-
 # --- Fock-space families ---
 
 def ladder(d):
@@ -233,9 +227,13 @@ def _tail_mass(v, d):
 
 
 def _frame_tails_ok(model, theta):
+    """True iff the frame at theta has no tail mass; the model keeps that frame."""
     frame = tangent_frame(model, theta)
     vecs = [frame.phi] + [frame.lifts[:, i] for i in range(model.m)]
-    return all(_tail_mass(v, model.dim) < TAIL_TOL for v in vecs)
+    if not all(_tail_mass(v, model.dim) < TAIL_TOL for v in vecs):
+        return False
+    model._frame = frame
+    return True
 
 
 def catalog_shifted_number(n, theta=None, trunc=None):
@@ -406,23 +404,33 @@ def custom_model(dim, m, phi, dphi, theta):
     )
 
 
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+_KINDS = {   # config value kind: (test, description)
+    "number": (_is_number, "a number"),
+    "integer": (lambda v: _is_number(v) and isinstance(v, int), "an integer"),
+    "count": (lambda v: _is_number(v) and isinstance(v, int) and v >= 1, "an integer >= 1"),
+    "list": (lambda v: isinstance(v, list), "a list"),
+    "numbers": (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers"),
+}
+
+
 def _require(doc, key, kind, what):
     if key not in doc:
         raise SchemaError(f"{what}: missing key '{key}'")
     v = doc[key]
-    if kind is float and isinstance(v, (int, float)) and not isinstance(v, bool):
+    test, description = _KINDS[kind]
+    if not test(v):
+        raise SchemaError(f"{what}: key '{key}' must be {description}")
+    if kind == "number":
         return float(v)
-    if kind is int:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise SchemaError(f"{what}: key '{key}' must be an integer")
-        return v
-    if kind is list and isinstance(v, list):
-        return v
-    if kind is None:
-        return v
-    if not isinstance(v, kind if isinstance(kind, type) else tuple()):
-        raise SchemaError(f"{what}: key '{key}' has wrong type")
-    return v
+    return [float(t) for t in v] if kind == "numbers" else v
+
+
+def _trunc(doc, what):
+    return None if doc.get("trunc") is None else _require(doc, "trunc", "count", what)
 
 
 def model_from_config(doc):
@@ -431,33 +439,28 @@ def model_from_config(doc):
         raise SchemaError("config document must be a JSON object")
     name = doc.get("model")
     if name == "spin_rotation":
-        s = _require(doc, "s", float, "spin_rotation")
-        m_z = _require(doc, "m_z", float, "spin_rotation")
-        theta = _require(doc, "theta", list, "spin_rotation")
-        return catalog_spin_rotation(s, m_z, theta=[float(t) for t in theta])
+        s = _require(doc, "s", "number", name)
+        m_z = _require(doc, "m_z", "number", name)
+        return catalog_spin_rotation(s, m_z, theta=_require(doc, "theta", "numbers", name))
     if name == "shifted_number":
-        n = _require(doc, "n", int, "shifted_number")
-        theta = _require(doc, "theta", list, "shifted_number")
-        trunc = doc.get("trunc")
-        return catalog_shifted_number(n, theta=[float(t) for t in theta], trunc=trunc)
+        n = _require(doc, "n", "integer", name)
+        return catalog_shifted_number(n, theta=_require(doc, "theta", "numbers", name),
+                                      trunc=_trunc(doc, name))
     if name == "squeezed":
-        theta = _require(doc, "theta", list, "squeezed")
-        trunc = doc.get("trunc")
-        return catalog_squeezed([float(t) for t in theta], trunc=trunc)
+        return catalog_squeezed(_require(doc, "theta", "numbers", name),
+                                trunc=_trunc(doc, name))
     if name == "custom":
-        dim = _require(doc, "dim", int, "custom")
-        m = _require(doc, "m", int, "custom")
-        if dim < 1 or m < 1:
-            raise SchemaError("custom: dim and m must be positive")
-        phi = _parse_complex_vector(_require(doc, "phi", list, "custom"), "phi")
-        dphi_rows = _require(doc, "dphi", list, "custom")
+        dim = _require(doc, "dim", "count", name)
+        m = _require(doc, "m", "count", name)
+        phi = _parse_complex_vector(_require(doc, "phi", "list", name), "phi")
+        dphi_rows = _require(doc, "dphi", "list", name)
         if len(dphi_rows) != m:
             raise SchemaError(f"custom: dphi must have m = {m} rows")
         dphi = [_parse_complex_vector(r, "dphi") for r in dphi_rows]
-        theta = _require(doc, "theta", list, "custom")
+        theta = _require(doc, "theta", "numbers", name)
         if len(theta) != m:
             raise SchemaError(f"custom: theta must have length m = {m}")
         if phi.shape != (dim,) or any(dv.shape != (dim,) for dv in dphi):
             raise SchemaError("custom: phi/dphi lengths must equal dim")
-        return custom_model(dim, m, phi, np.array(dphi), [float(t) for t in theta])
+        return custom_model(dim, m, phi, np.array(dphi), theta)
     raise SchemaError(f"unknown model '{name}'")

@@ -21,6 +21,7 @@ from .errors import (
     Infeasible,
     NonConvergence,
     NotPSD,
+    QcrbError,
     SingularFisher,
 )
 
@@ -71,9 +72,10 @@ def _setup(problem):
     if not matkernel.is_psd(g):
         raise DomainError("weight matrix must be PSD")
     js = matkernel.symmetrize(gram.real)
-    wj, _ = matkernel.hermitian_eig(js)
-    if wj.min() <= matkernel.EIGEN_DUST * max(1.0, matkernel.mnorm(js)):
-        raise SingularFisher("Re(gram) must be positive definite")
+    try:
+        jsinv = matkernel.inv_psd(js)
+    except NotPSD as exc:
+        raise SingularFisher("Re(gram) must be positive definite") from exc
     try:
         froot = matkernel.sqrt_psd(gram)
     except NotPSD as exc:
@@ -81,7 +83,6 @@ def _setup(problem):
     # lifts embedded in the phi-complement (2m complex dims)
     lc = np.zeros((2 * m, m), dtype=complex)
     lc[:m, :] = froot
-    jsinv = matkernel.inv_psd(js)
     xp = lc @ jsinv
     # real representation of the affine constraint Re<x^i|l_j> = delta_ij
     mreal = np.concatenate([lc.real, lc.imag], axis=0).T   # (m, 4m)
@@ -280,7 +281,7 @@ def stationarity_certificate(result, problem=None):
     fd = FisherData(JS=js, Jt=jt, gram=gram)
     try:
         coherent = analysis.beta_spectrum(fd).classification == "coherent"
-    except Exception:
+    except QcrbError:
         coherent = False
     wg, _ = matkernel.hermitian_eig(g)
     if coherent and wg.min() > matkernel.EIGEN_DUST * max(1.0, matkernel.mnorm(g)):

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from qcrb import analysis, errors, matkernel, model
+from qcrb import analysis, errors, matkernel, measurement, model
 from qcrb.model import FisherData
 
 
@@ -210,3 +211,31 @@ def test_cr_bound_singular_fisher():
                     gram=np.diag([1.0, 0.0]).astype(complex))
     with pytest.raises(errors.SingularFisher):
         analysis.beta_spectrum(fd)
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_each_working_point_is_decomposed_once(monkeypatch):
+    mdl = model.catalog_squeezed([0.1, 0.2, 0.4, 0.7])
+    expm_frechet = _count_calls(monkeypatch, scipy.linalg, "expm_frechet")
+    frame = model.tangent_frame(mdl, mdl.theta0)
+    assert expm_frechet == []   # truncation growth already built this frame
+    fd = model.fisher_data(frame)
+    canonical = _count_calls(monkeypatch, matkernel, "antisym_canonical")
+    assert analysis.beta_spectrum(fd).classification == "coherent"
+    assert analysis.coherent_test(fd)
+    g = np.eye(4)
+    assert analysis.cr_bound(fd, g).method == "closed_form_coherent"
+    nf = measurement.naimark_frame(fd, theta=mdl.theta0)
+    measurement.optimal_vectors_coherent(nf, fd, g)
+    assert len(canonical) == 1

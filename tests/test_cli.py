@@ -97,6 +97,19 @@ def test_boundary_from_model_with_weight(tmp_path):
     assert len(rows) == 6
 
 
+@pytest.mark.parametrize("weight, error", [
+    ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "SchemaError"),
+    ([[1.0, 0.0], [0.0, -1.0]], "DomainError"),
+    ([["a", 0.0], [0.0, 1.0]], "SchemaError"),
+])
+def test_boundary_beta_validates_weight(tmp_path, weight, error):
+    wpath = write_json(tmp_path / "w.json", weight)
+    proc = run_cli("boundary", "--beta", "0.6", "--weight", wpath, "--samples", "5")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr)["error"] == error
+
+
 def test_boundary_requires_two_params(tmp_path):
     cfg = write_json(tmp_path / "sq.json",
                      {"model": "squeezed", "theta": [0.0, 0.0, 0.4, 0.1]})

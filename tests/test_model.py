@@ -190,6 +190,20 @@ def test_model_from_config_errors():
                                  "theta": [0.0, 0.0]})
 
 
+@pytest.mark.parametrize("doc", [
+    {"model": "squeezed", "theta": [0.0, 0.0, 0.4, 0.1], "trunc": "abc"},
+    {"model": "squeezed", "theta": [0.0, 0.0, 0.4, 0.1], "trunc": -4},
+    {"model": "shifted_number", "n": 0, "theta": [0.2, 0.1], "trunc": 0},
+    {"model": "shifted_number", "n": 0, "theta": [0.2, 0.1], "trunc": 40.0},
+    {"model": "spin_rotation", "s": 1.0, "m_z": 0.0, "theta": ["x", 0.1]},
+    {"model": "custom", "dim": 2, "m": 1, "phi": [[1, 0], [0, 0]],
+     "dphi": [[[0, 0], [1, 0]]], "theta": [None]},
+])
+def test_model_from_config_rejects_bad_fields(doc):
+    with pytest.raises(errors.SchemaError):
+        model.model_from_config(doc)
+
+
 def test_model_from_config_roundtrip():
     cfg = {"model": "spin_rotation", "s": 1.5, "m_z": 0.5, "theta": [0.9, 0.3]}
     mdl = model.model_from_config(cfg)
