@@ -180,6 +180,26 @@ def expm_skew_hermitian(h, t):
     return (u * np.exp(1j * t * w)) @ u.conj().T
 
 
+def expm_frechet_hermitian(h, t, v, directions):
+    """exp(i t H) v and, for each direction E, d/ds exp(i t (H + s E)) v at s = 0.
+
+    v is a vector or a matrix of columns; every result has its shape. One
+    eigendecomposition H = U diag(w) U* serves all of them. The derivative is
+    the Daleckii-Krein form U (Gamma o (U* E U)) U* (Higham, Functions of
+    Matrices, Thm 3.11) with Gamma_jk = i t e^{i t (w_j + w_k)/2}
+    sinc(t (w_j - w_k)/2). No eigenvalue gap is divided by, so repeated
+    eigenvalues need no special case.
+    """
+    w, u = hermitian_eig(h)
+    uh = u.conj().T
+    x = uh @ v
+    half = 0.5 * t * w
+    gamma = (1j * t) * np.exp(1j * np.add.outer(half, half)) \
+        * np.sinc(np.subtract.outer(half, half) / np.pi)
+    derivs = [u @ ((gamma * (uh @ e @ u)) @ x) for e in directions]
+    return (u * np.exp(1j * t * w)) @ x, derivs
+
+
 def is_psd(a, scale=None):
     w, _ = hermitian_eig(a)
     ref = max(1.0, mnorm(a) if scale is None else scale)

@@ -349,16 +349,15 @@ def marginal_vectors(frame, fd, i):
     return EstimationVectors(X=x, phi=frame.phi)
 
 
-def exclusiveness_extraction_check(pvm, frame, j):
+def exclusiveness_extraction_check(pvm, frame, fd, j):
     """Max |Re <phi|E_k|l_j>| over outcomes of a first-parameter-optimal PVM.
 
-    Precondition: the PVM variance equals (JS^{-1})_11 within 1e-6.
+    fd is the Fisher data of frame. Precondition: the PVM variance equals
+    (JS^{-1})_11 within 1e-6.
     """
     if pvm.m != 1:
         raise PreconditionNotMet("expected a single-parameter PVM")
-    gram = frame.lifts.conj().T @ frame.lifts
-    js = matkernel.symmetrize(gram.real)
-    target = matkernel.inv_psd(js)[0, 0]
+    target = analysis.spectrum(fd).js_inv[0, 0]
     v, _ = covariance_of_pvm(pvm, frame)
     if abs(float(v[0, 0]) - target) > 1e-6:
         raise PreconditionNotMet(

@@ -5,6 +5,11 @@ The tangent frame at a point carries the horizontal lifts
 l_i = 2 (I - |phi><phi|) d_i phi, which satisfy <phi|l_i> = 0 and reconstruct
 d_i rho = (|l_i><phi| + |phi><l_i|)/2. The Gram matrix L*L splits into the
 real symmetric Fisher matrix JS and the real antisymmetric Jt.
+
+Every catalog generator is Hermitian up to a factor i. A catalog derivative
+eigendecomposes each of its generators once and takes the state and its
+parameter derivatives from that decomposition
+(matkernel.expm_frechet_hermitian).
 """
 
 import math
@@ -12,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from . import analysis, matkernel
 from .errors import (
@@ -184,13 +188,8 @@ def catalog_spin_rotation(s, m_z, theta=None):
     def derivative(theta):
         a = generator(theta[1])
         da = math.cos(theta[1]) * sx + math.sin(theta[1]) * sy
-        u = matkernel.expm_skew_hermitian(a, theta[0])
-        phi = u @ psi0
-        d1 = 1j * (a @ phi)
-        f = scipy.linalg.expm_frechet(1j * theta[0] * a, 1j * theta[0] * da,
-                                      compute_expm=False)
-        d2 = f @ psi0
-        return np.column_stack([d1, d2])
+        phi, (d2,) = matkernel.expm_frechet_hermitian(a, theta[0], psi0, [da])
+        return np.column_stack([1j * (a @ phi), d2])
 
     if theta is not None:
         theta = np.asarray(theta, dtype=float)
@@ -260,9 +259,8 @@ def catalog_shifted_number(n, theta=None, trunc=None):
 
         def derivative(theta):
             h = -theta[0] * x + theta[1] * p
-            d1 = scipy.linalg.expm_frechet(1j * h, -1j * x, compute_expm=False) @ psi0
-            d2 = scipy.linalg.expm_frechet(1j * h, 1j * p, compute_expm=False) @ psi0
-            return np.column_stack([d1, d2])
+            _, cols = matkernel.expm_frechet_hermitian(h, 1.0, psi0, [-x, p])
+            return np.column_stack(cols)
 
         return PureStateModel(
             label=f"shifted_number(n={n})",
@@ -325,20 +323,19 @@ def catalog_squeezed(theta, trunc=None):
             return dmat @ (smat @ psi0)
 
         def derivative(theta):
+            # K and W are anti-Hermitian, so exp(K) = exp(i (-iK)) and each
+            # direction dK enters the kernel as the Hermitian -i dK
             _, xi, k, w = pieces(theta)
-            dmat = matkernel.expm_skew_hermitian(-1j * k, 1.0)
-            smat = matkernel.expm_skew_hermitian(-1j * w, 1.0)
-            spsi = smat @ psi0
-            dks = [(ad - a) / math.sqrt(2), 1j * (ad + a) / math.sqrt(2)]
             e4 = np.exp(-2j * theta[3])
             dws = [0.5 * (e4 * ad2 - np.conj(e4) * a2),
                    -1j * (xi * ad2 + np.conj(xi) * a2)]
-            cols = []
-            for dk in dks:
-                cols.append(scipy.linalg.expm_frechet(k, dk, compute_expm=False) @ spsi)
-            for dw in dws:
-                cols.append(dmat @ (scipy.linalg.expm_frechet(w, dw, compute_expm=False) @ psi0))
-            return np.column_stack(cols)
+            spsi, dw_cols = matkernel.expm_frechet_hermitian(
+                -1j * w, 1.0, psi0, [-1j * dw for dw in dws])
+            dks = [(ad - a) / math.sqrt(2), 1j * (ad + a) / math.sqrt(2)]
+            # D acts on S psi0 and the xi columns; the z columns read column 0
+            dv, dk_cols = matkernel.expm_frechet_hermitian(
+                -1j * k, 1.0, np.column_stack([spsi] + dw_cols), [-1j * dk for dk in dks])
+            return np.column_stack([c[:, 0] for c in dk_cols] + [dv[:, 1], dv[:, 2]])
 
         return PureStateModel(
             label="squeezed",

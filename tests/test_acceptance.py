@@ -256,7 +256,7 @@ def test_criterion_09_structural_properties():
     fr = model.tangent_frame(na, na.theta0)
     ev = measurement.marginal_vectors(fr, fa, 0)
     pvm = measurement.pvm_from_vectors(ev)
-    assert measurement.exclusiveness_extraction_check(pvm, fr, 1) <= 1e-8
+    assert measurement.exclusiveness_extraction_check(pvm, fr, fa, 1) <= 1e-8
 
 
 def test_criterion_10_stationarity_certificates(grid_oracle_runs):

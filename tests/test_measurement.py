@@ -237,13 +237,13 @@ def test_exclusiveness_extraction_check():
     fd = model.fisher_data(fr)
     ev = measurement.marginal_vectors(fr, fd, 0)
     pvm = measurement.pvm_from_vectors(ev)
-    stat = measurement.exclusiveness_extraction_check(pvm, fr, 1)
+    stat = measurement.exclusiveness_extraction_check(pvm, fr, fd, 1)
     assert stat <= 1e-8
     # a detuned measurement misses the marginal bound
     bad = measurement.pvm_from_vectors(
         measurement.EstimationVectors(X=1.1 * ev.X, phi=ev.phi))
     with pytest.raises(errors.PreconditionNotMet):
-        measurement.exclusiveness_extraction_check(bad, fr, 1)
+        measurement.exclusiveness_extraction_check(bad, fr, fd, 1)
 
 
 def test_pvm_json_roundtrip():

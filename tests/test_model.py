@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qcrb import errors, model
+from qcrb import errors, matkernel, model
 
 
 def spin_matrices(s):
@@ -154,6 +154,40 @@ def test_squeezed_closed_forms_at_origin():
     assert abs(js[3, 3] - 2 * s * s) <= 1e-12
     assert abs(jt[0, 1] - 2.0) <= 1e-12
     assert abs(jt[2, 3] + 2 * s) <= 1e-12
+
+
+@pytest.mark.parametrize("theta", [[0.3, -0.2, 1.2, 0.4], [1.5, 0.5, 0.9, 2.0]])
+def test_squeezed_fisher_at_large_truncation(theta):
+    mdl = model.catalog_squeezed(theta)
+    assert mdl.dim > 128
+    fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
+    js, jt = model.squeezed_closed_forms(theta)
+    assert np.abs(fd.JS - js).max() <= 1e-10
+    assert np.abs(fd.Jt - jt).max() <= 1e-10
+
+
+def test_shifted_number_fisher_at_large_truncation():
+    mdl = model.catalog_shifted_number(3, [6.0, -5.0])
+    assert mdl.dim > 256
+    fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
+    assert np.abs(fd.JS - 14.0 * np.eye(2)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("build, generators", [
+    (lambda: model.catalog_spin_rotation(2.0, 1.0, [0.7, 1.1]), 1),
+    (lambda: model.catalog_shifted_number(1, [0.4, -0.3]), 1),
+    (lambda: model.catalog_squeezed([0.1, 0.2, 0.4, 0.7]), 2),
+], ids=["spin", "shifted", "squeezed"])
+def test_catalog_derivatives_take_one_decomposition_per_generator(
+        count_calls, build, generators):
+    mdl = build()
+    theta = mdl.theta0 + 0.05   # off theta0, so no stored frame is reused
+    frechet = count_calls(scipy.linalg, "expm_frechet")
+    eig = count_calls(matkernel, "hermitian_eig")
+    mdl.derivative(theta)
+    assert len(eig) == generators
+    model.tangent_frame(mdl, theta)
+    assert frechet == []
 
 
 def test_squeezed_rejects_nonpositive_squeeze():

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from qcrb import analysis, matkernel, measurement, model
@@ -160,3 +161,16 @@ def test_sqrt_abs_consistency(seed, n):
     assert np.abs(ab - ab.conj().T).max() <= 1e-10
     assert np.linalg.eigvalsh(ab).min() >= -1e-9
     assert np.abs(ab @ ab - h @ h).max() <= 1e-8 * max(1.0, np.abs(h).max() ** 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 6), st.floats(0.0, 3.0))
+def test_expm_frechet_hermitian_matches_scipy(seed, n, t):
+    rng = np.random.default_rng(seed)
+    a, b = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(2))
+    h = 0.5 * (a + a.conj().T)
+    e = 0.5 * (b + b.conj().T)
+    ev, (got,) = matkernel.expm_frechet_hermitian(h, t, np.eye(n), [e])
+    expm, frechet = scipy.linalg.expm_frechet(1j * t * h, 1j * t * e)
+    assert np.abs(ev - expm).max() <= 1e-12 * max(1.0, np.abs(expm).max())
+    assert np.abs(got - frechet).max() <= 1e-12 * max(1.0, np.abs(frechet).max())
