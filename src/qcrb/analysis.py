@@ -19,6 +19,7 @@ from . import matkernel
 from .errors import (
     ConsistencyError,
     DomainError,
+    GramNotPSD,
     NotCoherent,
     NotPSD,
     SingularFisher,
@@ -53,14 +54,23 @@ class BoundaryCurve:
 class Spectrum:
     """The decompositions of one working point, each computed on first use.
 
-    `js_inverses` is (JS^{-1}, JS^{-1/2}) from one eigendecomposition of JS,
-    or raises SingularFisher. `canonical` is (K, Q, pairs, zero_count, beta)
-    from one canonical form of the complex structure K = JS^{-1/2} Jt JS^{-1/2},
-    with beta its classified BetaSpectrum. `spectrum(fd)` caches it on fd.
+    `gram_root` is the PSD square root of the lift Gram, or raises
+    GramNotPSD. `js_inverses` is (JS^{-1}, JS^{-1/2}) from one
+    eigendecomposition of JS, or raises SingularFisher. `canonical` is
+    (K, Q, pairs, zero_count, beta) from one canonical form of the complex
+    structure K = JS^{-1/2} Jt JS^{-1/2}, with beta its classified
+    BetaSpectrum. `spectrum(fd)` caches it on fd.
     """
 
     def __init__(self, fd):
         self.fd = fd
+
+    @functools.cached_property
+    def gram_root(self):
+        try:
+            return matkernel.sqrt_psd(self.fd.gram)
+        except NotPSD as exc:
+            raise GramNotPSD(str(exc)) from exc
 
     @functools.cached_property
     def js_inverses(self):
@@ -147,6 +157,8 @@ def boundary_2param(beta, count=101, x_window=(-1.0, 1.0)):
     if not (0.0 <= beta <= 1.0):
         raise DomainError(f"beta must lie in [0, 1], got {beta}")
     count = int(count)
+    if count < 1:
+        raise DomainError(f"count must be at least 1, got {count}")
     if beta <= 1e-12:
         samples = np.array([[0.0, 1.0, 1.0, 1.0]])
     elif beta >= 1.0 - 1e-12:

@@ -56,6 +56,8 @@ def _resolve_weight(spec_str, js):
         raise errors.SchemaError("weight file must hold a numeric matrix") from exc
     if g.shape != (m, m):
         raise errors.SchemaError(f"weight shape {g.shape} does not match m = {m}")
+    if not np.all(np.isfinite(g)):
+        raise errors.SchemaError("weight matrix entries must be finite")
     g = matkernel.symmetrize(g)
     if not matkernel.is_psd(g):
         raise errors.DomainError("weight matrix must be PSD")

@@ -174,12 +174,6 @@ def antisym_canonical(a):
     return qout, betas, len(singles)
 
 
-def expm_skew_hermitian(h, t):
-    """exp(i t H) for Hermitian H, via eigendecomposition; result is unitary."""
-    w, u = hermitian_eig(h)
-    return (u * np.exp(1j * t * w)) @ u.conj().T
-
-
 def expm_frechet_hermitian(h, t, v, directions):
     """exp(i t H) v and, for each direction E, d/ds exp(i t (H + s E)) v at s = 0.
 

@@ -22,10 +22,8 @@ from .errors import (
     ConsistencyError,
     DegenerateVectors,
     DomainError,
-    GramNotPSD,
     InfeasibleGram,
     NotCommuting,
-    NotPSD,
     NotQuasiClassical,
     PreconditionNotMet,
     SchemaError,
@@ -80,10 +78,7 @@ def naimark_frame(fd, theta=None):
     """
     gram = 0.5 * (fd.gram + fd.gram.conj().T)
     m = gram.shape[0]
-    try:
-        froot = matkernel.sqrt_psd(gram)
-    except NotPSD as exc:
-        raise GramNotPSD(str(exc)) from exc
+    froot = analysis.spectrum(fd).gram_root
     dim = 2 * m + 1
     phi = np.zeros(dim, dtype=complex)
     phi[0] = 1.0

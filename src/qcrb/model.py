@@ -1,20 +1,21 @@
-"""Pure-state models: catalog families, derivatives, tangent frames, Fisher data.
+"""Pure-state models: catalog families, tangent frames, Fisher data.
 
-A model is a parametric family theta -> |phi(theta)> of unit vectors in C^d.
-The tangent frame at a point carries the horizontal lifts
+A model is a parametric family theta -> |phi(theta)> of unit vectors in C^d,
+given by one callable `state: theta -> (phi, dphi)` that returns the state and
+the d x m matrix of its derivative columns d_i phi. The tangent frame at a
+point calls it once and carries the horizontal lifts
 l_i = 2 (I - |phi><phi|) d_i phi, which satisfy <phi|l_i> = 0 and reconstruct
 d_i rho = (|l_i><phi| + |phi><l_i|)/2. The Gram matrix L*L splits into the
 real symmetric Fisher matrix JS and the real antisymmetric Jt.
 
-Every catalog generator is Hermitian up to a factor i. A catalog derivative
-eigendecomposes each of its generators once and takes the state and its
-parameter derivatives from that decomposition
-(matkernel.expm_frechet_hermitian).
+Every catalog generator is Hermitian up to a factor i. A catalog `state`
+eigendecomposes each of its generators once and takes phi and dphi from that
+decomposition (matkernel.expm_frechet_hermitian).
 """
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -22,14 +23,12 @@ from . import analysis, matkernel
 from .errors import (
     DegenerateModel,
     DomainError,
-    GramNotPSD,
     NormDrift,
     SchemaError,
     SingularFisher,
     TruncationError,
 )
 
-FD_STEP = 1e-6
 TAIL_TOL = 1e-10
 TRUNC_CAP = 4096
 
@@ -39,10 +38,9 @@ class PureStateModel:
     label: str
     dim: int
     m: int
-    evaluator: Callable[[np.ndarray], np.ndarray]
-    derivative: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    derivative_mode: str = "analytic"   # or "finite_difference"
-    fd_step: float = FD_STEP
+    # theta -> (phi, dphi): the state, shape (d,), with |phi| = 1 up to 1e-8,
+    # and its derivative columns d_i phi, shape (d, m)
+    state: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
     theta0: Optional[np.ndarray] = None
     # tangent frame at theta0 that truncation growth verified; see tangent_frame
     _frame: Optional["TangentFrame"] = field(
@@ -65,37 +63,6 @@ class FisherData:
     _spectrum: object = field(default=None, init=False, repr=False, compare=False)
 
 
-def _phase_align(ref, v):
-    """Multiply v by the unit phase maximizing Re<ref|v>."""
-    z = np.vdot(ref, v)
-    if abs(z) < 1e-300:
-        return v
-    return v * (z.conjugate() / abs(z))
-
-
-def _evaluate_state(model, theta):
-    phi = np.asarray(model.evaluator(np.asarray(theta, dtype=float)), dtype=complex)
-    nrm = np.linalg.norm(phi)
-    if abs(nrm - 1.0) > 1e-8:
-        raise NormDrift(f"state norm {nrm!r} deviates from 1 beyond 1e-8")
-    return phi / nrm
-
-
-def _fd_derivatives(model, theta, phi):
-    theta = np.asarray(theta, dtype=float)
-    cols = []
-    for i in range(model.m):
-        h = model.fd_step * max(1.0, abs(theta[i]))
-        tp = theta.copy()
-        tp[i] += h
-        tm = theta.copy()
-        tm[i] -= h
-        pp = _phase_align(phi, _evaluate_state(model, tp))
-        pm = _phase_align(phi, _evaluate_state(model, tm))
-        cols.append((pp - pm) / (2.0 * h))
-    return np.column_stack(cols)
-
-
 def tangent_frame(model, theta):
     """Evaluate the state and its horizontal lifts at theta."""
     theta = np.array(theta, dtype=float)   # a copy, so the stored frame keeps its point
@@ -104,13 +71,13 @@ def tangent_frame(model, theta):
     # the frame truncation growth verified is reused at its exact point
     if model._frame is not None and np.array_equal(theta, model._frame.theta):
         return model._frame
-    phi = _evaluate_state(model, theta)
-    if model.derivative_mode == "analytic" and model.derivative is not None:
-        dphi = np.asarray(model.derivative(theta), dtype=complex)
-        if dphi.shape != (model.dim, model.m):
-            dphi = dphi.reshape(model.dim, model.m)
-    else:
-        dphi = _fd_derivatives(model, theta, phi)
+    phi, dphi = model.state(theta)
+    phi = np.asarray(phi, dtype=complex)
+    dphi = np.asarray(dphi, dtype=complex)
+    nrm = np.linalg.norm(phi)
+    if abs(nrm - 1.0) > 1e-8:
+        raise NormDrift(f"state norm {nrm!r} deviates from 1 beyond 1e-8")
+    phi = phi / nrm
     lifts = 2.0 * (dphi - np.outer(phi, phi.conj() @ dphi))
     # common-phase convention: largest component of phi made real positive
     k = int(np.argmax(np.abs(phi)))
@@ -131,11 +98,11 @@ def fisher_data(frame):
     """Gram matrix of the lifts and its real/imaginary split."""
     gram = frame.lifts.conj().T @ frame.lifts
     gram = 0.5 * (gram + gram.conj().T)
-    if not matkernel.is_psd(gram):
-        raise GramNotPSD("lift Gram has a negative eigenvalue beyond dust")
     fd = FisherData(JS=matkernel.symmetrize(gram.real),
                     Jt=matkernel.antisymmetrize(gram.imag), gram=gram)
-    analysis.spectrum(fd).js_inverses   # raises SingularFisher; cached for later use
+    spec = analysis.spectrum(fd)   # both decompositions are cached for later use
+    spec.gram_root                 # raises GramNotPSD
+    spec.js_inverses               # raises SingularFisher
     return fd
 
 
@@ -181,15 +148,11 @@ def catalog_spin_rotation(s, m_z, theta=None):
     def generator(th2):
         return math.sin(th2) * sx - math.cos(th2) * sy
 
-    def evaluator(theta):
-        u = matkernel.expm_skew_hermitian(generator(theta[1]), theta[0])
-        return u @ psi0
-
-    def derivative(theta):
+    def state(theta):
         a = generator(theta[1])
         da = math.cos(theta[1]) * sx + math.sin(theta[1]) * sy
         phi, (d2,) = matkernel.expm_frechet_hermitian(a, theta[0], psi0, [da])
-        return np.column_stack([1j * (a @ phi), d2])
+        return phi, np.column_stack([1j * (a @ phi), d2])
 
     if theta is not None:
         theta = np.asarray(theta, dtype=float)
@@ -202,8 +165,7 @@ def catalog_spin_rotation(s, m_z, theta=None):
 
     return PureStateModel(
         label=f"spin_rotation(s={s}, m_z={m_z})",
-        dim=d, m=2, evaluator=evaluator, derivative=derivative,
-        derivative_mode="analytic", theta0=theta,
+        dim=d, m=2, state=state, theta0=theta,
     )
 
 
@@ -253,19 +215,14 @@ def catalog_shifted_number(n, theta=None, trunc=None):
         psi0 = np.zeros(d, dtype=complex)
         psi0[n] = 1.0
 
-        def evaluator(theta):
+        def state(theta):
             h = -theta[0] * x + theta[1] * p
-            return matkernel.expm_skew_hermitian(h, 1.0) @ psi0
-
-        def derivative(theta):
-            h = -theta[0] * x + theta[1] * p
-            _, cols = matkernel.expm_frechet_hermitian(h, 1.0, psi0, [-x, p])
-            return np.column_stack(cols)
+            phi, cols = matkernel.expm_frechet_hermitian(h, 1.0, psi0, [-x, p])
+            return phi, np.column_stack(cols)
 
         return PureStateModel(
             label=f"shifted_number(n={n})",
-            dim=d, m=2, evaluator=evaluator, derivative=derivative,
-            derivative_mode="analytic", theta0=th0,
+            dim=d, m=2, state=state, theta0=th0,
         )
 
     return _grow_truncation(build, start, trunc, th0)
@@ -309,24 +266,15 @@ def catalog_squeezed(theta, trunc=None):
         psi0 = np.zeros(d, dtype=complex)
         psi0[0] = 1.0
 
-        def pieces(theta):
+        def state(theta):
+            # D = exp(K) and S = exp(W) with K and W anti-Hermitian, so
+            # exp(K) = exp(i (-iK)) and each direction dK enters the kernel as
+            # the Hermitian -i dK
             z = (theta[0] + 1j * theta[1]) / math.sqrt(2)
-            xi = theta[2] * np.exp(-2j * theta[3])
+            e4 = np.exp(-2j * theta[3])
+            xi = theta[2] * e4
             k = z * ad - np.conj(z) * a
             w = 0.5 * (xi * ad2 - np.conj(xi) * a2)
-            return z, xi, k, w
-
-        def evaluator(theta):
-            _, _, k, w = pieces(theta)
-            dmat = matkernel.expm_skew_hermitian(-1j * k, 1.0)
-            smat = matkernel.expm_skew_hermitian(-1j * w, 1.0)
-            return dmat @ (smat @ psi0)
-
-        def derivative(theta):
-            # K and W are anti-Hermitian, so exp(K) = exp(i (-iK)) and each
-            # direction dK enters the kernel as the Hermitian -i dK
-            _, xi, k, w = pieces(theta)
-            e4 = np.exp(-2j * theta[3])
             dws = [0.5 * (e4 * ad2 - np.conj(e4) * a2),
                    -1j * (xi * ad2 + np.conj(xi) * a2)]
             spsi, dw_cols = matkernel.expm_frechet_hermitian(
@@ -335,12 +283,12 @@ def catalog_squeezed(theta, trunc=None):
             # D acts on S psi0 and the xi columns; the z columns read column 0
             dv, dk_cols = matkernel.expm_frechet_hermitian(
                 -1j * k, 1.0, np.column_stack([spsi] + dw_cols), [-1j * dk for dk in dks])
-            return np.column_stack([c[:, 0] for c in dk_cols] + [dv[:, 1], dv[:, 2]])
+            return dv[:, 0], np.column_stack(
+                [c[:, 0] for c in dk_cols] + [dv[:, 1], dv[:, 2]])
 
         return PureStateModel(
             label="squeezed",
-            dim=d, m=4, evaluator=evaluator, derivative=derivative,
-            derivative_mode="analytic", theta0=th0,
+            dim=d, m=4, state=state, theta0=th0,
         )
 
     return _grow_truncation(build, start, trunc, th0)
@@ -387,18 +335,11 @@ def custom_model(dim, m, phi, dphi, theta):
     if abs(nrm - 1.0) > 1e-8:
         raise NormDrift(f"custom phi has norm {nrm!r}")
 
-    def evaluator(th):
+    def state(th):
         v = phi + dphi @ (np.asarray(th, dtype=float) - theta0)
-        return v / np.linalg.norm(v)
+        return v / np.linalg.norm(v), dphi
 
-    def derivative(th):
-        return dphi
-
-    return PureStateModel(
-        label="custom", dim=dim, m=m,
-        evaluator=evaluator, derivative=derivative,
-        derivative_mode="analytic", theta0=theta0,
-    )
+    return PureStateModel(label="custom", dim=dim, m=m, state=state, theta0=theta0)
 
 
 def _is_number(v):

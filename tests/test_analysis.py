@@ -81,6 +81,13 @@ def test_boundary_endpoints_and_domain():
         analysis.boundary_2param(1.2)
 
 
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("count", [0, -3])
+def test_boundary_rejects_empty_sample_count(beta, count):
+    with pytest.raises(errors.DomainError):
+        analysis.boundary_2param(beta, count=count)
+
+
 def test_cr_bound_2param_vertex_and_coherent_formulas():
     g = np.diag([1.0, 4.0])
     # beta = 0: the vertex, value Tr(G JS^{-1})

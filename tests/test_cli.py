@@ -101,6 +101,9 @@ def test_boundary_from_model_with_weight(tmp_path):
     ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "SchemaError"),
     ([[1.0, 0.0], [0.0, -1.0]], "DomainError"),
     ([["a", 0.0], [0.0, 1.0]], "SchemaError"),
+    # json writes these as NaN and Infinity, which json also reads back
+    ([[1.0, 0.0], [0.0, float("nan")]], "SchemaError"),
+    ([[1.0, 0.0], [0.0, float("inf")]], "SchemaError"),
 ])
 def test_boundary_beta_validates_weight(tmp_path, weight, error):
     wpath = write_json(tmp_path / "w.json", weight)
@@ -108,6 +111,16 @@ def test_boundary_beta_validates_weight(tmp_path, weight, error):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert json.loads(proc.stderr)["error"] == error
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_boundary_rejects_empty_sample_count(samples):
+    proc = run_cli("boundary", "--beta", "0.5", "--samples", samples)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    err = json.loads(proc.stderr)
+    assert err["error"] == "DomainError"
+    assert err["exit_code"] == 2
 
 
 def test_boundary_requires_two_params(tmp_path):

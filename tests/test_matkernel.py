@@ -112,15 +112,6 @@ def test_antisym_canonical_zero_matrix():
     assert np.abs(q @ q.T - np.eye(3)).max() <= 1e-12
 
 
-def test_expm_skew_hermitian_matches_scipy():
-    rng = np.random.default_rng(6)
-    h = random_hermitian(rng, 5)
-    t = 0.731
-    expect = scipy.linalg.expm(1j * t * h)
-    got = matkernel.expm_skew_hermitian(h, t)
-    assert np.abs(got - expect).max() <= 1e-11
-
-
 def test_psd_geq():
     assert matkernel.psd_geq(np.diag([2.0, 2.0]), np.eye(2))
     assert not matkernel.psd_geq(np.diag([0.5, 2.0]), np.eye(2))

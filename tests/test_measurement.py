@@ -93,6 +93,14 @@ def test_naimark_frame_reproduces_gram():
     assert np.abs(nf.lifts.conj().T @ nf.phi).max() <= 1e-12
 
 
+def test_naimark_frame_reuses_the_gram_root(count_calls):
+    mdl = model.catalog_shifted_number(0, [0.2, -0.4])
+    fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
+    eig = count_calls(matkernel, "hermitian_eig")
+    measurement.naimark_frame(fd)
+    assert eig == []
+
+
 def test_coherent_pvm_attains_bound():
     mdl = model.catalog_shifted_number(0, [0.2, -0.4])
     fr = model.tangent_frame(mdl, mdl.theta0)

@@ -64,15 +64,13 @@ def test_spin_fisher_matches_fd_oracle():
     assert abs(fd.JS[0, 0] - 4.0) <= 1e-10
 
 
-def test_spin_fd_derivative_mode_agrees():
+def test_generic_spin_point_matches_fd_oracle():
     theta = [0.4, 2.2]
-    a = model.catalog_spin_rotation(2.0, 1.0, theta)
-    b = model.catalog_spin_rotation(2.0, 1.0, theta)
-    b.derivative_mode = "fd"
-    fa = model.fisher_data(model.tangent_frame(a, theta))
-    fb = model.fisher_data(model.tangent_frame(b, theta))
-    assert np.abs(fa.JS - fb.JS).max() <= 1e-5
-    assert np.abs(fa.Jt - fb.Jt).max() <= 1e-5
+    mdl = model.catalog_spin_rotation(2.0, 1.0, theta)
+    fd = model.fisher_data(model.tangent_frame(mdl, theta))
+    gram = fd_gram(lambda t: spin_state(2.0, 1.0, t), theta)
+    assert np.abs(fd.JS - gram.real).max() <= 1e-5
+    assert np.abs(fd.Jt - gram.imag).max() <= 1e-5
 
 
 def test_spin_validation():
@@ -184,9 +182,8 @@ def test_catalog_derivatives_take_one_decomposition_per_generator(
     theta = mdl.theta0 + 0.05   # off theta0, so no stored frame is reused
     frechet = count_calls(scipy.linalg, "expm_frechet")
     eig = count_calls(matkernel, "hermitian_eig")
-    mdl.derivative(theta)
-    assert len(eig) == generators
     model.tangent_frame(mdl, theta)
+    assert len(eig) == generators
     assert frechet == []
 
 
