@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.optimize
 
 from . import matkernel
 from .errors import (
@@ -184,28 +183,21 @@ def boundary_2param(beta, count=101, x_window=(-1.0, 1.0)):
 
 
 def _minimize_on_curve(g0, g1, beta):
-    """Minimize g0*(1+p^2) + g1*(1+q(p)^2) over the stationary curve."""
+    """Minimize g0*(1+p^2) + g1*(1+q(p)^2) over the stationary curve.
+
+    Since q'(p) = -1/(beta p + c)^2, stationary points are the real roots in
+    [0, beta/c] of the quartic g0 p (beta p + c)^3 - g1 (beta - c p). It
+    increases from -g1 beta to a positive value there, so exactly one root
+    lies inside; the minimum is taken over the clipped real parts of all four
+    roots and both endpoints, every one of them a point of the curve.
+    """
     c = math.sqrt(max(0.0, 1.0 - beta * beta))
     pmax = beta / c
-
-    def f(p):
-        q = _curve_q(p, beta, c)
-        return g0 * (1.0 + p * p) + g1 * (1.0 + q * q)
-
-    grid = np.linspace(0.0, pmax, 513)
-    vals = np.array([f(p) for p in grid])
-    k = int(np.argmin(vals))
-    lo = grid[max(0, k - 1)]
-    hi = grid[min(len(grid) - 1, k + 1)]
-    if hi > lo:
-        res = scipy.optimize.minimize_scalar(
-            f, bounds=(lo, hi), method="bounded",
-            options={"xatol": 1e-12, "maxiter": 500})
-        pstar = float(res.x)
-        if f(pstar) > vals[k]:
-            pstar = float(grid[k])
-    else:
-        pstar = float(grid[k])
+    coeffs = [g0 * beta ** 3, 3.0 * g0 * beta * beta * c, 3.0 * g0 * beta * c * c,
+              g0 * c ** 3 + g1 * c, -g1 * beta]
+    p = np.concatenate([np.clip(np.roots(coeffs).real, 0.0, pmax), [0.0, pmax]])
+    q = _curve_q(p, beta, c)
+    pstar = float(p[np.argmin(g0 * (1.0 + p * p) + g1 * (1.0 + q * q))])
     return pstar, _curve_q(pstar, beta, c)
 
 

@@ -194,9 +194,9 @@ def cmd_pvm(args):
         closed = analysis.cr_bound(fd, g)
     elif spec.classification == "coherent":
         nf = measurement.naimark_frame(fd, theta=model.theta0)
-        ev = measurement.optimal_vectors_coherent(nf, fd, g)
-        space = nf
         closed = analysis.cr_bound_coherent(fd, g)
+        ev = measurement.optimal_vectors_coherent(nf, fd, g, report=closed)
+        space = nf
     else:
         raise errors.NotSupported(
             "no closed-form optimal measurement for generic multi-parameter models")

@@ -7,7 +7,6 @@ across the package.
 """
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConsistencyError, NonFinite, NonHermitian, NotPSD
 
@@ -120,6 +119,13 @@ def antisym_canonical(a):
     Returns (Q, betas, zero_count) with Q real orthogonal such that Q^T A Q is
     block diagonal with 2x2 blocks [[0, -beta_j], [beta_j, 0]], beta_j > 0
     sorted descending, followed by zeros on the diagonal.
+
+    The form comes from one eigendecomposition of the Hermitian matrix iA. An
+    eigenvector x + iy with eigenvalue beta > 0 has A x = beta y and
+    A y = -beta x, with |x| = |y| = 1/sqrt(2) and x orthogonal to y, so
+    (sqrt(2) x, sqrt(2) y) is the block's column pair. The eigenvectors within
+    dust of zero span the kernel; the real and imaginary parts of them span
+    its real form.
     """
     a = np.asarray(check_finite(a), dtype=float)
     n = a.shape[0]
@@ -128,42 +134,36 @@ def antisym_canonical(a):
         raise NonHermitian(f"antisymmetry deviation {dev:.3e}")
     a = antisymmetrize(a)
     dust = EIGEN_DUST * max(1.0, mnorm(a))
-    t, q = scipy.linalg.schur(a, output="real")
-    # A is normal, so T is block diagonal up to dust; scan the subdiagonal.
-    pairs = []   # (beta, first column index)
-    singles = []
-    k = 0
-    while k < n:
-        if k + 1 < n and abs(t[k + 1, k]) > dust:
-            b = 0.5 * (abs(t[k + 1, k]) + abs(t[k, k + 1]))
-            if t[k + 1, k] < 0:
-                q[:, [k, k + 1]] = q[:, [k + 1, k]]
-            pairs.append((b, k))
-            k += 2
-        else:
-            singles.append(k)
-            k += 1
+    w, v = np.linalg.eigh(1j * a)
     # Descending beta; ties broken by the lexicographic order of the block's
     # first column (sign-fixed so its first significant component is positive).
-    cols = []
     keyed = []
-    for b, k in pairs:
-        q1 = q[:, k].copy()
-        q2 = q[:, k + 1].copy()
+    for k in np.flatnonzero(w > dust):
+        col = np.sqrt(2.0) * v[:, k]
+        q1, q2 = col.real, col.imag
         nzi = np.argmax(np.abs(q1) > dust)
         if q1[nzi] < 0:
             # flipping both columns preserves the block sign pattern
             q1, q2 = -q1, -q2
-        keyed.append((-b, tuple(np.round(q1, 12)), q1, q2, b))
+        keyed.append((-w[k], tuple(np.round(q1, 12)), q1, q2, w[k]))
     keyed.sort(key=lambda r: (r[0], r[1]))
-    betas = []
-    for _, _, q1, q2, b in keyed:
-        cols.extend([q1, q2])
-        betas.append(b)
-    for k in singles:
-        cols.append(q[:, k])
+    null = v[:, np.abs(w) <= dust]
+    zero_count = null.shape[1]
+    if 2 * len(keyed) + zero_count != n:
+        raise ConsistencyError(
+            f"eigenvalues of iA are not symmetric at dust level {dust:.3e}")
+    cols = [q for key in keyed for q in key[2:4]]
+    if zero_count:
+        u, _, _ = np.linalg.svd(np.concatenate([null.real, null.imag], axis=1))
+        cols.extend(u[:, :zero_count].T)
     qout = np.column_stack(cols) if cols else np.zeros((n, 0))
-    betas = np.array(betas, dtype=float)
+    # eigh separates +beta from -beta and from the kernel only to about
+    # eps/beta, so for beta near the dust the columns are that far from
+    # orthonormal. Gram-Schmidt in column order (QR with the signs kept)
+    # restores Q^T Q = I and keeps the span of every leading set of columns.
+    qout, tri = np.linalg.qr(qout)
+    qout = qout * np.sign(np.diag(tri))
+    betas = np.array([key[4] for key in keyed], dtype=float)
     canon = np.zeros((n, n))
     for j, b in enumerate(betas):
         canon[2 * j, 2 * j + 1] = -b
@@ -171,7 +171,7 @@ def antisym_canonical(a):
     resid = mnorm(qout.T @ a @ qout - canon)
     if resid > 1e-9 * max(1.0, mnorm(a)):
         raise ConsistencyError(f"canonical form residual {resid:.3e}")
-    return qout, betas, len(singles)
+    return qout, betas, zero_count
 
 
 def expm_frechet_hermitian(h, t, v, directions):

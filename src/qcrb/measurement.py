@@ -110,9 +110,13 @@ def optimal_vectors_quasi_classical(frame, fd):
     return EstimationVectors(X=x, phi=frame.phi)
 
 
-def optimal_vectors_coherent(nf, fd, G):
-    """Estimation vectors attaining the coherent-model bound for PD weight G."""
-    report = analysis.cr_bound_coherent(fd, G)   # raises NotCoherent/SingularWeight
+def optimal_vectors_coherent(nf, fd, G, report=None):
+    """Estimation vectors attaining the coherent-model bound for PD weight G.
+
+    `report` is cr_bound_coherent(fd, G) when the caller already has it.
+    """
+    if report is None:
+        report = analysis.cr_bound_coherent(fd, G)   # raises NotCoherent/SingularWeight
     a = analysis.spectrum(fd).js_inv
     m = fd.JS.shape[0]
     x0 = nf.lifts @ a

@@ -321,8 +321,10 @@ def squeezed_closed_forms(theta):
 def _parse_complex_vector(rows, what):
     try:
         arr = np.asarray([[float(p[0]), float(p[1])] for p in rows], dtype=float)
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, IndexError, OverflowError) as exc:
         raise SchemaError(f"{what} must be an array of [re, im] pairs") from exc
+    if not np.all(np.isfinite(arr)):
+        raise SchemaError(f"{what} entries must be finite")
     return arr[:, 0] + 1j * arr[:, 1]
 
 
@@ -343,15 +345,21 @@ def custom_model(dim, m, phi, dphi, theta):
 
 
 def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite number; json also reads NaN and +-Infinity, which are not."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:   # an int beyond the float range
+        return False
 
 
 _KINDS = {   # config value kind: (test, description)
-    "number": (_is_number, "a number"),
+    "number": (_is_number, "a finite number"),
     "integer": (lambda v: _is_number(v) and isinstance(v, int), "an integer"),
     "count": (lambda v: _is_number(v) and isinstance(v, int) and v >= 1, "an integer >= 1"),
     "list": (lambda v: isinstance(v, list), "a list"),
-    "numbers": (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers"),
+    "numbers": (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of finite numbers"),
 }
 
 

@@ -5,6 +5,9 @@ complement of phi' in the 2m+1 dimensional embedding (2m complex dimensions
 suffice); the affine constraint Re X*L = I is eliminated exactly by a
 null-space parametrization, and Im X*X = 0 is driven to zero by an increasing
 quadratic penalty with multi-start quasi-Newton inner solves.
+
+scipy is imported inside the functions that solve, so the closed-form
+routes, which never call them, run on numpy alone.
 """
 
 import math
@@ -12,8 +15,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from . import matkernel
 from .errors import (
@@ -63,6 +64,7 @@ class OracleResult:
 
 
 def _setup(problem):
+    import scipy.linalg
     gram = 0.5 * (np.asarray(problem.gram, dtype=complex)
                   + np.asarray(problem.gram, dtype=complex).conj().T)
     m = gram.shape[0]
@@ -118,6 +120,7 @@ def _penalty_objective(y_flat, shape, xp, nbasis, g, mu, lam=None):
 
 def minimize(problem):
     """Best feasible value of Tr(G Re X*X) over seeded multi-start runs."""
+    import scipy.optimize
     gram, g, js, jsinv, lc, xp, mreal, nbasis = _setup(problem)
     m = g.shape[0]
     shape = (nbasis.shape[1], m)
@@ -297,6 +300,7 @@ def feasible_scan(problem, v_target):
     Runs the same penalty machinery on the squared residuals and reports
     whether they drop below 1e-5 max-entry.
     """
+    import scipy.optimize
     gram, g, js, jsinv, lc, xp, mreal, nbasis = _setup(problem)
     m = g.shape[0]
     vt = matkernel.symmetrize(np.asarray(v_target, dtype=float))

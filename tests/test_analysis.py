@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from qcrb import analysis, errors, matkernel, measurement, model
 from qcrb.model import FisherData
@@ -124,6 +125,32 @@ def test_cr_bound_2param_vopt_on_curve():
         rhs = beta * math.sqrt(max(0.0, np.linalg.det(vn)))
         assert abs(lhs - rhs) <= 1e-8
         assert rep.value >= analysis.sld_bound(fd, g) - 1e-10
+
+
+def _curve_value(g0, g1, beta, p):
+    c = math.sqrt(1.0 - beta * beta)
+    q = (beta - c * p) / (beta * p + c)
+    return g0 * (1.0 + p * p) + g1 * (1.0 + q * q)
+
+
+@pytest.mark.parametrize("beta", [1e-6, 0.05, 0.5, 0.9, 0.999, 1.0 - 1e-6])
+def test_minimize_on_curve_matches_brent(beta):
+    # reference: the best point of a dense grid, refined by bounded Brent
+    pmax = beta / math.sqrt(1.0 - beta * beta)
+    grid = np.linspace(0.0, pmax, 4097)
+    for g0 in (1e-3, 0.4, 1.0, 30.0):
+        for g1 in (1e-3, 0.7, 1.0, 30.0):
+            vals = _curve_value(g0, g1, beta, grid)
+            k = int(np.argmin(vals))
+            res = scipy.optimize.minimize_scalar(
+                lambda p: _curve_value(g0, g1, beta, p),
+                bounds=(grid[max(0, k - 1)], grid[min(len(grid) - 1, k + 1)]),
+                method="bounded", options={"xatol": 1e-14, "maxiter": 1000})
+            ref = min(float(res.fun), float(vals[k]))
+            p, q = analysis._minimize_on_curve(g0, g1, beta)
+            assert 0.0 <= p <= pmax
+            got = g0 * (1.0 + p * p) + g1 * (1.0 + q * q)
+            assert abs(got - ref) <= 1e-12 * ref, (g0, g1, got, ref)
 
 
 def test_cr_bound_2param_exceeds_sld_iff_noncommuting():

@@ -1,4 +1,4 @@
-"""End-to-end command-line checks through subprocess."""
+"""End-to-end command-line checks, through subprocesses and in process."""
 
 import csv
 import json
@@ -8,10 +8,13 @@ import sys
 import numpy as np
 import pytest
 
+from qcrb import analysis, cli
+
 SPIN_QC = {"model": "spin_rotation", "s": 1.0, "m_z": 0.0, "theta": [0.7, 1.1]}
 SPIN_GEN = {"model": "spin_rotation", "s": 1.5, "m_z": 0.5, "theta": [0.9, 0.3],
             "oracle": {"restarts": 3, "seed": 2}}
 N0 = {"model": "shifted_number", "n": 0, "theta": [0.2, -0.4]}
+SQUEEZED = {"model": "squeezed", "theta": [0.1, -0.2, 0.4, 0.3]}
 
 
 def run_cli(*args):
@@ -206,3 +209,60 @@ def test_unknown_model_schema_error(tmp_path):
     cfg = write_json(tmp_path / "m.json", {"model": "nope", "theta": [0.0]})
     proc = run_cli("analyze", "--config", cfg)
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("config", [
+    {"model": "shifted_number", "n": 0, "theta": [float("nan"), 0.3]},
+    {"model": "squeezed", "theta": [0.1, -0.2, 0.4, float("inf")]},
+    {"model": "custom", "dim": 2, "m": 1, "phi": [[float("nan"), 0.0], [0.0, 0.0]],
+     "dphi": [[[0.0, 0.0], [1.0, 0.0]]], "theta": [0.0]},
+])
+def test_non_finite_config_numbers_schema_error(tmp_path, config):
+    # json writes NaN and Infinity, and reads them back
+    cfg = write_json(tmp_path / "m.json", config)
+    proc = run_cli("analyze", "--config", cfg)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    err = json.loads(proc.stderr)
+    assert err["error"] == "SchemaError"
+    assert err["exit_code"] == 2
+
+
+def test_pvm_coherent_computes_the_bound_once(tmp_path, count_calls, capsys):
+    cfg = write_json(tmp_path / "sq.json", SQUEEZED)
+    calls = count_calls(analysis, "cr_bound_coherent")
+    assert cli.main(["pvm", "--config", cfg]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["classification"] == "coherent"
+    assert abs(doc["verification"]["trGV"] - doc["closed_form_value"]) <= 1e-8
+    assert len(calls) == 1
+
+
+IMPORT_PROBE = (
+    "import json, sys\n"
+    "import qcrb.cli\n"
+    "code = qcrb.cli.main(sys.argv[1:])\n"
+    "sys.stderr.write(json.dumps({'code': code, 'scipy': 'scipy' in sys.modules}))\n"
+)
+
+
+@pytest.mark.parametrize("command, config, extra, scipy_loaded", [
+    ("analyze", SPIN_GEN, [], False),
+    ("bound", SPIN_GEN, [], False),
+    ("bound", SQUEEZED, [], False),
+    ("pvm", N0, [], False),
+    ("simulate", N0, ["--samples", "50"], False),
+    ("boundary", SPIN_GEN, ["--weight", "identity", "--samples", "5"], False),
+    ("oracle", SPIN_GEN, [], True),
+])
+def test_only_the_oracle_loads_scipy(tmp_path, command, config, extra, scipy_loaded):
+    cfg = write_json(tmp_path / "m.json", config)
+    if command == "simulate":
+        pvm_path = str(tmp_path / "pvm.json")
+        assert run_cli("pvm", "--config", cfg, "--out", pvm_path).returncode == 0
+        extra = extra + ["--pvm", pvm_path]
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, command, "--config", cfg, *extra],
+        capture_output=True, text=True, timeout=300)
+    probe = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert probe == {"code": 0, "scipy": scipy_loaded}

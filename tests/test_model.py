@@ -229,6 +229,14 @@ def test_model_from_config_errors():
     {"model": "spin_rotation", "s": 1.0, "m_z": 0.0, "theta": ["x", 0.1]},
     {"model": "custom", "dim": 2, "m": 1, "phi": [[1, 0], [0, 0]],
      "dphi": [[[0, 0], [1, 0]]], "theta": [None]},
+    # non-finite numbers, which json reads as NaN / Infinity, and an int
+    # beyond the float range
+    {"model": "spin_rotation", "s": float("nan"), "m_z": 0.0, "theta": [0.7, 0.1]},
+    {"model": "shifted_number", "n": 0, "theta": [10 ** 400, 0.1]},
+    {"model": "custom", "dim": 2, "m": 1, "phi": [[1, 0], [0, 0]],
+     "dphi": [[[0, 0], [float("-inf"), 0]]], "theta": [0.0]},
+    {"model": "custom", "dim": 2, "m": 1, "phi": [[10 ** 400, 0], [0, 0]],
+     "dphi": [[[0, 0], [1, 0]]], "theta": [0.0]},
 ])
 def test_model_from_config_rejects_bad_fields(doc):
     with pytest.raises(errors.SchemaError):
