@@ -1,9 +1,9 @@
-"""Cross-validate the two-parameter closed-form bound against the minimizer.
+"""Cross-validate the two-parameter closed-form bound against the Holevo SDP.
 
 For each beta on a grid, draws a few positive definite weights, evaluates
-the closed form, runs the brute-force oracle on the same problem, and
-prints the gap plus the stationarity-certificate residual. Exits nonzero
-if any gap exceeds the tolerance.
+the closed form, solves the oracle's SDP on the same problem, and prints
+their difference, the SDP's duality gap and the stationarity-certificate
+residual. Exits nonzero if any difference exceeds the tolerance.
 """
 
 import argparse
@@ -20,9 +20,8 @@ from qcrb.model import FisherData
 class SweepConfig:
     betas: tuple = (0.0, 0.25, 0.5, 0.75, 0.9, 1.0)
     weights_per_beta: int = 4
-    restarts: int = 6
     seed: int = 2026
-    tol: float = 1e-4
+    tol: float = 1e-8          # relative to max(1, closed form)
 
 
 def synthetic_fd(beta):
@@ -41,29 +40,24 @@ def random_weights(seed, count):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--restarts", type=int, default=SweepConfig.restarts)
     ap.add_argument("--weights", type=int, default=SweepConfig.weights_per_beta)
-    ap.add_argument("--seed", type=int, default=SweepConfig.seed)
     args = ap.parse_args()
-    cfg = SweepConfig(weights_per_beta=args.weights,
-                      restarts=args.restarts, seed=args.seed)
+    cfg = SweepConfig(weights_per_beta=args.weights)
 
     worst = 0.0
-    print(f"{'beta':>5}  {'closed':>14}  {'oracle':>14}  {'|gap|':>9}  {'cert':>9}")
+    print(f"{'beta':>5}  {'closed':>14}  {'oracle':>14}  {'|diff|':>9}  {'gap':>9}  {'cert':>9}")
     for k, beta in enumerate(cfg.betas):
         fd = synthetic_fd(beta)
         for g in random_weights(cfg.seed + 97 * k, cfg.weights_per_beta):
             closed = analysis.cr_bound_2param(fd, g).value
-            prob = oracle.OracleProblem(gram=fd.gram, G=g,
-                                        restarts=cfg.restarts, seed=cfg.seed)
-            res = oracle.minimize(prob)
+            res = oracle.minimize(oracle.OracleProblem(gram=fd.gram, G=g))
             cert = oracle.stationarity_certificate(res)
-            gap = abs(res.value - closed)
-            worst = max(worst, gap)
+            diff = abs(res.value - closed)
+            worst = max(worst, diff / max(1.0, closed))
             print(f"{beta:5.2f}  {closed:14.10f}  {res.value:14.10f}  "
-                  f"{gap:9.2e}  {cert.residual:9.2e}")
+                  f"{diff:9.2e}  {res.gap:9.2e}  {cert.residual:9.2e}")
 
-    print(f"worst gap {worst:.3e} (tolerance {cfg.tol:g})")
+    print(f"worst relative difference {worst:.3e} (tolerance {cfg.tol:g})")
     return 0 if worst <= cfg.tol else 1
 
 

@@ -43,4 +43,4 @@ from .model import (
     model_from_config,
     tangent_frame,
 )
-from .oracle import OracleProblem, OracleResult, feasible_scan, minimize, stationarity_certificate
+from .oracle import OracleProblem, OracleResult, minimize, stationarity_certificate

@@ -4,7 +4,8 @@ The attainable bound CR(G) is the infimum of Tr(G V) over covariance matrices
 of locally unbiased measurements. Closed forms exist for quasi-classical
 models (the inverse Fisher matrix), two-parameter models (a one-dimensional
 stationary curve), the G = JS weight (a function of the beta spectrum), and
-coherent models (all beta equal to 1). Everything else goes to the oracle.
+coherent models (all beta equal to 1). Everything else goes to the oracle's
+Holevo SDP.
 """
 
 import functools
@@ -366,27 +367,25 @@ def closed_form(fd, G):
                            V_opt=jsinv, method="quasi_classical", notes={})
     if m == 2:
         return cr_bound_2param(fd, G)
-    wg, _ = matkernel.hermitian_eig(G)
-    g_pd = wg.min() > matkernel.EIGEN_DUST * max(1.0, matkernel.mnorm(G))
-    if spectrum(fd).beta.classification == "coherent" and g_pd:
-        return cr_bound_coherent(fd, G)
+    if spectrum(fd).beta.classification == "coherent":
+        try:
+            return cr_bound_coherent(fd, G)
+        except SingularWeight:
+            pass   # a singular G has no coherent closed form
     if matkernel.mnorm(G - fd.JS) <= CLASSIFY_DUST * max(1.0, matkernel.mnorm(fd.JS)):
         return cr_bound_js_weight(fd)
     return None
 
 
-def cr_bound(fd, G, oracle_options=None):
-    """The applicable closed form, else the oracle."""
+def cr_bound(fd, G):
+    """The applicable closed form, else the Holevo SDP of the oracle."""
     report = closed_form(fd, G)
     if report is not None:
         return report
     G = matkernel.symmetrize(G)
-    from . import oracle as oracle_mod
-    opts = dict(oracle_options or {})
-    problem = oracle_mod.OracleProblem(gram=fd.gram, G=G, **opts)
-    result = oracle_mod.minimize(problem)
-    v = matkernel.symmetrize((result.X.conj().T @ result.X).real)
-    return BoundReport(G=G, value=result.value, attained=True, V_opt=v,
+    from . import oracle   # the oracle reads this module's spectrum
+    result = oracle.minimize(oracle.OracleProblem(gram=fd.gram, G=G))
+    v = None if result.X is None else matkernel.symmetrize((result.X.conj().T @ result.X).real)
+    return BoundReport(G=G, value=result.value, attained=result.attained, V_opt=v,
                        method="oracle",
-                       notes={"residuals": result.residuals,
-                              "restarts": len(result.restarts)})
+                       notes={"residuals": result.residuals, "gap": result.gap})

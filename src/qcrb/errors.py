@@ -94,11 +94,12 @@ class ConsistencyError(QcrbError):
 # --- oracle (CLI exit code 4) ---
 
 class Infeasible(QcrbError):
-    """No oracle restart reached the feasibility residual."""
+    """A minimizer reached no point that meets the constraints within tolerance."""
 
 
 class NonConvergence(QcrbError):
-    """Oracle optimizer failed numerically on every restart."""
+    """A minimizer stopped short of its convergence target, such as the
+    oracle's duality gap within its iteration cap."""
 
 
 # --- dispatch (CLI exit code 5) ---

@@ -1,61 +1,77 @@
-"""Brute-force minimizer of Tr(G Re X*X) over locally unbiased estimation vectors.
+"""The Holevo SDP: the attainable bound of any pure-state model, with a certificate.
 
-Ground truth for every closed form. The search space is the orthogonal
-complement of phi' in the 2m+1 dimensional embedding (2m complex dimensions
-suffice); the affine constraint Re X*L = I is eliminated exactly by a
-null-space parametrization, and Im X*X = 0 is driven to zero by an increasing
-quadratic penalty with multi-start quasi-Newton inner solves.
+For a pure state the attainable bound is the Holevo bound (Matsumoto,
+J. Phys. A 35, 3111 (2002)). With R the PSD root of the lift Gram, it is the
+SDP (Albarelli, Friel and Datta, PRL 123, 200503 (2019))
 
-scipy is imported inside the functions that solve, so the closed-form
-routes, which never call them, run on numpy alone.
+    CR(G) = min Tr(G V) over real symmetric V and complex Y,
+            subject to [[V, Y*], [Y, I]] >= 0 and Re(Y* R) = I.
+
+Y holds the lift-span coordinates of the estimation vectors. It is taken
+inside range(R), so the Newton system stays nonsingular on the singular Grams
+of coherent models, and the equality is eliminated with an SVD null space.
+
+The solver is a primal-dual interior-point method with Nesterov-Todd scaling
+and Mehrotra's predictor-corrector (Vandenberghe and Boyd, SIAM Rev. 38, 49
+(1996)). It runs from one deterministic strictly feasible pair: the SLD
+estimator Y0 = R JS^{-1} with V0 = (|Y0|^2 + 1) I, and the dual point
+diag(G, I). Every iterate stays primal and dual feasible, so `gap` =
+primal - dual bounds the distance of `value` from the bound.
+
+The estimation vectors are X = [Y; B] with B*B = V - Y*Y in the m-dimensional
+complement of the lift span, so X*X = V is real. B keeps the eigenvalues of
+V - Y*Y that complementary slackness with the dual marks as nonzero, and a
+Gauss-Newton polish of the first-order conditions at that rank removes the
+O(sqrt(gap)) error that interior-point iterates carry.
+
+A weight with a null space leaves the covariance there free. The SDP is then
+solved on range(G), and the columns of X for null(G) are completed so that
+X*X stays real. When no completion exists the bound is an infimum that no
+estimator attains, and the result carries `attained = False` and `X = None`.
 """
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
-from . import matkernel
+from . import analysis, matkernel
 from .errors import (
     DomainError,
-    Infeasible,
     NonConvergence,
-    NotPSD,
+    PreconditionNotMet,
     QcrbError,
-    SingularFisher,
 )
+from .model import FisherData
 
-DEFAULT_PENALTIES = (1e2, 1e4, 1e6, 1e8)
-RESIDUAL_TOL = 1e-7
-GRAD_TOL = 1e-9
+MAX_ITER = 60        # interior-point iterations before NonConvergence
+GAP_TOL = 1e-9       # accepted duality gap, relative to max(1, value)
+GAP_FLOOR = 1e-13    # relative gap at which the iterations stop early
+STEP = 0.95          # fraction of the step to the boundary of the cone
+POLISH_STEPS = 3     # Gauss-Newton steps on the first-order conditions
 
 
 @dataclass
 class OracleProblem:
     gram: np.ndarray                      # Hermitian PSD, m x m
     G: np.ndarray                         # real PSD weight, m x m
-    restarts: int = 16
-    seed: int = 0
-    penalties: tuple = DEFAULT_PENALTIES
-    residual_tol: float = RESIDUAL_TOL
-    grad_tol: float = GRAD_TOL
-    maxiter: int = 4000
 
 
 @dataclass
 class RestartStat:
-    restart: int
+    """The summary of one solve; the engine runs one per problem."""
     value: float
+    gap: float
+    iterations: int
     residual: float
-    feasible: bool
-    converged: bool
 
 
 @dataclass
 class OracleResult:
     value: float
-    X: np.ndarray                         # (2m+1, m), column i = |x^i>
+    gap: float                            # value minus a dual lower bound
+    attained: bool
+    X: Optional[np.ndarray]               # (2m+1, m), column i = |x^i>
     phi: np.ndarray
     lifts: np.ndarray                     # embedded lifts, (2m+1, m)
     residuals: dict
@@ -64,163 +80,317 @@ class OracleResult:
 
 
 def _setup(problem):
-    import scipy.linalg
+    """The validated weight, w = JS^{-1/2}, and the lift Gram in normalized form.
+
+    The normalized Gram w gram w = I + iK has the eigenvalues 1 +- beta_j, so
+    a direction is dropped from its range exactly where analysis snaps beta
+    to 1. Returns (g, w, kh) with kh* kh = w gram w on that range (r x m).
+    """
     gram = 0.5 * (np.asarray(problem.gram, dtype=complex)
                   + np.asarray(problem.gram, dtype=complex).conj().T)
     m = gram.shape[0]
     g = matkernel.symmetrize(np.asarray(problem.G, dtype=float))
     if g.shape != (m, m):
         raise DomainError(f"weight shape {g.shape} does not match m = {m}")
-    if not matkernel.is_psd(g):
+    fd = FisherData(JS=matkernel.symmetrize(gram.real),
+                    Jt=matkernel.antisymmetrize(gram.imag), gram=gram)
+    w = analysis.spectrum(fd).js_inverses[1]             # raises SingularFisher
+    normal = w @ gram @ w
+    wn, un = matkernel.hermitian_eig(0.5 * (normal + normal.conj().T))
+    if wn[0] < -analysis.CLASSIFY_DUST:
+        raise DomainError(f"gram must be PSD: beta {1.0 - wn[0]!r} exceeds 1")
+    keep = wn > analysis.CLASSIFY_DUST
+    return g, w, np.sqrt(wn[keep])[:, None] * un[:, keep].conj().T
+
+
+def _real(stack):
+    """Real coordinates of a stack of matrices; isometric for Re Tr(A* B)."""
+    n = stack.shape[0]
+    return np.concatenate([stack.real.reshape(n, -1), stack.imag.reshape(n, -1)], axis=1)
+
+
+def _sym_basis(p):
+    """Orthonormal basis of the real symmetric p x p matrices."""
+    out = []
+    for a in range(p):
+        for b in range(a, p):
+            e = np.zeros((p, p))
+            e[a, b] = e[b, a] = 1.0 if a == b else np.sqrt(0.5)
+            out.append(e)
+    return np.array(out).reshape(-1, p, p)
+
+
+def _to_boundary(lam, d):
+    """Largest step t with diag(lam) + t d >= 0 (inf if there is none)."""
+    root = np.sqrt(lam)
+    e = np.linalg.eigvalsh(d / np.outer(root, root))[0]
+    return np.inf if e >= 0 else -1.0 / e
+
+
+def _interior_point(f0, fs, c, x, z):
+    """min c.x subject to F(x) = f0 + sum_i x_i fs[i] >= 0, from a feasible pair.
+
+    fs is orthonormal for the trace inner product and z is strictly dual
+    feasible (Tr(fs[i] z) = c_i). Returns (x, z, iterations); both stay
+    strictly feasible, so c.x + Tr(f0 z) is a duality gap.
+    """
+    n = f0.shape[0]
+    flat = fs.reshape(len(fs), -1).conj()
+    ls = np.linalg.cholesky(f0 + np.tensordot(x, fs, 1))
+    lz = np.linalg.cholesky(z)
+    for it in range(1, MAX_ITER + 1):
+        primal = float(c @ x)
+        if primal + np.vdot(f0, z).real <= GAP_FLOOR * max(1.0, abs(primal)):
+            return x, z, it
+        # Nesterov-Todd scaling: r^{-1} S r^{-*} = r^* Z r = diag(lam)
+        _, lam, vh = np.linalg.svd(lz.conj().T @ ls)
+        rinv = np.sqrt(lam)[:, None] * (vh @ np.linalg.inv(ls))
+        ft = rinv @ fs @ rinv.conj().T
+        # QR of the scaled constraint map in place of its normal equations,
+        # whose condition number squares as the gap closes
+        q, tri = np.linalg.qr(_real(ft).T)
+
+        def direction(d):
+            rhs = 2.0 * d / np.add.outer(lam, lam)      # lam o (ds + dz) = d
+            qb = q.T @ _real(rhs[None])[0]
+            dsv = q @ qb
+            ds = (dsv[:n * n] + 1j * dsv[n * n:]).reshape(n, n)
+            ds = 0.5 * (ds + ds.conj().T)
+            return np.linalg.solve(tri, qb), ds, rhs - ds
+
+        mu = float(lam @ lam) / n
+        _, dsa, dza = direction(-np.diag(lam * lam))
+        ap = min(1.0, _to_boundary(lam, dsa))
+        ad = min(1.0, _to_boundary(lam, dza))
+        mua = np.trace((np.diag(lam) + ap * dsa) @ (np.diag(lam) + ad * dza)).real / n
+        sigma = (mua / mu) ** 3
+        dx, ds, dz = direction(sigma * mu * np.eye(n) - np.diag(lam * lam)
+                               - 0.5 * (dsa @ dza + dza @ dsa))
+        ap = min(1.0, STEP * _to_boundary(lam, ds))
+        ad = min(1.0, STEP * _to_boundary(lam, dz))
+        # roundoff can leave the cone where the gap nears machine precision;
+        # halve the step, and stop at the last point known to be interior
+        for _ in range(4):
+            xn = x + ap * dx
+            # Z as a congruence of the scaled point, which the step keeps PD
+            zn = rinv.conj().T @ (np.diag(lam) + ad * dz) @ rinv
+            zn = 0.5 * (zn + zn.conj().T)
+            # restore Tr(fs[i] z) = c_i against roundoff; fs is orthonormal
+            zn = zn + np.tensordot(c - (flat @ zn.ravel()).real, fs, 1)
+            try:
+                lsn = np.linalg.cholesky(f0 + np.tensordot(xn, fs, 1))
+                lzn = np.linalg.cholesky(zn)
+                break
+            except np.linalg.LinAlgError:
+                ap, ad = 0.5 * ap, 0.5 * ad
+        else:
+            return x, z, it
+        x, z, ls, lz = xn, zn, lsn, lzn
+    return x, z, MAX_ITER
+
+
+def _polish(c, b, lam, g, kh, target):
+    """Gauss-Newton on the first-order conditions at the rank of b.
+
+    With lifts kh (r x m), lift-span part c and complement part b of X, they
+    read c (g - i lam) = kh n, b (g - i lam) = 0, Re(c* kh) = target and
+    Im(c*c + b*b) = 0, for real antisymmetric lam and real n. They are
+    quadratic, so the Jacobian is an exact central difference. Returns the
+    (c, b) with the smallest residual.
+    """
+    r, p = c.shape
+    k = b.shape[0]
+    m = kh.shape[1]
+    iu = np.triu_indices(p, 1)
+    rhs = c @ (g - 1j * lam)
+    khr = np.vstack([kh.real, kh.imag])
+    nmul = np.linalg.lstsq(khr, np.vstack([rhs.real, rhs.imag]), rcond=None)[0]
+    sizes = np.cumsum([r * p, r * p, k * p, k * p, len(iu[0])])
+
+    def split(u):
+        cr, ci, br, bi, lv, nv = np.split(u, sizes, axis=-1)
+        sh = u.shape[:-1]
+        lm = np.zeros(sh + (p, p))
+        lm[..., iu[0], iu[1]] = lv
+        return ((cr + 1j * ci).reshape(sh + (r, p)), (br + 1j * bi).reshape(sh + (k, p)),
+                lm - np.swapaxes(lm, -1, -2), nv.reshape(sh + (m, p)))
+
+    def residual(u):
+        cc, bb, ll, nn = split(u)
+        w = g - 1j * ll
+        e1 = cc @ w - kh @ nn
+        e2 = bb @ w
+        ch, bh = np.swapaxes(cc.conj(), -1, -2), np.swapaxes(bb.conj(), -1, -2)
+        e3 = (ch @ kh).real - target
+        e4 = (ch @ cc + bh @ bb).imag[..., iu[0], iu[1]]
+        flat = [e.reshape(u.shape[:-1] + (-1,)) for e in (e1.real, e1.imag, e2.real,
+                                                          e2.imag, e3, e4)]
+        return np.concatenate(flat, axis=-1)
+
+    u = np.concatenate([c.real.ravel(), c.imag.ravel(), b.real.ravel(), b.imag.ravel(),
+                        lam[iu], nmul.ravel()])
+    f = residual(u)
+    best = (float(np.abs(f).max()), u)
+    eye = np.eye(u.size)
+    for _ in range(POLISH_STEPS):
+        jac = 0.5 * (residual(u + eye) - residual(u - eye)).T
+        u = u - np.linalg.lstsq(jac, f, rcond=None)[0]
+        f = residual(u)
+        if np.abs(f).max() < best[0]:
+            best = (float(np.abs(f).max()), u)
+    return split(best[1])[:2]
+
+
+def _weight_split(g):
+    """(scale, P, Q): g = scale * P gp P^T with gp of unit norm on range P, and Q
+    spanning null(g). P is the identity when g is positive definite."""
+    m = g.shape[0]
+    w, u = matkernel.hermitian_eig(g)
+    dust = matkernel.EIGEN_DUST * max(1.0, matkernel.mnorm(g))
+    if w[0] < -dust:
         raise DomainError("weight matrix must be PSD")
-    js = matkernel.symmetrize(gram.real)
-    try:
-        jsinv = matkernel.inv_psd(js)
-    except NotPSD as exc:
-        raise SingularFisher("Re(gram) must be positive definite") from exc
-    try:
-        froot = matkernel.sqrt_psd(gram)
-    except NotPSD as exc:
-        raise DomainError(f"gram must be PSD: {exc}") from exc
-    # lifts embedded in the phi-complement (2m complex dims)
-    lc = np.zeros((2 * m, m), dtype=complex)
-    lc[:m, :] = froot
-    xp = lc @ jsinv
-    # real representation of the affine constraint Re<x^i|l_j> = delta_ij
-    mreal = np.concatenate([lc.real, lc.imag], axis=0).T   # (m, 4m)
-    nbasis = scipy.linalg.null_space(mreal)                # (4m, 3m)
-    return gram, g, js, jsinv, lc, xp, mreal, nbasis
+    pos = w > dust
+    scale = float(w[-1]) if pos.any() else 1.0
+    if pos.all():
+        return scale, np.eye(m), np.zeros((m, 0))
+    return scale, u[:, pos].real, u[:, ~pos].real
 
 
-def _to_x(xp, nbasis, y):
-    """Map free parameters (3m, m) to the complex vector family X."""
-    twom = xp.shape[0]
-    cols = nbasis @ y                      # (4m, m) real
-    return xp + cols[:twom, :] + 1j * cols[twom:, :]
+def _solve_range(gp, kh, c0, target, null):
+    """The SDP restricted to p = gp.shape[0] columns.
+
+    Returns (dual, c, b, iterations): the dual bound in units of gp, and the
+    polished lift-span part c of X with its complement part b (k x p), k the
+    rank of V - Y*Y.
+    """
+    r, p = c0.shape
+    nn = null.shape[0]
+    size = p + r
+    sym = _sym_basis(p)
+    fs = np.zeros((len(sym) + nn * p, size, size), dtype=complex)
+    fs[:len(sym), :p, :p] = sym
+    for j, vec in enumerate(null):
+        for col in range(p):
+            f = fs[len(sym) + j * p + col]
+            f[p:, col] = vec * np.sqrt(0.5)
+            f[col, p:] = vec.conj() * np.sqrt(0.5)
+    c = np.concatenate([np.einsum("nab,ab->n", sym, gp), np.zeros(nn * p)])
+    f0 = np.zeros((size, size), dtype=complex)
+    f0[p:, :p] = c0
+    f0[:p, p:] = c0.conj().T
+    f0[p:, p:] = np.eye(r)
+    v0 = (np.linalg.norm(c0, 2) ** 2 + 1.0) * np.eye(p)
+    x0 = np.concatenate([np.einsum("nab,ab->n", sym, v0), np.zeros(nn * p)])
+    z0 = np.zeros((size, size), dtype=complex)
+    z0[:p, :p] = gp
+    z0[p:, p:] = np.eye(r)
+    x, z, iterations = _interior_point(f0, fs, c, x0, z0)
+    s = f0 + np.tensordot(x, fs, 1)
+    dual = -float(np.vdot(f0, z).real)
+    v, cy = matkernel.symmetrize(s[:p, :p].real), s[p:, :p]
+    # complementary slackness: (V - Y*Y) A = 0 at the optimum, A the dual's
+    # leading block, so an eigenvalue of V - Y*Y is kept where it outweighs
+    # A on its eigenvector, each measured against its own scale
+    h = v - cy.conj().T @ cy
+    wh, uh = np.linalg.eigh(0.5 * (h + h.conj().T))
+    a = z[:p, :p]
+    aw = np.einsum("ij,ik,kj->j", uh.conj(), a, uh).real
+    keep = wh / np.linalg.eigvalsh(v)[-1] > aw / np.linalg.eigvalsh(a)[-1]
+    b = np.sqrt(np.clip(wh[keep], 0.0, None))[:, None] * uh[:, keep].conj().T
+    cy, b = _polish(cy, b, -matkernel.antisymmetrize(a.imag), gp, kh, target)
+    return dual, cy, b, iterations
 
 
-def _grad_to_y(nbasis, gc):
-    twom = gc.shape[0]
-    stacked = np.concatenate([gc.real, gc.imag], axis=0)
-    return nbasis.T @ stacked
+def _complete(c, b, c0n, null):
+    """Columns for null(G): (c_n, bfull) with X*X real, or None if none exist.
 
-
-def _penalty_objective(y_flat, shape, xp, nbasis, g, mu, lam=None):
-    y = y_flat.reshape(shape)
-    x = _to_x(xp, nbasis, y)
-    p = x.conj().T @ x
-    s = p.imag
-    f = float(np.sum(g * p.real)) + mu * float(np.sum(s * s))
-    gc = 2.0 * (x @ g) + 4.0 * mu * (1j * (x @ s))
-    if lam is not None:
-        f += float(np.sum(lam * s))
-        gc += 2.0 * (1j * (x @ lam))
-    return f, _grad_to_y(nbasis, gc).reshape(-1)
+    c (r x p) and b (k x p) solve the SDP on range(G), c0n (r x n) holds the
+    SLD columns for null(G), and null (q x r) the free directions of one
+    column. The cross block V_pn - Y_p* Y_n must lie in range(b*b): that is
+    linear in the real V_pn and the free coordinates t of Y_n, and solved by
+    least squares. Then V_nn = Re T + s I with T = Y_n* Y_n + W* W makes
+    V - Y*Y = bfull* bfull for the block rows [b, W; 0, (s I - i Im T)^(1/2)].
+    """
+    p, n = c.shape[1], c0n.shape[1]
+    vh = np.linalg.svd(b)[2] if b.size else np.eye(p)
+    u0 = vh[b.shape[0]:].conj().T                        # null(b), b has full row rank
+    w = c @ u0
+    lhs = np.hstack([u0.conj().T, -(w.conj().T @ null.T)])
+    lhs = np.vstack([lhs.real, lhs.imag])
+    rhs = w.conj().T @ c0n
+    rhs = np.vstack([rhs.real, rhs.imag])
+    sol = np.linalg.lstsq(lhs, rhs, rcond=None)[0] if lhs.size else np.zeros((p + len(null), n))
+    scale = max(1.0, matkernel.mnorm(c0n), matkernel.mnorm(c)) ** 2
+    if matkernel.mnorm(lhs @ sol - rhs) > 1e-9 * scale:
+        return None
+    cn = c0n + null.T @ sol[p:]
+    d = sol[:p] - c.conj().T @ cn
+    wn = np.linalg.lstsq(b.conj().T, d, rcond=None)[0] if b.size else np.zeros((0, n))
+    t = cn.conj().T @ cn + wn.conj().T @ wn
+    shift = 1j * matkernel.antisymmetrize(t.imag)
+    ws, us = matkernel.hermitian_eig(shift)
+    lower = (us * np.sqrt(np.clip(ws[-1] - ws, 0.0, None))) @ us.conj().T
+    k = b.shape[0]
+    bfull = np.zeros((k + n, p + n), dtype=complex)
+    bfull[:k, :p], bfull[:k, p:], bfull[k:, p:] = b, wn, lower
+    return cn, bfull
 
 
 def minimize(problem):
-    """Best feasible value of Tr(G Re X*X) over seeded multi-start runs."""
-    import scipy.optimize
-    gram, g, js, jsinv, lc, xp, mreal, nbasis = _setup(problem)
-    m = g.shape[0]
-    shape = (nbasis.shape[1], m)
-    stats = []
-    best = None
-    any_converged = False
-    for r in range(int(problem.restarts)):
-        if r == 0:
-            y0 = np.zeros(shape)
-        else:
-            rng = np.random.default_rng([int(problem.seed), r])
-            y0 = 0.3 * rng.standard_normal(shape)
-        y = y0
-        converged = True
-        try:
-            for mu in problem.penalties:
-                res = scipy.optimize.minimize(
-                    _penalty_objective, y.reshape(-1),
-                    args=(shape, xp, nbasis, g, mu),
-                    method="L-BFGS-B", jac=True,
-                    options={"gtol": problem.grad_tol,
-                             "ftol": 1e-17,
-                             "maxiter": problem.maxiter,
-                             "maxcor": 30})
-                y = res.x.reshape(shape)
-                if not np.all(np.isfinite(y)):
-                    raise FloatingPointError("non-finite iterate")
-            if problem.penalties:
-                # multiplier refinement: quasi-Newton stalls with a projected
-                # gradient ~1e-6 at the stiff end of the ladder, so polish at
-                # a moderate mu where the landscape is well conditioned and
-                # absorb the constraint force 2*mu*Im(X*X) into a fixed
-                # antisymmetric multiplier
-                x = _to_x(xp, nbasis, y)
-                s = (x.conj().T @ x).imag
-                viol = matkernel.mnorm(s)
-                if viol > 1e-13:
-                    mu_al = problem.penalties[min(1, len(problem.penalties) - 1)]
-                    lam = 2.0 * problem.penalties[-1] * s
-                    lam = 0.5 * (lam - lam.T)
-                    best_y, best_viol = y, viol
-                    for _ in range(5):
-                        res = scipy.optimize.minimize(
-                            _penalty_objective, y.reshape(-1),
-                            args=(shape, xp, nbasis, g, mu_al, lam),
-                            method="L-BFGS-B", jac=True,
-                            options={"gtol": min(problem.grad_tol, 1e-11),
-                                     "ftol": 1e-17,
-                                     "maxiter": problem.maxiter,
-                                     "maxcor": 30})
-                        y = res.x.reshape(shape)
-                        if not np.all(np.isfinite(y)):
-                            raise FloatingPointError("non-finite iterate")
-                        x = _to_x(xp, nbasis, y)
-                        s = (x.conj().T @ x).imag
-                        viol = matkernel.mnorm(s)
-                        if viol < best_viol:
-                            best_y, best_viol = y, viol
-                        if viol <= 1e-12:
-                            break
-                        lam = lam + 2.0 * mu_al * s
-                        lam = 0.5 * (lam - lam.T)
-                    y = best_y
-        except FloatingPointError:
-            stats.append(RestartStat(restart=r, value=math.nan,
-                                     residual=math.inf, feasible=False,
-                                     converged=False))
-            continue
-        x = _to_x(xp, nbasis, y)
-        p = x.conj().T @ x
-        res_im = matkernel.mnorm(p.imag)
-        res_lin = matkernel.mnorm((x.conj().T @ lc).real - np.eye(m))
-        residual = max(res_im, res_lin)
-        value = float(np.sum(g * p.real))
-        feasible = residual <= problem.residual_tol
-        any_converged = True
-        stats.append(RestartStat(restart=r, value=value, residual=residual,
-                                 feasible=feasible, converged=converged))
-        if feasible and (best is None or (value, r) < (best[0], best[1])):
-            best = (value, r, x, {"im_xx": res_im, "unbiasedness": res_lin})
-    if best is None:
-        if not any_converged:
-            raise NonConvergence(f"all {problem.restarts} restarts failed numerically")
-        raise Infeasible(
-            f"no restart reached residual {problem.residual_tol:g}; "
-            f"best residual {min(s.residual for s in stats):.3e}")
-    value, _, x, residuals = best
+    """The Holevo bound of the problem, its duality gap and attaining vectors.
+
+    The SDP is solved in the normalized parameters theta' = JS^{1/2} theta,
+    whose lift Gram is I + iK and whose weight is w G w (w = JS^{-1/2});
+    X = X' w maps the estimation vectors back.
+    """
+    g, w, kh = _setup(problem)
+    m, r = g.shape[0], kh.shape[0]
+    # free directions of one column c of Y: the null space of c -> Re(c* kh)
+    _, _, vt = np.linalg.svd(np.hstack([kh.real.T, kh.imag.T]))
+    null = vt[m:, :r] + 1j * vt[m:, r:]
+    gn = matkernel.symmetrize(w @ g @ w)
+    scale, pb, qb = _weight_split(gn)
+    p = pb.shape[1]
+    if p:
+        gp = matkernel.symmetrize(pb.T @ gn @ pb) / scale
+        # kh is also the SLD estimator, since JS = I in these parameters
+        dual, c, b, iterations = _solve_range(gp, kh, kh @ pb, pb.T, null)
+        value = scale * float(np.sum(gp * (c.conj().T @ c + b.conj().T @ b).real))
+        dual *= scale
+    else:
+        value = dual = 0.0
+        c, b, iterations = np.zeros((r, 0)), np.zeros((0, 0)), 0
+    gap = value - dual
     dim = 2 * m + 1
-    xfull = np.zeros((dim, m), dtype=complex)
-    xfull[1:, :] = x
     phi = np.zeros(dim, dtype=complex)
     phi[0] = 1.0
-    lfull = np.zeros((dim, m), dtype=complex)
-    lfull[1:, :] = lc
-    sld = float(np.trace(g @ jsinv))
-    if value < sld - 1e-6:
+    lifts = np.zeros((dim, m), dtype=complex)
+    lifts[1:r + 1, :] = kh @ np.linalg.inv(w)
+    if p == m:
+        cn, bfull = np.zeros((r, 0)), b
+    else:
+        done = _complete(c, b, kh @ qb, null)
+        cn, bfull = done if done is not None else (None, None)
+    if cn is None:
+        x, residuals, residual = None, {}, 0.0
+    else:
+        back = np.hstack([pb, qb]).T @ w
+        x = np.zeros((dim, m), dtype=complex)
+        x[1:r + 1, :] = np.hstack([c, cn]) @ back
+        x[m + 1:m + 1 + bfull.shape[0], :] = bfull @ back
+        xx = x.conj().T @ x
+        residuals = {"im_xx": matkernel.mnorm(xx.imag),
+                     "unbiasedness": matkernel.mnorm((x.conj().T @ lifts).real - np.eye(m))}
+        residual = max(residuals.values())
+        if residual > 1e-8 * max(1.0, matkernel.mnorm(xx)):
+            raise NonConvergence(f"estimation vectors miss the constraints by {residual:.3e}")
+    if not gap <= GAP_TOL * max(1.0, abs(value)):
         raise NonConvergence(
-            f"accepted value {value!r} undercuts the SLD bound {sld!r}")
-    return OracleResult(value=value, X=xfull, phi=phi, lifts=lfull,
-                        residuals=residuals, restarts=stats, problem=problem)
+            f"duality gap {gap:.3e} above {GAP_TOL:g} * max(1, {value!r}) "
+            f"after {iterations} iterations")
+    stat = RestartStat(value=value, gap=gap, iterations=iterations, residual=residual)
+    return OracleResult(value=value, gap=gap, attained=x is not None, X=x, phi=phi,
+                        lifts=lifts, residuals=residuals, restarts=[stat], problem=problem)
 
 
 @dataclass
@@ -249,6 +419,8 @@ def stationarity_certificate(result, problem=None):
     For two-parameter problems the quadratic multiplier identities are also
     reported, and for coherent problems the spectrum of the scaled multiplier.
     """
+    if result.X is None:
+        raise PreconditionNotMet("no estimation vectors: the bound is not attained")
     problem = result.problem if problem is None else problem
     x = result.X
     lifts = result.lifts
@@ -279,8 +451,6 @@ def stationarity_certificate(result, problem=None):
         e2 = g @ v @ lam + lam @ v @ g + g @ v @ jt @ v @ g
         extras["quadratic_sym"] = matkernel.mnorm(e1)
         extras["quadratic_antisym"] = matkernel.mnorm(e2)
-    from . import analysis
-    from .model import FisherData
     fd = FisherData(JS=js, Jt=jt, gram=gram)
     try:
         coherent = analysis.beta_spectrum(fd).classification == "coherent"
@@ -292,44 +462,3 @@ def stationarity_certificate(result, problem=None):
         ev = np.linalg.eigvals(isq @ lam @ isq)
         extras["multiplier_spectrum"] = np.sort(np.abs(ev.imag))
     return StationarityReport(Lambda=lam, residual=residual, extras=extras)
-
-
-def feasible_scan(problem, v_target):
-    """Can some X meet the constraints with Re X*X = V_target?
-
-    Runs the same penalty machinery on the squared residuals and reports
-    whether they drop below 1e-5 max-entry.
-    """
-    import scipy.optimize
-    gram, g, js, jsinv, lc, xp, mreal, nbasis = _setup(problem)
-    m = g.shape[0]
-    vt = matkernel.symmetrize(np.asarray(v_target, dtype=float))
-    shape = (nbasis.shape[1], m)
-
-    def objective(y_flat):
-        y = y_flat.reshape(shape)
-        x = _to_x(xp, nbasis, y)
-        p = x.conj().T @ x
-        rr = p.real - vt
-        s = p.imag
-        f = float(np.sum(rr * rr)) + float(np.sum(s * s))
-        gc = 4.0 * (x @ rr) + 4.0 * (1j * (x @ s))
-        return f, _grad_to_y(nbasis, gc).reshape(-1)
-
-    best = math.inf
-    for r in range(max(4, int(problem.restarts))):
-        if r == 0:
-            y0 = np.zeros(shape)
-        else:
-            rng = np.random.default_rng([int(problem.seed), 7919, r])
-            y0 = 0.3 * rng.standard_normal(shape)
-        res = scipy.optimize.minimize(
-            objective, y0.reshape(-1), method="L-BFGS-B", jac=True,
-            options={"gtol": 1e-12, "ftol": 1e-17, "maxiter": problem.maxiter})
-        x = _to_x(xp, nbasis, res.x.reshape(shape))
-        p = x.conj().T @ x
-        resid = max(matkernel.mnorm(p.real - vt), matkernel.mnorm(p.imag))
-        best = min(best, resid)
-        if best <= 1e-6:
-            break
-    return bool(best <= 1e-5)

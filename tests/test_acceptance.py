@@ -1,7 +1,9 @@
 """Ten headline checks, one test per criterion.
 
-Closed forms are validated against the brute-force optimizer and against
-hand-derived anchors; nothing here trusts the code path it is testing.
+Closed forms are validated against two independent optimizers, the penalty
+reference (`penalty_oracle`, tests only) and the Holevo SDP of `qcrb.oracle`,
+and against hand-derived anchors; nothing here trusts the code path it is
+testing.
 """
 
 import math
@@ -10,10 +12,18 @@ import time
 import numpy as np
 import pytest
 
+import penalty_oracle
 from qcrb import analysis, matkernel, measurement, model, oracle
 from qcrb.model import FisherData
 
 BETA_GRID = (0.0, 0.3, 0.6, 0.9, 1.0)
+SDP_TOL = 1e-8     # relative agreement of the SDP with a closed form
+
+
+def sdp_value_agrees(g, gram, expect):
+    res = oracle.minimize(oracle.OracleProblem(gram=gram, G=g))
+    assert res.gap <= oracle.GAP_TOL * max(1.0, res.value)
+    return abs(res.value - expect) <= SDP_TOL * max(1.0, abs(expect))
 
 
 def synthetic_fd(beta):
@@ -32,16 +42,17 @@ def seeded_pd_weights(seed, count, m=2):
 
 @pytest.fixture(scope="module")
 def grid_oracle_runs():
-    """Oracle solutions for the beta grid, shared by criteria 3 and 10."""
+    """Penalty and SDP solutions for the beta grid, shared by criteria 3 and 10."""
     runs = []
     for beta in BETA_GRID:
         fd = synthetic_fd(beta)
         for k, g in enumerate(seeded_pd_weights(1000 + int(beta * 10), 5)):
-            problem = oracle.OracleProblem(gram=fd.gram, G=g, restarts=6,
-                                           seed=31 * k + 7)
-            result = oracle.minimize(problem)
+            problem = penalty_oracle.OracleProblem(gram=fd.gram, G=g, restarts=6,
+                                                   seed=31 * k + 7)
+            result = penalty_oracle.minimize(problem)
             closed = analysis.cr_bound_2param(fd, g)
-            runs.append((beta, fd, g, problem, result, closed))
+            solved = oracle.minimize(oracle.OracleProblem(gram=fd.gram, G=g))
+            runs.append((beta, fd, g, problem, result, closed, solved))
     return runs
 
 
@@ -81,8 +92,11 @@ def test_criterion_02_squeezed_fisher_matrices():
 def test_criterion_03_two_param_bound_vs_oracle(grid_oracle_runs):
     start = time.monotonic()
     assert len(grid_oracle_runs) == 25
-    for beta, fd, g, problem, result, closed in grid_oracle_runs:
+    for beta, fd, g, problem, result, closed, solved in grid_oracle_runs:
         assert abs(closed.value - result.value) <= 1e-4, (beta, g.tolist())
+        assert abs(closed.value - solved.value) <= SDP_TOL * max(1.0, closed.value), \
+            (beta, g.tolist())
+        assert solved.gap <= oracle.GAP_TOL * max(1.0, solved.value)
     assert time.monotonic() - start <= 600.0
 
 
@@ -109,9 +123,10 @@ def test_criterion_05_coherent_bound_vs_oracle():
              (fds, np.eye(4)), (fds, seeded_pd_weights(56, 1, m=4)[0])]
     for fd, g in cases:
         closed = analysis.cr_bound_coherent(fd, g)
-        res = oracle.minimize(oracle.OracleProblem(gram=fd.gram, G=g,
-                                                   restarts=6, seed=5))
+        res = penalty_oracle.minimize(penalty_oracle.OracleProblem(gram=fd.gram, G=g,
+                                                                   restarts=6, seed=5))
         assert abs(closed.value - res.value) <= 1e-4, g.shape
+        assert sdp_value_agrees(g, fd.gram, closed.value), g.shape
     rep = analysis.cr_bound_coherent(fd0, np.eye(2))
     assert abs(rep.value - 2.0) <= 1e-9
     assert abs(np.trace(rep.V_opt) - rep.value) <= 1e-9
@@ -189,9 +204,10 @@ def test_criterion_08_marginal_sweep_and_inflation():
             g = np.zeros((2, 2))
             g[i, i] = 1.0
             g += eps * np.eye(2)
-            res = oracle.minimize(oracle.OracleProblem(gram=fd.gram, G=g,
-                                                       restarts=4, seed=3))
+            res = penalty_oracle.minimize(penalty_oracle.OracleProblem(
+                gram=fd.gram, G=g, restarts=4, seed=3))
             values.append(res.value)
+            assert sdp_value_agrees(g, fd.gram, analysis.cr_bound_2param(fd, g).value)
         assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
         assert abs(values[-1] - target) <= 1e-3, (i, values)
     # inflation: analytic covariance gains exactly V0
@@ -261,21 +277,24 @@ def test_criterion_09_structural_properties():
 
 def test_criterion_10_stationarity_certificates(grid_oracle_runs):
     checked_multiplier = 0
-    for beta, fd, g, problem, result, closed in grid_oracle_runs:
-        cert = oracle.stationarity_certificate(result, problem)
-        assert cert.residual <= 1e-6, (beta, cert.residual)
-        if "multiplier_spectrum" in cert.extras:
-            spec = np.asarray(cert.extras["multiplier_spectrum"])
-            assert np.abs(spec - 1.0).max() <= 1e-5, (beta, spec)
-            checked_multiplier += 1
-    assert checked_multiplier >= 5  # every beta = 1 problem is coherent
+    for beta, fd, g, problem, result, closed, solved in grid_oracle_runs:
+        for cert in (oracle.stationarity_certificate(result, problem),
+                     oracle.stationarity_certificate(solved)):
+            assert cert.residual <= 1e-6, (beta, cert.residual)
+            if "multiplier_spectrum" in cert.extras:
+                spec = np.asarray(cert.extras["multiplier_spectrum"])
+                assert np.abs(spec - 1.0).max() <= 1e-5, (beta, spec)
+                checked_multiplier += 1
+    assert checked_multiplier >= 10  # every beta = 1 problem is coherent, both solvers
     # coherent catalog problems carry the same certificate structure
     n0 = model.catalog_shifted_number(0, [0.2, -0.4])
     fd0 = model.fisher_data(model.tangent_frame(n0, n0.theta0))
     for g in (np.eye(2), seeded_pd_weights(58, 1)[0]):
-        problem = oracle.OracleProblem(gram=fd0.gram, G=g, restarts=6, seed=8)
-        result = oracle.minimize(problem)
-        cert = oracle.stationarity_certificate(result, problem)
-        assert cert.residual <= 1e-6
-        spec = np.asarray(cert.extras["multiplier_spectrum"])
-        assert np.abs(spec - 1.0).max() <= 1e-5
+        problem = penalty_oracle.OracleProblem(gram=fd0.gram, G=g, restarts=6, seed=8)
+        result = penalty_oracle.minimize(problem)
+        for cert in (oracle.stationarity_certificate(result, problem),
+                     oracle.stationarity_certificate(
+                         oracle.minimize(oracle.OracleProblem(gram=fd0.gram, G=g)))):
+            assert cert.residual <= 1e-6
+            spec = np.asarray(cert.extras["multiplier_spectrum"])
+            assert np.abs(spec - 1.0).max() <= 1e-5

@@ -260,3 +260,34 @@ def test_each_working_point_is_decomposed_once(count_calls):
     nf = measurement.naimark_frame(fd, theta=mdl.theta0)
     measurement.optimal_vectors_coherent(nf, fd, g)
     assert len(canonical) == 1
+
+
+def test_coherent_route_decomposes_the_weight_once(monkeypatch):
+    mdl = model.catalog_squeezed([0.1, 0.2, 0.4, 0.7])
+    fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
+    analysis.beta_spectrum(fd)
+    g = np.eye(4)
+    on_g = []
+    original = matkernel.hermitian_eig
+
+    def recording(a):
+        if np.shape(a) == g.shape and np.array_equal(a, g):
+            on_g.append(1)
+        return original(a)
+
+    monkeypatch.setattr(matkernel, "hermitian_eig", recording)
+    assert analysis.cr_bound(fd, g).method == "closed_form_coherent"
+    assert len(on_g) == 1
+
+
+def test_coherent_route_with_singular_weight_goes_to_the_oracle():
+    mdl = model.catalog_squeezed([0.1, 0.2, 0.4, 0.7])
+    fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
+    g = np.diag([2.0, 1.0, 1.0, 0.0])
+    assert analysis.closed_form(fd, g) is None
+    rep = analysis.cr_bound(fd, g)
+    assert rep.method == "oracle"
+    assert abs(rep.notes["gap"]) <= 1e-9 * max(1.0, rep.value)
+    # dropping a weight can only lower the bound below the full coherent one
+    assert rep.value <= analysis.cr_bound_coherent(fd, np.diag([2.0, 1.0, 1.0, 1e-3])).value
+    assert rep.value >= analysis.sld_bound(fd, g) - 1e-12

@@ -11,8 +11,7 @@ import pytest
 from qcrb import analysis, cli
 
 SPIN_QC = {"model": "spin_rotation", "s": 1.0, "m_z": 0.0, "theta": [0.7, 1.1]}
-SPIN_GEN = {"model": "spin_rotation", "s": 1.5, "m_z": 0.5, "theta": [0.9, 0.3],
-            "oracle": {"restarts": 3, "seed": 2}}
+SPIN_GEN = {"model": "spin_rotation", "s": 1.5, "m_z": 0.5, "theta": [0.9, 0.3]}
 N0 = {"model": "shifted_number", "n": 0, "theta": [0.2, -0.4]}
 SQUEEZED = {"model": "squeezed", "theta": [0.1, -0.2, 0.4, 0.3]}
 
@@ -57,6 +56,9 @@ def test_bound_oracle_cross_check(tmp_path):
     assert doc["bound"]["method"] == "closed_form_2param"
     assert doc["oracle"]["agreement"] is True
     assert abs(doc["oracle"]["value"] - doc["bound"]["value"]) <= 1e-4
+    assert abs(doc["oracle"]["value"] - doc["bound"]["value"]) <= \
+        cli.ORACLE_AGREEMENT_TOL * max(1.0, doc["bound"]["value"])
+    assert abs(doc["oracle"]["gap"]) <= 1e-9 * max(1.0, doc["oracle"]["value"])
 
 
 def test_bound_weight_file(tmp_path):
@@ -194,7 +196,31 @@ def test_oracle_command(tmp_path):
     doc = json.loads(proc.stdout)
     assert doc["certificate"]["residual"] <= 1e-6
     assert doc["closed_form"]["difference"] <= 1e-4
-    assert doc["oracle_config"]["restarts"] == 3
+    assert doc["closed_form"]["difference"] <= 1e-8 * max(1.0, doc["value"])
+    assert abs(doc["gap"]) <= 1e-9 * max(1.0, doc["value"])
+    assert doc["attained"] is True
+    assert "restarts" not in doc and "oracle_config" not in doc
+
+
+@pytest.mark.parametrize("theta", [[-0.4986, -0.0371], [0.4293, 0.2563]])
+def test_oracle_command_coherent_points(tmp_path, capsys, theta):
+    # the penalty search took 7-8 s here and returned 1.99999997
+    cfg = write_json(tmp_path / "m.json", {"model": "shifted_number", "n": 0, "theta": theta})
+    assert cli.main(["oracle", "--config", cfg]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert abs(doc["value"] - 2.0) <= 1e-9
+    assert doc["certificate"]["residual"] <= 1e-9
+
+
+@pytest.mark.parametrize("command", [["oracle"], ["bound", "--oracle"], ["analyze"]])
+def test_oracle_config_block_schema_error(tmp_path, command):
+    cfg = write_json(tmp_path / "m.json", {**SPIN_GEN, "oracle": {"restarts": 3, "seed": 2}})
+    proc = run_cli(*command, "--config", cfg)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    err = json.loads(proc.stderr)
+    assert err["error"] == "SchemaError"
+    assert "'oracle'" in err["message"]
 
 
 def test_missing_config_schema_error():
@@ -246,6 +272,7 @@ IMPORT_PROBE = (
 )
 
 
+# No command loads scipy, the oracle included: its SDP runs on numpy alone.
 @pytest.mark.parametrize("command, config, extra, scipy_loaded", [
     ("analyze", SPIN_GEN, [], False),
     ("bound", SPIN_GEN, [], False),
@@ -253,7 +280,8 @@ IMPORT_PROBE = (
     ("pvm", N0, [], False),
     ("simulate", N0, ["--samples", "50"], False),
     ("boundary", SPIN_GEN, ["--weight", "identity", "--samples", "5"], False),
-    ("oracle", SPIN_GEN, [], True),
+    ("oracle", SPIN_GEN, [], False),
+    ("bound", SPIN_GEN, ["--oracle"], False),
 ])
 def test_only_the_oracle_loads_scipy(tmp_path, command, config, extra, scipy_loaded):
     cfg = write_json(tmp_path / "m.json", config)

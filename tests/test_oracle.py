@@ -1,10 +1,18 @@
-"""Brute-force bound minimizer: gradients, feasibility, certificates."""
+"""The Holevo SDP engine, and the penalty reference it is cross-checked against.
+
+Each problem with a known answer is solved by both: the penalty reference
+(`penalty_oracle`, tests only) at its own tolerances, and the SDP to 1e-8
+relative with its duality gap.
+"""
 
 import numpy as np
 import pytest
 
-from qcrb import analysis, errors, matkernel, measurement, model, oracle
+import penalty_oracle
+from qcrb import analysis, errors, matkernel, model, oracle
 from qcrb.model import FisherData
+
+SDP_TOL = 1e-8     # relative agreement of the SDP with a known value
 
 
 def synthetic_fd(beta):
@@ -21,21 +29,32 @@ def numeric_gradient(f, y0, h=1e-6):
     return g
 
 
+def sdp(fd_or_gram, g):
+    gram = getattr(fd_or_gram, "gram", fd_or_gram)
+    res = oracle.minimize(oracle.OracleProblem(gram=gram, G=g))
+    assert res.gap <= oracle.GAP_TOL * max(1.0, res.value)
+    return res
+
+
+def assert_sdp_value(res, expect):
+    assert abs(res.value - expect) <= SDP_TOL * max(1.0, abs(expect)), (res.value, expect)
+
+
 def test_penalty_gradient_matches_finite_differences():
     fd = synthetic_fd(0.6)
     g = np.array([[1.3, 0.2], [0.2, 0.7]])
-    problem = oracle.OracleProblem(gram=fd.gram, G=g)
-    setup = oracle._setup(problem)
+    problem = penalty_oracle.OracleProblem(gram=fd.gram, G=g)
+    setup = penalty_oracle._setup(problem)
     nbasis, xp, lc = setup[7], setup[5], setup[4]
     shape = (nbasis.shape[1], 2)
     rng = np.random.default_rng(17)
     y0 = 0.2 * rng.standard_normal(shape).reshape(-1)
     lam = np.array([[0.0, 0.7], [-0.7, 0.0]])
     for mu, lm in ((0.0, None), (1e3, None), (31.0, lam)):
-        val, grad = oracle._penalty_objective(y0, shape, xp, nbasis, g, mu, lm)
+        val, grad = penalty_oracle._penalty_objective(y0, shape, xp, nbasis, g, mu, lm)
         num = numeric_gradient(
-            lambda y: oracle._penalty_objective(y, shape, xp, nbasis, g,
-                                                mu, lm)[0],
+            lambda y: penalty_oracle._penalty_objective(y, shape, xp, nbasis, g,
+                                                        mu, lm)[0],
             y0)
         assert np.abs(grad - num).max() <= 1e-5 * max(1.0, np.abs(num).max())
 
@@ -44,109 +63,173 @@ def test_oracle_quasi_classical_hits_sld():
     mdl = model.catalog_spin_rotation(1.0, 0.0, [0.7, 1.1])
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
     g = np.eye(2)
-    res = oracle.minimize(oracle.OracleProblem(gram=fd.gram, G=g, restarts=3))
+    res = penalty_oracle.minimize(penalty_oracle.OracleProblem(gram=fd.gram, G=g, restarts=3))
     assert abs(res.value - analysis.sld_bound(fd, g)) <= 1e-6
     assert max(res.residuals.values()) <= 1e-7
+    res = sdp(fd, g)
+    assert_sdp_value(res, analysis.sld_bound(fd, g))
+    assert max(res.residuals.values()) <= 1e-9
 
 
 def test_oracle_m1_trivial():
     gram = np.array([[2.5 + 0j]])
-    res = oracle.minimize(oracle.OracleProblem(gram=gram, G=np.eye(1), restarts=2))
+    res = penalty_oracle.minimize(penalty_oracle.OracleProblem(gram=gram, G=np.eye(1),
+                                                               restarts=2))
     assert abs(res.value - 0.4) <= 1e-8
+    assert_sdp_value(sdp(gram, np.eye(1)), 0.4)
 
 
 def test_oracle_matches_closed_form_generic():
     fd = synthetic_fd(0.45)
     g = np.array([[2.0, 0.5], [0.5, 1.0]])
     closed = analysis.cr_bound_2param(fd, g).value
-    res = oracle.minimize(oracle.OracleProblem(gram=fd.gram, G=g, restarts=4, seed=9))
+    res = penalty_oracle.minimize(penalty_oracle.OracleProblem(gram=fd.gram, G=g,
+                                                               restarts=4, seed=9))
     assert abs(res.value - closed) <= 1e-6
     assert res.value >= analysis.sld_bound(fd, g) - 1e-9
+    res = sdp(fd, g)
+    assert_sdp_value(res, closed)
+    assert res.value - res.gap >= analysis.sld_bound(fd, g) - 1e-9
 
 
 def test_oracle_never_undercuts_sld():
     fd = synthetic_fd(0.9)
     g = np.diag([1.0, 2.0])
-    res = oracle.minimize(oracle.OracleProblem(gram=fd.gram, G=g, restarts=4))
+    res = penalty_oracle.minimize(penalty_oracle.OracleProblem(gram=fd.gram, G=g,
+                                                               restarts=4))
     assert res.value >= analysis.sld_bound(fd, g) - 1e-9
+    assert sdp(fd, g).value >= analysis.sld_bound(fd, g) - 1e-9
 
 
 def test_oracle_restart_stats_recorded():
     fd = synthetic_fd(0.3)
-    res = oracle.minimize(oracle.OracleProblem(gram=fd.gram, G=np.eye(2),
-                                               restarts=5, seed=4))
+    res = penalty_oracle.minimize(penalty_oracle.OracleProblem(gram=fd.gram, G=np.eye(2),
+                                                               restarts=5, seed=4))
     assert len(res.restarts) == 5
     assert any(s.feasible for s in res.restarts)
     assert all(s.residual >= 0 for s in res.restarts)
+    # the SDP runs one solve, summarized in one stat
+    res = sdp(fd, np.eye(2))
+    assert len(res.restarts) == 1
+    stat = res.restarts[0]
+    assert (stat.value, stat.gap) == (res.value, res.gap)
+    assert 1 <= stat.iterations <= oracle.MAX_ITER
 
 
 def test_oracle_deterministic_given_seed():
     fd = synthetic_fd(0.7)
     g = np.array([[1.0, 0.1], [0.1, 3.0]])
-    a = oracle.minimize(oracle.OracleProblem(gram=fd.gram, G=g, restarts=3, seed=12))
-    b = oracle.minimize(oracle.OracleProblem(gram=fd.gram, G=g, restarts=3, seed=12))
+    a = penalty_oracle.minimize(penalty_oracle.OracleProblem(gram=fd.gram, G=g,
+                                                             restarts=3, seed=12))
+    b = penalty_oracle.minimize(penalty_oracle.OracleProblem(gram=fd.gram, G=g,
+                                                             restarts=3, seed=12))
     assert a.value == b.value
+    assert np.array_equal(a.X, b.X)
+    # the SDP has no seed: one deterministic start
+    a, b = sdp(fd, g), sdp(fd, g)
+    assert a.value == b.value and a.gap == b.gap
     assert np.array_equal(a.X, b.X)
 
 
 def test_oracle_rejects_bad_weight():
     fd = synthetic_fd(0.5)
-    with pytest.raises(errors.DomainError):
-        oracle.minimize(oracle.OracleProblem(gram=fd.gram, G=np.diag([1.0, -1.0])))
-    with pytest.raises(errors.DomainError):
-        oracle.minimize(oracle.OracleProblem(gram=fd.gram, G=np.eye(3)))
+    for mod in (penalty_oracle, oracle):
+        with pytest.raises(errors.DomainError):
+            mod.minimize(mod.OracleProblem(gram=fd.gram, G=np.diag([1.0, -1.0])))
+        with pytest.raises(errors.DomainError):
+            mod.minimize(mod.OracleProblem(gram=fd.gram, G=np.eye(3)))
 
 
 def test_oracle_infeasible_when_tolerance_unreachable():
     fd = synthetic_fd(0.8)
     with pytest.raises(errors.Infeasible):
-        oracle.minimize(oracle.OracleProblem(gram=fd.gram, G=np.eye(2),
-                                             restarts=2, penalties=(),
-                                             residual_tol=1e-15))
+        penalty_oracle.minimize(penalty_oracle.OracleProblem(gram=fd.gram, G=np.eye(2),
+                                                             restarts=2, penalties=(),
+                                                             residual_tol=1e-15))
+
+
+def test_oracle_gap_target_missed_is_nonconvergence(monkeypatch):
+    fd = synthetic_fd(0.8)
+    monkeypatch.setattr(oracle, "MAX_ITER", 2)
+    with pytest.raises(errors.NonConvergence):
+        oracle.minimize(oracle.OracleProblem(gram=fd.gram, G=np.eye(2)))
 
 
 def test_stationarity_certificate_on_closed_form_problems():
     fd = synthetic_fd(0.6)
     g = np.array([[1.4, 0.3], [0.3, 0.9]])
-    res = oracle.minimize(oracle.OracleProblem(gram=fd.gram, G=g, restarts=4, seed=2))
-    cert = oracle.stationarity_certificate(res)
-    assert cert.residual <= 1e-6
-    assert np.abs(cert.Lambda + cert.Lambda.T).max() <= 1e-12
-    assert "quadratic_sym" in cert.extras and "quadratic_antisym" in cert.extras
-    assert cert.extras["quadratic_sym"] <= 1e-5
-    assert cert.extras["quadratic_antisym"] <= 1e-5
+    res = penalty_oracle.minimize(penalty_oracle.OracleProblem(gram=fd.gram, G=g,
+                                                               restarts=4, seed=2))
+    for result in (res, sdp(fd, g)):
+        cert = oracle.stationarity_certificate(result)
+        assert cert.residual <= 1e-6
+        assert np.abs(cert.Lambda + cert.Lambda.T).max() <= 1e-12
+        assert "quadratic_sym" in cert.extras and "quadratic_antisym" in cert.extras
+        assert cert.extras["quadratic_sym"] <= 1e-5
+        assert cert.extras["quadratic_antisym"] <= 1e-5
 
 
 def test_stationarity_multiplier_spectrum_coherent():
     mdl = model.catalog_shifted_number(0, [0.0, 0.0])
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
     g = np.array([[1.0, 0.2], [0.2, 2.0]])
-    res = oracle.minimize(oracle.OracleProblem(gram=fd.gram, G=g, restarts=4, seed=6))
-    cert = oracle.stationarity_certificate(res)
-    assert cert.residual <= 1e-6
-    spec = cert.extras["multiplier_spectrum"]
-    assert np.abs(np.asarray(spec) - 1.0).max() <= 1e-5
+    res = penalty_oracle.minimize(penalty_oracle.OracleProblem(gram=fd.gram, G=g,
+                                                               restarts=4, seed=6))
+    for result in (res, sdp(fd, g)):
+        cert = oracle.stationarity_certificate(result)
+        assert cert.residual <= 1e-6
+        spec = cert.extras["multiplier_spectrum"]
+        assert np.abs(np.asarray(spec) - 1.0).max() <= 1e-5
 
 
 def test_feasible_scan_reaches_attainable_targets():
     mdl = model.catalog_shifted_number(0, [0.2, -0.4])
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
     rep = analysis.cr_bound_coherent(fd, np.eye(2))
-    problem = oracle.OracleProblem(gram=fd.gram, G=np.eye(2), restarts=4, seed=3)
-    assert oracle.feasible_scan(problem, rep.V_opt)
+    problem = penalty_oracle.OracleProblem(gram=fd.gram, G=np.eye(2), restarts=4, seed=3)
+    assert penalty_oracle.feasible_scan(problem, rep.V_opt)
     # upward closedness
-    assert oracle.feasible_scan(problem, rep.V_opt + np.diag([0.5, 0.0]))
+    assert penalty_oracle.feasible_scan(problem, rep.V_opt + np.diag([0.5, 0.0]))
 
 
 def test_feasible_scan_quasi_classical_inverse_fisher():
     mdl = model.catalog_spin_rotation(1.0, 0.0, [0.7, 1.1])
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
-    problem = oracle.OracleProblem(gram=fd.gram, G=np.eye(2), restarts=4, seed=3)
-    assert oracle.feasible_scan(problem, matkernel.inv_psd(fd.JS))
+    problem = penalty_oracle.OracleProblem(gram=fd.gram, G=np.eye(2), restarts=4, seed=3)
+    assert penalty_oracle.feasible_scan(problem, matkernel.inv_psd(fd.JS))
 
 
 def test_feasible_scan_rejects_inverse_fisher_on_coherent():
     mdl = model.catalog_shifted_number(0, [0.2, -0.4])
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
-    problem = oracle.OracleProblem(gram=fd.gram, G=np.eye(2), restarts=4, seed=3)
-    assert not oracle.feasible_scan(problem, matkernel.inv_psd(fd.JS))
+    problem = penalty_oracle.OracleProblem(gram=fd.gram, G=np.eye(2), restarts=4, seed=3)
+    assert not penalty_oracle.feasible_scan(problem, matkernel.inv_psd(fd.JS))
+
+
+@pytest.mark.parametrize("theta", [[-0.4986, -0.0371], [0.4293, 0.2563]])
+def test_coherent_points_return_two(theta):
+    # points where the penalty search took 7-8 s and returned 1.99999997
+    mdl = model.catalog_shifted_number(0, theta)
+    fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
+    res = sdp(fd, np.eye(2))
+    assert abs(res.value - 2.0) <= 1e-9
+    assert oracle.stationarity_certificate(res).residual <= 1e-9
+
+
+def test_singular_weight_is_solved_on_its_range():
+    fd = synthetic_fd(0.5)
+    # rank-1 weight: the marginal infimum, attained for beta < 1
+    g = np.diag([1.0, 0.0])
+    res = sdp(fd, g)
+    assert_sdp_value(res, analysis.cr_bound_2param(fd, g).value)
+    assert res.attained and max(res.residuals.values()) <= 1e-9
+    assert abs(np.sum(g * (res.X.conj().T @ res.X).real) - res.value) <= 1e-9
+    # at beta = 1 no estimator attains it: the value stands without vectors
+    res = sdp(synthetic_fd(1.0), g)
+    assert_sdp_value(res, 1.0)
+    assert not res.attained and res.X is None
+    with pytest.raises(errors.PreconditionNotMet):
+        oracle.stationarity_certificate(res)
+    # zero weight
+    res = sdp(fd, np.zeros((2, 2)))
+    assert res.value == 0.0 and res.attained

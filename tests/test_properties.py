@@ -6,7 +6,7 @@ import numpy as np
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from qcrb import analysis, matkernel, measurement, model
+from qcrb import analysis, matkernel, measurement, model, oracle
 from qcrb.model import FisherData
 
 finite = st.floats(min_value=-3.0, max_value=3.0,
@@ -174,3 +174,81 @@ def test_expm_frechet_hermitian_matches_scipy(seed, n, t):
     expm, frechet = scipy.linalg.expm_frechet(1j * t * h, 1j * t * e)
     assert np.abs(ev - expm).max() <= 1e-12 * max(1.0, np.abs(expm).max())
     assert np.abs(got - frechet).max() <= 1e-12 * max(1.0, np.abs(frechet).max())
+
+
+def gram_with_betas(rng, betas, m):
+    """Lift Gram T^T (I + i K) T whose beta spectrum is `betas` (one per pair).
+
+    With every beta equal to 1 and m even the Gram has rank m / 2, the
+    coherent case. T has condition number below e^2. Near beta = 1 the bound
+    moves like 1/sqrt(1 - beta), so roundoff of order eps * cond(JS) in beta
+    moves every double-precision route: at cond(JS) = 1.7e7 and
+    beta = 1 - 7.6e-7 the closed form sits 1.8e-7 and the SDP 1.8e-8
+    (relative) from a 50-digit value. Bounded conditioning keeps the 1e-8
+    comparison about the routes, not about the input.
+    """
+    k = np.zeros((m, m))
+    for j, b in enumerate(betas):
+        k[2 * j, 2 * j + 1], k[2 * j + 1, 2 * j] = b, -b
+    q1, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    q2, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    t = (q1 * np.exp(rng.uniform(-1.0, 1.0, m))) @ q2
+    gram = t.T @ (np.eye(m) + 1j * k) @ t
+    gram = 0.5 * (gram + gram.conj().T)
+    return FisherData(JS=gram.real.copy(), Jt=gram.imag.copy(), gram=gram)
+
+
+def draw_beta(rng, kind):
+    if kind == "one":
+        return 1.0
+    delta = 10.0 ** rng.uniform(-8.0, -6.0)     # within 1e-6, clear of the 1e-9 snap
+    return {"near0": delta, "near1": 1.0 - delta, "any": rng.uniform(0.0, 1.0)}[kind]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([2, 3, 4]),
+       st.sampled_from(["any", "near0", "near1", "one"]),
+       st.sampled_from(["random", "JS"]))
+def test_holevo_sdp_matches_closed_forms(seed, m, kind, weight):
+    rng = np.random.default_rng(seed)
+    fd = gram_with_betas(rng, [draw_beta(rng, kind) for _ in range(m // 2)], m)
+    if weight == "JS":
+        g = fd.JS.copy()
+    else:
+        b = rng.normal(size=(m, m))
+        g = (b @ b.T + 0.1 * np.eye(m)) * 10.0 ** rng.uniform(0.0, 3.0)
+    res = oracle.minimize(oracle.OracleProblem(gram=fd.gram, G=g))
+    scale = max(1.0, res.value)
+    assert res.gap <= 1e-9 * scale
+    refs = []
+    if m == 2:
+        refs.append(analysis.cr_bound_2param(fd, g).value)
+    if weight == "JS":
+        refs.append(analysis.cr_bound_js_weight(fd).value)
+    if kind == "one" and m % 2 == 0:
+        refs.append(analysis.cr_bound_coherent(fd, g).value)
+    for ref in refs:
+        assert abs(res.value - ref) <= 1e-8 * max(1.0, abs(ref)), (res.value, ref)
+    # SLD bound <= value <= the Holevo function at the SLD estimator L JS^{-1}
+    jsinv = np.linalg.inv(fd.JS)
+    w, u = np.linalg.eigh(g)
+    root = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.T
+    low = float(np.trace(g @ jsinv))
+    high = low + float(np.linalg.svd(root @ jsinv @ fd.Jt @ jsinv @ root,
+                                     compute_uv=False).sum())
+    assert low - 1e-9 * scale <= res.value <= high + 1e-9 * scale
+    assert res.attained
+    assert res.residuals["im_xx"] <= 1e-9
+    assert res.residuals["unbiasedness"] <= 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.floats(0.0, 1.0), st.floats(0.0, 3.0))
+def test_holevo_sdp_certificate_at_large_weights(seed, beta, log_scale):
+    # the weights of the acceptance grid, scaled up to 1e3
+    rng = np.random.default_rng(seed)
+    b = rng.normal(size=(2, 2))
+    g = (b @ b.T + 0.1 * np.eye(2)) * 10.0 ** log_scale
+    jt = beta * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    res = oracle.minimize(oracle.OracleProblem(gram=np.eye(2) + 1j * jt, G=g))
+    assert oracle.stationarity_certificate(res).residual <= 1e-6

@@ -12,7 +12,7 @@ SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 @pytest.mark.parametrize("script, args", [
     ("sampling_demo.py", ["--shots", "2000"]),
     ("boundary_sweep.py", ["--count", "11", "--out-dir", "{tmp}"]),
-    ("closed_form_vs_oracle.py", ["--restarts", "2", "--weights", "1"]),
+    ("closed_form_vs_oracle.py", ["--weights", "1"]),
 ], ids=["sampling_demo", "boundary_sweep", "closed_form_vs_oracle"])
 def test_script_runs(tmp_path, script, args):
     argv = [a.format(tmp=tmp_path) for a in args]
