@@ -27,6 +27,7 @@ from .measurement import (
     covariance_of_pvm,
     inflate_covariance,
     naimark_frame,
+    optimal_vectors,
     optimal_vectors_coherent,
     optimal_vectors_quasi_classical,
     pvm_from_vectors,

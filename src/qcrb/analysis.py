@@ -377,15 +377,19 @@ def closed_form(fd, G):
     return None
 
 
-def cr_bound(fd, G):
-    """The applicable closed form, else the Holevo SDP of the oracle."""
-    report = closed_form(fd, G)
-    if report is not None:
-        return report
+def oracle_bound(fd, G):
+    """The Holevo SDP's BoundReport, with the OracleResult that carries its vectors."""
     G = matkernel.symmetrize(G)
     from . import oracle   # the oracle reads this module's spectrum
     result = oracle.minimize(oracle.OracleProblem(gram=fd.gram, G=G))
     v = None if result.X is None else matkernel.symmetrize((result.X.conj().T @ result.X).real)
-    return BoundReport(G=G, value=result.value, attained=result.attained, V_opt=v,
-                       method="oracle",
-                       notes={"residuals": result.residuals, "gap": result.gap})
+    report = BoundReport(G=G, value=result.value, attained=result.attained, V_opt=v,
+                         method="oracle",
+                         notes={"residuals": result.residuals, "gap": result.gap})
+    return report, result
+
+
+def cr_bound(fd, G):
+    """The applicable closed form, else the Holevo SDP of the oracle."""
+    report = closed_form(fd, G)
+    return report if report is not None else oracle_bound(fd, G)[0]

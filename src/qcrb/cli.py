@@ -2,8 +2,9 @@
 
 Reports are JSON with 17-significant-digit floats; curves and samples are
 CSV. Errors print a machine-readable JSON object to stderr and exit with
-2 (schema/domain), 3 (model), 4 (oracle: the duality gap missed its target,
-or `bound --oracle` disagrees with the closed form), or 5 (unsupported).
+2 (schema/domain, or a singular weight whose bound no estimator attains),
+3 (model), or 4 (oracle: the duality gap missed its target, or
+`bound --oracle` disagrees with the closed form).
 """
 
 import argparse
@@ -26,8 +27,6 @@ def _exit_code(exc):
         return 2
     if isinstance(exc, (errors.Infeasible, errors.NonConvergence)):
         return 4
-    if isinstance(exc, errors.NotSupported):
-        return 5
     if isinstance(exc, errors.QcrbError):
         return 3
     return 1
@@ -186,23 +185,25 @@ def cmd_boundary(args):
     return 0
 
 
+def _on_model_space(fd):
+    """True where `pvm` measures on the model's own space: quasi-classical or
+    one-parameter models. Every other PVM lives in the 2m+1 embedding."""
+    return analysis.beta_spectrum(fd).classification == "quasi_classical" \
+        or fd.JS.shape[0] == 1
+
+
 def cmd_pvm(args):
     doc, model, frame, fd = _model_and_point(args)
     g, wname = _resolve_weight(args.weight, fd.JS)
     spec = analysis.beta_spectrum(fd)
-    if spec.classification == "quasi_classical" or fd.JS.shape[0] == 1:
+    if _on_model_space(fd):
         ev = measurement.optimal_vectors_quasi_classical(frame, fd)
         space = frame
         closed = analysis.cr_bound(fd, g)
-    elif spec.classification == "coherent":
-        nf = measurement.naimark_frame(fd, theta=model.theta0)
-        closed = analysis.cr_bound_coherent(fd, g)
-        ev = measurement.optimal_vectors_coherent(nf, fd, g, report=closed)
-        space = nf
     else:
-        raise errors.NotSupported(
-            "no closed-form optimal measurement for generic multi-parameter models")
-    pvm = measurement.pvm_from_vectors(ev, seed=args.seed or 0)
+        space = measurement.naimark_frame(fd, theta=model.theta0)
+        ev, closed = measurement.optimal_vectors(space, fd, g)
+    pvm = measurement.pvm_from_vectors(ev)
     v, unbiased = measurement.covariance_of_pvm(pvm, space)
     probs = measurement.outcome_probabilities(pvm, space.phi)
     rep = _base_report("pvm", doc, model, args)
@@ -210,6 +211,7 @@ def cmd_pvm(args):
         "weight": wname,
         "classification": spec.classification,
         "closed_form_value": closed.value,
+        "method": closed.method,
         "verification": {
             "algebra_residuals": measurement.pvm_algebra_residuals(pvm),
             "unbiased": unbiased,
@@ -230,14 +232,13 @@ def cmd_simulate(args):
         pvm_doc = pvm_doc["pvm"]
     m = fd.JS.shape[0]
     pvm = measurement.pvm_from_obj(pvm_doc, m, theta=model.theta0)
-    if pvm.dim == model.dim:
-        space = frame
-    elif pvm.dim == 2 * m + 1:
-        space = measurement.naimark_frame(fd, theta=model.theta0)
+    if _on_model_space(fd):
+        space, where = frame, "the model"
     else:
+        space, where = measurement.naimark_frame(fd, theta=model.theta0), "the embedding"
+    if pvm.dim != space.phi.shape[0]:
         raise errors.SchemaError(
-            f"PVM dimension {pvm.dim} matches neither the model ({model.dim}) "
-            f"nor the embedding ({2 * m + 1})")
+            f"PVM dimension {pvm.dim} does not match {where} ({space.phi.shape[0]})")
     result = measurement.sample_outcomes(pvm, space, args.samples, args.seed or 0)
     summary = _base_report("simulate", doc, model, args)
     summary["count"] = result.count

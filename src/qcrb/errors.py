@@ -57,10 +57,6 @@ class NotCommuting(QcrbError):
     """Im X*X exceeds tolerance; no projective measurement realizes these vectors."""
 
 
-class DegenerateVectors(QcrbError):
-    """Estimation-vector Gram collapses; orthogonalization failed."""
-
-
 class InfeasibleGram(QcrbError):
     """Optimal-vector completion failed beyond tolerance."""
 
@@ -101,8 +97,3 @@ class NonConvergence(QcrbError):
     """A minimizer stopped short of its convergence target, such as the
     oracle's duality gap within its iteration cap."""
 
-
-# --- dispatch (CLI exit code 5) ---
-
-class NotSupported(QcrbError):
-    """No closed-form construction exists for this input class."""

@@ -62,8 +62,9 @@ def hermitian_eig(a):
 def psd_powers(a, *powers):
     """A^p for each p in `powers` (1/2, -1/2 or -1), from one eigendecomposition.
 
-    The PSD floor is decided here for the whole package. Negative eigenvalue
-    dust within EIGEN_DUST * max(1, ||A||) is clipped to zero; anything more
+    The PSD floor is decided here for the whole package. Eigenvalues within
+    EIGEN_DUST * max(1, ||A||) of zero are set to exactly zero, so a square
+    root has no component along the numerical null space; anything more
     negative raises NotPSD. A negative power also raises NotPSD unless every
     eigenvalue lies above that dust. Real symmetric input gives real results.
     """
@@ -74,7 +75,7 @@ def psd_powers(a, *powers):
             raise NotPSD(f"matrix is singular at dust level (min eig {w.min():.3e})")
     elif w.min(initial=0.0) < -dust:
         raise NotPSD(f"min eigenvalue {w.min():.3e} below PSD floor {-dust:.3e}")
-    w = np.clip(w, 0.0, None)
+    w = np.where(w > dust, w, 0.0)
     real = not np.iscomplexobj(np.asarray(a))
     out = []
     for p in powers:

@@ -1,4 +1,9 @@
-"""Projective measurements attaining the closed-form bounds.
+"""Projective measurements attaining the bound of every pure-state model.
+
+`optimal_vectors` builds estimation vectors X = L A + B in the 2m+1 Naimark
+embedding: A = JS^{-1} with the closed-form covariance V for quasi-classical
+and coherent models, and A, V from one oracle solve otherwise; B*B =
+V - A* gram A fills the coordinates orthogonal to phi and the lifts.
 
 Estimation vectors X with <x^i|phi> = 0, Re X*L = I and Im X*X = 0 are turned
 into a projective measurement whose covariance is exactly Re X*X: orthonormal
@@ -20,7 +25,6 @@ from . import analysis, matkernel
 from .errors import (
     BadProbability,
     ConsistencyError,
-    DegenerateVectors,
     DomainError,
     InfeasibleGram,
     NotCommuting,
@@ -110,31 +114,22 @@ def optimal_vectors_quasi_classical(frame, fd):
     return EstimationVectors(X=x, phi=frame.phi)
 
 
-def optimal_vectors_coherent(nf, fd, G, report=None):
-    """Estimation vectors attaining the coherent-model bound for PD weight G.
+def _complete(nf, a, v):
+    """X = L A + B attaining the covariance V, with B*B = V - A* gram A.
 
-    `report` is cr_bound_coherent(fd, G) when the caller already has it.
+    B fills coordinates m+1..2m of the Naimark frame, which are orthogonal to
+    phi and to the lifts by construction, so X*X = V is real and
+    Re X*L = Re A* gram.
     """
-    if report is None:
-        report = analysis.cr_bound_coherent(fd, G)   # raises NotCoherent/SingularWeight
-    a = analysis.spectrum(fd).js_inv
-    m = fd.JS.shape[0]
-    x0 = nf.lifts @ a
-    h = report.V_opt - a @ nf.gram @ a
+    m = a.shape[1]
+    h = v - a.conj().T @ nf.gram @ a
     h = 0.5 * (h + h.conj().T)
     wh, uh = matkernel.hermitian_eig(h)
     floor = -1e-8 * max(1.0, matkernel.mnorm(h))
     if wh.min() < floor:
         raise InfeasibleGram(f"completion has negative eigenvalue {wh.min():.3e}")
-    b = (uh * np.sqrt(np.clip(wh, 0.0, None))) @ uh.conj().T
-    span = np.column_stack([nf.phi.reshape(-1, 1), nf.lifts])
-    u, s, _ = np.linalg.svd(span, full_matrices=True)
-    rank = int(np.sum(s > matkernel.EIGEN_DUST * max(1.0, s[0])))
-    z = u[:, rank:]
-    if z.shape[1] < m:
-        raise InfeasibleGram(
-            f"complement dimension {z.shape[1]} cannot host {m} completion rows")
-    x = x0 + z[:, :m] @ b
+    x = nf.lifts @ a
+    x[m + 1:, :] = (uh * np.sqrt(np.clip(wh, 0.0, None))) @ uh.conj().T
     ev = EstimationVectors(X=x, phi=nf.phi)
     res = estimation_residuals(ev, nf.lifts)
     if max(res.values()) > 1e-8:
@@ -142,24 +137,45 @@ def optimal_vectors_coherent(nf, fd, G, report=None):
     return ev
 
 
-def _uniform_first_column_orthogonal(n, seed, attempt):
-    """Orthogonal n x n matrix; first column uniform, optionally re-randomized."""
+def optimal_vectors_coherent(nf, fd, G, report=None):
+    """Estimation vectors attaining the coherent-model bound for PD weight G.
+
+    `report` is cr_bound_coherent(fd, G) when the caller already has it.
+    """
+    if report is None:
+        report = analysis.cr_bound_coherent(fd, G)   # raises NotCoherent/SingularWeight
+    return _complete(nf, analysis.spectrum(fd).js_inv, report.V_opt)
+
+
+def optimal_vectors(nf, fd, G):
+    """Estimation vectors in the Naimark frame nf attaining CR(G), and its report.
+
+    Quasi-classical and coherent models take the SLD coefficients A = JS^{-1}
+    with the closed form's V; every other model takes A and V from one oracle
+    solve. Raises SingularWeight when no estimator attains the bound.
+    """
+    generic = analysis.beta_spectrum(fd).classification == "generic"
+    report = None if generic else analysis.closed_form(fd, G)
+    if report is not None:
+        a = analysis.spectrum(fd).js_inv
+    else:
+        report, res = analysis.oracle_bound(fd, G)
+        a = None if res.X is None else np.linalg.lstsq(res.lifts, res.X, rcond=None)[0]
+    if report.V_opt is None:
+        raise SingularWeight("no estimator attains the bound for this singular weight")
+    return _complete(nf, a, report.V_opt), report
+
+
+def _uniform_first_column_orthogonal(n):
+    """Householder reflection sending e_0 to the uniform unit vector."""
     u = np.full(n, 1.0 / math.sqrt(n))
-    v = np.zeros(n)
-    v[0] = 1.0
-    w = v - u
+    w = -u
+    w[0] += 1.0
     nw = np.linalg.norm(w)
     if nw < 1e-14:
-        o = np.eye(n)
-    else:
-        w = w / nw
-        o = np.eye(n) - 2.0 * np.outer(w, w)
-    if attempt > 0:
-        rng = np.random.default_rng([seed, attempt])
-        q, r = np.linalg.qr(rng.standard_normal((n, n)))
-        q = q * np.sign(np.diag(r))
-        o = q @ o
-    return o
+        return np.eye(n)
+    w = w / nw
+    return np.eye(n) - 2.0 * np.outer(w, w)
 
 
 def pvm_from_vectors(ev, seed=0):
@@ -167,7 +183,8 @@ def pvm_from_vectors(ev, seed=0):
 
     Requires Im X*X = 0 within 1e-8 and <x^i|phi> = 0. Rank-deficient vector
     families are handled by dropping directions whose orthogonalization
-    residual falls below 1e-10; the remainder projector absorbs them.
+    residual falls below 1e-10; the remainder projector absorbs them. The
+    construction is deterministic: `seed` is accepted and has no effect.
     """
     x = np.asarray(ev.X, dtype=complex)
     if x.ndim == 1:
@@ -194,15 +211,7 @@ def pvm_from_vectors(ev, seed=0):
     nb = bmat.shape[1]
     lam = (bmat.conj().T @ x).real   # (nb, m); row 0 is ~0 by orthogonality
 
-    o = None
-    for attempt in range(9):
-        cand = _uniform_first_column_orthogonal(nb, seed, attempt)
-        if np.min(np.abs(cand[:, 0])) >= 1e-6:
-            o = cand
-            break
-    if o is None:
-        raise DegenerateVectors("no rotation kept all rays off the phi-orthoplane")
-
+    o = _uniform_first_column_orthogonal(nb)
     bprime = bmat @ o.T
     outcomes = []
     for kappa in range(nb):
@@ -274,13 +283,11 @@ def covariance_of_pvm(pvm, frame):
     return v, unbiased
 
 
-def inflate_covariance(pvm, v0, frame=None):
+def inflate_covariance(pvm, v0):
     """Classical offset mixture adding exactly V0 to the covariance.
 
     The 2^m offsets are sqrt(V0) alpha over sign vectors alpha, each with
-    weight 2^{-m}; their mean is zero, so unbiasedness is preserved. The
-    frame is not needed for the construction and is accepted for symmetry
-    with the other measurement ops.
+    weight 2^{-m}; their mean is zero, so unbiasedness is preserved.
     """
     v0 = matkernel.symmetrize(np.atleast_2d(v0))
     if v0.shape != (pvm.m, pvm.m):

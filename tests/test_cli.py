@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from qcrb import analysis, cli
+from qcrb import oracle as oracle_mod
 
 SPIN_QC = {"model": "spin_rotation", "s": 1.0, "m_z": 0.0, "theta": [0.7, 1.1]}
 SPIN_GEN = {"model": "spin_rotation", "s": 1.5, "m_z": 0.5, "theta": [0.9, 0.3]}
 N0 = {"model": "shifted_number", "n": 0, "theta": [0.2, -0.4]}
+N3 = {"model": "shifted_number", "n": 3, "theta": [0.3, 0.1]}
 SQUEEZED = {"model": "squeezed", "theta": [0.1, -0.2, 0.4, 0.3]}
 
 
@@ -172,6 +174,16 @@ def test_simulate_deterministic(tmp_path):
     assert a.stdout == b.stdout
 
 
+def test_simulate_rejects_a_pvm_of_another_space(tmp_path, capsys):
+    # a quasi-classical PVM lives on the 3-dim model space; N0 reads the embedding
+    pvm_path = str(tmp_path / "pvm.json")
+    assert cli.main(["pvm", "--config", write_json(tmp_path / "qc.json", SPIN_QC),
+                     "--out", pvm_path]) == 0
+    assert cli.main(["simulate", "--config", write_json(tmp_path / "n0.json", N0),
+                     "--pvm", pvm_path, "--samples", "10"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
+
+
 def test_simulate_zero_samples(tmp_path):
     cfg = write_json(tmp_path / "m.json", SPIN_QC)
     pvm_path = str(tmp_path / "pvm.json")
@@ -182,11 +194,73 @@ def test_simulate_zero_samples(tmp_path):
     assert json.loads(proc.stdout)["insufficient_data"] is True
 
 
-def test_pvm_generic_model_unsupported(tmp_path):
-    cfg = write_json(tmp_path / "m.json", SPIN_GEN)
-    proc = run_cli("pvm", "--config", cfg)
-    assert proc.returncode == 5
-    assert json.loads(proc.stderr)["error"] == "NotSupported"
+def custom_config(seed, dim, m):
+    """A custom model with random complex amplitudes, generic for m >= 2."""
+    rng = np.random.default_rng(seed)
+    phi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    phi = phi / np.linalg.norm(phi)
+    dphi = 0.5 * (rng.normal(size=(m, dim)) + 1j * rng.normal(size=(m, dim)))
+    pairs = lambda v: [[float(c.real), float(c.imag)] for c in v]
+    return {"model": "custom", "dim": dim, "m": m, "phi": pairs(phi),
+            "dphi": [pairs(row) for row in dphi], "theta": [0.0] * m}
+
+
+# spin s = 2 has dimension 5 = 2m + 1, the size of the embedding
+@pytest.mark.parametrize("config", [
+    SPIN_GEN, N3, custom_config(4, 5, 3),
+    {"model": "spin_rotation", "s": 2.0, "m_z": 1.0, "theta": [0.9, 0.3]},
+], ids=["spin", "shifted_n3", "custom_m3", "spin_dim_5"])
+def test_pvm_generic_model(tmp_path, capsys, config):
+    cfg = write_json(tmp_path / "m.json", config)
+    pvm_path = str(tmp_path / "pvm.json")
+    assert cli.main(["pvm", "--config", cfg, "--out", pvm_path]) == 0
+    doc = json.loads((tmp_path / "pvm.json").read_text())
+    assert doc["classification"] == "generic"
+    assert doc["method"] == "oracle"
+    assert doc["verification"]["unbiased"] is True
+    value = doc["closed_form_value"]
+    assert abs(doc["verification"]["trGV"] - value) <= 1e-8 * max(1.0, abs(value))
+    assert max(doc["verification"]["algebra_residuals"].values()) <= 1e-9
+
+    assert cli.main(["simulate", "--config", cfg, "--pvm", pvm_path,
+                     "--samples", "20000", "--seed", "5"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert np.abs(np.array(summary["z_mean"])).max() <= 4.0
+    assert np.abs(np.array(summary["z_cov"])).max() <= 4.0
+
+
+SQUEEZED_WEIGHT = np.diag([2.0, 1.0, 3.0, 0.5]).tolist()
+
+
+@pytest.mark.parametrize("config, weight, method, oracle_calls", [
+    (SPIN_QC, None, "quasi_classical", 0),
+    (N0, None, "closed_form_2param", 0),
+    (SQUEEZED, None, "closed_form_coherent", 0),
+    (SQUEEZED, SQUEEZED_WEIGHT, "closed_form_coherent", 0),
+    (SPIN_GEN, None, "oracle", 1),
+], ids=["quasi_classical", "coherent_m2", "coherent_m4", "coherent_m4_weight", "generic"])
+def test_pvm_runs_the_oracle_only_for_generic_models(tmp_path, capsys, count_calls, config,
+                                                     weight, method, oracle_calls):
+    cfg = write_json(tmp_path / "m.json", config)
+    extra = [] if weight is None else ["--weight", write_json(tmp_path / "w.json", weight)]
+    calls = count_calls(oracle_mod, "minimize")
+    assert cli.main(["pvm", "--config", cfg, *extra]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["method"] == method
+    assert len(calls) == oracle_calls
+    value = doc["closed_form_value"]
+    assert doc["verification"]["unbiased"] is True
+    assert abs(doc["verification"]["trGV"] - value) <= 1e-8 * max(1.0, abs(value))
+
+
+def test_pvm_singular_weight_on_coherent_model(tmp_path):
+    # rank-1 weight on a coherent model: the infimum is not attained
+    cfg = write_json(tmp_path / "m.json", N0)
+    wpath = write_json(tmp_path / "w.json", [[1.0, 0.0], [0.0, 0.0]])
+    proc = run_cli("pvm", "--config", cfg, "--weight", wpath)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr)["error"] == "SingularWeight"
 
 
 def test_oracle_command(tmp_path):
@@ -282,6 +356,7 @@ IMPORT_PROBE = (
     ("boundary", SPIN_GEN, ["--weight", "identity", "--samples", "5"], False),
     ("oracle", SPIN_GEN, [], False),
     ("bound", SPIN_GEN, ["--oracle"], False),
+    ("pvm", SPIN_GEN, [], False),
 ])
 def test_only_the_oracle_loads_scipy(tmp_path, command, config, extra, scipy_loaded):
     cfg = write_json(tmp_path / "m.json", config)

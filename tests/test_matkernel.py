@@ -50,6 +50,16 @@ def test_sqrt_psd_real_input_real_output():
     assert not np.iscomplexobj(r)
 
 
+def test_sqrt_psd_drops_dust_eigenvalues():
+    # an eigenvalue within the dust is a zero; its root 1e-6 would not be
+    rng = np.random.default_rng(6)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    a = (q * np.array([2.0, 1.0, 1e-12])) @ q.conj().T
+    r = matkernel.sqrt_psd(a)
+    assert np.abs(r @ q[:, 2]).max() <= 1e-15
+    assert np.abs(r @ r - a).max() <= 1e-10
+
+
 def test_sqrt_psd_rejects_indefinite():
     with pytest.raises(errors.NotPSD):
         matkernel.sqrt_psd(np.diag([1.0, -0.5]))

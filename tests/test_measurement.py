@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qcrb import analysis, errors, matkernel, measurement, model
+from qcrb import analysis, errors, matkernel, measurement, model, oracle
 from qcrb.model import FisherData, TangentFrame
 
 
@@ -130,6 +130,77 @@ def test_coherent_pvm_squeezed_model():
     v, unbiased = measurement.covariance_of_pvm(pvm, nf)
     assert unbiased
     assert abs(np.sum(g * v) - rep.value) <= 1e-7
+
+
+def custom_generic(seed, dim, m):
+    rng = np.random.default_rng(seed)
+    phi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    dphi = 0.5 * (rng.normal(size=(m, dim)) + 1j * rng.normal(size=(m, dim)))
+    return model.custom_model(dim, m, phi / np.linalg.norm(phi), dphi, np.zeros(m))
+
+
+@pytest.mark.parametrize("build, g, method, oracle_calls", [
+    (lambda: model.catalog_spin_rotation(1.0, 0.0, [0.7, 1.1]), np.eye(2),
+     "quasi_classical", 0),
+    (lambda: model.catalog_shifted_number(0, [0.2, -0.4]),
+     np.array([[2.0, 0.4], [0.4, 1.0]]), "closed_form_2param", 0),
+    (lambda: model.catalog_squeezed([0.3, -0.2, 0.4, 0.7]), np.diag([1.0, 2.0, 3.0, 0.5]),
+     "closed_form_coherent", 0),
+    (lambda: model.catalog_spin_rotation(1.5, 0.5, [0.9, 0.3]), np.eye(2), "oracle", 1),
+    (lambda: custom_generic(4, 5, 3), np.diag([1.0, 2.0, 0.5]), "oracle", 1),
+    (lambda: model.catalog_spin_rotation(1.5, 0.5, [0.9, 0.3]), np.diag([1.0, 0.0]),
+     "oracle", 1),
+], ids=["quasi_classical", "coherent_m2", "coherent_m4", "generic_m2", "custom_m3",
+        "rank1_weight"])
+def test_optimal_vectors_every_class(count_calls, build, g, method, oracle_calls):
+    mdl = build()
+    fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
+    nf = measurement.naimark_frame(fd, theta=mdl.theta0)
+    calls = count_calls(oracle, "minimize")
+    ev, rep = measurement.optimal_vectors(nf, fd, g)
+    assert rep.method == method
+    assert len(calls) == oracle_calls
+    assert max(measurement.estimation_residuals(ev, nf.lifts).values()) <= 1e-8
+    pvm = measurement.pvm_from_vectors(ev)
+    assert max(measurement.pvm_algebra_residuals(pvm).values()) <= 1e-9
+    v, unbiased = measurement.covariance_of_pvm(pvm, nf)
+    assert unbiased
+    tol = 1e-8 * max(1.0, abs(rep.value))
+    assert abs(np.sum(g * v) - rep.value) <= tol
+    # the closed forms are an independent route to the same value
+    closed = analysis.closed_form(fd, g)
+    if closed is not None:
+        assert abs(closed.value - rep.value) <= tol
+
+
+@pytest.mark.parametrize("build, g", [
+    (lambda: model.catalog_shifted_number(0, [0.2, -0.4]), np.diag([1.0, 0.0])),
+    (lambda: model.catalog_squeezed([0.3, -0.2, 0.4, 0.7]), np.diag([1.0, 1.0, 1.0, 0.0])),
+], ids=["coherent_m2", "coherent_m4"])
+def test_optimal_vectors_singular_weight_on_coherent_model(build, g):
+    mdl = build()
+    fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
+    nf = measurement.naimark_frame(fd)
+    with pytest.raises(errors.SingularWeight):
+        measurement.optimal_vectors(nf, fd, g)
+    with pytest.raises(errors.SingularWeight):
+        measurement.optimal_vectors_coherent(nf, fd, g)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: model.catalog_shifted_number(0, [0.2, -0.4]),
+    lambda: model.catalog_squeezed([0.3, -0.2, 0.4, 0.7]),
+], ids=["shifted_n0", "squeezed"])
+def test_naimark_lifts_vanish_on_the_gram_null_space(build):
+    # a roundoff eigenvalue of the Gram (5.6e-16 on shifted n = 0) used to
+    # leave its square root, 2.4e-8, along the null space
+    mdl = build()
+    fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
+    nf = measurement.naimark_frame(fd)
+    w, u = np.linalg.eigh(fd.gram)
+    null = u[:, w <= matkernel.EIGEN_DUST * max(1.0, np.abs(fd.gram).max())]
+    assert null.shape[1] > 0
+    assert np.abs(nf.lifts @ null).max() <= 1e-15
 
 
 def test_lemma_ordering_on_constructed_pvm():
