@@ -97,16 +97,11 @@ def _emit(text, out_path):
 
 
 def _base_report(command, doc, model, args):
-    seed = getattr(args, "seed", None)
-    return {
-        "tool": "qcrb",
-        "version": __version__,
-        "command": command,
-        "seed": 0 if seed is None else seed,
-        "config": doc,
-        "model": model.label,
-        "theta": model.theta0,
-    }
+    rep = {"tool": "qcrb", "version": __version__, "command": command}
+    if command == "simulate":   # the one command that draws random numbers
+        rep["seed"] = args.seed
+    rep.update({"config": doc, "model": model.label, "theta": model.theta0})
+    return rep
 
 
 def cmd_analyze(args):
@@ -239,7 +234,7 @@ def cmd_simulate(args):
     if pvm.dim != space.phi.shape[0]:
         raise errors.SchemaError(
             f"PVM dimension {pvm.dim} does not match {where} ({space.phi.shape[0]})")
-    result = measurement.sample_outcomes(pvm, space, args.samples, args.seed or 0)
+    result = measurement.sample_outcomes(pvm, space, args.samples, args.seed)
     summary = _base_report("simulate", doc, model, args)
     summary["count"] = result.count
     summary["analytic_covariance"] = result.analytic_cov
@@ -318,8 +313,6 @@ def build_parser():
                        help="model config JSON")
         p.add_argument("--weight", default=None,
                        help="identity | sld | path to a JSON matrix")
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("analyze", help="Fisher matrices, beta spectrum, classification")
@@ -333,25 +326,23 @@ def build_parser():
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--window", type=float, nargs=2, default=(-1.0, 1.0),
                    help="x-window for the beta = 1 hyperbola")
+    p.add_argument("--samples", type=int, default=101, help="points on the curve")
     p = sub.add_parser("pvm", help="bound-attaining projective measurement")
     common(p)
     p = sub.add_parser("simulate", help="sample outcomes of a stored PVM")
     common(p)
     p.add_argument("--pvm", required=True, help="PVM JSON produced by the pvm command")
+    p.add_argument("--samples", type=int, default=100000, help="number of shots")
+    p.add_argument("--seed", type=int, default=0)
     p = sub.add_parser("oracle", help="Holevo SDP bound with duality gap and "
                                       "stationarity certificate")
     common(p)
     return parser
 
 
-DEFAULT_SAMPLES = {"boundary": 101, "simulate": 100000}
-
-
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.samples is None:
-        args.samples = DEFAULT_SAMPLES.get(args.command, 0)
     handlers = {
         "analyze": cmd_analyze,
         "bound": cmd_bound,

@@ -8,9 +8,18 @@ l_i = 2 (I - |phi><phi|) d_i phi, which satisfy <phi|l_i> = 0 and reconstruct
 d_i rho = (|l_i><phi| + |phi><l_i|)/2. The Gram matrix L*L splits into the
 real symmetric Fisher matrix JS and the real antisymmetric Jt.
 
-Every catalog generator is Hermitian up to a factor i. A catalog `state`
-eigendecomposes each of its generators once and takes phi and dphi from that
-decomposition (matkernel.expm_frechet_hermitian).
+A `state` may return the frame up to a unitary fixed at theta and a phase
+gauge (dphi may differ by an imaginary multiple of phi): the lifts change by
+that unitary and the Gram matrix not at all. Only quasi-classical and
+one-parameter models are measured on the model's own space, and they need
+only one consistent frame; every other PVM lives in the Naimark embedding,
+which is built from the Fisher data alone.
+
+The spin `state` eigendecomposes its generator once and takes phi and dphi
+from that decomposition (matkernel.expm_frechet_hermitian). The Fock families
+return their frame transported by D(theta)^dagger, since D^dagger d_i D is the
+displacement generator plus a c-number: length-d vectors only, with a Fock
+truncation that depends on the squeezing and not on the displacement.
 """
 
 import math
@@ -39,7 +48,8 @@ class PureStateModel:
     dim: int
     m: int
     # theta -> (phi, dphi): the state, shape (d,), with |phi| = 1 up to 1e-8,
-    # and its derivative columns d_i phi, shape (d, m)
+    # and its derivative columns d_i phi, shape (d, m), both up to a unitary
+    # fixed at theta and a phase gauge; see the module docstring
     state: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
     theta0: Optional[np.ndarray] = None
     # tangent frame at theta0 that truncation growth verified; see tangent_frame
@@ -171,12 +181,15 @@ def catalog_spin_rotation(s, m_z, theta=None):
 
 # --- Fock-space families ---
 
-def ladder(d):
-    """Annihilation operator on the d-dim truncated Fock space."""
-    a = np.zeros((d, d), dtype=complex)
-    for k in range(1, d):
-        a[k - 1, k] = math.sqrt(k)
-    return a
+def _quadratures(v):
+    """X v and P v on the truncated Fock space, X = (a + a^dagger)/sqrt2 and
+    P = i(a^dagger - a)/sqrt2; the top level of a^dagger v falls off."""
+    root = np.sqrt(np.arange(1, v.size))
+    up = np.zeros_like(v)
+    up[1:] = root * v[:-1]
+    down = np.zeros_like(v)
+    down[:-1] = root * v[1:]
+    return (up + down) / math.sqrt(2), 1j * (up - down) / math.sqrt(2)
 
 
 def _tail_mass(v, d):
@@ -198,34 +211,33 @@ def _frame_tails_ok(model, theta):
 
 
 def catalog_shifted_number(n, theta=None, trunc=None):
-    """Displaced number state D(theta)|n> with D = exp(i(-theta1 X + theta2 P))."""
+    """Displaced number state D(theta)|n> with D = exp(i(-theta1 X + theta2 P)).
+
+    Its frame transported by D(theta)^dagger is phi = |n>, dphi = (-iX|n>, iP|n>),
+    supported on n - 1..n + 1: exact in n + 2 Fock levels at every theta.
+    """
     if n != int(n) or n < 0:
         raise DomainError(f"n must be a nonnegative integer, got {n}")
     n = int(n)
     th0 = np.zeros(2) if theta is None else np.asarray(theta, dtype=float)
     if th0.shape != (2,):
         raise DomainError("shifted number model takes a 2-vector theta")
-    z2 = 0.5 * float(th0[0] ** 2 + th0[1] ** 2)
-    start = n + math.ceil(12 + 8 * (z2 + 1.0))
+    d = n + 2 if trunc is None else int(trunc)
+    if d < n + 2:
+        raise TruncationError(f"trunc={trunc} is below n + 2 = {n + 2}, "
+                              f"which holds |n> and its lifts")
+    phi = np.zeros(d, dtype=complex)
+    phi[n] = 1.0
+    x, p = _quadratures(phi)
+    dphi = np.column_stack([-1j * x, 1j * p])
 
-    def build(d):
-        a = ladder(d)
-        x = (a + a.conj().T) / math.sqrt(2)
-        p = 1j * (a.conj().T - a) / math.sqrt(2)
-        psi0 = np.zeros(d, dtype=complex)
-        psi0[n] = 1.0
+    def state(theta):
+        return phi, dphi
 
-        def state(theta):
-            h = -theta[0] * x + theta[1] * p
-            phi, cols = matkernel.expm_frechet_hermitian(h, 1.0, psi0, [-x, p])
-            return phi, np.column_stack(cols)
-
-        return PureStateModel(
-            label=f"shifted_number(n={n})",
-            dim=d, m=2, state=state, theta0=th0,
-        )
-
-    return _grow_truncation(build, start, trunc, th0)
+    return PureStateModel(
+        label=f"shifted_number(n={n})",
+        dim=d, m=2, state=state, theta0=th0,
+    )
 
 
 def _grow_truncation(build, start, trunc, theta0):
@@ -255,36 +267,15 @@ def catalog_squeezed(theta, trunc=None):
         # the theta4 direction degenerates: the JS eigenvalue sinh^2(2 t3)
         # collapses, so the Fisher matrix cannot be inverted
         raise SingularFisher("squeezed model is singular at theta3 = 0")
-    z2 = 0.5 * float(th0[0] ** 2 + th0[1] ** 2)
-    start = math.ceil(12 + 8 * (z2 + math.exp(2 * th0[2])))
+    start = math.ceil(12 + 8 * math.exp(2 * th0[2]))
 
     def build(d):
-        a = ladder(d)
-        ad = a.conj().T
-        a2 = a @ a
-        ad2 = ad @ ad
-        psi0 = np.zeros(d, dtype=complex)
-        psi0[0] = 1.0
-
         def state(theta):
-            # D = exp(K) and S = exp(W) with K and W anti-Hermitian, so
-            # exp(K) = exp(i (-iK)) and each direction dK enters the kernel as
-            # the Hermitian -i dK
-            z = (theta[0] + 1j * theta[1]) / math.sqrt(2)
-            e4 = np.exp(-2j * theta[3])
-            xi = theta[2] * e4
-            k = z * ad - np.conj(z) * a
-            w = 0.5 * (xi * ad2 - np.conj(xi) * a2)
-            dws = [0.5 * (e4 * ad2 - np.conj(e4) * a2),
-                   -1j * (xi * ad2 + np.conj(xi) * a2)]
-            spsi, dw_cols = matkernel.expm_frechet_hermitian(
-                -1j * w, 1.0, psi0, [-1j * dw for dw in dws])
-            dks = [(ad - a) / math.sqrt(2), 1j * (ad + a) / math.sqrt(2)]
-            # D acts on S psi0 and the xi columns; the z columns read column 0
-            dv, dk_cols = matkernel.expm_frechet_hermitian(
-                -1j * k, 1.0, np.column_stack([spsi] + dw_cols), [-1j * dk for dk in dks])
-            return dv[:, 0], np.column_stack(
-                [c[:, 0] for c in dk_cols] + [dv[:, 1], dv[:, 2]])
+            # frame transported by D(z)^dagger: phi = S(xi)|0> and its t3, t4
+            # derivatives, and D^dagger d_i D = (-iP, iX) + c-number for t1, t2
+            phi, dxi = _squeezed_vacuum(theta[2], theta[3], d)
+            x, p = _quadratures(phi)
+            return phi, np.column_stack([-1j * p, 1j * x, dxi])
 
         return PureStateModel(
             label="squeezed",
@@ -292,6 +283,30 @@ def catalog_squeezed(theta, trunc=None):
         )
 
     return _grow_truncation(build, start, trunc, th0)
+
+
+def _squeezed_vacuum(t3, t4, d):
+    """S(xi)|0> on d Fock levels, xi = t3 e^{-2i t4}, and its t3, t4 columns.
+
+    The even amplitudes are c_2k = e^{-2ik t4} tanh^k(t3) a_k / sqrt(cosh t3)
+    with a_0 = 1, a_{k+1} = a_k sqrt((2k+1)/(2k+2)). Their t3 derivative is
+    written with tanh^(k-1), so it holds no quotient of small numbers as t3 -> 0.
+    """
+    k = np.arange((d + 1) // 2)
+    a = np.ones(k.size)
+    a[1:] = np.cumprod(np.sqrt((2 * k[:-1] + 1) / (2 * k[:-1] + 2)))
+    t, ch = math.tanh(t3), math.cosh(t3)
+    amp = a * np.exp(-2j * t4 * k) / math.sqrt(ch)
+    tk = np.power(t, k)
+    tk1 = np.power(t, np.maximum(k - 1, 0))
+    phi = np.zeros(d, dtype=complex)
+    phi[::2] = amp * tk
+    dxi = np.zeros((d, 2), dtype=complex)
+    dxi[::2, 0] = amp * (k * tk1 / (ch * ch) - 0.5 * t * tk)
+    dxi[::2, 1] = -2j * k * phi[::2]
+    # the levels cut off carry norm; the tail check decides whether they matter
+    nrm = np.linalg.norm(phi)
+    return phi / nrm, dxi / nrm
 
 
 def squeezed_closed_forms(theta):

@@ -369,3 +369,28 @@ def test_only_the_oracle_loads_scipy(tmp_path, command, config, extra, scipy_loa
         capture_output=True, text=True, timeout=300)
     probe = json.loads(proc.stderr.strip().splitlines()[-1])
     assert probe == {"code": 0, "scipy": scipy_loaded}
+
+
+# --seed and --samples exist only where a command reads them
+@pytest.mark.parametrize("command, flag", [
+    ("analyze", "--seed"), ("pvm", "--seed"), ("boundary", "--seed"),
+    ("bound", "--samples"), ("oracle", "--samples"),
+])
+def test_flags_a_command_does_not_read_are_rejected(tmp_path, capsys, command, flag):
+    cfg = write_json(tmp_path / "m.json", SPIN_GEN)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", cfg, flag, "3"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+
+
+def test_only_simulate_reports_a_seed(tmp_path, capsys):
+    cfg = write_json(tmp_path / "m.json", SPIN_QC)
+    pvm_path = str(tmp_path / "pvm.json")
+    assert cli.main(["pvm", "--config", cfg, "--out", pvm_path]) == 0
+    assert "seed" not in json.loads((tmp_path / "pvm.json").read_text())
+    assert cli.main(["analyze", "--config", cfg]) == 0
+    assert "seed" not in json.loads(capsys.readouterr().out)
+    assert cli.main(["simulate", "--config", cfg, "--pvm", pvm_path,
+                     "--samples", "10", "--seed", "7"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 7

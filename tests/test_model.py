@@ -115,7 +115,8 @@ def test_shifted_number_fisher_matches_fd_oracle():
     mdl = model.catalog_shifted_number(2, theta)
     fr = model.tangent_frame(mdl, theta)
     fd = model.fisher_data(fr)
-    gram = fd_gram(lambda t: number_state_oracle(2, t, mdl.dim), np.array(theta))
+    # the oracle displaces |2> in its own truncation; the model needs only n + 2
+    gram = fd_gram(lambda t: number_state_oracle(2, t, 40), np.array(theta))
     assert np.abs(fd.gram - gram).max() <= 1e-5
     # displaced number states have JS = (4n+2) I
     assert np.abs(fd.JS - 10.0 * np.eye(2)).max() <= 1e-8
@@ -128,18 +129,21 @@ def test_shifted_number_gram_n0():
     assert np.abs(fd.gram - expect).max() <= 1e-8
 
 
-def test_truncation_grows_with_displacement():
+def test_truncation_does_not_depend_on_displacement():
     small = model.catalog_shifted_number(0, [0.1, 0.1])
     large = model.catalog_shifted_number(0, [6.0, -5.0])
-    assert large.dim > small.dim
+    assert large.dim == small.dim
     fd = model.fisher_data(model.tangent_frame(large, large.theta0))
     assert np.abs(fd.JS - 2.0 * np.eye(2)).max() <= 1e-7
 
 
 def test_explicit_truncation_too_small():
+    # |3> and its lifts need n + 2 = 5 levels
     with pytest.raises(errors.TruncationError):
-        mdl = model.catalog_shifted_number(0, [4.0, 4.0], trunc=8)
-        model.tangent_frame(mdl, mdl.theta0)
+        model.catalog_shifted_number(3, [4.0, 4.0], trunc=4)
+    # squeezing t3 = 1.5 spreads S(xi)|0> over hundreds of levels
+    with pytest.raises(errors.TruncationError):
+        model.catalog_squeezed([0.2, 0.1, 1.5, 0.3], trunc=16)
 
 
 def test_squeezed_closed_forms_at_origin():
@@ -157,7 +161,9 @@ def test_squeezed_closed_forms_at_origin():
 @pytest.mark.parametrize("theta", [[0.3, -0.2, 1.2, 0.4], [1.5, 0.5, 0.9, 2.0]])
 def test_squeezed_fisher_at_large_truncation(theta):
     mdl = model.catalog_squeezed(theta)
-    assert mdl.dim > 128
+    # the truncation is set by the squeezing alone, from 12 + 8 e^{2 t3} up
+    assert mdl.dim == model.catalog_squeezed([0.0, 0.0] + theta[2:]).dim
+    assert mdl.dim >= 12 + 8 * np.exp(2 * theta[2])
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
     js, jt = model.squeezed_closed_forms(theta)
     assert np.abs(fd.JS - js).max() <= 1e-10
@@ -165,16 +171,35 @@ def test_squeezed_fisher_at_large_truncation(theta):
 
 
 def test_shifted_number_fisher_at_large_truncation():
-    mdl = model.catalog_shifted_number(3, [6.0, -5.0])
-    assert mdl.dim > 256
+    mdl = model.catalog_shifted_number(3, [6.0, -5.0], trunc=300)
+    assert mdl.dim == 300
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
     assert np.abs(fd.JS - 14.0 * np.eye(2)).max() <= 1e-10
 
 
+def test_fock_frames_far_out():
+    # a displacement costs nothing: the frame is transported back to the origin
+    mdl = model.catalog_shifted_number(0, [31.0, 0.0])
+    assert mdl.dim == 2
+    fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
+    expect = 2.0 * np.eye(2) + 2j * np.array([[0.0, -1.0], [1.0, 0.0]])
+    assert np.abs(fd.gram - expect).max() <= 1e-12
+    theta = [20.0, -3.0, 2.6, 0.4]
+    mdl = model.catalog_squeezed(theta)
+    fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
+    js, jt = model.squeezed_closed_forms(theta)
+    scale = max(1.0, np.abs(js).max())
+    assert np.abs(fd.JS - js).max() <= 1e-10 * scale
+    assert np.abs(fd.Jt - jt).max() <= 1e-10 * scale
+    # squeezing t3 = 3 needs more Fock levels than the cap allows
+    with pytest.raises(errors.TruncationError):
+        model.catalog_squeezed([0.0, 0.0, 3.0, 0.4])
+
+
 @pytest.mark.parametrize("build, generators", [
     (lambda: model.catalog_spin_rotation(2.0, 1.0, [0.7, 1.1]), 1),
-    (lambda: model.catalog_shifted_number(1, [0.4, -0.3]), 1),
-    (lambda: model.catalog_squeezed([0.1, 0.2, 0.4, 0.7]), 2),
+    (lambda: model.catalog_shifted_number(1, [0.4, -0.3]), 0),
+    (lambda: model.catalog_squeezed([0.1, 0.2, 0.4, 0.7]), 0),
 ], ids=["spin", "shifted", "squeezed"])
 def test_catalog_derivatives_take_one_decomposition_per_generator(
         count_calls, build, generators):

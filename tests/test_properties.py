@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qcrb import analysis, matkernel, measurement, model, oracle
 from qcrb.model import FisherData
@@ -252,3 +252,23 @@ def test_holevo_sdp_certificate_at_large_weights(seed, beta, log_scale):
     jt = beta * np.array([[0.0, 1.0], [-1.0, 0.0]])
     res = oracle.minimize(oracle.OracleProblem(gram=np.eye(2) + 1j * jt, G=g))
     assert oracle.stationarity_certificate(res).residual <= 1e-6
+
+
+# t3 = 1e-3 is an explicit case: there k/(sinh cosh) in the t3 column would
+# divide small numbers, which the frame avoids by writing it with tanh^(k-1)
+@settings(max_examples=30, deadline=None)
+@given(st.floats(0.0, 30.0), st.floats(0.0, 2 * math.pi), st.floats(1e-3, 2.6),
+       st.floats(0.0, math.pi), st.integers(0, 6))
+@example(1.5, 5.2, 1e-3, 2.1, 0)
+def test_fock_frames_match_closed_forms(radius, angle, t3, t4, n):
+    t1, t2 = radius * math.cos(angle), radius * math.sin(angle)
+    mdl = model.catalog_squeezed([t1, t2, t3, t4])
+    fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
+    js, jt = model.squeezed_closed_forms([t1, t2, t3, t4])
+    tol = 1e-10 * max(1.0, np.linalg.norm(js, 2))
+    assert np.abs(fd.JS - js).max() <= tol
+    assert np.abs(fd.Jt - jt).max() <= tol
+    mdl = model.catalog_shifted_number(n, [t1, t2])
+    fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
+    expect = (4 * n + 2) * np.eye(2) + 2j * np.array([[0.0, -1.0], [1.0, 0.0]])
+    assert np.abs(fd.gram - expect).max() <= 1e-12
