@@ -3,7 +3,9 @@
 For each beta on a grid, draws a few positive definite weights, evaluates
 the closed form, solves the oracle's SDP on the same problem, and prints
 their difference, the SDP's duality gap and the stationarity-certificate
-residual. Exits nonzero if any difference exceeds the tolerance.
+residual. Exits nonzero if any difference exceeds the tolerance that
+`qcrb bound --oracle` applies, matkernel.TOL["oracle_agreement"], relative to
+max(1, closed form).
 """
 
 import argparse
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qcrb import analysis, oracle
+from qcrb.matkernel import TOL
 from qcrb.model import FisherData
 
 
@@ -21,7 +24,6 @@ class SweepConfig:
     betas: tuple = (0.0, 0.25, 0.5, 0.75, 0.9, 1.0)
     weights_per_beta: int = 4
     seed: int = 2026
-    tol: float = 1e-8          # relative to max(1, closed form)
 
 
 def synthetic_fd(beta):
@@ -57,8 +59,9 @@ def main():
             print(f"{beta:5.2f}  {closed:14.10f}  {res.value:14.10f}  "
                   f"{diff:9.2e}  {res.gap:9.2e}  {cert.residual:9.2e}")
 
-    print(f"worst relative difference {worst:.3e} (tolerance {cfg.tol:g})")
-    return 0 if worst <= cfg.tol else 1
+    tol = TOL["oracle_agreement"]
+    print(f"worst relative difference {worst:.3e} (tolerance {tol:g})")
+    return 0 if worst <= tol else 1
 
 
 if __name__ == "__main__":

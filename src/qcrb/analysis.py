@@ -25,8 +25,7 @@ from .errors import (
     SingularFisher,
     SingularWeight,
 )
-
-CLASSIFY_DUST = 1e-9
+from .matkernel import TOL, check
 
 
 @dataclass
@@ -86,16 +85,15 @@ class Spectrum:
         q, pairs, zero_count = matkernel.antisym_canonical(k)
         # pairs come sorted descending, so this is |beta| in descending order
         betas = np.concatenate([np.repeat(pairs, 2), np.zeros(zero_count)])
-        if betas.size and betas[0] > 1.0 + CLASSIFY_DUST:
-            raise DomainError(f"beta {betas[0]} exceeds 1 beyond tolerance")
+        check("beta", betas.max(initial=1.0) - 1.0, 0.0, DomainError)
         betas = np.clip(betas, 0.0, 1.0)
         # 2/(1+sqrt(1-b^2)) has infinite slope at b=1, so a coherent direction
         # contaminated at machine precision would smear downstream values by
         # sqrt(eps); snap within the classification dust
-        betas[betas >= 1.0 - CLASSIFY_DUST] = 1.0
-        if np.all(betas <= CLASSIFY_DUST):
+        betas[betas >= 1.0 - TOL["beta"]] = 1.0
+        if np.all(betas <= TOL["beta"]):
             cls = "quasi_classical"
-        elif np.all(betas >= 1.0 - CLASSIFY_DUST):
+        elif np.all(betas >= 1.0 - TOL["beta"]):
             cls = "coherent"
         else:
             cls = "generic"
@@ -119,19 +117,20 @@ def beta_spectrum(fd):
 
 
 def quasi_classical_test(fd):
-    """True iff Jt vanishes at the dust level; needs no decomposition."""
-    return matkernel.mnorm(fd.Jt) <= CLASSIFY_DUST * max(1.0, matkernel.mnorm(fd.JS))
+    """True iff every beta is 0 at the dust level: the one quasi-classical rule.
+
+    It reads the spectrum of JS^-1 Jt, so it does not change under a
+    rescaling theta -> D theta; every one-parameter model passes.
+    """
+    return spectrum(fd).beta.classification == "quasi_classical"
 
 
 def coherent_test(fd):
     """True iff all beta equal 1; cross-checks |det JS| = |det Jt|."""
     ok = spectrum(fd).beta.classification == "coherent"
     if ok:
-        djs = abs(np.linalg.det(fd.JS))
-        djt = abs(np.linalg.det(fd.Jt))
-        if abs(djs - djt) > 1e-6 * max(djs, djt):
-            raise ConsistencyError(
-                f"coherent model with |det JS| = {djs!r} != |det Jt| = {djt!r}")
+        djs, djt = abs(np.linalg.det(fd.JS)), abs(np.linalg.det(fd.Jt))
+        check("coherent_det", abs(djs - djt) / max(djs, djt), 0.0, ConsistencyError)
     return ok
 
 
@@ -159,9 +158,9 @@ def boundary_2param(beta, count=101, x_window=(-1.0, 1.0)):
     count = int(count)
     if count < 1:
         raise DomainError(f"count must be at least 1, got {count}")
-    if beta <= 1e-12:
+    if beta <= TOL["boundary_beta"]:
         samples = np.array([[0.0, 1.0, 1.0, 1.0]])
-    elif beta >= 1.0 - 1e-12:
+    elif beta >= 1.0 - TOL["boundary_beta"]:
         x = np.linspace(x_window[0], x_window[1], count)
         z = 1.0 + np.sqrt(1.0 + x * x)
         samples = np.column_stack([x, z, z + x, z - x])
@@ -215,7 +214,7 @@ def cr_bound_2param(fd, G):
     gp = matkernel.symmetrize(w @ G @ w)
     g, r = np.linalg.eigh(gp)
     beta = float(spectrum(fd).beta.betas[0])
-    dust = CLASSIFY_DUST * max(1.0, g[-1])
+    dust = TOL["fisher_dust"] * max(1.0, g[-1])
     notes = {"beta": beta}
 
     def back(vrot):
@@ -229,7 +228,7 @@ def cr_bound_2param(fd, G):
     if g[0] <= dust:
         # rank-1 weight: marginal semantics, attained iff beta < 1
         value = float(np.trace(G @ jsinv))
-        attained = beta < 1.0 - CLASSIFY_DUST
+        attained = beta < 1.0 - TOL["beta"]
         v_opt = None
         if attained:
             infl = 1.0 / (1.0 - beta * beta) if beta > 0 else 1.0
@@ -238,11 +237,11 @@ def cr_bound_2param(fd, G):
                            method="closed_form_2param",
                            notes={**notes, "rank": 1})
 
-    if beta <= CLASSIFY_DUST:
+    if beta <= TOL["beta"]:
         v_opt = jsinv
         value = float(np.trace(G @ jsinv))
         pstar = qstar = 0.0
-    elif beta >= 1.0 - CLASSIFY_DUST:
+    elif beta >= 1.0 - TOL["beta"]:
         p2 = math.sqrt(g[1] / g[0])
         pstar, qstar = math.sqrt(p2), 1.0 / math.sqrt(p2)
         value = float(g[0] + g[1] + 2.0 * math.sqrt(g[0] * g[1]))
@@ -274,14 +273,12 @@ def cr_bound_js_weight(fd):
     s = np.eye(len(k)) + 1j * k
     ws, us = matkernel.hermitian_eig(s)
     ws = np.clip(ws, 0.0, None)
-    ws[ws <= CLASSIFY_DUST] = 0.0  # same snap as beta_spectrum at beta = 1
+    ws[ws <= TOL["beta"]] = 0.0  # same snap as beta_spectrum at beta = 1
     sq = (us * np.sqrt(ws)) @ us.conj().T
     r0 = matkernel.symmetrize(sq.real)
     r0inv = matkernel.inv_psd(r0)
     value_matrix = float(np.trace(r0inv @ r0inv))
-    if abs(value - value_matrix) > 1e-9:
-        raise ConsistencyError(
-            f"spectrum form {value!r} vs matrix form {value_matrix!r}")
+    check("js_weight_forms", abs(value - value_matrix), 0.0, ConsistencyError)
     w = spec.js_inverses[1]
     v_opt = matkernel.symmetrize(w @ (q @ np.diag(diag) @ q.T) @ w)
     return BoundReport(G=fd.JS.copy(), value=value, attained=True, V_opt=v_opt,
@@ -306,9 +303,7 @@ def cr_bound_coherent(fd, G):
     absm = matkernel.abs_sym(mmat)
     value = float(np.trace(G @ a) + np.trace(absm))
     v_opt = matkernel.symmetrize(a + isq @ absm @ isq)
-    check = float(np.trace(G @ v_opt))
-    if abs(check - value) > 1e-9 * max(1.0, abs(value)):
-        raise ConsistencyError(f"Tr(G V_opt) = {check!r} vs value {value!r}")
+    check("coherent_trace", abs(float(np.trace(G @ v_opt)) - value), abs(value), ConsistencyError)
     return BoundReport(G=G, value=value, attained=True, V_opt=v_opt,
                        method="closed_form_coherent",
                        notes={"sld_part": float(np.trace(G @ a)),
@@ -321,10 +316,10 @@ def marginal_infimum(fd, i):
     if not (0 <= i < m):
         raise DomainError(f"index {i} out of range for m = {m}")
     value = float(spectrum(fd).js_inv[i, i])
-    if m == 1 or quasi_classical_test(fd):
+    if quasi_classical_test(fd):
         hint = True
     elif m == 2:
-        hint = bool(spectrum(fd).beta.betas[0] < 1.0 - CLASSIFY_DUST)
+        hint = bool(spectrum(fd).beta.betas[0] < 1.0 - TOL["beta"])
     else:
         hint = False
     return value, hint
@@ -336,7 +331,7 @@ def independence_partition(fd, blocks):
     seen = sorted(i for b in blocks for i in b)
     if seen != list(range(m)):
         raise DomainError("blocks must partition the index set")
-    tol = CLASSIFY_DUST * max(1.0, matkernel.mnorm(fd.JS))
+    tol = TOL["fisher_dust"] * max(1.0, matkernel.mnorm(fd.JS))
     for a in range(len(blocks)):
         for b in range(len(blocks)):
             if a == b:
@@ -351,17 +346,17 @@ def exclusiveness_test(fd, i, j):
     """True iff <l_i|l_j> is purely imaginary with maximal magnitude."""
     if i == j:
         raise DomainError("exclusiveness is a property of distinct indices")
-    tol = CLASSIFY_DUST * max(1.0, matkernel.mnorm(fd.JS))
+    tol = TOL["fisher_dust"] * max(1.0, matkernel.mnorm(fd.JS))
     g = fd.gram[i, j]
     cap = math.sqrt(fd.JS[i, i] * fd.JS[j, j])
-    return bool(abs(g.real) <= tol and abs(g.imag) >= (1.0 - CLASSIFY_DUST) * cap)
+    return bool(abs(g.real) <= tol and abs(g.imag) >= (1.0 - TOL["exclusive"]) * cap)
 
 
 def closed_form(fd, G):
     """The applicable closed-form BoundReport, or None if only the oracle applies."""
     G = matkernel.symmetrize(G)
     m = fd.JS.shape[0]
-    if m == 1 or quasi_classical_test(fd):
+    if quasi_classical_test(fd):
         jsinv = spectrum(fd).js_inv.copy()
         return BoundReport(G=G, value=float(np.trace(G @ jsinv)), attained=True,
                            V_opt=jsinv, method="quasi_classical", notes={})
@@ -372,7 +367,7 @@ def closed_form(fd, G):
             return cr_bound_coherent(fd, G)
         except SingularWeight:
             pass   # a singular G has no coherent closed form
-    if matkernel.mnorm(G - fd.JS) <= CLASSIFY_DUST * max(1.0, matkernel.mnorm(fd.JS)):
+    if matkernel.mnorm(G - fd.JS) <= TOL["fisher_dust"] * max(1.0, matkernel.mnorm(fd.JS)):
         return cr_bound_js_weight(fd)
     return None
 

@@ -18,8 +18,6 @@ from . import errors
 from . import model as model_mod
 from . import oracle as oracle_mod
 
-ORACLE_AGREEMENT_TOL = 1e-8   # largest |oracle - closed form| / max(1, |closed form|)
-
 
 def _exit_code(exc):
     if isinstance(exc, (errors.SchemaError, errors.DomainError,
@@ -131,7 +129,7 @@ def cmd_bound(args):
     if args.oracle and bound.method != "oracle":
         result = oracle_mod.minimize(oracle_mod.OracleProblem(gram=fd.gram, G=g))
         diff = abs(result.value - bound.value)
-        agree = diff <= ORACLE_AGREEMENT_TOL * max(1.0, abs(bound.value))
+        agree = diff <= matkernel.TOL["oracle_agreement"] * max(1.0, abs(bound.value))
         rep["oracle"] = {
             "value": result.value,
             "gap": result.gap,
@@ -180,18 +178,13 @@ def cmd_boundary(args):
     return 0
 
 
-def _on_model_space(fd):
-    """True where `pvm` measures on the model's own space: quasi-classical or
-    one-parameter models. Every other PVM lives in the 2m+1 embedding."""
-    return analysis.beta_spectrum(fd).classification == "quasi_classical" \
-        or fd.JS.shape[0] == 1
-
-
 def cmd_pvm(args):
     doc, model, frame, fd = _model_and_point(args)
     g, wname = _resolve_weight(args.weight, fd.JS)
     spec = analysis.beta_spectrum(fd)
-    if _on_model_space(fd):
+    # quasi-classical models, one-parameter ones included, are measured on the
+    # model's own space; every other PVM lives in the 2m+1 embedding
+    if analysis.quasi_classical_test(fd):
         ev = measurement.optimal_vectors_quasi_classical(frame, fd)
         space = frame
         closed = analysis.cr_bound(fd, g)
@@ -227,7 +220,7 @@ def cmd_simulate(args):
         pvm_doc = pvm_doc["pvm"]
     m = fd.JS.shape[0]
     pvm = measurement.pvm_from_obj(pvm_doc, m, theta=model.theta0)
-    if _on_model_space(fd):
+    if analysis.quasi_classical_test(fd):   # the space `pvm` chose
         space, where = frame, "the model"
     else:
         space, where = measurement.naimark_frame(fd, theta=model.theta0), "the embedding"

@@ -1,17 +1,94 @@
 """Dense matrix kernel: the decompositions every other module is built on.
 
-All tolerances use the max-absolute-entry norm. Eigenvalues within
-EIGEN_DUST * max(1, ||A||) of zero are treated as exact zeros everywhere
-(rank decisions, PSD checks), so classification thresholds are consistent
-across the package.
+Every tolerance of the package is an entry of TOL, and matrix sizes use the
+max-absolute-entry norm. A check raises through `check`; a decision (a dust
+snap, a rank cut, a branch) reads TOL directly. Eigenvalues within
+TOL["eigen_dust"] * max(1, ||A||) of zero are treated as exact zeros
+everywhere (rank decisions, PSD checks).
 """
 
 import numpy as np
 
 from .errors import ConsistencyError, NonFinite, NonHermitian, NotPSD
 
-EIGEN_DUST = 1e-10
-HERMITIAN_TOL = 1e-12
+# name -> value. "relative" means times max(1, scale) for the scale each site
+# names; "absolute" means times 1.
+TOL = {
+    # eigenvalue counted as zero: PSD floors, inverses, rank cuts; relative to ||A||
+    "eigen_dust": 1e-10,
+    # Hermitian deviation of a matrix input; relative to ||A||
+    "hermitian": 1e-12,
+    # antisymmetric deviation of antisym_canonical's input A, and the residual
+    # of its canonical form Q^T A Q; relative to ||A||
+    "canonical_form": 1e-9,
+    # beta within this of 0 or 1 snaps there, sets the class, and may exceed 1
+    # by this much; absolute
+    "beta": 1e-9,
+    # JS-scale entry counted as zero (block tests, G = JS) and two-parameter
+    # weight eigenvalue counted as zero; relative to ||JS|| or the top weight
+    "fisher_dust": 1e-9,
+    # shortfall of |Im gram_ij| below sqrt(JS_ii JS_jj) for exclusive pairs;
+    # absolute on the ratio to sqrt(JS_ii JS_jj)
+    "exclusive": 1e-9,
+    # beta within this of 0 or 1 takes the point or hyperbola boundary curve; absolute
+    "boundary_beta": 1e-12,
+    # | |det JS| - |det Jt| | of a coherent model; absolute on the ratio to the larger
+    "coherent_det": 1e-6,
+    # spectrum form against matrix form of the G = JS bound; absolute
+    "js_weight_forms": 1e-9,
+    # Tr(G V_opt) against the coherent closed form; relative to its value
+    "coherent_trace": 1e-9,
+    # Gram reproduction of the Naimark frame; relative to ||gram||
+    "naimark_gram": 1e-10,
+    # negative eigenvalue of V - A* gram A in a completion; relative to its norm
+    "completion_floor": 1e-8,
+    # estimation vectors and their PVM: the completion's <x|phi>, Re X*L - I and
+    # Im X*X, a PVM's Im X*X, the vectors rebuilt from its outcomes, and its
+    # outcome mean and unbiasedness; absolute
+    "vectors": 1e-8,
+    # <x^i|phi> of vectors handed to pvm_from_vectors; relative to ||X||
+    "phi_orthogonal": 1e-9,
+    # Gram-Schmidt residual below which a PVM direction is dropped; absolute
+    "gram_schmidt": 1e-10,
+    # Householder vector norm below which the reflection is the identity; absolute
+    "householder": 1e-14,
+    # idempotence, orthogonality and completeness of a PVM, and its outcome
+    # probabilities summing to 1; absolute
+    "pvm_algebra": 1e-9,
+    # negative outcome probability; absolute
+    "probability_floor": 1e-10,
+    # PVM variance against (JS^-1)_11 in the exclusiveness check; absolute
+    "marginal_variance": 1e-6,
+    # |phi| - 1 of a state; absolute
+    "norm": 1e-8,
+    # lift norm below which a parameter direction vanishes; absolute
+    "lift_norm": 1e-8,
+    # slack of the half-integer tests of s and m_z and of |m_z| <= s; absolute
+    "half_integer": 1e-12,
+    # Fock tail mass of the state and lifts; absolute
+    "tail": 1e-10,
+    # the oracle's null(G) cross-block least squares; relative to
+    # max(||SLD columns||, ||Y||)^2
+    "null_completion": 1e-9,
+    # the oracle vectors' Im X*X and Re X*L - I; relative to ||X*X||
+    "oracle_vectors": 1e-8,
+    # accepted duality gap of the oracle; relative to its value
+    "gap": 1e-9,
+    # duality gap at which the interior-point iterations stop; relative to the primal value
+    "gap_floor": 1e-13,
+    # |oracle - closed form| for `bound --oracle`; relative to the closed form
+    "oracle_agreement": 1e-8,
+}
+
+
+def check(name, residual, scale, error):
+    """Raise `error` unless residual <= TOL[name] * max(1, scale).
+
+    A scale of 0 makes the entry absolute; a NaN residual never passes.
+    """
+    limit = TOL[name] * max(1.0, scale)
+    if not residual <= limit:
+        raise error(f"{name}: residual {residual:.3e} exceeds {limit:.3e}")
 
 
 def mnorm(a):
@@ -30,12 +107,10 @@ def check_finite(a):
     return a
 
 
-def check_hermitian(a, tol=HERMITIAN_TOL):
+def check_hermitian(a):
     """Validate Hermitian symmetry and return the symmetrized matrix."""
     a = np.asarray(check_finite(a))
-    dev = mnorm(a - a.conj().T)
-    if dev > tol * max(1.0, mnorm(a)):
-        raise NonHermitian(f"Hermitian deviation {dev:.3e} exceeds tolerance")
+    check("hermitian", mnorm(a - a.conj().T), mnorm(a), NonHermitian)
     return 0.5 * (a + a.conj().T)
 
 
@@ -63,13 +138,13 @@ def psd_powers(a, *powers):
     """A^p for each p in `powers` (1/2, -1/2 or -1), from one eigendecomposition.
 
     The PSD floor is decided here for the whole package. Eigenvalues within
-    EIGEN_DUST * max(1, ||A||) of zero are set to exactly zero, so a square
+    TOL["eigen_dust"] * max(1, ||A||) of zero are set to exactly zero, so a square
     root has no component along the numerical null space; anything more
     negative raises NotPSD. A negative power also raises NotPSD unless every
     eigenvalue lies above that dust. Real symmetric input gives real results.
     """
     w, u = hermitian_eig(a)
-    dust = EIGEN_DUST * max(1.0, mnorm(a))
+    dust = TOL["eigen_dust"] * max(1.0, mnorm(a))
     if min(powers) < 0:
         if w.min() <= dust:
             raise NotPSD(f"matrix is singular at dust level (min eig {w.min():.3e})")
@@ -130,11 +205,9 @@ def antisym_canonical(a):
     """
     a = np.asarray(check_finite(a), dtype=float)
     n = a.shape[0]
-    dev = mnorm(a + a.T)
-    if dev > 1e-9 * max(1.0, mnorm(a)):
-        raise NonHermitian(f"antisymmetry deviation {dev:.3e}")
+    check("canonical_form", mnorm(a + a.T), mnorm(a), NonHermitian)
     a = antisymmetrize(a)
-    dust = EIGEN_DUST * max(1.0, mnorm(a))
+    dust = TOL["eigen_dust"] * max(1.0, mnorm(a))
     w, v = np.linalg.eigh(1j * a)
     # Descending beta; ties broken by the lexicographic order of the block's
     # first column (sign-fixed so its first significant component is positive).
@@ -169,9 +242,7 @@ def antisym_canonical(a):
     for j, b in enumerate(betas):
         canon[2 * j, 2 * j + 1] = -b
         canon[2 * j + 1, 2 * j] = b
-    resid = mnorm(qout.T @ a @ qout - canon)
-    if resid > 1e-9 * max(1.0, mnorm(a)):
-        raise ConsistencyError(f"canonical form residual {resid:.3e}")
+    check("canonical_form", mnorm(qout.T @ a @ qout - canon), mnorm(a), ConsistencyError)
     return qout, betas, zero_count
 
 
@@ -198,7 +269,7 @@ def expm_frechet_hermitian(h, t, v, directions):
 def is_psd(a, scale=None):
     w, _ = hermitian_eig(a)
     ref = max(1.0, mnorm(a) if scale is None else scale)
-    return bool(w.min(initial=0.0) >= -EIGEN_DUST * ref)
+    return bool(w.min(initial=0.0) >= -TOL["eigen_dust"] * ref)
 
 
 def psd_geq(a, b):

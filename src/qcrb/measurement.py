@@ -33,6 +33,7 @@ from .errors import (
     SchemaError,
     SingularWeight,
 )
+from .matkernel import TOL, check
 
 
 @dataclass
@@ -88,9 +89,8 @@ def naimark_frame(fd, theta=None):
     phi[0] = 1.0
     lifts = np.zeros((dim, m), dtype=complex)
     lifts[1:m + 1, :] = froot
-    resid = matkernel.mnorm(lifts.conj().T @ lifts - gram)
-    if resid > 1e-10 * max(1.0, matkernel.mnorm(gram)):
-        raise ConsistencyError(f"Gram reproduction residual {resid:.3e}")
+    check("naimark_gram", matkernel.mnorm(lifts.conj().T @ lifts - gram), matkernel.mnorm(gram),
+          ConsistencyError)
     return NaimarkFrame(dim=dim, phi=phi, lifts=lifts, gram=gram,
                         theta=None if theta is None else np.asarray(theta, dtype=float))
 
@@ -125,25 +125,17 @@ def _complete(nf, a, v):
     h = v - a.conj().T @ nf.gram @ a
     h = 0.5 * (h + h.conj().T)
     wh, uh = matkernel.hermitian_eig(h)
-    floor = -1e-8 * max(1.0, matkernel.mnorm(h))
-    if wh.min() < floor:
-        raise InfeasibleGram(f"completion has negative eigenvalue {wh.min():.3e}")
+    check("completion_floor", -wh.min(), matkernel.mnorm(h), InfeasibleGram)
     x = nf.lifts @ a
     x[m + 1:, :] = (uh * np.sqrt(np.clip(wh, 0.0, None))) @ uh.conj().T
     ev = EstimationVectors(X=x, phi=nf.phi)
-    res = estimation_residuals(ev, nf.lifts)
-    if max(res.values()) > 1e-8:
-        raise InfeasibleGram(f"completion residuals {res} exceed 1e-8")
+    check("vectors", max(estimation_residuals(ev, nf.lifts).values()), 0.0, InfeasibleGram)
     return ev
 
 
-def optimal_vectors_coherent(nf, fd, G, report=None):
-    """Estimation vectors attaining the coherent-model bound for PD weight G.
-
-    `report` is cr_bound_coherent(fd, G) when the caller already has it.
-    """
-    if report is None:
-        report = analysis.cr_bound_coherent(fd, G)   # raises NotCoherent/SingularWeight
+def optimal_vectors_coherent(nf, fd, G):
+    """Estimation vectors attaining the coherent-model bound for PD weight G."""
+    report = analysis.cr_bound_coherent(fd, G)   # raises NotCoherent/SingularWeight
     return _complete(nf, analysis.spectrum(fd).js_inv, report.V_opt)
 
 
@@ -172,7 +164,7 @@ def _uniform_first_column_orthogonal(n):
     w = -u
     w[0] += 1.0
     nw = np.linalg.norm(w)
-    if nw < 1e-14:
+    if nw < TOL["householder"]:
         return np.eye(n)
     w = w / nw
     return np.eye(n) - 2.0 * np.outer(w, w)
@@ -181,21 +173,19 @@ def _uniform_first_column_orthogonal(n):
 def pvm_from_vectors(ev, seed=0):
     """Projective measurement realizing covariance Re X*X.
 
-    Requires Im X*X = 0 within 1e-8 and <x^i|phi> = 0. Rank-deficient vector
-    families are handled by dropping directions whose orthogonalization
-    residual falls below 1e-10; the remainder projector absorbs them. The
-    construction is deterministic: `seed` is accepted and has no effect.
+    Requires Im X*X = 0 and <x^i|phi> = 0 (TOL "vectors", "phi_orthogonal").
+    Rank-deficient vector families are handled by dropping directions whose
+    orthogonalization residual falls below TOL "gram_schmidt"; the remainder
+    projector absorbs them. The construction is deterministic: `seed` is
+    accepted and has no effect.
     """
     x = np.asarray(ev.X, dtype=complex)
     if x.ndim == 1:
         x = x.reshape(-1, 1)
     phi = np.asarray(ev.phi, dtype=complex)
     dim, m = x.shape
-    if matkernel.mnorm(x.conj().T @ phi) > 1e-9 * max(1.0, matkernel.mnorm(x)):
-        raise DomainError("estimation vectors must be orthogonal to phi")
-    imxx = matkernel.mnorm((x.conj().T @ x).imag)
-    if imxx > 1e-8:
-        raise NotCommuting(f"Im X*X = {imxx:.3e} exceeds 1e-8")
+    check("phi_orthogonal", matkernel.mnorm(x.conj().T @ phi), matkernel.mnorm(x), DomainError)
+    check("vectors", matkernel.mnorm((x.conj().T @ x).imag), 0.0, NotCommuting)
 
     basis = [phi / np.linalg.norm(phi)]
     for i in range(m):
@@ -204,7 +194,7 @@ def pvm_from_vectors(ev, seed=0):
             for b in basis:
                 v = v - b * np.vdot(b, v)
         nrm = np.linalg.norm(v)
-        if nrm < 1e-10:
+        if nrm < TOL["gram_schmidt"]:
             continue
         basis.append(v / nrm)
     bmat = np.column_stack(basis)
@@ -224,12 +214,8 @@ def pvm_from_vectors(ev, seed=0):
         outcomes.append((np.zeros(m), 0.5 * (rem + rem.conj().T)))
     pvm = Pvm(m=m, dim=dim, outcomes=outcomes)
 
-    resid = pvm_algebra_residuals(pvm)
-    if max(resid.values()) > 1e-9:
-        raise ConsistencyError(f"PVM algebra residuals {resid}")
-    recon = reconstruction_residual(pvm, ev)
-    if recon > 1e-8:
-        raise ConsistencyError(f"estimation-vector reconstruction residual {recon:.3e}")
+    check("pvm_algebra", max(pvm_algebra_residuals(pvm).values()), 0.0, ConsistencyError)
+    check("vectors", reconstruction_residual(pvm, ev), 0.0, ConsistencyError)
     return pvm
 
 
@@ -257,12 +243,10 @@ def outcome_probabilities(pvm, phi):
     """<phi|E_k|phi> for each outcome, validated as a probability vector."""
     probs = np.array([float(np.real(np.vdot(phi, proj @ phi)))
                       for _, proj in pvm.outcomes])
-    if probs.min(initial=0.0) < -1e-10:
-        raise BadProbability(f"negative outcome probability {probs.min():.3e}")
+    check("probability_floor", -probs.min(initial=0.0), 0.0, BadProbability)
     probs = np.clip(probs, 0.0, None)
     total = probs.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise BadProbability(f"probabilities sum to {total!r}")
+    check("pvm_algebra", abs(total - 1.0), 0.0, BadProbability)
     return probs / total
 
 
@@ -278,8 +262,8 @@ def covariance_of_pvm(pvm, frame):
     deriv = (xhat.conj().T @ frame.lifts).real
     # delta^i_j over i < pvm.m components, j < frame parameters
     target = np.eye(pvm.m, frame.lifts.shape[1])
-    unbiased = bool(matkernel.mnorm(mean) <= 1e-8
-                    and matkernel.mnorm(deriv - target) <= 1e-8)
+    unbiased = bool(matkernel.mnorm(mean) <= TOL["vectors"]
+                    and matkernel.mnorm(deriv - target) <= TOL["vectors"])
     return v, unbiased
 
 
@@ -359,15 +343,13 @@ def exclusiveness_extraction_check(pvm, frame, fd, j):
     """Max |Re <phi|E_k|l_j>| over outcomes of a first-parameter-optimal PVM.
 
     fd is the Fisher data of frame. Precondition: the PVM variance equals
-    (JS^{-1})_11 within 1e-6.
+    (JS^{-1})_11 within TOL "marginal_variance".
     """
     if pvm.m != 1:
         raise PreconditionNotMet("expected a single-parameter PVM")
     target = analysis.spectrum(fd).js_inv[0, 0]
     v, _ = covariance_of_pvm(pvm, frame)
-    if abs(float(v[0, 0]) - target) > 1e-6:
-        raise PreconditionNotMet(
-            f"variance {float(v[0, 0])!r} off the marginal bound {target!r}")
+    check("marginal_variance", abs(float(v[0, 0]) - target), 0.0, PreconditionNotMet)
     stat = 0.0
     for _, proj in pvm.outcomes:
         stat = max(stat, abs(float(np.real(np.vdot(frame.phi, proj @ frame.lifts[:, j])))))

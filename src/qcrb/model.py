@@ -37,8 +37,8 @@ from .errors import (
     SingularFisher,
     TruncationError,
 )
+from .matkernel import TOL, check
 
-TAIL_TOL = 1e-10
 TRUNC_CAP = 4096
 
 
@@ -47,7 +47,7 @@ class PureStateModel:
     label: str
     dim: int
     m: int
-    # theta -> (phi, dphi): the state, shape (d,), with |phi| = 1 up to 1e-8,
+    # theta -> (phi, dphi): the state, shape (d,), with |phi| = 1 up to TOL "norm",
     # and its derivative columns d_i phi, shape (d, m), both up to a unitary
     # fixed at theta and a phase gauge; see the module docstring
     state: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
@@ -85,8 +85,7 @@ def tangent_frame(model, theta):
     phi = np.asarray(phi, dtype=complex)
     dphi = np.asarray(dphi, dtype=complex)
     nrm = np.linalg.norm(phi)
-    if abs(nrm - 1.0) > 1e-8:
-        raise NormDrift(f"state norm {nrm!r} deviates from 1 beyond 1e-8")
+    check("norm", abs(nrm - 1.0), 0.0, NormDrift)
     phi = phi / nrm
     lifts = 2.0 * (dphi - np.outer(phi, phi.conj() @ dphi))
     # common-phase convention: largest component of phi made real positive
@@ -95,11 +94,11 @@ def tangent_frame(model, theta):
     phi = phi * ph.conjugate()
     lifts = lifts * ph.conjugate()
     norms = np.linalg.norm(lifts, axis=0)
-    if np.any(norms < 1e-8):
+    if np.any(norms < TOL["lift_norm"]):
         raise DegenerateModel(f"lift norms {norms} contain a vanishing direction")
     stacked = np.vstack([lifts.real, lifts.imag])
     s = np.linalg.svd(stacked, compute_uv=False)
-    if s[-1] ** 2 < matkernel.EIGEN_DUST * max(1.0, s[0] ** 2):
+    if s[-1] ** 2 < TOL["eigen_dust"] * max(1.0, s[0] ** 2):
         raise DegenerateModel("lifts are R-linearly dependent at the dust level")
     return TangentFrame(theta=theta, phi=phi, lifts=lifts)
 
@@ -134,7 +133,7 @@ def spin_operators(s):
 
 
 def _check_half_integer(x, name):
-    if abs(2 * x - round(2 * x)) > 1e-12:
+    if abs(2 * x - round(2 * x)) > TOL["half_integer"]:
         raise DomainError(f"{name} must be a half-integer, got {x}")
     return round(2 * x) / 2.0
 
@@ -145,9 +144,9 @@ def catalog_spin_rotation(s, m_z, theta=None):
     m_z = _check_half_integer(m_z, "m_z")
     if s < 0.5:
         raise DomainError(f"s must be at least 1/2, got {s}")
-    if abs(m_z) > s + 1e-12:
+    if abs(m_z) > s + TOL["half_integer"]:
         raise DomainError(f"|m_z| = {abs(m_z)} exceeds s = {s}")
-    if abs((s - m_z) - round(s - m_z)) > 1e-12:
+    if abs((s - m_z) - round(s - m_z)) > TOL["half_integer"]:
         raise DomainError(f"s - m_z must be an integer, got s={s}, m_z={m_z}")
     d = int(round(2 * s + 1))
     _, sx, sy = spin_operators(s)
@@ -204,7 +203,7 @@ def _frame_tails_ok(model, theta):
     """True iff the frame at theta has no tail mass; the model keeps that frame."""
     frame = tangent_frame(model, theta)
     vecs = [frame.phi] + [frame.lifts[:, i] for i in range(model.m)]
-    if not all(_tail_mass(v, model.dim) < TAIL_TOL for v in vecs):
+    if not all(_tail_mass(v, model.dim) < TOL["tail"] for v in vecs):
         return False
     model._frame = frame
     return True
@@ -244,12 +243,12 @@ def _grow_truncation(build, start, trunc, theta0):
     if trunc is not None:
         model = build(int(trunc))
         if not _frame_tails_ok(model, theta0):
-            raise TruncationError(f"tail mass above {TAIL_TOL} at trunc={trunc}")
+            raise TruncationError(f"tail mass above {TOL['tail']} at trunc={trunc}")
         return model
     d = int(start)
     while True:
         if d > TRUNC_CAP:
-            raise TruncationError(f"tail mass above {TAIL_TOL} at the cap {TRUNC_CAP}")
+            raise TruncationError(f"tail mass above {TOL['tail']} at the cap {TRUNC_CAP}")
         model = build(d)
         if _frame_tails_ok(model, theta0):
             return model
@@ -267,7 +266,12 @@ def catalog_squeezed(theta, trunc=None):
         # the theta4 direction degenerates: the JS eigenvalue sinh^2(2 t3)
         # collapses, so the Fisher matrix cannot be inverted
         raise SingularFisher("squeezed model is singular at theta3 = 0")
-    start = math.ceil(12 + 8 * math.exp(2 * th0[2]))
+    # |c_2k|^2 ~ tanh^{2k}(t3), so the state's mass falls per level at the rate
+    # -ln tanh t3 = 2 atanh(e^{-2 t3}). The tail check on the state and its
+    # level-weighted lifts passes once rate * levels reaches about 32; 8 levels
+    # more cover weak squeezing. For large t3 this is about 16 e^{2 t3}. The
+    # floor on the rate sends huge t3 past the cap instead of dividing by zero.
+    start = math.ceil(8 + 16 / max(math.atanh(math.exp(-2 * th0[2])), 8 / TRUNC_CAP))
 
     def build(d):
         def state(theta):
@@ -348,9 +352,7 @@ def custom_model(dim, m, phi, dphi, theta):
     phi = np.asarray(phi, dtype=complex).reshape(dim)
     dphi = np.asarray(dphi, dtype=complex).reshape(m, dim).T
     theta0 = np.asarray(theta, dtype=float).reshape(m)
-    nrm = np.linalg.norm(phi)
-    if abs(nrm - 1.0) > 1e-8:
-        raise NormDrift(f"custom phi has norm {nrm!r}")
+    check("norm", abs(np.linalg.norm(phi) - 1.0), 0.0, NormDrift)
 
     def state(th):
         v = phi + dphi @ (np.asarray(th, dtype=float) - theta0)

@@ -42,11 +42,10 @@ from .errors import (
     PreconditionNotMet,
     QcrbError,
 )
+from .matkernel import TOL, check
 from .model import FisherData
 
 MAX_ITER = 60        # interior-point iterations before NonConvergence
-GAP_TOL = 1e-9       # accepted duality gap, relative to max(1, value)
-GAP_FLOOR = 1e-13    # relative gap at which the iterations stop early
 STEP = 0.95          # fraction of the step to the boundary of the cone
 POLISH_STEPS = 3     # Gauss-Newton steps on the first-order conditions
 
@@ -97,9 +96,8 @@ def _setup(problem):
     w = analysis.spectrum(fd).js_inverses[1]             # raises SingularFisher
     normal = w @ gram @ w
     wn, un = matkernel.hermitian_eig(0.5 * (normal + normal.conj().T))
-    if wn[0] < -analysis.CLASSIFY_DUST:
-        raise DomainError(f"gram must be PSD: beta {1.0 - wn[0]!r} exceeds 1")
-    keep = wn > analysis.CLASSIFY_DUST
+    check("beta", -wn[0], 0.0, DomainError)   # beta_max - 1: the gram must be PSD
+    keep = wn > TOL["beta"]
     return g, w, np.sqrt(wn[keep])[:, None] * un[:, keep].conj().T
 
 
@@ -140,7 +138,7 @@ def _interior_point(f0, fs, c, x, z):
     lz = np.linalg.cholesky(z)
     for it in range(1, MAX_ITER + 1):
         primal = float(c @ x)
-        if primal + np.vdot(f0, z).real <= GAP_FLOOR * max(1.0, abs(primal)):
+        if primal + np.vdot(f0, z).real <= TOL["gap_floor"] * max(1.0, abs(primal)):
             return x, z, it
         # Nesterov-Todd scaling: r^{-1} S r^{-*} = r^* Z r = diag(lam)
         _, lam, vh = np.linalg.svd(lz.conj().T @ ls)
@@ -246,7 +244,7 @@ def _weight_split(g):
     spanning null(g). P is the identity when g is positive definite."""
     m = g.shape[0]
     w, u = matkernel.hermitian_eig(g)
-    dust = matkernel.EIGEN_DUST * max(1.0, matkernel.mnorm(g))
+    dust = TOL["eigen_dust"] * max(1.0, matkernel.mnorm(g))
     if w[0] < -dust:
         raise DomainError("weight matrix must be PSD")
     pos = w > dust
@@ -321,7 +319,7 @@ def _complete(c, b, c0n, null):
     rhs = np.vstack([rhs.real, rhs.imag])
     sol = np.linalg.lstsq(lhs, rhs, rcond=None)[0] if lhs.size else np.zeros((p + len(null), n))
     scale = max(1.0, matkernel.mnorm(c0n), matkernel.mnorm(c)) ** 2
-    if matkernel.mnorm(lhs @ sol - rhs) > 1e-9 * scale:
+    if matkernel.mnorm(lhs @ sol - rhs) > TOL["null_completion"] * scale:
         return None
     cn = c0n + null.T @ sol[p:]
     d = sol[:p] - c.conj().T @ cn
@@ -382,12 +380,8 @@ def minimize(problem):
         residuals = {"im_xx": matkernel.mnorm(xx.imag),
                      "unbiasedness": matkernel.mnorm((x.conj().T @ lifts).real - np.eye(m))}
         residual = max(residuals.values())
-        if residual > 1e-8 * max(1.0, matkernel.mnorm(xx)):
-            raise NonConvergence(f"estimation vectors miss the constraints by {residual:.3e}")
-    if not gap <= GAP_TOL * max(1.0, abs(value)):
-        raise NonConvergence(
-            f"duality gap {gap:.3e} above {GAP_TOL:g} * max(1, {value!r}) "
-            f"after {iterations} iterations")
+        check("oracle_vectors", residual, matkernel.mnorm(xx), NonConvergence)
+    check("gap", gap, abs(value), NonConvergence)
     stat = RestartStat(value=value, gap=gap, iterations=iterations, residual=residual)
     return OracleResult(value=value, gap=gap, attained=x is not None, X=x, phi=phi,
                         lifts=lifts, residuals=residuals, restarts=[stat], problem=problem)
@@ -457,7 +451,7 @@ def stationarity_certificate(result, problem=None):
     except QcrbError:
         coherent = False
     wg, _ = matkernel.hermitian_eig(g)
-    if coherent and wg.min() > matkernel.EIGEN_DUST * max(1.0, matkernel.mnorm(g)):
+    if coherent and wg.min() > TOL["eigen_dust"] * max(1.0, matkernel.mnorm(g)):
         isq = matkernel.invsqrt_psd(g)
         ev = np.linalg.eigvals(isq @ lam @ isq)
         extras["multiplier_spectrum"] = np.sort(np.abs(ev.imag))

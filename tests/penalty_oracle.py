@@ -286,7 +286,7 @@ def stationarity_certificate(result, problem=None):
     except QcrbError:
         coherent = False
     wg, _ = matkernel.hermitian_eig(g)
-    if coherent and wg.min() > matkernel.EIGEN_DUST * max(1.0, matkernel.mnorm(g)):
+    if coherent and wg.min() > matkernel.TOL["eigen_dust"] * max(1.0, matkernel.mnorm(g)):
         isq = matkernel.invsqrt_psd(g)
         ev = np.linalg.eigvals(isq @ lam @ isq)
         extras["multiplier_spectrum"] = np.sort(np.abs(ev.imag))

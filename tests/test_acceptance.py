@@ -22,7 +22,7 @@ SDP_TOL = 1e-8     # relative agreement of the SDP with a closed form
 
 def sdp_value_agrees(g, gram, expect):
     res = oracle.minimize(oracle.OracleProblem(gram=gram, G=g))
-    assert res.gap <= oracle.GAP_TOL * max(1.0, res.value)
+    assert res.gap <= matkernel.TOL["gap"] * max(1.0, res.value)
     return abs(res.value - expect) <= SDP_TOL * max(1.0, abs(expect))
 
 
@@ -96,7 +96,7 @@ def test_criterion_03_two_param_bound_vs_oracle(grid_oracle_runs):
         assert abs(closed.value - result.value) <= 1e-4, (beta, g.tolist())
         assert abs(closed.value - solved.value) <= SDP_TOL * max(1.0, closed.value), \
             (beta, g.tolist())
-        assert solved.gap <= oracle.GAP_TOL * max(1.0, solved.value)
+        assert solved.gap <= matkernel.TOL["gap"] * max(1.0, solved.value)
     assert time.monotonic() - start <= 600.0
 
 

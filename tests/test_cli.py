@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from qcrb import analysis, cli
+from qcrb import analysis, cli, matkernel
 from qcrb import oracle as oracle_mod
 
 SPIN_QC = {"model": "spin_rotation", "s": 1.0, "m_z": 0.0, "theta": [0.7, 1.1]}
@@ -59,7 +59,7 @@ def test_bound_oracle_cross_check(tmp_path):
     assert doc["oracle"]["agreement"] is True
     assert abs(doc["oracle"]["value"] - doc["bound"]["value"]) <= 1e-4
     assert abs(doc["oracle"]["value"] - doc["bound"]["value"]) <= \
-        cli.ORACLE_AGREEMENT_TOL * max(1.0, doc["bound"]["value"])
+        matkernel.TOL["oracle_agreement"] * max(1.0, doc["bound"]["value"])
     assert abs(doc["oracle"]["gap"]) <= 1e-9 * max(1.0, doc["oracle"]["value"])
 
 
@@ -251,6 +251,27 @@ def test_pvm_runs_the_oracle_only_for_generic_models(tmp_path, capsys, count_cal
     value = doc["closed_form_value"]
     assert doc["verification"]["unbiased"] is True
     assert abs(doc["verification"]["trGV"] - value) <= 1e-8 * max(1.0, abs(value))
+
+
+# JS = diag(1e4, 1 + 2.5e-15) and Jt_12 = 5e-6, so beta = 5e-8: ||Jt|| is below
+# 1e-9 * ||JS||, yet the beta spectrum is not quasi-classical
+SMALL_BETA = {"model": "custom", "dim": 3, "m": 2,
+              "phi": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+              "dphi": [[[0.0, 0.0], [50.0, 0.0], [0.0, 0.0]],
+                       [[0.0, 0.0], [0.0, 2.5e-8], [0.5, 0.0]]],
+              "theta": [0.0, 0.0]}
+
+
+def test_one_quasi_classical_rule_on_a_small_beta(tmp_path, capsys):
+    cfg = write_json(tmp_path / "m.json", SMALL_BETA)
+    assert cli.main(["analyze", "--config", cfg]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert abs(doc["betas"][0] - 5e-8) <= 1e-12
+    assert doc["classification"] == "generic"
+    assert doc["quasi_classical"] == (doc["classification"] == "quasi_classical")
+    assert cli.main(["bound", "--config", cfg]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["bound"]["method"] == "closed_form_2param"
 
 
 def test_pvm_singular_weight_on_coherent_model(tmp_path):

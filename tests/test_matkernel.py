@@ -1,10 +1,18 @@
 """Dense Hermitian/antisymmetric kernel checks against plain numpy oracles."""
 
+import io
+import tokenize
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from qcrb import errors, matkernel
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "qcrb"
+OLD_CONSTANTS = {"EIGEN_DUST", "HERMITIAN_TOL", "CLASSIFY_DUST", "TAIL_TOL", "GAP_TOL",
+                 "GAP_FLOOR", "ORACLE_AGREEMENT_TOL"}
 
 
 def random_hermitian(rng, n):
@@ -129,7 +137,7 @@ def _block(beta):
 def _schur_betas(a):
     """Pair betas from scipy's real Schur form, an independent reference."""
     t, _ = scipy.linalg.schur(a, output="real")
-    dust = matkernel.EIGEN_DUST * max(1.0, np.abs(a).max())
+    dust = matkernel.TOL["eigen_dust"] * max(1.0, np.abs(a).max())
     betas, k = [], 0
     while k < len(t):
         if k + 1 < len(t) and abs(t[k + 1, k]) > dust:
@@ -216,3 +224,41 @@ def test_expm_frechet_hermitian_at_zero():
     assert got.shape == v.shape
     assert _rel(got, _frechet_reference(np.zeros((5, 5)), 0.3, e)[1] @ v) <= 1e-12
     assert np.abs(ev - v).max() == 0.0
+
+
+def _tolerance_literals(path):
+    """(line, token) of each exponent-form float below 1e-5 outside `TOL = {...}`,
+    and of each name of a constant the table replaced."""
+    toks = list(tokenize.generate_tokens(io.StringIO(path.read_text()).readline))
+    found, depth = [], 0
+    for i, tok in enumerate(toks):
+        if depth:
+            depth += {"{": 1, "}": -1}.get(tok.string, 0) if tok.type == tokenize.OP else 0
+            continue
+        if tok.string == "{" and [t.string for t in toks[i - 2:i]] == ["TOL", "="]:
+            depth = 1
+        elif tok.type == tokenize.NAME and tok.string in OLD_CONSTANTS:
+            found.append((tok.start[0], tok.string))
+        elif (tok.type == tokenize.NUMBER and "e" in tok.string.lower()
+              and not tok.string.lower().startswith("0x") and float(tok.string) < 1e-5):
+            found.append((tok.start[0], tok.string))
+    return found
+
+
+def test_tolerances_live_only_in_the_table():
+    paths = sorted(SRC.glob("*.py"))
+    assert SRC / "matkernel.py" in paths
+    found = {p.name: _tolerance_literals(p) for p in paths}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+    # the scan sees the table itself: every entry is a literal inside it
+    assert all(0 < v < 1e-5 for v in matkernel.TOL.values())
+
+
+def test_check_names_the_entry_and_scales_by_max_one():
+    tol = matkernel.TOL["hermitian"]
+    matkernel.check("hermitian", tol, 0.5, errors.NonHermitian)
+    matkernel.check("hermitian", 3.0 * tol, 3.0, errors.NonHermitian)
+    with pytest.raises(errors.NonHermitian, match="hermitian"):
+        matkernel.check("hermitian", 3.0 * tol, 2.0, errors.NonHermitian)
+    with pytest.raises(errors.NonHermitian):
+        matkernel.check("hermitian", float("nan"), 1.0, errors.NonHermitian)

@@ -198,7 +198,7 @@ def test_naimark_lifts_vanish_on_the_gram_null_space(build):
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
     nf = measurement.naimark_frame(fd)
     w, u = np.linalg.eigh(fd.gram)
-    null = u[:, w <= matkernel.EIGEN_DUST * max(1.0, np.abs(fd.gram).max())]
+    null = u[:, w <= matkernel.TOL["eigen_dust"] * max(1.0, np.abs(fd.gram).max())]
     assert null.shape[1] > 0
     assert np.abs(nf.lifts @ null).max() <= 1e-15
 

@@ -161,9 +161,9 @@ def test_squeezed_closed_forms_at_origin():
 @pytest.mark.parametrize("theta", [[0.3, -0.2, 1.2, 0.4], [1.5, 0.5, 0.9, 2.0]])
 def test_squeezed_fisher_at_large_truncation(theta):
     mdl = model.catalog_squeezed(theta)
-    # the truncation is set by the squeezing alone, from 12 + 8 e^{2 t3} up
+    # the truncation is set by the squeezing alone, from 8 + 16 / atanh(e^{-2 t3}) up
     assert mdl.dim == model.catalog_squeezed([0.0, 0.0] + theta[2:]).dim
-    assert mdl.dim >= 12 + 8 * np.exp(2 * theta[2])
+    assert mdl.dim >= 8 + 16 / np.arctanh(np.exp(-2 * theta[2]))
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
     js, jt = model.squeezed_closed_forms(theta)
     assert np.abs(fd.JS - js).max() <= 1e-10
@@ -194,6 +194,18 @@ def test_fock_frames_far_out():
     # squeezing t3 = 3 needs more Fock levels than the cap allows
     with pytest.raises(errors.TruncationError):
         model.catalog_squeezed([0.0, 0.0, 3.0, 0.4])
+
+
+@pytest.mark.parametrize("t4", [0.0, 0.4, np.pi / 2])
+def test_squeezed_start_truncation_passes_the_tail_check(count_calls, t4):
+    # one frame per build: the start truncation is never doubled
+    frames = count_calls(model, "tangent_frame")
+    for k in range(1, 136):
+        t3 = 0.02 * k
+        mdl = model.catalog_squeezed([0.3, -0.7, t3, t4])
+        assert len(frames) == k, t3
+        assert mdl.dim == np.ceil(8 + 16 / np.arctanh(np.exp(-2 * t3)))
+    assert model.catalog_squeezed([0.0, 0.0, 0.6, t4]).dim == 60
 
 
 @pytest.mark.parametrize("build, generators", [

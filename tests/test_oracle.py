@@ -32,7 +32,7 @@ def numeric_gradient(f, y0, h=1e-6):
 def sdp(fd_or_gram, g):
     gram = getattr(fd_or_gram, "gram", fd_or_gram)
     res = oracle.minimize(oracle.OracleProblem(gram=gram, G=g))
-    assert res.gap <= oracle.GAP_TOL * max(1.0, res.value)
+    assert res.gap <= matkernel.TOL["gap"] * max(1.0, res.value)
     return res
 
 

@@ -33,6 +33,37 @@ def test_beta_spectrum_in_unit_interval(seed, m):
     assert np.all(np.diff(spec.betas) <= 1e-12)  # sorted descending
 
 
+def fd_with_beta(seed, m, beta):
+    """Random well-conditioned JS with every pair of the beta spectrum equal to beta."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(m, m))
+    js = a @ a.T + 0.5 * np.eye(m)
+    q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    k = np.zeros((m, m))
+    for j in range(m // 2):
+        k[2 * j, 2 * j + 1], k[2 * j + 1, 2 * j] = -beta, beta
+    root = matkernel.sqrt_psd(js)
+    jt = matkernel.antisymmetrize(root @ q @ k @ q.T @ root)
+    return js, jt
+
+
+# beta = 5e-8 with D = diag(1e3, 1) is the case a rule on ||Jt|| / ||JS|| gets wrong
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 4), st.sampled_from([0.0, 5e-8, 0.3, 1.0]),
+       st.lists(st.floats(0.0, 3.0), min_size=4, max_size=4))
+@example(0, 2, 5e-8, [3.0, 0.0, 0.0, 0.0])
+def test_quasi_classical_rule_is_scale_invariant(seed, m, beta, log_d):
+    js, jt = fd_with_beta(seed, m, beta)
+    d = np.diag(10.0 ** np.array(log_d[:m]))
+    verdicts = []
+    for a, b in ((js, jt), (d @ js @ d, d @ jt @ d)):
+        fd = FisherData(JS=a, Jt=b, gram=a + 1j * b)
+        verdicts.append((analysis.quasi_classical_test(fd),
+                         analysis.beta_spectrum(fd).classification))
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0][0] == (verdicts[0][1] == "quasi_classical")
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.floats(0.01, 0.99), st.integers(2, 60))
 def test_boundary_curve_contained(beta, count):
