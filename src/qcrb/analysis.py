@@ -212,20 +212,19 @@ def cr_bound_2param(fd, G):
     jsinv, w = spectrum(fd).js_inverses
     jsinv = jsinv.copy()
     gp = matkernel.symmetrize(w @ G @ w)
-    g, r = np.linalg.eigh(gp)
+    g, r, keep = matkernel.weight_eig(gp)
     beta = float(spectrum(fd).beta.betas[0])
-    dust = TOL["fisher_dust"] * max(1.0, g[-1])
     notes = {"beta": beta}
 
     def back(vrot):
         return matkernel.symmetrize(w @ (r @ np.diag(vrot) @ r.T) @ w)
 
-    if g[-1] <= dust:
+    if not keep[-1]:
         # zero weight: every feasible covariance gives zero
         return BoundReport(G=G, value=0.0, attained=True, V_opt=jsinv,
                            method="closed_form_2param",
                            notes={**notes, "rank": 0})
-    if g[0] <= dust:
+    if not keep[0]:
         # rank-1 weight: marginal semantics, attained iff beta < 1
         value = float(np.trace(G @ jsinv))
         attained = beta < 1.0 - TOL["beta"]

@@ -4,17 +4,19 @@ Every tolerance of the package is an entry of TOL, and matrix sizes use the
 max-absolute-entry norm. A check raises through `check`; a decision (a dust
 snap, a rank cut, a branch) reads TOL directly. Eigenvalues within
 TOL["eigen_dust"] * max(1, ||A||) of zero are treated as exact zeros
-everywhere (rank decisions, PSD checks).
+everywhere (rank decisions, PSD checks); `weight_eig` makes that cut for
+every weight matrix.
 """
 
 import numpy as np
 
-from .errors import ConsistencyError, NonFinite, NonHermitian, NotPSD
+from .errors import ConsistencyError, DomainError, NonFinite, NonHermitian, NotPSD
 
 # name -> value. "relative" means times max(1, scale) for the scale each site
 # names; "absolute" means times 1.
 TOL = {
-    # eigenvalue counted as zero: PSD floors, inverses, rank cuts; relative to ||A||
+    # eigenvalue counted as zero: PSD floors, inverses, rank cuts (a weight's
+    # rank in both the two-parameter closed form and the oracle); relative to ||A||
     "eigen_dust": 1e-10,
     # Hermitian deviation of a matrix input; relative to ||A||
     "hermitian": 1e-12,
@@ -24,8 +26,7 @@ TOL = {
     # beta within this of 0 or 1 snaps there, sets the class, and may exceed 1
     # by this much; absolute
     "beta": 1e-9,
-    # JS-scale entry counted as zero (block tests, G = JS) and two-parameter
-    # weight eigenvalue counted as zero; relative to ||JS|| or the top weight
+    # JS-scale entry counted as zero (block tests, G = JS); relative to ||JS||
     "fisher_dust": 1e-9,
     # shortfall of |Im gram_ij| below sqrt(JS_ii JS_jj) for exclusive pairs;
     # absolute on the ratio to sqrt(JS_ii JS_jj)
@@ -96,13 +97,13 @@ def mnorm(a):
     a = np.asarray(a)
     if a.size == 0:
         return 0.0
-    return float(np.max(np.abs(a)))
+    return float(np.abs(a).max())
 
 
 def check_finite(a):
+    """Raise NonFinite on a NaN or Inf entry (real or imaginary part)."""
     a = np.asarray(a)
-    ok = np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))
-    if not ok:
+    if not np.isfinite(a).all():
         raise NonFinite("matrix has NaN or Inf entries")
     return a
 
@@ -270,6 +271,20 @@ def is_psd(a, scale=None):
     w, _ = hermitian_eig(a)
     ref = max(1.0, mnorm(a) if scale is None else scale)
     return bool(w.min(initial=0.0) >= -TOL["eigen_dust"] * ref)
+
+
+def weight_eig(g):
+    """Eigendecomposition of a PSD weight and its numerical range.
+
+    Returns (w, u, keep): eigenvalues ascending, eigenvectors, and the mask of
+    eigenvalues above TOL["eigen_dust"] * max(1, ||g||). An eigenvalue below
+    minus that dust raises DomainError.
+    """
+    w, u = hermitian_eig(g)
+    dust = TOL["eigen_dust"] * max(1.0, mnorm(g))
+    if w[0] < -dust:
+        raise DomainError("weight matrix must be PSD")
+    return w, u, w > dust
 
 
 def psd_geq(a, b):

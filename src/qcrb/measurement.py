@@ -250,11 +250,28 @@ def outcome_probabilities(pvm, phi):
     return probs / total
 
 
-def covariance_of_pvm(pvm, frame):
-    """Finite-sum covariance about theta, plus the local unbiasedness verdict."""
+def _outcome_table(measurement, frame):
+    """(offsets, probs, analytic_cov) of a Pvm or InflatedPvm from one probability pass.
+
+    An InflatedPvm's outcomes are shift-major: row s K + k is base offset k
+    plus shift s, with probability weight * p_k.
+    """
+    inflated = isinstance(measurement, InflatedPvm)
+    pvm = measurement.base if inflated else measurement
     probs = outcome_probabilities(pvm, frame.phi)
     offsets = np.array([o for o, _ in pvm.outcomes])
-    v = matkernel.symmetrize(offsets.T @ (offsets * probs[:, None]))
+    cov = matkernel.symmetrize(offsets.T @ (offsets * probs[:, None]))
+    if inflated:
+        shifts = measurement.shifts
+        cov = matkernel.symmetrize(cov + measurement.weight * (shifts.T @ shifts))
+        offsets = (offsets[None, :, :] + shifts[:, None, :]).reshape(-1, pvm.m)
+        probs = np.tile(probs * measurement.weight, len(shifts))
+    return offsets, probs, cov
+
+
+def covariance_of_pvm(pvm, frame):
+    """Finite-sum covariance about theta, plus the local unbiasedness verdict."""
+    offsets, probs, v = _outcome_table(pvm, frame)
     mean = probs @ offsets
     xhat = np.zeros((pvm.dim, pvm.m), dtype=complex)
     for (offset, proj) in pvm.outcomes:
@@ -286,45 +303,43 @@ def inflate_covariance(pvm, v0):
 
 def analytic_covariance(measurement, frame):
     """Covariance of a Pvm or InflatedPvm from the finite outcome sums."""
-    if isinstance(measurement, InflatedPvm):
-        v, _ = covariance_of_pvm(measurement.base, frame)
-        extra = measurement.weight * (measurement.shifts.T @ measurement.shifts)
-        return matkernel.symmetrize(v + extra)
-    v, _ = covariance_of_pvm(measurement, frame)
-    return v
+    return _outcome_table(measurement, frame)[2]
 
 
-def _outcome_table(measurement, frame):
-    if isinstance(measurement, InflatedPvm):
-        base_probs = outcome_probabilities(measurement.base, frame.phi)
-        base_offsets = np.array([o for o, _ in measurement.base.outcomes])
-        rows = []
-        probs = []
-        for shift in measurement.shifts:
-            rows.append(base_offsets + shift)
-            probs.append(base_probs * measurement.weight)
-        return np.vstack(rows), np.concatenate(probs)
-    probs = outcome_probabilities(measurement, frame.phi)
-    offsets = np.array([o for o, _ in measurement.outcomes])
-    return offsets, probs
+def _draw(rng, p, count):
+    """Outcome indices of `count` shots, exactly those of rng.choice(len(p), count, p=p).
+
+    Generator.choice draws u = rng.random(count) against the CDF divided by its
+    last entry and returns the number of CDF entries <= u; one comparison per
+    outcome gives the same count. The last entry is 1 and u < 1, so it is skipped.
+    """
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    u = rng.random(count)
+    idx = np.zeros(count, dtype=np.int64)
+    for c in cdf[:-1]:
+        idx += u >= c
+    return idx
 
 
 def sample_outcomes(measurement, frame, count, seed):
-    """Deterministic seeded sampling of outcome estimates theta + offset."""
-    offsets, probs = _outcome_table(measurement, frame)
+    """Deterministic seeded sampling of outcome estimates theta + offset.
+
+    The samples are those of Generator.choice with the outcome probabilities;
+    the mean and the second moment about theta come from the outcome counts.
+    """
+    offsets, probs, analytic = _outcome_table(measurement, frame)
     m = offsets.shape[1]
     theta = frame.theta if frame.theta is not None else np.zeros(m)
-    analytic = analytic_covariance(measurement, frame)
     count = int(count)
     if count <= 0:
         return SampleResult(samples=np.zeros((0, m)), mean=None, cov=None,
                             analytic_cov=analytic, count=0, seed=seed)
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(len(probs), size=count, p=probs / probs.sum())
-    drawn = offsets[idx]
-    samples = drawn + theta
-    mean = samples.mean(axis=0)
-    cov = matkernel.symmetrize((drawn.T @ drawn) / count)
+    idx = _draw(np.random.default_rng(seed), probs / probs.sum(), count)
+    samples = np.take(offsets + theta, idx, axis=0)
+    hits = np.bincount(idx, minlength=len(probs)) / count
+    mean = theta + hits @ offsets
+    cov = matkernel.symmetrize(offsets.T @ (offsets * hits[:, None]))
     return SampleResult(samples=samples, mean=mean, cov=cov,
                         analytic_cov=analytic, count=count, seed=seed)
 

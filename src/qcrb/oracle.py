@@ -243,11 +243,7 @@ def _weight_split(g):
     """(scale, P, Q): g = scale * P gp P^T with gp of unit norm on range P, and Q
     spanning null(g). P is the identity when g is positive definite."""
     m = g.shape[0]
-    w, u = matkernel.hermitian_eig(g)
-    dust = TOL["eigen_dust"] * max(1.0, matkernel.mnorm(g))
-    if w[0] < -dust:
-        raise DomainError("weight matrix must be PSD")
-    pos = w > dust
+    w, u, pos = matkernel.weight_eig(g)
     scale = float(w[-1]) if pos.any() else 1.0
     if pos.all():
         return scale, np.eye(m), np.zeros((m, 0))

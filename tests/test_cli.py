@@ -73,6 +73,20 @@ def test_bound_weight_file(tmp_path):
     assert doc["bound"]["method"] == "quasi_classical"
 
 
+# A weight eigenvalue of 5e-10 in normalized form: above the one rank cut, so the
+# closed form and the oracle both take the full-rank coherent value.
+def test_bound_oracle_agrees_on_a_nearly_rank_one_weight(tmp_path, capsys):
+    cfg = write_json(tmp_path / "m.json", N0)
+    wpath = write_json(tmp_path / "w.json", [[1.0, 0.0], [0.0, 1e-9]])
+    assert cli.main(["bound", "--config", cfg, "--weight", wpath, "--oracle"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["bound"]["attained"] is True and "rank" not in doc["bound"]["notes"]
+    assert doc["oracle"]["agreement"] is True
+    assert abs(doc["bound"]["value"] - doc["oracle"]["value"]) <= \
+        matkernel.TOL["oracle_agreement"] * doc["bound"]["value"]
+    assert abs(doc["bound"]["value"] - (0.5 + 5e-10 + 2.0 * np.sqrt(2.5e-10))) <= 1e-12
+
+
 def test_bound_rejects_indefinite_weight(tmp_path):
     cfg = write_json(tmp_path / "m.json", SPIN_QC)
     wpath = write_json(tmp_path / "w.json", [[1.0, 0.0], [0.0, -1.0]])

@@ -44,6 +44,15 @@ def test_check_finite_rejects_nan():
         matkernel.check_finite(a)
 
 
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf),
+                                 complex(np.nan, np.nan)])
+def test_check_finite_rejects_complex_entries(bad):
+    a = np.eye(2, dtype=complex)
+    a[0, 1] = bad
+    with pytest.raises(errors.NonFinite):
+        matkernel.check_finite(a)
+
+
 def test_sqrt_psd_squares_back():
     rng = np.random.default_rng(1)
     a = random_psd(rng, 5)

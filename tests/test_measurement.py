@@ -1,5 +1,7 @@
 """Projective measurement synthesis: algebra, attainment, sampling."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -284,6 +286,64 @@ def test_sampling_single_outcome_identity():
     r = measurement.sample_outcomes(pvm, frame, 100, 0)
     assert np.abs(r.samples - frame.theta[0]).max() == 0.0
     assert abs(r.cov[0, 0]) <= 1e-15
+    assert np.array_equal(r.mean, frame.theta)
+
+
+def _sampling_cases():
+    """(name, measurement, frame, offsets, probs): a quasi-classical PVM on the
+    model space, a Naimark-frame PVM and an InflatedPvm, with the outcome
+    table each is sampled from (an InflatedPvm's rows are shift-major)."""
+    mdl = model.catalog_spin_rotation(1.0, 0.0, [0.7, 1.1])
+    fr = model.tangent_frame(mdl, mdl.theta0)
+    fd = model.fisher_data(fr)
+    qc = measurement.pvm_from_vectors(measurement.optimal_vectors_quasi_classical(fr, fd))
+    mdl = model.catalog_shifted_number(0, [0.2, -0.4])
+    fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
+    nf = measurement.naimark_frame(fd, theta=mdl.theta0)
+    coh = measurement.pvm_from_vectors(measurement.optimal_vectors_coherent(nf, fd, np.eye(2)))
+    infl = measurement.inflate_covariance(coh, np.array([[1.0, 0.3], [0.3, 2.0]]))
+    cases = []
+    for name, pvm, frame in (("quasi_classical", qc, fr), ("naimark", coh, nf)):
+        offsets = np.array([o for o, _ in pvm.outcomes])
+        cases.append((name, pvm, frame, offsets,
+                      measurement.outcome_probabilities(pvm, frame.phi)))
+    _, _, _, offsets, probs = cases[1]
+    rows = np.vstack([offsets + s for s in infl.shifts])
+    cases.append(("inflated", infl, nf, rows, np.concatenate([probs * infl.weight] * len(infl.shifts))))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(3))
+@pytest.mark.parametrize("count, seed", [(1, 5), (10_000, 1), (10_000, 2)])
+def test_sampling_is_generator_choice_with_count_moments(case, count, seed):
+    name, meas, frame, offsets, probs = _sampling_cases()[case]
+    r = measurement.sample_outcomes(meas, frame, count, seed)
+    idx = np.random.default_rng(seed).choice(len(probs), size=count, p=probs / probs.sum())
+    assert np.array_equal(r.samples, offsets[idx] + frame.theta), name
+    # per-shot sums, each column summed exactly
+    ref_mean = np.array([math.fsum(col) / count for col in r.samples.T])
+    drawn = offsets[idx]
+    ref_cov = np.array([[math.fsum(drawn[:, i] * drawn[:, j]) / count
+                         for j in range(drawn.shape[1])] for i in range(drawn.shape[1])])
+    assert np.abs(r.mean - ref_mean).max() <= 1e-13 * np.abs(ref_mean).max()
+    assert np.abs(r.cov - ref_cov).max() <= 1e-13 * np.abs(ref_cov).max()
+    assert np.array_equal(r.analytic_cov, measurement.analytic_covariance(meas, frame))
+
+
+def test_sampling_zero_count():
+    _, pvm, frame, offsets, _ = _sampling_cases()[1]
+    r = measurement.sample_outcomes(pvm, frame, 0, 3)
+    assert r.count == 0 and r.samples.shape == (0, offsets.shape[1])
+    assert r.mean is None and r.cov is None
+    assert np.array_equal(r.analytic_cov, measurement.analytic_covariance(pvm, frame))
+
+
+def test_sampling_reads_the_probabilities_once(count_calls):
+    _, pvm, frame, _, _ = _sampling_cases()[1]
+    probs = count_calls(measurement, "outcome_probabilities")
+    cov = count_calls(measurement, "covariance_of_pvm")
+    measurement.sample_outcomes(pvm, frame, 1000, 4)
+    assert len(probs) == 1 and not cov
 
 
 def test_bad_probability():

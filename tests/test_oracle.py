@@ -233,3 +233,19 @@ def test_singular_weight_is_solved_on_its_range():
     # zero weight
     res = sdp(fd, np.zeros((2, 2)))
     assert res.value == 0.0 and res.attained
+
+
+# Both routes cut the normalized weight w G w at TOL["eigen_dust"] * max(1, ||w G w||):
+# a small eigenvalue of 5e-10 is kept by both, one of 5e-12 dropped by both.
+@pytest.mark.parametrize("small, rank", [(1e-9, 2), (1e-11, 1)])
+def test_two_parameter_routes_share_the_weight_rank(small, rank):
+    mdl = model.catalog_shifted_number(0, [0.2, -0.4])
+    fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
+    g = np.diag([1.0, small])
+    rep = analysis.cr_bound_2param(fd, g)
+    assert rep.notes.get("rank", 2) == rank
+    w = analysis.spectrum(fd).js_inverses[1]
+    assert oracle._weight_split(matkernel.symmetrize(w @ g @ w))[1].shape[1] == rank
+    res = oracle.minimize(oracle.OracleProblem(gram=fd.gram, G=g))
+    assert abs(res.value - rep.value) <= matkernel.TOL["oracle_agreement"] * rep.value
+    assert res.attained == rep.attained == (rank == 2)

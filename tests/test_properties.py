@@ -303,3 +303,22 @@ def test_fock_frames_match_closed_forms(radius, angle, t3, t4, n):
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
     expect = (4 * n + 2) * np.eye(2) + 2j * np.array([[0.0, -1.0], [1.0, 0.0]])
     assert np.abs(fd.gram - expect).max() <= 1e-12
+
+
+# Exact zeros anywhere, the last entry included, must never be drawn.
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=1, max_size=40),
+       st.booleans(), st.integers(0, 5000), st.integers(0, 2 ** 32 - 1))
+@example([0.5, 0.0, 0.25, 0.0], True, 5000, 7)
+@example([0.0, 1.0], False, 3000, 0)
+def test_sampling_draw_is_generator_choice(weights, zero_last, count, seed):
+    w = np.array(weights)
+    if zero_last and w.size > 1:
+        w[-1] = 0.0
+    if w.sum() == 0.0:
+        w[0] = 1.0
+    p = w / w.sum()
+    idx = measurement._draw(np.random.default_rng(seed), p, count)
+    ref = np.random.default_rng(seed).choice(p.size, size=count, p=p)
+    assert np.array_equal(idx, ref)
+    assert np.all(p[idx] > 0.0)
