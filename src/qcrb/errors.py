@@ -48,7 +48,7 @@ class SingularFisher(QcrbError):
 
 
 class TruncationError(QcrbError):
-    """Fock-space tail mass cannot be pushed below tolerance within the cap."""
+    """An explicit Fock truncation is too small to hold the state and its lifts."""
 
 
 # --- measurement (CLI exit code 3 unless noted) ---

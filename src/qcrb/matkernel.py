@@ -66,8 +66,6 @@ TOL = {
     "lift_norm": 1e-8,
     # slack of the half-integer tests of s and m_z and of |m_z| <= s; absolute
     "half_integer": 1e-12,
-    # Fock tail mass of the state and lifts; absolute
-    "tail": 1e-10,
     # the oracle's null(G) cross-block least squares; relative to
     # max(||SLD columns||, ||Y||)^2
     "null_completion": 1e-9,
@@ -245,26 +243,6 @@ def antisym_canonical(a):
         canon[2 * j + 1, 2 * j] = b
     check("canonical_form", mnorm(qout.T @ a @ qout - canon), mnorm(a), ConsistencyError)
     return qout, betas, zero_count
-
-
-def expm_frechet_hermitian(h, t, v, directions):
-    """exp(i t H) v and, for each direction E, d/ds exp(i t (H + s E)) v at s = 0.
-
-    v is a vector or a matrix of columns; every result has its shape. One
-    eigendecomposition H = U diag(w) U* serves all of them. The derivative is
-    the Daleckii-Krein form U (Gamma o (U* E U)) U* (Higham, Functions of
-    Matrices, Thm 3.11) with Gamma_jk = i t e^{i t (w_j + w_k)/2}
-    sinc(t (w_j - w_k)/2). No eigenvalue gap is divided by, so repeated
-    eigenvalues need no special case.
-    """
-    w, u = hermitian_eig(h)
-    uh = u.conj().T
-    x = uh @ v
-    half = 0.5 * t * w
-    gamma = (1j * t) * np.exp(1j * np.add.outer(half, half)) \
-        * np.sinc(np.subtract.outer(half, half) / np.pi)
-    derivs = [u @ ((gamma * (uh @ e @ u)) @ x) for e in directions]
-    return (u * np.exp(1j * t * w)) @ x, derivs
 
 
 def is_psd(a, scale=None):

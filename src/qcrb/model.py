@@ -15,13 +15,16 @@ one-parameter models are measured on the model's own space, and they need
 only one consistent frame; every other PVM lives in the Naimark embedding,
 which is built from the Fisher data alone.
 
-The spin `state` eigendecomposes its generator once and takes phi and dphi
-from that decomposition (matkernel.expm_frechet_hermitian). The Fock families
-return their frame transported by D(theta)^dagger, since D^dagger d_i D is the
-displacement generator plus a c-number: length-d vectors only, with a Fock
-truncation that depends on the squeezing and not on the displacement.
+The catalog families take their frames in closed form, with no decomposition
+at a working point. The spin `state` takes phi and dphi from one
+eigendecomposition of S_y per s, shared by every model of that s, and is
+exact in the |s,m> basis. The Fock families return their frame transported by
+a unitary fixed at theta that undoes the displacement (and the squeezing): the
+displaced number state |n> is exact in n + 2 Fock levels and the displaced
+squeezed vacuum in 3, at every theta.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
@@ -32,14 +35,13 @@ from . import analysis, matkernel
 from .errors import (
     DegenerateModel,
     DomainError,
+    NonFinite,
     NormDrift,
     SchemaError,
     SingularFisher,
     TruncationError,
 )
 from .matkernel import TOL, check
-
-TRUNC_CAP = 4096
 
 
 @dataclass
@@ -52,9 +54,6 @@ class PureStateModel:
     # fixed at theta and a phase gauge; see the module docstring
     state: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
     theta0: Optional[np.ndarray] = None
-    # tangent frame at theta0 that truncation growth verified; see tangent_frame
-    _frame: Optional["TangentFrame"] = field(
-        default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -75,12 +74,9 @@ class FisherData:
 
 def tangent_frame(model, theta):
     """Evaluate the state and its horizontal lifts at theta."""
-    theta = np.array(theta, dtype=float)   # a copy, so the stored frame keeps its point
+    theta = np.array(theta, dtype=float)   # a copy, so the frame keeps its point
     if theta.shape != (model.m,):
         raise DomainError(f"theta must have length {model.m}")
-    # the frame truncation growth verified is reused at its exact point
-    if model._frame is not None and np.array_equal(theta, model._frame.theta):
-        return model._frame
     phi, dphi = model.state(theta)
     phi = np.asarray(phi, dtype=complex)
     dphi = np.asarray(dphi, dtype=complex)
@@ -117,19 +113,21 @@ def fisher_data(frame):
 
 # --- spin rotation family ---
 
-def spin_operators(s):
-    """S_z, S_x, S_y on the (2s+1)-dim space, basis |s,m> with m = s..-s."""
+@functools.lru_cache(maxsize=16)
+def _spin_tables(s):
+    """m values, S_+ coefficients and S_y = V diag(mu) V^dagger for spin s.
+
+    Basis |s,m> with m = s..-s, and plus[k] = <m_k|S_+|m_(k+1)>. S_y does not
+    depend on theta, so it is decomposed once per s; the arrays are shared by
+    every model of that s and read-only.
+    """
     d = int(round(2 * s + 1))
     mvals = s - np.arange(d)
-    sz = np.diag(mvals).astype(complex)
-    sp = np.zeros((d, d), dtype=complex)
-    for k in range(1, d):
-        m = mvals[k]
-        sp[k - 1, k] = math.sqrt(s * (s + 1) - m * (m + 1))
-    sm = sp.conj().T
-    sx = 0.5 * (sp + sm)
-    sy = -0.5j * (sp - sm)
-    return sz, sx, sy
+    plus = np.sqrt(s * (s + 1) - mvals[1:] * (mvals[1:] + 1))
+    mu, v = matkernel.hermitian_eig(np.diag(-0.5j * plus, 1) + np.diag(0.5j * plus, -1))
+    for a in (mvals, plus, mu, v):
+        a.setflags(write=False)
+    return mvals, plus, mu, v
 
 
 def _check_half_integer(x, name):
@@ -139,7 +137,13 @@ def _check_half_integer(x, name):
 
 
 def catalog_spin_rotation(s, m_z, theta=None):
-    """Rotated spin eigenstate exp(i theta1 (sin theta2 Sx - cos theta2 Sy)) |s, m_z>."""
+    """Rotated spin eigenstate exp(i theta1 A) |s, m_z>, A = sin theta2 Sx - cos theta2 Sy.
+
+    A = Z (-S_y) Z^dagger with Z = exp(-i theta2 S_z) diagonal, so up to the phase
+    e^{i theta2 m_z} the state is phi = Z V e^{-i theta1 mu} V^dagger |m_z>, and
+    its columns are i A phi (tridiagonal) and -i S_z phi: one matrix-vector
+    product per frame, in the |s,m> basis.
+    """
     s = _check_half_integer(s, "s")
     m_z = _check_half_integer(m_z, "m_z")
     if s < 0.5:
@@ -148,20 +152,17 @@ def catalog_spin_rotation(s, m_z, theta=None):
         raise DomainError(f"|m_z| = {abs(m_z)} exceeds s = {s}")
     if abs((s - m_z) - round(s - m_z)) > TOL["half_integer"]:
         raise DomainError(f"s - m_z must be an integer, got s={s}, m_z={m_z}")
-    d = int(round(2 * s + 1))
-    _, sx, sy = spin_operators(s)
-    k0 = int(round(s - m_z))
-    psi0 = np.zeros(d, dtype=complex)
-    psi0[k0] = 1.0
-
-    def generator(th2):
-        return math.sin(th2) * sx - math.cos(th2) * sy
+    mvals, plus, mu, v = _spin_tables(s)
+    row = v[int(round(s - m_z))].conj()   # V^dagger |m_z>
 
     def state(theta):
-        a = generator(theta[1])
-        da = math.cos(theta[1]) * sx + math.sin(theta[1]) * sy
-        phi, (d2,) = matkernel.expm_frechet_hermitian(a, theta[0], psi0, [da])
-        return phi, np.column_stack([1j * (a @ phi), d2])
+        phi = np.exp(-1j * theta[1] * mvals) * (v @ (np.exp(-1j * theta[0] * mu) * row))
+        # A = (i/2) e^{-i theta2} S_+ - (i/2) e^{i theta2} S_-
+        e = complex(math.cos(theta[1]), math.sin(theta[1]))
+        aphi = np.zeros_like(phi)
+        aphi[:-1] = (0.5j * e.conjugate()) * plus * phi[1:]
+        aphi[1:] -= (0.5j * e) * plus * phi[:-1]
+        return phi, np.column_stack([1j * aphi, -1j * mvals * phi])
 
     if theta is not None:
         theta = np.asarray(theta, dtype=float)
@@ -174,46 +175,18 @@ def catalog_spin_rotation(s, m_z, theta=None):
 
     return PureStateModel(
         label=f"spin_rotation(s={s}, m_z={m_z})",
-        dim=d, m=2, state=state, theta0=theta,
+        dim=mvals.size, m=2, state=state, theta0=theta,
     )
 
 
 # --- Fock-space families ---
 
-def _quadratures(v):
-    """X v and P v on the truncated Fock space, X = (a + a^dagger)/sqrt2 and
-    P = i(a^dagger - a)/sqrt2; the top level of a^dagger v falls off."""
-    root = np.sqrt(np.arange(1, v.size))
-    up = np.zeros_like(v)
-    up[1:] = root * v[:-1]
-    down = np.zeros_like(v)
-    down[:-1] = root * v[1:]
-    return (up + down) / math.sqrt(2), 1j * (up - down) / math.sqrt(2)
-
-
-def _tail_mass(v, d):
-    k = max(4, d // 16)
-    nrm2 = float(np.sum(np.abs(v) ** 2))
-    if nrm2 == 0.0:
-        return 0.0
-    return float(np.sum(np.abs(v[d - k:]) ** 2)) / nrm2
-
-
-def _frame_tails_ok(model, theta):
-    """True iff the frame at theta has no tail mass; the model keeps that frame."""
-    frame = tangent_frame(model, theta)
-    vecs = [frame.phi] + [frame.lifts[:, i] for i in range(model.m)]
-    if not all(_tail_mass(v, model.dim) < TOL["tail"] for v in vecs):
-        return False
-    model._frame = frame
-    return True
-
-
 def catalog_shifted_number(n, theta=None, trunc=None):
     """Displaced number state D(theta)|n> with D = exp(i(-theta1 X + theta2 P)).
 
     Its frame transported by D(theta)^dagger is phi = |n>, dphi = (-iX|n>, iP|n>),
-    supported on n - 1..n + 1: exact in n + 2 Fock levels at every theta.
+    supported on n - 1..n + 1: exact in n + 2 Fock levels at every theta. An
+    explicit `trunc` pads these vectors with zeros.
     """
     if n != int(n) or n < 0:
         raise DomainError(f"n must be a nonnegative integer, got {n}")
@@ -227,8 +200,12 @@ def catalog_shifted_number(n, theta=None, trunc=None):
                               f"which holds |n> and its lifts")
     phi = np.zeros(d, dtype=complex)
     phi[n] = 1.0
-    x, p = _quadratures(phi)
-    dphi = np.column_stack([-1j * x, 1j * p])
+    # X|n> = (up|n+1> + down|n-1>), P|n> = i(up|n+1> - down|n-1>)
+    up, down = math.sqrt(n + 1) / math.sqrt(2), math.sqrt(n) / math.sqrt(2)
+    dphi = np.zeros((d, 2), dtype=complex)
+    dphi[n + 1] = [-1j * up, -up]
+    if n:
+        dphi[n - 1] = [-1j * down, down]
 
     def state(theta):
         return phi, dphi
@@ -239,24 +216,17 @@ def catalog_shifted_number(n, theta=None, trunc=None):
     )
 
 
-def _grow_truncation(build, start, trunc, theta0):
-    if trunc is not None:
-        model = build(int(trunc))
-        if not _frame_tails_ok(model, theta0):
-            raise TruncationError(f"tail mass above {TOL['tail']} at trunc={trunc}")
-        return model
-    d = int(start)
-    while True:
-        if d > TRUNC_CAP:
-            raise TruncationError(f"tail mass above {TOL['tail']} at the cap {TRUNC_CAP}")
-        model = build(d)
-        if _frame_tails_ok(model, theta0):
-            return model
-        d *= 2
+def catalog_squeezed(theta):
+    """Displaced squeezed vacuum D(z)S(xi)|0>, z=(t1+i t2)/sqrt2, xi=t3 e^{-2i t4}.
 
-
-def catalog_squeezed(theta, trunc=None):
-    """Displaced squeezed vacuum D(z)S(xi)|0>, z=(t1+i t2)/sqrt2, xi=t3 e^{-2i t4}."""
+    Its frame transported by e^{i t4 N} S(xi)^dagger D(z)^dagger (N the number
+    operator) is exact in three Fock levels at every theta. D^dagger d_i D is
+    (-iP, iX) plus a c-number for t1, t2, and the Bogoliubov relation
+    S^dagger a S = a cosh t3 + a^dagger e^{-2i t4} sinh t3 maps both onto |1>;
+    the t3 and t4 generators of S map |0> onto |2> plus a phase gauge term.
+    Written in e^{+-t3}, cos t4 and sin t4, the |1> coefficients hold no
+    cancellation. Past the float range of e^{t3} and sinh 2 t3 it raises NonFinite.
+    """
     th0 = np.asarray(theta, dtype=float)
     if th0.shape != (4,):
         raise DomainError("squeezed model takes a 4-vector theta")
@@ -266,51 +236,24 @@ def catalog_squeezed(theta, trunc=None):
         # the theta4 direction degenerates: the JS eigenvalue sinh^2(2 t3)
         # collapses, so the Fisher matrix cannot be inverted
         raise SingularFisher("squeezed model is singular at theta3 = 0")
-    # |c_2k|^2 ~ tanh^{2k}(t3), so the state's mass falls per level at the rate
-    # -ln tanh t3 = 2 atanh(e^{-2 t3}). The tail check on the state and its
-    # level-weighted lifts passes once rate * levels reaches about 32; 8 levels
-    # more cover weak squeezing. For large t3 this is about 16 e^{2 t3}. The
-    # floor on the rate sends huge t3 past the cap instead of dividing by zero.
-    start = math.ceil(8 + 16 / max(math.atanh(math.exp(-2 * th0[2])), 8 / TRUNC_CAP))
+    phi = np.array([1.0, 0.0, 0.0], dtype=complex)
 
-    def build(d):
-        def state(theta):
-            # frame transported by D(z)^dagger: phi = S(xi)|0> and its t3, t4
-            # derivatives, and D^dagger d_i D = (-iP, iX) + c-number for t1, t2
-            phi, dxi = _squeezed_vacuum(theta[2], theta[3], d)
-            x, p = _quadratures(phi)
-            return phi, np.column_stack([-1j * p, 1j * x, dxi])
+    def state(theta):
+        t3, t4 = theta[2], theta[3]
+        try:
+            grow, shrink, sh2 = math.exp(t3), math.exp(-t3), math.sinh(2 * t3)
+        except OverflowError:
+            raise NonFinite(f"squeezed frame overflows at theta3 = {t3}") from None
+        c, s = math.cos(t4) / math.sqrt(2), math.sin(t4) / math.sqrt(2)
+        dphi = np.zeros((3, 4), dtype=complex)
+        dphi[1, :2] = [complex(shrink * c, grow * s), complex(-shrink * s, grow * c)]
+        dphi[2, 2:] = [1.0 / math.sqrt(2), -1j * sh2 / math.sqrt(2)]
+        return phi, dphi
 
-        return PureStateModel(
-            label="squeezed",
-            dim=d, m=4, state=state, theta0=th0,
-        )
-
-    return _grow_truncation(build, start, trunc, th0)
-
-
-def _squeezed_vacuum(t3, t4, d):
-    """S(xi)|0> on d Fock levels, xi = t3 e^{-2i t4}, and its t3, t4 columns.
-
-    The even amplitudes are c_2k = e^{-2ik t4} tanh^k(t3) a_k / sqrt(cosh t3)
-    with a_0 = 1, a_{k+1} = a_k sqrt((2k+1)/(2k+2)). Their t3 derivative is
-    written with tanh^(k-1), so it holds no quotient of small numbers as t3 -> 0.
-    """
-    k = np.arange((d + 1) // 2)
-    a = np.ones(k.size)
-    a[1:] = np.cumprod(np.sqrt((2 * k[:-1] + 1) / (2 * k[:-1] + 2)))
-    t, ch = math.tanh(t3), math.cosh(t3)
-    amp = a * np.exp(-2j * t4 * k) / math.sqrt(ch)
-    tk = np.power(t, k)
-    tk1 = np.power(t, np.maximum(k - 1, 0))
-    phi = np.zeros(d, dtype=complex)
-    phi[::2] = amp * tk
-    dxi = np.zeros((d, 2), dtype=complex)
-    dxi[::2, 0] = amp * (k * tk1 / (ch * ch) - 0.5 * t * tk)
-    dxi[::2, 1] = -2j * k * phi[::2]
-    # the levels cut off carry norm; the tail check decides whether they matter
-    nrm = np.linalg.norm(phi)
-    return phi / nrm, dxi / nrm
+    return PureStateModel(
+        label="squeezed",
+        dim=3, m=4, state=state, theta0=th0,
+    )
 
 
 def squeezed_closed_forms(theta):
@@ -392,10 +335,6 @@ def _require(doc, key, kind, what):
     return [float(t) for t in v] if kind == "numbers" else v
 
 
-def _trunc(doc, what):
-    return None if doc.get("trunc") is None else _require(doc, "trunc", "count", what)
-
-
 def model_from_config(doc):
     """Build a PureStateModel from a parsed config document."""
     if not isinstance(doc, dict):
@@ -407,11 +346,14 @@ def model_from_config(doc):
         return catalog_spin_rotation(s, m_z, theta=_require(doc, "theta", "numbers", name))
     if name == "shifted_number":
         n = _require(doc, "n", "integer", name)
+        trunc = None if doc.get("trunc") is None else _require(doc, "trunc", "count", name)
         return catalog_shifted_number(n, theta=_require(doc, "theta", "numbers", name),
-                                      trunc=_trunc(doc, name))
+                                      trunc=trunc)
     if name == "squeezed":
-        return catalog_squeezed(_require(doc, "theta", "numbers", name),
-                                trunc=_trunc(doc, name))
+        if "trunc" in doc:
+            raise SchemaError("squeezed: the model is exact in three Fock levels "
+                              "and takes no 'trunc' key")
+        return catalog_squeezed(_require(doc, "theta", "numbers", name))
     if name == "custom":
         dim = _require(doc, "dim", "count", name)
         m = _require(doc, "m", "count", name)

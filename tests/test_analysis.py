@@ -250,7 +250,7 @@ def test_each_working_point_is_decomposed_once(count_calls):
     mdl = model.catalog_squeezed([0.1, 0.2, 0.4, 0.7])
     eig = count_calls(matkernel, "hermitian_eig")
     frame = model.tangent_frame(mdl, mdl.theta0)
-    assert eig == []   # truncation growth already built this frame
+    assert eig == []   # the three-level frame is in closed form
     fd = model.fisher_data(frame)
     canonical = count_calls(matkernel, "antisym_canonical")
     assert analysis.beta_spectrum(fd).classification == "coherent"

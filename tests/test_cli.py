@@ -429,3 +429,34 @@ def test_only_simulate_reports_a_seed(tmp_path, capsys):
     assert cli.main(["simulate", "--config", cfg, "--pvm", pvm_path,
                      "--samples", "10", "--seed", "7"]) == 0
     assert json.loads(capsys.readouterr().out)["seed"] == 7
+
+
+@pytest.mark.parametrize("t3, error", [(4.5, "DegenerateModel"), (400.0, "NonFinite"),
+                                       (1e6, "NonFinite")])
+def test_bound_at_strong_squeezing_is_a_typed_model_error(tmp_path, t3, error):
+    # past t3 of about 4.07 the Fisher matrix is singular at the dust level,
+    # and past about 355 sinh(2 t3) leaves the float range
+    cfg = write_json(tmp_path / "m.json", {"model": "squeezed", "theta": [0.1, -0.2, t3, 0.3]})
+    proc = run_cli("bound", "--config", cfg)
+    assert proc.returncode == 3
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    err = json.loads(proc.stderr)
+    assert err["error"] == error and err["exit_code"] == 3
+
+
+def test_squeezed_trunc_key_is_a_schema_error(tmp_path):
+    cfg = write_json(tmp_path / "m.json", dict(SQUEEZED, trunc=64))
+    proc = run_cli("analyze", "--config", cfg)
+    assert proc.returncode == 2
+    assert json.loads(proc.stderr)["error"] == "SchemaError"
+
+
+@pytest.mark.parametrize("s", [1.0, 2.0, 20.0])
+def test_spin_pvm_lives_on_the_spin_space(tmp_path, capsys, s):
+    # a quasi-classical spin model is measured on its own 2s + 1 levels
+    cfg = write_json(tmp_path / "m.json", dict(SPIN_QC, s=s))
+    assert cli.main(["pvm", "--config", cfg]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["classification"] == "quasi_classical"
+    d = int(2 * s + 1)
+    assert all(len(o["projector"]) == d * d for o in doc["pvm"])

@@ -194,47 +194,6 @@ def test_psd_geq():
     assert not matkernel.psd_geq(np.diag([0.5, 2.0]), np.eye(2))
 
 
-def _frechet_reference(h, t, e):
-    return scipy.linalg.expm_frechet(1j * t * h, 1j * t * e)
-
-
-def _rel(got, expect):
-    return np.abs(got - expect).max() / max(1.0, np.abs(expect).max())
-
-
-@pytest.mark.parametrize("n", [2, 41, 120])
-@pytest.mark.parametrize("t", [0.3, 2.0])
-def test_expm_frechet_hermitian_matches_scipy(n, t):
-    rng = np.random.default_rng(7 + n)
-    h, e1, e2 = (random_hermitian(rng, n) for _ in range(3))
-    v = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
-    ev, derivs = matkernel.expm_frechet_hermitian(h, t, v, [e1, e2])
-    for e, got in zip((e1, e2), derivs):
-        expm, frechet = _frechet_reference(h, t, e)
-        assert _rel(got, frechet @ v) <= 1e-12
-    assert _rel(ev, expm @ v) <= 1e-12
-
-
-def test_expm_frechet_hermitian_repeated_eigenvalues():
-    rng = np.random.default_rng(8)
-    h = np.kron(np.eye(2), random_hermitian(rng, 6))
-    e = random_hermitian(rng, 12)
-    ev, (got,) = matkernel.expm_frechet_hermitian(h, 2.0, np.eye(12), [e])
-    expm, frechet = _frechet_reference(h, 2.0, e)
-    assert _rel(got, frechet) <= 1e-12
-    assert _rel(ev, expm) <= 1e-12
-
-
-def test_expm_frechet_hermitian_at_zero():
-    rng = np.random.default_rng(9)
-    e = random_hermitian(rng, 5)
-    v = rng.normal(size=5) + 1j * rng.normal(size=5)
-    ev, (got,) = matkernel.expm_frechet_hermitian(np.zeros((5, 5)), 0.3, v, [e])
-    assert got.shape == v.shape
-    assert _rel(got, _frechet_reference(np.zeros((5, 5)), 0.3, e)[1] @ v) <= 1e-12
-    assert np.abs(ev - v).max() == 0.0
-
-
 def _tolerance_literals(path):
     """(line, token) of each exponent-form float below 1e-5 outside `TOL = {...}`,
     and of each name of a constant the table replaced."""

@@ -1,14 +1,20 @@
-"""Catalog models checked against an independent finite-difference oracle.
+"""Catalog models checked against independent references.
 
-The oracle below builds states with scipy.linalg.expm directly and
-differentiates them by central differences, bypassing the package's
-tangent-frame machinery entirely.
+The spin and number-state oracles below build states with scipy.linalg.expm
+directly and differentiate them by central differences or by
+scipy.linalg.expm_frechet, bypassing the package's tangent-frame machinery
+entirely. The squeezed model is checked against the Fock-space builder in
+`fock_reference` and against `squeezed_closed_forms`.
 """
+
+import math
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings, strategies as st
 
+import fock_reference
 from qcrb import errors, matkernel, model
 
 
@@ -71,6 +77,38 @@ def test_generic_spin_point_matches_fd_oracle():
     gram = fd_gram(lambda t: spin_state(2.0, 1.0, t), theta)
     assert np.abs(fd.JS - gram.real).max() <= 1e-5
     assert np.abs(fd.Jt - gram.imag).max() <= 1e-5
+
+
+def spin_frame_reference(s, m_z, theta):
+    """phi = expm(i theta1 A) psi0 and its columns i A phi and, by
+    expm_frechet, d/d theta2; no package code."""
+    sx, sy, _ = spin_matrices(s)
+    psi0 = np.zeros(sx.shape[0], dtype=complex)
+    psi0[int(round(s - m_z))] = 1.0
+    gen = np.sin(theta[1]) * sx - np.cos(theta[1]) * sy
+    dgen = np.cos(theta[1]) * sx + np.sin(theta[1]) * sy
+    expm, frechet = scipy.linalg.expm_frechet(1j * theta[0] * gen, 1j * theta[0] * dgen)
+    phi = expm @ psi0
+    return phi, np.column_stack([1j * gen @ phi, frechet @ psi0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 10 ** 6), st.floats(1e-3, math.pi - 1e-3),
+       st.floats(0.0, 2 * math.pi, exclude_max=True))
+@example(40, 20, math.pi - 1e-3, 6.0)
+def test_spin_frame_matches_expm_reference(two_s, k, t1, t2):
+    # s from 1/2 to 20 and every m_z = s - k mod (2s + 1)
+    s = two_s / 2
+    m_z = s - k % (two_s + 1)
+    theta = [t1, t2]
+    fr = model.tangent_frame(model.catalog_spin_rotation(s, m_z, theta), theta)
+    fd = model.fisher_data(fr)
+    phi, dphi = spin_frame_reference(s, m_z, theta)
+    lifts = 2.0 * (dphi - np.outer(phi, phi.conj() @ dphi))
+    gram = lifts.conj().T @ lifts
+    assert np.abs(fd.gram - gram).max() <= 1e-12 * max(1.0, np.linalg.norm(fd.JS, 2))
+    overlap = np.vdot(phi, fr.phi)
+    assert np.abs(fr.phi - phi * overlap / abs(overlap)).max() <= 1e-12
 
 
 def test_spin_validation():
@@ -141,9 +179,11 @@ def test_explicit_truncation_too_small():
     # |3> and its lifts need n + 2 = 5 levels
     with pytest.raises(errors.TruncationError):
         model.catalog_shifted_number(3, [4.0, 4.0], trunc=4)
-    # squeezing t3 = 1.5 spreads S(xi)|0> over hundreds of levels
-    with pytest.raises(errors.TruncationError):
-        model.catalog_squeezed([0.2, 0.1, 1.5, 0.3], trunc=16)
+    # the squeezed model is exact in three levels and takes no truncation
+    for trunc in (2, 16, 4096, None):
+        with pytest.raises(errors.SchemaError, match="trunc"):
+            model.model_from_config({"model": "squeezed", "theta": [0.2, 0.1, 1.5, 0.3],
+                                     "trunc": trunc})
 
 
 def test_squeezed_closed_forms_at_origin():
@@ -160,14 +200,19 @@ def test_squeezed_closed_forms_at_origin():
 
 @pytest.mark.parametrize("theta", [[0.3, -0.2, 1.2, 0.4], [1.5, 0.5, 0.9, 2.0]])
 def test_squeezed_fisher_at_large_truncation(theta):
+    # the three-level frame against the Fock reference at its start truncation
+    # (hundreds of levels here) and at twice that, and against the closed forms
     mdl = model.catalog_squeezed(theta)
-    # the truncation is set by the squeezing alone, from 8 + 16 / atanh(e^{-2 t3}) up
-    assert mdl.dim == model.catalog_squeezed([0.0, 0.0] + theta[2:]).dim
-    assert mdl.dim >= 8 + 16 / np.arctanh(np.exp(-2 * theta[2]))
+    assert mdl.dim == 3
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
     js, jt = model.squeezed_closed_forms(theta)
-    assert np.abs(fd.JS - js).max() <= 1e-10
-    assert np.abs(fd.Jt - jt).max() <= 1e-10
+    assert np.abs(fd.JS - js).max() <= 1e-12 * np.abs(js).max()
+    assert np.abs(fd.Jt - jt).max() <= 1e-12 * np.abs(js).max()
+    d = fock_reference.start_truncation(theta[2])
+    assert d > 100
+    for levels in (d, 2 * d):
+        gram, _ = fock_reference.lift_gram(*fock_reference.squeezed_frame(theta, levels))
+        assert np.abs(fd.gram - gram).max() <= 1e-10
 
 
 def test_shifted_number_fisher_at_large_truncation():
@@ -184,28 +229,41 @@ def test_fock_frames_far_out():
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
     expect = 2.0 * np.eye(2) + 2j * np.array([[0.0, -1.0], [1.0, 0.0]])
     assert np.abs(fd.gram - expect).max() <= 1e-12
-    theta = [20.0, -3.0, 2.6, 0.4]
-    mdl = model.catalog_squeezed(theta)
-    fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
-    js, jt = model.squeezed_closed_forms(theta)
-    scale = max(1.0, np.abs(js).max())
-    assert np.abs(fd.JS - js).max() <= 1e-10 * scale
-    assert np.abs(fd.Jt - jt).max() <= 1e-10 * scale
-    # squeezing t3 = 3 needs more Fock levels than the cap allows
-    with pytest.raises(errors.TruncationError):
-        model.catalog_squeezed([0.0, 0.0, 3.0, 0.4])
+    # nor does squeezing: t3 = 3 and 4 are past any Fock truncation of 4096 levels
+    for theta in ([20.0, -3.0, 2.6, 0.4], [0.0, 0.0, 3.0, 0.4], [-7.0, 2.0, 4.0, 1.1]):
+        mdl = model.catalog_squeezed(theta)
+        fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
+        js, jt = model.squeezed_closed_forms(theta)
+        scale = max(1.0, np.abs(js).max())
+        assert np.abs(fd.JS - js).max() <= 1e-12 * scale
+        assert np.abs(fd.Jt - jt).max() <= 1e-12 * scale
+    # from t3 of about 4.07 on, JS's smallest eigenvalue 2 e^{-2 t3} is dust
+    # beside its largest, 2 sinh^2(2 t3); sinh(2 t3) overflows from about 355
+    for t3, error in ((4.5, errors.DegenerateModel), (400.0, errors.NonFinite),
+                      (1e6, errors.NonFinite)):
+        mdl = model.catalog_squeezed([0.0, 0.0, t3, 0.4])
+        with pytest.raises(error):
+            model.tangent_frame(mdl, mdl.theta0)
 
 
 @pytest.mark.parametrize("t4", [0.0, 0.4, np.pi / 2])
 def test_squeezed_start_truncation_passes_the_tail_check(count_calls, t4):
-    # one frame per build: the start truncation is never doubled
+    # the Fock reference holds its state and lifts at its start truncation up
+    # to t3 = 2.7, and there agrees with the three-level model, whose build
+    # takes no frame
     frames = count_calls(model, "tangent_frame")
+    assert fock_reference.start_truncation(0.6) == 60
     for k in range(1, 136):
-        t3 = 0.02 * k
-        mdl = model.catalog_squeezed([0.3, -0.7, t3, t4])
-        assert len(frames) == k, t3
-        assert mdl.dim == np.ceil(8 + 16 / np.arctanh(np.exp(-2 * t3)))
-    assert model.catalog_squeezed([0.0, 0.0, 0.6, t4]).dim == 60
+        theta = [0.3, -0.7, 0.02 * k, t4]
+        mdl = model.catalog_squeezed(theta)
+        assert mdl.dim == 3 and frames == []
+        phi, dphi = fock_reference.squeezed_frame(theta)
+        gram, lifts = fock_reference.lift_gram(phi, dphi)
+        assert fock_reference.tail_mass(phi) < fock_reference.TAIL, theta
+        assert all(fock_reference.tail_mass(v) < fock_reference.TAIL for v in lifts.T), theta
+        phi3, dphi3 = mdl.state(np.array(theta))
+        gram3, _ = fock_reference.lift_gram(phi3, dphi3)
+        assert np.abs(gram - gram3).max() <= 1e-10 * max(1.0, np.abs(gram3).max()), theta
 
 
 @pytest.mark.parametrize("build, generators", [
@@ -215,13 +273,25 @@ def test_squeezed_start_truncation_passes_the_tail_check(count_calls, t4):
 ], ids=["spin", "shifted", "squeezed"])
 def test_catalog_derivatives_take_one_decomposition_per_generator(
         count_calls, build, generators):
-    mdl = build()
-    theta = mdl.theta0 + 0.05   # off theta0, so no stored frame is reused
+    # spin decomposes S_y once per s, at the first build of that s; after it
+    # a new build and a frame at another point decompose nothing
+    model._spin_tables.cache_clear()
     frechet = count_calls(scipy.linalg, "expm_frechet")
     eig = count_calls(matkernel, "hermitian_eig")
-    model.tangent_frame(mdl, theta)
+    build()
+    assert len(eig) == generators
+    mdl = build()
+    model.tangent_frame(mdl, mdl.theta0 + 0.05)
     assert len(eig) == generators
     assert frechet == []
+
+
+def test_spin_tables_are_shared_and_read_only():
+    model.catalog_spin_rotation(5, 1, [0.3, 0.2])   # s is validated to a float
+    tables = model._spin_tables(5.0)
+    model.catalog_spin_rotation(5.0, -3.0, [1.3, 4.2])
+    assert model._spin_tables(5.0) is tables
+    assert not any(t.flags.writeable for t in tables)
 
 
 def test_squeezed_rejects_nonpositive_squeeze():

@@ -3,9 +3,9 @@
 import math
 
 import numpy as np
-import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
+import fock_reference
 from qcrb import analysis, matkernel, measurement, model, oracle
 from qcrb.model import FisherData
 
@@ -194,19 +194,6 @@ def test_sqrt_abs_consistency(seed, n):
     assert np.abs(ab @ ab - h @ h).max() <= 1e-8 * max(1.0, np.abs(h).max() ** 2)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10_000), st.integers(1, 6), st.floats(0.0, 3.0))
-def test_expm_frechet_hermitian_matches_scipy(seed, n, t):
-    rng = np.random.default_rng(seed)
-    a, b = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(2))
-    h = 0.5 * (a + a.conj().T)
-    e = 0.5 * (b + b.conj().T)
-    ev, (got,) = matkernel.expm_frechet_hermitian(h, t, np.eye(n), [e])
-    expm, frechet = scipy.linalg.expm_frechet(1j * t * h, 1j * t * e)
-    assert np.abs(ev - expm).max() <= 1e-12 * max(1.0, np.abs(expm).max())
-    assert np.abs(got - frechet).max() <= 1e-12 * max(1.0, np.abs(frechet).max())
-
-
 def gram_with_betas(rng, betas, m):
     """Lift Gram T^T (I + i K) T whose beta spectrum is `betas` (one per pair).
 
@@ -285,20 +272,27 @@ def test_holevo_sdp_certificate_at_large_weights(seed, beta, log_scale):
     assert oracle.stationarity_certificate(res).residual <= 1e-6
 
 
-# t3 = 1e-3 is an explicit case: there k/(sinh cosh) in the t3 column would
-# divide small numbers, which the frame avoids by writing it with tanh^(k-1)
-@settings(max_examples=30, deadline=None)
-@given(st.floats(0.0, 30.0), st.floats(0.0, 2 * math.pi), st.floats(1e-3, 2.6),
+# t3 runs up to the largest squeezing whose frame tangent_frame accepts (about
+# 4.07; see test_model.test_fock_frames_far_out); the Fock reference builds up
+# to t3 = 2.6 within its start truncation. t3 = 1e-3 is an explicit case: the
+# t4 direction's JS eigenvalue 2 sinh^2(2 t3) is small there, and the reference
+# writes its t3 column with tanh^(k-1) so as not to divide small numbers.
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.0, 30.0), st.floats(0.0, 2 * math.pi), st.floats(1e-3, 4.0),
        st.floats(0.0, math.pi), st.integers(0, 6))
 @example(1.5, 5.2, 1e-3, 2.1, 0)
+@example(0.0, 0.0, 4.0, 0.0, 0)
 def test_fock_frames_match_closed_forms(radius, angle, t3, t4, n):
     t1, t2 = radius * math.cos(angle), radius * math.sin(angle)
     mdl = model.catalog_squeezed([t1, t2, t3, t4])
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
     js, jt = model.squeezed_closed_forms([t1, t2, t3, t4])
-    tol = 1e-10 * max(1.0, np.linalg.norm(js, 2))
+    tol = 1e-12 * max(1.0, np.linalg.norm(js, 2))
     assert np.abs(fd.JS - js).max() <= tol
     assert np.abs(fd.Jt - jt).max() <= tol
+    if t3 <= 2.6:
+        gram, _ = fock_reference.lift_gram(*fock_reference.squeezed_frame([t1, t2, t3, t4]))
+        assert np.abs(fd.gram - gram).max() <= 1e-10 * max(1.0, np.linalg.norm(js, 2))
     mdl = model.catalog_shifted_number(n, [t1, t2])
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
     expect = (4 * n + 2) * np.eye(2) + 2j * np.array([[0.0, -1.0], [1.0, 0.0]])
