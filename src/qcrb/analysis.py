@@ -54,15 +54,19 @@ class Spectrum:
     """The decompositions of one working point, each computed on first use.
 
     `gram_root` is the PSD square root of the lift Gram, or raises
-    GramNotPSD. `js_inverses` is (JS^{-1}, JS^{-1/2}) from one
-    eigendecomposition of JS, or raises SingularFisher. `canonical` is
-    (K, Q, pairs, zero_count, beta) from one canonical form of the complex
-    structure K = JS^{-1/2} Jt JS^{-1/2}, with beta its classified
-    BetaSpectrum. `spectrum(fd)` caches it on fd.
+    GramNotPSD; only the Naimark frame reads it. `js_inverses` is
+    (JS^{-1}, JS^{-1/2}) from one eigendecomposition of JS, or raises
+    SingularFisher. `canonical` is (K, (mu, U), pairs, zero_count, beta) from
+    one eigendecomposition iK = U diag(mu) U* of the complex structure
+    K = JS^{-1/2} Jt JS^{-1/2}: each beta_j > 0 is a +-beta_j pair of mu,
+    `pairs` holds them descending, and beta is the classified BetaSpectrum.
+    `coherent_reports` caches cr_bound_coherent by weight. `spectrum(fd)`
+    caches the Spectrum on fd.
     """
 
     def __init__(self, fd):
         self.fd = fd
+        self.coherent_reports = {}
 
     @functools.cached_property
     def gram_root(self):
@@ -82,8 +86,18 @@ class Spectrum:
     def canonical(self):
         w = self.js_inverses[1]
         k = matkernel.antisymmetrize(w @ self.fd.Jt @ w)
-        q, pairs, zero_count = matkernel.antisym_canonical(k)
-        # pairs come sorted descending, so this is |beta| in descending order
+        # iK is Hermitian by construction, so check_hermitian has nothing to check
+        mu, u = np.linalg.eigh(1j * matkernel.check_finite(k))
+        scale = matkernel.mnorm(k)
+        # mu is ascending, so the spectrum of a real antisymmetric K reads the
+        # same reversed and negated
+        check("canonical_form", matkernel.mnorm(mu + mu[::-1]), scale, ConsistencyError)
+        dust = TOL["eigen_dust"] * max(1.0, scale)
+        pairs = mu[mu > dust][::-1]
+        zero_count = int(np.count_nonzero(np.abs(mu) <= dust))
+        if 2 * pairs.size + zero_count != mu.size:
+            raise ConsistencyError(
+                f"eigenvalues of iK are not symmetric at dust level {dust:.3e}")
         betas = np.concatenate([np.repeat(pairs, 2), np.zeros(zero_count)])
         check("beta", betas.max(initial=1.0) - 1.0, 0.0, DomainError)
         betas = np.clip(betas, 0.0, 1.0)
@@ -98,7 +112,7 @@ class Spectrum:
         else:
             cls = "generic"
         assert betas.shape == self.fd.JS.shape[:1]
-        return k, q, pairs, zero_count, BetaSpectrum(betas=betas, classification=cls)
+        return k, (mu, u), pairs, zero_count, BetaSpectrum(betas=betas, classification=cls)
 
     js_inv = property(lambda self: self.js_inverses[0])
     beta = property(lambda self: self.canonical[4])
@@ -261,25 +275,27 @@ def cr_bound_js_weight(fd):
     """Bound for the weight G = JS: sum of 2/(1 + sqrt(1 - beta_j^2)).
 
     Cross-checked against the matrix form Tr {Re sqrt(I + i K)}^{-2} with
-    K = JS^{-1/2} Jt JS^{-1/2}.
+    K = JS^{-1/2} Jt JS^{-1/2}; both forms, and V_opt, come from the one
+    eigendecomposition iK = U diag(mu) U*.
     """
     spec = spectrum(fd)
-    betas = spec.beta.betas
-    # per-direction inflation 2/(1+sqrt(1-beta^2)), in the column order of Q
-    diag = [2.0 / (1.0 + math.sqrt(max(0.0, 1.0 - b * b))) for b in betas]
-    value = float(sum(diag))
-    k, q = spec.canonical[:2]
-    s = np.eye(len(k)) + 1j * k
-    ws, us = matkernel.hermitian_eig(s)
-    ws = np.clip(ws, 0.0, None)
+    mu, u = spec.canonical[1]
+    pairs, zero_count, beta = spec.canonical[2:]
+    betas = beta.betas
+    value = float(sum(2.0 / (1.0 + math.sqrt(max(0.0, 1.0 - b * b))) for b in betas))
+    # the snapped beta of each eigenvalue of iK: mu ascending is -pairs,
+    # the kernel, then +pairs ascending
+    snapped = betas[:2 * pairs.size:2]
+    per_mu = np.concatenate([snapped, np.zeros(zero_count), snapped[::-1]])
+    inflation = 2.0 / (1.0 + np.sqrt(np.clip(1.0 - per_mu * per_mu, 0.0, None)))
+    ws = np.clip(1.0 + mu, 0.0, None)
     ws[ws <= TOL["beta"]] = 0.0  # same snap as beta_spectrum at beta = 1
-    sq = (us * np.sqrt(ws)) @ us.conj().T
-    r0 = matkernel.symmetrize(sq.real)
+    r0 = matkernel.symmetrize(((u * np.sqrt(ws)) @ u.conj().T).real)
     r0inv = matkernel.inv_psd(r0)
     value_matrix = float(np.trace(r0inv @ r0inv))
     check("js_weight_forms", abs(value - value_matrix), 0.0, ConsistencyError)
     w = spec.js_inverses[1]
-    v_opt = matkernel.symmetrize(w @ (q @ np.diag(diag) @ q.T) @ w)
+    v_opt = matkernel.symmetrize(w @ ((u * inflation) @ u.conj().T).real @ w)
     return BoundReport(G=fd.JS.copy(), value=value, attained=True, V_opt=v_opt,
                        method="closed_form_JS_weight",
                        notes={"betas": betas.tolist(),
@@ -287,10 +303,17 @@ def cr_bound_js_weight(fd):
 
 
 def cr_bound_coherent(fd, G):
-    """Bound for coherent models with strictly positive weight."""
+    """Bound for coherent models with strictly positive weight.
+
+    The report is cached on the Spectrum of fd by weight, with G and V_opt
+    read-only, so the bound and the vectors that attain it share one solve.
+    """
     if not coherent_test(fd):
         raise NotCoherent("model is not coherent (some beta < 1)")
     G = matkernel.symmetrize(G)
+    cache, key = spectrum(fd).coherent_reports, G.tobytes()
+    if key in cache:
+        return cache[key]
     try:
         sq, isq = matkernel.psd_powers(G, 0.5, -0.5)
     except NotPSD as exc:
@@ -303,10 +326,12 @@ def cr_bound_coherent(fd, G):
     value = float(np.trace(G @ a) + np.trace(absm))
     v_opt = matkernel.symmetrize(a + isq @ absm @ isq)
     check("coherent_trace", abs(float(np.trace(G @ v_opt)) - value), abs(value), ConsistencyError)
-    return BoundReport(G=G, value=value, attained=True, V_opt=v_opt,
-                       method="closed_form_coherent",
-                       notes={"sld_part": float(np.trace(G @ a)),
-                              "abs_part": float(np.trace(absm))})
+    G.setflags(write=False)
+    v_opt.setflags(write=False)
+    cache[key] = BoundReport(
+        G=G, value=value, attained=True, V_opt=v_opt, method="closed_form_coherent",
+        notes={"sld_part": float(np.trace(G @ a)), "abs_part": float(np.trace(absm))})
+    return cache[key]
 
 
 def marginal_infimum(fd, i):

@@ -64,9 +64,6 @@ def _resolve_weight(spec_str, js):
 
 def _model_and_point(args):
     doc = _load_json(args.config, "config")
-    if isinstance(doc, dict) and "oracle" in doc:
-        raise errors.SchemaError(
-            "config key 'oracle' is not read: the oracle's SDP takes no options")
     model = model_mod.model_from_config(doc)
     if model.theta0 is None:
         raise errors.SchemaError("config must carry a working point 'theta'")

@@ -10,7 +10,7 @@ every weight matrix.
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError, NonFinite, NonHermitian, NotPSD
+from .errors import DomainError, NonFinite, NonHermitian, NotPSD
 
 # name -> value. "relative" means times max(1, scale) for the scale each site
 # names; "absolute" means times 1.
@@ -20,8 +20,8 @@ TOL = {
     "eigen_dust": 1e-10,
     # Hermitian deviation of a matrix input; relative to ||A||
     "hermitian": 1e-12,
-    # antisymmetric deviation of antisym_canonical's input A, and the residual
-    # of its canonical form Q^T A Q; relative to ||A||
+    # deviation of the spectrum of iK (K = JS^-1/2 Jt JS^-1/2) from +- symmetry;
+    # relative to ||K||
     "canonical_form": 1e-9,
     # beta within this of 0 or 1 snaps there, sets the class, and may exceed 1
     # by this much; absolute
@@ -62,6 +62,9 @@ TOL = {
     "marginal_variance": 1e-6,
     # |phi| - 1 of a state; absolute
     "norm": 1e-8,
+    # components of phi this close to the largest |phi_k| tie for the phase
+    # reference, and the lowest index wins; relative to the largest |phi_k|
+    "phase_tie": 1e-12,
     # lift norm below which a parameter direction vanishes; absolute
     "lift_norm": 1e-8,
     # slack of the half-integer tests of s and m_z and of |m_z| <= s; absolute
@@ -186,63 +189,6 @@ def abs_sym(a):
     if not np.iscomplexobj(a):
         return symmetrize(r.real)
     return 0.5 * (r + r.conj().T)
-
-
-def antisym_canonical(a):
-    """Canonical form of a real antisymmetric matrix under orthogonal congruence.
-
-    Returns (Q, betas, zero_count) with Q real orthogonal such that Q^T A Q is
-    block diagonal with 2x2 blocks [[0, -beta_j], [beta_j, 0]], beta_j > 0
-    sorted descending, followed by zeros on the diagonal.
-
-    The form comes from one eigendecomposition of the Hermitian matrix iA. An
-    eigenvector x + iy with eigenvalue beta > 0 has A x = beta y and
-    A y = -beta x, with |x| = |y| = 1/sqrt(2) and x orthogonal to y, so
-    (sqrt(2) x, sqrt(2) y) is the block's column pair. The eigenvectors within
-    dust of zero span the kernel; the real and imaginary parts of them span
-    its real form.
-    """
-    a = np.asarray(check_finite(a), dtype=float)
-    n = a.shape[0]
-    check("canonical_form", mnorm(a + a.T), mnorm(a), NonHermitian)
-    a = antisymmetrize(a)
-    dust = TOL["eigen_dust"] * max(1.0, mnorm(a))
-    w, v = np.linalg.eigh(1j * a)
-    # Descending beta; ties broken by the lexicographic order of the block's
-    # first column (sign-fixed so its first significant component is positive).
-    keyed = []
-    for k in np.flatnonzero(w > dust):
-        col = np.sqrt(2.0) * v[:, k]
-        q1, q2 = col.real, col.imag
-        nzi = np.argmax(np.abs(q1) > dust)
-        if q1[nzi] < 0:
-            # flipping both columns preserves the block sign pattern
-            q1, q2 = -q1, -q2
-        keyed.append((-w[k], tuple(np.round(q1, 12)), q1, q2, w[k]))
-    keyed.sort(key=lambda r: (r[0], r[1]))
-    null = v[:, np.abs(w) <= dust]
-    zero_count = null.shape[1]
-    if 2 * len(keyed) + zero_count != n:
-        raise ConsistencyError(
-            f"eigenvalues of iA are not symmetric at dust level {dust:.3e}")
-    cols = [q for key in keyed for q in key[2:4]]
-    if zero_count:
-        u, _, _ = np.linalg.svd(np.concatenate([null.real, null.imag], axis=1))
-        cols.extend(u[:, :zero_count].T)
-    qout = np.column_stack(cols) if cols else np.zeros((n, 0))
-    # eigh separates +beta from -beta and from the kernel only to about
-    # eps/beta, so for beta near the dust the columns are that far from
-    # orthonormal. Gram-Schmidt in column order (QR with the signs kept)
-    # restores Q^T Q = I and keeps the span of every leading set of columns.
-    qout, tri = np.linalg.qr(qout)
-    qout = qout * np.sign(np.diag(tri))
-    betas = np.array([key[4] for key in keyed], dtype=float)
-    canon = np.zeros((n, n))
-    for j, b in enumerate(betas):
-        canon[2 * j, 2 * j + 1] = -b
-        canon[2 * j + 1, 2 * j] = b
-    check("canonical_form", mnorm(qout.T @ a @ qout - canon), mnorm(a), ConsistencyError)
-    return qout, betas, zero_count
 
 
 def is_psd(a, scale=None):

@@ -84,8 +84,10 @@ def tangent_frame(model, theta):
     check("norm", abs(nrm - 1.0), 0.0, NormDrift)
     phi = phi / nrm
     lifts = 2.0 * (dphi - np.outer(phi, phi.conj() @ dphi))
-    # common-phase convention: largest component of phi made real positive
-    k = int(np.argmax(np.abs(phi)))
+    # common-phase convention: the largest component of phi made real positive,
+    # the lowest index among those tied with it, so roundoff cannot pick
+    mag = np.abs(phi)
+    k = int(np.argmax(mag >= (1.0 - TOL["phase_tie"]) * mag.max()))
     ph = phi[k] / abs(phi[k])
     phi = phi * ph.conjugate()
     lifts = lifts * ph.conjugate()
@@ -105,9 +107,7 @@ def fisher_data(frame):
     gram = 0.5 * (gram + gram.conj().T)
     fd = FisherData(JS=matkernel.symmetrize(gram.real),
                     Jt=matkernel.antisymmetrize(gram.imag), gram=gram)
-    spec = analysis.spectrum(fd)   # both decompositions are cached for later use
-    spec.gram_root                 # raises GramNotPSD
-    spec.js_inverses               # raises SingularFisher
+    analysis.spectrum(fd).js_inverses   # cached for later use; raises SingularFisher
     return fd
 
 
@@ -257,10 +257,16 @@ def catalog_squeezed(theta):
 
 
 def squeezed_closed_forms(theta):
-    """Closed-form JS and Jt of the squeezed model at theta."""
+    """Closed-form JS and Jt of the squeezed model at theta.
+
+    Past the float range of cosh 2 t3 and sinh^2 2 t3 it raises NonFinite.
+    """
     th = np.asarray(theta, dtype=float)
-    c = math.cosh(2 * th[2])
-    s = math.sinh(2 * th[2])
+    try:
+        c = math.cosh(2 * th[2])
+        s = math.sinh(2 * th[2])
+    except OverflowError:
+        raise NonFinite(f"squeezed closed forms overflow at theta3 = {th[2]}") from None
     c4 = math.cos(2 * th[3])
     s4 = math.sin(2 * th[3])
     JS = 2.0 * np.array([
@@ -275,7 +281,7 @@ def squeezed_closed_forms(theta):
         [0.0, 0.0, 0.0, -s],
         [0.0, 0.0, s, 0.0],
     ])
-    return JS, Jt
+    return matkernel.check_finite(JS), Jt
 
 
 # --- custom models and config parsing ---
@@ -335,11 +341,30 @@ def _require(doc, key, kind, what):
     return [float(t) for t in v] if kind == "numbers" else v
 
 
+_CONFIG_KEYS = {   # model name: the keys its config may hold besides "model"
+    "spin_rotation": {"s", "m_z", "theta"},
+    "shifted_number": {"n", "theta", "trunc"},
+    "squeezed": {"theta"},
+    "custom": {"dim", "m", "phi", "dphi", "theta"},
+}
+
+
 def model_from_config(doc):
-    """Build a PureStateModel from a parsed config document."""
+    """Build a PureStateModel from a parsed config document.
+
+    A key the model does not read is a SchemaError that names it; only
+    shifted_number takes a truncation.
+    """
     if not isinstance(doc, dict):
         raise SchemaError("config document must be a JSON object")
     name = doc.get("model")
+    if not isinstance(name, str) or name not in _CONFIG_KEYS:
+        raise SchemaError(f"unknown model '{name}'")
+    extra = sorted(str(k) for k in set(doc) - _CONFIG_KEYS[name] - {"model"})
+    if "trunc" in extra:
+        raise SchemaError(f"{name}: the model is exact as built and takes no 'trunc' key")
+    if extra:
+        raise SchemaError(f"{name}: unknown key " + ", ".join(f"'{k}'" for k in extra))
     if name == "spin_rotation":
         s = _require(doc, "s", "number", name)
         m_z = _require(doc, "m_z", "number", name)
@@ -350,22 +375,17 @@ def model_from_config(doc):
         return catalog_shifted_number(n, theta=_require(doc, "theta", "numbers", name),
                                       trunc=trunc)
     if name == "squeezed":
-        if "trunc" in doc:
-            raise SchemaError("squeezed: the model is exact in three Fock levels "
-                              "and takes no 'trunc' key")
         return catalog_squeezed(_require(doc, "theta", "numbers", name))
-    if name == "custom":
-        dim = _require(doc, "dim", "count", name)
-        m = _require(doc, "m", "count", name)
-        phi = _parse_complex_vector(_require(doc, "phi", "list", name), "phi")
-        dphi_rows = _require(doc, "dphi", "list", name)
-        if len(dphi_rows) != m:
-            raise SchemaError(f"custom: dphi must have m = {m} rows")
-        dphi = [_parse_complex_vector(r, "dphi") for r in dphi_rows]
-        theta = _require(doc, "theta", "numbers", name)
-        if len(theta) != m:
-            raise SchemaError(f"custom: theta must have length m = {m}")
-        if phi.shape != (dim,) or any(dv.shape != (dim,) for dv in dphi):
-            raise SchemaError("custom: phi/dphi lengths must equal dim")
-        return custom_model(dim, m, phi, np.array(dphi), theta)
-    raise SchemaError(f"unknown model '{name}'")
+    dim = _require(doc, "dim", "count", name)
+    m = _require(doc, "m", "count", name)
+    phi = _parse_complex_vector(_require(doc, "phi", "list", name), "phi")
+    dphi_rows = _require(doc, "dphi", "list", name)
+    if len(dphi_rows) != m:
+        raise SchemaError(f"custom: dphi must have m = {m} rows")
+    dphi = [_parse_complex_vector(r, "dphi") for r in dphi_rows]
+    theta = _require(doc, "theta", "numbers", name)
+    if len(theta) != m:
+        raise SchemaError(f"custom: theta must have length m = {m}")
+    if phi.shape != (dim,) or any(dv.shape != (dim,) for dv in dphi):
+        raise SchemaError("custom: phi/dphi lengths must equal dim")
+    return custom_model(dim, m, phi, np.array(dphi), theta)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
 from qcrb import analysis, errors, matkernel, measurement, model
@@ -30,6 +31,75 @@ def test_beta_spectrum_synthetic():
 def test_beta_spectrum_rejects_beta_above_one():
     with pytest.raises(errors.DomainError):
         analysis.beta_spectrum(synthetic_fd(1.001))
+
+
+def _block(beta):
+    return np.array([[0.0, -beta], [beta, 0.0]])
+
+
+def _schur_betas(a):
+    """Pair betas from scipy's real Schur form, an independent reference."""
+    t, _ = scipy.linalg.schur(a, output="real")
+    dust = matkernel.TOL["eigen_dust"] * max(1.0, np.abs(a).max())
+    betas, k = [], 0
+    while k < len(t):
+        if k + 1 < len(t) and abs(t[k + 1, k]) > dust:
+            betas.append(np.sqrt(abs(t[k + 1, k] * t[k, k + 1])))
+            k += 2
+        else:
+            k += 1
+    return np.sort(betas)[::-1]
+
+
+def _rotated(rng, *blocks):
+    d = scipy.linalg.block_diag(*blocks)
+    r, _ = np.linalg.qr(rng.normal(size=d.shape))
+    a = r.T @ d @ r
+    return 0.5 * (a - a.T)
+
+
+def structure_fd(a, c):
+    """Fisher data with JS = c I and Jt = a, so K = a / c: every beta <= 1
+    when c is the largest pair of a."""
+    js = c * np.eye(len(a))
+    return FisherData(JS=js, Jt=a, gram=js + 1j * a)
+
+
+@pytest.mark.parametrize("case, blocks, pairs", [
+    ("repeated pairs", (_block(0.7), _block(0.7), np.zeros((1, 1))), 2),
+    ("kernel of dimension 4", (_block(1.3), np.zeros((4, 4))), 1),
+    ("pair at 1e-11 is zero", (_block(0.9), _block(1e-11), np.zeros((1, 1))), 1),
+    ("pair at 1e-8 is a pair", (_block(0.9), _block(1e-8)), 2),
+    ("two pairs at 1e-8 and a kernel", (_block(1e-8), _block(1e-8), _block(1.0),
+                                        np.zeros((1, 1))), 3),
+    ("n = 1", (np.zeros((1, 1)),), 0),
+    ("two by two", (_block(0.3),), 1),
+    ("zero matrix", (np.zeros((3, 3)),), 0),
+])
+def test_beta_spectrum_matches_schur(case, blocks, pairs):
+    a = _rotated(np.random.default_rng(11), *blocks)
+    n = len(a)
+    ref = _schur_betas(a)
+    assert ref.size == pairs
+    c = ref[0] if pairs else 1.0
+    spec = analysis.spectrum(structure_fd(a, c))
+    found, zeros, beta = spec.canonical[2:]
+    assert found.size == pairs and 2 * pairs + zeros == n
+    assert np.abs(found * c - ref).max(initial=0.0) <= 1e-12
+    expect = np.concatenate([np.repeat(ref, 2), np.zeros(zeros)])
+    assert np.abs(beta.betas * c - expect).max() <= 1e-12
+
+
+def test_beta_spectrum_random_antisymmetric():
+    rng = np.random.default_rng(5)
+    for n in (3, 4, 5, 7):
+        b = rng.normal(size=(n, n))
+        a = b - b.T
+        # the pairs are the singular values of a, each taken twice
+        sv = np.linalg.svd(a, compute_uv=False)
+        found, zeros = analysis.spectrum(structure_fd(a, sv[0])).canonical[2:4]
+        assert 2 * found.size + zeros == n
+        assert np.abs(found * sv[0] - sv[::2][:found.size]).max() <= 1e-9
 
 
 def test_classification_tests():
@@ -182,6 +252,11 @@ def test_cr_bound_coherent_n0_value():
     assert abs(np.trace(rep.V_opt) - rep.value) <= 1e-9
     assert rep.notes["sld_part"] == pytest.approx(1.0, abs=1e-9)
     assert rep.notes["abs_part"] == pytest.approx(1.0, abs=1e-9)
+    # the report is cached per weight, and read-only where it is shared
+    assert analysis.cr_bound_coherent(fd, np.eye(2)) is rep
+    assert not rep.G.flags.writeable and not rep.V_opt.flags.writeable
+    other = analysis.cr_bound_coherent(fd, np.diag([2.0, 1.0]))
+    assert other is not rep and other.value > rep.value
 
 
 def test_cr_bound_coherent_rejections():
@@ -246,20 +321,34 @@ def test_cr_bound_singular_fisher():
         analysis.beta_spectrum(fd)
 
 
-def test_each_working_point_is_decomposed_once(count_calls):
+def test_each_working_point_is_decomposed_once(monkeypatch):
     mdl = model.catalog_squeezed([0.1, 0.2, 0.4, 0.7])
-    eig = count_calls(matkernel, "hermitian_eig")
+    seen = []
+    original = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
     frame = model.tangent_frame(mdl, mdl.theta0)
-    assert eig == []   # the three-level frame is in closed form
+    assert seen == []   # the three-level frame is in closed form
     fd = model.fisher_data(frame)
-    canonical = count_calls(matkernel, "antisym_canonical")
     assert analysis.beta_spectrum(fd).classification == "coherent"
     assert analysis.coherent_test(fd)
     g = np.eye(4)
     assert analysis.cr_bound(fd, g).method == "closed_form_coherent"
     nf = measurement.naimark_frame(fd, theta=mdl.theta0)
     measurement.optimal_vectors_coherent(nf, fd, g)
-    assert len(canonical) == 1
+    # the completion's h = V - A* gram A, as _complete forms it
+    spec = analysis.spectrum(fd)
+    a = spec.js_inv
+    h = analysis.cr_bound_coherent(fd, g).V_opt - a.conj().T @ nf.gram @ a
+    expected = {"JS": fd.JS, "iK": 1j * spec.canonical[0], "G": g, "gram": fd.gram,
+                "h": 0.5 * (h + h.conj().T)}
+    names = [name for x in seen for name, e in expected.items()
+             if x.shape == e.shape and np.array_equal(x, e)]
+    assert sorted(names) == sorted(expected) and len(seen) == len(expected)
 
 
 def test_coherent_route_decomposes_the_weight_once(monkeypatch):

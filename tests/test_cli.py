@@ -451,6 +451,14 @@ def test_squeezed_trunc_key_is_a_schema_error(tmp_path):
     assert json.loads(proc.stderr)["error"] == "SchemaError"
 
 
+def test_misspelt_config_key_is_a_schema_error(tmp_path):
+    cfg = write_json(tmp_path / "m.json", dict(N0, trunk=40))
+    proc = run_cli("analyze", "--config", cfg)
+    assert proc.returncode == 2
+    err = json.loads(proc.stderr)
+    assert err["error"] == "SchemaError" and "'trunk'" in err["message"]
+
+
 @pytest.mark.parametrize("s", [1.0, 2.0, 20.0])
 def test_spin_pvm_lives_on_the_spin_space(tmp_path, capsys, s):
     # a quasi-classical spin model is measured on its own 2s + 1 levels

@@ -1,4 +1,4 @@
-"""Dense Hermitian/antisymmetric kernel checks against plain numpy oracles."""
+"""Dense Hermitian kernel checks against plain numpy oracles."""
 
 import io
 import tokenize
@@ -6,7 +6,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from qcrb import errors, matkernel
 
@@ -101,92 +100,6 @@ def test_abs_sym_matches_spectral_oracle():
     w, u = np.linalg.eigh(h)
     expect = (u * np.abs(w)) @ u.conj().T
     assert np.abs(matkernel.abs_sym(h) - expect).max() <= 1e-10
-
-
-def test_antisym_canonical_two_by_two():
-    a = np.array([[0.0, 0.3], [-0.3, 0.0]])
-    q, betas, zeros = matkernel.antisym_canonical(a)
-    assert zeros == 0
-    assert betas.shape == (1,)
-    assert abs(betas[0] - 0.3) <= 1e-12
-    block = q.T @ a @ q
-    assert abs(block[1, 0] - 0.3) <= 1e-12 and abs(block[0, 1] + 0.3) <= 1e-12
-
-
-def test_antisym_canonical_random_roundtrip():
-    rng = np.random.default_rng(5)
-    for n in (3, 4, 5, 7):
-        b = rng.normal(size=(n, n))
-        a = b - b.T
-        q, betas, zeros = matkernel.antisym_canonical(a)
-        assert np.abs(q @ q.T - np.eye(n)).max() <= 1e-10
-        assert 2 * betas.size + zeros == n
-        # betas are the positive singular-value pairs of a
-        sv = np.linalg.svd(a, compute_uv=False)
-        expect = sv[::2][:betas.size]
-        assert np.abs(np.sort(betas)[::-1] - expect).max() <= 1e-9
-        canon = q.T @ a @ q
-        rebuilt = np.zeros((n, n))
-        for k, beta in enumerate(betas):
-            rebuilt[2 * k, 2 * k + 1] = -beta
-            rebuilt[2 * k + 1, 2 * k] = beta
-        assert np.abs(canon - rebuilt).max() <= 1e-9 * max(1.0, np.abs(a).max())
-
-
-def test_antisym_canonical_zero_matrix():
-    q, betas, zeros = matkernel.antisym_canonical(np.zeros((3, 3)))
-    assert betas.size == 0 and zeros == 3
-    assert np.abs(q @ q.T - np.eye(3)).max() <= 1e-12
-
-
-def _block(beta):
-    return np.array([[0.0, -beta], [beta, 0.0]])
-
-
-def _schur_betas(a):
-    """Pair betas from scipy's real Schur form, an independent reference."""
-    t, _ = scipy.linalg.schur(a, output="real")
-    dust = matkernel.TOL["eigen_dust"] * max(1.0, np.abs(a).max())
-    betas, k = [], 0
-    while k < len(t):
-        if k + 1 < len(t) and abs(t[k + 1, k]) > dust:
-            betas.append(np.sqrt(abs(t[k + 1, k] * t[k, k + 1])))
-            k += 2
-        else:
-            k += 1
-    return np.sort(betas)[::-1]
-
-
-def _rotated(rng, *blocks):
-    d = scipy.linalg.block_diag(*blocks)
-    r, _ = np.linalg.qr(rng.normal(size=d.shape))
-    a = r.T @ d @ r
-    return 0.5 * (a - a.T)
-
-
-@pytest.mark.parametrize("case, blocks, pairs", [
-    ("repeated pairs", (_block(0.7), _block(0.7), np.zeros((1, 1))), 2),
-    ("kernel of dimension 4", (_block(1.3), np.zeros((4, 4))), 1),
-    ("pair at 1e-11 is zero", (_block(0.9), _block(1e-11), np.zeros((1, 1))), 1),
-    ("pair at 1e-8 is a pair", (_block(0.9), _block(1e-8)), 2),
-    ("two pairs at 1e-8 and a kernel", (_block(1e-8), _block(1e-8), _block(1.0),
-                                        np.zeros((1, 1))), 3),
-    ("n = 1", (np.zeros((1, 1)),), 0),
-])
-def test_antisym_canonical_matches_schur(case, blocks, pairs):
-    a = _rotated(np.random.default_rng(11), *blocks)
-    n = len(a)
-    q, betas, zeros = matkernel.antisym_canonical(a)
-    assert betas.size == pairs and 2 * pairs + zeros == n
-    ref = _schur_betas(a)
-    assert ref.size == pairs
-    assert np.abs(betas - ref).max(initial=0.0) <= 1e-12
-    assert np.abs(q.T @ q - np.eye(n)).max() <= 1e-10
-    canon = np.zeros((n, n))
-    for k, beta in enumerate(betas):
-        canon[2 * k, 2 * k + 1] = -beta
-        canon[2 * k + 1, 2 * k] = beta
-    assert np.abs(q.T @ a @ q - canon).max() <= 1e-9 * max(1.0, np.abs(a).max())
 
 
 def test_psd_geq():

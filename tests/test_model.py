@@ -244,6 +244,11 @@ def test_fock_frames_far_out():
         mdl = model.catalog_squeezed([0.0, 0.0, t3, 0.4])
         with pytest.raises(error):
             model.tangent_frame(mdl, mdl.theta0)
+    # the closed forms overflow the same way: sinh^2(2 t3) from about 178 on,
+    # cosh(2 t3) itself from about 355 on
+    for t3 in (200.0, 400.0, 1e6):
+        with pytest.raises(errors.NonFinite):
+            model.squeezed_closed_forms([0.0, 0.0, t3, 0.4])
 
 
 @pytest.mark.parametrize("t4", [0.0, 0.4, np.pi / 2])
@@ -348,6 +353,35 @@ def test_model_from_config_errors():
 def test_model_from_config_rejects_bad_fields(doc):
     with pytest.raises(errors.SchemaError):
         model.model_from_config(doc)
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"model": "shifted_number", "n": 0, "theta": [0.1, 0.2], "trunk": 40}, "trunk"),
+    ({"model": "spin_rotation", "s": 1.0, "m_z": 0.0, "theta": [0.7, 0.1], "trunc": 64},
+     "trunc"),
+    ({"model": "custom", "dim": 2, "m": 1, "phi": [[1, 0], [0, 0]],
+      "dphi": [[[0, 0], [1, 0]]], "theta": [0.0], "trunc": 8}, "trunc"),
+    ({"model": "squeezed", "theta": [0.1, 0.2, 0.4, 0.3], "weight": "sld"}, "weight"),
+])
+def test_model_from_config_names_the_key_it_does_not_read(doc, key):
+    with pytest.raises(errors.SchemaError, match=f"'{key}'"):
+        model.model_from_config(doc)
+
+
+@pytest.mark.parametrize("theta", [[0.9, 0.4], [1.6, 0.4], [1.9, 3.0]])
+def test_phase_reference_is_deterministic_at_ties(theta):
+    # at m_z = 0, |<m|phi>| = |<-m|phi>|: the largest components tie exactly,
+    # and a global phase on the state must not move the frame's phi
+    base = model.catalog_spin_rotation(20.0, 0.0, theta)
+    ref = model.tangent_frame(base, base.theta0).phi
+    for alpha in (0.3, 1.1, 2.5, -0.7, math.pi):
+        def state(theta, unit=complex(math.cos(alpha), math.sin(alpha))):
+            phi, dphi = base.state(theta)
+            return unit * phi, unit * dphi
+
+        turned = model.PureStateModel(label="turned", dim=base.dim, m=2, state=state)
+        phi = model.tangent_frame(turned, base.theta0).phi
+        assert np.abs(phi - ref).max() <= 1e-12
 
 
 def test_model_from_config_roundtrip():

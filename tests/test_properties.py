@@ -171,15 +171,11 @@ def test_inflation_additivity(seed):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.integers(2, 7))
-def test_antisym_canonical_property(seed, n):
-    rng = np.random.default_rng(seed)
-    b = rng.normal(size=(n, n))
-    a = b - b.T
-    q, betas, zeros = matkernel.antisym_canonical(a)
-    assert np.abs(q @ q.T - np.eye(n)).max() <= 1e-9
-    assert 2 * betas.size + zeros == n
-    if betas.size > 1:
-        assert np.all(np.diff(betas) <= 1e-12)
+def test_betas_are_the_imaginary_eigenvalues(seed, m):
+    fd = gram_from_seed(seed, m)
+    ev = np.linalg.eigvals(np.linalg.solve(fd.JS, fd.Jt))
+    expect = np.sort(np.abs(ev.imag))[::-1]
+    assert np.abs(analysis.beta_spectrum(fd).betas - expect).max() <= 1e-10
 
 
 @settings(max_examples=40, deadline=None)
