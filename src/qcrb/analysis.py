@@ -60,13 +60,14 @@ class Spectrum:
     one eigendecomposition iK = U diag(mu) U* of the complex structure
     K = JS^{-1/2} Jt JS^{-1/2}: each beta_j > 0 is a +-beta_j pair of mu,
     `pairs` holds them descending, and beta is the classified BetaSpectrum.
-    `coherent_reports` caches cr_bound_coherent by weight. `spectrum(fd)`
-    caches the Spectrum on fd.
+    `reports` caches closed_form by the bytes of the symmetrized weight: the
+    one BoundReport (or None) that every bound and measurement at this point
+    reads, with its arrays read-only. `spectrum(fd)` caches the Spectrum on fd.
     """
 
     def __init__(self, fd):
         self.fd = fd
-        self.coherent_reports = {}
+        self.reports = {}
 
     @functools.cached_property
     def gram_root(self):
@@ -216,26 +217,29 @@ def _minimize_on_curve(g0, g1, beta):
 
 
 def cr_bound_2param(fd, G):
-    """Attainable bound for two-parameter models via the stationary curve."""
+    """Attainable bound for two-parameter models via the stationary curve.
+
+    At beta = 0 the curve is the single point V = JS^{-1}, so the value is
+    Tr(G JS^{-1}) there too. A weight that is not PSD raises DomainError.
+    """
     m = fd.JS.shape[0]
     if m != 2:
         raise DomainError(f"two-parameter bound requires m = 2, got {m}")
     G = matkernel.symmetrize(G)
-    if not matkernel.is_psd(G):
-        raise DomainError("weight matrix must be PSD")
     jsinv, w = spectrum(fd).js_inverses
-    jsinv = jsinv.copy()
     gp = matkernel.symmetrize(w @ G @ w)
-    g, r, keep = matkernel.weight_eig(gp)
+    g, r, keep = matkernel.weight_eig(gp)   # raises DomainError unless PSD
     beta = float(spectrum(fd).beta.betas[0])
+    c = math.sqrt(max(0.0, 1.0 - beta * beta))
     notes = {"beta": beta}
 
     def back(vrot):
         return matkernel.symmetrize(w @ (r @ np.diag(vrot) @ r.T) @ w)
 
     if not keep[-1]:
-        # zero weight: every feasible covariance gives zero
-        return BoundReport(G=G, value=0.0, attained=True, V_opt=jsinv,
+        # zero weight: every feasible covariance gives zero; the G = JS
+        # optimum 2/(1+c) JS^{-1} is feasible at every beta
+        return BoundReport(G=G, value=0.0, attained=True, V_opt=2.0 / (1.0 + c) * jsinv,
                            method="closed_form_2param",
                            notes={**notes, "rank": 0})
     if not keep[0]:
@@ -250,11 +254,7 @@ def cr_bound_2param(fd, G):
                            method="closed_form_2param",
                            notes={**notes, "rank": 1})
 
-    if beta <= TOL["beta"]:
-        v_opt = jsinv
-        value = float(np.trace(G @ jsinv))
-        pstar = qstar = 0.0
-    elif beta >= 1.0 - TOL["beta"]:
+    if beta >= 1.0 - TOL["beta"]:
         p2 = math.sqrt(g[1] / g[0])
         pstar, qstar = math.sqrt(p2), 1.0 / math.sqrt(p2)
         value = float(g[0] + g[1] + 2.0 * math.sqrt(g[0] * g[1]))
@@ -263,8 +263,6 @@ def cr_bound_2param(fd, G):
         pstar, qstar = _minimize_on_curve(g[0], g[1], beta)
         value = float(g[0] * (1.0 + pstar ** 2) + g[1] * (1.0 + qstar ** 2))
         v_opt = back(np.array([1.0 + pstar ** 2, 1.0 + qstar ** 2]))
-
-    c = math.sqrt(max(0.0, 1.0 - beta * beta))
     notes["stationary_residual"] = abs(
         beta * pstar * qstar + c * (pstar + qstar) - beta)
     return BoundReport(G=G, value=value, attained=True, V_opt=v_opt,
@@ -303,17 +301,10 @@ def cr_bound_js_weight(fd):
 
 
 def cr_bound_coherent(fd, G):
-    """Bound for coherent models with strictly positive weight.
-
-    The report is cached on the Spectrum of fd by weight, with G and V_opt
-    read-only, so the bound and the vectors that attain it share one solve.
-    """
+    """Bound for coherent models with strictly positive weight."""
     if not coherent_test(fd):
         raise NotCoherent("model is not coherent (some beta < 1)")
     G = matkernel.symmetrize(G)
-    cache, key = spectrum(fd).coherent_reports, G.tobytes()
-    if key in cache:
-        return cache[key]
     try:
         sq, isq = matkernel.psd_powers(G, 0.5, -0.5)
     except NotPSD as exc:
@@ -326,27 +317,21 @@ def cr_bound_coherent(fd, G):
     value = float(np.trace(G @ a) + np.trace(absm))
     v_opt = matkernel.symmetrize(a + isq @ absm @ isq)
     check("coherent_trace", abs(float(np.trace(G @ v_opt)) - value), abs(value), ConsistencyError)
-    G.setflags(write=False)
-    v_opt.setflags(write=False)
-    cache[key] = BoundReport(
+    return BoundReport(
         G=G, value=value, attained=True, V_opt=v_opt, method="closed_form_coherent",
         notes={"sld_part": float(np.trace(G @ a)), "abs_part": float(np.trace(absm))})
-    return cache[key]
 
 
 def marginal_infimum(fd, i):
-    """Infimum of the i-th diagonal covariance entry: (JS^{-1})_ii."""
+    """Infimum of the i-th diagonal covariance entry, and whether it is attained.
+
+    It is CR(e_i e_i^T); its value is (JS^{-1})_ii on every model.
+    """
     m = fd.JS.shape[0]
     if not (0 <= i < m):
         raise DomainError(f"index {i} out of range for m = {m}")
-    value = float(spectrum(fd).js_inv[i, i])
-    if quasi_classical_test(fd):
-        hint = True
-    elif m == 2:
-        hint = bool(spectrum(fd).beta.betas[0] < 1.0 - TOL["beta"])
-    else:
-        hint = False
-    return value, hint
+    report = cr_bound(fd, np.diag(np.eye(m)[i]))
+    return report.value, report.attained
 
 
 def independence_partition(fd, blocks):
@@ -376,15 +361,12 @@ def exclusiveness_test(fd, i, j):
     return bool(abs(g.real) <= tol and abs(g.imag) >= (1.0 - TOL["exclusive"]) * cap)
 
 
-def closed_form(fd, G):
-    """The applicable closed-form BoundReport, or None if only the oracle applies."""
-    G = matkernel.symmetrize(G)
-    m = fd.JS.shape[0]
+def _closed_form(fd, G):
     if quasi_classical_test(fd):
         jsinv = spectrum(fd).js_inv.copy()
         return BoundReport(G=G, value=float(np.trace(G @ jsinv)), attained=True,
                            V_opt=jsinv, method="quasi_classical", notes={})
-    if m == 2:
+    if fd.JS.shape[0] == 2:
         return cr_bound_2param(fd, G)
     if spectrum(fd).beta.classification == "coherent":
         try:
@@ -394,6 +376,25 @@ def closed_form(fd, G):
     if matkernel.mnorm(G - fd.JS) <= TOL["fisher_dust"] * max(1.0, matkernel.mnorm(fd.JS)):
         return cr_bound_js_weight(fd)
     return None
+
+
+def closed_form(fd, G):
+    """The applicable closed-form BoundReport, or None if only the oracle applies.
+
+    The one route decision from model class to closed form: quasi-classical,
+    two-parameter, coherent, then the G = JS weight. The answer is cached on
+    the Spectrum of fd per weight, with G and V_opt read-only, so a bound and
+    the vectors that attain it share one solve.
+    """
+    G = matkernel.symmetrize(G)
+    cache, key = spectrum(fd).reports, G.tobytes()
+    if key not in cache:
+        cache[key] = report = _closed_form(fd, G)
+        if report is not None:
+            report.G.setflags(write=False)
+            if report.V_opt is not None:
+                report.V_opt.setflags(write=False)
+    return cache[key]
 
 
 def oracle_bound(fd, G):

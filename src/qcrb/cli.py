@@ -179,15 +179,8 @@ def cmd_pvm(args):
     doc, model, frame, fd = _model_and_point(args)
     g, wname = _resolve_weight(args.weight, fd.JS)
     spec = analysis.beta_spectrum(fd)
-    # quasi-classical models, one-parameter ones included, are measured on the
-    # model's own space; every other PVM lives in the 2m+1 embedding
-    if analysis.quasi_classical_test(fd):
-        ev = measurement.optimal_vectors_quasi_classical(frame, fd)
-        space = frame
-        closed = analysis.cr_bound(fd, g)
-    else:
-        space = measurement.naimark_frame(fd, theta=model.theta0)
-        ev, closed = measurement.optimal_vectors(space, fd, g)
+    space = measurement.pvm_space(frame, fd)
+    ev, closed = measurement.optimal_vectors(space, fd, g)
     pvm = measurement.pvm_from_vectors(ev)
     v, unbiased = measurement.covariance_of_pvm(pvm, space)
     probs = measurement.outcome_probabilities(pvm, space.phi)
@@ -217,10 +210,8 @@ def cmd_simulate(args):
         pvm_doc = pvm_doc["pvm"]
     m = fd.JS.shape[0]
     pvm = measurement.pvm_from_obj(pvm_doc, m, theta=model.theta0)
-    if analysis.quasi_classical_test(fd):   # the space `pvm` chose
-        space, where = frame, "the model"
-    else:
-        space, where = measurement.naimark_frame(fd, theta=model.theta0), "the embedding"
+    space = measurement.pvm_space(frame, fd)   # the space `pvm` chose
+    where = "the model" if space is frame else "the embedding"
     if pvm.dim != space.phi.shape[0]:
         raise errors.SchemaError(
             f"PVM dimension {pvm.dim} does not match {where} ({space.phi.shape[0]})")
@@ -269,10 +260,7 @@ def cmd_oracle(args):
             "residual": cert.residual,
             "extras": cert.extras,
         }
-    try:
-        closed = analysis.closed_form(fd, g)
-    except errors.QcrbError:
-        closed = None
+    closed = analysis.closed_form(fd, g)
     if closed is not None:
         rep["closed_form"] = {
             "method": closed.method,

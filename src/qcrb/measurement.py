@@ -1,9 +1,13 @@
 """Projective measurements attaining the bound of every pure-state model.
 
-`optimal_vectors` builds estimation vectors X = L A + B in the 2m+1 Naimark
-embedding: A = JS^{-1} with the closed-form covariance V for quasi-classical
-and coherent models, and A, V from one oracle solve otherwise; B*B =
-V - A* gram A fills the coordinates orthogonal to phi and the lifts.
+`pvm_space` picks where the PVM lives: the model's own frame for
+quasi-classical models, the 2m+1 Naimark embedding otherwise. There
+`optimal_vectors` builds the estimation vectors and reads the bound from
+`analysis.closed_form`'s one report. Quasi-classical models take X = L JS^{-1}
+on any frame. Coherent and other closed-form models take X = L A + B in the
+embedding with A = JS^{-1} and the closed form's covariance V; generic models
+take A and V from one oracle solve. B*B = V - A* gram A fills the
+coordinates orthogonal to phi and the lifts.
 
 Estimation vectors X with <x^i|phi> = 0, Re X*L = I and Im X*X = 0 are turned
 into a projective measurement whose covariance is exactly Re X*X: orthonormal
@@ -27,6 +31,7 @@ from .errors import (
     ConsistencyError,
     DomainError,
     InfeasibleGram,
+    NotCoherent,
     NotCommuting,
     NotQuasiClassical,
     PreconditionNotMet,
@@ -134,20 +139,39 @@ def _complete(nf, a, v):
 
 
 def optimal_vectors_coherent(nf, fd, G):
-    """Estimation vectors attaining the coherent-model bound for PD weight G."""
-    report = analysis.cr_bound_coherent(fd, G)   # raises NotCoherent/SingularWeight
+    """Estimation vectors in the Naimark frame nf attaining a coherent model's CR(G).
+
+    They complete the closed form's covariance, so a bound already computed
+    for fd and G is not solved again. Raises NotCoherent, and SingularWeight
+    when no estimator attains the bound.
+    """
+    if not analysis.coherent_test(fd):
+        raise NotCoherent("model is not coherent (some beta < 1)")
+    report = analysis.closed_form(fd, G)
+    if report is None or report.V_opt is None:
+        raise SingularWeight("no estimator attains the bound for this singular weight")
     return _complete(nf, analysis.spectrum(fd).js_inv, report.V_opt)
 
 
-def optimal_vectors(nf, fd, G):
-    """Estimation vectors in the Naimark frame nf attaining CR(G), and its report.
+def pvm_space(frame, fd):
+    """Where the PVM of fd lives: the model frame if quasi-classical, else the embedding."""
+    if analysis.quasi_classical_test(fd):
+        return frame
+    return naimark_frame(fd, theta=frame.theta)
 
-    Quasi-classical and coherent models take the SLD coefficients A = JS^{-1}
-    with the closed form's V; every other model takes A and V from one oracle
-    solve. Raises SingularWeight when no estimator attains the bound.
+
+def optimal_vectors(space, fd, G):
+    """Estimation vectors in `space` attaining CR(G), and the report of CR(G).
+
+    Quasi-classical models take X = L JS^{-1} on any frame. Other closed-form
+    models take the SLD coefficients A = JS^{-1} with the closed form's V, and
+    generic models A and V from one oracle solve; both need the Naimark frame
+    (`pvm_space`). Raises SingularWeight when no estimator attains the bound.
     """
-    generic = analysis.beta_spectrum(fd).classification == "generic"
-    report = None if generic else analysis.closed_form(fd, G)
+    cls = analysis.beta_spectrum(fd).classification
+    report = None if cls == "generic" else analysis.closed_form(fd, G)
+    if cls == "quasi_classical":
+        return optimal_vectors_quasi_classical(space, fd), report
     if report is not None:
         a = analysis.spectrum(fd).js_inv
     else:
@@ -155,7 +179,7 @@ def optimal_vectors(nf, fd, G):
         a = None if res.X is None else np.linalg.lstsq(res.lifts, res.X, rcond=None)[0]
     if report.V_opt is None:
         raise SingularWeight("no estimator attains the bound for this singular weight")
-    return _complete(nf, a, report.V_opt), report
+    return _complete(space, a, report.V_opt), report
 
 
 def _uniform_first_column_orthogonal(n):

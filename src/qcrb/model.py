@@ -91,11 +91,13 @@ def tangent_frame(model, theta):
     ph = phi[k] / abs(phi[k])
     phi = phi * ph.conjugate()
     lifts = lifts * ph.conjugate()
+    s = np.linalg.svd(np.vstack([lifts.real, lifts.imag]), compute_uv=False)
+    # every lift norm is at most s[0], so the Gram and the norms below are finite
+    if not s[0] < math.sqrt(np.finfo(float).max):
+        raise NonFinite(f"lift Gram overflows the float range at singular value {s[0]:.3e}")
     norms = np.linalg.norm(lifts, axis=0)
     if np.any(norms < TOL["lift_norm"]):
         raise DegenerateModel(f"lift norms {norms} contain a vanishing direction")
-    stacked = np.vstack([lifts.real, lifts.imag])
-    s = np.linalg.svd(stacked, compute_uv=False)
     if s[-1] ** 2 < TOL["eigen_dust"] * max(1.0, s[0] ** 2):
         raise DegenerateModel("lifts are R-linearly dependent at the dust level")
     return TangentFrame(theta=theta, phi=phi, lifts=lifts)

@@ -39,8 +39,8 @@ from . import analysis, matkernel
 from .errors import (
     DomainError,
     NonConvergence,
+    NotPSD,
     PreconditionNotMet,
-    QcrbError,
 )
 from .matkernel import TOL, check
 from .model import FisherData
@@ -442,13 +442,12 @@ def stationarity_certificate(result, problem=None):
         extras["quadratic_sym"] = matkernel.mnorm(e1)
         extras["quadratic_antisym"] = matkernel.mnorm(e2)
     fd = FisherData(JS=js, Jt=jt, gram=gram)
-    try:
-        coherent = analysis.beta_spectrum(fd).classification == "coherent"
-    except QcrbError:
-        coherent = False
-    wg, _ = matkernel.hermitian_eig(g)
-    if coherent and wg.min() > TOL["eigen_dust"] * max(1.0, matkernel.mnorm(g)):
-        isq = matkernel.invsqrt_psd(g)
-        ev = np.linalg.eigvals(isq @ lam @ isq)
-        extras["multiplier_spectrum"] = np.sort(np.abs(ev.imag))
+    if analysis.beta_spectrum(fd).classification == "coherent":
+        try:
+            isq = matkernel.psd_powers(g, -0.5)[0]
+        except NotPSD:
+            pass   # a singular weight has no scaled multiplier
+        else:
+            ev = np.linalg.eigvals(isq @ lam @ isq)
+            extras["multiplier_spectrum"] = np.sort(np.abs(ev.imag))
     return StationarityReport(Lambda=lam, residual=residual, extras=extras)

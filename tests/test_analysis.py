@@ -252,11 +252,14 @@ def test_cr_bound_coherent_n0_value():
     assert abs(np.trace(rep.V_opt) - rep.value) <= 1e-9
     assert rep.notes["sld_part"] == pytest.approx(1.0, abs=1e-9)
     assert rep.notes["abs_part"] == pytest.approx(1.0, abs=1e-9)
-    # the report is cached per weight, and read-only where it is shared
-    assert analysis.cr_bound_coherent(fd, np.eye(2)) is rep
-    assert not rep.G.flags.writeable and not rep.V_opt.flags.writeable
-    other = analysis.cr_bound_coherent(fd, np.diag([2.0, 1.0]))
-    assert other is not rep and other.value > rep.value
+    # closed_form caches its report per weight, read-only where it is shared
+    cached = analysis.closed_form(fd, np.eye(2))
+    assert analysis.closed_form(fd, np.eye(2)) is cached
+    assert analysis.cr_bound(fd, np.eye(2)) is cached
+    assert not cached.G.flags.writeable and not cached.V_opt.flags.writeable
+    assert cached.value == pytest.approx(rep.value, rel=1e-14)
+    other = analysis.closed_form(fd, np.diag([2.0, 1.0]))
+    assert other is not cached and other.value > cached.value
 
 
 def test_cr_bound_coherent_rejections():
@@ -276,6 +279,35 @@ def test_marginal_infimum():
     assert not hint
     _, hint = analysis.marginal_infimum(synthetic_fd(0.6), 1)
     assert hint
+
+
+def custom_generic(dim, m, seed):
+    rng = np.random.default_rng(seed)
+    phi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    dphi = 0.5 * (rng.normal(size=(m, dim)) + 1j * rng.normal(size=(m, dim)))
+    return model.custom_model(dim, m, phi / np.linalg.norm(phi), dphi, np.zeros(m))
+
+
+@pytest.mark.parametrize("build, attained", [
+    (lambda: custom_generic(5, 3, 3), True),
+    (lambda: custom_generic(6, 3, 11), True),
+    (lambda: custom_generic(7, 4, 5), True),
+    (lambda: custom_generic(9, 4, 8), True),
+    # each coherent (theta1, theta2) or (theta3, theta4) block is a beta = 1
+    # pair, where a marginal is an infimum that no estimator attains
+    (lambda: model.catalog_squeezed([0.1, -0.2, 0.4, 0.3]), False),
+], ids=["custom_m3_a", "custom_m3_b", "custom_m4_a", "custom_m4_b", "squeezed"])
+def test_marginal_infimum_is_the_bound_of_a_unit_weight(build, attained):
+    mdl = build()
+    fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
+    m = mdl.m
+    if attained:
+        assert analysis.beta_spectrum(fd).classification == "generic"
+    jsinv = analysis.spectrum(fd).js_inv
+    for i in range(m):
+        value, flag = analysis.marginal_infimum(fd, i)
+        assert abs(value - jsinv[i, i]) <= 1e-12 * jsinv[i, i]
+        assert flag is attained
 
 
 def test_independence_partition():
@@ -343,12 +375,90 @@ def test_each_working_point_is_decomposed_once(monkeypatch):
     # the completion's h = V - A* gram A, as _complete forms it
     spec = analysis.spectrum(fd)
     a = spec.js_inv
-    h = analysis.cr_bound_coherent(fd, g).V_opt - a.conj().T @ nf.gram @ a
+    h = analysis.closed_form(fd, g).V_opt - a.conj().T @ nf.gram @ a
     expected = {"JS": fd.JS, "iK": 1j * spec.canonical[0], "G": g, "gram": fd.gram,
                 "h": 0.5 * (h + h.conj().T)}
     names = [name for x in seen for name, e in expected.items()
              if x.shape == e.shape and np.array_equal(x, e)]
     assert sorted(names) == sorted(expected) and len(seen) == len(expected)
+
+
+def test_two_parameter_coherent_bound_and_vectors_share_one_solve(monkeypatch, count_calls):
+    mdl = model.catalog_shifted_number(0, [0.2, -0.4])
+    frame = model.tangent_frame(mdl, mdl.theta0)
+    seen = []
+    original = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    coherent = count_calls(analysis, "cr_bound_coherent")
+    two_param = count_calls(analysis, "cr_bound_2param")
+    fd = model.fisher_data(frame)
+    g = np.eye(2)
+    rep = analysis.cr_bound(fd, g)
+    assert rep.method == "closed_form_2param"
+    nf = measurement.naimark_frame(fd, theta=mdl.theta0)
+    ev = measurement.optimal_vectors_coherent(nf, fd, g)
+    assert coherent == [] and len(two_param) == 1
+    assert max(measurement.estimation_residuals(ev, nf.lifts).values()) <= 1e-8
+    spec = analysis.spectrum(fd)
+    a, w = spec.js_inverses
+    h = rep.V_opt - a.conj().T @ nf.gram @ a
+    expected = {"JS": fd.JS, "iK": 1j * spec.canonical[0],
+                "wGw": matkernel.symmetrize(w @ g @ w), "gram": fd.gram,
+                "h": 0.5 * (h + h.conj().T)}
+    names = [name for x in seen for name, e in expected.items()
+             if x.shape == e.shape and np.array_equal(x, e)]
+    assert sorted(names) == sorted(expected) and len(seen) == len(expected)
+
+
+@pytest.mark.parametrize("beta", [0.0, 1e-12, 5e-10])
+def test_cr_bound_2param_at_tiny_beta_is_the_sld_bound(beta):
+    # closed_form calls such models quasi-classical; a direct call takes the
+    # curve, which collapses to V = JS^{-1}
+    fd = synthetic_fd(beta, js=np.array([[2.0, 0.3], [0.3, 0.7]]))
+    g = np.array([[1.5, 0.2], [0.2, 0.8]])
+    rep = analysis.cr_bound_2param(fd, g)
+    expect = analysis.sld_bound(fd, g)
+    assert abs(rep.value - expect) <= 1e-13 * expect
+    assert np.abs(rep.V_opt - analysis.spectrum(fd).js_inv).max() <= 1e-8
+
+
+def test_cr_bound_2param_rejects_an_indefinite_weight():
+    with pytest.raises(errors.DomainError):
+        analysis.cr_bound_2param(synthetic_fd(0.5), np.diag([1.0, -1e-3]))
+
+
+def built_fd(mdl):
+    return model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
+
+
+@pytest.mark.parametrize("build, g, method", [
+    (lambda: synthetic_fd(0.0), np.diag([1.0, 2.0]), "quasi_classical"),
+    (lambda: synthetic_fd(0.5), np.diag([1.0, 2.0]), "closed_form_2param"),
+    (lambda: synthetic_fd(1.0), np.diag([1.0, 0.0]), "closed_form_2param"),
+    (lambda: built_fd(model.catalog_squeezed([0.3, -0.2, 0.4, 0.7])),
+     np.diag([1.0, 2.0, 3.0, 0.5]), "closed_form_coherent"),
+    (lambda: built_fd(custom_generic(5, 3, 3)), None, "closed_form_JS_weight"),
+    (lambda: built_fd(custom_generic(5, 3, 3)), np.eye(3), None),
+], ids=["quasi_classical", "2param", "2param_unattained", "coherent", "js_weight", "none"])
+def test_closed_form_is_cached_per_weight_and_read_only(build, g, method):
+    fd = build()
+    g = fd.JS.copy() if g is None else g
+    rep = analysis.closed_form(fd, g)
+    assert analysis.closed_form(fd, g.copy()) is rep
+    if method is None:
+        assert rep is None
+        return
+    assert rep.method == method
+    assert analysis.cr_bound(fd, g) is rep
+    for arr in (rep.G, rep.V_opt):
+        assert arr is None or not arr.flags.writeable
+    with pytest.raises(ValueError):
+        rep.G[0, 0] = 5.0
 
 
 def test_coherent_route_decomposes_the_weight_once(monkeypatch):

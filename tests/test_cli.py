@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from qcrb import analysis, cli, matkernel
+from qcrb import analysis, cli, errors, matkernel
 from qcrb import oracle as oracle_mod
 
 SPIN_QC = {"model": "spin_rotation", "s": 1.0, "m_z": 0.0, "theta": [0.7, 1.1]}
@@ -319,6 +319,19 @@ def test_oracle_command_coherent_points(tmp_path, capsys, theta):
     doc = json.loads(capsys.readouterr().out)
     assert abs(doc["value"] - 2.0) <= 1e-9
     assert doc["certificate"]["residual"] <= 1e-9
+
+
+def test_oracle_command_reports_a_failed_closed_form(tmp_path, capsys, monkeypatch):
+    cfg = write_json(tmp_path / "m.json", SPIN_GEN)
+
+    def failing(fd, g):
+        raise errors.ConsistencyError("closed form failed")
+
+    monkeypatch.setattr(analysis, "closed_form", failing)
+    assert cli.main(["oracle", "--config", cfg]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err)["error"] == "ConsistencyError"
 
 
 @pytest.mark.parametrize("command", [["oracle"], ["bound", "--oracle"], ["analyze"]])

@@ -177,6 +177,45 @@ def test_optimal_vectors_every_class(count_calls, build, g, method, oracle_calls
         assert abs(closed.value - rep.value) <= tol
 
 
+@pytest.mark.parametrize("build, method", [
+    (lambda: model.catalog_spin_rotation(1.0, 0.0, [0.7, 1.1]), "quasi_classical"),
+    (lambda: model.catalog_spin_rotation(2.0, 0.0, [0.4, 0.9]), "quasi_classical"),
+    (lambda: model.catalog_shifted_number(0, [0.2, -0.4]), "closed_form_2param"),
+    (lambda: model.catalog_spin_rotation(1.5, 0.5, [0.9, 0.3]), "oracle"),
+], ids=["qc_spin1", "qc_spin2", "coherent", "generic"])
+def test_pvm_space_and_vectors(build, method):
+    # quasi-classical PVMs live on the model's own space, every other one in
+    # the 2m+1 embedding
+    mdl = build()
+    frame = model.tangent_frame(mdl, mdl.theta0)
+    fd = model.fisher_data(frame)
+    space = measurement.pvm_space(frame, fd)
+    embedded = method != "quasi_classical"
+    assert (space is not frame) is embedded
+    assert space.phi.shape == ((2 * mdl.m + 1,) if embedded else (mdl.dim,))
+    assert np.array_equal(space.theta, mdl.theta0)
+    g = np.diag([1.0, 2.0])
+    ev, rep = measurement.optimal_vectors(space, fd, g)
+    assert rep.method == method
+    pvm = measurement.pvm_from_vectors(ev)
+    v, unbiased = measurement.covariance_of_pvm(pvm, space)
+    assert unbiased
+    assert abs(np.sum(g * v) - rep.value) <= 1e-8 * max(1.0, rep.value)
+
+
+def test_zero_weight_on_a_coherent_model_is_attained():
+    # any estimator attains CR(0) = 0; the report's covariance must be feasible
+    mdl = model.catalog_shifted_number(0, [0.2, -0.4])
+    fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
+    nf = measurement.naimark_frame(fd)
+    ev, rep = measurement.optimal_vectors(nf, fd, np.zeros((2, 2)))
+    assert rep.value == 0.0 and rep.attained
+    assert np.abs(rep.V_opt - 2.0 * analysis.spectrum(fd).js_inv).max() <= 1e-12
+    for x in (ev, measurement.optimal_vectors_coherent(nf, fd, np.zeros((2, 2)))):
+        v, unbiased = measurement.covariance_of_pvm(measurement.pvm_from_vectors(x), nf)
+        assert unbiased and np.abs(v - rep.V_opt).max() <= 1e-8
+
+
 @pytest.mark.parametrize("build, g", [
     (lambda: model.catalog_shifted_number(0, [0.2, -0.4]), np.diag([1.0, 0.0])),
     (lambda: model.catalog_squeezed([0.3, -0.2, 0.4, 0.7]), np.diag([1.0, 1.0, 1.0, 0.0])),

@@ -238,8 +238,10 @@ def test_fock_frames_far_out():
         assert np.abs(fd.JS - js).max() <= 1e-12 * scale
         assert np.abs(fd.Jt - jt).max() <= 1e-12 * scale
     # from t3 of about 4.07 on, JS's smallest eigenvalue 2 e^{-2 t3} is dust
-    # beside its largest, 2 sinh^2(2 t3); sinh(2 t3) overflows from about 355
-    for t3, error in ((4.5, errors.DegenerateModel), (400.0, errors.NonFinite),
+    # beside its largest, 2 sinh^2(2 t3); that leaves the float range from about
+    # 178 on, without an overflow warning, and sinh(2 t3) itself from about 355
+    for t3, error in ((4.5, errors.DegenerateModel), (200.0, errors.NonFinite),
+                      (300.0, errors.NonFinite), (400.0, errors.NonFinite),
                       (1e6, errors.NonFinite)):
         mdl = model.catalog_squeezed([0.0, 0.0, t3, 0.4])
         with pytest.raises(error):

@@ -182,6 +182,17 @@ def test_stationarity_multiplier_spectrum_coherent():
         assert np.abs(np.asarray(spec) - 1.0).max() <= 1e-5
 
 
+def test_stationarity_certificate_does_not_swallow_checks(monkeypatch):
+    res = sdp(synthetic_fd(1.0), np.eye(2))
+
+    def failing(fd):
+        raise errors.ConsistencyError("beta spectrum failed")
+
+    monkeypatch.setattr(analysis, "beta_spectrum", failing)
+    with pytest.raises(errors.ConsistencyError):
+        oracle.stationarity_certificate(res)
+
+
 def test_feasible_scan_reaches_attainable_targets():
     mdl = model.catalog_shifted_number(0, [0.2, -0.4])
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
