@@ -1,8 +1,10 @@
 """Build the bound-attaining measurement for a coherent catalog model and
 check it by simulation.
 
-The displaced number state at n = 0 has every beta equal to 1, so the
-coherent closed form applies. The script constructs the projective
+The displaced number state at n = 0 has every beta equal to 1, so it is
+coherent and its bound has a closed form; with two parameters that is the
+two-parameter one, and the script prints the method of the one bound
+report it reads. The script constructs the projective
 measurement on the extended space, samples outcomes, and compares the
 empirical covariance with the predicted optimum.
 """
@@ -29,8 +31,8 @@ def main():
     print(f"betas: {spec.betas}  classification: {spec.classification}")
 
     g = np.eye(2)
-    rep = analysis.cr_bound_coherent(fd, g)
-    print(f"coherent bound (identity weight): {rep.value:.12f}")
+    rep = analysis.cr_bound(fd, g)
+    print(f"bound (identity weight, {rep.method}): {rep.value:.12f}")
 
     nf = measurement.naimark_frame(fd, theta=mdl.theta0)
     ev = measurement.optimal_vectors_coherent(nf, fd, g)

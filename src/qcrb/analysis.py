@@ -19,7 +19,6 @@ from . import matkernel
 from .errors import (
     ConsistencyError,
     DomainError,
-    GramNotPSD,
     NotCoherent,
     NotPSD,
     SingularFisher,
@@ -53,13 +52,16 @@ class BoundaryCurve:
 class Spectrum:
     """The decompositions of one working point, each computed on first use.
 
-    `gram_root` is the PSD square root of the lift Gram, or raises
-    GramNotPSD; only the Naimark frame reads it. `js_inverses` is
-    (JS^{-1}, JS^{-1/2}) from one eigendecomposition of JS, or raises
-    SingularFisher. `canonical` is (K, (mu, U), pairs, zero_count, beta) from
-    one eigendecomposition iK = U diag(mu) U* of the complex structure
-    K = JS^{-1/2} Jt JS^{-1/2}: each beta_j > 0 is a +-beta_j pair of mu,
-    `pairs` holds them descending, and beta is the classified BetaSpectrum.
+    `js_inverses` is (JS^{-1}, JS^{-1/2}) from one eigendecomposition of JS,
+    or raises SingularFisher. `canonical` is (K, (mu, U), pairs, zero_count,
+    beta) from one eigendecomposition iK = U diag(mu) U* of the complex
+    structure K = JS^{-1/2} Jt JS^{-1/2}: each beta_j > 0 is a +-beta_j pair
+    of mu, `pairs` holds them descending, and beta is the classified
+    BetaSpectrum; a beta above 1 + TOL["beta"] (a Gram that is not PSD)
+    raises DomainError. `lift_factor` is (kh, R) from that same (mu, U):
+    kh = sqrt(1 + mu) U* on the r directions where 1 + mu > TOL["beta"], the
+    snap that sets beta to 1, so kh* kh = I + iK; and R = kh JS^{1/2}, so
+    R* R = gram. The Naimark frame's lifts and the oracle's are R.
     `reports` caches closed_form by the bytes of the symmetrized weight: the
     one BoundReport (or None) that every bound and measurement at this point
     reads, with its arrays read-only. `spectrum(fd)` caches the Spectrum on fd.
@@ -68,13 +70,6 @@ class Spectrum:
     def __init__(self, fd):
         self.fd = fd
         self.reports = {}
-
-    @functools.cached_property
-    def gram_root(self):
-        try:
-            return matkernel.sqrt_psd(self.fd.gram)
-        except NotPSD as exc:
-            raise GramNotPSD(str(exc)) from exc
 
     @functools.cached_property
     def js_inverses(self):
@@ -114,6 +109,13 @@ class Spectrum:
             cls = "generic"
         assert betas.shape == self.fd.JS.shape[:1]
         return k, (mu, u), pairs, zero_count, BetaSpectrum(betas=betas, classification=cls)
+
+    @functools.cached_property
+    def lift_factor(self):
+        mu, u = self.canonical[1]
+        keep = 1.0 + mu > TOL["beta"]
+        kh = np.sqrt(1.0 + mu[keep])[:, None] * u[:, keep].conj().T
+        return kh, kh @ self.js_inverses[1] @ self.fd.JS
 
     js_inv = property(lambda self: self.js_inverses[0])
     beta = property(lambda self: self.canonical[4])

@@ -29,10 +29,6 @@ class NotPSD(QcrbError):
     """Matrix has a negative eigenvalue beyond the dust threshold."""
 
 
-class GramNotPSD(QcrbError):
-    """Gram matrix of a vector family is not positive semidefinite."""
-
-
 # --- model (CLI exit code 3) ---
 
 class NormDrift(QcrbError):

@@ -172,11 +172,6 @@ def inv_psd(a):
     return psd_powers(a, -1)[0]
 
 
-def invsqrt_psd(a):
-    """Inverse square root of a PD matrix."""
-    return psd_powers(a, -0.5)[0]
-
-
 def abs_sym(a):
     """|A| = (A A*)^{1/2} via singular value decomposition.
 

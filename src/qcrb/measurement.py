@@ -5,9 +5,10 @@ quasi-classical models, the 2m+1 Naimark embedding otherwise. There
 `optimal_vectors` builds the estimation vectors and reads the bound from
 `analysis.closed_form`'s one report. Quasi-classical models take X = L JS^{-1}
 on any frame. Coherent and other closed-form models take X = L A + B in the
-embedding with A = JS^{-1} and the closed form's covariance V; generic models
-take A and V from one oracle solve. B*B = V - A* gram A fills the
-coordinates orthogonal to phi and the lifts.
+embedding with A = JS^{-1} and the closed form's covariance V, where
+B*B = V - A* gram A fills the coordinates orthogonal to phi and the lifts.
+Generic models take X from one oracle solve as it stands: the embedding's
+lifts are the working point's lift factor, and so are the oracle's.
 
 Estimation vectors X with <x^i|phi> = 0, Re X*L = I and Im X*X = 0 are turned
 into a projective measurement whose covariance is exactly Re X*X: orthonormal
@@ -20,7 +21,7 @@ the base state is reported, never assumed to vanish.
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -83,17 +84,19 @@ class SampleResult:
 def naimark_frame(fd, theta=None):
     """Embed the state and lifts of fd isometrically in a 2m+1 dimensional space.
 
-    phi' is the first basis vector and the lift images occupy coordinates
-    1..m, so <phi'|l'_i> = 0 holds exactly and the Gram of fd is reproduced.
+    phi' is the first basis vector and the lift images are the r rows of the
+    lift factor R (R* R = gram, r <= m) in coordinates 1..r, so
+    <phi'|l'_i> = 0 holds exactly and the Gram of fd is reproduced. The
+    oracle's lifts are the same R, bit for bit.
     """
     gram = 0.5 * (fd.gram + fd.gram.conj().T)
     m = gram.shape[0]
-    froot = analysis.spectrum(fd).gram_root
+    root = analysis.spectrum(fd).lift_factor[1]
     dim = 2 * m + 1
     phi = np.zeros(dim, dtype=complex)
     phi[0] = 1.0
     lifts = np.zeros((dim, m), dtype=complex)
-    lifts[1:m + 1, :] = froot
+    lifts[1:root.shape[0] + 1, :] = root
     check("naimark_gram", matkernel.mnorm(lifts.conj().T @ lifts - gram), matkernel.mnorm(gram),
           ConsistencyError)
     return NaimarkFrame(dim=dim, phi=phi, lifts=lifts, gram=gram,
@@ -164,22 +167,25 @@ def optimal_vectors(space, fd, G):
     """Estimation vectors in `space` attaining CR(G), and the report of CR(G).
 
     Quasi-classical models take X = L JS^{-1} on any frame. Other closed-form
-    models take the SLD coefficients A = JS^{-1} with the closed form's V, and
-    generic models A and V from one oracle solve; both need the Naimark frame
+    models complete the SLD coefficients A = JS^{-1} to the closed form's V.
+    Generic models take the X of one oracle solve as it stands: its lifts are
+    the Naimark frame's, so X already lives there. Both need the Naimark frame
     (`pvm_space`). Raises SingularWeight when no estimator attains the bound.
     """
     cls = analysis.beta_spectrum(fd).classification
     report = None if cls == "generic" else analysis.closed_form(fd, G)
     if cls == "quasi_classical":
         return optimal_vectors_quasi_classical(space, fd), report
-    if report is not None:
-        a = analysis.spectrum(fd).js_inv
-    else:
+    res = None
+    if report is None:
         report, res = analysis.oracle_bound(fd, G)
-        a = None if res.X is None else np.linalg.lstsq(res.lifts, res.X, rcond=None)[0]
     if report.V_opt is None:
         raise SingularWeight("no estimator attains the bound for this singular weight")
-    return _complete(space, a, report.V_opt), report
+    if res is None:
+        return _complete(space, analysis.spectrum(fd).js_inv, report.V_opt), report
+    ev = EstimationVectors(X=res.X, phi=space.phi)
+    check("vectors", max(estimation_residuals(ev, space.lifts).values()), 0.0, InfeasibleGram)
+    return ev, report
 
 
 def _uniform_first_column_orthogonal(n):

@@ -1,15 +1,17 @@
 """The Holevo SDP: the attainable bound of any pure-state model, with a certificate.
 
 For a pure state the attainable bound is the Holevo bound (Matsumoto,
-J. Phys. A 35, 3111 (2002)). With R the PSD root of the lift Gram, it is the
-SDP (Albarelli, Friel and Datta, PRL 123, 200503 (2019))
+J. Phys. A 35, 3111 (2002)). With R (r x m, R* R = gram) the working
+point's lift factor, which the Naimark frame also reads, it is the SDP
+(Albarelli, Friel and Datta, PRL 123, 200503 (2019))
 
     CR(G) = min Tr(G V) over real symmetric V and complex Y,
             subject to [[V, Y*], [Y, I]] >= 0 and Re(Y* R) = I.
 
-Y holds the lift-span coordinates of the estimation vectors. It is taken
-inside range(R), so the Newton system stays nonsingular on the singular Grams
-of coherent models, and the equality is eliminated with an SVD null space.
+Y holds the lift-span coordinates of the estimation vectors. R has full row
+rank r: the factor drops the directions where analysis snaps beta to 1, so
+the Newton system stays nonsingular on the singular Grams of coherent models.
+The equality is eliminated with an SVD null space.
 
 The solver is a primal-dual interior-point method with Nesterov-Todd scaling
 and Mehrotra's predictor-corrector (Vandenberghe and Boyd, SIAM Rev. 38, 49
@@ -79,11 +81,12 @@ class OracleResult:
 
 
 def _setup(problem):
-    """The validated weight, w = JS^{-1/2}, and the lift Gram in normalized form.
+    """The validated weight, w = JS^{-1/2}, and the lift factor of the Gram.
 
-    The normalized Gram w gram w = I + iK has the eigenvalues 1 +- beta_j, so
-    a direction is dropped from its range exactly where analysis snaps beta
-    to 1. Returns (g, w, kh) with kh* kh = w gram w on that range (r x m).
+    Returns (g, w, kh, R) from analysis's Spectrum of the problem's Gram:
+    kh* kh = w gram w = I + iK and R = kh JS^{1/2} (r x m), on the directions
+    where analysis does not snap beta to 1. The Spectrum raises SingularFisher,
+    and DomainError for a Gram that is not PSD.
     """
     gram = 0.5 * (np.asarray(problem.gram, dtype=complex)
                   + np.asarray(problem.gram, dtype=complex).conj().T)
@@ -91,14 +94,9 @@ def _setup(problem):
     g = matkernel.symmetrize(np.asarray(problem.G, dtype=float))
     if g.shape != (m, m):
         raise DomainError(f"weight shape {g.shape} does not match m = {m}")
-    fd = FisherData(JS=matkernel.symmetrize(gram.real),
-                    Jt=matkernel.antisymmetrize(gram.imag), gram=gram)
-    w = analysis.spectrum(fd).js_inverses[1]             # raises SingularFisher
-    normal = w @ gram @ w
-    wn, un = matkernel.hermitian_eig(0.5 * (normal + normal.conj().T))
-    check("beta", -wn[0], 0.0, DomainError)   # beta_max - 1: the gram must be PSD
-    keep = wn > TOL["beta"]
-    return g, w, np.sqrt(wn[keep])[:, None] * un[:, keep].conj().T
+    spec = analysis.spectrum(FisherData(JS=matkernel.symmetrize(gram.real),
+                                        Jt=matkernel.antisymmetrize(gram.imag), gram=gram))
+    return (g, spec.js_inverses[1]) + spec.lift_factor
 
 
 def _real(stack):
@@ -335,9 +333,10 @@ def minimize(problem):
 
     The SDP is solved in the normalized parameters theta' = JS^{1/2} theta,
     whose lift Gram is I + iK and whose weight is w G w (w = JS^{-1/2});
-    X = X' w maps the estimation vectors back.
+    X = X' w maps the estimation vectors back. The lifts are the lift factor R
+    in coordinates 1..r, the Naimark frame's, so X is valid in that frame.
     """
-    g, w, kh = _setup(problem)
+    g, w, kh, root = _setup(problem)
     m, r = g.shape[0], kh.shape[0]
     # free directions of one column c of Y: the null space of c -> Re(c* kh)
     _, _, vt = np.linalg.svd(np.hstack([kh.real.T, kh.imag.T]))
@@ -359,7 +358,7 @@ def minimize(problem):
     phi = np.zeros(dim, dtype=complex)
     phi[0] = 1.0
     lifts = np.zeros((dim, m), dtype=complex)
-    lifts[1:r + 1, :] = kh @ np.linalg.inv(w)
+    lifts[1:r + 1, :] = root
     if p == m:
         cn, bfull = np.zeros((r, 0)), b
     else:

@@ -287,7 +287,7 @@ def stationarity_certificate(result, problem=None):
         coherent = False
     wg, _ = matkernel.hermitian_eig(g)
     if coherent and wg.min() > matkernel.TOL["eigen_dust"] * max(1.0, matkernel.mnorm(g)):
-        isq = matkernel.invsqrt_psd(g)
+        isq = matkernel.psd_powers(g, -0.5)[0]
         ev = np.linalg.eigvals(isq @ lam @ isq)
         extras["multiplier_spectrum"] = np.sort(np.abs(ev.imag))
     return StationarityReport(Lambda=lam, residual=residual, extras=extras)

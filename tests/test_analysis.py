@@ -376,7 +376,7 @@ def test_each_working_point_is_decomposed_once(monkeypatch):
     spec = analysis.spectrum(fd)
     a = spec.js_inv
     h = analysis.closed_form(fd, g).V_opt - a.conj().T @ nf.gram @ a
-    expected = {"JS": fd.JS, "iK": 1j * spec.canonical[0], "G": g, "gram": fd.gram,
+    expected = {"JS": fd.JS, "iK": 1j * spec.canonical[0], "G": g,
                 "h": 0.5 * (h + h.conj().T)}
     names = [name for x in seen for name, e in expected.items()
              if x.shape == e.shape and np.array_equal(x, e)]
@@ -408,7 +408,7 @@ def test_two_parameter_coherent_bound_and_vectors_share_one_solve(monkeypatch, c
     a, w = spec.js_inverses
     h = rep.V_opt - a.conj().T @ nf.gram @ a
     expected = {"JS": fd.JS, "iK": 1j * spec.canonical[0],
-                "wGw": matkernel.symmetrize(w @ g @ w), "gram": fd.gram,
+                "wGw": matkernel.symmetrize(w @ g @ w),
                 "h": 0.5 * (h + h.conj().T)}
     names = [name for x in seen for name, e in expected.items()
              if x.shape == e.shape and np.array_equal(x, e)]

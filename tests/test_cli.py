@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from qcrb import analysis, cli, errors, matkernel
+from qcrb import model as model_mod
 from qcrb import oracle as oracle_mod
 
 SPIN_QC = {"model": "spin_rotation", "s": 1.0, "m_z": 0.0, "theta": [0.7, 1.1]}
@@ -384,6 +385,28 @@ def test_pvm_coherent_computes_the_bound_once(tmp_path, count_calls, capsys):
     assert doc["classification"] == "coherent"
     assert abs(doc["verification"]["trGV"] - doc["closed_form_value"]) <= 1e-8
     assert len(calls) == 1
+
+
+# Decompositions per `qcrb pvm`, after the model family's own tables are
+# built: JS and iK of the working point, whose lift factor is the Naimark
+# frame's, then on generic models JS and iK of the oracle's Gram, the weight's
+# range and V - Y*Y in the SDP; coherent models add the completion's
+# V - A* gram A and their closed form's weight. lstsq runs only in the
+# oracle's polish, never to move X between embeddings.
+@pytest.mark.parametrize("config, eighs, lstsqs", [
+    (SPIN_GEN, 6, 4),
+    (N3, 6, 4),
+    (N0, 4, 0),
+    (SQUEEZED, 4, 0),
+], ids=["generic_spin", "generic_n3", "coherent_m2", "coherent_m4"])
+def test_pvm_decomposition_counts(tmp_path, capsys, count_calls, config, eighs, lstsqs):
+    cfg = write_json(tmp_path / "m.json", config)
+    model_mod.model_from_config(config)   # spin tables are cached per s
+    eigh = count_calls(np.linalg, "eigh")
+    lstsq = count_calls(np.linalg, "lstsq")
+    assert cli.main(["pvm", "--config", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["verification"]["unbiased"] is True
+    assert (len(eigh), len(lstsq)) == (eighs, lstsqs)
 
 
 IMPORT_PROBE = (

@@ -1,5 +1,6 @@
 """Projective measurement synthesis: algebra, attainment, sampling."""
 
+import functools
 import math
 
 import numpy as np
@@ -95,14 +96,25 @@ def test_naimark_frame_reproduces_gram():
     assert np.abs(nf.lifts.conj().T @ nf.phi).max() <= 1e-12
 
 
-def test_naimark_frame_reuses_the_gram_root(count_calls):
+def test_naimark_frame_reuses_the_gram_root(monkeypatch, count_calls):
     mdl = model.catalog_shifted_number(0, [0.2, -0.4])
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
-    roots = count_calls(matkernel, "sqrt_psd")
+    built = []
+    original = analysis.Spectrum.lift_factor
+
+    def counted(spec):
+        built.append(spec)
+        return original.func(spec)
+
+    factor = functools.cached_property(counted)
+    factor.__set_name__(analysis.Spectrum, "lift_factor")
+    monkeypatch.setattr(analysis.Spectrum, "lift_factor", factor)
+    eighs = count_calls(np.linalg, "eigh")
     measurement.naimark_frame(fd)
-    assert len(roots) == 1   # the Fisher data do not take the root
+    assert len(built) == 1   # the Fisher data do not take the factor
+    assert len(eighs) == 1   # iK; the factor itself decomposes nothing
     measurement.naimark_frame(fd)
-    assert len(roots) == 1
+    assert len(built) == 1 and len(eighs) == 1
 
 
 def test_coherent_pvm_attains_bound():
@@ -175,6 +187,46 @@ def test_optimal_vectors_every_class(count_calls, build, g, method, oracle_calls
     closed = analysis.closed_form(fd, g)
     if closed is not None:
         assert abs(closed.value - rep.value) <= tol
+
+
+@pytest.mark.parametrize("build", [
+    lambda: model.catalog_spin_rotation(1.5, 0.5, [0.9, 0.3]),
+    lambda: custom_generic(4, 5, 3),
+    lambda: model.catalog_shifted_number(0, [0.2, -0.4]),
+    lambda: model.catalog_squeezed([0.3, -0.2, 0.4, 0.7]),
+], ids=["generic_m2", "custom_m3", "coherent_m2", "coherent_m4"])
+def test_oracle_lifts_are_the_naimark_frame_lifts(build):
+    # one lift factor per working point: the SDP's R is the frame's, bit for
+    # bit, with fewer than m rows where a beta is snapped to 1
+    mdl = build()
+    fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
+    res = oracle.minimize(oracle.OracleProblem(gram=fd.gram, G=np.eye(mdl.m)))
+    nf = measurement.naimark_frame(fd)
+    assert np.array_equal(res.lifts, nf.lifts)
+    assert np.array_equal(res.phi, nf.phi)
+
+
+@pytest.mark.parametrize("build, g", [
+    (lambda: model.catalog_spin_rotation(1.5, 0.5, [0.9, 0.3]), np.eye(2)),
+    (lambda: custom_generic(4, 5, 3), np.diag([1.0, 2.0, 0.5])),
+    (lambda: model.catalog_spin_rotation(1.5, 0.5, [0.9, 0.3]), np.diag([1.0, 0.0])),
+], ids=["generic_m2", "custom_m3", "rank1_weight"])
+def test_generic_vectors_are_the_oracle_vectors(monkeypatch, build, g):
+    mdl = build()
+    fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
+    nf = measurement.naimark_frame(fd, theta=mdl.theta0)
+    solved = []
+    original = analysis.oracle_bound
+
+    def recording(*args):
+        solved.append(original(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(analysis, "oracle_bound", recording)
+    ev, rep = measurement.optimal_vectors(nf, fd, g)
+    (report, res), = solved
+    assert rep is report and ev.X is res.X and ev.phi is nf.phi
+    assert max(measurement.estimation_residuals(ev, nf.lifts).values()) <= 1e-8
 
 
 @pytest.mark.parametrize("build, method", [

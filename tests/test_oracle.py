@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import penalty_oracle
-from qcrb import analysis, errors, matkernel, model, oracle
+from qcrb import analysis, cli, errors, matkernel, measurement, model, oracle
 from qcrb.model import FisherData
 
 SDP_TOL = 1e-8     # relative agreement of the SDP with a known value
@@ -153,6 +153,24 @@ def test_oracle_gap_target_missed_is_nonconvergence(monkeypatch):
     monkeypatch.setattr(oracle, "MAX_ITER", 2)
     with pytest.raises(errors.NonConvergence):
         oracle.minimize(oracle.OracleProblem(gram=fd.gram, G=np.eye(2)))
+
+
+def test_beta_snap_of_a_hand_built_gram():
+    # within TOL["beta"] above 1 the spectrum snaps beta to 1: the SDP solves
+    # on the snapped range, while the Naimark frame cannot reproduce a Gram
+    # with a negative eigenvalue
+    fd = synthetic_fd(1.0 + 5e-10)
+    res = sdp(fd, np.eye(2))
+    assert_sdp_value(res, analysis.cr_bound(synthetic_fd(1.0), np.eye(2)).value)
+    with pytest.raises(errors.ConsistencyError) as exc:
+        measurement.naimark_frame(fd)
+    assert cli._exit_code(exc.value) == 3
+    # beyond it the Gram is not PSD, and both routes say so through the spectrum
+    for route in (lambda fd: oracle.minimize(oracle.OracleProblem(gram=fd.gram, G=np.eye(2))),
+                  measurement.naimark_frame):
+        with pytest.raises(errors.DomainError) as exc:
+            route(synthetic_fd(1.0 + 1e-6))
+        assert cli._exit_code(exc.value) == 2
 
 
 def test_stationarity_certificate_on_closed_form_problems():
