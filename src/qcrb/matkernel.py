@@ -49,11 +49,13 @@ TOL = {
     "vectors": 1e-8,
     # <x^i|phi> of vectors handed to pvm_from_vectors; relative to ||X||
     "phi_orthogonal": 1e-9,
-    # Gram-Schmidt residual below which a PVM direction is dropped; absolute
+    # |R_kk| of the QR of [phi, X] below which the estimation vectors handed to
+    # pvm_from_vectors are linearly dependent (DomainError); absolute
     "gram_schmidt": 1e-10,
     # Householder vector norm below which the reflection is the identity; absolute
     "householder": 1e-14,
-    # idempotence, orthogonality and completeness of a PVM, and its outcome
+    # idempotence, orthogonality and completeness of a PVM, read from its ray
+    # Gram B*B; a stored PVM's entries against bb* and I - BB*; and its outcome
     # probabilities summing to 1; absolute
     "pvm_algebra": 1e-9,
     # negative outcome probability; absolute

@@ -11,18 +11,21 @@ Generic models take X from one oracle solve as it stands: the embedding's
 lifts are the working point's lift factor, and so are the oracle's.
 
 Estimation vectors X with <x^i|phi> = 0, Re X*L = I and Im X*X = 0 are turned
-into a projective measurement whose covariance is exactly Re X*X: orthonormal
-rays are built from {phi, x^1..x^m} (their Gram is real, so the coefficients
-stay real), mixed by an orthogonal matrix whose first column is uniform, and
-each ray gets the outcome offset that reproduces the x-vectors. A remainder
-projector with offset zero absorbs the rest of the space; its probability at
-the base state is reported, never assumed to vanish.
+into a projective measurement whose covariance is exactly Re X*X. A `Pvm` is
+its rays and its offsets: the columns of B are the m+1 orthonormal rays of one
+QR of [phi, X] (their Gram is real, so the coefficients stay real), mixed by
+an orthogonal matrix whose first column is uniform, and each ray gets the
+outcome offset that reproduces the x-vectors. The complement I - BB*, with
+offset zero, closes the PVM when the rays do not span the space; its
+probability at the base state is reported, never assumed to vanish. Every
+check and moment reads the amplitudes B*phi and B*L and the Gram B*B; no
+projector is formed except in the file format, which lists them densely.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -50,9 +53,21 @@ class EstimationVectors:
 
 @dataclass
 class Pvm:
-    m: int
-    dim: int
-    outcomes: List[Tuple[np.ndarray, np.ndarray]]   # (offset, projector)
+    rays: np.ndarray         # shape (dim, n), orthonormal columns B, one rank-1 outcome each
+    outcomes: np.ndarray     # shape (K, m), offsets; K = n, or n + 1 with the complement last
+
+    @property
+    def m(self):
+        return self.outcomes.shape[1]
+
+    @property
+    def dim(self):
+        return self.rays.shape[0]
+
+    @property
+    def complement(self):
+        """Whether I - BB*, with offset zero, is the last outcome."""
+        return len(self.outcomes) > self.rays.shape[1]
 
 
 @dataclass
@@ -127,15 +142,17 @@ def _complete(nf, a, v):
 
     B fills coordinates m+1..2m of the Naimark frame, which are orthogonal to
     phi and to the lifts by construction, so X*X = V is real and
-    Re X*L = Re A* gram.
+    Re X*L = Re A* gram. Eigenvalues of B*B within TOL "eigen_dust" are exact
+    zeros: the roots of roundoff would put about 1e-8 into B.
     """
     m = a.shape[1]
     h = v - a.conj().T @ nf.gram @ a
     h = 0.5 * (h + h.conj().T)
     wh, uh = matkernel.hermitian_eig(h)
     check("completion_floor", -wh.min(), matkernel.mnorm(h), InfeasibleGram)
+    wh = np.where(wh <= TOL["eigen_dust"] * max(1.0, matkernel.mnorm(h)), 0.0, wh)
     x = nf.lifts @ a
-    x[m + 1:, :] = (uh * np.sqrt(np.clip(wh, 0.0, None))) @ uh.conj().T
+    x[m + 1:, :] = (uh * np.sqrt(wh)) @ uh.conj().T
     ev = EstimationVectors(X=x, phi=nf.phi)
     check("vectors", max(estimation_residuals(ev, nf.lifts).values()), 0.0, InfeasibleGram)
     return ev
@@ -204,10 +221,10 @@ def pvm_from_vectors(ev, seed=0):
     """Projective measurement realizing covariance Re X*X.
 
     Requires Im X*X = 0 and <x^i|phi> = 0 (TOL "vectors", "phi_orthogonal").
-    Rank-deficient vector families are handled by dropping directions whose
-    orthogonalization residual falls below TOL "gram_schmidt"; the remainder
-    projector absorbs them. The construction is deterministic: `seed` is
-    accepted and has no effect.
+    The rays are the QR basis of [phi, X] with a positive diagonal of R (the
+    Gram-Schmidt basis), mixed by the Householder reflection; some |R_kk| below
+    TOL "gram_schmidt" means the vectors are linearly dependent, a DomainError.
+    The construction is deterministic: `seed` is accepted and has no effect.
     """
     x = np.asarray(ev.X, dtype=complex)
     if x.ndim == 1:
@@ -217,32 +234,17 @@ def pvm_from_vectors(ev, seed=0):
     check("phi_orthogonal", matkernel.mnorm(x.conj().T @ phi), matkernel.mnorm(x), DomainError)
     check("vectors", matkernel.mnorm((x.conj().T @ x).imag), 0.0, NotCommuting)
 
-    basis = [phi / np.linalg.norm(phi)]
-    for i in range(m):
-        v = x[:, i].copy()
-        for _ in range(2):   # re-orthogonalize for stability
-            for b in basis:
-                v = v - b * np.vdot(b, v)
-        nrm = np.linalg.norm(v)
-        if nrm < TOL["gram_schmidt"]:
-            continue
-        basis.append(v / nrm)
-    bmat = np.column_stack(basis)
-    nb = bmat.shape[1]
-    lam = (bmat.conj().T @ x).real   # (nb, m); row 0 is ~0 by orthogonality
-
-    o = _uniform_first_column_orthogonal(nb)
-    bprime = bmat @ o.T
-    outcomes = []
-    for kappa in range(nb):
-        offset = (o[kappa, :] @ lam) / o[kappa, 0]
-        ray = bprime[:, kappa]
-        proj = np.outer(ray, ray.conj())
-        outcomes.append((np.asarray(offset, dtype=float), proj))
-    rem = np.eye(dim, dtype=complex) - bmat @ bmat.conj().T
-    if rem.real.trace() > 0.5:
-        outcomes.append((np.zeros(m), 0.5 * (rem + rem.conj().T)))
-    pvm = Pvm(m=m, dim=dim, outcomes=outcomes)
+    q, r = np.linalg.qr(np.column_stack([phi, x]))
+    diag = np.diagonal(r)
+    if len(diag) <= m or np.abs(diag).min() < TOL["gram_schmidt"]:
+        raise DomainError("estimation vectors are linearly dependent on each other or on phi")
+    phase = diag / np.abs(diag)
+    lam = (phase.conj()[:, None] * r[:, 1:]).real   # B*X; row 0 is ~0 by orthogonality
+    o = _uniform_first_column_orthogonal(m + 1)
+    offsets = (o @ lam) / o[:, :1]
+    if dim > m + 1:
+        offsets = np.vstack([offsets, np.zeros((1, m))])
+    pvm = Pvm(rays=(q * phase) @ o.T, outcomes=offsets)
 
     check("pvm_algebra", max(pvm_algebra_residuals(pvm).values()), 0.0, ConsistencyError)
     check("vectors", reconstruction_residual(pvm, ev), 0.0, ConsistencyError)
@@ -250,29 +252,44 @@ def pvm_from_vectors(ev, seed=0):
 
 
 def pvm_algebra_residuals(pvm):
-    """Idempotence, mutual orthogonality, completeness (max-entry residuals)."""
-    projs = [e for _, e in pvm.outcomes]
-    idem = max(matkernel.mnorm(e @ e - e) for e in projs)
-    orth = 0.0
-    for a in range(len(projs)):
-        for b in range(a + 1, len(projs)):
-            orth = max(orth, matkernel.mnorm(projs[a] @ projs[b]))
-    comp = matkernel.mnorm(sum(projs) - np.eye(pvm.dim))
-    return {"idempotent": idem, "orthogonal": orth, "complete": comp}
+    """Idempotence, mutual orthogonality, completeness, read from the ray Gram B*B.
+
+    A ray's projector is idempotent when the ray has norm 1, two rays'
+    projectors are orthogonal when the rays are, and the complement's
+    defects are those of B*B - I. The complement completes the PVM by
+    construction; without it the rays must span the space.
+    """
+    err = pvm.rays.conj().T @ pvm.rays - np.eye(pvm.rays.shape[1])
+    diag = np.diagonal(err)
+    return {
+        "idempotent": matkernel.mnorm(diag),
+        "orthogonal": matkernel.mnorm(err - np.diag(diag)),
+        "complete": 0.0 if pvm.complement else float(pvm.dim - len(err)),
+    }
 
 
 def reconstruction_residual(pvm, ev):
-    """Max-entry residual of sum_k offset_k E_k phi against the x-vectors."""
-    xhat = np.zeros((pvm.dim, pvm.m), dtype=complex)
-    for offset, proj in pvm.outcomes:
-        xhat += np.outer(proj @ ev.phi, offset)
-    return matkernel.mnorm(xhat - ev.X)
+    """Max-entry residual of sum_k offset_k E_k phi = B diag(B*phi) offsets against X."""
+    amp = pvm.rays.conj().T @ ev.phi
+    return matkernel.mnorm(pvm.rays @ (amp[:, None] * pvm.outcomes[:len(amp)]) - ev.X)
+
+
+def _expectations(pvm, u, v):
+    """<u|E_k|v> for every outcome k (rows) and every column of the matrix v.
+
+    The rays' rows are conj(B*u) B*v; the complement's row is <u|v> minus
+    their sum.
+    """
+    bh = pvm.rays.conj().T
+    rows = (bh @ u).conj()[:, None] * (bh @ v)
+    if pvm.complement:
+        rows = np.vstack([rows, u.conj() @ v - rows.sum(axis=0)])
+    return rows
 
 
 def outcome_probabilities(pvm, phi):
     """<phi|E_k|phi> for each outcome, validated as a probability vector."""
-    probs = np.array([float(np.real(np.vdot(phi, proj @ phi)))
-                      for _, proj in pvm.outcomes])
+    probs = _expectations(pvm, phi, phi[:, None])[:, 0].real
     check("probability_floor", -probs.min(initial=0.0), 0.0, BadProbability)
     probs = np.clip(probs, 0.0, None)
     total = probs.sum()
@@ -289,7 +306,7 @@ def _outcome_table(measurement, frame):
     inflated = isinstance(measurement, InflatedPvm)
     pvm = measurement.base if inflated else measurement
     probs = outcome_probabilities(pvm, frame.phi)
-    offsets = np.array([o for o, _ in pvm.outcomes])
+    offsets = pvm.outcomes
     cov = matkernel.symmetrize(offsets.T @ (offsets * probs[:, None]))
     if inflated:
         shifts = measurement.shifts
@@ -303,10 +320,7 @@ def covariance_of_pvm(pvm, frame):
     """Finite-sum covariance about theta, plus the local unbiasedness verdict."""
     offsets, probs, v = _outcome_table(pvm, frame)
     mean = probs @ offsets
-    xhat = np.zeros((pvm.dim, pvm.m), dtype=complex)
-    for (offset, proj) in pvm.outcomes:
-        xhat += np.outer(proj @ frame.phi, offset)
-    deriv = (xhat.conj().T @ frame.lifts).real
+    deriv = (offsets.T @ _expectations(pvm, frame.phi, frame.lifts)).real   # Re xhat* L
     # delta^i_j over i < pvm.m components, j < frame parameters
     target = np.eye(pvm.m, frame.lifts.shape[1])
     unbiased = bool(matkernel.mnorm(mean) <= TOL["vectors"]
@@ -395,52 +409,66 @@ def exclusiveness_extraction_check(pvm, frame, fd, j):
     target = analysis.spectrum(fd).js_inv[0, 0]
     v, _ = covariance_of_pvm(pvm, frame)
     check("marginal_variance", abs(float(v[0, 0]) - target), 0.0, PreconditionNotMet)
-    stat = 0.0
-    for _, proj in pvm.outcomes:
-        stat = max(stat, abs(float(np.real(np.vdot(frame.phi, proj @ frame.lifts[:, j])))))
-    return stat
+    return matkernel.mnorm(_expectations(pvm, frame.phi, frame.lifts[:, [j]]).real)
 
 
 # --- serialization ---
 
+def _projectors(pvm):
+    """The dense projectors of the outcomes, shape (K, dim, dim): bb* per ray, then I - BB*."""
+    projs = np.einsum("ik,jk->kij", pvm.rays, pvm.rays.conj())
+    if pvm.complement:
+        rem = np.eye(pvm.dim) - projs.sum(axis=0)
+        projs = np.concatenate([projs, [0.5 * (rem + rem.conj().T)]])
+    return projs
+
+
 def pvm_to_obj(pvm, theta=None):
     """JSON-ready list of outcomes: estimates plus row-major [re, im] projectors."""
     theta = np.zeros(pvm.m) if theta is None else np.asarray(theta, dtype=float)
-    out = []
-    for offset, proj in pvm.outcomes:
-        flat = proj.reshape(-1)
-        out.append({
-            "outcome": [float(t) for t in (theta + offset)],
-            "projector": [[float(c.real), float(c.imag)] for c in flat],
-        })
-    return out
+    return [{
+        "outcome": [float(t) for t in (theta + offset)],
+        "projector": [[float(c.real), float(c.imag)] for c in proj.reshape(-1)],
+    } for offset, proj in zip(pvm.outcomes, _projectors(pvm))]
 
 
 def pvm_from_obj(obj, m, theta=None):
-    """Rebuild a Pvm from its serialized form; offsets are outcome - theta."""
+    """Rebuild the Pvm that `pvm_to_obj` wrote; offsets are outcome - theta.
+
+    A last entry with offset zero and trace above 1.5 is the complement
+    I - BB*; every other entry is a ray's bb*, and b is read from its
+    largest-diagonal column. The rays' Gram (`pvm_algebra_residuals`) and
+    every entry must then match at TOL "pvm_algebra"; otherwise the document
+    is not a PVM file and raises SchemaError.
+    """
     if not isinstance(obj, list) or not obj:
         raise SchemaError("PVM document must be a nonempty list of outcomes")
     theta = np.zeros(m) if theta is None else np.asarray(theta, dtype=float)
-    outcomes = []
-    dim = None
+    ests, projs = [], []
     for entry in obj:
         if not isinstance(entry, dict) or "outcome" not in entry or "projector" not in entry:
             raise SchemaError("each PVM entry needs 'outcome' and 'projector'")
-        est = np.asarray(entry["outcome"], dtype=float)
+        try:
+            est = np.asarray(entry["outcome"], dtype=float)
+            pairs = np.asarray(entry["projector"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError("'outcome' and 'projector' must hold numbers") from exc
         if est.shape != (m,):
             raise SchemaError(f"outcome length {est.shape} does not match m = {m}")
-        pairs = entry["projector"]
-        n2 = len(pairs)
-        d = int(round(math.sqrt(n2)))
-        if d * d != n2:
-            raise SchemaError("projector entry count is not a perfect square")
-        if dim is None:
-            dim = d
-        elif d != dim:
+        if pairs.ndim != 2 or pairs.shape[1] != 2 or math.isqrt(len(pairs)) ** 2 != len(pairs):
+            raise SchemaError("a projector must be d*d [re, im] pairs")
+        d = math.isqrt(len(pairs))
+        if projs and d != projs[0].shape[0]:
             raise SchemaError("inconsistent projector dimensions")
-        try:
-            flat = np.array([complex(p[0], p[1]) for p in pairs])
-        except (TypeError, ValueError, IndexError) as exc:
-            raise SchemaError("projector entries must be [re, im] pairs") from exc
-        outcomes.append((est - theta, flat.reshape(d, d)))
-    return Pvm(m=m, dim=dim, outcomes=outcomes)
+        ests.append(est)
+        projs.append((pairs[:, 0] + 1j * pairs[:, 1]).reshape(d, d))
+    offsets = np.array(ests) - theta
+    projs = np.array(projs)
+    n = len(projs) - int(not offsets[-1].any() and projs[-1].trace().real > 1.5)
+    k = np.arange(n)
+    top = np.diagonal(projs[:n], axis1=1, axis2=2).real.argmax(axis=1)
+    peak = np.clip(projs[k, top, top].real, np.finfo(float).tiny, None)
+    pvm = Pvm(rays=(projs[k, :, top] / np.sqrt(peak)[:, None]).T, outcomes=offsets)
+    check("pvm_algebra", max(pvm_algebra_residuals(pvm).values()), 0.0, SchemaError)
+    check("pvm_algebra", matkernel.mnorm(projs - _projectors(pvm)), 0.0, SchemaError)
+    return pvm

@@ -2,13 +2,15 @@
 
 import csv
 import json
+import math
+import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from qcrb import analysis, cli, errors, matkernel
+from qcrb import analysis, cli, errors, matkernel, measurement
 from qcrb import model as model_mod
 from qcrb import oracle as oracle_mod
 
@@ -504,3 +506,92 @@ def test_spin_pvm_lives_on_the_spin_space(tmp_path, capsys, s):
     assert doc["classification"] == "quasi_classical"
     d = int(2 * s + 1)
     assert all(len(o["projector"]) == d * d for o in doc["pvm"])
+
+
+DATA = pathlib.Path(__file__).parent / "data"
+PVM_FILES = ["n0_coherent", "spin2_quasi_classical", "spin15_generic"]
+
+
+def _close(new, old, key):
+    """Recursive comparison: numbers within 1e-12 of the largest entry of their array."""
+    if isinstance(old, dict):
+        assert new.keys() == old.keys(), key
+        for k in old:
+            _close(new[k], old[k], f"{key}.{k}")
+    elif isinstance(old, (int, float, list)) and not isinstance(old, bool):
+        a, b = np.asarray(new, dtype=float), np.asarray(old, dtype=float)
+        assert a.shape == b.shape, key
+        assert np.abs(a - b).max(initial=0.0) <= 1e-12 * np.abs(b).max(initial=0.0), key
+    else:
+        assert new == old, key
+
+
+# PVM files written before a Pvm was stored as rays; see tests/data/README.md
+@pytest.mark.parametrize("name", PVM_FILES)
+def test_simulate_reads_stored_pvm_files(tmp_path, capsys, name):
+    out = tmp_path / "samples.csv"
+    assert cli.main(["simulate", "--config", str(DATA / f"{name}_config.json"),
+                     "--pvm", str(DATA / f"{name}_pvm.json"),
+                     "--samples", "2000", "--seed", "7", "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"{name}_samples.csv").read_bytes()
+    summary = json.loads(capsys.readouterr().out)
+    assert summary.pop("csv") == str(out)
+    _close(summary, json.loads((DATA / f"{name}_simulate.json").read_text()), name)
+
+
+def _bend(entry, k, eps):
+    """entry's projector with eps added to its (0, k) and (k, 0) elements."""
+    d = int(round(math.sqrt(len(entry["projector"]))))
+    p = np.array([complex(*z) for z in entry["projector"]]).reshape(d, d)
+    p[0, k] += eps
+    p[k, 0] += eps
+    return dict(entry, projector=[[z.real, z.imag] for z in p.reshape(-1)])
+
+
+def _scaled(entry, c):
+    return dict(entry, projector=[[c * re, c * im] for re, im in entry["projector"]])
+
+
+# Checks on the outcome probabilities alone miss some of these: a moved weight or
+# a dropped complement keeps N0's probabilities valid. Each is a SchemaError.
+@pytest.mark.parametrize("corrupt", [
+    lambda pvm: [_scaled(pvm[0], 1.2)] + pvm[1:],
+    lambda pvm: [_scaled(pvm[0], 1.0 + 1e-6)] + pvm[1:],
+    lambda pvm: [_bend(pvm[0], 1, 1e-3), _bend(pvm[1], 1, -1e-3)] + pvm[2:],
+    lambda pvm: pvm[:-1] + [_bend(pvm[-1], 3, 1e-6)],
+    lambda pvm: pvm[:-1],
+    lambda pvm: [_scaled(pvm[0], 0.0)] + pvm[1:],
+], ids=["scaled", "scaled_1e-6", "weight_moved", "complement_bent", "complement_dropped",
+        "zero"])
+def test_simulate_rejects_an_entry_that_is_not_a_projector(tmp_path, capsys, corrupt):
+    doc = json.loads((DATA / "n0_coherent_pvm.json").read_text())
+    assert cli.main(["simulate", "--config", str(DATA / "n0_coherent_config.json"),
+                     "--pvm", write_json(tmp_path / "bad.json", corrupt(doc["pvm"])),
+                     "--samples", "10"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
+
+
+@pytest.mark.parametrize("name", PVM_FILES)
+def test_simulate_decomposes_nothing_of_the_pvm_document(monkeypatch, capsys, name):
+    inside, eighs = [], []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        eighs.extend(inside)
+        return eigh(*args, **kwargs)
+
+    def tracked(fn):
+        def wrapper(*args, **kwargs):
+            inside.append(fn.__name__)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for fn in ("pvm_from_obj", "sample_outcomes"):
+        monkeypatch.setattr(measurement, fn, tracked(getattr(measurement, fn)))
+    assert cli.main(["simulate", "--config", str(DATA / f"{name}_config.json"),
+                     "--pvm", str(DATA / f"{name}_pvm.json"), "--samples", "100"]) == 0
+    assert eighs == []

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -17,6 +18,14 @@ def qubit_frame():
     return TangentFrame(theta=np.array([0.0]), phi=phi, lifts=lifts)
 
 
+def projectors(pvm):
+    """The dense projectors of a Pvm: bb* for each ray, then the complement I - BB*."""
+    projs = [np.outer(b, b.conj()) for b in pvm.rays.T]
+    if pvm.complement:
+        projs.append(np.eye(pvm.dim) - pvm.rays @ pvm.rays.conj().T)
+    return projs
+
+
 def test_qubit_hand_construction():
     # x = (0,1): projectors onto (1,+-1)/sqrt2, outcomes +-1, variance 1
     frame = qubit_frame()
@@ -24,9 +33,9 @@ def test_qubit_hand_construction():
     ev = measurement.EstimationVectors(X=x, phi=frame.phi)
     pvm = measurement.pvm_from_vectors(ev)
     assert pvm.m == 1 and pvm.dim == 2 and len(pvm.outcomes) == 2
-    offsets = sorted(float(o[0]) for o, _ in pvm.outcomes)
+    offsets = sorted(float(o[0]) for o in pvm.outcomes)
     assert abs(offsets[0] + 1.0) <= 1e-12 and abs(offsets[1] - 1.0) <= 1e-12
-    for offset, proj in pvm.outcomes:
+    for offset, proj in zip(pvm.outcomes, projectors(pvm)):
         sign = 1.0 if offset[0] > 0 else -1.0
         vec = np.array([1.0, sign]) / np.sqrt(2.0)
         assert np.abs(proj - np.outer(vec, vec)).max() <= 1e-12
@@ -42,7 +51,7 @@ def test_outcome_scaling():
     pvm = measurement.pvm_from_vectors(measurement.EstimationVectors(X=x, phi=frame.phi))
     v, _ = measurement.covariance_of_pvm(pvm, frame)
     assert abs(v[0, 0] - c * c) <= 1e-12
-    offs = sorted(abs(float(o[0])) for o, _ in pvm.outcomes)
+    offs = sorted(abs(float(o[0])) for o in pvm.outcomes)
     assert abs(offs[-1] - c) <= 1e-12
 
 
@@ -51,6 +60,86 @@ def test_pvm_rejects_nonorthogonal_x():
     x = np.array([[0.5], [1.0]], dtype=complex)  # <phi|x> != 0
     with pytest.raises(errors.DomainError):
         measurement.pvm_from_vectors(measurement.EstimationVectors(X=x, phi=phi))
+
+
+@pytest.mark.parametrize("x", [
+    [[0.0, 0.0], [1.0, 2.0], [0.0, 0.0]],
+    [[0.0, 0.0], [1.0, 0.0], [0.0, 1e-11]],
+    [[0.0, 0.0], [1.0, 0.5]],
+], ids=["parallel", "nearly_zero", "more_vectors_than_dim"])
+def test_pvm_rejects_dependent_x(x):
+    x = np.array(x, dtype=complex)
+    phi = np.zeros(x.shape[0], dtype=complex)
+    phi[0] = 1.0
+    with pytest.raises(errors.DomainError, match="linearly dependent"):
+        measurement.pvm_from_vectors(measurement.EstimationVectors(X=x, phi=phi))
+
+
+def _spin2_vectors():
+    # dim 5 and m = 2: three rays and a rank-2 complement
+    mdl = model.catalog_spin_rotation(2.0, 0.0, [0.8, 0.5])
+    fr = model.tangent_frame(mdl, mdl.theta0)
+    return measurement.optimal_vectors_quasi_classical(fr, model.fisher_data(fr))
+
+
+def _scale_first(q):
+    return q * np.r_[1.0 + 1e-6, np.ones(q.shape[1] - 1)]
+
+
+def _rotate_first_into_second(q, eps=1e-6):
+    q = q.copy()
+    q[:, 0] = math.cos(eps) * q[:, 0] + math.sin(eps) * q[:, 1]
+    return q
+
+
+@pytest.mark.parametrize("corrupt, key", [(_scale_first, "idempotent"),
+                                          (_rotate_first_into_second, "orthogonal")],
+                         ids=["scaled", "rotated"])
+def test_corrupted_rays_fail_the_algebra_check(monkeypatch, corrupt, key):
+    ev = _spin2_vectors()
+    pvm = measurement.pvm_from_vectors(ev)
+    assert pvm.complement and pvm.rays.shape == (5, 3)
+    bad = measurement.Pvm(rays=corrupt(pvm.rays), outcomes=pvm.outcomes)
+    assert measurement.pvm_algebra_residuals(bad)[key] >= 9e-7
+    qr = np.linalg.qr
+
+    def corrupted(a):
+        q, r = qr(a)
+        return corrupt(q), r
+
+    monkeypatch.setattr(np.linalg, "qr", corrupted)
+    with pytest.raises(errors.ConsistencyError, match="pvm_algebra"):
+        measurement.pvm_from_vectors(ev)
+
+
+def test_pvm_from_vectors_takes_one_qr_and_no_eigh(count_calls):
+    evs = [_spin2_vectors(),
+           measurement.EstimationVectors(X=np.array([[0.0], [1.0]], dtype=complex),
+                                         phi=np.array([1.0, 0.0], dtype=complex))]
+    mdl = model.catalog_squeezed([0.3, -0.2, 0.4, 0.7])
+    fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
+    evs.append(measurement.optimal_vectors_coherent(measurement.naimark_frame(fd), fd,
+                                                    np.eye(4)))
+    qrs = count_calls(np.linalg, "qr")
+    eighs = count_calls(np.linalg, "eigh")
+    for k, ev in enumerate(evs, start=1):
+        measurement.pvm_from_vectors(ev)
+        assert (len(qrs), len(eighs)) == (k, 0)
+
+
+def test_coherent_completion_takes_no_roots_of_dust():
+    # V - A* gram A has eigenvalues of about 1e-16 here; their square roots put
+    # about 1e-8 into X and a stationarity residual of 5e-8
+    mdl = model.catalog_squeezed([0.1, -0.2, 0.4, 0.3])
+    fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
+    nf = measurement.naimark_frame(fd)
+    g = np.diag([1.0, 2.0, 3.0, 4.0])
+    ev, rep = measurement.optimal_vectors(nf, fd, g)
+    assert rep.method == "closed_form_coherent"
+    cert = oracle.stationarity_certificate(types.SimpleNamespace(X=ev.X, lifts=nf.lifts),
+                                           oracle.OracleProblem(gram=fd.gram, G=g))
+    assert cert.residual <= 1e-12
+    assert abs(np.sum(g * (ev.X.conj().T @ ev.X).real) - rep.value) <= 1e-12 * rep.value
 
 
 def test_pvm_rejects_noncommuting_x():
@@ -320,8 +409,11 @@ def test_remainder_projector_completes():
     pvm = measurement.pvm_from_vectors(ev)
     # dim 5 state space, 3-dimensional measurement span, so a remainder shows up
     assert pvm.dim == 5
-    total = sum(proj for _, proj in pvm.outcomes)
+    projs = projectors(pvm)
+    assert pvm.complement and len(projs) == 4
+    total = sum(projs)
     assert np.abs(total - np.eye(5)).max() <= 1e-9
+    assert max(np.abs(e @ e - e).max() for e in projs) <= 1e-9
     assert max(measurement.pvm_algebra_residuals(pvm).values()) <= 1e-9
     v, unbiased = measurement.covariance_of_pvm(pvm, fr)
     assert unbiased
@@ -373,8 +465,8 @@ def test_sampling_deterministic_and_consistent():
 
 def test_sampling_single_outcome_identity():
     phi = np.array([1.0, 0.0], dtype=complex)
-    pvm = measurement.Pvm(m=1, dim=2,
-                          outcomes=[(np.zeros(1), np.eye(2, dtype=complex))])
+    # no rays: the one outcome is the complement, the identity
+    pvm = measurement.Pvm(rays=np.zeros((2, 0), dtype=complex), outcomes=np.zeros((1, 1)))
     frame = qubit_frame()
     r = measurement.sample_outcomes(pvm, frame, 100, 0)
     assert np.abs(r.samples - frame.theta[0]).max() == 0.0
@@ -397,7 +489,7 @@ def _sampling_cases():
     infl = measurement.inflate_covariance(coh, np.array([[1.0, 0.3], [0.3, 2.0]]))
     cases = []
     for name, pvm, frame in (("quasi_classical", qc, fr), ("naimark", coh, nf)):
-        offsets = np.array([o for o, _ in pvm.outcomes])
+        offsets = pvm.outcomes
         cases.append((name, pvm, frame, offsets,
                       measurement.outcome_probabilities(pvm, frame.phi)))
     _, _, _, offsets, probs = cases[1]
@@ -440,11 +532,10 @@ def test_sampling_reads_the_probabilities_once(count_calls):
 
 
 def test_bad_probability():
-    # projector corrupted so <phi|E|phi> goes negative
+    # ray corrupted so the complement's <phi|E|phi> goes negative: 1.2 and -0.2
     phi = np.array([1.0, 0.0], dtype=complex)
-    bad = [(np.zeros(1), -0.2 * np.eye(2, dtype=complex)),
-           (np.zeros(1), 1.2 * np.eye(2, dtype=complex))]
-    pvm = measurement.Pvm(m=1, dim=2, outcomes=bad)
+    bad = np.array([[math.sqrt(1.2)], [0.0]], dtype=complex)
+    pvm = measurement.Pvm(rays=bad, outcomes=np.zeros((2, 1)))
     with pytest.raises(errors.BadProbability):
         measurement.outcome_probabilities(pvm, phi)
 
@@ -487,8 +578,21 @@ def test_pvm_json_roundtrip():
     obj = measurement.pvm_to_obj(pvm, theta=fr.theta)
     back = measurement.pvm_from_obj(obj, pvm.m, theta=fr.theta)
     assert back.dim == pvm.dim and len(back.outcomes) == len(pvm.outcomes)
-    for (oa, pa), (ob, pb) in zip(pvm.outcomes, back.outcomes):
+    for oa, ob, pa, pb in zip(pvm.outcomes, back.outcomes, projectors(pvm), projectors(back)):
         assert np.abs(oa - ob).max() <= 1e-15
         assert np.abs(pa - pb).max() <= 1e-15
     with pytest.raises(errors.SchemaError):
         measurement.pvm_from_obj([{"outcome": [0.0]}], 1)
+
+
+@pytest.mark.parametrize("entry", [
+    {"outcome": [0.0], "projector": 5},
+    {"outcome": "a", "projector": [[1.0, 0.0]]},
+    {"outcome": [0.0], "projector": [[1.0, 0.0, 0.0]]},
+    {"outcome": [0.0], "projector": [[1.0, "x"]]},
+    {"outcome": [0.0], "projector": [[1.0, 0.0], [0.0, 0.0]]},
+    {"outcome": [0.0, 1.0], "projector": [[1.0, 0.0]]},
+], ids=["scalar", "text_outcome", "triples", "text_entry", "not_square", "wrong_m"])
+def test_pvm_from_obj_rejects_malformed_entries(entry):
+    with pytest.raises(errors.SchemaError):
+        measurement.pvm_from_obj([entry], 1)
