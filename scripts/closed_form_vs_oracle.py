@@ -52,7 +52,7 @@ def main():
         fd = synthetic_fd(beta)
         for g in random_weights(cfg.seed + 97 * k, cfg.weights_per_beta):
             closed = analysis.cr_bound_2param(fd, g).value
-            res = oracle.minimize(oracle.OracleProblem(gram=fd.gram, G=g))
+            res = analysis.oracle_bound(fd, g)[1]
             cert = oracle.stationarity_certificate(res)
             diff = abs(res.value - closed)
             worst = max(worst, diff / max(1.0, closed))

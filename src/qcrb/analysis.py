@@ -5,7 +5,7 @@ of locally unbiased measurements. Closed forms exist for quasi-classical
 models (the inverse Fisher matrix), two-parameter models (a one-dimensional
 stationary curve), the G = JS weight (a function of the beta spectrum), and
 coherent models (all beta equal to 1). Everything else goes to the oracle's
-Holevo SDP.
+Holevo SDP, which reads the same Spectrum of the working point.
 """
 
 import functools
@@ -61,10 +61,13 @@ class Spectrum:
     raises DomainError. `lift_factor` is (kh, R) from that same (mu, U):
     kh = sqrt(1 + mu) U* on the r directions where 1 + mu > TOL["beta"], the
     snap that sets beta to 1, so kh* kh = I + iK; and R = kh JS^{1/2}, so
-    R* R = gram. The Naimark frame's lifts and the oracle's are R.
+    R* R = gram. The Naimark frame's lifts and the oracle's are R: the SDP of
+    `oracle_bound` reads `js_inverses` and `lift_factor` of this Spectrum.
     `reports` caches closed_form by the bytes of the symmetrized weight: the
     one BoundReport (or None) that every bound and measurement at this point
-    reads, with its arrays read-only. `spectrum(fd)` caches the Spectrum on fd.
+    reads. Beside it, under ("oracle", those bytes), it caches oracle_bound's
+    (BoundReport, OracleResult). Their G, V_opt and X are read-only.
+    `spectrum(fd)` caches the Spectrum on fd.
     """
 
     def __init__(self, fd):
@@ -363,8 +366,24 @@ def exclusiveness_test(fd, i, j):
     return bool(abs(g.real) <= tol and abs(g.imag) >= (1.0 - TOL["exclusive"]) * cap)
 
 
+def check_weight(fd, G):
+    """G as a symmetrized float array; DomainError unless it is m x m."""
+    G = np.asarray(G, dtype=float)
+    m = fd.JS.shape[0]
+    if G.shape != (m, m):
+        raise DomainError(f"weight shape {G.shape} does not match m = {m}")
+    return matkernel.symmetrize(G)
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        if a is not None:
+            a.setflags(write=False)
+
+
 def _closed_form(fd, G):
     if quasi_classical_test(fd):
+        matkernel.weight_eig(G)   # raises DomainError unless PSD, NonFinite on NaN
         jsinv = spectrum(fd).js_inv.copy()
         return BoundReport(G=G, value=float(np.trace(G @ jsinv)), attained=True,
                            V_opt=jsinv, method="quasi_classical", notes={})
@@ -388,27 +407,35 @@ def closed_form(fd, G):
     the Spectrum of fd per weight, with G and V_opt read-only, so a bound and
     the vectors that attain it share one solve.
     """
-    G = matkernel.symmetrize(G)
+    G = check_weight(fd, G)
     cache, key = spectrum(fd).reports, G.tobytes()
     if key not in cache:
         cache[key] = report = _closed_form(fd, G)
         if report is not None:
-            report.G.setflags(write=False)
-            if report.V_opt is not None:
-                report.V_opt.setflags(write=False)
+            _read_only(report.G, report.V_opt)
     return cache[key]
 
 
 def oracle_bound(fd, G):
-    """The Holevo SDP's BoundReport, with the OracleResult that carries its vectors."""
-    G = matkernel.symmetrize(G)
-    from . import oracle   # the oracle reads this module's spectrum
-    result = oracle.minimize(oracle.OracleProblem(gram=fd.gram, G=G))
-    v = None if result.X is None else matkernel.symmetrize((result.X.conj().T @ result.X).real)
-    report = BoundReport(G=G, value=result.value, attained=result.attained, V_opt=v,
-                         method="oracle",
-                         notes={"residuals": result.residuals, "gap": result.gap})
-    return report, result
+    """The Holevo SDP's BoundReport, with the OracleResult that carries its vectors.
+
+    The SDP reads the Spectrum of fd. The pair is cached on that Spectrum
+    beside the closed forms, with G, V_opt and X read-only, so a bound and
+    the vectors that attain it share one solve.
+    """
+    G = check_weight(fd, G)
+    cache, key = spectrum(fd).reports, ("oracle", G.tobytes())
+    if key not in cache:
+        from . import oracle   # the oracle reads this module's spectrum
+        result = oracle.minimize(oracle.OracleProblem(gram=fd.gram, G=G, fd=fd))
+        x = result.X
+        v = None if x is None else matkernel.symmetrize((x.conj().T @ x).real)
+        report = BoundReport(G=G, value=result.value, attained=result.attained, V_opt=v,
+                             method="oracle",
+                             notes={"residuals": result.residuals, "gap": result.gap})
+        _read_only(G, v, x)
+        cache[key] = report, result
+    return cache[key]
 
 
 def cr_bound(fd, G):

@@ -124,7 +124,7 @@ def cmd_bound(args):
     rep["bound"] = _bound_report_obj(bound)
     code = 0
     if args.oracle and bound.method != "oracle":
-        result = oracle_mod.minimize(oracle_mod.OracleProblem(gram=fd.gram, G=g))
+        result = analysis.oracle_bound(fd, g)[1]
         diff = abs(result.value - bound.value)
         agree = diff <= matkernel.TOL["oracle_agreement"] * max(1.0, abs(bound.value))
         rep["oracle"] = {
@@ -243,7 +243,7 @@ def cmd_simulate(args):
 def cmd_oracle(args):
     doc, model, frame, fd = _model_and_point(args)
     g, wname = _resolve_weight(args.weight, fd.JS)
-    result = oracle_mod.minimize(oracle_mod.OracleProblem(gram=fd.gram, G=g))
+    result = analysis.oracle_bound(fd, g)[1]
     rep = _base_report("oracle", doc, model, args)
     rep.update({
         "weight": wname,

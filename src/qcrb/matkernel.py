@@ -52,8 +52,6 @@ TOL = {
     # |R_kk| of the QR of [phi, X] below which the estimation vectors handed to
     # pvm_from_vectors are linearly dependent (DomainError); absolute
     "gram_schmidt": 1e-10,
-    # Householder vector norm below which the reflection is the identity; absolute
-    "householder": 1e-14,
     # idempotence, orthogonality and completeness of a PVM, read from its ray
     # Gram B*B; a stored PVM's entries against bb* and I - BB*; and its outcome
     # probabilities summing to 1; absolute

@@ -210,10 +210,7 @@ def _uniform_first_column_orthogonal(n):
     u = np.full(n, 1.0 / math.sqrt(n))
     w = -u
     w[0] += 1.0
-    nw = np.linalg.norm(w)
-    if nw < TOL["householder"]:
-        return np.eye(n)
-    w = w / nw
+    w /= np.linalg.norm(w)   # nonzero for n >= 2
     return np.eye(n) - 2.0 * np.outer(w, w)
 
 
@@ -223,14 +220,17 @@ def pvm_from_vectors(ev, seed=0):
     Requires Im X*X = 0 and <x^i|phi> = 0 (TOL "vectors", "phi_orthogonal").
     The rays are the QR basis of [phi, X] with a positive diagonal of R (the
     Gram-Schmidt basis), mixed by the Householder reflection; some |R_kk| below
-    TOL "gram_schmidt" means the vectors are linearly dependent, a DomainError.
-    The construction is deterministic: `seed` is accepted and has no effect.
+    TOL "gram_schmidt" means the vectors are linearly dependent, and an X with
+    no columns estimates nothing: both are DomainErrors. The construction is
+    deterministic: `seed` is accepted and has no effect.
     """
     x = np.asarray(ev.X, dtype=complex)
     if x.ndim == 1:
         x = x.reshape(-1, 1)
     phi = np.asarray(ev.phi, dtype=complex)
     dim, m = x.shape
+    if m == 0:
+        raise DomainError("no estimation vectors: X has no columns")
     check("phi_orthogonal", matkernel.mnorm(x.conj().T @ phi), matkernel.mnorm(x), DomainError)
     check("vectors", matkernel.mnorm((x.conj().T @ x).imag), 0.0, NotCommuting)
 

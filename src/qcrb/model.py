@@ -71,6 +71,14 @@ class FisherData:
     # analysis.Spectrum cache: the fields above must not change once it is set
     _spectrum: object = field(default=None, init=False, repr=False, compare=False)
 
+    @classmethod
+    def from_gram(cls, gram):
+        """The Hermitian part of a lift Gram and its real/imaginary split."""
+        gram = np.asarray(gram, dtype=complex)
+        gram = 0.5 * (gram + gram.conj().T)
+        return cls(JS=matkernel.symmetrize(gram.real), Jt=matkernel.antisymmetrize(gram.imag),
+                   gram=gram)
+
 
 def tangent_frame(model, theta):
     """Evaluate the state and its horizontal lifts at theta."""
@@ -105,10 +113,7 @@ def tangent_frame(model, theta):
 
 def fisher_data(frame):
     """Gram matrix of the lifts and its real/imaginary split."""
-    gram = frame.lifts.conj().T @ frame.lifts
-    gram = 0.5 * (gram + gram.conj().T)
-    fd = FisherData(JS=matkernel.symmetrize(gram.real),
-                    Jt=matkernel.antisymmetrize(gram.imag), gram=gram)
+    fd = FisherData.from_gram(frame.lifts.conj().T @ frame.lifts)
     analysis.spectrum(fd).js_inverses   # cached for later use; raises SingularFisher
     return fd
 

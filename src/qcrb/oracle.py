@@ -13,6 +13,12 @@ rank r: the factor drops the directions where analysis snaps beta to 1, so
 the Newton system stays nonsingular on the singular Grams of coherent models.
 The equality is eliminated with an SVD null space.
 
+The SDP reads JS^{-1/2} and R from `analysis.spectrum(problem.fd)`, the one
+Spectrum of the working point. `analysis.oracle_bound(fd, G)` hands over the
+caller's FisherData and caches its answer on that Spectrum beside the closed
+forms; an `OracleProblem` built from a bare Gram takes that Gram's FisherData.
+`minimize` is the one function every solve passes through.
+
 The solver is a primal-dual interior-point method with Nesterov-Todd scaling
 and Mehrotra's predictor-corrector (Vandenberghe and Boyd, SIAM Rev. 38, 49
 (1996)). It runs from one deterministic strictly feasible pair: the SLD
@@ -54,8 +60,17 @@ POLISH_STEPS = 3     # Gauss-Newton steps on the first-order conditions
 
 @dataclass
 class OracleProblem:
+    """The SDP of weight G at a working point. Given only a Gram, fd is its FisherData;
+    a given fd must carry that very Gram, else DomainError."""
     gram: np.ndarray                      # Hermitian PSD, m x m
     G: np.ndarray                         # real PSD weight, m x m
+    fd: Optional[FisherData] = None       # whose Spectrum the SDP reads
+
+    def __post_init__(self):
+        if self.fd is None:
+            self.fd = FisherData.from_gram(self.gram)
+        elif self.fd.gram is not self.gram:
+            raise DomainError("the problem's gram is not the gram of its fd")
 
 
 @dataclass
@@ -81,22 +96,15 @@ class OracleResult:
 
 
 def _setup(problem):
-    """The validated weight, w = JS^{-1/2}, and the lift factor of the Gram.
+    """The validated weight, w = JS^{-1/2}, and the lift factor of the working point.
 
-    Returns (g, w, kh, R) from analysis's Spectrum of the problem's Gram:
-    kh* kh = w gram w = I + iK and R = kh JS^{1/2} (r x m), on the directions
-    where analysis does not snap beta to 1. The Spectrum raises SingularFisher,
-    and DomainError for a Gram that is not PSD.
+    Returns (g, w, kh, R) from the Spectrum of problem.fd: kh* kh = w gram w
+    = I + iK and R = kh JS^{1/2} (r x m), on the directions where analysis
+    does not snap beta to 1. The Spectrum raises SingularFisher, and
+    DomainError for a Gram that is not PSD.
     """
-    gram = 0.5 * (np.asarray(problem.gram, dtype=complex)
-                  + np.asarray(problem.gram, dtype=complex).conj().T)
-    m = gram.shape[0]
-    g = matkernel.symmetrize(np.asarray(problem.G, dtype=float))
-    if g.shape != (m, m):
-        raise DomainError(f"weight shape {g.shape} does not match m = {m}")
-    spec = analysis.spectrum(FisherData(JS=matkernel.symmetrize(gram.real),
-                                        Jt=matkernel.antisymmetrize(gram.imag), gram=gram))
-    return (g, spec.js_inverses[1]) + spec.lift_factor
+    spec = analysis.spectrum(problem.fd)
+    return (analysis.check_weight(problem.fd, problem.G), spec.js_inverses[1]) + spec.lift_factor
 
 
 def _real(stack):
@@ -407,13 +415,16 @@ def stationarity_certificate(result, problem=None):
     some real antisymmetric Lambda; Lambda is fit by linear least squares.
     For two-parameter problems the quadratic multiplier identities are also
     reported, and for coherent problems the spectrum of the scaled multiplier.
+    Both read the problem's fd, whose Spectrum the solve read; a problem of
+    another solver carries only a Gram, and is read through its FisherData.
     """
     if result.X is None:
         raise PreconditionNotMet("no estimation vectors: the bound is not attained")
     problem = result.problem if problem is None else problem
+    fd = problem.fd if isinstance(problem, OracleProblem) else FisherData.from_gram(problem.gram)
     x = result.X
     lifts = result.lifts
-    g = matkernel.symmetrize(np.asarray(problem.G, dtype=float))
+    g = analysis.check_weight(fd, problem.G)
     m = g.shape[0]
     v = matkernel.symmetrize((x.conj().T @ x).real)
     c = x @ g - lifts @ (v @ g)
@@ -431,16 +442,11 @@ def stationarity_certificate(result, problem=None):
         lam = np.zeros((m, m))
     residual = matkernel.mnorm(x @ (g - 1j * lam) - lifts @ (v @ g))
     extras = {}
-    gram = 0.5 * (np.asarray(problem.gram, dtype=complex)
-                  + np.asarray(problem.gram, dtype=complex).conj().T)
-    js = matkernel.symmetrize(gram.real)
-    jt = matkernel.antisymmetrize(gram.imag)
     if m == 2:
-        e1 = g @ v @ g - lam @ v @ lam - g @ v @ js @ v @ g
-        e2 = g @ v @ lam + lam @ v @ g + g @ v @ jt @ v @ g
+        e1 = g @ v @ g - lam @ v @ lam - g @ v @ fd.JS @ v @ g
+        e2 = g @ v @ lam + lam @ v @ g + g @ v @ fd.Jt @ v @ g
         extras["quadratic_sym"] = matkernel.mnorm(e1)
         extras["quadratic_antisym"] = matkernel.mnorm(e2)
-    fd = FisherData(JS=js, Jt=jt, gram=gram)
     if analysis.beta_spectrum(fd).classification == "coherent":
         try:
             isq = matkernel.psd_powers(g, -0.5)[0]

@@ -278,7 +278,8 @@ def test_criterion_09_structural_properties():
 def test_criterion_10_stationarity_certificates(grid_oracle_runs):
     checked_multiplier = 0
     for beta, fd, g, problem, result, closed, solved in grid_oracle_runs:
-        for cert in (oracle.stationarity_certificate(result, problem),
+        for cert in (oracle.stationarity_certificate(result, oracle.OracleProblem(
+                         gram=problem.gram, G=problem.G)),
                      oracle.stationarity_certificate(solved)):
             assert cert.residual <= 1e-6, (beta, cert.residual)
             if "multiplier_spectrum" in cert.extras:
@@ -292,7 +293,8 @@ def test_criterion_10_stationarity_certificates(grid_oracle_runs):
     for g in (np.eye(2), seeded_pd_weights(58, 1)[0]):
         problem = penalty_oracle.OracleProblem(gram=fd0.gram, G=g, restarts=6, seed=8)
         result = penalty_oracle.minimize(problem)
-        for cert in (oracle.stationarity_certificate(result, problem),
+        for cert in (oracle.stationarity_certificate(result, oracle.OracleProblem(
+                         gram=fd0.gram, G=g)),
                      oracle.stationarity_certificate(
                          oracle.minimize(oracle.OracleProblem(gram=fd0.gram, G=g)))):
             assert cert.residual <= 1e-6

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
-from qcrb import analysis, errors, matkernel, measurement, model
+from qcrb import analysis, errors, matkernel, measurement, model, oracle
 from qcrb.model import FisherData
 
 
@@ -490,3 +490,61 @@ def test_coherent_route_with_singular_weight_goes_to_the_oracle():
     # dropping a weight can only lower the bound below the full coherent one
     assert rep.value <= analysis.cr_bound_coherent(fd, np.diag([2.0, 1.0, 1.0, 1e-3])).value
     assert rep.value >= analysis.sld_bound(fd, g) - 1e-12
+
+
+SPIN_QC_POINT = (1.0, 0.0, [0.7, 1.1])
+
+
+def _fd(mdl):
+    return model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
+
+
+@pytest.mark.parametrize("g, error", [
+    (np.diag([1.0, -1.0]), errors.DomainError),
+    (np.array([[1.0, np.nan], [np.nan, 1.0]]), errors.NonFinite),
+], ids=["indefinite", "nan"])
+def test_quasi_classical_route_validates_the_weight(g, error):
+    # the quasi-classical value Tr(G JS^-1) read -0.352 and nan for these
+    fd = _fd(model.catalog_spin_rotation(*SPIN_QC_POINT))
+    assert analysis.beta_spectrum(fd).classification == "quasi_classical"
+    with pytest.raises(error):
+        analysis.cr_bound(fd, g)
+
+
+@pytest.mark.parametrize("build, method", [
+    (lambda: model.catalog_spin_rotation(*SPIN_QC_POINT), "quasi_classical"),
+    (lambda: model.catalog_shifted_number(0, [0.2, -0.4]), "closed_form_2param"),
+    (lambda: model.catalog_spin_rotation(1.5, 0.5, [0.9, 0.3]), "closed_form_2param"),
+], ids=["quasi_classical", "coherent_m2", "generic_m2"])
+def test_weight_of_the_wrong_shape_is_a_domain_error(build, method):
+    fd = _fd(build())
+    assert analysis.cr_bound(fd, np.eye(2)).method == method
+    for route in (analysis.cr_bound, analysis.closed_form, analysis.oracle_bound):
+        with pytest.raises(errors.DomainError, match="does not match m = 2"):
+            route(fd, np.eye(3))
+
+
+def test_oracle_report_is_cached_beside_the_closed_forms(count_calls):
+    # a generic m = 3 model has no closed form at this weight: the bound, the
+    # vectors and the bound again share one SDP solve on the point's Spectrum
+    rng = np.random.default_rng(4)
+    phi = rng.normal(size=5) + 1j * rng.normal(size=5)
+    dphi = 0.5 * (rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5)))
+    mdl = model.custom_model(5, 3, phi / np.linalg.norm(phi), dphi, np.zeros(3))
+    fd = _fd(mdl)
+    g = np.diag([1.0, 2.0, 0.5])
+    solves = count_calls(oracle, "minimize")
+    spectra = count_calls(analysis, "Spectrum")
+    first = analysis.cr_bound(fd, g)
+    nf = measurement.naimark_frame(fd, theta=mdl.theta0)
+    ev, rep = measurement.optimal_vectors(nf, fd, g)
+    again = analysis.cr_bound(fd, g)
+    assert first.method == "oracle"
+    assert len(solves) == 1 and spectra == []
+    assert rep is first and again is first
+    report, result = analysis.oracle_bound(fd, g)
+    assert report is first and ev.X is result.X and result.problem.fd is fd
+    for a in (report.G, report.V_opt, result.X):
+        assert not a.flags.writeable
+    # the closed-form entry of the same weight is a separate key
+    assert analysis.closed_form(fd, g) is None

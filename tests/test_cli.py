@@ -391,13 +391,13 @@ def test_pvm_coherent_computes_the_bound_once(tmp_path, count_calls, capsys):
 
 # Decompositions per `qcrb pvm`, after the model family's own tables are
 # built: JS and iK of the working point, whose lift factor is the Naimark
-# frame's, then on generic models JS and iK of the oracle's Gram, the weight's
-# range and V - Y*Y in the SDP; coherent models add the completion's
-# V - A* gram A and their closed form's weight. lstsq runs only in the
-# oracle's polish, never to move X between embeddings.
+# frame's and the SDP's, then on generic models the weight's range and
+# V - Y*Y in the SDP; coherent models add the completion's V - A* gram A and
+# their closed form's weight. lstsq runs only in the oracle's polish, never
+# to move X between embeddings.
 @pytest.mark.parametrize("config, eighs, lstsqs", [
-    (SPIN_GEN, 6, 4),
-    (N3, 6, 4),
+    (SPIN_GEN, 4, 4),
+    (N3, 4, 4),
     (N0, 4, 0),
     (SQUEEZED, 4, 0),
 ], ids=["generic_spin", "generic_n3", "coherent_m2", "coherent_m4"])
@@ -409,6 +409,27 @@ def test_pvm_decomposition_counts(tmp_path, capsys, count_calls, config, eighs, 
     assert cli.main(["pvm", "--config", cfg]) == 0
     assert json.loads(capsys.readouterr().out)["verification"]["unbiased"] is True
     assert (len(eigh), len(lstsq)) == (eighs, lstsqs)
+
+
+# `qcrb oracle` and `bound --oracle` decompose the working point once: the
+# SDP and the stationarity certificate read the Spectrum that the bound reads.
+# The other eigh calls are the weight's range and V - Y*Y in the SDP, the
+# closed form's own ones, and the Naimark frame's check of a coherent model.
+@pytest.mark.parametrize("command, config, eighs", [
+    (["oracle"], N3, 5),
+    (["oracle"], SQUEEZED, 6),
+    (["bound", "--oracle"], SPIN_GEN, 5),
+], ids=["oracle_n3", "oracle_squeezed", "bound_oracle_spin"])
+def test_oracle_commands_build_one_spectrum(tmp_path, capsys, count_calls, command, config,
+                                            eighs):
+    cfg = write_json(tmp_path / "m.json", config)
+    model_mod.model_from_config(config)   # spin tables are cached per s
+    spectra = count_calls(analysis, "Spectrum")
+    eigh = count_calls(np.linalg, "eigh")
+    solves = count_calls(oracle_mod, "minimize")
+    assert cli.main([*command, "--config", cfg]) == 0
+    capsys.readouterr()
+    assert (len(spectra), len(eigh), len(solves)) == (1, eighs, 1)
 
 
 IMPORT_PROBE = (

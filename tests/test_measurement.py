@@ -75,6 +75,15 @@ def test_pvm_rejects_dependent_x(x):
         measurement.pvm_from_vectors(measurement.EstimationVectors(X=x, phi=phi))
 
 
+def test_pvm_rejects_x_without_columns():
+    # no estimation vectors: nothing to measure, rather than one ray and an
+    # empty offset table
+    phi = np.array([1.0, 0.0, 0.0], dtype=complex)
+    ev = measurement.EstimationVectors(X=np.zeros((3, 0), dtype=complex), phi=phi)
+    with pytest.raises(errors.DomainError, match="no columns"):
+        measurement.pvm_from_vectors(ev)
+
+
 def _spin2_vectors():
     # dim 5 and m = 2: three rays and a rank-2 complement
     mdl = model.catalog_spin_rotation(2.0, 0.0, [0.8, 0.5])

@@ -278,3 +278,20 @@ def test_two_parameter_routes_share_the_weight_rank(small, rank):
     res = oracle.minimize(oracle.OracleProblem(gram=fd.gram, G=g))
     assert abs(res.value - rep.value) <= matkernel.TOL["oracle_agreement"] * rep.value
     assert res.attained == rep.attained == (rank == 2)
+
+
+def test_a_problem_reads_the_fisher_data_it_is_given():
+    mdl = model.catalog_spin_rotation(1.5, 0.5, [0.9, 0.3])
+    fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
+    g = np.array([[1.4, 0.3], [0.3, 0.9]])
+    given = oracle.OracleProblem(gram=fd.gram, G=g, fd=fd)
+    bare = oracle.OracleProblem(gram=fd.gram, G=g)
+    assert given.fd is fd and bare.fd is not fd
+    assert np.array_equal(bare.fd.JS, fd.JS) and np.array_equal(bare.fd.Jt, fd.Jt)
+    a, b = oracle.minimize(given), oracle.minimize(bare)
+    # the field changes no result
+    assert a.value == b.value and a.gap == b.gap and np.array_equal(a.X, b.X)
+    assert analysis.spectrum(fd).lift_factor[1] is not analysis.spectrum(bare.fd).lift_factor[1]
+    assert np.array_equal(a.lifts, measurement.naimark_frame(fd).lifts)
+    with pytest.raises(errors.DomainError):
+        oracle.OracleProblem(gram=fd.gram.copy(), G=g, fd=fd)
