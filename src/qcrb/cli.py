@@ -13,10 +13,9 @@ import sys
 
 import numpy as np
 
-from . import __version__, analysis, matkernel, measurement, reportio
+from . import __version__, analysis, matkernel, reportio
 from . import errors
 from . import model as model_mod
-from . import oracle as oracle_mod
 
 
 def _exit_code(exc):
@@ -176,14 +175,15 @@ def cmd_boundary(args):
 
 
 def cmd_pvm(args):
+    from . import measurement   # only the PVM commands load it
+
     doc, model, frame, fd = _model_and_point(args)
     g, wname = _resolve_weight(args.weight, fd.JS)
     spec = analysis.beta_spectrum(fd)
     space = measurement.pvm_space(frame, fd)
     ev, closed = measurement.optimal_vectors(space, fd, g)
     pvm = measurement.pvm_from_vectors(ev)
-    v, unbiased = measurement.covariance_of_pvm(pvm, space)
-    probs = measurement.outcome_probabilities(pvm, space.phi)
+    probs, v, unbiased = measurement.outcome_statistics(pvm, space)
     rep = _base_report("pvm", doc, model, args)
     rep.update({
         "weight": wname,
@@ -204,6 +204,8 @@ def cmd_pvm(args):
 
 
 def cmd_simulate(args):
+    from . import measurement
+
     doc, model, frame, fd = _model_and_point(args)
     pvm_doc = _load_json(args.pvm, "pvm")
     if isinstance(pvm_doc, dict) and "pvm" in pvm_doc:
@@ -254,7 +256,8 @@ def cmd_oracle(args):
         "certificate": None,
     })
     if result.attained:
-        cert = oracle_mod.stationarity_certificate(result)
+        from . import oracle   # analysis.oracle_bound has loaded it
+        cert = oracle.stationarity_certificate(result)
         rep["certificate"] = {
             "Lambda": cert.Lambda,
             "residual": cert.residual,

@@ -316,8 +316,8 @@ def _outcome_table(measurement, frame):
     return offsets, probs, cov
 
 
-def covariance_of_pvm(pvm, frame):
-    """Finite-sum covariance about theta, plus the local unbiasedness verdict."""
+def outcome_statistics(pvm, frame):
+    """(probabilities, covariance about theta, unbiased) from one probability pass."""
     offsets, probs, v = _outcome_table(pvm, frame)
     mean = probs @ offsets
     deriv = (offsets.T @ _expectations(pvm, frame.phi, frame.lifts)).real   # Re xhat* L
@@ -325,7 +325,12 @@ def covariance_of_pvm(pvm, frame):
     target = np.eye(pvm.m, frame.lifts.shape[1])
     unbiased = bool(matkernel.mnorm(mean) <= TOL["vectors"]
                     and matkernel.mnorm(deriv - target) <= TOL["vectors"])
-    return v, unbiased
+    return probs, v, unbiased
+
+
+def covariance_of_pvm(pvm, frame):
+    """Finite-sum covariance about theta, plus the local unbiasedness verdict."""
+    return outcome_statistics(pvm, frame)[1:]
 
 
 def inflate_covariance(pvm, v0):

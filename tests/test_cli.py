@@ -436,23 +436,33 @@ IMPORT_PROBE = (
     "import json, sys\n"
     "import qcrb.cli\n"
     "code = qcrb.cli.main(sys.argv[1:])\n"
-    "sys.stderr.write(json.dumps({'code': code, 'scipy': 'scipy' in sys.modules}))\n"
+    "sys.stderr.write(json.dumps({'code': code, 'scipy': 'scipy' in sys.modules,\n"
+    "                             'qcrb': sorted(m for m in sys.modules if m.startswith('qcrb'))}))\n"
 )
+CORE = ["qcrb", "qcrb.analysis", "qcrb.cli", "qcrb.errors", "qcrb.matkernel", "qcrb.model",
+        "qcrb.reportio"]
 
 
-# No command loads scipy, the oracle included: its SDP runs on numpy alone.
-@pytest.mark.parametrize("command, config, extra, scipy_loaded", [
-    ("analyze", SPIN_GEN, [], False),
-    ("bound", SPIN_GEN, [], False),
-    ("bound", SQUEEZED, [], False),
-    ("pvm", N0, [], False),
-    ("simulate", N0, ["--samples", "50"], False),
-    ("boundary", SPIN_GEN, ["--weight", "identity", "--samples", "5"], False),
-    ("oracle", SPIN_GEN, [], False),
-    ("bound", SPIN_GEN, ["--oracle"], False),
-    ("pvm", SPIN_GEN, [], False),
-])
-def test_only_the_oracle_loads_scipy(tmp_path, command, config, extra, scipy_loaded):
+# A command loads the core layers and only the modules it runs beyond them:
+# `measurement` to build or read a PVM, `oracle` for the SDP, both for a generic
+# PVM. No command loads scipy, the oracle included: its SDP runs on numpy alone.
+@pytest.mark.parametrize("command, config, extra, scipy_loaded, adds", [
+    ("analyze", SPIN_GEN, [], False, []),
+    ("bound", SPIN_GEN, [], False, []),
+    ("bound", SQUEEZED, [], False, []),
+    ("pvm", N0, [], False, ["qcrb.measurement"]),
+    ("simulate", N0, ["--samples", "50"], False, ["qcrb.measurement"]),
+    ("boundary", SPIN_GEN, ["--weight", "identity", "--samples", "5"], False, []),
+    ("oracle", SPIN_GEN, [], False, ["qcrb.oracle"]),
+    ("bound", SPIN_GEN, ["--oracle"], False, ["qcrb.oracle"]),
+    ("pvm", SPIN_GEN, [], False, ["qcrb.measurement", "qcrb.oracle"]),
+], ids=[   # the ids pytest gave these cases without the `adds` column, kept stable
+        "analyze-config0-extra0-False", "bound-config1-extra1-False",
+        "bound-config2-extra2-False", "pvm-config3-extra3-False",
+        "simulate-config4-extra4-False", "boundary-config5-extra5-False",
+        "oracle-config6-extra6-False", "bound-config7-extra7-False",
+        "pvm-config8-extra8-False"])
+def test_only_the_oracle_loads_scipy(tmp_path, command, config, extra, scipy_loaded, adds):
     cfg = write_json(tmp_path / "m.json", config)
     if command == "simulate":
         pvm_path = str(tmp_path / "pvm.json")
@@ -462,7 +472,37 @@ def test_only_the_oracle_loads_scipy(tmp_path, command, config, extra, scipy_loa
         [sys.executable, "-c", IMPORT_PROBE, command, "--config", cfg, *extra],
         capture_output=True, text=True, timeout=300)
     probe = json.loads(proc.stderr.strip().splitlines()[-1])
-    assert probe == {"code": 0, "scipy": scipy_loaded}
+    assert probe == {"code": 0, "scipy": scipy_loaded, "qcrb": sorted(CORE + adds)}
+
+
+def test_importing_the_package_loads_no_submodule():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys, qcrb\n"
+         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('qcrb'))))"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["qcrb"]
+
+
+# `qcrb pvm` reads the probabilities, covariance and unbiasedness of its PVM from
+# one validated probability pass, and reports what a fresh pass gives.
+@pytest.mark.parametrize("config", [SQUEEZED, N0, SPIN_GEN], ids=["squeezed", "n0", "spin"])
+def test_pvm_reads_the_probabilities_once(tmp_path, capsys, count_calls, config):
+    cfg = write_json(tmp_path / "m.json", config)
+    probs = count_calls(measurement, "outcome_probabilities")
+    assert cli.main(["pvm", "--config", cfg]) == 0
+    assert len(probs) == 1
+    doc = json.loads(capsys.readouterr().out)
+    mdl = model_mod.model_from_config(config)
+    frame = model_mod.tangent_frame(mdl, mdl.theta0)
+    fd = model_mod.fisher_data(frame)
+    space = measurement.pvm_space(frame, fd)
+    ev, _ = measurement.optimal_vectors(space, fd, np.eye(len(mdl.theta0)))
+    pvm = measurement.pvm_from_vectors(ev)
+    v, unbiased = measurement.covariance_of_pvm(pvm, space)
+    ver = doc["verification"]
+    assert ver["probabilities"] == measurement.outcome_probabilities(pvm, space.phi).tolist()
+    assert ver["covariance"] == v.tolist() and ver["unbiased"] is unbiased
 
 
 # --seed and --samples exist only where a command reads them
