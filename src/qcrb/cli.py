@@ -234,9 +234,15 @@ def cmd_simulate(args):
                          / result.count)
         summary["z_cov"] = (result.cov - va) / se_cov
     if args.out:
-        header = [f"outcome_{i + 1}" for i in range(m)]
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(reportio.csv_rows(header, result.samples))
+            # each drawn outcome's row is formatted once, before any byte is written:
+            # a non-finite drawn estimate leaves the file empty (NonFinite, exit 3)
+            rows = {k: reportio.csv_row(result.estimates[k])
+                    for k in np.flatnonzero(result.counts).tolist()}
+            fh.write(reportio.csv_rows([f"outcome_{i + 1}" for i in range(m)], ()))
+            for start in range(0, result.count, measurement.BLOCK):
+                block = result.drawn[start:start + measurement.BLOCK].tolist()
+                fh.write("".join([rows[k] for k in block]))
         summary["csv"] = args.out
     sys.stdout.write(reportio.dumps(summary))
     return 0

@@ -44,6 +44,8 @@ from .errors import (
 )
 from .matkernel import TOL, check
 
+BLOCK = 1 << 16          # shots drawn per Generator.random call in `sample_outcomes`
+
 
 @dataclass
 class EstimationVectors:
@@ -88,12 +90,22 @@ class InflatedPvm:
 
 @dataclass
 class SampleResult:
-    samples: np.ndarray      # shape (count, m), estimates theta + offset
+    estimates: np.ndarray    # shape (K, m), theta + offset, one row per outcome
+    drawn: np.ndarray        # shape (count,), outcome indices, smallest unsigned dtype for K - 1
+    counts: np.ndarray       # shape (K,), shots per outcome
     mean: Optional[np.ndarray]
     cov: Optional[np.ndarray]          # second moment about theta
     analytic_cov: np.ndarray
-    count: int
     seed: int
+
+    @property
+    def count(self):
+        return len(self.drawn)
+
+    @property
+    def samples(self):
+        """Shape (count, m): the estimate of every shot, gathered on each read."""
+        return self.estimates[self.drawn]
 
 
 def naimark_frame(fd, theta=None):
@@ -356,41 +368,54 @@ def analytic_covariance(measurement, frame):
 
 
 def _draw(rng, p, count):
-    """Outcome indices of `count` shots, exactly those of rng.choice(len(p), count, p=p).
+    """Outcome indices of `count` shots, and the shots per outcome.
 
-    Generator.choice draws u = rng.random(count) against the CDF divided by its
-    last entry and returns the number of CDF entries <= u; one comparison per
-    outcome gives the same count. The last entry is 1 and u < 1, so it is skipped.
+    The indices are exactly those of rng.choice(len(p), count, p=p), in the
+    smallest unsigned dtype that holds len(p) - 1. Generator.choice draws
+    u = rng.random(count) against the CDF divided by its last entry and returns
+    the number of CDF entries <= u; one comparison per outcome gives the same
+    count. The last entry is 1 and u < 1, so it is skipped. The CDF is
+    nondecreasing, so the shots that pass comparison k are those with index
+    >= k, and the shots per outcome are differences of those tallies. The
+    uniforms come in blocks of BLOCK: successive rng.random calls continue one
+    stream, so no more than one block of them is held at a time.
     """
     cdf = np.cumsum(p)
     cdf /= cdf[-1]
-    u = rng.random(count)
-    idx = np.zeros(count, dtype=np.int64)
-    for c in cdf[:-1]:
-        idx += u >= c
-    return idx
+    drawn = np.zeros(count, dtype=np.min_scalar_type(len(p) - 1))
+    beyond = np.zeros(len(p) + 1, dtype=np.int64)   # beyond[k]: shots with index >= k
+    beyond[0] = count
+    for start in range(0, count, BLOCK):
+        block = drawn[start:start + BLOCK]
+        u = rng.random(len(block))
+        for k, c in enumerate(cdf[:-1], 1):
+            hit = u >= c
+            block += hit
+            beyond[k] += np.count_nonzero(hit)
+    return drawn, beyond[:-1] - beyond[1:]
 
 
 def sample_outcomes(measurement, frame, count, seed):
     """Deterministic seeded sampling of outcome estimates theta + offset.
 
-    The samples are those of Generator.choice with the outcome probabilities;
-    the mean and the second moment about theta come from the outcome counts.
+    The outcome indices are those of Generator.choice with the outcome
+    probabilities; the mean and the second moment about theta come from the
+    outcome counts. A shot costs one byte of `drawn` (two past 256 outcomes);
+    `samples` gathers the per-shot estimates only when read.
     """
     offsets, probs, analytic = _outcome_table(measurement, frame)
     m = offsets.shape[1]
     theta = frame.theta if frame.theta is not None else np.zeros(m)
-    count = int(count)
-    if count <= 0:
-        return SampleResult(samples=np.zeros((0, m)), mean=None, cov=None,
-                            analytic_cov=analytic, count=0, seed=seed)
-    idx = _draw(np.random.default_rng(seed), probs / probs.sum(), count)
-    samples = np.take(offsets + theta, idx, axis=0)
-    hits = np.bincount(idx, minlength=len(probs)) / count
-    mean = theta + hits @ offsets
-    cov = matkernel.symmetrize(offsets.T @ (offsets * hits[:, None]))
-    return SampleResult(samples=samples, mean=mean, cov=cov,
-                        analytic_cov=analytic, count=count, seed=seed)
+    count = max(int(count), 0)
+    rng = np.random.default_rng(seed) if count else None   # no shots: the seed is never read
+    drawn, counts = _draw(rng, probs / probs.sum(), count)
+    mean = cov = None
+    if count:
+        hits = counts / count
+        mean = theta + hits @ offsets
+        cov = matkernel.symmetrize(offsets.T @ (offsets * hits[:, None]))
+    return SampleResult(estimates=offsets + theta, drawn=drawn, counts=counts, mean=mean,
+                        cov=cov, analytic_cov=analytic, seed=seed)
 
 
 def marginal_vectors(frame, fd, i):

@@ -54,9 +54,11 @@ def dumps(obj, indent=2):
     return _encode(obj, indent, 0) + "\n"
 
 
+def csv_row(row):
+    """One CSV line of 17-significant-digit floats, newline included."""
+    return ",".join(fmt_float(x) for x in row) + "\n"
+
+
 def csv_rows(header, rows):
     """CSV text with 17-significant-digit floats."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt_float(x) for x in row))
-    return "\n".join(lines) + "\n"
+    return ",".join(header) + "\n" + "".join(csv_row(row) for row in rows)

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from qcrb import analysis, cli, errors, matkernel, measurement
+from qcrb import analysis, cli, errors, matkernel, measurement, reportio
 from qcrb import model as model_mod
 from qcrb import oracle as oracle_mod
 
@@ -598,6 +598,26 @@ def test_simulate_reads_stored_pvm_files(tmp_path, capsys, name):
     summary = json.loads(capsys.readouterr().out)
     assert summary.pop("csv") == str(out)
     _close(summary, json.loads((DATA / f"{name}_simulate.json").read_text()), name)
+
+
+# The CSV is written a block of shots at a time, from rows formatted once per outcome.
+@pytest.mark.parametrize("name", PVM_FILES)
+def test_simulate_out_across_blocks(tmp_path, capsys, count_calls, name):
+    count = 2 * measurement.BLOCK + 5
+    cfg, pvm_path, out = DATA / f"{name}_config.json", DATA / f"{name}_pvm.json", tmp_path / "f.csv"
+    rows = count_calls(reportio, "csv_row")
+    assert cli.main(["simulate", "--config", str(cfg), "--pvm", str(pvm_path),
+                     "--samples", str(count), "--seed", "3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    mdl = model_mod.model_from_config(json.loads(cfg.read_text()))
+    frame = model_mod.tangent_frame(mdl, mdl.theta0)
+    fd = model_mod.fisher_data(frame)
+    pvm = measurement.pvm_from_obj(json.loads(pvm_path.read_text())["pvm"], mdl.m,
+                                   theta=mdl.theta0)
+    result = measurement.sample_outcomes(pvm, measurement.pvm_space(frame, fd), count, 3)
+    assert len(rows) == np.count_nonzero(result.counts) <= len(pvm.outcomes)
+    header = [f"outcome_{i + 1}" for i in range(mdl.m)]
+    assert out.read_bytes() == reportio.csv_rows(header, result.samples).encode()
 
 
 def _bend(entry, k, eps):

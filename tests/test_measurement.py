@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -528,6 +529,7 @@ def test_sampling_zero_count():
     _, pvm, frame, offsets, _ = _sampling_cases()[1]
     r = measurement.sample_outcomes(pvm, frame, 0, 3)
     assert r.count == 0 and r.samples.shape == (0, offsets.shape[1])
+    assert not r.counts.any() and np.array_equal(r.estimates, offsets + frame.theta)
     assert r.mean is None and r.cov is None
     assert np.array_equal(r.analytic_cov, measurement.analytic_covariance(pvm, frame))
 
@@ -538,6 +540,53 @@ def test_sampling_reads_the_probabilities_once(count_calls):
     cov = count_calls(measurement, "covariance_of_pvm")
     measurement.sample_outcomes(pvm, frame, 1000, 4)
     assert len(probs) == 1 and not cov
+
+
+BLOCK = measurement.BLOCK
+
+
+# A block that re-draws or skips a uniform shifts every later index.
+@pytest.mark.parametrize("count", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17])
+@pytest.mark.parametrize("case", [1, 2], ids=["naimark", "inflated"])
+def test_sampling_blocks_continue_one_stream(case, count):
+    name, meas, frame, offsets, probs = _sampling_cases()[case]
+    p = probs / probs.sum()
+    ref = np.random.default_rng(9).choice(len(p), size=count, p=p)
+    drawn, counts = measurement._draw(np.random.default_rng(9), p, count)
+    assert np.array_equal(drawn, ref) and drawn.dtype == np.uint8, name
+    assert np.array_equal(counts, np.bincount(ref, minlength=len(p))), name
+    r = measurement.sample_outcomes(meas, frame, count, 9)
+    assert r.count == count and np.array_equal(r.drawn, ref), name
+    assert np.array_equal(r.samples, offsets[ref] + frame.theta), name
+
+
+def test_sampling_past_255_outcomes_uses_two_bytes():
+    # 300 rays spanning C^300, one outcome each, with unequal probabilities
+    rng = np.random.default_rng(2)
+    rays = np.linalg.qr(rng.normal(size=(300, 300)) + 1j * rng.normal(size=(300, 300)))[0]
+    pvm = measurement.Pvm(rays=rays, outcomes=rng.normal(size=(300, 2)))
+    phi = rng.normal(size=300) + 1j * rng.normal(size=300)
+    frame = TangentFrame(theta=np.array([0.3, -0.1]), phi=phi / np.linalg.norm(phi),
+                         lifts=np.zeros((300, 2), dtype=complex))
+    probs = measurement.outcome_probabilities(pvm, frame.phi)
+    r = measurement.sample_outcomes(pvm, frame, 20_000, 6)
+    ref = np.random.default_rng(6).choice(300, size=20_000, p=probs / probs.sum())
+    assert r.drawn.dtype == np.uint16 and r.drawn.max() > 255
+    assert np.array_equal(r.drawn, ref)
+    assert np.array_equal(r.samples, pvm.outcomes[ref] + frame.theta)
+
+
+def test_sampling_memory_is_one_byte_per_shot():
+    _, pvm, frame, _, _ = _sampling_cases()[1]   # shifted n = 0, coherent
+    measurement.sample_outcomes(pvm, frame, 10, 0)
+    tracemalloc.start()
+    try:
+        r = measurement.sample_outcomes(pvm, frame, 1_000_000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.drawn.nbytes == 1_000_000
+    assert peak < 4 * 2 ** 20, peak
 
 
 def test_bad_probability():

@@ -308,7 +308,8 @@ def test_sampling_draw_is_generator_choice(weights, zero_last, count, seed):
     if w.sum() == 0.0:
         w[0] = 1.0
     p = w / w.sum()
-    idx = measurement._draw(np.random.default_rng(seed), p, count)
+    idx, counts = measurement._draw(np.random.default_rng(seed), p, count)
     ref = np.random.default_rng(seed).choice(p.size, size=count, p=p)
     assert np.array_equal(idx, ref)
+    assert np.array_equal(counts, np.bincount(ref, minlength=p.size))
     assert np.all(p[idx] > 0.0)
