@@ -66,7 +66,8 @@ class Spectrum:
     `reports` caches closed_form by the bytes of the symmetrized weight: the
     one BoundReport (or None) that every bound and measurement at this point
     reads. Beside it, under ("oracle", those bytes), it caches oracle_bound's
-    (BoundReport, OracleResult). Their G, V_opt and X are read-only.
+    (BoundReport, OracleResult), and under ("weight", those bytes) the
+    weight's one decomposition (`weight`). Their arrays are read-only.
     `spectrum(fd)` caches the Spectrum on fd.
     """
 
@@ -119,6 +120,21 @@ class Spectrum:
         keep = 1.0 + mu > TOL["beta"]
         kh = np.sqrt(1.0 + mu[keep])[:, None] * u[:, keep].conj().T
         return kh, kh @ self.js_inverses[1] @ self.fd.JS
+
+    def weight(self, G):
+        """(gn, (g, r, keep)) of a symmetrized weight G, as check_weight returns it.
+
+        gn = w G w (w = JS^{-1/2}) is the weight in the parameters where JS = I,
+        and (g, r, keep) is its one matkernel.weight_eig: the PSD decision at
+        gn's dust (DomainError) and the rank cut that every route reads.
+        """
+        key = ("weight", G.tobytes())
+        if key not in self.reports:
+            w = self.js_inverses[1]
+            gn = matkernel.symmetrize(w @ G @ w)
+            self.reports[key] = gn, matkernel.weight_eig(gn)
+            _read_only(gn, *self.reports[key][1])
+        return self.reports[key]
 
     js_inv = property(lambda self: self.js_inverses[0])
     beta = property(lambda self: self.canonical[4])
@@ -230,10 +246,9 @@ def cr_bound_2param(fd, G):
     m = fd.JS.shape[0]
     if m != 2:
         raise DomainError(f"two-parameter bound requires m = 2, got {m}")
-    G = matkernel.symmetrize(G)
+    G = check_weight(fd, G)
     jsinv, w = spectrum(fd).js_inverses
-    gp = matkernel.symmetrize(w @ G @ w)
-    g, r, keep = matkernel.weight_eig(gp)   # raises DomainError unless PSD
+    g, r, keep = spectrum(fd).weight(G)[1]   # raises DomainError unless PSD
     beta = float(spectrum(fd).beta.betas[0])
     c = math.sqrt(max(0.0, 1.0 - beta * beta))
     notes = {"beta": beta}
@@ -306,21 +321,26 @@ def cr_bound_js_weight(fd):
 
 
 def cr_bound_coherent(fd, G):
-    """Bound for coherent models with strictly positive weight."""
+    """Bound for coherent models with strictly positive weight.
+
+    In the parameters where JS = I the weight is G' = w G w (w = JS^{-1/2}) and
+    the lift Gram is I + iK, so the optimum is V' = I + G'^{-1/2} |M| G'^{-1/2}
+    with M = G'^{1/2} K G'^{1/2}, and V = w V' w. G'^{+-1/2} come from the
+    weight's one decomposition on the Spectrum; a rank below m raises
+    SingularWeight.
+    """
     if not coherent_test(fd):
         raise NotCoherent("model is not coherent (some beta < 1)")
-    G = matkernel.symmetrize(G)
-    try:
-        sq, isq = matkernel.psd_powers(G, 0.5, -0.5)
-    except NotPSD as exc:
-        raise SingularWeight(
-            "weight matrix must be strictly positive definite") from exc
-    a = spectrum(fd).js_inv
-    c = matkernel.antisymmetrize(a @ fd.Jt @ a)
-    mmat = matkernel.antisymmetrize(sq @ c @ sq)
-    absm = matkernel.abs_sym(mmat)
+    G = check_weight(fd, G)
+    spec = spectrum(fd)
+    g, r, keep = spec.weight(G)[1]
+    if not keep.all():
+        raise SingularWeight("weight matrix must be strictly positive definite")
+    sq, isq = ((r * g ** p) @ r.T for p in (0.5, -0.5))
+    absm = matkernel.abs_sym(matkernel.antisymmetrize(sq @ spec.canonical[0] @ sq))
+    a, w = spec.js_inverses
     value = float(np.trace(G @ a) + np.trace(absm))
-    v_opt = matkernel.symmetrize(a + isq @ absm @ isq)
+    v_opt = matkernel.symmetrize(a + w @ isq @ absm @ isq @ w)
     check("coherent_trace", abs(float(np.trace(G @ v_opt)) - value), abs(value), ConsistencyError)
     return BoundReport(
         G=G, value=value, attained=True, V_opt=v_opt, method="closed_form_coherent",
@@ -383,7 +403,7 @@ def _read_only(*arrays):
 
 def _closed_form(fd, G):
     if quasi_classical_test(fd):
-        matkernel.weight_eig(G)   # raises DomainError unless PSD, NonFinite on NaN
+        spectrum(fd).weight(G)   # raises DomainError unless PSD, NonFinite on NaN
         jsinv = spectrum(fd).js_inv.copy()
         return BoundReport(G=G, value=float(np.trace(G @ jsinv)), attained=True,
                            V_opt=jsinv, method="quasi_classical", notes={})

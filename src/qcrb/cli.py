@@ -8,6 +8,7 @@ CSV. Errors print a machine-readable JSON object to stderr and exit with
 """
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -29,14 +30,26 @@ def _exit_code(exc):
     return 1
 
 
-def _load_json(path, what):
+@contextlib.contextmanager
+def _open(path, mode, what):
+    """open(path, mode) as text; an OSError or undecodable byte while the file is
+    open is a SchemaError (exit 2) that names the path."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, mode, encoding="utf-8") as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError) as exc:
+        if mode == "r" and isinstance(exc, FileNotFoundError):
+            raise errors.SchemaError(f"{what} file not found: {path}") from exc
+        verb = "read" if mode == "r" else "write"
+        raise errors.SchemaError(f"cannot {verb} {what} file {path}: {exc}") from exc
+
+
+def _load_json(path, what):
+    with _open(path, "r", what) as fh:
+        try:
             return json.load(fh)
-    except FileNotFoundError as exc:
-        raise errors.SchemaError(f"{what} file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise errors.SchemaError(f"{what} is not valid JSON: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise errors.SchemaError(f"{what} is not valid JSON: {exc}") from exc
 
 
 def _resolve_weight(spec_str, js):
@@ -55,10 +68,7 @@ def _resolve_weight(spec_str, js):
         raise errors.SchemaError(f"weight shape {g.shape} does not match m = {m}")
     if not np.all(np.isfinite(g)):
         raise errors.SchemaError("weight matrix entries must be finite")
-    g = matkernel.symmetrize(g)
-    if not matkernel.is_psd(g):
-        raise errors.DomainError("weight matrix must be PSD")
-    return g, spec_str
+    return g, spec_str   # every route decides PSD on the normalized weight
 
 
 def _model_and_point(args):
@@ -84,7 +94,7 @@ def _bound_report_obj(rep):
 
 def _emit(text, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with _open(out_path, "w", "output") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -152,13 +162,13 @@ def cmd_boundary(args):
         beta = float(analysis.beta_spectrum(fd).betas[0])
         if args.weight is not None:
             g, _ = _resolve_weight(args.weight, fd.JS)
-            w = analysis.spectrum(fd).js_inverses[1]
-            g = matkernel.symmetrize(w @ g @ w)
+            gvals = analysis.spectrum(fd).weight(analysis.check_weight(fd, g))[1][0]
     elif args.beta is not None:
         beta = args.beta
         if args.weight is not None:
-            # normalized coordinates, where JS is the identity
+            # normalized coordinates, where JS is the identity and w G w is G
             g, _ = _resolve_weight(args.weight, np.eye(2))
+            gvals = matkernel.weight_eig(matkernel.symmetrize(g))[0]
     else:
         raise errors.SchemaError("boundary needs --config or --beta")
     curve = analysis.boundary_2param(beta, count=args.samples,
@@ -166,7 +176,6 @@ def cmd_boundary(args):
     header = ["x", "z", "u", "v"]
     rows = curve.samples
     if g is not None:
-        gvals, _ = np.linalg.eigh(g)
         tr = gvals[0] * rows[:, 2] + gvals[1] * rows[:, 3]
         rows = np.column_stack([rows, tr])
         header.append("trGV")
@@ -194,7 +203,7 @@ def cmd_pvm(args):
             "algebra_residuals": measurement.pvm_algebra_residuals(pvm),
             "unbiased": unbiased,
             "covariance": v,
-            "trGV": float(np.sum(g * v)),
+            "trGV": float(np.sum(closed.G * v)),
             "probabilities": probs,
         },
         "pvm": measurement.pvm_to_obj(pvm, theta=model.theta0),
@@ -234,7 +243,7 @@ def cmd_simulate(args):
                          / result.count)
         summary["z_cov"] = (result.cov - va) / se_cov
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _open(args.out, "w", "output") as fh:
             # each drawn outcome's row is formatted once, before any byte is written:
             # a non-finite drawn estimate leaves the file empty (NonFinite, exit 3)
             rows = {k: reportio.csv_row(result.estimates[k])

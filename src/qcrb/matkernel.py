@@ -5,7 +5,8 @@ max-absolute-entry norm. A check raises through `check`; a decision (a dust
 snap, a rank cut, a branch) reads TOL directly. Eigenvalues within
 TOL["eigen_dust"] * max(1, ||A||) of zero are treated as exact zeros
 everywhere (rank decisions, PSD checks); `weight_eig` makes that cut for
-every weight matrix.
+every weight matrix, once per working point and weight, on the normalized
+weight w G w that `analysis.Spectrum.weight` caches.
 """
 
 import numpy as np
@@ -15,8 +16,8 @@ from .errors import DomainError, NonFinite, NonHermitian, NotPSD
 # name -> value. "relative" means times max(1, scale) for the scale each site
 # names; "absolute" means times 1.
 TOL = {
-    # eigenvalue counted as zero: PSD floors, inverses, rank cuts (a weight's
-    # rank in both the two-parameter closed form and the oracle); relative to ||A||
+    # eigenvalue counted as zero: PSD floors, inverses, rank cuts (a weight's PSD
+    # decision and rank, made on w G w for every route); relative to ||A||
     "eigen_dust": 1e-10,
     # Hermitian deviation of a matrix input; relative to ||A||
     "hermitian": 1e-12,

@@ -173,16 +173,13 @@ def _complete(nf, a, v):
 def optimal_vectors_coherent(nf, fd, G):
     """Estimation vectors in the Naimark frame nf attaining a coherent model's CR(G).
 
-    They complete the closed form's covariance, so a bound already computed
-    for fd and G is not solved again. Raises NotCoherent, and SingularWeight
-    when no estimator attains the bound.
+    They are the vectors of `optimal_vectors` on a coherent model, so a bound
+    already computed for fd and G is not solved again. Raises NotCoherent, and
+    SingularWeight when no estimator attains the bound.
     """
     if not analysis.coherent_test(fd):
         raise NotCoherent("model is not coherent (some beta < 1)")
-    report = analysis.closed_form(fd, G)
-    if report is None or report.V_opt is None:
-        raise SingularWeight("no estimator attains the bound for this singular weight")
-    return _complete(nf, analysis.spectrum(fd).js_inv, report.V_opt)
+    return optimal_vectors(nf, fd, G)[0]
 
 
 def pvm_space(frame, fd):
@@ -401,13 +398,19 @@ def sample_outcomes(measurement, frame, count, seed):
     The outcome indices are those of Generator.choice with the outcome
     probabilities; the mean and the second moment about theta come from the
     outcome counts. A shot costs one byte of `drawn` (two past 256 outcomes);
-    `samples` gathers the per-shot estimates only when read.
+    `samples` gathers the per-shot estimates only when read. A negative count,
+    or a seed that numpy's default_rng rejects, raises DomainError.
     """
+    count = int(count)
+    if count < 0:
+        raise DomainError(f"sample count must be nonnegative, got {count}")
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"seed {seed!r} is not a nonnegative integer: {exc}") from exc
     offsets, probs, analytic = _outcome_table(measurement, frame)
     m = offsets.shape[1]
     theta = frame.theta if frame.theta is not None else np.zeros(m)
-    count = max(int(count), 0)
-    rng = np.random.default_rng(seed) if count else None   # no shots: the seed is never read
     drawn, counts = _draw(rng, probs / probs.sum(), count)
     mean = cov = None
     if count:

@@ -47,7 +47,6 @@ from . import analysis, matkernel
 from .errors import (
     DomainError,
     NonConvergence,
-    NotPSD,
     PreconditionNotMet,
 )
 from .matkernel import TOL, check
@@ -93,18 +92,6 @@ class OracleResult:
     residuals: dict
     restarts: List[RestartStat]
     problem: OracleProblem
-
-
-def _setup(problem):
-    """The validated weight, w = JS^{-1/2}, and the lift factor of the working point.
-
-    Returns (g, w, kh, R) from the Spectrum of problem.fd: kh* kh = w gram w
-    = I + iK and R = kh JS^{1/2} (r x m), on the directions where analysis
-    does not snap beta to 1. The Spectrum raises SingularFisher, and
-    DomainError for a Gram that is not PSD.
-    """
-    spec = analysis.spectrum(problem.fd)
-    return (analysis.check_weight(problem.fd, problem.G), spec.js_inverses[1]) + spec.lift_factor
 
 
 def _real(stack):
@@ -245,15 +232,14 @@ def _polish(c, b, lam, g, kh, target):
     return split(best[1])[:2]
 
 
-def _weight_split(g):
-    """(scale, P, Q): g = scale * P gp P^T with gp of unit norm on range P, and Q
-    spanning null(g). P is the identity when g is positive definite."""
-    m = g.shape[0]
-    w, u, pos = matkernel.weight_eig(g)
-    scale = float(w[-1]) if pos.any() else 1.0
+def _weight_split(vals, u, pos):
+    """(scale, P, Q) from a weight's eigenpairs and rank mask: g = scale * P gp P^T
+    with gp of unit norm on range P, and Q spanning null(g). P is the identity
+    when g is positive definite."""
+    scale = float(vals[-1]) if pos.any() else 1.0
     if pos.all():
-        return scale, np.eye(m), np.zeros((m, 0))
-    return scale, u[:, pos].real, u[:, ~pos].real
+        return scale, np.eye(len(vals)), np.zeros((len(vals), 0))
+    return scale, u[:, pos], u[:, ~pos]
 
 
 def _solve_range(gp, kh, c0, target, null):
@@ -340,17 +326,22 @@ def minimize(problem):
     """The Holevo bound of the problem, its duality gap and attaining vectors.
 
     The SDP is solved in the normalized parameters theta' = JS^{1/2} theta,
-    whose lift Gram is I + iK and whose weight is w G w (w = JS^{-1/2});
-    X = X' w maps the estimation vectors back. The lifts are the lift factor R
-    in coordinates 1..r, the Naimark frame's, so X is valid in that frame.
+    whose lift Gram is I + iK and whose weight is w G w (w = JS^{-1/2}), all
+    read from the Spectrum of problem.fd: kh* kh = I + iK and R = kh JS^{1/2}
+    (r x m) on the directions where analysis does not snap beta to 1, and the
+    weight's one decomposition. X = X' w maps the estimation vectors back. The
+    lifts are R in coordinates 1..r, the Naimark frame's, so X is valid in
+    that frame.
     """
-    g, w, kh, root = _setup(problem)
-    m, r = g.shape[0], kh.shape[0]
+    g = analysis.check_weight(problem.fd, problem.G)
+    spec = analysis.spectrum(problem.fd)
+    w, (kh, root) = spec.js_inverses[1], spec.lift_factor
+    gn, eig = spec.weight(g)   # w G w; the Spectrum raises DomainError unless it is PSD
+    m, r = gn.shape[0], kh.shape[0]
     # free directions of one column c of Y: the null space of c -> Re(c* kh)
     _, _, vt = np.linalg.svd(np.hstack([kh.real.T, kh.imag.T]))
     null = vt[m:, :r] + 1j * vt[m:, r:]
-    gn = matkernel.symmetrize(w @ g @ w)
-    scale, pb, qb = _weight_split(gn)
+    scale, pb, qb = _weight_split(*eig)
     p = pb.shape[1]
     if p:
         gp = matkernel.symmetrize(pb.T @ gn @ pb) / scale
@@ -448,11 +439,11 @@ def stationarity_certificate(result, problem=None):
         extras["quadratic_sym"] = matkernel.mnorm(e1)
         extras["quadratic_antisym"] = matkernel.mnorm(e2)
     if analysis.beta_spectrum(fd).classification == "coherent":
-        try:
-            isq = matkernel.psd_powers(g, -0.5)[0]
-        except NotPSD:
-            pass   # a singular weight has no scaled multiplier
-        else:
-            ev = np.linalg.eigvals(isq @ lam @ isq)
-            extras["multiplier_spectrum"] = np.sort(np.abs(ev.imag))
+        spec = analysis.spectrum(fd)
+        gw, u, pos = spec.weight(g)[1]
+        if pos.all():   # a singular weight has no scaled multiplier
+            # t = w G'^{-1/2} with G' = w G w, so t t^T = G^{-1}: t^T Lambda t is similar
+            # to G^{-1} Lambda
+            t = spec.js_inverses[1] @ (u / np.sqrt(gw)) @ u.T
+            extras["multiplier_spectrum"] = np.sort(np.abs(np.linalg.eigvals(t.T @ lam @ t).imag))
     return StationarityReport(Lambda=lam, residual=residual, extras=extras)

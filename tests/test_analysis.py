@@ -372,12 +372,13 @@ def test_each_working_point_is_decomposed_once(monkeypatch):
     assert analysis.cr_bound(fd, g).method == "closed_form_coherent"
     nf = measurement.naimark_frame(fd, theta=mdl.theta0)
     measurement.optimal_vectors_coherent(nf, fd, g)
-    # the completion's h = V - A* gram A, as _complete forms it
+    # the weight is decomposed in normalized form, w G w; the completion's
+    # h = V - A* gram A, as _complete forms it
     spec = analysis.spectrum(fd)
-    a = spec.js_inv
+    a, w = spec.js_inverses
     h = analysis.closed_form(fd, g).V_opt - a.conj().T @ nf.gram @ a
-    expected = {"JS": fd.JS, "iK": 1j * spec.canonical[0], "G": g,
-                "h": 0.5 * (h + h.conj().T)}
+    expected = {"JS": fd.JS, "iK": 1j * spec.canonical[0],
+                "wGw": matkernel.symmetrize(w @ g @ w), "h": 0.5 * (h + h.conj().T)}
     names = [name for x in seen for name, e in expected.items()
              if x.shape == e.shape and np.array_equal(x, e)]
     assert sorted(names) == sorted(expected) and len(seen) == len(expected)
@@ -466,17 +467,22 @@ def test_coherent_route_decomposes_the_weight_once(monkeypatch):
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
     analysis.beta_spectrum(fd)
     g = np.eye(4)
-    on_g = []
+    w = analysis.spectrum(fd).js_inverses[1]
+    weights = {"G": g, "wGw": matkernel.symmetrize(w @ g @ w)}
+    seen = []
     original = matkernel.hermitian_eig
 
     def recording(a):
-        if np.shape(a) == g.shape and np.array_equal(a, g):
-            on_g.append(1)
+        seen.extend(name for name, e in weights.items()
+                    if np.shape(a) == e.shape and np.array_equal(a, e))
         return original(a)
 
     monkeypatch.setattr(matkernel, "hermitian_eig", recording)
     assert analysis.cr_bound(fd, g).method == "closed_form_coherent"
-    assert len(on_g) == 1
+    # the stationarity certificate reads the same decomposition
+    report, result = analysis.oracle_bound(fd, g)
+    assert "multiplier_spectrum" in oracle.stationarity_certificate(result).extras
+    assert seen == ["wGw"]
 
 
 def test_coherent_route_with_singular_weight_goes_to_the_oracle():

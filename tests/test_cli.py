@@ -211,6 +211,45 @@ def test_simulate_zero_samples(tmp_path):
     assert json.loads(proc.stdout)["insufficient_data"] is True
 
 
+@pytest.mark.parametrize("extra", [["--seed", "-1"], ["--samples", "-4"],
+                                   ["--samples", "0", "--seed", "-1"]],
+                         ids=["seed", "samples", "seed_without_shots"])
+def test_simulate_rejects_negative_seed_and_samples(tmp_path, capsys, extra):
+    out = tmp_path / "s.csv"
+    assert cli.main(["simulate", "--config", str(DATA / "n0_coherent_config.json"),
+                     "--pvm", str(DATA / "n0_coherent_pvm.json"), "--out", str(out),
+                     *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert json.loads(captured.err)["error"] == "DomainError"
+
+
+# Every file the CLI opens: an OSError or undecodable bytes name the path (exit 2).
+@pytest.mark.parametrize("command, bad", [
+    (["bound", "--config", "{bad}"], "dir"),
+    (["bound", "--config", "{bad}"], "binary"),
+    (["bound", "--config", "{cfg}", "--weight", "{bad}"], "dir"),
+    (["bound", "--config", "{cfg}", "--weight", "{bad}"], "binary"),
+    (["simulate", "--config", "{cfg}", "--pvm", "{bad}"], "dir"),
+    (["simulate", "--config", "{cfg}", "--pvm", "{bad}"], "binary"),
+    (["pvm", "--config", "{cfg}", "--out", "{bad}"], "missing_dir"),
+    (["pvm", "--config", "{cfg}", "--out", "{bad}"], "dir"),
+    (["simulate", "--config", "{cfg}", "--pvm", "{pvm}", "--out", "{bad}"], "missing_dir"),
+], ids=["config_dir", "config_binary", "weight_dir", "weight_binary", "pvm_dir", "pvm_binary",
+        "pvm_out_missing_dir", "pvm_out_dir", "simulate_out_missing_dir"])
+def test_unusable_files_are_schema_errors(tmp_path, capsys, command, bad):
+    paths = {"dir": tmp_path, "binary": tmp_path / "b.json",
+             "missing_dir": tmp_path / "no" / "such" / "p.json"}
+    (tmp_path / "b.json").write_bytes(b'{"\xff\xfe"}')   # not UTF-8
+    fields = {"bad": str(paths[bad]), "cfg": str(DATA / "n0_coherent_config.json"),
+              "pvm": str(DATA / "n0_coherent_pvm.json")}
+    assert cli.main([arg.format(**fields) for arg in command]) == 2
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert err["error"] == "SchemaError" and str(paths[bad]) in err["message"]
+    assert captured.out == ""
+
+
 def custom_config(seed, dim, m):
     """A custom model with random complex amplitudes, generic for m >= 2."""
     rng = np.random.default_rng(seed)
@@ -413,12 +452,12 @@ def test_pvm_decomposition_counts(tmp_path, capsys, count_calls, config, eighs, 
 
 # `qcrb oracle` and `bound --oracle` decompose the working point once: the
 # SDP and the stationarity certificate read the Spectrum that the bound reads.
-# The other eigh calls are the weight's range and V - Y*Y in the SDP, the
-# closed form's own ones, and the Naimark frame's check of a coherent model.
+# The other eigh calls are the normalized weight w G w, which the closed forms,
+# the SDP and the certificate share, and V - Y*Y in the SDP.
 @pytest.mark.parametrize("command, config, eighs", [
-    (["oracle"], N3, 5),
-    (["oracle"], SQUEEZED, 6),
-    (["bound", "--oracle"], SPIN_GEN, 5),
+    (["oracle"], N3, 4),
+    (["oracle"], SQUEEZED, 4),
+    (["bound", "--oracle"], SPIN_GEN, 4),
 ], ids=["oracle_n3", "oracle_squeezed", "bound_oracle_spin"])
 def test_oracle_commands_build_one_spectrum(tmp_path, capsys, count_calls, command, config,
                                             eighs):
@@ -430,6 +469,28 @@ def test_oracle_commands_build_one_spectrum(tmp_path, capsys, count_calls, comma
     assert cli.main([*command, "--config", cfg]) == 0
     capsys.readouterr()
     assert (len(spectra), len(eigh), len(solves)) == (1, eighs, 1)
+
+
+# One decomposition per weight: the closed forms, the SDP, its certificate and
+# the CLI all read w G w from the working point's Spectrum, so a weight file
+# adds no decomposition of its own.
+@pytest.mark.parametrize("command, config, weight, eighs", [
+    (["bound"], SPIN_QC, [[2.0, 0.3], [0.3, 1.0]], 3),
+    (["pvm"], SQUEEZED, np.diag([1.0, 2.0, 3.0, 4.0]).tolist(), 4),
+    (["oracle"], SQUEEZED, np.diag([1.0, 2.0, 3.0, 4.0]).tolist(), 4),
+    (["bound"], SQUEEZED, None, 3),
+    (["bound"], N0, None, 3),
+], ids=["bound_file_spin_qc", "pvm_file_squeezed", "oracle_file_squeezed", "bound_squeezed",
+        "bound_n0"])
+def test_one_decomposition_per_weight(tmp_path, capsys, count_calls, command, config, weight,
+                                      eighs):
+    cfg = write_json(tmp_path / "m.json", config)
+    extra = [] if weight is None else ["--weight", write_json(tmp_path / "w.json", weight)]
+    model_mod.model_from_config(config)   # spin tables are cached per s
+    eigh = count_calls(np.linalg, "eigh")
+    assert cli.main([*command, "--config", cfg, *extra]) == 0
+    capsys.readouterr()
+    assert len(eigh) == eighs
 
 
 IMPORT_PROBE = (

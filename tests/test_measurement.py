@@ -534,6 +534,15 @@ def test_sampling_zero_count():
     assert np.array_equal(r.analytic_cov, measurement.analytic_covariance(pvm, frame))
 
 
+# a negative count, and a seed that default_rng rejects, are DomainErrors; the
+# seed is checked even when no shot is drawn
+@pytest.mark.parametrize("count, seed", [(-4, 3), (10, -1), (0, -1), (10, 1.5)])
+def test_sampling_rejects_a_negative_count_or_a_bad_seed(count, seed):
+    _, pvm, frame, _, _ = _sampling_cases()[1]
+    with pytest.raises(errors.DomainError):
+        measurement.sample_outcomes(pvm, frame, count, seed)
+
+
 def test_sampling_reads_the_probabilities_once(count_calls):
     _, pvm, frame, _, _ = _sampling_cases()[1]
     probs = count_calls(measurement, "outcome_probabilities")

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 import fock_reference
-from qcrb import analysis, matkernel, measurement, model, oracle
+from qcrb import analysis, errors, matkernel, measurement, model, oracle
 from qcrb.model import FisherData
 
 finite = st.floats(min_value=-3.0, max_value=3.0,
@@ -313,3 +313,57 @@ def test_sampling_draw_is_generator_choice(weights, zero_last, count, seed):
     assert np.array_equal(idx, ref)
     assert np.array_equal(counts, np.bincount(ref, minlength=p.size))
     assert np.all(p[idx] > 0.0)
+
+
+def _custom_generic(seed, dim, m):
+    rng = np.random.default_rng(seed)
+    phi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    dphi = 0.5 * (rng.normal(size=(m, dim)) + 1j * rng.normal(size=(m, dim)))
+    return model.custom_model(dim, m, phi / np.linalg.norm(phi), dphi, np.zeros(m))
+
+
+STRADDLE_POINTS = {
+    "quasi_classical": lambda: model.catalog_spin_rotation(1.0, 0.0, [0.7, 1.1]),
+    "coherent_m2": lambda: model.catalog_shifted_number(0, [0.2, -0.4]),
+    "generic_m2": lambda: model.catalog_spin_rotation(1.5, 0.5, [0.9, 0.3]),
+    "coherent_m4": lambda: model.catalog_squeezed([0.1, -0.2, 0.4, 0.3]),
+    "generic_m3": lambda: _custom_generic(3, 5, 3),
+}
+
+
+def _outcome(route, mdl, g):
+    """(error name, None) or (None, report) of a route on a fresh working point."""
+    try:
+        report = route(model.fisher_data(model.tangent_frame(mdl, mdl.theta0)), g)
+    except errors.QcrbError as exc:
+        return type(exc).__name__, None
+    return None, report[0] if isinstance(report, tuple) else report
+
+
+# The one PSD decision and rank cut are made on w G w at its dust, for every
+# route: the lowest eigenvalue of w G w is set at t times that dust.
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(STRADDLE_POINTS)), st.integers(0, 10_000),
+       st.sampled_from([-3.0, -1.5, -0.7, -0.2, 0.2, 0.7, 1.5, 3.0]))
+# where a decision on G at G's dust differs: the quasi-classical route would
+# accept the first weight, and the coherent closed form would count the second
+# positive definite
+@example("quasi_classical", 0, -1.5)
+@example("coherent_m4", 47, 0.7)
+def test_routes_agree_on_weights_at_the_dust(point, seed, t):
+    mdl = STRADDLE_POINTS[point]()
+    fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
+    m = fd.JS.shape[0]
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    lam = np.concatenate([[0.0], rng.uniform(0.5, 2.0, m - 1)])
+    lam[0] = t * matkernel.TOL["eigen_dust"] * max(1.0, np.abs(q @ np.diag(lam) @ q.T).max())
+    root = matkernel.sqrt_psd(fd.JS)
+    g = matkernel.symmetrize(root @ (q @ np.diag(lam) @ q.T) @ root)
+    (err_a, a), (err_b, b) = (_outcome(r, mdl, g)
+                              for r in (analysis.cr_bound, analysis.oracle_bound))
+    assert err_a == err_b
+    assert (err_a == "DomainError") == (t < -1.0)
+    if a is not None:
+        assert a.attained == b.attained
+        assert abs(a.value - b.value) <= matkernel.TOL["oracle_agreement"] * max(1.0, a.value)
