@@ -52,17 +52,21 @@ class BoundaryCurve:
 class Spectrum:
     """The decompositions of one working point, each computed on first use.
 
-    `js_inverses` is (JS^{-1}, JS^{-1/2}) from one eigendecomposition of JS,
-    or raises SingularFisher. `canonical` is (K, (mu, U), pairs, zero_count,
-    beta) from one eigendecomposition iK = U diag(mu) U* of the complex
-    structure K = JS^{-1/2} Jt JS^{-1/2}: each beta_j > 0 is a +-beta_j pair
+    `js_powers` is (JS^{-1}, JS^{-1/2}, JS^{1/2}) from one eigendecomposition
+    of JS, or raises SingularFisher; w = JS^{-1/2} takes theta' = JS^{1/2}
+    theta, the parameters where JS = I, back to theta. `canonical` is
+    (K, (mu, U), pairs, zero_count, beta) from one eigendecomposition
+    iK = U diag(mu) U* of the complex structure K = JS^{-1/2} Jt JS^{-1/2}:
+    each beta_j > 0 is a +-beta_j pair
     of mu, `pairs` holds them descending, and beta is the classified
     BetaSpectrum; a beta above 1 + TOL["beta"] (a Gram that is not PSD)
     raises DomainError. `lift_factor` is (kh, R) from that same (mu, U):
     kh = sqrt(1 + mu) U* on the r directions where 1 + mu > TOL["beta"], the
     snap that sets beta to 1, so kh* kh = I + iK; and R = kh JS^{1/2}, so
-    R* R = gram. The Naimark frame's lifts and the oracle's are R: the SDP of
-    `oracle_bound` reads `js_inverses` and `lift_factor` of this Spectrum.
+    R* R = gram. `embedding` is (phi, R, kh) in the 2m+1 dimensional Naimark
+    space: phi = e_0, and each factor in coordinates 1..r. The Naimark frame's
+    lifts and the oracle's are that R, and their lifts in theta' that kh: the
+    SDP of `oracle_bound` reads `js_powers` and `embedding` of this Spectrum.
     `reports` caches closed_form by the bytes of the symmetrized weight: the
     one BoundReport (or None) that every bound and measurement at this point
     reads. Beside it, under ("oracle", those bytes), it caches oracle_bound's
@@ -76,15 +80,15 @@ class Spectrum:
         self.reports = {}
 
     @functools.cached_property
-    def js_inverses(self):
+    def js_powers(self):
         try:
-            return matkernel.psd_powers(self.fd.JS, -1, -0.5)
+            return matkernel.psd_powers(self.fd.JS, -1, -0.5, 0.5)
         except NotPSD as exc:
             raise SingularFisher(str(exc)) from exc
 
     @functools.cached_property
     def canonical(self):
-        w = self.js_inverses[1]
+        w = self.js_powers[1]
         k = matkernel.antisymmetrize(w @ self.fd.Jt @ w)
         # iK is Hermitian by construction, so check_hermitian has nothing to check
         mu, u = np.linalg.eigh(1j * matkernel.check_finite(k))
@@ -119,7 +123,18 @@ class Spectrum:
         mu, u = self.canonical[1]
         keep = 1.0 + mu > TOL["beta"]
         kh = np.sqrt(1.0 + mu[keep])[:, None] * u[:, keep].conj().T
-        return kh, kh @ self.js_inverses[1] @ self.fd.JS
+        return kh, kh @ self.js_powers[1] @ self.fd.JS
+
+    @functools.cached_property
+    def embedding(self):
+        kh, root = self.lift_factor
+        r, m = kh.shape
+        phi = np.zeros(2 * m + 1, dtype=complex)
+        phi[0] = 1.0
+        lifts = np.zeros((2, 2 * m + 1, m), dtype=complex)
+        lifts[:, 1:r + 1] = root, kh
+        _read_only(phi, lifts)
+        return phi, lifts[0], lifts[1]
 
     def weight(self, G):
         """(gn, (g, r, keep)) of a symmetrized weight G, as check_weight returns it.
@@ -130,13 +145,13 @@ class Spectrum:
         """
         key = ("weight", G.tobytes())
         if key not in self.reports:
-            w = self.js_inverses[1]
+            w = self.js_powers[1]
             gn = matkernel.symmetrize(w @ G @ w)
             self.reports[key] = gn, matkernel.weight_eig(gn)
             _read_only(gn, *self.reports[key][1])
         return self.reports[key]
 
-    js_inv = property(lambda self: self.js_inverses[0])
+    js_inv = property(lambda self: self.js_powers[0])
     beta = property(lambda self: self.canonical[4])
 
 
@@ -247,7 +262,7 @@ def cr_bound_2param(fd, G):
     if m != 2:
         raise DomainError(f"two-parameter bound requires m = 2, got {m}")
     G = check_weight(fd, G)
-    jsinv, w = spectrum(fd).js_inverses
+    jsinv, w, _ = spectrum(fd).js_powers
     g, r, keep = spectrum(fd).weight(G)[1]   # raises DomainError unless PSD
     beta = float(spectrum(fd).beta.betas[0])
     c = math.sqrt(max(0.0, 1.0 - beta * beta))
@@ -312,7 +327,7 @@ def cr_bound_js_weight(fd):
     r0inv = matkernel.inv_psd(r0)
     value_matrix = float(np.trace(r0inv @ r0inv))
     check("js_weight_forms", abs(value - value_matrix), 0.0, ConsistencyError)
-    w = spec.js_inverses[1]
+    w = spec.js_powers[1]
     v_opt = matkernel.symmetrize(w @ ((u * inflation) @ u.conj().T).real @ w)
     return BoundReport(G=fd.JS.copy(), value=value, attained=True, V_opt=v_opt,
                        method="closed_form_JS_weight",
@@ -327,21 +342,23 @@ def cr_bound_coherent(fd, G):
     the lift Gram is I + iK, so the optimum is V' = I + G'^{-1/2} |M| G'^{-1/2}
     with M = G'^{1/2} K G'^{1/2}, and V = w V' w. G'^{+-1/2} come from the
     weight's one decomposition on the Spectrum; a rank below m raises
-    SingularWeight.
+    SingularWeight. Tr(G' V') is checked against the value there: Tr(G V) in
+    theta cancels entries of the size of ||JS^{-1}||.
     """
     if not coherent_test(fd):
         raise NotCoherent("model is not coherent (some beta < 1)")
     G = check_weight(fd, G)
     spec = spectrum(fd)
-    g, r, keep = spec.weight(G)[1]
+    gn, (g, r, keep) = spec.weight(G)
     if not keep.all():
         raise SingularWeight("weight matrix must be strictly positive definite")
     sq, isq = ((r * g ** p) @ r.T for p in (0.5, -0.5))
     absm = matkernel.abs_sym(matkernel.antisymmetrize(sq @ spec.canonical[0] @ sq))
-    a, w = spec.js_inverses
+    a, w, _ = spec.js_powers
     value = float(np.trace(G @ a) + np.trace(absm))
     v_opt = matkernel.symmetrize(a + w @ isq @ absm @ isq @ w)
-    check("coherent_trace", abs(float(np.trace(G @ v_opt)) - value), abs(value), ConsistencyError)
+    trace = float(np.trace(gn) + np.sum(gn * (isq @ absm @ isq)))   # Tr(G' V')
+    check("coherent_trace", abs(trace - value), abs(value), ConsistencyError)
     return BoundReport(
         G=G, value=value, attained=True, V_opt=v_opt, method="closed_form_coherent",
         notes={"sld_part": float(np.trace(G @ a)), "abs_part": float(np.trace(absm))})
@@ -395,6 +412,28 @@ def check_weight(fd, G):
     return matkernel.symmetrize(G)
 
 
+def estimation_residuals(x, phi, lifts, error):
+    """The residuals of estimation vectors X (columns) in the parameters where JS = I.
+
+    <x^i|phi> (given phi), Im X*X and Re X*L - I (given the lifts L of those
+    parameters) are checked by the one TOL "vectors" rule, relative to
+    max(1, ||X*X||): there ||L|| is about 1, so the scale is the covariance's.
+    `error` is the error type raised, or a dict of them by residual name.
+    Returns the residuals by name.
+    """
+    xh = x.conj().T
+    xx = xh @ x
+    res = {} if phi is None else {"orthogonality": matkernel.mnorm(xh @ phi)}
+    res["im_xx"] = matkernel.mnorm(xx.imag)
+    if lifts is not None:
+        res["unbiasedness"] = matkernel.mnorm((xh @ lifts).real - np.eye(x.shape[1]))
+    errors = error if isinstance(error, dict) else dict.fromkeys(res, error)
+    scale = matkernel.mnorm(xx)
+    for name, r in res.items():
+        check("vectors", r, scale, errors[name])
+    return res
+
+
 def _read_only(*arrays):
     for a in arrays:
         if a is not None:
@@ -440,7 +479,7 @@ def oracle_bound(fd, G):
     """The Holevo SDP's BoundReport, with the OracleResult that carries its vectors.
 
     The SDP reads the Spectrum of fd. The pair is cached on that Spectrum
-    beside the closed forms, with G, V_opt and X read-only, so a bound and
+    beside the closed forms, with G, V_opt, X and X' read-only, so a bound and
     the vectors that attain it share one solve.
     """
     G = check_weight(fd, G)
@@ -453,7 +492,7 @@ def oracle_bound(fd, G):
         report = BoundReport(G=G, value=result.value, attained=result.attained, V_opt=v,
                              method="oracle",
                              notes={"residuals": result.residuals, "gap": result.gap})
-        _read_only(G, v, x)
+        _read_only(G, v, x, result.Xn)
         cache[key] = report, result
     return cache[key]
 

@@ -38,18 +38,22 @@ TOL = {
     "coherent_det": 1e-6,
     # spectrum form against matrix form of the G = JS bound; absolute
     "js_weight_forms": 1e-9,
-    # Tr(G V_opt) against the coherent closed form; relative to its value
+    # Tr(G' V') against the coherent closed form, in the parameters where JS = I
+    # (G' = w G w, V' = w^-1 V w^-1); relative to its value
     "coherent_trace": 1e-9,
     # Gram reproduction of the Naimark frame; relative to ||gram||
     "naimark_gram": 1e-10,
-    # negative eigenvalue of V - A* gram A in a completion; relative to its norm
+    # negative eigenvalue of V' - kh* kh in a completion, where JS = I (V' the
+    # closed form's covariance there, kh the lift factor); relative to its norm
     "completion_floor": 1e-8,
-    # estimation vectors and their PVM: the completion's <x|phi>, Re X*L - I and
-    # Im X*X, a PVM's Im X*X, the vectors rebuilt from its outcomes, and its
-    # outcome mean and unbiasedness; absolute
+    # estimation vectors X' in the parameters where JS = I and their PVM, the one
+    # rule of `analysis.estimation_residuals`: <x'|phi>, Re X'*L' - I and
+    # Im X'*X' (InfeasibleGram from a completion or the generic route,
+    # NonConvergence from the oracle, DomainError and NotCommuting from
+    # pvm_from_vectors), the vectors rebuilt from a PVM's outcomes, and a PVM's
+    # outcome mean and unbiasedness there; relative to ||X'*X'|| (to the
+    # covariance for a PVM's outcomes)
     "vectors": 1e-8,
-    # <x^i|phi> of vectors handed to pvm_from_vectors; relative to ||X||
-    "phi_orthogonal": 1e-9,
     # |R_kk| of the QR of [phi, X] below which the estimation vectors handed to
     # pvm_from_vectors are linearly dependent (DomainError); absolute
     "gram_schmidt": 1e-10,
@@ -73,8 +77,6 @@ TOL = {
     # the oracle's null(G) cross-block least squares; relative to
     # max(||SLD columns||, ||Y||)^2
     "null_completion": 1e-9,
-    # the oracle vectors' Im X*X and Re X*L - I; relative to ||X*X||
-    "oracle_vectors": 1e-8,
     # accepted duality gap of the oracle; relative to its value
     "gap": 1e-9,
     # duality gap at which the interior-point iterations stop; relative to the primal value

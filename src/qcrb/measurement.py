@@ -3,23 +3,28 @@
 `pvm_space` picks where the PVM lives: the model's own frame for
 quasi-classical models, the 2m+1 Naimark embedding otherwise. There
 `optimal_vectors` builds the estimation vectors and reads the bound from
-`analysis.closed_form`'s one report. Quasi-classical models take X = L JS^{-1}
-on any frame. Coherent and other closed-form models take X = L A + B in the
-embedding with A = JS^{-1} and the closed form's covariance V, where
-B*B = V - A* gram A fills the coordinates orthogonal to phi and the lifts.
-Generic models take X from one oracle solve as it stands: the embedding's
-lifts are the working point's lift factor, and so are the oracle's.
+`analysis.closed_form`'s one report. The vectors are built and checked in the
+parameters theta' = JS^{1/2} theta, where JS = I and the lifts are L' = L w
+(w = JS^{-1/2}); theta returns only with the outcome offsets. Quasi-classical
+models take X' = L w on any frame. Coherent and other closed-form models take
+X' = L' + B' in the embedding, where L' is the lift factor kh (kh* kh = I + iK)
+and B'*B' = V' - kh* kh, with V' = JS^{1/2} V JS^{1/2} the closed form's
+covariance, fills the coordinates orthogonal to phi and the lifts. Generic
+models take the X' of one oracle solve as it stands: the embedding's lifts are
+the working point's lift factor, and so are the oracle's.
 
 Estimation vectors X with <x^i|phi> = 0, Re X*L = I and Im X*X = 0 are turned
 into a projective measurement whose covariance is exactly Re X*X. A `Pvm` is
 its rays and its offsets: the columns of B are the m+1 orthonormal rays of one
 QR of [phi, X] (their Gram is real, so the coefficients stay real), mixed by
 an orthogonal matrix whose first column is uniform, and each ray gets the
-outcome offset that reproduces the x-vectors. The complement I - BB*, with
-offset zero, closes the PVM when the rays do not span the space; its
-probability at the base state is reported, never assumed to vanish. Every
-check and moment reads the amplitudes B*phi and B*L and the Gram B*B; no
-projector is formed except in the file format, which lists them densely.
+outcome offset that reproduces the x-vectors. For X' the QR is of [phi, X'],
+whose span is that of [phi, X] (its Gram-Schmidt basis is not), and the
+offsets of X' map to theta by w. The complement I - BB*, with offset zero,
+closes the PVM when the rays do not span the space; its probability at the
+base state is reported, never assumed to vanish. Every check and moment reads
+the amplitudes B*phi and B*L and the Gram B*B; no projector is formed except
+in the file format, which lists them densely.
 """
 
 import itertools
@@ -37,6 +42,7 @@ from .errors import (
     InfeasibleGram,
     NotCoherent,
     NotCommuting,
+    NotPSD,
     NotQuasiClassical,
     PreconditionNotMet,
     SchemaError,
@@ -49,14 +55,17 @@ BLOCK = 1 << 16          # shots drawn per Generator.random call in `sample_outc
 
 @dataclass
 class EstimationVectors:
-    X: np.ndarray            # shape (D, m), column i = |x^i>
+    X: np.ndarray            # shape (D, m), column i = |x^i> in the parameters theta'
     phi: np.ndarray          # unit vector, shape (D,)
+    w: Optional[np.ndarray] = None   # theta = w theta', m x m; None when theta' = theta
 
 
 @dataclass
 class Pvm:
     rays: np.ndarray         # shape (dim, n), orthonormal columns B, one rank-1 outcome each
     outcomes: np.ndarray     # shape (K, m), offsets; K = n, or n + 1 with the complement last
+    # (offsets in theta', w) of vectors built there, outcomes = offsets' w
+    normalized: Optional[tuple] = None
 
     @property
     def m(self):
@@ -77,7 +86,6 @@ class NaimarkFrame:
     dim: int
     phi: np.ndarray
     lifts: np.ndarray        # shape (2m+1, m)
-    gram: np.ndarray
     theta: Optional[np.ndarray] = None
 
 
@@ -117,57 +125,43 @@ def naimark_frame(fd, theta=None):
     oracle's lifts are the same R, bit for bit.
     """
     gram = 0.5 * (fd.gram + fd.gram.conj().T)
-    m = gram.shape[0]
-    root = analysis.spectrum(fd).lift_factor[1]
-    dim = 2 * m + 1
-    phi = np.zeros(dim, dtype=complex)
-    phi[0] = 1.0
-    lifts = np.zeros((dim, m), dtype=complex)
-    lifts[1:root.shape[0] + 1, :] = root
+    phi, lifts, _ = analysis.spectrum(fd).embedding
     check("naimark_gram", matkernel.mnorm(lifts.conj().T @ lifts - gram), matkernel.mnorm(gram),
           ConsistencyError)
-    return NaimarkFrame(dim=dim, phi=phi, lifts=lifts, gram=gram,
+    return NaimarkFrame(dim=len(phi), phi=phi, lifts=lifts,
                         theta=None if theta is None else np.asarray(theta, dtype=float))
 
 
-def estimation_residuals(ev, lifts):
-    """Constraint residuals of estimation vectors against the given lifts."""
-    xl = ev.X.conj().T @ lifts
-    xx = ev.X.conj().T @ ev.X
-    return {
-        "orthogonality": matkernel.mnorm(ev.X.conj().T @ ev.phi),
-        "unbiasedness": matkernel.mnorm(xl.real - np.eye(ev.X.shape[1])),
-        "im_xx": matkernel.mnorm(xx.imag),
-    }
-
-
 def optimal_vectors_quasi_classical(frame, fd):
-    """X = L JS^{-1}: attains the inverse Fisher matrix for quasi-classical models."""
+    """X' = L w: attains the inverse Fisher matrix for quasi-classical models."""
     if not analysis.quasi_classical_test(fd):
         raise NotQuasiClassical("Im X*X would not vanish: model is not quasi-classical")
-    x = frame.lifts @ analysis.spectrum(fd).js_inv
-    return EstimationVectors(X=x, phi=frame.phi)
+    w = analysis.spectrum(fd).js_powers[1]
+    return EstimationVectors(X=frame.lifts @ w, phi=frame.phi, w=w)
 
 
-def _complete(nf, a, v):
-    """X = L A + B attaining the covariance V, with B*B = V - A* gram A.
+def _complete(spec, v):
+    """X' = L' + B' attaining the covariance V, in theta' = JS^{1/2} theta.
 
-    B fills coordinates m+1..2m of the Naimark frame, which are orthogonal to
-    phi and to the lifts by construction, so X*X = V is real and
-    Re X*L = Re A* gram. Eigenvalues of B*B within TOL "eigen_dust" are exact
-    zeros: the roots of roundoff would put about 1e-8 into B.
+    There the covariance is V' = JS^{1/2} V JS^{1/2}, and the Naimark frame's
+    lifts L' are the lift factor kh in coordinates 1..r, with kh* kh = I + iK.
+    B'*B' = V' - kh* kh fills coordinates m+1..2m, which are orthogonal to phi
+    and to the lifts by construction, so X'*X' = V' is real and
+    Re X'*L' = I. Eigenvalues of B'*B' within TOL "eigen_dust" are exact
+    zeros: the roots of roundoff would put about 1e-8 into B'.
     """
-    m = a.shape[1]
-    h = v - a.conj().T @ nf.gram @ a
-    h = 0.5 * (h + h.conj().T)
-    wh, uh = matkernel.hermitian_eig(h)
+    kh = spec.lift_factor[0]
+    m = kh.shape[1]
+    phi, _, lifts = spec.embedding
+    _, w, root = spec.js_powers
+    h = matkernel.symmetrize(root @ v @ root) - kh.conj().T @ kh
+    wh, uh = matkernel.hermitian_eig(h)   # of the Hermitian part of h
     check("completion_floor", -wh.min(), matkernel.mnorm(h), InfeasibleGram)
     wh = np.where(wh <= TOL["eigen_dust"] * max(1.0, matkernel.mnorm(h)), 0.0, wh)
-    x = nf.lifts @ a
+    x = lifts.copy()
     x[m + 1:, :] = (uh * np.sqrt(wh)) @ uh.conj().T
-    ev = EstimationVectors(X=x, phi=nf.phi)
-    check("vectors", max(estimation_residuals(ev, nf.lifts).values()), 0.0, InfeasibleGram)
-    return ev
+    analysis.estimation_residuals(x, phi, lifts, InfeasibleGram)
+    return EstimationVectors(X=x, phi=phi, w=w)
 
 
 def optimal_vectors_coherent(nf, fd, G):
@@ -192,10 +186,11 @@ def pvm_space(frame, fd):
 def optimal_vectors(space, fd, G):
     """Estimation vectors in `space` attaining CR(G), and the report of CR(G).
 
-    Quasi-classical models take X = L JS^{-1} on any frame. Other closed-form
-    models complete the SLD coefficients A = JS^{-1} to the closed form's V.
-    Generic models take the X of one oracle solve as it stands: its lifts are
-    the Naimark frame's, so X already lives there. Both need the Naimark frame
+    The vectors are X' in theta' = JS^{1/2} theta, with w = JS^{-1/2}.
+    Quasi-classical models take X' = L w on any frame. Other closed-form
+    models complete the lifts kh to the closed form's V' = JS^{1/2} V JS^{1/2}.
+    Generic models take the X' of one oracle solve as it stands: its lifts are
+    the Naimark frame's, so X' already lives there. Both need the Naimark frame
     (`pvm_space`). Raises SingularWeight when no estimator attains the bound.
     """
     cls = analysis.beta_spectrum(fd).classification
@@ -207,11 +202,11 @@ def optimal_vectors(space, fd, G):
         report, res = analysis.oracle_bound(fd, G)
     if report.V_opt is None:
         raise SingularWeight("no estimator attains the bound for this singular weight")
+    spec = analysis.spectrum(fd)
     if res is None:
-        return _complete(space, analysis.spectrum(fd).js_inv, report.V_opt), report
-    ev = EstimationVectors(X=res.X, phi=space.phi)
-    check("vectors", max(estimation_residuals(ev, space.lifts).values()), 0.0, InfeasibleGram)
-    return ev, report
+        return _complete(spec, report.V_opt), report
+    # the oracle checked X' against these lifts by the same rule
+    return EstimationVectors(X=res.Xn, phi=space.phi, w=spec.js_powers[1]), report
 
 
 def _uniform_first_column_orthogonal(n):
@@ -224,13 +219,15 @@ def _uniform_first_column_orthogonal(n):
 
 
 def pvm_from_vectors(ev, seed=0):
-    """Projective measurement realizing covariance Re X*X.
+    """Projective measurement realizing covariance Re X*X, in theta.
 
-    Requires Im X*X = 0 and <x^i|phi> = 0 (TOL "vectors", "phi_orthogonal").
+    Requires <x^i|phi> = 0 (DomainError) and Im X*X = 0 (NotCommuting), by
+    `analysis.estimation_residuals` on X = ev.X in its parameters theta'.
     The rays are the QR basis of [phi, X] with a positive diagonal of R (the
     Gram-Schmidt basis), mixed by the Householder reflection; some |R_kk| below
     TOL "gram_schmidt" means the vectors are linearly dependent, and an X with
-    no columns estimates nothing: both are DomainErrors. The construction is
+    no columns estimates nothing: both are DomainErrors. The offsets are found
+    and checked in theta', then mapped to theta by ev.w. The construction is
     deterministic: `seed` is accepted and has no effect.
     """
     x = np.asarray(ev.X, dtype=complex)
@@ -240,8 +237,8 @@ def pvm_from_vectors(ev, seed=0):
     dim, m = x.shape
     if m == 0:
         raise DomainError("no estimation vectors: X has no columns")
-    check("phi_orthogonal", matkernel.mnorm(x.conj().T @ phi), matkernel.mnorm(x), DomainError)
-    check("vectors", matkernel.mnorm((x.conj().T @ x).imag), 0.0, NotCommuting)
+    analysis.estimation_residuals(x, phi, None,
+                                  {"orthogonality": DomainError, "im_xx": NotCommuting})
 
     q, r = np.linalg.qr(np.column_stack([phi, x]))
     diag = np.diagonal(r)
@@ -256,7 +253,10 @@ def pvm_from_vectors(ev, seed=0):
     pvm = Pvm(rays=(q * phase) @ o.T, outcomes=offsets)
 
     check("pvm_algebra", max(pvm_algebra_residuals(pvm).values()), 0.0, ConsistencyError)
-    check("vectors", reconstruction_residual(pvm, ev), 0.0, ConsistencyError)
+    check("vectors", reconstruction_residual(pvm, ev), matkernel.mnorm(x.conj().T @ x),
+          ConsistencyError)
+    if ev.w is not None:
+        pvm.normalized, pvm.outcomes = (offsets, ev.w), offsets @ ev.w
     return pvm
 
 
@@ -277,10 +277,18 @@ def pvm_algebra_residuals(pvm):
     }
 
 
+def _normalized(pvm):
+    """(offsets, w) in the parameters theta' its vectors were built in; w None if theta."""
+    return pvm.normalized if pvm.normalized is not None else (pvm.outcomes, None)
+
+
 def reconstruction_residual(pvm, ev):
-    """Max-entry residual of sum_k offset_k E_k phi = B diag(B*phi) offsets against X."""
+    """Max-entry residual of sum_k offset_k E_k phi = B diag(B*phi) offsets against X.
+
+    The offsets are those of the parameters theta' of ev.X.
+    """
     amp = pvm.rays.conj().T @ ev.phi
-    return matkernel.mnorm(pvm.rays @ (amp[:, None] * pvm.outcomes[:len(amp)]) - ev.X)
+    return matkernel.mnorm(pvm.rays @ (amp[:, None] * _normalized(pvm)[0][:len(amp)]) - ev.X)
 
 
 def _expectations(pvm, u, v):
@@ -326,14 +334,21 @@ def _outcome_table(measurement, frame):
 
 
 def outcome_statistics(pvm, frame):
-    """(probabilities, covariance about theta, unbiased) from one probability pass."""
-    offsets, probs, v = _outcome_table(pvm, frame)
+    """(probabilities, covariance about theta, unbiased) from one probability pass.
+
+    The verdict reads the offsets in the parameters theta' of the vectors the
+    PVM was built from, against the lifts L' = L w there: their mean and
+    Re xhat'* L' - I within TOL "vectors" of the covariance in theta'.
+    """
+    _, probs, v = _outcome_table(pvm, frame)
+    offsets, w = _normalized(pvm)
+    lifts = frame.lifts if w is None else frame.lifts @ w
     mean = probs @ offsets
-    deriv = (offsets.T @ _expectations(pvm, frame.phi, frame.lifts)).real   # Re xhat* L
+    deriv = (offsets.T @ _expectations(pvm, frame.phi, lifts)).real   # Re xhat'* L'
     # delta^i_j over i < pvm.m components, j < frame parameters
-    target = np.eye(pvm.m, frame.lifts.shape[1])
-    unbiased = bool(matkernel.mnorm(mean) <= TOL["vectors"]
-                    and matkernel.mnorm(deriv - target) <= TOL["vectors"])
+    target = np.eye(pvm.m, lifts.shape[1])
+    tol = TOL["vectors"] * max(1.0, matkernel.mnorm(offsets.T @ (offsets * probs[:, None])))
+    unbiased = bool(matkernel.mnorm(mean) <= tol and matkernel.mnorm(deriv - target) <= tol)
     return probs, v, unbiased
 
 
@@ -351,9 +366,10 @@ def inflate_covariance(pvm, v0):
     v0 = matkernel.symmetrize(np.atleast_2d(v0))
     if v0.shape != (pvm.m, pvm.m):
         raise DomainError(f"V0 must be {pvm.m} x {pvm.m}")
-    if not matkernel.is_psd(v0):
-        raise DomainError("V0 must be PSD")
-    root = matkernel.sqrt_psd(v0)
+    try:
+        root, = matkernel.psd_powers(v0, 0.5)
+    except NotPSD as exc:
+        raise DomainError("V0 must be PSD") from exc
     alphas = np.array(list(itertools.product([1.0, -1.0], repeat=pvm.m)))
     shifts = alphas @ root
     return InflatedPvm(base=pvm, shifts=shifts, weight=1.0 / len(alphas))

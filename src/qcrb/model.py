@@ -114,7 +114,7 @@ def tangent_frame(model, theta):
 def fisher_data(frame):
     """Gram matrix of the lifts and its real/imaginary split."""
     fd = FisherData.from_gram(frame.lifts.conj().T @ frame.lifts)
-    analysis.spectrum(fd).js_inverses   # cached for later use; raises SingularFisher
+    analysis.spectrum(fd).js_powers   # cached for later use; raises SingularFisher
     return fd
 
 

@@ -86,7 +86,8 @@ class OracleResult:
     value: float
     gap: float                            # value minus a dual lower bound
     attained: bool
-    X: Optional[np.ndarray]               # (2m+1, m), column i = |x^i>
+    X: Optional[np.ndarray]               # (2m+1, m), column i = |x^i>, X = Xn w
+    Xn: Optional[np.ndarray]              # the same in theta' = JS^{1/2} theta, as solved
     phi: np.ndarray
     lifts: np.ndarray                     # embedded lifts, (2m+1, m)
     residuals: dict
@@ -329,13 +330,14 @@ def minimize(problem):
     whose lift Gram is I + iK and whose weight is w G w (w = JS^{-1/2}), all
     read from the Spectrum of problem.fd: kh* kh = I + iK and R = kh JS^{1/2}
     (r x m) on the directions where analysis does not snap beta to 1, and the
-    weight's one decomposition. X = X' w maps the estimation vectors back. The
-    lifts are R in coordinates 1..r, the Naimark frame's, so X is valid in
-    that frame.
+    weight's one decomposition. The vectors X' are checked there, against the
+    lifts kh, by `analysis.estimation_residuals` (NonConvergence), and X = X' w
+    maps them back. The lifts are R in coordinates 1..r, the Naimark frame's,
+    so X is valid in that frame and X' in the frame's parameters theta'.
     """
     g = analysis.check_weight(problem.fd, problem.G)
     spec = analysis.spectrum(problem.fd)
-    w, (kh, root) = spec.js_inverses[1], spec.lift_factor
+    w, kh = spec.js_powers[1], spec.lift_factor[0]
     gn, eig = spec.weight(g)   # w G w; the Spectrum raises DomainError unless it is PSD
     m, r = gn.shape[0], kh.shape[0]
     # free directions of one column c of Y: the null space of c -> Re(c* kh)
@@ -353,31 +355,25 @@ def minimize(problem):
         value = dual = 0.0
         c, b, iterations = np.zeros((r, 0)), np.zeros((0, 0)), 0
     gap = value - dual
-    dim = 2 * m + 1
-    phi = np.zeros(dim, dtype=complex)
-    phi[0] = 1.0
-    lifts = np.zeros((dim, m), dtype=complex)
-    lifts[1:r + 1, :] = root
+    phi, lifts, liftn = spec.embedding
     if p == m:
         cn, bfull = np.zeros((r, 0)), b
     else:
         done = _complete(c, b, kh @ qb, null)
         cn, bfull = done if done is not None else (None, None)
-    if cn is None:
-        x, residuals, residual = None, {}, 0.0
-    else:
-        back = np.hstack([pb, qb]).T @ w
-        x = np.zeros((dim, m), dtype=complex)
-        x[1:r + 1, :] = np.hstack([c, cn]) @ back
-        x[m + 1:m + 1 + bfull.shape[0], :] = bfull @ back
-        xx = x.conj().T @ x
-        residuals = {"im_xx": matkernel.mnorm(xx.imag),
-                     "unbiasedness": matkernel.mnorm((x.conj().T @ lifts).real - np.eye(m))}
+    x = xn = None
+    residuals, residual = {}, 0.0
+    if cn is not None:
+        basis = np.hstack([pb, qb]).T
+        xn = np.zeros(lifts.shape, dtype=complex)
+        xn[1:r + 1, :] = np.hstack([c, cn]) @ basis
+        xn[m + 1:m + 1 + bfull.shape[0], :] = bfull @ basis
+        residuals = analysis.estimation_residuals(xn, None, liftn, NonConvergence)
         residual = max(residuals.values())
-        check("oracle_vectors", residual, matkernel.mnorm(xx), NonConvergence)
+        x = xn @ w
     check("gap", gap, abs(value), NonConvergence)
     stat = RestartStat(value=value, gap=gap, iterations=iterations, residual=residual)
-    return OracleResult(value=value, gap=gap, attained=x is not None, X=x, phi=phi,
+    return OracleResult(value=value, gap=gap, attained=x is not None, X=x, Xn=xn, phi=phi,
                         lifts=lifts, residuals=residuals, restarts=[stat], problem=problem)
 
 
@@ -386,17 +382,6 @@ class StationarityReport:
     Lambda: np.ndarray
     residual: float
     extras: dict
-
-
-def _antisym_basis(m):
-    mats = []
-    for a in range(m):
-        for b in range(a + 1, m):
-            t = np.zeros((m, m))
-            t[a, b] = 1.0
-            t[b, a] = -1.0
-            mats.append(t)
-    return mats
 
 
 def stationarity_certificate(result, problem=None):
@@ -419,18 +404,15 @@ def stationarity_certificate(result, problem=None):
     m = g.shape[0]
     v = matkernel.symmetrize((x.conj().T @ x).real)
     c = x @ g - lifts @ (v @ g)
-    basis = _antisym_basis(m)
-    if basis:
-        cols = []
-        for t in basis:
-            a = 1j * (x @ t)
-            cols.append(np.concatenate([a.real.reshape(-1), a.imag.reshape(-1)]))
-        design = np.column_stack(cols)
-        target = np.concatenate([c.real.reshape(-1), c.imag.reshape(-1)])
-        coef, *_ = np.linalg.lstsq(design, target, rcond=None)
-        lam = sum(k * t for k, t in zip(coef, basis))
-    else:
-        lam = np.zeros((m, m))
+    # Lambda's coordinates on the basis e_a e_b^T - e_b e_a^T, a < b
+    iu = np.triu_indices(m, 1)
+    basis = np.zeros((len(iu[0]), m, m))
+    basis[:, iu[0], iu[1]] = np.eye(len(iu[0]))
+    basis -= np.swapaxes(basis, 1, 2)
+    lam = np.zeros((m, m))
+    if len(basis):   # m = 1 has no antisymmetric multiplier
+        lam[iu] = np.linalg.lstsq(_real(1j * (x @ basis)).T, _real(c[None])[0], rcond=None)[0]
+        lam -= lam.T
     residual = matkernel.mnorm(x @ (g - 1j * lam) - lifts @ (v @ g))
     extras = {}
     if m == 2:
@@ -444,6 +426,6 @@ def stationarity_certificate(result, problem=None):
         if pos.all():   # a singular weight has no scaled multiplier
             # t = w G'^{-1/2} with G' = w G w, so t t^T = G^{-1}: t^T Lambda t is similar
             # to G^{-1} Lambda
-            t = spec.js_inverses[1] @ (u / np.sqrt(gw)) @ u.T
+            t = spec.js_powers[1] @ (u / np.sqrt(gw)) @ u.T
             extras["multiplier_spectrum"] = np.sort(np.abs(np.linalg.eigvals(t.T @ lam @ t).imag))
     return StationarityReport(Lambda=lam, residual=residual, extras=extras)

@@ -373,10 +373,11 @@ def test_each_working_point_is_decomposed_once(monkeypatch):
     nf = measurement.naimark_frame(fd, theta=mdl.theta0)
     measurement.optimal_vectors_coherent(nf, fd, g)
     # the weight is decomposed in normalized form, w G w; the completion's
-    # h = V - A* gram A, as _complete forms it
+    # h = V' - kh* kh, as _complete forms it where JS = I
     spec = analysis.spectrum(fd)
-    a, w = spec.js_inverses
-    h = analysis.closed_form(fd, g).V_opt - a.conj().T @ nf.gram @ a
+    _, w, root = spec.js_powers
+    kh = spec.lift_factor[0]
+    h = matkernel.symmetrize(root @ analysis.closed_form(fd, g).V_opt @ root) - kh.conj().T @ kh
     expected = {"JS": fd.JS, "iK": 1j * spec.canonical[0],
                 "wGw": matkernel.symmetrize(w @ g @ w), "h": 0.5 * (h + h.conj().T)}
     names = [name for x in seen for name, e in expected.items()
@@ -404,10 +405,12 @@ def test_two_parameter_coherent_bound_and_vectors_share_one_solve(monkeypatch, c
     nf = measurement.naimark_frame(fd, theta=mdl.theta0)
     ev = measurement.optimal_vectors_coherent(nf, fd, g)
     assert coherent == [] and len(two_param) == 1
-    assert max(measurement.estimation_residuals(ev, nf.lifts).values()) <= 1e-8
+    assert max(analysis.estimation_residuals(ev.X, ev.phi, nf.lifts @ ev.w,
+                                             errors.InfeasibleGram).values()) <= 1e-8
     spec = analysis.spectrum(fd)
-    a, w = spec.js_inverses
-    h = rep.V_opt - a.conj().T @ nf.gram @ a
+    _, w, root = spec.js_powers
+    kh = spec.lift_factor[0]
+    h = matkernel.symmetrize(root @ rep.V_opt @ root) - kh.conj().T @ kh
     expected = {"JS": fd.JS, "iK": 1j * spec.canonical[0],
                 "wGw": matkernel.symmetrize(w @ g @ w),
                 "h": 0.5 * (h + h.conj().T)}
@@ -467,7 +470,7 @@ def test_coherent_route_decomposes_the_weight_once(monkeypatch):
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
     analysis.beta_spectrum(fd)
     g = np.eye(4)
-    w = analysis.spectrum(fd).js_inverses[1]
+    w = analysis.spectrum(fd).js_powers[1]
     weights = {"G": g, "wGw": matkernel.symmetrize(w @ g @ w)}
     seen = []
     original = matkernel.hermitian_eig
@@ -549,8 +552,8 @@ def test_oracle_report_is_cached_beside_the_closed_forms(count_calls):
     assert len(solves) == 1 and spectra == []
     assert rep is first and again is first
     report, result = analysis.oracle_bound(fd, g)
-    assert report is first and ev.X is result.X and result.problem.fd is fd
-    for a in (report.G, report.V_opt, result.X):
+    assert report is first and ev.X is result.Xn and result.problem.fd is fd
+    for a in (report.G, report.V_opt, result.X, result.Xn):
         assert not a.flags.writeable
     # the closed-form entry of the same weight is a separate key
     assert analysis.closed_form(fd, g) is None

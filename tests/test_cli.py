@@ -604,6 +604,55 @@ def test_bound_at_strong_squeezing_is_a_typed_model_error(tmp_path, t3, error):
     assert err["error"] == error and err["exit_code"] == 3
 
 
+def _squeezed(t3):
+    return {"model": "squeezed", "theta": [0.1, -0.2, t3, 0.3]}
+
+
+def _near_dust_weight(fd, seed, ratio):
+    """G whose normalized weight w G w has its lowest eigenvalue at `ratio` times
+    the eigen dust, drawn with a random eigenbasis."""
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+    lam = np.concatenate([[0.0], rng.uniform(0.5, 2.0, size=3)])
+    lam[0] = ratio * matkernel.TOL["eigen_dust"] * max(1.0, lam.max())
+    root = matkernel.sqrt_psd(fd.JS)
+    return matkernel.symmetrize(root @ ((q * lam) @ q.T) @ root)
+
+
+# At t3 = 3.5, Tr(G V) in theta cancels entries near 1e10 ||JS^{-1}||, which
+# leaves up to 1e-6 of the value on these weights against coherent_trace's
+# 1e-9; Tr(G' V'), where JS = I, keeps it to roundoff.
+@pytest.mark.parametrize("seed, ratio", [(3, 1.5), (3, 3.0), (5, 1.5), (5, 3.0)])
+def test_coherent_trace_near_the_weight_dust(tmp_path, capsys, seed, ratio):
+    cfg = write_json(tmp_path / "m.json", _squeezed(3.5))
+    mdl = model_mod.model_from_config(_squeezed(3.5))
+    fd = model_mod.fisher_data(model_mod.tangent_frame(mdl, mdl.theta0))
+    g = _near_dust_weight(fd, seed, ratio)
+    rep = analysis.cr_bound(fd, g)
+    assert rep.method == "closed_form_coherent"
+    oracle_value = analysis.oracle_bound(fd, g)[0].value
+    assert abs(rep.value - oracle_value) <= \
+        matkernel.TOL["oracle_agreement"] * max(1.0, abs(rep.value))
+    wpath = write_json(tmp_path / "w.json", g.tolist())
+    assert cli.main(["pvm", "--config", cfg, "--weight", wpath]) == 0
+    assert json.loads(capsys.readouterr().out)["verification"]["unbiased"] is True
+
+
+# The completion and every vector check work where JS = I. Done in theta, the
+# completion loses its floor and Re X*L - I its 1e-8 from about t3 = 3.7 on.
+@pytest.mark.parametrize("weight", ["identity", "sld"])
+def test_pvm_on_the_squeezed_grid(tmp_path, capsys, weight):
+    cfg = tmp_path / "m.json"
+    for t3 in np.round(np.arange(1, 82) * 0.05, 2).tolist():
+        write_json(cfg, _squeezed(t3))
+        assert cli.main(["bound", "--config", str(cfg), "--weight", weight]) == 0, t3
+        value = json.loads(capsys.readouterr().out)["bound"]["value"]
+        assert cli.main(["pvm", "--config", str(cfg), "--weight", weight]) == 0, t3
+        ver = json.loads(capsys.readouterr().out)["verification"]
+        assert ver["unbiased"] is True, t3
+        assert abs(ver["trGV"] - value) <= 1e-9 * abs(value), t3
+
+
 def test_squeezed_trunc_key_is_a_schema_error(tmp_path):
     cfg = write_json(tmp_path / "m.json", dict(SQUEEZED, trunc=64))
     proc = run_cli("analyze", "--config", cfg)

@@ -146,10 +146,11 @@ def test_coherent_completion_takes_no_roots_of_dust():
     g = np.diag([1.0, 2.0, 3.0, 4.0])
     ev, rep = measurement.optimal_vectors(nf, fd, g)
     assert rep.method == "closed_form_coherent"
-    cert = oracle.stationarity_certificate(types.SimpleNamespace(X=ev.X, lifts=nf.lifts),
+    x = ev.X @ ev.w   # the vectors in theta
+    cert = oracle.stationarity_certificate(types.SimpleNamespace(X=x, lifts=nf.lifts),
                                            oracle.OracleProblem(gram=fd.gram, G=g))
     assert cert.residual <= 1e-12
-    assert abs(np.sum(g * (ev.X.conj().T @ ev.X).real) - rep.value) <= 1e-12 * rep.value
+    assert abs(np.sum(g * (x.conj().T @ x).real) - rep.value) <= 1e-12 * rep.value
 
 
 def test_pvm_rejects_noncommuting_x():
@@ -275,7 +276,8 @@ def test_optimal_vectors_every_class(count_calls, build, g, method, oracle_calls
     ev, rep = measurement.optimal_vectors(nf, fd, g)
     assert rep.method == method
     assert len(calls) == oracle_calls
-    assert max(measurement.estimation_residuals(ev, nf.lifts).values()) <= 1e-8
+    assert max(analysis.estimation_residuals(ev.X, ev.phi, nf.lifts @ ev.w,
+                                             errors.InfeasibleGram).values()) <= 1e-8
     pvm = measurement.pvm_from_vectors(ev)
     assert max(measurement.pvm_algebra_residuals(pvm).values()) <= 1e-9
     v, unbiased = measurement.covariance_of_pvm(pvm, nf)
@@ -324,8 +326,10 @@ def test_generic_vectors_are_the_oracle_vectors(monkeypatch, build, g):
     monkeypatch.setattr(analysis, "oracle_bound", recording)
     ev, rep = measurement.optimal_vectors(nf, fd, g)
     (report, res), = solved
-    assert rep is report and ev.X is res.X and ev.phi is nf.phi
-    assert max(measurement.estimation_residuals(ev, nf.lifts).values()) <= 1e-8
+    assert rep is report and ev.X is res.Xn and ev.phi is nf.phi
+    assert np.array_equal(res.X, res.Xn @ ev.w)
+    assert max(analysis.estimation_residuals(ev.X, ev.phi, nf.lifts @ ev.w,
+                                             errors.InfeasibleGram).values()) <= 1e-8
 
 
 @pytest.mark.parametrize("build, method", [
@@ -405,7 +409,8 @@ def test_lemma_ordering_on_constructed_pvm():
     ev = measurement.optimal_vectors_coherent(nf, fd, np.eye(2))
     pvm = measurement.pvm_from_vectors(ev)
     v, _ = measurement.covariance_of_pvm(pvm, nf)
-    rexx = (ev.X.conj().T @ ev.X).real
+    x = ev.X @ ev.w   # the vectors in theta
+    rexx = (x.conj().T @ x).real
     jsinv = matkernel.inv_psd(fd.JS)
     assert matkernel.psd_geq(v + 1e-9 * np.eye(2), rexx)
     assert matkernel.psd_geq(rexx + 1e-9 * np.eye(2), jsinv)
@@ -442,6 +447,19 @@ def test_inflate_covariance():
     assert np.abs(measurement.analytic_covariance(same, frame) - v).max() <= 1e-12
     with pytest.raises(errors.DomainError):
         measurement.inflate_covariance(pvm, np.array([[-0.1]]))
+
+
+def test_inflate_covariance_decomposes_v0_once(count_calls):
+    # the PSD decision and the square root come from one eigendecomposition
+    pvm = measurement.pvm_from_vectors(_spin2_vectors())
+    eighs = count_calls(np.linalg, "eigh")
+    infl = measurement.inflate_covariance(pvm, np.array([[2.0, 0.5], [0.5, 1.0]]))
+    assert len(eighs) == 1
+    assert np.abs(infl.shifts.T @ infl.shifts * infl.weight
+                  - np.array([[2.0, 0.5], [0.5, 1.0]])).max() <= 1e-12
+    with pytest.raises(errors.DomainError, match="V0 must be PSD"):
+        measurement.inflate_covariance(pvm, np.array([[1.0, 0.0], [0.0, -0.1]]))
+    assert len(eighs) == 2
 
 
 def test_inflation_preserves_mean():
