@@ -41,6 +41,9 @@ class BoundReport:
     V_opt: Optional[np.ndarray]
     method: str
     notes: dict = field(default_factory=dict)
+    # V' = JS^{1/2} V_opt JS^{1/2} as the two-parameter and coherent closed forms
+    # build it, where JS = I; the completion of their vectors reads it
+    Vn: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -52,27 +55,33 @@ class BoundaryCurve:
 class Spectrum:
     """The decompositions of one working point, each computed on first use.
 
-    `js_powers` is (JS^{-1}, JS^{-1/2}, JS^{1/2}) from one eigendecomposition
-    of JS, or raises SingularFisher; w = JS^{-1/2} takes theta' = JS^{1/2}
-    theta, the parameters where JS = I, back to theta. `canonical` is
-    (K, (mu, U), pairs, zero_count, beta) from one eigendecomposition
-    iK = U diag(mu) U* of the complex structure K = JS^{-1/2} Jt JS^{-1/2}:
-    each beta_j > 0 is a +-beta_j pair
-    of mu, `pairs` holds them descending, and beta is the classified
-    BetaSpectrum; a beta above 1 + TOL["beta"] (a Gram that is not PSD)
-    raises DomainError. `lift_factor` is (kh, R) from that same (mu, U):
-    kh = sqrt(1 + mu) U* on the r directions where 1 + mu > TOL["beta"], the
-    snap that sets beta to 1, so kh* kh = I + iK; and R = kh JS^{1/2}, so
-    R* R = gram. `embedding` is (phi, R, kh) in the 2m+1 dimensional Naimark
-    space: phi = e_0, and each factor in coordinates 1..r. The Naimark frame's
-    lifts and the oracle's are that R, and their lifts in theta' that kh: the
-    SDP of `oracle_bound` reads `js_powers` and `embedding` of this Spectrum.
-    `reports` caches closed_form by the bytes of the symmetrized weight: the
-    one BoundReport (or None) that every bound and measurement at this point
-    reads. Beside it, under ("oracle", those bytes), it caches oracle_bound's
-    (BoundReport, OracleResult), and under ("weight", those bytes) the
-    weight's one decomposition (`weight`). Their arrays are read-only.
-    `spectrum(fd)` caches the Spectrum on fd.
+    `svd` is the one factorization of the point: the thin SVD
+    [Re L; Im L] = U S V^T of the stacked lifts, U = [A; B] with A the first d
+    rows. It is the tangent frame's; Fisher data without lifts (a bare Gram)
+    take the Gram's PSD root L0 (L0* L0 = gram; matkernel.sqrt_psd decides PSD
+    at TOL "eigen_dust", else DomainError) through the same SVD, where a
+    singular JS raises SingularFisher. `js_powers` is (JS^{-1},
+    JS^{-1/2}, JS^{1/2}) = V S^{2p} V^T; w = JS^{-1/2} takes theta' = JS^{1/2}
+    theta, the parameters where JS = I, back to theta. There the lifts are
+    L' = L w = (A + iB) V^T, orthonormal in Re, and L'* L' = I + iK with
+    K = V (A^T B - B^T A) V^T. `canonical` is (K, (mu, U), beta, moved) from one
+    eigendecomposition iK = U diag(mu) U*: mu is made exactly +- symmetric, and
+    each mu within TOL "beta" * max(1, cond(L)) of -1, 0 or 1 is set to it, the
+    one snap that the class, the betas (|mu| descending, the classified
+    BetaSpectrum) and the lift factor read; `moved` is ||JS|| max |mu - raw
+    mu|, the most the snap moves the Gram. `lift_factor` is (kh, R) from that
+    (mu, U): kh = sqrt(1 + mu) U* on the r directions where mu > -1, so
+    kh* kh = I + iK with the snapped mu; and R = kh JS^{1/2}. `embedding` is
+    (phi, R, kh) in the 2m+1 dimensional Naimark space: phi = e_0, and each
+    factor in coordinates 1..r. The Naimark frame's lifts and the oracle's are
+    that R, and their lifts in theta' that kh: the SDP of `oracle_bound` reads
+    `js_powers` and `embedding` of this Spectrum. `reports` caches closed_form
+    by the bytes of the symmetrized weight: the one BoundReport (or None) that
+    every bound and measurement at this point reads. Beside it, under
+    ("oracle", those bytes), it caches oracle_bound's (BoundReport,
+    OracleResult), and under ("weight", those bytes) the weight's one
+    decomposition (`weight`). Their arrays are read-only. `spectrum(fd)`
+    caches the Spectrum on fd.
     """
 
     def __init__(self, fd):
@@ -80,50 +89,49 @@ class Spectrum:
         self.reports = {}
 
     @functools.cached_property
-    def js_powers(self):
+    def svd(self):
+        if self.fd.svd is not None:
+            return self.fd.svd
         try:
-            return matkernel.psd_powers(self.fd.JS, -1, -0.5, 0.5)
+            root = matkernel.sqrt_psd(self.fd.gram)
         except NotPSD as exc:
-            raise SingularFisher(str(exc)) from exc
+            raise DomainError(f"the lift Gram is not PSD: {exc}") from exc
+        return matkernel.lift_svd(root, SingularFisher)
+
+    @functools.cached_property
+    def js_powers(self):
+        _, s, vt = self.svd
+        return tuple(matkernel.symmetrize((vt.T * s ** p) @ vt) for p in (-2.0, -1.0, 1.0))
 
     @functools.cached_property
     def canonical(self):
-        w = self.js_powers[1]
-        k = matkernel.antisymmetrize(w @ self.fd.Jt @ w)
-        # iK is Hermitian by construction, so check_hermitian has nothing to check
-        mu, u = np.linalg.eigh(1j * matkernel.check_finite(k))
-        scale = matkernel.mnorm(k)
+        u, s, vt = self.svd
+        c = u[:len(u) // 2].T @ u[len(u) // 2:]
+        k = matkernel.antisymmetrize(vt.T @ (c - c.T) @ vt)
+        # iK is Hermitian, and finite from orthonormal U and V, by construction
+        mu, vecs = np.linalg.eigh(1j * k)
         # mu is ascending, so the spectrum of a real antisymmetric K reads the
         # same reversed and negated
-        check("canonical_form", matkernel.mnorm(mu + mu[::-1]), scale, ConsistencyError)
-        dust = TOL["eigen_dust"] * max(1.0, scale)
-        pairs = mu[mu > dust][::-1]
-        zero_count = int(np.count_nonzero(np.abs(mu) <= dust))
-        if 2 * pairs.size + zero_count != mu.size:
-            raise ConsistencyError(
-                f"eigenvalues of iK are not symmetric at dust level {dust:.3e}")
-        betas = np.concatenate([np.repeat(pairs, 2), np.zeros(zero_count)])
-        check("beta", betas.max(initial=1.0) - 1.0, 0.0, DomainError)
-        betas = np.clip(betas, 0.0, 1.0)
+        check("canonical_form", matkernel.mnorm(mu + mu[::-1]), matkernel.mnorm(k),
+              ConsistencyError)
+        raw = 0.5 * (mu - mu[::-1])
         # 2/(1+sqrt(1-b^2)) has infinite slope at b=1, so a coherent direction
-        # contaminated at machine precision would smear downstream values by
-        # sqrt(eps); snap within the classification dust
-        betas[betas >= 1.0 - TOL["beta"]] = 1.0
-        if np.all(betas <= TOL["beta"]):
-            cls = "quasi_classical"
-        elif np.all(betas >= 1.0 - TOL["beta"]):
-            cls = "coherent"
-        else:
-            cls = "generic"
-        assert betas.shape == self.fd.JS.shape[:1]
-        return k, (mu, u), pairs, zero_count, BetaSpectrum(betas=betas, classification=cls)
+        # contaminated by roundoff would smear downstream values by its square
+        # root; the snap keeps a margin over that roundoff that grows with cond(L)
+        near = np.round(raw)
+        mu = np.where(np.abs(raw - near) <= TOL["beta"] * max(1.0, s[0] / s[-1]), near, raw)
+        betas = np.sort(np.abs(mu))[::-1]
+        cls = ("quasi_classical" if betas[0] == 0.0 else
+               "coherent" if betas[-1] == 1.0 else "generic")
+        moved = s[0] ** 2 * matkernel.mnorm(mu - raw)
+        return k, (mu, vecs), BetaSpectrum(betas=betas, classification=cls), moved
 
     @functools.cached_property
     def lift_factor(self):
         mu, u = self.canonical[1]
-        keep = 1.0 + mu > TOL["beta"]
+        keep = mu > -1.0
         kh = np.sqrt(1.0 + mu[keep])[:, None] * u[:, keep].conj().T
-        return kh, kh @ self.js_powers[1] @ self.fd.JS
+        return kh, kh @ self.js_powers[2]
 
     @functools.cached_property
     def embedding(self):
@@ -152,7 +160,7 @@ class Spectrum:
         return self.reports[key]
 
     js_inv = property(lambda self: self.js_powers[0])
-    beta = property(lambda self: self.canonical[4])
+    beta = property(lambda self: self.canonical[2])
 
 
 def spectrum(fd):
@@ -269,39 +277,40 @@ def cr_bound_2param(fd, G):
     notes = {"beta": beta}
 
     def back(vrot):
-        return matkernel.symmetrize(w @ (r @ np.diag(vrot) @ r.T) @ w)
+        """V' = r diag(vrot) r^T and V = w V' w, as BoundReport fields."""
+        vn = r @ np.diag(vrot) @ r.T
+        return {"V_opt": matkernel.symmetrize(w @ vn @ w), "Vn": matkernel.symmetrize(vn)}
 
     if not keep[-1]:
         # zero weight: every feasible covariance gives zero; the G = JS
         # optimum 2/(1+c) JS^{-1} is feasible at every beta
         return BoundReport(G=G, value=0.0, attained=True, V_opt=2.0 / (1.0 + c) * jsinv,
-                           method="closed_form_2param",
-                           notes={**notes, "rank": 0})
+                           method="closed_form_2param", notes={**notes, "rank": 0},
+                           Vn=2.0 / (1.0 + c) * np.eye(2))
     if not keep[0]:
         # rank-1 weight: marginal semantics, attained iff beta < 1
         value = float(np.trace(G @ jsinv))
-        attained = beta < 1.0 - TOL["beta"]
-        v_opt = None
+        attained = beta < 1.0
+        covs = {"V_opt": None}
         if attained:
             infl = 1.0 / (1.0 - beta * beta) if beta > 0 else 1.0
-            v_opt = back(np.array([infl, 1.0]))
-        return BoundReport(G=G, value=value, attained=attained, V_opt=v_opt,
-                           method="closed_form_2param",
-                           notes={**notes, "rank": 1})
+            covs = back(np.array([infl, 1.0]))
+        return BoundReport(G=G, value=value, attained=attained, method="closed_form_2param",
+                           notes={**notes, "rank": 1}, **covs)
 
-    if beta >= 1.0 - TOL["beta"]:
+    if beta == 1.0:
         p2 = math.sqrt(g[1] / g[0])
         pstar, qstar = math.sqrt(p2), 1.0 / math.sqrt(p2)
         value = float(g[0] + g[1] + 2.0 * math.sqrt(g[0] * g[1]))
-        v_opt = back(np.array([1.0 + p2, 1.0 + 1.0 / p2]))
+        covs = back(np.array([1.0 + p2, 1.0 + 1.0 / p2]))
     else:
         pstar, qstar = _minimize_on_curve(g[0], g[1], beta)
         value = float(g[0] * (1.0 + pstar ** 2) + g[1] * (1.0 + qstar ** 2))
-        v_opt = back(np.array([1.0 + pstar ** 2, 1.0 + qstar ** 2]))
+        covs = back(np.array([1.0 + pstar ** 2, 1.0 + qstar ** 2]))
     notes["stationary_residual"] = abs(
         beta * pstar * qstar + c * (pstar + qstar) - beta)
-    return BoundReport(G=G, value=value, attained=True, V_opt=v_opt,
-                       method="closed_form_2param", notes=notes)
+    return BoundReport(G=G, value=value, attained=True, method="closed_form_2param",
+                       notes=notes, **covs)
 
 
 def cr_bound_js_weight(fd):
@@ -309,21 +318,15 @@ def cr_bound_js_weight(fd):
 
     Cross-checked against the matrix form Tr {Re sqrt(I + i K)}^{-2} with
     K = JS^{-1/2} Jt JS^{-1/2}; both forms, and V_opt, come from the one
-    eigendecomposition iK = U diag(mu) U*.
+    eigendecomposition iK = U diag(mu) U*, with mu snapped.
     """
     spec = spectrum(fd)
     mu, u = spec.canonical[1]
-    pairs, zero_count, beta = spec.canonical[2:]
-    betas = beta.betas
+    betas = spec.beta.betas
     value = float(sum(2.0 / (1.0 + math.sqrt(max(0.0, 1.0 - b * b))) for b in betas))
-    # the snapped beta of each eigenvalue of iK: mu ascending is -pairs,
-    # the kernel, then +pairs ascending
-    snapped = betas[:2 * pairs.size:2]
-    per_mu = np.concatenate([snapped, np.zeros(zero_count), snapped[::-1]])
-    inflation = 2.0 / (1.0 + np.sqrt(np.clip(1.0 - per_mu * per_mu, 0.0, None)))
-    ws = np.clip(1.0 + mu, 0.0, None)
-    ws[ws <= TOL["beta"]] = 0.0  # same snap as beta_spectrum at beta = 1
-    r0 = matkernel.symmetrize(((u * np.sqrt(ws)) @ u.conj().T).real)
+    # the snapped mu lies in [-1, 1]
+    inflation = 2.0 / (1.0 + np.sqrt(1.0 - mu * mu))
+    r0 = matkernel.symmetrize(((u * np.sqrt(1.0 + mu)) @ u.conj().T).real)
     r0inv = matkernel.inv_psd(r0)
     value_matrix = float(np.trace(r0inv @ r0inv))
     check("js_weight_forms", abs(value - value_matrix), 0.0, ConsistencyError)
@@ -342,8 +345,9 @@ def cr_bound_coherent(fd, G):
     the lift Gram is I + iK, so the optimum is V' = I + G'^{-1/2} |M| G'^{-1/2}
     with M = G'^{1/2} K G'^{1/2}, and V = w V' w. G'^{+-1/2} come from the
     weight's one decomposition on the Spectrum; a rank below m raises
-    SingularWeight. Tr(G' V') is checked against the value there: Tr(G V) in
-    theta cancels entries of the size of ||JS^{-1}||.
+    SingularWeight. The value Tr G' + Tr |M| and the check of Tr(G' V')
+    against it are taken there too: Tr(G V) in theta cancels entries of the
+    size of ||JS^{-1}||, and Tr(G JS^{-1}) those of ||G|| ||JS^{-1}||.
     """
     if not coherent_test(fd):
         raise NotCoherent("model is not coherent (some beta < 1)")
@@ -355,13 +359,14 @@ def cr_bound_coherent(fd, G):
     sq, isq = ((r * g ** p) @ r.T for p in (0.5, -0.5))
     absm = matkernel.abs_sym(matkernel.antisymmetrize(sq @ spec.canonical[0] @ sq))
     a, w, _ = spec.js_powers
-    value = float(np.trace(G @ a) + np.trace(absm))
+    sld_part, abs_part = float(np.trace(gn)), float(np.trace(absm))
+    value = sld_part + abs_part
     v_opt = matkernel.symmetrize(a + w @ isq @ absm @ isq @ w)
-    trace = float(np.trace(gn) + np.sum(gn * (isq @ absm @ isq)))   # Tr(G' V')
-    check("coherent_trace", abs(trace - value), abs(value), ConsistencyError)
+    vn = matkernel.symmetrize(np.eye(len(g)) + isq @ absm @ isq)
+    check("coherent_trace", abs(float(np.sum(gn * vn)) - value), abs(value), ConsistencyError)
     return BoundReport(
         G=G, value=value, attained=True, V_opt=v_opt, method="closed_form_coherent",
-        notes={"sld_part": float(np.trace(G @ a)), "abs_part": float(np.trace(absm))})
+        notes={"sld_part": sld_part, "abs_part": abs_part}, Vn=vn)
 
 
 def marginal_infimum(fd, i):
@@ -471,7 +476,7 @@ def closed_form(fd, G):
     if key not in cache:
         cache[key] = report = _closed_form(fd, G)
         if report is not None:
-            _read_only(report.G, report.V_opt)
+            _read_only(report.G, report.V_opt, report.Vn)
     return cache[key]
 
 

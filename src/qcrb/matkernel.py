@@ -17,16 +17,20 @@ from .errors import DomainError, NonFinite, NonHermitian, NotPSD
 # names; "absolute" means times 1.
 TOL = {
     # eigenvalue counted as zero: PSD floors, inverses, rank cuts (a weight's PSD
-    # decision and rank, made on w G w for every route); relative to ||A||
+    # decision and rank, made on w G w for every route; a bare Gram's PSD
+    # decision); relative to ||A||. Squared singular values of the stacked lifts
+    # below it relative to s_max^2 are a degenerate model (a singular JS for a
+    # bare Gram)
     "eigen_dust": 1e-10,
     # Hermitian deviation of a matrix input; relative to ||A||
     "hermitian": 1e-12,
     # deviation of the spectrum of iK (K = JS^-1/2 Jt JS^-1/2) from +- symmetry;
     # relative to ||K||
     "canonical_form": 1e-9,
-    # beta within this of 0 or 1 snaps there, sets the class, and may exceed 1
-    # by this much; absolute
-    "beta": 1e-9,
+    # each eigenvalue mu of iK within this of -1, 0 or 1 snaps there: the one
+    # decision that sets the class, the betas and the lift factor's rank;
+    # relative to cond(L) = s_max / s_min of the lifts' stacked SVD
+    "beta": 1e-14,
     # JS-scale entry counted as zero (block tests, G = JS); relative to ||JS||
     "fisher_dust": 1e-9,
     # shortfall of |Im gram_ij| below sqrt(JS_ii JS_jj) for exclusive pairs;
@@ -41,7 +45,8 @@ TOL = {
     # Tr(G' V') against the coherent closed form, in the parameters where JS = I
     # (G' = w G w, V' = w^-1 V w^-1); relative to its value
     "coherent_trace": 1e-9,
-    # Gram reproduction of the Naimark frame; relative to ||gram||
+    # Gram reproduction of the Naimark frame, beyond the beta snap's own shift
+    # ||JS|| max |mu - snapped mu|; relative to ||gram||
     "naimark_gram": 1e-10,
     # negative eigenvalue of V' - kh* kh in a completion, where JS = I (V' the
     # closed form's covariance there, kh the lift factor); relative to its norm
@@ -127,6 +132,25 @@ def symmetrize(a):
 def antisymmetrize(a):
     a = np.asarray(a, dtype=float)
     return 0.5 * (a - a.T)
+
+
+def lift_svd(lifts, error):
+    """Thin SVD (U, s, Vt) of the stacked lifts [Re L; Im L], so JS = Vt^T diag(s^2) Vt.
+
+    A singular value past the square root of the float range raises NonFinite:
+    the Gram would overflow. A lift norm below TOL["lift_norm"], or s_min^2
+    below TOL["eigen_dust"] * max(1, s_max^2), raises `error`.
+    """
+    u, s, vt = np.linalg.svd(np.vstack([lifts.real, lifts.imag]), full_matrices=False)
+    # every lift norm is at most s[0], so the Gram and the norms below are finite
+    if not s[0] < np.sqrt(np.finfo(float).max):
+        raise NonFinite(f"lift Gram overflows the float range at singular value {s[0]:.3e}")
+    norms = np.linalg.norm(lifts, axis=0)
+    if np.any(norms < TOL["lift_norm"]):
+        raise error(f"lift norms {norms} contain a vanishing direction")
+    if s[-1] ** 2 < TOL["eigen_dust"] * max(1.0, s[0] ** 2):
+        raise error("lifts are R-linearly dependent at the dust level")
+    return u, s, vt
 
 
 def hermitian_eig(a):

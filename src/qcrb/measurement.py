@@ -9,9 +9,9 @@ parameters theta' = JS^{1/2} theta, where JS = I and the lifts are L' = L w
 models take X' = L w on any frame. Coherent and other closed-form models take
 X' = L' + B' in the embedding, where L' is the lift factor kh (kh* kh = I + iK)
 and B'*B' = V' - kh* kh, with V' = JS^{1/2} V JS^{1/2} the closed form's
-covariance, fills the coordinates orthogonal to phi and the lifts. Generic
-models take the X' of one oracle solve as it stands: the embedding's lifts are
-the working point's lift factor, and so are the oracle's.
+covariance as it built it there, fills the coordinates orthogonal to phi and
+the lifts. Generic models take the X' of one oracle solve as it stands: the
+embedding's lifts are the working point's lift factor, and so are the oracle's.
 
 Estimation vectors X with <x^i|phi> = 0, Re X*L = I and Im X*X = 0 are turned
 into a projective measurement whose covariance is exactly Re X*X. A `Pvm` is
@@ -120,14 +120,16 @@ def naimark_frame(fd, theta=None):
     """Embed the state and lifts of fd isometrically in a 2m+1 dimensional space.
 
     phi' is the first basis vector and the lift images are the r rows of the
-    lift factor R (R* R = gram, r <= m) in coordinates 1..r, so
-    <phi'|l'_i> = 0 holds exactly and the Gram of fd is reproduced. The
+    lift factor R (r <= m) in coordinates 1..r, so <phi'|l'_i> = 0 holds
+    exactly. R* R is the Gram of fd with the beta snap applied: it must
+    reproduce the Gram to TOL "naimark_gram" beyond the snap's own shift. The
     oracle's lifts are the same R, bit for bit.
     """
     gram = 0.5 * (fd.gram + fd.gram.conj().T)
-    phi, lifts, _ = analysis.spectrum(fd).embedding
-    check("naimark_gram", matkernel.mnorm(lifts.conj().T @ lifts - gram), matkernel.mnorm(gram),
-          ConsistencyError)
+    spec = analysis.spectrum(fd)
+    phi, lifts, _ = spec.embedding
+    miss = matkernel.mnorm(lifts.conj().T @ lifts - gram) - spec.canonical[3]
+    check("naimark_gram", miss, matkernel.mnorm(gram), ConsistencyError)
     return NaimarkFrame(dim=len(phi), phi=phi, lifts=lifts,
                         theta=None if theta is None else np.asarray(theta, dtype=float))
 
@@ -140,28 +142,28 @@ def optimal_vectors_quasi_classical(frame, fd):
     return EstimationVectors(X=frame.lifts @ w, phi=frame.phi, w=w)
 
 
-def _complete(spec, v):
-    """X' = L' + B' attaining the covariance V, in theta' = JS^{1/2} theta.
+def _complete(spec, vn):
+    """X' = L' + B' attaining the covariance V' in theta' = JS^{1/2} theta.
 
-    There the covariance is V' = JS^{1/2} V JS^{1/2}, and the Naimark frame's
-    lifts L' are the lift factor kh in coordinates 1..r, with kh* kh = I + iK.
-    B'*B' = V' - kh* kh fills coordinates m+1..2m, which are orthogonal to phi
-    and to the lifts by construction, so X'*X' = V' is real and
-    Re X'*L' = I. Eigenvalues of B'*B' within TOL "eigen_dust" are exact
-    zeros: the roots of roundoff would put about 1e-8 into B'.
+    V' = JS^{1/2} V JS^{1/2} is the closed form's covariance there (its `Vn`),
+    and the Naimark frame's lifts L' are the lift factor kh in coordinates
+    1..r, with kh* kh = I + iK. B'*B' = V' - kh* kh fills coordinates m+1..2m,
+    which are orthogonal to phi and to the lifts by construction, so
+    X'*X' = V' is real and Re X'*L' = I. Eigenvalues of B'*B' within
+    TOL "eigen_dust" are exact zeros: the roots of roundoff would put about
+    1e-8 into B'.
     """
     kh = spec.lift_factor[0]
     m = kh.shape[1]
     phi, _, lifts = spec.embedding
-    _, w, root = spec.js_powers
-    h = matkernel.symmetrize(root @ v @ root) - kh.conj().T @ kh
+    h = vn - kh.conj().T @ kh
     wh, uh = matkernel.hermitian_eig(h)   # of the Hermitian part of h
     check("completion_floor", -wh.min(), matkernel.mnorm(h), InfeasibleGram)
     wh = np.where(wh <= TOL["eigen_dust"] * max(1.0, matkernel.mnorm(h)), 0.0, wh)
     x = lifts.copy()
     x[m + 1:, :] = (uh * np.sqrt(wh)) @ uh.conj().T
     analysis.estimation_residuals(x, phi, lifts, InfeasibleGram)
-    return EstimationVectors(X=x, phi=phi, w=w)
+    return EstimationVectors(X=x, phi=phi, w=spec.js_powers[1])
 
 
 def optimal_vectors_coherent(nf, fd, G):
@@ -204,7 +206,7 @@ def optimal_vectors(space, fd, G):
         raise SingularWeight("no estimator attains the bound for this singular weight")
     spec = analysis.spectrum(fd)
     if res is None:
-        return _complete(spec, report.V_opt), report
+        return _complete(spec, report.Vn), report
     # the oracle checked X' against these lifts by the same rule
     return EstimationVectors(X=res.Xn, phi=space.phi, w=spec.js_powers[1]), report
 

@@ -6,7 +6,10 @@ the d x m matrix of its derivative columns d_i phi. The tangent frame at a
 point calls it once and carries the horizontal lifts
 l_i = 2 (I - |phi><phi|) d_i phi, which satisfy <phi|l_i> = 0 and reconstruct
 d_i rho = (|l_i><phi| + |phi><l_i|)/2. The Gram matrix L*L splits into the
-real symmetric Fisher matrix JS and the real antisymmetric Jt.
+real symmetric Fisher matrix JS and the real antisymmetric Jt. The frame's one
+SVD of the stacked lifts [Re L; Im L], which checks them for degeneracy, is
+carried into the Fisher data: `analysis.Spectrum` reads JS^{+-1/2} and the
+complex structure K from it, never from the Gram.
 
 A `state` may return the frame up to a unitary fixed at theta and a phase
 gauge (dphi may differ by an imaginary multiple of phi): the lifts change by
@@ -31,7 +34,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from . import analysis, matkernel
+from . import matkernel
 from .errors import (
     DegenerateModel,
     DomainError,
@@ -61,6 +64,7 @@ class TangentFrame:
     theta: np.ndarray
     phi: np.ndarray          # unit vector, shape (d,)
     lifts: np.ndarray        # shape (d, m), column i = |l_i>
+    svd: Optional[tuple] = None   # matkernel.lift_svd of the lifts
 
 
 @dataclass
@@ -68,16 +72,19 @@ class FisherData:
     JS: np.ndarray           # real symmetric, positive definite
     Jt: np.ndarray           # real antisymmetric
     gram: np.ndarray         # L*L, Hermitian PSD
+    # (U, s, Vt) of the lifts [Re L; Im L], or None for a bare Gram, which
+    # analysis.Spectrum then factors once through its PSD root
+    svd: Optional[tuple] = field(default=None, repr=False, compare=False)
     # analysis.Spectrum cache: the fields above must not change once it is set
     _spectrum: object = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
-    def from_gram(cls, gram):
+    def from_gram(cls, gram, svd=None):
         """The Hermitian part of a lift Gram and its real/imaginary split."""
         gram = np.asarray(gram, dtype=complex)
         gram = 0.5 * (gram + gram.conj().T)
         return cls(JS=matkernel.symmetrize(gram.real), Jt=matkernel.antisymmetrize(gram.imag),
-                   gram=gram)
+                   gram=gram, svd=svd)
 
 
 def tangent_frame(model, theta):
@@ -99,23 +106,13 @@ def tangent_frame(model, theta):
     ph = phi[k] / abs(phi[k])
     phi = phi * ph.conjugate()
     lifts = lifts * ph.conjugate()
-    s = np.linalg.svd(np.vstack([lifts.real, lifts.imag]), compute_uv=False)
-    # every lift norm is at most s[0], so the Gram and the norms below are finite
-    if not s[0] < math.sqrt(np.finfo(float).max):
-        raise NonFinite(f"lift Gram overflows the float range at singular value {s[0]:.3e}")
-    norms = np.linalg.norm(lifts, axis=0)
-    if np.any(norms < TOL["lift_norm"]):
-        raise DegenerateModel(f"lift norms {norms} contain a vanishing direction")
-    if s[-1] ** 2 < TOL["eigen_dust"] * max(1.0, s[0] ** 2):
-        raise DegenerateModel("lifts are R-linearly dependent at the dust level")
-    return TangentFrame(theta=theta, phi=phi, lifts=lifts)
+    return TangentFrame(theta=theta, phi=phi, lifts=lifts,
+                        svd=matkernel.lift_svd(lifts, DegenerateModel))
 
 
 def fisher_data(frame):
-    """Gram matrix of the lifts and its real/imaginary split."""
-    fd = FisherData.from_gram(frame.lifts.conj().T @ frame.lifts)
-    analysis.spectrum(fd).js_powers   # cached for later use; raises SingularFisher
-    return fd
+    """Gram matrix of the lifts, its real/imaginary split and the frame's SVD."""
+    return FisherData.from_gram(frame.lifts.conj().T @ frame.lifts, svd=frame.svd)
 
 
 # --- spin rotation family ---

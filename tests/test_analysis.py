@@ -38,9 +38,10 @@ def _block(beta):
 
 
 def _schur_betas(a):
-    """Pair betas from scipy's real Schur form, an independent reference."""
+    """Pair betas from scipy's real Schur form, an independent reference; a pair
+    below the beta snap (TOL "beta", here where cond(L) = 1) is zero."""
     t, _ = scipy.linalg.schur(a, output="real")
-    dust = matkernel.TOL["eigen_dust"] * max(1.0, np.abs(a).max())
+    dust = matkernel.TOL["beta"] * max(1.0, np.abs(a).max())
     betas, k = [], 0
     while k < len(t):
         if k + 1 < len(t) and abs(t[k + 1, k]) > dust:
@@ -68,13 +69,14 @@ def structure_fd(a, c):
 @pytest.mark.parametrize("case, blocks, pairs", [
     ("repeated pairs", (_block(0.7), _block(0.7), np.zeros((1, 1))), 2),
     ("kernel of dimension 4", (_block(1.3), np.zeros((4, 4))), 1),
-    ("pair at 1e-11 is zero", (_block(0.9), _block(1e-11), np.zeros((1, 1))), 1),
+    ("pair at 1e-15 is zero", (_block(0.9), _block(1e-15), np.zeros((1, 1))), 1),
     ("pair at 1e-8 is a pair", (_block(0.9), _block(1e-8)), 2),
     ("two pairs at 1e-8 and a kernel", (_block(1e-8), _block(1e-8), _block(1.0),
                                         np.zeros((1, 1))), 3),
     ("n = 1", (np.zeros((1, 1)),), 0),
     ("two by two", (_block(0.3),), 1),
     ("zero matrix", (np.zeros((3, 3)),), 0),
+    ("pair at 1e-11 is a pair", (_block(0.9), _block(1e-11), np.zeros((1, 1))), 2),
 ])
 def test_beta_spectrum_matches_schur(case, blocks, pairs):
     a = _rotated(np.random.default_rng(11), *blocks)
@@ -83,11 +85,25 @@ def test_beta_spectrum_matches_schur(case, blocks, pairs):
     assert ref.size == pairs
     c = ref[0] if pairs else 1.0
     spec = analysis.spectrum(structure_fd(a, c))
-    found, zeros, beta = spec.canonical[2:]
+    mu, beta = spec.canonical[1][0], spec.canonical[2]
+    found, zeros = mu[mu > 0][::-1], np.count_nonzero(mu == 0)
     assert found.size == pairs and 2 * pairs + zeros == n
     assert np.abs(found * c - ref).max(initial=0.0) <= 1e-12
     expect = np.concatenate([np.repeat(ref, 2), np.zeros(zeros)])
     assert np.abs(beta.betas * c - expect).max() <= 1e-12
+
+
+# With G = I the squeezed bound Tr JS^-1 + Tr |JS^-1 Jt JS^-1| is
+# cosh 2 t3 + 3/2 + 1/sinh 2 t3 + 1/(2 sinh^2 2 t3) at every t1, t2 and t4; a
+# 60-digit mpmath evaluation from the closed-form JS and Jt agrees at t3 = 2, 4
+# and 8. K taken from the Gram erred by about eps cond(JS): 8.3e-11 at t3 = 4.
+@pytest.mark.parametrize("t3", np.arange(1, 9) * 0.5)
+def test_squeezed_bound_matches_its_exact_value(t3):
+    mdl = model.catalog_squeezed([0.1, -0.2, t3, 0.3])
+    fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
+    sh = math.sinh(2.0 * t3)
+    exact = math.cosh(2.0 * t3) + 1.5 + 1.0 / sh + 0.5 / (sh * sh)
+    assert abs(analysis.cr_bound(fd, np.eye(4)).value - exact) <= 1e-12 * exact
 
 
 def test_beta_spectrum_random_antisymmetric():
@@ -97,7 +113,8 @@ def test_beta_spectrum_random_antisymmetric():
         a = b - b.T
         # the pairs are the singular values of a, each taken twice
         sv = np.linalg.svd(a, compute_uv=False)
-        found, zeros = analysis.spectrum(structure_fd(a, sv[0])).canonical[2:4]
+        mu = analysis.spectrum(structure_fd(a, sv[0])).canonical[1][0]
+        found, zeros = mu[mu > 0][::-1], np.count_nonzero(mu == 0)
         assert 2 * found.size + zeros == n
         assert np.abs(found * sv[0] - sv[::2][:found.size]).max() <= 1e-9
 
@@ -372,13 +389,14 @@ def test_each_working_point_is_decomposed_once(monkeypatch):
     assert analysis.cr_bound(fd, g).method == "closed_form_coherent"
     nf = measurement.naimark_frame(fd, theta=mdl.theta0)
     measurement.optimal_vectors_coherent(nf, fd, g)
-    # the weight is decomposed in normalized form, w G w; the completion's
-    # h = V' - kh* kh, as _complete forms it where JS = I
+    # JS^{+-1/2} and K come from the frame's SVD, so iK is the point's one
+    # eigh; the weight is decomposed in normalized form, w G w; the
+    # completion's h = V' - kh* kh, from the closed form's V' where JS = I
     spec = analysis.spectrum(fd)
-    _, w, root = spec.js_powers
+    w = spec.js_powers[1]
     kh = spec.lift_factor[0]
-    h = matkernel.symmetrize(root @ analysis.closed_form(fd, g).V_opt @ root) - kh.conj().T @ kh
-    expected = {"JS": fd.JS, "iK": 1j * spec.canonical[0],
+    h = analysis.closed_form(fd, g).Vn - kh.conj().T @ kh
+    expected = {"iK": 1j * spec.canonical[0],
                 "wGw": matkernel.symmetrize(w @ g @ w), "h": 0.5 * (h + h.conj().T)}
     names = [name for x in seen for name, e in expected.items()
              if x.shape == e.shape and np.array_equal(x, e)]
@@ -407,11 +425,12 @@ def test_two_parameter_coherent_bound_and_vectors_share_one_solve(monkeypatch, c
     assert coherent == [] and len(two_param) == 1
     assert max(analysis.estimation_residuals(ev.X, ev.phi, nf.lifts @ ev.w,
                                              errors.InfeasibleGram).values()) <= 1e-8
+    # no eigh of JS: its powers come from the frame's SVD
     spec = analysis.spectrum(fd)
-    _, w, root = spec.js_powers
+    w = spec.js_powers[1]
     kh = spec.lift_factor[0]
-    h = matkernel.symmetrize(root @ rep.V_opt @ root) - kh.conj().T @ kh
-    expected = {"JS": fd.JS, "iK": 1j * spec.canonical[0],
+    h = rep.Vn - kh.conj().T @ kh
+    expected = {"iK": 1j * spec.canonical[0],
                 "wGw": matkernel.symmetrize(w @ g @ w),
                 "h": 0.5 * (h + h.conj().T)}
     names = [name for x in seen for name, e in expected.items()
@@ -459,7 +478,7 @@ def test_closed_form_is_cached_per_weight_and_read_only(build, g, method):
         return
     assert rep.method == method
     assert analysis.cr_bound(fd, g) is rep
-    for arr in (rep.G, rep.V_opt):
+    for arr in (rep.G, rep.V_opt, rep.Vn):
         assert arr is None or not arr.flags.writeable
     with pytest.raises(ValueError):
         rep.G[0, 0] = 5.0
@@ -549,7 +568,7 @@ def test_oracle_report_is_cached_beside_the_closed_forms(count_calls):
     ev, rep = measurement.optimal_vectors(nf, fd, g)
     again = analysis.cr_bound(fd, g)
     assert first.method == "oracle"
-    assert len(solves) == 1 and spectra == []
+    assert len(solves) == 1 and spectra == ["Spectrum"]   # built on first use
     assert rep is first and again is first
     report, result = analysis.oracle_bound(fd, g)
     assert report is first and ev.X is result.Xn and result.problem.fd is fd

@@ -429,16 +429,16 @@ def test_pvm_coherent_computes_the_bound_once(tmp_path, count_calls, capsys):
 
 
 # Decompositions per `qcrb pvm`, after the model family's own tables are
-# built: JS and iK of the working point, whose lift factor is the Naimark
-# frame's and the SDP's, then on generic models the weight's range and
-# V - Y*Y in the SDP; coherent models add the completion's V - A* gram A and
-# their closed form's weight. lstsq runs only in the oracle's polish, never
-# to move X between embeddings.
+# built: iK of the working point (JS^{+-1/2} and K come from the frame's SVD),
+# whose lift factor is the Naimark frame's and the SDP's, then on generic
+# models the weight's range and V - Y*Y in the SDP; coherent models add the
+# completion's V' - kh* kh and their closed form's weight. lstsq runs only in
+# the oracle's polish, never to move X between embeddings.
 @pytest.mark.parametrize("config, eighs, lstsqs", [
-    (SPIN_GEN, 4, 4),
-    (N3, 4, 4),
-    (N0, 4, 0),
-    (SQUEEZED, 4, 0),
+    (SPIN_GEN, 3, 4),
+    (N3, 3, 4),
+    (N0, 3, 0),
+    (SQUEEZED, 3, 0),
 ], ids=["generic_spin", "generic_n3", "coherent_m2", "coherent_m4"])
 def test_pvm_decomposition_counts(tmp_path, capsys, count_calls, config, eighs, lstsqs):
     cfg = write_json(tmp_path / "m.json", config)
@@ -450,14 +450,15 @@ def test_pvm_decomposition_counts(tmp_path, capsys, count_calls, config, eighs, 
     assert (len(eigh), len(lstsq)) == (eighs, lstsqs)
 
 
-# `qcrb oracle` and `bound --oracle` decompose the working point once: the
-# SDP and the stationarity certificate read the Spectrum that the bound reads.
-# The other eigh calls are the normalized weight w G w, which the closed forms,
-# the SDP and the certificate share, and V - Y*Y in the SDP.
+# `qcrb oracle` and `bound --oracle` decompose the working point once (iK;
+# the frame's SVD gives JS^{+-1/2}): the SDP and the stationarity certificate
+# read the Spectrum that the bound reads. The other eigh calls are the
+# normalized weight w G w, which the closed forms, the SDP and the certificate
+# share, and V - Y*Y in the SDP.
 @pytest.mark.parametrize("command, config, eighs", [
-    (["oracle"], N3, 4),
-    (["oracle"], SQUEEZED, 4),
-    (["bound", "--oracle"], SPIN_GEN, 4),
+    (["oracle"], N3, 3),
+    (["oracle"], SQUEEZED, 3),
+    (["bound", "--oracle"], SPIN_GEN, 3),
 ], ids=["oracle_n3", "oracle_squeezed", "bound_oracle_spin"])
 def test_oracle_commands_build_one_spectrum(tmp_path, capsys, count_calls, command, config,
                                             eighs):
@@ -475,11 +476,11 @@ def test_oracle_commands_build_one_spectrum(tmp_path, capsys, count_calls, comma
 # the CLI all read w G w from the working point's Spectrum, so a weight file
 # adds no decomposition of its own.
 @pytest.mark.parametrize("command, config, weight, eighs", [
-    (["bound"], SPIN_QC, [[2.0, 0.3], [0.3, 1.0]], 3),
-    (["pvm"], SQUEEZED, np.diag([1.0, 2.0, 3.0, 4.0]).tolist(), 4),
-    (["oracle"], SQUEEZED, np.diag([1.0, 2.0, 3.0, 4.0]).tolist(), 4),
-    (["bound"], SQUEEZED, None, 3),
-    (["bound"], N0, None, 3),
+    (["bound"], SPIN_QC, [[2.0, 0.3], [0.3, 1.0]], 2),
+    (["pvm"], SQUEEZED, np.diag([1.0, 2.0, 3.0, 4.0]).tolist(), 3),
+    (["oracle"], SQUEEZED, np.diag([1.0, 2.0, 3.0, 4.0]).tolist(), 3),
+    (["bound"], SQUEEZED, None, 2),
+    (["bound"], N0, None, 2),
 ], ids=["bound_file_spin_qc", "pvm_file_squeezed", "oracle_file_squeezed", "bound_squeezed",
         "bound_n0"])
 def test_one_decomposition_per_weight(tmp_path, capsys, count_calls, command, config, weight,
@@ -651,6 +652,62 @@ def test_pvm_on_the_squeezed_grid(tmp_path, capsys, weight):
         ver = json.loads(capsys.readouterr().out)["verification"]
         assert ver["unbiased"] is True, t3
         assert abs(ver["trGV"] - value) <= 1e-9 * abs(value), t3
+
+
+# A coherent model reparametrized by a real T, with cond(L) = 9.3e3: the
+# stacked lifts' SVD gives K and beta, so the model stays coherent. Read from
+# the Gram, its beta passed 1 by more than 1e-9, and `analyze`, `bound` and
+# `pvm` exited 2.
+def test_reparametrized_coherent_config(capsys):
+    cfg = str(DATA / "custom_reparametrized_config.json")
+    mdl = model_mod.model_from_config(json.loads(pathlib.Path(cfg).read_text()))
+    s = model_mod.tangent_frame(mdl, mdl.theta0).svd[1]
+    assert 5e3 <= s[0] / s[-1] <= 2e4
+    assert cli.main(["analyze", "--config", cfg]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["classification"] == "coherent" and doc["coherent"] is True
+    assert cli.main(["bound", "--config", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["bound"]["method"] == "closed_form_coherent"
+    assert cli.main(["pvm", "--config", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["verification"]["unbiased"] is True
+
+
+# np.linalg.svd calls per command outside the SDP's interior-point iterations
+# (one per iteration there): the tangent frame's one SVD, which now keeps its
+# vectors for JS^{+-1/2} and K, then the coherent closed form's |M| and the
+# SDP's null space. They are the counts of the Gram route this replaced.
+@pytest.mark.parametrize("command, config, svds", [
+    (["analyze"], SPIN_QC, 1),
+    (["bound"], SQUEEZED, 2),
+    (["bound", "--oracle"], N3, 2),
+    (["pvm"], N0, 1),
+    (["pvm"], SPIN_GEN, 2),
+    (["oracle"], SQUEEZED, 3),
+], ids=["analyze_spin_qc", "bound_squeezed", "bound_oracle_n3", "pvm_n0", "pvm_spin_gen",
+        "oracle_squeezed"])
+def test_svd_calls_per_command(monkeypatch, tmp_path, capsys, command, config, svds):
+    cfg = write_json(tmp_path / "m.json", config)
+    model_mod.model_from_config(config)   # spin tables are cached per s
+    calls, inside = [], []
+    svd, interior = np.linalg.svd, oracle_mod._interior_point
+
+    def counted(*args, **kwargs):
+        if not inside:
+            calls.append("svd")
+        return svd(*args, **kwargs)
+
+    def iterations(*args, **kwargs):
+        inside.append(True)
+        try:
+            return interior(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(oracle_mod, "_interior_point", iterations)
+    assert cli.main([*command, "--config", cfg]) == 0
+    capsys.readouterr()
+    assert len(calls) == svds
 
 
 def test_squeezed_trunc_key_is_a_schema_error(tmp_path):

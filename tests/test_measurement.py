@@ -301,7 +301,7 @@ def test_oracle_lifts_are_the_naimark_frame_lifts(build):
     # bit, with fewer than m rows where a beta is snapped to 1
     mdl = build()
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
-    res = oracle.minimize(oracle.OracleProblem(gram=fd.gram, G=np.eye(mdl.m)))
+    res = oracle.minimize(oracle.OracleProblem(gram=fd.gram, G=np.eye(mdl.m), fd=fd))
     nf = measurement.naimark_frame(fd)
     assert np.array_equal(res.lifts, nf.lifts)
     assert np.array_equal(res.phi, nf.phi)
