@@ -5,7 +5,7 @@ the closed form, solves the oracle's SDP on the same problem, and prints
 their difference, the SDP's duality gap and the stationarity-certificate
 residual. Exits nonzero if any difference exceeds the tolerance that
 `qcrb bound --oracle` applies, matkernel.TOL["oracle_agreement"], relative to
-max(1, closed form).
+the closed form.
 """
 
 import argparse
@@ -55,7 +55,7 @@ def main():
             res = analysis.oracle_bound(fd, g)[1]
             cert = oracle.stationarity_certificate(res)
             diff = abs(res.value - closed)
-            worst = max(worst, diff / max(1.0, closed))
+            worst = max(worst, diff / closed)
             print(f"{beta:5.2f}  {closed:14.10f}  {res.value:14.10f}  "
                   f"{diff:9.2e}  {res.gap:9.2e}  {cert.residual:9.2e}")
 

@@ -66,7 +66,7 @@ class Spectrum:
     L' = L w = (A + iB) V^T, orthonormal in Re, and L'* L' = I + iK with
     K = V (A^T B - B^T A) V^T. `canonical` is (K, (mu, U), beta, moved) from one
     eigendecomposition iK = U diag(mu) U*: mu is made exactly +- symmetric, and
-    each mu within TOL "beta" * max(1, cond(L)) of -1, 0 or 1 is set to it, the
+    each mu within TOL "beta" * cond(L) of -1, 0 or 1 is set to it, the
     one snap that the class, the betas (|mu| descending, the classified
     BetaSpectrum) and the lift factor read; `moved` is ||JS|| max |mu - raw
     mu|, the most the snap moves the Gram. `lift_factor` is (kh, R) from that
@@ -119,7 +119,7 @@ class Spectrum:
         # contaminated by roundoff would smear downstream values by its square
         # root; the snap keeps a margin over that roundoff that grows with cond(L)
         near = np.round(raw)
-        mu = np.where(np.abs(raw - near) <= TOL["beta"] * max(1.0, s[0] / s[-1]), near, raw)
+        mu = np.where(np.abs(raw - near) <= TOL["beta"] * s[0] / s[-1], near, raw)
         betas = np.sort(np.abs(mu))[::-1]
         cls = ("quasi_classical" if betas[0] == 0.0 else
                "coherent" if betas[-1] == 1.0 else "generic")
@@ -148,14 +148,14 @@ class Spectrum:
         """(gn, (g, r, keep)) of a symmetrized weight G, as check_weight returns it.
 
         gn = w G w (w = JS^{-1/2}) is the weight in the parameters where JS = I,
-        and (g, r, keep) is its one matkernel.weight_eig: the PSD decision at
+        and (g, r, keep) is its one matkernel.psd_eig: the PSD decision at
         gn's dust (DomainError) and the rank cut that every route reads.
         """
         key = ("weight", G.tobytes())
         if key not in self.reports:
             w = self.js_powers[1]
             gn = matkernel.symmetrize(w @ G @ w)
-            self.reports[key] = gn, matkernel.weight_eig(gn)
+            self.reports[key] = gn, matkernel.psd_eig(gn, DomainError)
             _read_only(gn, *self.reports[key][1])
         return self.reports[key]
 
@@ -189,7 +189,7 @@ def coherent_test(fd):
     ok = spectrum(fd).beta.classification == "coherent"
     if ok:
         djs, djt = abs(np.linalg.det(fd.JS)), abs(np.linalg.det(fd.Jt))
-        check("coherent_det", abs(djs - djt) / max(djs, djt), 0.0, ConsistencyError)
+        check("coherent_det", abs(djs - djt) / max(djs, djt), 1.0, ConsistencyError)
     return ok
 
 
@@ -329,7 +329,7 @@ def cr_bound_js_weight(fd):
     r0 = matkernel.symmetrize(((u * np.sqrt(1.0 + mu)) @ u.conj().T).real)
     r0inv = matkernel.inv_psd(r0)
     value_matrix = float(np.trace(r0inv @ r0inv))
-    check("js_weight_forms", abs(value - value_matrix), 0.0, ConsistencyError)
+    check("js_weight_forms", abs(value - value_matrix), 1.0, ConsistencyError)
     w = spec.js_powers[1]
     v_opt = matkernel.symmetrize(w @ ((u * inflation) @ u.conj().T).real @ w)
     return BoundReport(G=fd.JS.copy(), value=value, attained=True, V_opt=v_opt,
@@ -387,7 +387,7 @@ def independence_partition(fd, blocks):
     seen = sorted(i for b in blocks for i in b)
     if seen != list(range(m)):
         raise DomainError("blocks must partition the index set")
-    tol = TOL["fisher_dust"] * max(1.0, matkernel.mnorm(fd.JS))
+    tol = TOL["fisher_dust"] * matkernel.mnorm(fd.JS)
     for a in range(len(blocks)):
         for b in range(len(blocks)):
             if a == b:
@@ -402,7 +402,7 @@ def exclusiveness_test(fd, i, j):
     """True iff <l_i|l_j> is purely imaginary with maximal magnitude."""
     if i == j:
         raise DomainError("exclusiveness is a property of distinct indices")
-    tol = TOL["fisher_dust"] * max(1.0, matkernel.mnorm(fd.JS))
+    tol = TOL["fisher_dust"] * matkernel.mnorm(fd.JS)
     g = fd.gram[i, j]
     cap = math.sqrt(fd.JS[i, i] * fd.JS[j, j])
     return bool(abs(g.real) <= tol and abs(g.imag) >= (1.0 - TOL["exclusive"]) * cap)
@@ -421,22 +421,25 @@ def estimation_residuals(x, phi, lifts, error):
     """The residuals of estimation vectors X (columns) in the parameters where JS = I.
 
     <x^i|phi> (given phi), Im X*X and Re X*L - I (given the lifts L of those
-    parameters) are checked by the one TOL "vectors" rule, relative to
-    max(1, ||X*X||): there ||L|| is about 1, so the scale is the covariance's.
+    parameters) are checked by the one TOL "vectors" rule, each times the size
+    of the products it is made of, with |X| = sqrt(||X*X||) the covariance's
+    root: |X| (phi has unit norm), |X|^2 and |X| ||L||. The rule then reads the
+    same in any units of theta, where the vectors are given in theta.
     `error` is the error type raised, or a dict of them by residual name.
     Returns the residuals by name.
     """
     xh = x.conj().T
     xx = xh @ x
-    res = {} if phi is None else {"orthogonality": matkernel.mnorm(xh @ phi)}
-    res["im_xx"] = matkernel.mnorm(xx.imag)
+    size = math.sqrt(matkernel.mnorm(xx))
+    res = {} if phi is None else {"orthogonality": (matkernel.mnorm(xh @ phi), size)}
+    res["im_xx"] = matkernel.mnorm(xx.imag), size ** 2
     if lifts is not None:
-        res["unbiasedness"] = matkernel.mnorm((xh @ lifts).real - np.eye(x.shape[1]))
+        res["unbiasedness"] = (matkernel.mnorm((xh @ lifts).real - np.eye(x.shape[1])),
+                               size * matkernel.mnorm(lifts))
     errors = error if isinstance(error, dict) else dict.fromkeys(res, error)
-    scale = matkernel.mnorm(xx)
-    for name, r in res.items():
+    for name, (r, scale) in res.items():
         check("vectors", r, scale, errors[name])
-    return res
+    return {name: r for name, (r, _) in res.items()}
 
 
 def _read_only(*arrays):
@@ -458,7 +461,7 @@ def _closed_form(fd, G):
             return cr_bound_coherent(fd, G)
         except SingularWeight:
             pass   # a singular G has no coherent closed form
-    if matkernel.mnorm(G - fd.JS) <= TOL["fisher_dust"] * max(1.0, matkernel.mnorm(fd.JS)):
+    if matkernel.mnorm(G - fd.JS) <= TOL["fisher_dust"] * matkernel.mnorm(fd.JS):
         return cr_bound_js_weight(fd)
     return None
 

@@ -135,7 +135,7 @@ def cmd_bound(args):
     if args.oracle and bound.method != "oracle":
         result = analysis.oracle_bound(fd, g)[1]
         diff = abs(result.value - bound.value)
-        agree = diff <= matkernel.TOL["oracle_agreement"] * max(1.0, abs(bound.value))
+        agree = diff <= matkernel.TOL["oracle_agreement"] * abs(bound.value)
         rep["oracle"] = {
             "value": result.value,
             "gap": result.gap,
@@ -168,7 +168,7 @@ def cmd_boundary(args):
         if args.weight is not None:
             # normalized coordinates, where JS is the identity and w G w is G
             g, _ = _resolve_weight(args.weight, np.eye(2))
-            gvals = matkernel.weight_eig(matkernel.symmetrize(g))[0]
+            gvals = matkernel.psd_eig(matkernel.symmetrize(g), errors.DomainError)[0]
     else:
         raise errors.SchemaError("boundary needs --config or --beta")
     curve = analysis.boundary_2param(beta, count=args.samples,

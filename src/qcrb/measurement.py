@@ -158,8 +158,10 @@ def _complete(spec, vn):
     phi, _, lifts = spec.embedding
     h = vn - kh.conj().T @ kh
     wh, uh = matkernel.hermitian_eig(h)   # of the Hermitian part of h
-    check("completion_floor", -wh.min(), matkernel.mnorm(h), InfeasibleGram)
-    wh = np.where(wh <= TOL["eigen_dust"] * max(1.0, matkernel.mnorm(h)), 0.0, wh)
+    # h's roundoff follows V', the larger input: V' >= kh* kh, whose diagonal is 1
+    scale = matkernel.mnorm(vn)
+    check("completion_floor", -wh.min(), scale, InfeasibleGram)
+    wh = np.where(wh <= TOL["eigen_dust"] * scale, 0.0, wh)
     x = lifts.copy()
     x[m + 1:, :] = (uh * np.sqrt(wh)) @ uh.conj().T
     analysis.estimation_residuals(x, phi, lifts, InfeasibleGram)
@@ -254,9 +256,9 @@ def pvm_from_vectors(ev, seed=0):
         offsets = np.vstack([offsets, np.zeros((1, m))])
     pvm = Pvm(rays=(q * phase) @ o.T, outcomes=offsets)
 
-    check("pvm_algebra", max(pvm_algebra_residuals(pvm).values()), 0.0, ConsistencyError)
-    check("vectors", reconstruction_residual(pvm, ev), matkernel.mnorm(x.conj().T @ x),
-          ConsistencyError)
+    check("pvm_algebra", max(pvm_algebra_residuals(pvm).values()), 1.0, ConsistencyError)
+    check("vectors", reconstruction_residual(pvm, ev),
+          math.sqrt(matkernel.mnorm(x.conj().T @ x)), ConsistencyError)
     if ev.w is not None:
         pvm.normalized, pvm.outcomes = (offsets, ev.w), offsets @ ev.w
     return pvm
@@ -309,10 +311,10 @@ def _expectations(pvm, u, v):
 def outcome_probabilities(pvm, phi):
     """<phi|E_k|phi> for each outcome, validated as a probability vector."""
     probs = _expectations(pvm, phi, phi[:, None])[:, 0].real
-    check("probability_floor", -probs.min(initial=0.0), 0.0, BadProbability)
+    check("probability_floor", -probs.min(initial=0.0), 1.0, BadProbability)
     probs = np.clip(probs, 0.0, None)
     total = probs.sum()
-    check("pvm_algebra", abs(total - 1.0), 0.0, BadProbability)
+    check("pvm_algebra", abs(total - 1.0), 1.0, BadProbability)
     return probs / total
 
 
@@ -339,8 +341,9 @@ def outcome_statistics(pvm, frame):
     """(probabilities, covariance about theta, unbiased) from one probability pass.
 
     The verdict reads the offsets in the parameters theta' of the vectors the
-    PVM was built from, against the lifts L' = L w there: their mean and
-    Re xhat'* L' - I within TOL "vectors" of the covariance in theta'.
+    PVM was built from, against the lifts L' = L w there: their mean within
+    TOL "vectors" times the root |X| of the covariance in theta', and
+    Re xhat'* L' - I within it times |X| ||L'||, as estimation_residuals.
     """
     _, probs, v = _outcome_table(pvm, frame)
     offsets, w = _normalized(pvm)
@@ -349,8 +352,9 @@ def outcome_statistics(pvm, frame):
     deriv = (offsets.T @ _expectations(pvm, frame.phi, lifts)).real   # Re xhat'* L'
     # delta^i_j over i < pvm.m components, j < frame parameters
     target = np.eye(pvm.m, lifts.shape[1])
-    tol = TOL["vectors"] * max(1.0, matkernel.mnorm(offsets.T @ (offsets * probs[:, None])))
-    unbiased = bool(matkernel.mnorm(mean) <= tol and matkernel.mnorm(deriv - target) <= tol)
+    tol = TOL["vectors"] * math.sqrt(matkernel.mnorm(offsets.T @ (offsets * probs[:, None])))
+    unbiased = bool(matkernel.mnorm(mean) <= tol
+                    and matkernel.mnorm(deriv - target) <= tol * matkernel.mnorm(lifts))
     return probs, v, unbiased
 
 
@@ -453,13 +457,13 @@ def exclusiveness_extraction_check(pvm, frame, fd, j):
     """Max |Re <phi|E_k|l_j>| over outcomes of a first-parameter-optimal PVM.
 
     fd is the Fisher data of frame. Precondition: the PVM variance equals
-    (JS^{-1})_11 within TOL "marginal_variance".
+    (JS^{-1})_11 within TOL "marginal_variance" of it.
     """
     if pvm.m != 1:
         raise PreconditionNotMet("expected a single-parameter PVM")
     target = analysis.spectrum(fd).js_inv[0, 0]
     v, _ = covariance_of_pvm(pvm, frame)
-    check("marginal_variance", abs(float(v[0, 0]) - target), 0.0, PreconditionNotMet)
+    check("marginal_variance", abs(float(v[0, 0]) - target), target, PreconditionNotMet)
     return matkernel.mnorm(_expectations(pvm, frame.phi, frame.lifts[:, [j]]).real)
 
 
@@ -520,6 +524,6 @@ def pvm_from_obj(obj, m, theta=None):
     top = np.diagonal(projs[:n], axis1=1, axis2=2).real.argmax(axis=1)
     peak = np.clip(projs[k, top, top].real, np.finfo(float).tiny, None)
     pvm = Pvm(rays=(projs[k, :, top] / np.sqrt(peak)[:, None]).T, outcomes=offsets)
-    check("pvm_algebra", max(pvm_algebra_residuals(pvm).values()), 0.0, SchemaError)
-    check("pvm_algebra", matkernel.mnorm(projs - _projectors(pvm)), 0.0, SchemaError)
+    check("pvm_algebra", max(pvm_algebra_residuals(pvm).values()), 1.0, SchemaError)
+    check("pvm_algebra", matkernel.mnorm(projs - _projectors(pvm)), 1.0, SchemaError)
     return pvm

@@ -96,7 +96,7 @@ def tangent_frame(model, theta):
     phi = np.asarray(phi, dtype=complex)
     dphi = np.asarray(dphi, dtype=complex)
     nrm = np.linalg.norm(phi)
-    check("norm", abs(nrm - 1.0), 0.0, NormDrift)
+    check("norm", abs(nrm - 1.0), 1.0, NormDrift)
     phi = phi / nrm
     lifts = 2.0 * (dphi - np.outer(phi, phi.conj() @ dphi))
     # common-phase convention: the largest component of phi made real positive,
@@ -305,7 +305,7 @@ def custom_model(dim, m, phi, dphi, theta):
     phi = np.asarray(phi, dtype=complex).reshape(dim)
     dphi = np.asarray(dphi, dtype=complex).reshape(m, dim).T
     theta0 = np.asarray(theta, dtype=float).reshape(m)
-    check("norm", abs(np.linalg.norm(phi) - 1.0), 0.0, NormDrift)
+    check("norm", abs(np.linalg.norm(phi) - 1.0), 1.0, NormDrift)
 
     def state(th):
         v = phi + dphi @ (np.asarray(th, dtype=float) - theta0)

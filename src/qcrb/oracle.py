@@ -132,7 +132,7 @@ def _interior_point(f0, fs, c, x, z):
     lz = np.linalg.cholesky(z)
     for it in range(1, MAX_ITER + 1):
         primal = float(c @ x)
-        if primal + np.vdot(f0, z).real <= TOL["gap_floor"] * max(1.0, abs(primal)):
+        if primal + np.vdot(f0, z).real <= TOL["gap_floor"] * abs(primal):
             return x, z, it
         # Nesterov-Todd scaling: r^{-1} S r^{-*} = r^* Z r = diag(lam)
         _, lam, vh = np.linalg.svd(lz.conj().T @ ls)
@@ -307,7 +307,7 @@ def _complete(c, b, c0n, null):
     rhs = w.conj().T @ c0n
     rhs = np.vstack([rhs.real, rhs.imag])
     sol = np.linalg.lstsq(lhs, rhs, rcond=None)[0] if lhs.size else np.zeros((p + len(null), n))
-    scale = max(1.0, matkernel.mnorm(c0n), matkernel.mnorm(c)) ** 2
+    scale = max(matkernel.mnorm(c0n), matkernel.mnorm(c)) ** 2
     if matkernel.mnorm(lhs @ sol - rhs) > TOL["null_completion"] * scale:
         return None
     cn = c0n + null.T @ sol[p:]

@@ -70,8 +70,7 @@ def _setup(problem):
     g = matkernel.symmetrize(np.asarray(problem.G, dtype=float))
     if g.shape != (m, m):
         raise DomainError(f"weight shape {g.shape} does not match m = {m}")
-    if not matkernel.is_psd(g):
-        raise DomainError("weight matrix must be PSD")
+    matkernel.psd_eig(g, DomainError)
     js = matkernel.symmetrize(gram.real)
     try:
         jsinv = matkernel.inv_psd(js)
@@ -285,8 +284,7 @@ def stationarity_certificate(result, problem=None):
         coherent = analysis.beta_spectrum(fd).classification == "coherent"
     except QcrbError:
         coherent = False
-    wg, _ = matkernel.hermitian_eig(g)
-    if coherent and wg.min() > matkernel.TOL["eigen_dust"] * max(1.0, matkernel.mnorm(g)):
+    if coherent and matkernel.psd_eig(g)[2].all():
         isq = matkernel.psd_powers(g, -0.5)[0]
         ev = np.linalg.eigvals(isq @ lam @ isq)
         extras["multiplier_spectrum"] = np.sort(np.abs(ev.imag))

@@ -354,6 +354,38 @@ def test_exclusiveness_test():
         analysis.exclusiveness_test(fd, 1, 1)
 
 
+def _pair_and_zero(s, coupling=0.0):
+    """Bare Gram s (I + iK), m = 3: one pair at beta = 0.5 over (0, 1), a zero
+    beta on 2, and `coupling` in K between 1 and 2."""
+    k = np.zeros((3, 3))
+    k[0, 1], k[1, 2] = 0.5, coupling
+    return FisherData.from_gram(s * (np.eye(3) + 1j * (k - k.T)))
+
+
+# The G = JS route, block independence and exclusiveness read TOL "fisher_dust"
+# times ||JS||. With a floor of 1 on ||JS||, G = 2 JS passed for JS at
+# JS = 1e-10 I, and entries near 1e-9 of a small JS read as zero.
+@pytest.mark.parametrize("s", [1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0])
+def test_fisher_dust_scales_with_js(s):
+    fd = _pair_and_zero(s)
+    js_value = 4.0 / (1.0 + math.sqrt(0.75)) + 1.0
+    rep = analysis.cr_bound(fd, fd.JS)
+    assert rep.method == "closed_form_JS_weight"
+    assert abs(rep.value - js_value) <= 1e-12 * js_value
+    rep = analysis.cr_bound(fd, 2.0 * fd.JS)
+    assert rep.method == "oracle"
+    assert abs(rep.value - 2.0 * js_value) <= 1e-8 * rep.value
+    assert analysis.independence_partition(fd, [[0, 1], [2]])
+    assert not analysis.independence_partition(_pair_and_zero(s, 0.3), [[0, 1], [2]])
+    # a PSD pair with a real part of 1e-6 sqrt(JS_00 JS_11) is not exclusive at
+    # any scale; without it, it is
+    g01 = 1e-6 + 1j * math.sqrt(1.0 - 1e-12)
+    gram = s * np.array([[1.0, g01], [np.conj(g01), 1.0]])
+    assert not analysis.exclusiveness_test(FisherData.from_gram(gram), 0, 1)
+    assert analysis.exclusiveness_test(FisherData.from_gram(gram - gram.real + s * np.eye(2)),
+                                       0, 1)
+
+
 def test_cr_bound_dispatch_methods():
     g = np.array([[1.5, 0.2], [0.2, 0.8]])
     assert analysis.cr_bound(synthetic_fd(0.0), g).method == "quasi_classical"

@@ -615,7 +615,7 @@ def _near_dust_weight(fd, seed, ratio):
     rng = np.random.default_rng(seed)
     q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
     lam = np.concatenate([[0.0], rng.uniform(0.5, 2.0, size=3)])
-    lam[0] = ratio * matkernel.TOL["eigen_dust"] * max(1.0, lam.max())
+    lam[0] = ratio * matkernel.TOL["eigen_dust"] * np.abs((q * lam) @ q.T).max()
     root = matkernel.sqrt_psd(fd.JS)
     return matkernel.symmetrize(root @ ((q * lam) @ q.T) @ root)
 
@@ -670,6 +670,54 @@ def test_reparametrized_coherent_config(capsys):
     assert json.loads(capsys.readouterr().out)["bound"]["method"] == "closed_form_coherent"
     assert cli.main(["pvm", "--config", cfg]) == 0
     assert json.loads(capsys.readouterr().out)["verification"]["unbiased"] is True
+
+
+# JS = 3e-10 I, m = 3, one pair at beta = 0.5. With a floor of 1 on ||JS|| the
+# weight G = 2 JS passed the G = JS test: `bound` reported CR(JS), half the
+# bound, and `bound --oracle` exited 4.
+def test_small_fisher_config_is_not_taken_for_the_js_weight(capsys):
+    cfg, wfile = str(DATA / "small_fisher_config.json"), str(DATA / "small_fisher_weight.json")
+    mdl = model_mod.model_from_config(json.loads(pathlib.Path(cfg).read_text()))
+    fd = model_mod.fisher_data(model_mod.tangent_frame(mdl, mdl.theta0))
+    assert np.abs(fd.JS - 3e-10 * np.eye(3)).max() <= 1e-24
+    g = np.array(json.loads(pathlib.Path(wfile).read_text()))
+    expect = analysis.oracle_bound(fd, g)[0].value
+    assert cli.main(["bound", "--config", cfg, "--weight", wfile]) == 0
+    bound = json.loads(capsys.readouterr().out)["bound"]
+    assert bound["method"] == "oracle"
+    assert abs(bound["value"] - expect) <= 1e-8 * expect
+    assert cli.main(["bound", "--oracle", "--config", cfg, "--weight", wfile]) == 0
+
+
+# Shifted n = 0 with its lifts times 1e-6 (theta in units a million times
+# larger): the degeneracy floor reads cond(L), so `pvm` builds its measurement.
+# With a floor of 1 on s_max^2 it exited 3.
+def test_small_units_config_gets_its_pvm(capsys):
+    assert cli.main(["pvm", "--config", str(DATA / "small_units_config.json")]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["classification"] == "coherent"
+    assert doc["verification"]["unbiased"] is True
+    value = doc["closed_form_value"]
+    assert abs(value - 2e12) <= 1e-12 * value
+    assert abs(doc["verification"]["trGV"] - value) <= 1e-9 * value
+
+
+# A weight of 1e-11 I is not a zero weight: with a floor of 1 on ||w G w|| its
+# rank cut read rank 0, and `bound` and `pvm` reported 0.
+def test_tiny_weight_gets_its_bound_and_pvm(tmp_path, capsys):
+    cfg = write_json(tmp_path / "m.json", SQUEEZED)
+    wpath = write_json(tmp_path / "w.json", (1e-11 * np.eye(4)).tolist())
+    assert cli.main(["bound", "--config", cfg]) == 0
+    unit = json.loads(capsys.readouterr().out)["bound"]["value"]
+    assert cli.main(["bound", "--config", cfg, "--weight", wpath]) == 0
+    bound = json.loads(capsys.readouterr().out)["bound"]
+    assert bound["attained"] is True
+    assert abs(bound["value"] - 1e-11 * unit) <= 1e-12 * bound["value"]
+    assert cli.main(["pvm", "--config", cfg, "--weight", wpath]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    value = doc["closed_form_value"]
+    assert value == bound["value"]
+    assert abs(doc["verification"]["trGV"] - value) <= 1e-9 * value
 
 
 # np.linalg.svd calls per command outside the SDP's interior-point iterations

@@ -135,11 +135,14 @@ def test_tolerances_live_only_in_the_table():
     assert all(0 < v < 1e-5 for v in matkernel.TOL.values())
 
 
-def test_check_names_the_entry_and_scales_by_max_one():
+def test_check_names_the_entry_and_scales_by_its_scale():
     tol = matkernel.TOL["hermitian"]
-    matkernel.check("hermitian", tol, 0.5, errors.NonHermitian)
+    matkernel.check("hermitian", 0.5 * tol, 0.5, errors.NonHermitian)
     matkernel.check("hermitian", 3.0 * tol, 3.0, errors.NonHermitian)
-    with pytest.raises(errors.NonHermitian, match="hermitian"):
-        matkernel.check("hermitian", 3.0 * tol, 2.0, errors.NonHermitian)
+    matkernel.check("hermitian", 0.0, 0.0, errors.NonHermitian)
+    # no floor of 1: a scale below 1 shrinks the limit with it
+    for scale in (2.0, 0.5, 1e-12):
+        with pytest.raises(errors.NonHermitian, match="hermitian"):
+            matkernel.check("hermitian", 1.5 * tol * scale, scale, errors.NonHermitian)
     with pytest.raises(errors.NonHermitian):
         matkernel.check("hermitian", float("nan"), 1.0, errors.NonHermitian)

@@ -639,19 +639,46 @@ def test_marginal_vectors_variance():
             assert unbiased
 
 
-def test_exclusiveness_extraction_check():
+def _scaled_shifted_n0(c):
+    """Frame and Fisher data of shifted n = 0 at (0.2, -0.4) with its lifts times c."""
     mdl = model.catalog_shifted_number(0, [0.2, -0.4])
-    fr = model.tangent_frame(mdl, mdl.theta0)
-    fd = model.fisher_data(fr)
+    base = model.tangent_frame(mdl, mdl.theta0)
+    scaled = model.custom_model(base.phi.size, 2, base.phi, 0.5 * c * base.lifts.T, np.zeros(2))
+    fr = model.tangent_frame(scaled, scaled.theta0)
+    return fr, model.fisher_data(fr)
+
+
+# A marginal PVM's vectors and offsets are in theta. Each vector residual is
+# checked against its own size (|X|, |X|^2 or |X| ||L||), so the PVM builds and
+# reads unbiased, and a detuned one biased, in any units of theta. Against
+# ||X*X|| alone the optimal PVM read biased at lifts times 1e5 and failed its
+# reconstruction at 1e8; against max(1, ||X*X||) the detuned one read unbiased
+# at 1e-4.
+@pytest.mark.parametrize("c", [1e-10, 1e-6, 1e-4, 1.0, 1e5, 1e6, 1e8])
+def test_marginal_pvm_is_unbiased_in_any_units(c):
+    fr, fd = _scaled_shifted_n0(c)
     ev = measurement.marginal_vectors(fr, fd, 0)
-    pvm = measurement.pvm_from_vectors(ev)
-    stat = measurement.exclusiveness_extraction_check(pvm, fr, fd, 1)
-    assert stat <= 1e-8
-    # a detuned measurement misses the marginal bound
-    bad = measurement.pvm_from_vectors(
-        measurement.EstimationVectors(X=1.1 * ev.X, phi=ev.phi))
-    with pytest.raises(errors.PreconditionNotMet):
-        measurement.exclusiveness_extraction_check(bad, fr, fd, 1)
+    v, unbiased = measurement.covariance_of_pvm(measurement.pvm_from_vectors(ev), fr)
+    assert unbiased
+    assert abs(v[0, 0] - 0.5 / c ** 2) <= 1e-12 * v[0, 0]
+    bad = measurement.EstimationVectors(X=1.1 * ev.X, phi=ev.phi)
+    assert not measurement.covariance_of_pvm(measurement.pvm_from_vectors(bad), fr)[1]
+
+
+def test_exclusiveness_extraction_check():
+    # the lifts times c: the precondition is relative to (JS^-1)_11, so it holds
+    # in every unit of theta, and a detuned measurement fails it in every one
+    for c in (1e-6, 1.0, 1e4):
+        fr, fd = _scaled_shifted_n0(c)
+        ev = measurement.marginal_vectors(fr, fd, 0)
+        pvm = measurement.pvm_from_vectors(ev)
+        stat = measurement.exclusiveness_extraction_check(pvm, fr, fd, 1)
+        assert stat <= 1e-8, c
+        # a detuned measurement misses the marginal bound
+        bad = measurement.pvm_from_vectors(
+            measurement.EstimationVectors(X=1.1 * ev.X, phi=ev.phi))
+        with pytest.raises(errors.PreconditionNotMet):
+            measurement.exclusiveness_extraction_check(bad, fr, fd, 1)
 
 
 def test_pvm_json_roundtrip():

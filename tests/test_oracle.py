@@ -278,7 +278,7 @@ def test_singular_weight_is_solved_on_its_range():
     assert res.value == 0.0 and res.attained
 
 
-# Both routes cut the normalized weight w G w at TOL["eigen_dust"] * max(1, ||w G w||):
+# Both routes cut the normalized weight w G w at TOL["eigen_dust"] * ||w G w||:
 # a small eigenvalue of 5e-10 is kept by both, one of 5e-12 dropped by both.
 @pytest.mark.parametrize("small, rank", [(1e-9, 2), (1e-11, 1)])
 def test_two_parameter_routes_share_the_weight_rank(small, rank):
@@ -288,7 +288,7 @@ def test_two_parameter_routes_share_the_weight_rank(small, rank):
     rep = analysis.cr_bound_2param(fd, g)
     assert rep.notes.get("rank", 2) == rank
     w = analysis.spectrum(fd).js_powers[1]
-    eig = matkernel.weight_eig(matkernel.symmetrize(w @ g @ w))
+    eig = matkernel.psd_eig(matkernel.symmetrize(w @ g @ w))
     assert oracle._weight_split(*eig)[1].shape[1] == rank
     res = oracle.minimize(oracle.OracleProblem(gram=fd.gram, G=g))
     assert abs(res.value - rep.value) <= matkernel.TOL["oracle_agreement"] * rep.value

@@ -357,7 +357,7 @@ def test_routes_agree_on_weights_at_the_dust(point, seed, t):
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.normal(size=(m, m)))
     lam = np.concatenate([[0.0], rng.uniform(0.5, 2.0, m - 1)])
-    lam[0] = t * matkernel.TOL["eigen_dust"] * max(1.0, np.abs(q @ np.diag(lam) @ q.T).max())
+    lam[0] = t * matkernel.TOL["eigen_dust"] * np.abs(q @ np.diag(lam) @ q.T).max()
     root = matkernel.sqrt_psd(fd.JS)
     g = matkernel.symmetrize(root @ (q @ np.diag(lam) @ q.T) @ root)
     (err_a, a), (err_b, b) = (_outcome(r, mdl, g)
@@ -366,7 +366,28 @@ def test_routes_agree_on_weights_at_the_dust(point, seed, t):
     assert (err_a == "DomainError") == (t < -1.0)
     if a is not None:
         assert a.attained == b.attained
-        assert abs(a.value - b.value) <= matkernel.TOL["oracle_agreement"] * max(1.0, a.value)
+        assert abs(a.value - b.value) <= matkernel.TOL["oracle_agreement"] * a.value
+
+
+# CR(c G) = c CR(G): every rule that reads the weight is relative to it, so
+# the units of the weight change no route, rank or attainment.
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(STRADDLE_POINTS)), st.integers(0, 10_000),
+       st.floats(-14.0, 4.0))
+@example("coherent_m4", 0, -11.0)
+@example("generic_m2", 0, -12.0)
+def test_bound_is_homogeneous_in_the_weight(point, seed, log_c):
+    mdl = STRADDLE_POINTS[point]()
+    fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
+    m = fd.JS.shape[0]
+    a = np.random.default_rng(seed).normal(size=(m, m))
+    g = a @ a.T + 0.1 * np.eye(m)
+    c = 10.0 ** log_c
+    for route, tol in ((analysis.cr_bound, 1e-12),
+                       (lambda f, w: analysis.oracle_bound(f, w)[0], 1e-8)):
+        one, scaled = route(fd, g), route(fd, c * g)
+        assert (scaled.method, scaled.attained) == (one.method, one.attained)
+        assert abs(scaled.value - c * one.value) <= tol * c * one.value
 
 
 def _lifted(phi, lifts):
@@ -376,6 +397,42 @@ def _lifted(phi, lifts):
     mdl = model.custom_model(len(phi), m, phi, 0.5 * lifts.T, np.zeros(m))
     fr = model.tangent_frame(mdl, mdl.theta0)
     return fr, model.fisher_data(fr)
+
+
+UNIT_FAMILIES = {
+    "squeezed": lambda: model.catalog_squeezed([0.1, -0.2, 0.4, 0.3]),
+    "spin_15": lambda: model.catalog_spin_rotation(1.5, 0.5, [0.9, 0.3]),
+    "spin_1": lambda: model.catalog_spin_rotation(1.0, 0.0, [0.7, 1.1]),
+    "shifted_n3": lambda: model.catalog_shifted_number(3, [0.2, -0.4]),
+}
+
+
+# theta -> theta / c multiplies the lifts by c and, at a fixed weight, the bound
+# by 1 / c^2. The degeneracy floor, the beta snap and the measurement checks
+# are relative, so the units of theta change no class, bound or PVM. With a
+# floor of 1 on s_max^2, lifts times 1e-6 were a DegenerateModel.
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(UNIT_FAMILIES)), st.floats(-8.0, 0.0))
+@example("squeezed", -5.0)
+@example("shifted_n3", -6.0)
+@example("spin_15", -8.0)
+def test_units_of_theta_change_no_answer(family, log_c):
+    mdl = UNIT_FAMILIES[family]()
+    frame = model.tangent_frame(mdl, mdl.theta0)
+    c = 10.0 ** log_c
+    answers = []
+    for scale in (1.0, c):
+        fr, fd = _lifted(frame.phi, scale * frame.lifts)
+        g = np.eye(fd.JS.shape[0])
+        space = measurement.pvm_space(fr, fd)
+        ev, rep = measurement.optimal_vectors(space, fd, g)
+        v, unbiased = measurement.covariance_of_pvm(measurement.pvm_from_vectors(ev), space)
+        assert unbiased
+        assert abs(np.trace(v) - rep.value) <= 1e-9 * rep.value
+        answers.append((analysis.beta_spectrum(fd).classification, rep.value))
+    (cls_one, one), (cls_c, value) = answers
+    assert cls_c == cls_one
+    assert abs(c * c * value - one) <= 1e-12 * one
 
 
 def _random_t(rng, m, log_cond):
