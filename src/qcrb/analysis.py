@@ -10,6 +10,7 @@ Holevo SDP, which reads the same Spectrum of the working point.
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -73,8 +74,10 @@ class Spectrum:
     (mu, U): kh = sqrt(1 + mu) U* on the r directions where mu > -1, so
     kh* kh = I + iK with the snapped mu; and R = kh JS^{1/2}. `embedding` is
     (phi, R, kh) in the 2m+1 dimensional Naimark space: phi = e_0, and each
-    factor in coordinates 1..r. The Naimark frame's lifts and the oracle's are
-    that R, and their lifts in theta' that kh: the SDP of `oracle_bound` reads
+    factor in coordinates 1..r; R* R must reproduce the Gram to TOL
+    "naimark_gram" beyond `moved` (ConsistencyError), checked once here for
+    every reader. The Naimark frame's lifts and the oracle's are that R, and
+    their lifts in theta' that kh: the SDP of `oracle_bound` reads
     `js_powers` and `embedding` of this Spectrum. `reports` caches closed_form
     by the bytes of the symmetrized weight: the one BoundReport (or None) that
     every bound and measurement at this point reads. Beside it, under
@@ -136,6 +139,9 @@ class Spectrum:
     @functools.cached_property
     def embedding(self):
         kh, root = self.lift_factor
+        gram = 0.5 * (self.fd.gram + self.fd.gram.conj().T)
+        miss = matkernel.mnorm(root.conj().T @ root - gram) - self.canonical[3]
+        check("naimark_gram", miss, matkernel.mnorm(gram), ConsistencyError)
         r, m = kh.shape
         phi = np.zeros(2 * m + 1, dtype=complex)
         phi[0] = 1.0
@@ -194,9 +200,13 @@ def coherent_test(fd):
 
 
 def sld_bound(fd, G):
-    """Tr(G JS^{-1}): a lower bound to CR(G), tight iff quasi-classical or m=1."""
-    G = matkernel.symmetrize(G)
-    return float(np.trace(G @ spectrum(fd).js_inv))
+    """Tr(G JS^{-1}): a lower bound to CR(G), tight iff quasi-classical or m=1.
+
+    It is Tr(w G w), read from the weight's Spectrum entry, so the weight
+    passes the checks of every route: check_weight's shape (DomainError) and
+    the PSD decision of Spectrum.weight (DomainError, NonFinite on NaN).
+    """
+    return float(np.trace(spectrum(fd).weight(check_weight(fd, G))[0]))
 
 
 def _curve_q(p, beta, c):
@@ -375,6 +385,10 @@ def marginal_infimum(fd, i):
     It is CR(e_i e_i^T); its value is (JS^{-1})_ii on every model.
     """
     m = fd.JS.shape[0]
+    try:
+        i = operator.index(i)
+    except TypeError as exc:
+        raise DomainError(f"index {i!r} is not an integer") from exc
     if not (0 <= i < m):
         raise DomainError(f"index {i} out of range for m = {m}")
     report = cr_bound(fd, np.diag(np.eye(m)[i]))
@@ -387,7 +401,7 @@ def independence_partition(fd, blocks):
     seen = sorted(i for b in blocks for i in b)
     if seen != list(range(m)):
         raise DomainError("blocks must partition the index set")
-    tol = TOL["fisher_dust"] * matkernel.mnorm(fd.JS)
+    tol = TOL["eigen_dust"] * matkernel.mnorm(fd.JS)
     for a in range(len(blocks)):
         for b in range(len(blocks)):
             if a == b:
@@ -402,10 +416,10 @@ def exclusiveness_test(fd, i, j):
     """True iff <l_i|l_j> is purely imaginary with maximal magnitude."""
     if i == j:
         raise DomainError("exclusiveness is a property of distinct indices")
-    tol = TOL["fisher_dust"] * matkernel.mnorm(fd.JS)
+    tol = TOL["eigen_dust"] * matkernel.mnorm(fd.JS)
     g = fd.gram[i, j]
     cap = math.sqrt(fd.JS[i, i] * fd.JS[j, j])
-    return bool(abs(g.real) <= tol and abs(g.imag) >= (1.0 - TOL["exclusive"]) * cap)
+    return bool(abs(g.real) <= tol and abs(g.imag) >= (1.0 - TOL["eigen_dust"]) * cap)
 
 
 def check_weight(fd, G):
@@ -461,7 +475,7 @@ def _closed_form(fd, G):
             return cr_bound_coherent(fd, G)
         except SingularWeight:
             pass   # a singular G has no coherent closed form
-    if matkernel.mnorm(G - fd.JS) <= TOL["fisher_dust"] * matkernel.mnorm(fd.JS):
+    if matkernel.mnorm(G - fd.JS) <= TOL["eigen_dust"] * matkernel.mnorm(fd.JS):
         return cr_bound_js_weight(fd)
     return None
 

@@ -2,11 +2,13 @@
 
 Every tolerance of the package is an entry of TOL, and matrix sizes use the
 max-absolute-entry norm. A check raises through `check`; a decision (a dust
-snap, a rank cut, a branch) reads TOL directly. Eigenvalues within
-TOL["eigen_dust"] times the matrix's norm of zero are exact zeros everywhere:
-`psd_eig` makes that one PSD decision and rank cut, for the PSD powers and
-order and, once per working point and weight, for the normalized weight
-w G w that `analysis.Spectrum.weight` caches.
+snap, a rank cut, a branch) reads TOL directly. Whether a quantity is zero
+(or nonnegative) up to roundoff is one rule, TOL["eigen_dust"] at the
+quantity's own scale. Eigenvalues within it of zero are exact zeros
+everywhere: `psd_eig` makes that one PSD decision and rank cut, for the PSD
+powers and order, for a completion's V' - kh* kh and, once per working point
+and weight, for the normalized weight w G w that `analysis.Spectrum.weight`
+caches.
 """
 
 import numpy as np
@@ -16,12 +18,21 @@ from .errors import NonFinite, NonHermitian, NotPSD
 # name -> value. Each entry is multiplied by the scale its comment names;
 # "absolute" entries take scale 1. Every rule is homogeneous: rescaling a
 # weight or the parameters rescales the scale with the compared quantity.
+# "eigen_dust" decides every zero; the others are agreement checks, slacks on
+# inputs and snaps, and the oracle's gaps.
 TOL = {
-    # eigenvalue counted as zero: PSD floors, inverses, rank cuts (a weight's PSD
-    # decision and rank, made on w G w for every route; a bare Gram's PSD
-    # decision); times ||A||, or the scale a caller names. Squared singular
-    # values of the stacked lifts at most it times s_max^2 are a degenerate
-    # model (a singular JS for a bare Gram)
+    # the one zero rule: a quantity within this of zero, at its own scale, is
+    # zero (or nonnegative). Eigenvalues in matkernel.psd_eig, times ||A|| or
+    # the scale its caller names: PSD floors, inverses and rank cuts, a bare
+    # Gram's root, the weight w G w of every route, and V' - kh* kh of a
+    # completion at ||V'||. Squared singular values of the stacked lifts, times
+    # s_max^2: a degenerate model (a singular JS for a bare Gram). |R_kk| of
+    # the QR of [phi, X], times |X| = sqrt(||X*X||): dependent estimation
+    # vectors. G - JS and the off-block entries of JS and Jt, times ||JS||.
+    # The shortfall of |Im gram_ij| below sqrt(JS_ii JS_jj) of an exclusive
+    # pair, times that root. A negative outcome probability, absolute (the
+    # probabilities sum to 1). The residual of the oracle's null(G) cross-block
+    # least squares, times max(||SLD columns||, ||Y||)^2
     "eigen_dust": 1e-10,
     # Hermitian deviation of a matrix input; times ||A||
     "hermitian": 1e-12,
@@ -32,11 +43,6 @@ TOL = {
     # decision that sets the class, the betas and the lift factor's rank;
     # times cond(L) = s_max / s_min of the lifts' stacked SVD
     "beta": 1e-14,
-    # JS-scale entry counted as zero (block tests, G = JS); times ||JS||
-    "fisher_dust": 1e-9,
-    # shortfall of |Im gram_ij| below sqrt(JS_ii JS_jj) for exclusive pairs;
-    # absolute on the ratio to sqrt(JS_ii JS_jj)
-    "exclusive": 1e-9,
     # beta within this of 0 or 1 takes the point or hyperbola boundary curve; absolute
     "boundary_beta": 1e-12,
     # | |det JS| - |det Jt| | of a coherent model; absolute on the ratio to the larger
@@ -50,9 +56,6 @@ TOL = {
     # Gram reproduction of the Naimark frame, beyond the beta snap's own shift
     # ||JS|| max |mu - snapped mu|; times ||gram||
     "naimark_gram": 1e-10,
-    # negative eigenvalue of V' - kh* kh in a completion, where JS = I (V' the
-    # closed form's covariance there, kh the lift factor); times ||V'||
-    "completion_floor": 1e-8,
     # estimation vectors X' in the parameters where JS = I and their PVM, the one
     # rule of `analysis.estimation_residuals`: <x'|phi>, Re X'*L' - I and
     # Im X'*X' (InfeasibleGram from a completion or the generic route,
@@ -63,27 +66,19 @@ TOL = {
     # for <x'|phi>, the rebuilt vectors and the mean, |X'|^2 for Im X'*X', and
     # |X'| ||L'|| for Re X'*L' - I
     "vectors": 1e-8,
-    # |R_kk| of the QR of [phi, X] below which the estimation vectors handed to
-    # pvm_from_vectors are linearly dependent (DomainError); absolute
-    "gram_schmidt": 1e-10,
     # idempotence, orthogonality and completeness of a PVM, read from its ray
     # Gram B*B; a stored PVM's entries against bb* and I - BB*; and its outcome
     # probabilities summing to 1; absolute
     "pvm_algebra": 1e-9,
-    # negative outcome probability; absolute
-    "probability_floor": 1e-10,
     # PVM variance against (JS^-1)_11 in the exclusiveness check; times (JS^-1)_11
     "marginal_variance": 1e-6,
-    # |phi| - 1 of a state; absolute
+    # |phi| - 1 of a state, and of the phi handed to pvm_from_vectors; absolute
     "norm": 1e-8,
     # components of phi this close to the largest |phi_k| tie for the phase
     # reference, and the lowest index wins; times the largest |phi_k|
     "phase_tie": 1e-12,
     # slack of the half-integer tests of s and m_z and of |m_z| <= s; absolute
     "half_integer": 1e-12,
-    # the oracle's null(G) cross-block least squares; times
-    # max(||SLD columns||, ||Y||)^2
-    "null_completion": 1e-9,
     # accepted duality gap of the oracle; times its value
     "gap": 1e-9,
     # duality gap at which the interior-point iterations stop; times the primal value

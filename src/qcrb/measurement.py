@@ -121,15 +121,11 @@ def naimark_frame(fd, theta=None):
 
     phi' is the first basis vector and the lift images are the r rows of the
     lift factor R (r <= m) in coordinates 1..r, so <phi'|l'_i> = 0 holds
-    exactly. R* R is the Gram of fd with the beta snap applied: it must
-    reproduce the Gram to TOL "naimark_gram" beyond the snap's own shift. The
-    oracle's lifts are the same R, bit for bit.
+    exactly. R* R is the Gram of fd with the beta snap applied, as
+    `analysis.Spectrum.embedding` checks it. The oracle's lifts are the same
+    R, bit for bit.
     """
-    gram = 0.5 * (fd.gram + fd.gram.conj().T)
-    spec = analysis.spectrum(fd)
-    phi, lifts, _ = spec.embedding
-    miss = matkernel.mnorm(lifts.conj().T @ lifts - gram) - spec.canonical[3]
-    check("naimark_gram", miss, matkernel.mnorm(gram), ConsistencyError)
+    phi, lifts, _ = analysis.spectrum(fd).embedding
     return NaimarkFrame(dim=len(phi), phi=phi, lifts=lifts,
                         theta=None if theta is None else np.asarray(theta, dtype=float))
 
@@ -149,21 +145,19 @@ def _complete(spec, vn):
     and the Naimark frame's lifts L' are the lift factor kh in coordinates
     1..r, with kh* kh = I + iK. B'*B' = V' - kh* kh fills coordinates m+1..2m,
     which are orthogonal to phi and to the lifts by construction, so
-    X'*X' = V' is real and Re X'*L' = I. Eigenvalues of B'*B' within
-    TOL "eigen_dust" are exact zeros: the roots of roundoff would put about
-    1e-8 into B'.
+    X'*X' = V' is real and Re X'*L' = I. B'*B' is decided PSD by
+    matkernel.psd_eig at the dust of ||V'|| (InfeasibleGram), and its dust
+    eigenvalues are exact zeros: the roots of roundoff would put about 1e-8
+    into B'.
     """
     kh = spec.lift_factor[0]
     m = kh.shape[1]
     phi, _, lifts = spec.embedding
     h = vn - kh.conj().T @ kh
-    wh, uh = matkernel.hermitian_eig(h)   # of the Hermitian part of h
     # h's roundoff follows V', the larger input: V' >= kh* kh, whose diagonal is 1
-    scale = matkernel.mnorm(vn)
-    check("completion_floor", -wh.min(), scale, InfeasibleGram)
-    wh = np.where(wh <= TOL["eigen_dust"] * scale, 0.0, wh)
+    wh, uh, keep = matkernel.psd_eig(h, InfeasibleGram, scale=matkernel.mnorm(vn))
     x = lifts.copy()
-    x[m + 1:, :] = (uh * np.sqrt(wh)) @ uh.conj().T
+    x[m + 1:, :] = (uh * np.sqrt(np.where(keep, wh, 0.0))) @ uh.conj().T
     analysis.estimation_residuals(x, phi, lifts, InfeasibleGram)
     return EstimationVectors(X=x, phi=phi, w=spec.js_powers[1])
 
@@ -225,12 +219,14 @@ def _uniform_first_column_orthogonal(n):
 def pvm_from_vectors(ev, seed=0):
     """Projective measurement realizing covariance Re X*X, in theta.
 
-    Requires <x^i|phi> = 0 (DomainError) and Im X*X = 0 (NotCommuting), by
+    Requires |phi| = 1 within TOL "norm" (DomainError), <x^i|phi> = 0
+    (DomainError) and Im X*X = 0 (NotCommuting), by
     `analysis.estimation_residuals` on X = ev.X in its parameters theta'.
     The rays are the QR basis of [phi, X] with a positive diagonal of R (the
-    Gram-Schmidt basis), mixed by the Householder reflection; some |R_kk| below
-    TOL "gram_schmidt" means the vectors are linearly dependent, and an X with
-    no columns estimates nothing: both are DomainErrors. The offsets are found
+    Gram-Schmidt basis), mixed by the Householder reflection; some |R_kk| of a
+    vector (k >= 1) within TOL "eigen_dust" of |X| = sqrt(||X*X||) means the
+    vectors are linearly dependent, and an X with no columns estimates
+    nothing: both are DomainErrors. The offsets are found
     and checked in theta', then mapped to theta by ev.w. The construction is
     deterministic: `seed` is accepted and has no effect.
     """
@@ -241,12 +237,14 @@ def pvm_from_vectors(ev, seed=0):
     dim, m = x.shape
     if m == 0:
         raise DomainError("no estimation vectors: X has no columns")
+    check("norm", abs(np.linalg.norm(phi) - 1.0), 1.0, DomainError)
     analysis.estimation_residuals(x, phi, None,
                                   {"orthogonality": DomainError, "im_xx": NotCommuting})
+    size = math.sqrt(matkernel.mnorm(x.conj().T @ x))
 
     q, r = np.linalg.qr(np.column_stack([phi, x]))
     diag = np.diagonal(r)
-    if len(diag) <= m or np.abs(diag).min() < TOL["gram_schmidt"]:
+    if len(diag) <= m or np.abs(diag[1:]).min() <= TOL["eigen_dust"] * size:
         raise DomainError("estimation vectors are linearly dependent on each other or on phi")
     phase = diag / np.abs(diag)
     lam = (phase.conj()[:, None] * r[:, 1:]).real   # B*X; row 0 is ~0 by orthogonality
@@ -257,8 +255,7 @@ def pvm_from_vectors(ev, seed=0):
     pvm = Pvm(rays=(q * phase) @ o.T, outcomes=offsets)
 
     check("pvm_algebra", max(pvm_algebra_residuals(pvm).values()), 1.0, ConsistencyError)
-    check("vectors", reconstruction_residual(pvm, ev),
-          math.sqrt(matkernel.mnorm(x.conj().T @ x)), ConsistencyError)
+    check("vectors", reconstruction_residual(pvm, ev), size, ConsistencyError)
     if ev.w is not None:
         pvm.normalized, pvm.outcomes = (offsets, ev.w), offsets @ ev.w
     return pvm
@@ -311,7 +308,7 @@ def _expectations(pvm, u, v):
 def outcome_probabilities(pvm, phi):
     """<phi|E_k|phi> for each outcome, validated as a probability vector."""
     probs = _expectations(pvm, phi, phi[:, None])[:, 0].real
-    check("probability_floor", -probs.min(initial=0.0), 1.0, BadProbability)
+    check("eigen_dust", -probs.min(initial=0.0), 1.0, BadProbability)
     probs = np.clip(probs, 0.0, None)
     total = probs.sum()
     check("pvm_algebra", abs(total - 1.0), 1.0, BadProbability)

@@ -295,8 +295,10 @@ def _complete(c, b, c0n, null):
     SLD columns for null(G), and null (q x r) the free directions of one
     column. The cross block V_pn - Y_p* Y_n must lie in range(b*b): that is
     linear in the real V_pn and the free coordinates t of Y_n, and solved by
-    least squares. Then V_nn = Re T + s I with T = Y_n* Y_n + W* W makes
-    V - Y*Y = bfull* bfull for the block rows [b, W; 0, (s I - i Im T)^(1/2)].
+    least squares; a residual beyond TOL "eigen_dust" times
+    max(||c0n||, ||c||)^2 means no such columns exist. Then V_nn = Re T + s I
+    with T = Y_n* Y_n + W* W makes V - Y*Y = bfull* bfull for the block rows
+    [b, W; 0, (s I - i Im T)^(1/2)].
     """
     p, n = c.shape[1], c0n.shape[1]
     vh = np.linalg.svd(b)[2] if b.size else np.eye(p)
@@ -308,7 +310,7 @@ def _complete(c, b, c0n, null):
     rhs = np.vstack([rhs.real, rhs.imag])
     sol = np.linalg.lstsq(lhs, rhs, rcond=None)[0] if lhs.size else np.zeros((p + len(null), n))
     scale = max(matkernel.mnorm(c0n), matkernel.mnorm(c)) ** 2
-    if matkernel.mnorm(lhs @ sol - rhs) > TOL["null_completion"] * scale:
+    if matkernel.mnorm(lhs @ sol - rhs) > TOL["eigen_dust"] * scale:
         return None
     cn = c0n + null.T @ sol[p:]
     d = sol[:p] - c.conj().T @ cn

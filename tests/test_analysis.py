@@ -132,6 +132,22 @@ def test_sld_bound_is_trace_form():
     assert abs(analysis.sld_bound(fd, g) - (0.5 + 0.75)) <= 1e-12
 
 
+def _shifted_n3():
+    mdl = model.catalog_shifted_number(3, [0.2, -0.4])
+    return model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
+
+
+@pytest.mark.parametrize("g, error", [
+    (np.eye(3), errors.DomainError),
+    (np.full((2, 2), np.nan), errors.NonFinite),
+    (np.diag([-1.0, 1.0]), errors.DomainError),
+], ids=["wrong_shape", "nan", "not_psd"])
+def test_sld_bound_checks_the_weight_as_every_route(g, error):
+    # without the checks these gave a numpy ValueError, nan and 0.0
+    with pytest.raises(error):
+        analysis.sld_bound(_shifted_n3(), g)
+
+
 def test_boundary_degenerate_and_hyperbola():
     c0 = analysis.boundary_2param(0.0, count=7)
     assert c0.samples.shape == (1, 4)
@@ -298,6 +314,19 @@ def test_marginal_infimum():
     assert hint
 
 
+def test_marginal_infimum_takes_an_integer_index():
+    # the index goes through operator.index, as a sequence index does: a float
+    # or a string is a DomainError (1.0 was an IndexError), and True is 1 (it
+    # was a ValueError)
+    fd = _shifted_n3()
+    for i in (1.0, 0.5, "0", None, -1, 2):
+        with pytest.raises(errors.DomainError):
+            analysis.marginal_infimum(fd, i)
+    expect = analysis.marginal_infimum(fd, 1)
+    assert analysis.marginal_infimum(fd, np.int64(1)) == expect
+    assert analysis.marginal_infimum(fd, True) == expect
+
+
 def custom_generic(dim, m, seed):
     rng = np.random.default_rng(seed)
     phi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -362,11 +391,12 @@ def _pair_and_zero(s, coupling=0.0):
     return FisherData.from_gram(s * (np.eye(3) + 1j * (k - k.T)))
 
 
-# The G = JS route, block independence and exclusiveness read TOL "fisher_dust"
-# times ||JS||. With a floor of 1 on ||JS||, G = 2 JS passed for JS at
-# JS = 1e-10 I, and entries near 1e-9 of a small JS read as zero.
+# The G = JS route and block independence read TOL "eigen_dust" times ||JS||,
+# and exclusiveness times sqrt(JS_ii JS_jj). With a floor of 1 on ||JS||,
+# G = 2 JS passed for JS at JS = 1e-10 I, and entries near 1e-9 of a small JS
+# read as zero.
 @pytest.mark.parametrize("s", [1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0])
-def test_fisher_dust_scales_with_js(s):
+def test_js_scale_zeros_scale_with_js(s):
     fd = _pair_and_zero(s)
     js_value = 4.0 / (1.0 + math.sqrt(0.75)) + 1.0
     rep = analysis.cr_bound(fd, fd.JS)

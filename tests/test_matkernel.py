@@ -1,6 +1,7 @@
 """Dense Hermitian kernel checks against plain numpy oracles."""
 
 import io
+import re
 import tokenize
 from pathlib import Path
 
@@ -133,6 +134,14 @@ def test_tolerances_live_only_in_the_table():
     assert {name: hits for name, hits in found.items() if hits} == {}
     # the scan sees the table itself: every entry is a literal inside it
     assert all(0 < v < 1e-5 for v in matkernel.TOL.values())
+
+
+def test_every_tolerance_entry_is_read():
+    # the names src reads through TOL["..."] and check("...", ...): a dead or
+    # misspelt entry fails here
+    pattern = re.compile(r'TOL\["(\w+)"\]|\bcheck\(\s*"(\w+)"')
+    read = {a or b for p in SRC.glob("*.py") for a, b in pattern.findall(p.read_text())}
+    assert read == set(matkernel.TOL)
 
 
 def test_check_names_the_entry_and_scales_by_its_scale():

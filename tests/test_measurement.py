@@ -63,16 +63,36 @@ def test_pvm_rejects_nonorthogonal_x():
         measurement.pvm_from_vectors(measurement.EstimationVectors(X=x, phi=phi))
 
 
-@pytest.mark.parametrize("x", [
-    [[0.0, 0.0], [1.0, 2.0], [0.0, 0.0]],
-    [[0.0, 0.0], [1.0, 0.0], [0.0, 1e-11]],
-    [[0.0, 0.0], [1.0, 0.5]],
-], ids=["parallel", "nearly_zero", "more_vectors_than_dim"])
-def test_pvm_rejects_dependent_x(x):
+# dependence is |R_kk| within TOL "eigen_dust" of |X| = sqrt(||X*X||): a 1e-11
+# column beside a unit one is dependent, and vectors that are all 1e-11 but
+# independent are not (absolute, the cut refused them)
+@pytest.mark.parametrize("x, dependent", [
+    ([[0.0, 0.0], [1.0, 2.0], [0.0, 0.0]], True),
+    ([[0.0, 0.0], [1.0, 0.0], [0.0, 1e-11]], True),
+    ([[0.0, 0.0], [1.0, 0.5]], True),
+    ([[0.0, 0.0], [1e-11, 0.0], [0.0, 1e-11]], False),
+], ids=["parallel", "nearly_zero", "more_vectors_than_dim", "small_independent"])
+def test_pvm_rejects_dependent_x(x, dependent):
     x = np.array(x, dtype=complex)
     phi = np.zeros(x.shape[0], dtype=complex)
     phi[0] = 1.0
-    with pytest.raises(errors.DomainError, match="linearly dependent"):
+    ev = measurement.EstimationVectors(X=x, phi=phi)
+    if dependent:
+        with pytest.raises(errors.DomainError, match="linearly dependent"):
+            measurement.pvm_from_vectors(ev)
+    else:
+        pvm = measurement.pvm_from_vectors(ev)
+        assert measurement.reconstruction_residual(pvm, ev) <= 1e-8 * 1e-11
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-12, 2.0])
+def test_pvm_rejects_a_phi_that_is_not_a_unit_vector(scale):
+    # phi is not a vector of the Gram-Schmidt cut, which reads only X's: its
+    # norm is checked on its own (a zero phi was dependent, a 2 e_0 passed to a
+    # ConsistencyError)
+    x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], dtype=complex)
+    phi = np.array([scale, 0.0, 0.0], dtype=complex)
+    with pytest.raises(errors.DomainError, match="norm"):
         measurement.pvm_from_vectors(measurement.EstimationVectors(X=x, phi=phi))
 
 
@@ -649,12 +669,13 @@ def _scaled_shifted_n0(c):
 
 
 # A marginal PVM's vectors and offsets are in theta. Each vector residual is
-# checked against its own size (|X|, |X|^2 or |X| ||L||), so the PVM builds and
-# reads unbiased, and a detuned one biased, in any units of theta. Against
-# ||X*X|| alone the optimal PVM read biased at lifts times 1e5 and failed its
-# reconstruction at 1e8; against max(1, ||X*X||) the detuned one read unbiased
-# at 1e-4.
-@pytest.mark.parametrize("c", [1e-10, 1e-6, 1e-4, 1.0, 1e5, 1e6, 1e8])
+# checked against its own size (|X|, |X|^2 or |X| ||L||), and so is the
+# Gram-Schmidt cut (|X|), so the PVM builds and reads unbiased, and a detuned
+# one biased, in any units of theta. Against ||X*X|| alone the optimal PVM
+# read biased at lifts times 1e5 and failed its reconstruction at 1e8; against
+# max(1, ||X*X||) the detuned one read unbiased at 1e-4; with an absolute
+# Gram-Schmidt cut the vectors (about 7e-11 at 1e10) read as dependent.
+@pytest.mark.parametrize("c", [1e-10, 1e-6, 1e-4, 1.0, 1e5, 1e6, 1e8, 1e10, 1e12])
 def test_marginal_pvm_is_unbiased_in_any_units(c):
     fr, fd = _scaled_shifted_n0(c)
     ev = measurement.marginal_vectors(fr, fd, 0)

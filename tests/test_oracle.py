@@ -173,6 +173,19 @@ def test_beta_snap_of_a_hand_built_gram():
             assert cli._exit_code(exc.value) == 2
 
 
+def test_every_reader_of_the_lift_factor_checks_it():
+    # Spectrum.embedding checks R* R against the Gram once for every reader, so
+    # the SDP, which reads R too, refuses Fisher data whose SVD is of other
+    # lifts (it returned a value while only the Naimark frame checked)
+    def fd_of(mdl):
+        return model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
+    spin = fd_of(model.catalog_spin_rotation(1.5, 0.5, [0.9, 0.3]))
+    n0 = fd_of(model.catalog_shifted_number(0, [0.2, -0.4]))
+    for build in (lambda fd: analysis.oracle_bound(fd, np.eye(2)), measurement.naimark_frame):
+        with pytest.raises(errors.ConsistencyError, match="naimark_gram"):
+            build(FisherData.from_gram(spin.gram, svd=n0.svd))
+
+
 def test_stationarity_certificate_on_closed_form_problems():
     fd = synthetic_fd(0.6)
     g = np.array([[1.4, 0.3], [0.3, 0.9]])
