@@ -84,19 +84,21 @@ class Spectrum:
     ("oracle", those bytes), it caches oracle_bound's (BoundReport,
     OracleResult), and under ("weight", those bytes) the weight's one
     decomposition (`weight`). Their arrays are read-only. `spectrum(fd)`
-    caches the Spectrum on fd.
+    caches the Spectrum on fd. It holds fd's gram and svd, not fd, and nothing
+    it caches refers to fd, so the point is acyclic: reference counting frees
+    fd, its Spectrum and their reports when the last reader drops fd.
     """
 
-    def __init__(self, fd):
-        self.fd = fd
+    def __init__(self, gram, svd):
+        self.gram = gram
         self.reports = {}
+        if svd is not None:
+            self.svd = svd   # the lifts' own; a bare Gram is factored on first use
 
     @functools.cached_property
     def svd(self):
-        if self.fd.svd is not None:
-            return self.fd.svd
         try:
-            root = matkernel.sqrt_psd(self.fd.gram)
+            root = matkernel.sqrt_psd(self.gram)
         except NotPSD as exc:
             raise DomainError(f"the lift Gram is not PSD: {exc}") from exc
         return matkernel.lift_svd(root, SingularFisher)
@@ -139,7 +141,7 @@ class Spectrum:
     @functools.cached_property
     def embedding(self):
         kh, root = self.lift_factor
-        gram = 0.5 * (self.fd.gram + self.fd.gram.conj().T)
+        gram = 0.5 * (self.gram + self.gram.conj().T)
         miss = matkernel.mnorm(root.conj().T @ root - gram) - self.canonical[3]
         check("naimark_gram", miss, matkernel.mnorm(gram), ConsistencyError)
         r, m = kh.shape
@@ -172,7 +174,7 @@ class Spectrum:
 def spectrum(fd):
     """The Spectrum of fd, built on first use and cached on fd."""
     if fd._spectrum is None:
-        fd._spectrum = Spectrum(fd)
+        fd._spectrum = Spectrum(fd.gram, fd.svd)
     return fd._spectrum
 
 
@@ -252,21 +254,34 @@ def boundary_2param(beta, count=101, x_window=(-1.0, 1.0)):
 
 
 def _minimize_on_curve(g0, g1, beta):
-    """Minimize g0*(1+p^2) + g1*(1+q(p)^2) over the stationary curve.
+    """Minimize g0*(1+p^2) + g1*(1+q(p)^2) over the stationary curve, 0 <= beta < 1.
 
-    Since q'(p) = -1/(beta p + c)^2, stationary points are the real roots in
-    [0, beta/c] of the quartic g0 p (beta p + c)^3 - g1 (beta - c p). It
-    increases from -g1 beta to a positive value there, so exactly one root
-    lies inside; the minimum is taken over the clipped real parts of all four
-    roots and both endpoints, every one of them a point of the curve.
+    Since q'(p) = -1/(beta p + c)^2, stationary points are the roots in
+    [0, beta/c] of f(p) = g0 p (beta p + c)^3 - g1 (beta - c p). For p >= 0, f
+    is increasing and convex, f(0) = -g1 beta <= 0, and f >= 0 at
+    p0 = min(beta/c, (g1/(g0 beta^2))^(1/4)). So Newton from p0 falls
+    monotonically onto the one root, and stops when a step no longer
+    decreases p. The minimum is taken over that root and both endpoints, each
+    a point of the curve; at beta = 0 the curve is the single point p = 0.
     """
     c = math.sqrt(max(0.0, 1.0 - beta * beta))
     pmax = beta / c
-    coeffs = [g0 * beta ** 3, 3.0 * g0 * beta * beta * c, 3.0 * g0 * beta * c * c,
-              g0 * c ** 3 + g1 * c, -g1 * beta]
-    p = np.concatenate([np.clip(np.roots(coeffs).real, 0.0, pmax), [0.0, pmax]])
-    q = _curve_q(p, beta, c)
-    pstar = float(p[np.argmin(g0 * (1.0 + p * p) + g1 * (1.0 + q * q))])
+    p = 0.0
+    if beta > 0.0:
+        p = min(pmax, (g1 / (g0 * beta * beta)) ** 0.25)
+        while True:
+            s = beta * p + c
+            nxt = p - (g0 * p * s ** 3 - g1 * (beta - c * p)) / (
+                g0 * s * s * (s + 3.0 * beta * p) + g1 * c)
+            if not nxt < p:
+                break
+            p = nxt
+
+    def cost(p):
+        q = _curve_q(p, beta, c)
+        return g0 * (1.0 + p * p) + g1 * (1.0 + q * q)
+
+    pstar = min((p, 0.0, pmax), key=cost)
     return pstar, _curve_q(pstar, beta, c)
 
 
@@ -502,7 +517,8 @@ def oracle_bound(fd, G):
 
     The SDP reads the Spectrum of fd. The pair is cached on that Spectrum
     beside the closed forms, with G, V_opt, X and X' read-only, so a bound and
-    the vectors that attain it share one solve.
+    the vectors that attain it share one solve. The OracleResult refers to no
+    FisherData, so the cache makes no cycle through fd.
     """
     G = check_weight(fd, G)
     cache, key = spectrum(fd).reports, ("oracle", G.tobytes())

@@ -272,7 +272,8 @@ def cmd_oracle(args):
     })
     if result.attained:
         from . import oracle   # analysis.oracle_bound has loaded it
-        cert = oracle.stationarity_certificate(result)
+        cert = oracle.stationarity_certificate(
+            result, oracle.OracleProblem(gram=fd.gram, G=g, fd=fd))
         rep["certificate"] = {
             "Lambda": cert.Lambda,
             "residual": cert.residual,

@@ -27,6 +27,7 @@ the amplitudes B*phi and B*L and the Gram B*B; no projector is formed except
 in the file format, which lists them densely.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -207,13 +208,17 @@ def optimal_vectors(space, fd, G):
     return EstimationVectors(X=res.Xn, phi=space.phi, w=spec.js_powers[1]), report
 
 
+@functools.lru_cache(maxsize=None)
 def _uniform_first_column_orthogonal(n):
-    """Householder reflection sending e_0 to the uniform unit vector."""
+    """Householder reflection sending e_0 to the uniform unit vector, built once
+    per n and read-only."""
     u = np.full(n, 1.0 / math.sqrt(n))
     w = -u
     w[0] += 1.0
     w /= np.linalg.norm(w)   # nonzero for n >= 2
-    return np.eye(n) - 2.0 * np.outer(w, w)
+    o = np.eye(n) - 2.0 * np.outer(w, w)
+    o.setflags(write=False)
+    return o
 
 
 def pvm_from_vectors(ev, seed=0):

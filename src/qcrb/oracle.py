@@ -17,7 +17,10 @@ The SDP reads JS^{-1/2} and R from `analysis.spectrum(problem.fd)`, the one
 Spectrum of the working point. `analysis.oracle_bound(fd, G)` hands over the
 caller's FisherData and caches its answer on that Spectrum beside the closed
 forms; an `OracleProblem` built from a bare Gram takes that Gram's FisherData.
-`minimize` is the one function every solve passes through.
+`minimize` is the one function every solve passes through. Its `OracleResult`
+keeps the problem's gram and G but not the problem, whose fd would close a
+cycle through that cache; `stationarity_certificate` takes the problem it
+certifies as an argument.
 
 The solver is a primal-dual interior-point method with Nesterov-Todd scaling
 and Mehrotra's predictor-corrector (Vandenberghe and Boyd, SIAM Rev. 38, 49
@@ -83,6 +86,9 @@ class RestartStat:
 
 @dataclass
 class OracleResult:
+    """The solve of one OracleProblem. It keeps the problem's gram and G, not the
+    problem: a result cached on the Spectrum of an fd must not refer back to
+    that fd, so that reference counting frees the point."""
     value: float
     gap: float                            # value minus a dual lower bound
     attained: bool
@@ -92,7 +98,8 @@ class OracleResult:
     lifts: np.ndarray                     # embedded lifts, (2m+1, m)
     residuals: dict
     restarts: List[RestartStat]
-    problem: OracleProblem
+    gram: np.ndarray
+    G: np.ndarray
 
 
 def _real(stack):
@@ -376,7 +383,8 @@ def minimize(problem):
     check("gap", gap, abs(value), NonConvergence)
     stat = RestartStat(value=value, gap=gap, iterations=iterations, residual=residual)
     return OracleResult(value=value, gap=gap, attained=x is not None, X=x, Xn=xn, phi=phi,
-                        lifts=lifts, residuals=residuals, restarts=[stat], problem=problem)
+                        lifts=lifts, residuals=residuals, restarts=[stat], gram=problem.gram,
+                        G=problem.G)
 
 
 @dataclass
@@ -393,12 +401,15 @@ def stationarity_certificate(result, problem=None):
     some real antisymmetric Lambda; Lambda is fit by linear least squares.
     For two-parameter problems the quadratic multiplier identities are also
     reported, and for coherent problems the spectrum of the scaled multiplier.
-    Both read the problem's fd, whose Spectrum the solve read; a problem of
-    another solver carries only a Gram, and is read through its FisherData.
+    Both read the fd of `problem`, the problem the result solves: pass the
+    OracleProblem that holds the caller's fd, and they read the Spectrum the
+    solve read. A problem of another solver carries only a Gram, and is read
+    through its FisherData; so is a result given alone, as the problem of the
+    gram and G it keeps.
     """
     if result.X is None:
         raise PreconditionNotMet("no estimation vectors: the bound is not attained")
-    problem = result.problem if problem is None else problem
+    problem = result if problem is None else problem
     fd = problem.fd if isinstance(problem, OracleProblem) else FisherData.from_gram(problem.gram)
     x = result.X
     lifts = result.lifts

@@ -1,6 +1,8 @@
 """Bound formulas, curve geometry, classification."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -236,13 +238,14 @@ def _curve_value(g0, g1, beta, p):
     return g0 * (1.0 + p * p) + g1 * (1.0 + q * q)
 
 
-@pytest.mark.parametrize("beta", [1e-6, 0.05, 0.5, 0.9, 0.999, 1.0 - 1e-6])
+@pytest.mark.parametrize("beta", [1e-12, 1e-6, 0.05, 0.5, 0.9, 0.999, 1.0 - 1e-6,
+                                  1.0 - 1e-12])
 def test_minimize_on_curve_matches_brent(beta):
     # reference: the best point of a dense grid, refined by bounded Brent
     pmax = beta / math.sqrt(1.0 - beta * beta)
     grid = np.linspace(0.0, pmax, 4097)
-    for g0 in (1e-3, 0.4, 1.0, 30.0):
-        for g1 in (1e-3, 0.7, 1.0, 30.0):
+    for g0 in (1e-6, 1e-3, 0.4, 1.0, 30.0, 1e6):
+        for g1 in (1e-6, 1e-3, 0.7, 1.0, 30.0, 1e6):
             vals = _curve_value(g0, g1, beta, grid)
             k = int(np.argmin(vals))
             res = scipy.optimize.minimize_scalar(
@@ -565,7 +568,8 @@ def test_coherent_route_decomposes_the_weight_once(monkeypatch):
     assert analysis.cr_bound(fd, g).method == "closed_form_coherent"
     # the stationarity certificate reads the same decomposition
     report, result = analysis.oracle_bound(fd, g)
-    assert "multiplier_spectrum" in oracle.stationarity_certificate(result).extras
+    problem = oracle.OracleProblem(gram=fd.gram, G=g, fd=fd)
+    assert "multiplier_spectrum" in oracle.stationarity_certificate(result, problem).extras
     assert seen == ["wGw"]
 
 
@@ -633,8 +637,79 @@ def test_oracle_report_is_cached_beside_the_closed_forms(count_calls):
     assert len(solves) == 1 and spectra == ["Spectrum"]   # built on first use
     assert rep is first and again is first
     report, result = analysis.oracle_bound(fd, g)
-    assert report is first and ev.X is result.Xn and result.problem.fd is fd
+    # the result keeps the point's gram, not its fd, whose Spectrum caches it
+    assert report is first and ev.X is result.Xn and result.gram is fd.gram
     for a in (report.G, report.V_opt, result.X, result.Xn):
         assert not a.flags.writeable
     # the closed-form entry of the same weight is a separate key
     assert analysis.closed_form(fd, g) is None
+
+
+def _generic_point():
+    rng = np.random.default_rng(4)
+    phi = rng.normal(size=5) + 1j * rng.normal(size=5)
+    dphi = 0.5 * (rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5)))
+    mdl = model.custom_model(5, 3, phi / np.linalg.norm(phi), dphi, np.zeros(3))
+    frame = model.tangent_frame(mdl, mdl.theta0)
+    return frame, model.fisher_data(frame)
+
+
+def _library_routes():
+    """bound, PVM, covariance and sampling on each class; the oracle's routes."""
+    for mdl in (model.catalog_spin_rotation(1, 0, [0.7, 0.3]),
+                model.catalog_spin_rotation(1.5, 0.5, [0.9, 0.3]),
+                model.catalog_shifted_number(0, [0.2, -0.4]),
+                model.catalog_squeezed([0.1, -0.2, 0.4, 0.3])):
+        frame = model.tangent_frame(mdl, mdl.theta0)
+        fd = model.fisher_data(frame)
+        g = np.eye(mdl.m)
+        analysis.cr_bound(fd, g)
+        space = measurement.pvm_space(frame, fd)
+        pvm = measurement.pvm_from_vectors(measurement.optimal_vectors(space, fd, g)[0])
+        measurement.covariance_of_pvm(pvm, space)
+        measurement.sample_outcomes(pvm, space, 1000, 3)
+    analysis.oracle_bound(_fd(model.catalog_spin_rotation(1.5, 0.5, [0.9, 0.3])),
+                          np.diag([1.0, 0.0]))
+    frame, fd = _generic_point()
+    g = np.diag([1.0, 2.0, 0.5])
+    measurement.optimal_vectors(measurement.pvm_space(frame, fd), fd, g)
+    oracle.stationarity_certificate(analysis.oracle_bound(fd, g)[1],
+                                    oracle.OracleProblem(gram=fd.gram, G=g, fd=fd))
+
+
+def test_library_routes_leave_no_reference_cycles():
+    # a cycle through a working point frees its Fisher data, Spectrum and
+    # reports only in a pass of the cyclic collector, in the middle of later work
+    _library_routes()   # imports and per-process caches
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        _library_routes()
+        found = gc.collect()
+        kinds = sorted({type(o).__name__ for o in gc.garbage})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert found == 0, kinds
+
+
+def test_a_dropped_point_is_freed_by_reference_counting():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        frame, fd = _generic_point()
+        g = np.diag([1.0, 2.0, 0.5])
+        analysis.cr_bound(fd, g)
+        analysis.closed_form(fd, np.eye(3))
+        measurement.optimal_vectors(measurement.pvm_space(frame, fd), fd, g)
+        spec = weakref.ref(analysis.spectrum(fd))
+        assert spec() is not None and spec().reports
+        del frame, fd
+        assert spec() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -192,7 +192,7 @@ def test_stationarity_certificate_on_closed_form_problems():
     res = penalty_oracle.minimize(penalty_oracle.OracleProblem(gram=fd.gram, G=g,
                                                                restarts=4, seed=2))
     for result in (res, sdp(fd, g)):
-        cert = oracle.stationarity_certificate(result)
+        cert = oracle.stationarity_certificate(result, oracle.OracleProblem(gram=fd.gram, G=g))
         assert cert.residual <= 1e-6
         assert np.abs(cert.Lambda + cert.Lambda.T).max() <= 1e-12
         assert "quadratic_sym" in cert.extras and "quadratic_antisym" in cert.extras
@@ -208,9 +208,10 @@ def test_multiplier_fit_matches_the_loop_reference(m):
     rng = np.random.default_rng(m)
     lifts = rng.normal(size=(2 * m + 1, m)) + 1j * rng.normal(size=(2 * m + 1, m))
     b = rng.normal(size=(m, m))
-    result = oracle.minimize(oracle.OracleProblem(gram=lifts.conj().T @ lifts,
-                                                  G=b @ b.T + 0.5 * np.eye(m)))
-    ours, ref = (mod.stationarity_certificate(result) for mod in (oracle, penalty_oracle))
+    problem = oracle.OracleProblem(gram=lifts.conj().T @ lifts, G=b @ b.T + 0.5 * np.eye(m))
+    result = oracle.minimize(problem)
+    ours, ref = (mod.stationarity_certificate(result, problem)
+                 for mod in (oracle, penalty_oracle))
     assert np.array_equal(ours.Lambda, ref.Lambda) and ours.residual == ref.residual
 
 
@@ -221,7 +222,7 @@ def test_stationarity_multiplier_spectrum_coherent():
     res = penalty_oracle.minimize(penalty_oracle.OracleProblem(gram=fd.gram, G=g,
                                                                restarts=4, seed=6))
     for result in (res, sdp(fd, g)):
-        cert = oracle.stationarity_certificate(result)
+        cert = oracle.stationarity_certificate(result, oracle.OracleProblem(gram=fd.gram, G=g))
         assert cert.residual <= 1e-6
         spec = cert.extras["multiplier_spectrum"]
         assert np.abs(np.asarray(spec) - 1.0).max() <= 1e-5
