@@ -10,7 +10,6 @@ Holevo SDP, which reads the same Spectrum of the working point.
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -201,16 +200,6 @@ def coherent_test(fd):
     return ok
 
 
-def sld_bound(fd, G):
-    """Tr(G JS^{-1}): a lower bound to CR(G), tight iff quasi-classical or m=1.
-
-    It is Tr(w G w), read from the weight's Spectrum entry, so the weight
-    passes the checks of every route: check_weight's shape (DomainError) and
-    the PSD decision of Spectrum.weight (DomainError, NonFinite on NaN).
-    """
-    return float(np.trace(spectrum(fd).weight(check_weight(fd, G))[0]))
-
-
 def _curve_q(p, beta, c):
     """Upper-branch stationary curve through (u,v) = (1+p^2, 1+q^2)."""
     return (beta - c * p) / (beta * p + c)
@@ -221,20 +210,25 @@ def boundary_2param(beta, count=101, x_window=(-1.0, 1.0)):
 
     Rows are (x, z, u, v) with u = z + x, v = z - x, satisfying
     sqrt(u-1) + sqrt(v-1) = beta * sqrt(u v). For beta = 1 the curve is the
-    hyperbola (z-1)^2 - x^2 = 1, sampled over x_window.
+    hyperbola (z-1)^2 - x^2 = 1, sampled over x_window, which must be finite.
+    A count of samples that cannot be allocated is a DomainError.
     """
     beta = float(beta)
     if not (0.0 <= beta <= 1.0):
         raise DomainError(f"beta must lie in [0, 1], got {beta}")
+    x0, x1 = (float(x) for x in x_window)
+    if not (math.isfinite(x0) and math.isfinite(x1)):
+        raise DomainError(f"x_window must be finite, got ({x0}, {x1})")
     count = int(count)
     if count < 1:
         raise DomainError(f"count must be at least 1, got {count}")
     if beta <= TOL["boundary_beta"]:
-        samples = np.array([[0.0, 1.0, 1.0, 1.0]])
-    elif beta >= 1.0 - TOL["boundary_beta"]:
-        x = np.linspace(x_window[0], x_window[1], count)
+        return BoundaryCurve(beta=beta, samples=np.array([[0.0, 1.0, 1.0, 1.0]]))
+    samples = matkernel.zeros((count, 4))
+    if beta >= 1.0 - TOL["boundary_beta"]:
+        x = np.linspace(x0, x1, count)
         z = 1.0 + np.sqrt(1.0 + x * x)
-        samples = np.column_stack([x, z, z + x, z - x])
+        np.stack([x, z, z + x, z - x], axis=1, out=samples)
     else:
         c = math.sqrt(1.0 - beta * beta)
         pmax = beta / c
@@ -249,7 +243,7 @@ def boundary_2param(beta, count=101, x_window=(-1.0, 1.0)):
         q = _curve_q(p, beta, c)
         u = 1.0 + p * p
         v = 1.0 + q * q
-        samples = np.column_stack([(u - v) / 2.0, (u + v) / 2.0, u, v])
+        np.stack([(u - v) / 2.0, (u + v) / 2.0, u, v], axis=1, out=samples)
     return BoundaryCurve(beta=beta, samples=samples)
 
 
@@ -394,49 +388,6 @@ def cr_bound_coherent(fd, G):
         notes={"sld_part": sld_part, "abs_part": abs_part}, Vn=vn)
 
 
-def marginal_infimum(fd, i):
-    """Infimum of the i-th diagonal covariance entry, and whether it is attained.
-
-    It is CR(e_i e_i^T); its value is (JS^{-1})_ii on every model.
-    """
-    m = fd.JS.shape[0]
-    try:
-        i = operator.index(i)
-    except TypeError as exc:
-        raise DomainError(f"index {i!r} is not an integer") from exc
-    if not (0 <= i < m):
-        raise DomainError(f"index {i} out of range for m = {m}")
-    report = cr_bound(fd, np.diag(np.eye(m)[i]))
-    return report.value, report.attained
-
-
-def independence_partition(fd, blocks):
-    """True iff JS and Jt are block diagonal with respect to the partition."""
-    m = fd.JS.shape[0]
-    seen = sorted(i for b in blocks for i in b)
-    if seen != list(range(m)):
-        raise DomainError("blocks must partition the index set")
-    tol = TOL["eigen_dust"] * matkernel.mnorm(fd.JS)
-    for a in range(len(blocks)):
-        for b in range(len(blocks)):
-            if a == b:
-                continue
-            ia = np.ix_(blocks[a], blocks[b])
-            if matkernel.mnorm(fd.JS[ia]) > tol or matkernel.mnorm(fd.Jt[ia]) > tol:
-                return False
-    return True
-
-
-def exclusiveness_test(fd, i, j):
-    """True iff <l_i|l_j> is purely imaginary with maximal magnitude."""
-    if i == j:
-        raise DomainError("exclusiveness is a property of distinct indices")
-    tol = TOL["eigen_dust"] * matkernel.mnorm(fd.JS)
-    g = fd.gram[i, j]
-    cap = math.sqrt(fd.JS[i, i] * fd.JS[j, j])
-    return bool(abs(g.real) <= tol and abs(g.imag) >= (1.0 - TOL["eigen_dust"]) * cap)
-
-
 def check_weight(fd, G):
     """G as a symmetrized float array; DomainError unless it is m x m."""
     G = np.asarray(G, dtype=float)
@@ -446,7 +397,7 @@ def check_weight(fd, G):
     return matkernel.symmetrize(G)
 
 
-def estimation_residuals(x, phi, lifts, error):
+def estimation_residuals(x, phi, lifts, error, xx=None):
     """The residuals of estimation vectors X (columns) in the parameters where JS = I.
 
     <x^i|phi> (given phi), Im X*X and Re X*L - I (given the lifts L of those
@@ -455,10 +406,11 @@ def estimation_residuals(x, phi, lifts, error):
     root: |X| (phi has unit norm), |X|^2 and |X| ||L||. The rule then reads the
     same in any units of theta, where the vectors are given in theta.
     `error` is the error type raised, or a dict of them by residual name.
-    Returns the residuals by name.
+    `xx` is X*X when the caller has formed it. Returns the residuals by name.
     """
     xh = x.conj().T
-    xx = xh @ x
+    if xx is None:
+        xx = xh @ x
     size = math.sqrt(matkernel.mnorm(xx))
     res = {} if phi is None else {"orthogonality": (matkernel.mnorm(xh @ phi), size)}
     res["im_xx"] = matkernel.mnorm(xx.imag), size ** 2

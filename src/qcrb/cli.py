@@ -2,7 +2,8 @@
 
 Reports are JSON with 17-significant-digit floats; curves and samples are
 CSV. Errors print a machine-readable JSON object to stderr and exit with
-2 (schema/domain, or a singular weight whose bound no estimator attains),
+2 (schema/domain, an input sized past what can be allocated, or a singular
+weight whose bound no estimator attains),
 3 (model), or 4 (oracle: the duality gap missed its target, or
 `bound --oracle` disagrees with the closed form).
 """
@@ -23,7 +24,7 @@ def _exit_code(exc):
     if isinstance(exc, (errors.SchemaError, errors.DomainError,
                         errors.SingularWeight)):
         return 2
-    if isinstance(exc, (errors.Infeasible, errors.NonConvergence)):
+    if isinstance(exc, errors.NonConvergence):
         return 4
     if isinstance(exc, errors.QcrbError):
         return 3

@@ -12,7 +12,8 @@ class SchemaError(QcrbError):
 
 
 class DomainError(QcrbError):
-    """Argument outside the mathematical domain of an operation."""
+    """Argument outside the mathematical domain of an operation, or sized past
+    the memory or the address space (`matkernel.zeros`)."""
 
 
 # --- matrix kernel (surface as model errors, CLI exit code 3) ---
@@ -84,10 +85,6 @@ class ConsistencyError(QcrbError):
 
 
 # --- oracle (CLI exit code 4) ---
-
-class Infeasible(QcrbError):
-    """A minimizer reached no point that meets the constraints within tolerance."""
-
 
 class NonConvergence(QcrbError):
     """A minimizer stopped short of its convergence target, such as the

@@ -13,7 +13,7 @@ caches.
 
 import numpy as np
 
-from .errors import NonFinite, NonHermitian, NotPSD
+from .errors import DomainError, NonFinite, NonHermitian, NotPSD
 
 # name -> value. Each entry is multiplied by the scale its comment names;
 # "absolute" entries take scale 1. Every rule is homogeneous: rescaling a
@@ -28,11 +28,9 @@ TOL = {
     # completion at ||V'||. Squared singular values of the stacked lifts, times
     # s_max^2: a degenerate model (a singular JS for a bare Gram). |R_kk| of
     # the QR of [phi, X], times |X| = sqrt(||X*X||): dependent estimation
-    # vectors. G - JS and the off-block entries of JS and Jt, times ||JS||.
-    # The shortfall of |Im gram_ij| below sqrt(JS_ii JS_jj) of an exclusive
-    # pair, times that root. A negative outcome probability, absolute (the
-    # probabilities sum to 1). The residual of the oracle's null(G) cross-block
-    # least squares, times max(||SLD columns||, ||Y||)^2
+    # vectors. G - JS, times ||JS||. A negative outcome probability, absolute
+    # (the probabilities sum to 1). The residual of the oracle's null(G)
+    # cross-block least squares, times max(||SLD columns||, ||Y||)^2
     "eigen_dust": 1e-10,
     # Hermitian deviation of a matrix input; times ||A||
     "hermitian": 1e-12,
@@ -70,8 +68,6 @@ TOL = {
     # Gram B*B; a stored PVM's entries against bb* and I - BB*; and its outcome
     # probabilities summing to 1; absolute
     "pvm_algebra": 1e-9,
-    # PVM variance against (JS^-1)_11 in the exclusiveness check; times (JS^-1)_11
-    "marginal_variance": 1e-6,
     # |phi| - 1 of a state, and of the phi handed to pvm_from_vectors; absolute
     "norm": 1e-8,
     # components of phi this close to the largest |phi_k| tie for the phase
@@ -101,6 +97,19 @@ def mnorm(a):
     if a.size == 0:
         return 0.0
     return float(np.abs(a).max())
+
+
+def zeros(shape, dtype=float):
+    """np.zeros(shape, dtype), where a size that cannot be allocated is a DomainError.
+
+    The one place where numpy's refusal of a size becomes a typed error: a
+    MemoryError past the memory the system grants, or a ValueError past the
+    address space.
+    """
+    try:
+        return np.zeros(shape, dtype)
+    except (MemoryError, ValueError) as exc:
+        raise DomainError(f"cannot allocate the array this input asks for: {exc}") from exc
 
 
 def check_finite(a):
@@ -212,12 +221,3 @@ def abs_sym(a):
         return symmetrize(r.real)
     return 0.5 * (r + r.conj().T)
 
-
-def psd_geq(a, b):
-    """a >= b in the PSD order, up to eigen dust of the pair's scale."""
-    d = np.asarray(a) - np.asarray(b)
-    try:
-        psd_eig(0.5 * (d + d.conj().T), scale=max(mnorm(a), mnorm(b)))
-    except NotPSD:
-        return False
-    return True

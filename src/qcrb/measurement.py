@@ -28,7 +28,6 @@ in the file format, which lists them densely.
 """
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -43,9 +42,7 @@ from .errors import (
     InfeasibleGram,
     NotCoherent,
     NotCommuting,
-    NotPSD,
     NotQuasiClassical,
-    PreconditionNotMet,
     SchemaError,
     SingularWeight,
 )
@@ -81,6 +78,13 @@ class Pvm:
         """Whether I - BB*, with offset zero, is the last outcome."""
         return len(self.outcomes) > self.rays.shape[1]
 
+    def outcome_table(self, frame):
+        """(offsets, probs, analytic_cov) at frame.phi, from one probability pass;
+        the covariance is the finite sum about theta."""
+        probs = outcome_probabilities(self, frame.phi)
+        offsets = self.outcomes
+        return offsets, probs, matkernel.symmetrize(offsets.T @ (offsets * probs[:, None]))
+
 
 @dataclass
 class NaimarkFrame:
@@ -88,13 +92,6 @@ class NaimarkFrame:
     phi: np.ndarray
     lifts: np.ndarray        # shape (2m+1, m)
     theta: Optional[np.ndarray] = None
-
-
-@dataclass
-class InflatedPvm:
-    base: Pvm
-    shifts: np.ndarray       # shape (2^m, m)
-    weight: float
 
 
 @dataclass
@@ -243,9 +240,10 @@ def pvm_from_vectors(ev, seed=0):
     if m == 0:
         raise DomainError("no estimation vectors: X has no columns")
     check("norm", abs(np.linalg.norm(phi) - 1.0), 1.0, DomainError)
+    xx = x.conj().T @ x
     analysis.estimation_residuals(x, phi, None,
-                                  {"orthogonality": DomainError, "im_xx": NotCommuting})
-    size = math.sqrt(matkernel.mnorm(x.conj().T @ x))
+                                  {"orthogonality": DomainError, "im_xx": NotCommuting}, xx)
+    size = math.sqrt(matkernel.mnorm(xx))
 
     q, r = np.linalg.qr(np.column_stack([phi, x]))
     diag = np.diagonal(r)
@@ -297,46 +295,36 @@ def reconstruction_residual(pvm, ev):
     return matkernel.mnorm(pvm.rays @ (amp[:, None] * _normalized(pvm)[0][:len(amp)]) - ev.X)
 
 
-def _expectations(pvm, u, v):
-    """<u|E_k|v> for every outcome k (rows) and every column of the matrix v.
+def _expectations(pvm, phi, v=None):
+    """<phi|E_k|phi> and <phi|E_k|v> for every outcome k (rows), from one B*phi.
 
-    The rays' rows are conj(B*u) B*v; the complement's row is <u|v> minus
-    their sum.
+    The rays' rows are conj(B*phi) B*phi and conj(B*phi) B*v; the complement's
+    row is <phi|phi>, or <phi|v>, minus their sum. Without v the second is None.
     """
     bh = pvm.rays.conj().T
-    rows = (bh @ u).conj()[:, None] * (bh @ v)
-    if pvm.complement:
-        rows = np.vstack([rows, u.conj() @ v - rows.sum(axis=0)])
-    return rows
+    amp = bh @ phi
+
+    def rows(u, bu):
+        r = amp.conj()[:, None] * bu
+        if pvm.complement:
+            r = np.vstack([r, phi.conj() @ u - r.sum(axis=0)])
+        return r
+
+    return rows(phi[:, None], amp[:, None]), None if v is None else rows(v, bh @ v)
 
 
-def outcome_probabilities(pvm, phi):
-    """<phi|E_k|phi> for each outcome, validated as a probability vector."""
-    probs = _expectations(pvm, phi, phi[:, None])[:, 0].real
+def outcome_probabilities(pvm, phi, rows=None):
+    """<phi|E_k|phi> for each outcome, validated as a probability vector.
+
+    They are the first rows of `_expectations(pvm, phi, ...)`, formed here
+    unless the caller passes them.
+    """
+    probs = (_expectations(pvm, phi)[0] if rows is None else rows)[:, 0].real
     check("eigen_dust", -probs.min(initial=0.0), 1.0, BadProbability)
     probs = np.clip(probs, 0.0, None)
     total = probs.sum()
     check("pvm_algebra", abs(total - 1.0), 1.0, BadProbability)
     return probs / total
-
-
-def _outcome_table(measurement, frame):
-    """(offsets, probs, analytic_cov) of a Pvm or InflatedPvm from one probability pass.
-
-    An InflatedPvm's outcomes are shift-major: row s K + k is base offset k
-    plus shift s, with probability weight * p_k.
-    """
-    inflated = isinstance(measurement, InflatedPvm)
-    pvm = measurement.base if inflated else measurement
-    probs = outcome_probabilities(pvm, frame.phi)
-    offsets = pvm.outcomes
-    cov = matkernel.symmetrize(offsets.T @ (offsets * probs[:, None]))
-    if inflated:
-        shifts = measurement.shifts
-        cov = matkernel.symmetrize(cov + measurement.weight * (shifts.T @ shifts))
-        offsets = (offsets[None, :, :] + shifts[:, None, :]).reshape(-1, pvm.m)
-        probs = np.tile(probs * measurement.weight, len(shifts))
-    return offsets, probs, cov
 
 
 def outcome_statistics(pvm, frame):
@@ -346,12 +334,15 @@ def outcome_statistics(pvm, frame):
     PVM was built from, against the lifts L' = L w there: their mean within
     TOL "vectors" times the root |X| of the covariance in theta', and
     Re xhat'* L' - I within it times |X| ||L'||, as estimation_residuals.
+    The probabilities and <phi|E_k|L'> share one product B*phi.
     """
-    _, probs, v = _outcome_table(pvm, frame)
     offsets, w = _normalized(pvm)
     lifts = frame.lifts if w is None else frame.lifts @ w
+    prob_rows, lift_rows = _expectations(pvm, frame.phi, lifts)
+    probs = outcome_probabilities(pvm, frame.phi, prob_rows)
+    v = matkernel.symmetrize(pvm.outcomes.T @ (pvm.outcomes * probs[:, None]))
     mean = probs @ offsets
-    deriv = (offsets.T @ _expectations(pvm, frame.phi, lifts)).real   # Re xhat'* L'
+    deriv = (offsets.T @ lift_rows).real   # Re xhat'* L'
     # delta^i_j over i < pvm.m components, j < frame parameters
     target = np.eye(pvm.m, lifts.shape[1])
     tol = TOL["vectors"] * math.sqrt(matkernel.mnorm(offsets.T @ (offsets * probs[:, None])))
@@ -363,29 +354,6 @@ def outcome_statistics(pvm, frame):
 def covariance_of_pvm(pvm, frame):
     """Finite-sum covariance about theta, plus the local unbiasedness verdict."""
     return outcome_statistics(pvm, frame)[1:]
-
-
-def inflate_covariance(pvm, v0):
-    """Classical offset mixture adding exactly V0 to the covariance.
-
-    The 2^m offsets are sqrt(V0) alpha over sign vectors alpha, each with
-    weight 2^{-m}; their mean is zero, so unbiasedness is preserved.
-    """
-    v0 = matkernel.symmetrize(np.atleast_2d(v0))
-    if v0.shape != (pvm.m, pvm.m):
-        raise DomainError(f"V0 must be {pvm.m} x {pvm.m}")
-    try:
-        root, = matkernel.psd_powers(v0, 0.5)
-    except NotPSD as exc:
-        raise DomainError("V0 must be PSD") from exc
-    alphas = np.array(list(itertools.product([1.0, -1.0], repeat=pvm.m)))
-    shifts = alphas @ root
-    return InflatedPvm(base=pvm, shifts=shifts, weight=1.0 / len(alphas))
-
-
-def analytic_covariance(measurement, frame):
-    """Covariance of a Pvm or InflatedPvm from the finite outcome sums."""
-    return _outcome_table(measurement, frame)[2]
 
 
 def _draw(rng, p, count):
@@ -403,7 +371,7 @@ def _draw(rng, p, count):
     """
     cdf = np.cumsum(p)
     cdf /= cdf[-1]
-    drawn = np.zeros(count, dtype=np.min_scalar_type(len(p) - 1))
+    drawn = matkernel.zeros(count, np.min_scalar_type(len(p) - 1))
     beyond = np.zeros(len(p) + 1, dtype=np.int64)   # beyond[k]: shots with index >= k
     beyond[0] = count
     for start in range(0, count, BLOCK):
@@ -419,11 +387,12 @@ def _draw(rng, p, count):
 def sample_outcomes(measurement, frame, count, seed):
     """Deterministic seeded sampling of outcome estimates theta + offset.
 
-    The outcome indices are those of Generator.choice with the outcome
-    probabilities; the mean and the second moment about theta come from the
-    outcome counts. A shot costs one byte of `drawn` (two past 256 outcomes);
-    `samples` gathers the per-shot estimates only when read. A negative count,
-    or a seed that numpy's default_rng rejects, raises DomainError.
+    The outcome indices are those of Generator.choice with the probabilities
+    of the measurement's `outcome_table`; the mean and the second moment
+    about theta come from the outcome counts. A shot costs one byte of
+    `drawn` (two past 256 outcomes); `samples` gathers the per-shot estimates
+    only when read. A negative count, a count of shots that cannot be
+    allocated, or a seed that numpy's default_rng rejects, raises DomainError.
     """
     count = int(count)
     if count < 0:
@@ -432,7 +401,7 @@ def sample_outcomes(measurement, frame, count, seed):
         rng = np.random.default_rng(seed)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"seed {seed!r} is not a nonnegative integer: {exc}") from exc
-    offsets, probs, analytic = _outcome_table(measurement, frame)
+    offsets, probs, analytic = measurement.outcome_table(frame)
     m = offsets.shape[1]
     theta = frame.theta if frame.theta is not None else np.zeros(m)
     drawn, counts = _draw(rng, probs / probs.sum(), count)
@@ -443,30 +412,6 @@ def sample_outcomes(measurement, frame, count, seed):
         cov = matkernel.symmetrize(offsets.T @ (offsets * hits[:, None]))
     return SampleResult(estimates=offsets + theta, drawn=drawn, counts=counts, mean=mean,
                         cov=cov, analytic_cov=analytic, seed=seed)
-
-
-def marginal_vectors(frame, fd, i):
-    """Single-parameter estimation vector x = L JS^{-1} e_i.
-
-    Its variance is exactly (JS^{-1})_ii and Im X*X vanishes trivially, so a
-    projective measurement for the i-th parameter alone always exists.
-    """
-    x = frame.lifts @ analysis.spectrum(fd).js_inv[:, [i]]
-    return EstimationVectors(X=x, phi=frame.phi)
-
-
-def exclusiveness_extraction_check(pvm, frame, fd, j):
-    """Max |Re <phi|E_k|l_j>| over outcomes of a first-parameter-optimal PVM.
-
-    fd is the Fisher data of frame. Precondition: the PVM variance equals
-    (JS^{-1})_11 within TOL "marginal_variance" of it.
-    """
-    if pvm.m != 1:
-        raise PreconditionNotMet("expected a single-parameter PVM")
-    target = analysis.spectrum(fd).js_inv[0, 0]
-    v, _ = covariance_of_pvm(pvm, frame)
-    check("marginal_variance", abs(float(v[0, 0]) - target), target, PreconditionNotMet)
-    return matkernel.mnorm(_expectations(pvm, frame.phi, frame.lifts[:, [j]]).real)
 
 
 # --- serialization ---

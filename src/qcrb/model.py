@@ -123,12 +123,16 @@ def _spin_tables(s):
 
     Basis |s,m> with m = s..-s, and plus[k] = <m_k|S_+|m_(k+1)>. S_y does not
     depend on theta, so it is decomposed once per s; the arrays are shared by
-    every model of that s and read-only.
+    every model of that s and read-only. The dense S_y is allocated first: an
+    s whose d^2 entries cannot be allocated is a DomainError.
     """
     d = int(round(2 * s + 1))
+    sy = matkernel.zeros((d, d), complex)
     mvals = s - np.arange(d)
     plus = np.sqrt(s * (s + 1) - mvals[1:] * (mvals[1:] + 1))
-    mu, v = matkernel.hermitian_eig(np.diag(-0.5j * plus, 1) + np.diag(0.5j * plus, -1))
+    k = np.arange(d - 1)
+    sy[k, k + 1], sy[k + 1, k] = -0.5j * plus, 0.5j * plus
+    mu, v = matkernel.hermitian_eig(sy)
     for a in (mvals, plus, mu, v):
         a.setflags(write=False)
     return mvals, plus, mu, v

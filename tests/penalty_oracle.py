@@ -18,7 +18,6 @@ import numpy as np
 from qcrb import matkernel
 from qcrb.errors import (
     DomainError,
-    Infeasible,
     NonConvergence,
     NotPSD,
     QcrbError,
@@ -28,6 +27,10 @@ from qcrb.errors import (
 DEFAULT_PENALTIES = (1e2, 1e4, 1e6, 1e8)
 RESIDUAL_TOL = 1e-7
 GRAD_TOL = 1e-9
+
+
+class Infeasible(QcrbError):
+    """No restart reached a point that meets the constraints within residual_tol."""
 
 
 @dataclass

@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
+import paper_statements
 from qcrb import analysis, errors, matkernel, measurement, model, oracle
 from qcrb.model import FisherData
 
@@ -131,7 +132,7 @@ def test_classification_tests():
 def test_sld_bound_is_trace_form():
     fd = synthetic_fd(0.5, js=np.diag([2.0, 4.0]))
     g = np.diag([1.0, 3.0])
-    assert abs(analysis.sld_bound(fd, g) - (0.5 + 0.75)) <= 1e-12
+    assert abs(paper_statements.sld_bound(fd, g) - (0.5 + 0.75)) <= 1e-12
 
 
 def _shifted_n3():
@@ -147,7 +148,7 @@ def _shifted_n3():
 def test_sld_bound_checks_the_weight_as_every_route(g, error):
     # without the checks these gave a numpy ValueError, nan and 0.0
     with pytest.raises(error):
-        analysis.sld_bound(_shifted_n3(), g)
+        paper_statements.sld_bound(_shifted_n3(), g)
 
 
 def test_boundary_degenerate_and_hyperbola():
@@ -185,6 +186,10 @@ def test_boundary_endpoints_and_domain():
         analysis.boundary_2param(-0.1)
     with pytest.raises(errors.DomainError):
         analysis.boundary_2param(1.2)
+    # a non-finite window built a NaN curve, which the CSV writer refused (exit 3)
+    for window in ((math.inf, 1.0), (-1.0, math.nan)):
+        with pytest.raises(errors.DomainError, match="x_window"):
+            analysis.boundary_2param(1.0, count=3, x_window=window)
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
@@ -229,7 +234,7 @@ def test_cr_bound_2param_vopt_on_curve():
         lhs = np.trace(matkernel.sqrt_psd(vn - np.eye(2)))
         rhs = beta * math.sqrt(max(0.0, np.linalg.det(vn)))
         assert abs(lhs - rhs) <= 1e-8
-        assert rep.value >= analysis.sld_bound(fd, g) - 1e-10
+        assert rep.value >= paper_statements.sld_bound(fd, g) - 1e-10
 
 
 def _curve_value(g0, g1, beta, p):
@@ -307,13 +312,13 @@ def test_cr_bound_coherent_rejections():
 
 def test_marginal_infimum():
     fd = synthetic_fd(0.0, js=np.diag([2.0, 2.0]))
-    value, hint = analysis.marginal_infimum(fd, 0)
+    value, hint = paper_statements.marginal_infimum(fd, 0)
     assert abs(value - 0.5) <= 1e-12
     assert hint
-    value, hint = analysis.marginal_infimum(synthetic_fd(1.0), 0)
+    value, hint = paper_statements.marginal_infimum(synthetic_fd(1.0), 0)
     assert abs(value - 1.0) <= 1e-12
     assert not hint
-    _, hint = analysis.marginal_infimum(synthetic_fd(0.6), 1)
+    _, hint = paper_statements.marginal_infimum(synthetic_fd(0.6), 1)
     assert hint
 
 
@@ -324,10 +329,10 @@ def test_marginal_infimum_takes_an_integer_index():
     fd = _shifted_n3()
     for i in (1.0, 0.5, "0", None, -1, 2):
         with pytest.raises(errors.DomainError):
-            analysis.marginal_infimum(fd, i)
-    expect = analysis.marginal_infimum(fd, 1)
-    assert analysis.marginal_infimum(fd, np.int64(1)) == expect
-    assert analysis.marginal_infimum(fd, True) == expect
+            paper_statements.marginal_infimum(fd, i)
+    expect = paper_statements.marginal_infimum(fd, 1)
+    assert paper_statements.marginal_infimum(fd, np.int64(1)) == expect
+    assert paper_statements.marginal_infimum(fd, True) == expect
 
 
 def custom_generic(dim, m, seed):
@@ -354,7 +359,7 @@ def test_marginal_infimum_is_the_bound_of_a_unit_weight(build, attained):
         assert analysis.beta_spectrum(fd).classification == "generic"
     jsinv = analysis.spectrum(fd).js_inv
     for i in range(m):
-        value, flag = analysis.marginal_infimum(fd, i)
+        value, flag = paper_statements.marginal_infimum(fd, i)
         assert abs(value - jsinv[i, i]) <= 1e-12 * jsinv[i, i]
         assert flag is attained
 
@@ -364,26 +369,26 @@ def test_independence_partition():
     gram[:2, :2] = 2.0 * np.eye(2) + 2j * np.array([[0.0, -1.0], [1.0, 0.0]])
     gram[2:, 2:] = 3.0 * np.eye(2)
     fd = FisherData(JS=gram.real, Jt=gram.imag, gram=gram)
-    assert analysis.independence_partition(fd, [[0, 1], [2, 3]])
-    assert not analysis.independence_partition(fd, [[0, 2], [1, 3]])
+    assert paper_statements.independence_partition(fd, [[0, 1], [2, 3]])
+    assert not paper_statements.independence_partition(fd, [[0, 2], [1, 3]])
     with pytest.raises(errors.DomainError):
-        analysis.independence_partition(fd, [[0, 1], [2]])
+        paper_statements.independence_partition(fd, [[0, 1], [2]])
 
 
 def test_independence_squeezed_blocks():
     mdl = model.catalog_squeezed([0.0, 0.0, 0.4, 0.7])
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
-    assert analysis.independence_partition(fd, [[0, 1], [2, 3]])
+    assert paper_statements.independence_partition(fd, [[0, 1], [2, 3]])
 
 
 def test_exclusiveness_test():
     mdl = model.catalog_shifted_number(0, [0.2, -0.4])
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
-    assert analysis.exclusiveness_test(fd, 0, 1)
-    assert not analysis.exclusiveness_test(synthetic_fd(0.0), 0, 1)
-    assert not analysis.exclusiveness_test(synthetic_fd(0.6), 0, 1)
+    assert paper_statements.exclusiveness_test(fd, 0, 1)
+    assert not paper_statements.exclusiveness_test(synthetic_fd(0.0), 0, 1)
+    assert not paper_statements.exclusiveness_test(synthetic_fd(0.6), 0, 1)
     with pytest.raises(errors.DomainError):
-        analysis.exclusiveness_test(fd, 1, 1)
+        paper_statements.exclusiveness_test(fd, 1, 1)
 
 
 def _pair_and_zero(s, coupling=0.0):
@@ -408,14 +413,14 @@ def test_js_scale_zeros_scale_with_js(s):
     rep = analysis.cr_bound(fd, 2.0 * fd.JS)
     assert rep.method == "oracle"
     assert abs(rep.value - 2.0 * js_value) <= 1e-8 * rep.value
-    assert analysis.independence_partition(fd, [[0, 1], [2]])
-    assert not analysis.independence_partition(_pair_and_zero(s, 0.3), [[0, 1], [2]])
+    assert paper_statements.independence_partition(fd, [[0, 1], [2]])
+    assert not paper_statements.independence_partition(_pair_and_zero(s, 0.3), [[0, 1], [2]])
     # a PSD pair with a real part of 1e-6 sqrt(JS_00 JS_11) is not exclusive at
     # any scale; without it, it is
     g01 = 1e-6 + 1j * math.sqrt(1.0 - 1e-12)
     gram = s * np.array([[1.0, g01], [np.conj(g01), 1.0]])
-    assert not analysis.exclusiveness_test(FisherData.from_gram(gram), 0, 1)
-    assert analysis.exclusiveness_test(FisherData.from_gram(gram - gram.real + s * np.eye(2)),
+    assert not paper_statements.exclusiveness_test(FisherData.from_gram(gram), 0, 1)
+    assert paper_statements.exclusiveness_test(FisherData.from_gram(gram - gram.real + s * np.eye(2)),
                                        0, 1)
 
 
@@ -510,7 +515,7 @@ def test_cr_bound_2param_at_tiny_beta_is_the_sld_bound(beta):
     fd = synthetic_fd(beta, js=np.array([[2.0, 0.3], [0.3, 0.7]]))
     g = np.array([[1.5, 0.2], [0.2, 0.8]])
     rep = analysis.cr_bound_2param(fd, g)
-    expect = analysis.sld_bound(fd, g)
+    expect = paper_statements.sld_bound(fd, g)
     assert abs(rep.value - expect) <= 1e-13 * expect
     assert np.abs(rep.V_opt - analysis.spectrum(fd).js_inv).max() <= 1e-8
 
@@ -583,7 +588,7 @@ def test_coherent_route_with_singular_weight_goes_to_the_oracle():
     assert abs(rep.notes["gap"]) <= 1e-9 * max(1.0, rep.value)
     # dropping a weight can only lower the bound below the full coherent one
     assert rep.value <= analysis.cr_bound_coherent(fd, np.diag([2.0, 1.0, 1.0, 1e-3])).value
-    assert rep.value >= analysis.sld_bound(fd, g) - 1e-12
+    assert rep.value >= paper_statements.sld_bound(fd, g) - 1e-12
 
 
 SPIN_QC_POINT = (1.0, 0.0, [0.7, 1.1])

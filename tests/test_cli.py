@@ -147,6 +147,31 @@ def test_boundary_rejects_empty_sample_count(samples):
     assert err["exit_code"] == 2
 
 
+# The infinite window gave a NaN curve (NonFinite, exit 3), and each size exited
+# 1 with a numpy traceback. numpy refuses each size before it touches any
+# memory; a size it could allocate is not tried here.
+@pytest.mark.parametrize("argv, config", [
+    (["boundary", "--beta", "1", "--window", "inf", "1", "--samples", "3"], None),
+    (["boundary", "--beta", "1", "--samples", "10000000000000"], None),
+    (["simulate", "--pvm", "n0_coherent_pvm.json", "--samples", "10000000000000"],
+     "n0_coherent_config.json"),
+    (["analyze"], {"model": "spin_rotation", "s": 1e6, "m_z": 0.0, "theta": [0.9, 0.3]}),
+    (["analyze"], {"model": "spin_rotation", "s": 1e300, "m_z": 0.0, "theta": [0.9, 0.3]}),
+], ids=["infinite_window", "boundary_samples", "simulate_samples", "spin_1e6", "spin_1e300"])
+def test_unallocatable_or_non_finite_inputs_exit_2(tmp_path, capsys, argv, config):
+    data = pathlib.Path(__file__).parent / "data"
+    argv = [str(data / a) if a.endswith(".json") else a for a in argv]
+    if isinstance(config, str):
+        argv += ["--config", str(data / config)]
+    elif config is not None:
+        argv += ["--config", write_json(tmp_path / "m.json", config)]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "DomainError" and doc["exit_code"] == 2
+
+
 def test_boundary_requires_two_params(tmp_path):
     cfg = write_json(tmp_path / "sq.json",
                      {"model": "squeezed", "theta": [0.0, 0.0, 0.4, 0.1]})

@@ -8,6 +8,7 @@ import types
 import numpy as np
 import pytest
 
+import paper_statements
 from qcrb import analysis, errors, matkernel, measurement, model, oracle
 from qcrb.model import FisherData, TangentFrame
 
@@ -432,8 +433,8 @@ def test_lemma_ordering_on_constructed_pvm():
     x = ev.X @ ev.w   # the vectors in theta
     rexx = (x.conj().T @ x).real
     jsinv = matkernel.inv_psd(fd.JS)
-    assert matkernel.psd_geq(v + 1e-9 * np.eye(2), rexx)
-    assert matkernel.psd_geq(rexx + 1e-9 * np.eye(2), jsinv)
+    assert paper_statements.psd_geq(v + 1e-9 * np.eye(2), rexx)
+    assert paper_statements.psd_geq(rexx + 1e-9 * np.eye(2), jsinv)
 
 
 def test_remainder_projector_completes():
@@ -460,25 +461,25 @@ def test_inflate_covariance():
     x = np.array([[0.0], [1.0]], dtype=complex)
     pvm = measurement.pvm_from_vectors(measurement.EstimationVectors(X=x, phi=frame.phi))
     v, _ = measurement.covariance_of_pvm(pvm, frame)
-    infl = measurement.inflate_covariance(pvm, np.array([[0.5]]))
-    vi = measurement.analytic_covariance(infl, frame)
+    infl = paper_statements.inflate_covariance(pvm, np.array([[0.5]]))
+    vi = paper_statements.analytic_covariance(infl, frame)
     assert abs(vi[0, 0] - 1.5) <= 1e-12
-    same = measurement.inflate_covariance(pvm, np.zeros((1, 1)))
-    assert np.abs(measurement.analytic_covariance(same, frame) - v).max() <= 1e-12
+    same = paper_statements.inflate_covariance(pvm, np.zeros((1, 1)))
+    assert np.abs(paper_statements.analytic_covariance(same, frame) - v).max() <= 1e-12
     with pytest.raises(errors.DomainError):
-        measurement.inflate_covariance(pvm, np.array([[-0.1]]))
+        paper_statements.inflate_covariance(pvm, np.array([[-0.1]]))
 
 
 def test_inflate_covariance_decomposes_v0_once(count_calls):
     # the PSD decision and the square root come from one eigendecomposition
     pvm = measurement.pvm_from_vectors(_spin2_vectors())
     eighs = count_calls(np.linalg, "eigh")
-    infl = measurement.inflate_covariance(pvm, np.array([[2.0, 0.5], [0.5, 1.0]]))
+    infl = paper_statements.inflate_covariance(pvm, np.array([[2.0, 0.5], [0.5, 1.0]]))
     assert len(eighs) == 1
     assert np.abs(infl.shifts.T @ infl.shifts * infl.weight
                   - np.array([[2.0, 0.5], [0.5, 1.0]])).max() <= 1e-12
     with pytest.raises(errors.DomainError, match="V0 must be PSD"):
-        measurement.inflate_covariance(pvm, np.array([[1.0, 0.0], [0.0, -0.1]]))
+        paper_statements.inflate_covariance(pvm, np.array([[1.0, 0.0], [0.0, -0.1]]))
     assert len(eighs) == 2
 
 
@@ -489,10 +490,10 @@ def test_inflation_preserves_mean():
     ev = measurement.optimal_vectors_coherent(nf, fd, np.eye(2))
     pvm = measurement.pvm_from_vectors(ev)
     v0 = np.array([[1.0, 0.0], [0.0, 2.0]])
-    infl = measurement.inflate_covariance(pvm, v0)
+    infl = paper_statements.inflate_covariance(pvm, v0)
     assert abs(infl.shifts.mean(axis=0)).max() <= 1e-12
     v, _ = measurement.covariance_of_pvm(pvm, nf)
-    vi = measurement.analytic_covariance(infl, nf)
+    vi = paper_statements.analytic_covariance(infl, nf)
     assert np.abs(vi - (v + v0)).max() <= 1e-12
 
 
@@ -534,7 +535,7 @@ def _sampling_cases():
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
     nf = measurement.naimark_frame(fd, theta=mdl.theta0)
     coh = measurement.pvm_from_vectors(measurement.optimal_vectors_coherent(nf, fd, np.eye(2)))
-    infl = measurement.inflate_covariance(coh, np.array([[1.0, 0.3], [0.3, 2.0]]))
+    infl = paper_statements.inflate_covariance(coh, np.array([[1.0, 0.3], [0.3, 2.0]]))
     cases = []
     for name, pvm, frame in (("quasi_classical", qc, fr), ("naimark", coh, nf)):
         offsets = pvm.outcomes
@@ -560,7 +561,7 @@ def test_sampling_is_generator_choice_with_count_moments(case, count, seed):
                          for j in range(drawn.shape[1])] for i in range(drawn.shape[1])])
     assert np.abs(r.mean - ref_mean).max() <= 1e-13 * np.abs(ref_mean).max()
     assert np.abs(r.cov - ref_cov).max() <= 1e-13 * np.abs(ref_cov).max()
-    assert np.array_equal(r.analytic_cov, measurement.analytic_covariance(meas, frame))
+    assert np.array_equal(r.analytic_cov, paper_statements.analytic_covariance(meas, frame))
 
 
 def test_sampling_zero_count():
@@ -569,7 +570,7 @@ def test_sampling_zero_count():
     assert r.count == 0 and r.samples.shape == (0, offsets.shape[1])
     assert not r.counts.any() and np.array_equal(r.estimates, offsets + frame.theta)
     assert r.mean is None and r.cov is None
-    assert np.array_equal(r.analytic_cov, measurement.analytic_covariance(pvm, frame))
+    assert np.array_equal(r.analytic_cov, paper_statements.analytic_covariance(pvm, frame))
 
 
 # a negative count, and a seed that default_rng rejects, are DomainErrors; the
@@ -651,7 +652,7 @@ def test_marginal_vectors_variance():
     fd = model.fisher_data(fr)
     jsinv = matkernel.inv_psd(fd.JS)
     for i in (0, 1):
-        ev = measurement.marginal_vectors(fr, fd, i)
+        ev = paper_statements.marginal_vectors(fr, fd, i)
         pvm = measurement.pvm_from_vectors(ev)
         v, unbiased = measurement.covariance_of_pvm(pvm, fr)
         assert abs(v[0, 0] - jsinv[i, i]) <= (1e-10 if i == 0 else 1.0)
@@ -678,7 +679,7 @@ def _scaled_shifted_n0(c):
 @pytest.mark.parametrize("c", [1e-10, 1e-6, 1e-4, 1.0, 1e5, 1e6, 1e8, 1e10, 1e12])
 def test_marginal_pvm_is_unbiased_in_any_units(c):
     fr, fd = _scaled_shifted_n0(c)
-    ev = measurement.marginal_vectors(fr, fd, 0)
+    ev = paper_statements.marginal_vectors(fr, fd, 0)
     v, unbiased = measurement.covariance_of_pvm(measurement.pvm_from_vectors(ev), fr)
     assert unbiased
     assert abs(v[0, 0] - 0.5 / c ** 2) <= 1e-12 * v[0, 0]
@@ -691,15 +692,15 @@ def test_exclusiveness_extraction_check():
     # in every unit of theta, and a detuned measurement fails it in every one
     for c in (1e-6, 1.0, 1e4):
         fr, fd = _scaled_shifted_n0(c)
-        ev = measurement.marginal_vectors(fr, fd, 0)
+        ev = paper_statements.marginal_vectors(fr, fd, 0)
         pvm = measurement.pvm_from_vectors(ev)
-        stat = measurement.exclusiveness_extraction_check(pvm, fr, fd, 1)
+        stat = paper_statements.exclusiveness_extraction_check(pvm, fr, fd, 1)
         assert stat <= 1e-8, c
         # a detuned measurement misses the marginal bound
         bad = measurement.pvm_from_vectors(
             measurement.EstimationVectors(X=1.1 * ev.X, phi=ev.phi))
         with pytest.raises(errors.PreconditionNotMet):
-            measurement.exclusiveness_extraction_check(bad, fr, fd, 1)
+            paper_statements.exclusiveness_extraction_check(bad, fr, fd, 1)
 
 
 def test_pvm_json_roundtrip():

@@ -8,6 +8,7 @@ relative with its duality gap.
 import numpy as np
 import pytest
 
+import paper_statements
 import penalty_oracle
 from qcrb import analysis, cli, errors, matkernel, measurement, model, oracle
 from qcrb.model import FisherData
@@ -64,10 +65,10 @@ def test_oracle_quasi_classical_hits_sld():
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
     g = np.eye(2)
     res = penalty_oracle.minimize(penalty_oracle.OracleProblem(gram=fd.gram, G=g, restarts=3))
-    assert abs(res.value - analysis.sld_bound(fd, g)) <= 1e-6
+    assert abs(res.value - paper_statements.sld_bound(fd, g)) <= 1e-6
     assert max(res.residuals.values()) <= 1e-7
     res = sdp(fd, g)
-    assert_sdp_value(res, analysis.sld_bound(fd, g))
+    assert_sdp_value(res, paper_statements.sld_bound(fd, g))
     assert max(res.residuals.values()) <= 1e-9
 
 
@@ -86,10 +87,10 @@ def test_oracle_matches_closed_form_generic():
     res = penalty_oracle.minimize(penalty_oracle.OracleProblem(gram=fd.gram, G=g,
                                                                restarts=4, seed=9))
     assert abs(res.value - closed) <= 1e-6
-    assert res.value >= analysis.sld_bound(fd, g) - 1e-9
+    assert res.value >= paper_statements.sld_bound(fd, g) - 1e-9
     res = sdp(fd, g)
     assert_sdp_value(res, closed)
-    assert res.value - res.gap >= analysis.sld_bound(fd, g) - 1e-9
+    assert res.value - res.gap >= paper_statements.sld_bound(fd, g) - 1e-9
 
 
 def test_oracle_never_undercuts_sld():
@@ -97,8 +98,8 @@ def test_oracle_never_undercuts_sld():
     g = np.diag([1.0, 2.0])
     res = penalty_oracle.minimize(penalty_oracle.OracleProblem(gram=fd.gram, G=g,
                                                                restarts=4))
-    assert res.value >= analysis.sld_bound(fd, g) - 1e-9
-    assert sdp(fd, g).value >= analysis.sld_bound(fd, g) - 1e-9
+    assert res.value >= paper_statements.sld_bound(fd, g) - 1e-9
+    assert sdp(fd, g).value >= paper_statements.sld_bound(fd, g) - 1e-9
 
 
 def test_oracle_restart_stats_recorded():
@@ -142,7 +143,7 @@ def test_oracle_rejects_bad_weight():
 
 def test_oracle_infeasible_when_tolerance_unreachable():
     fd = synthetic_fd(0.8)
-    with pytest.raises(errors.Infeasible):
+    with pytest.raises(penalty_oracle.Infeasible):
         penalty_oracle.minimize(penalty_oracle.OracleProblem(gram=fd.gram, G=np.eye(2),
                                                              restarts=2, penalties=(),
                                                              residual_tol=1e-15))

