@@ -34,16 +34,16 @@ def main():
 
     print(f"{'beta':>6}  {'rows':>5}  {'tr bound':>12}  {'closed form':>12}")
     for beta in betas:
-        curve = analysis.boundary_2param(beta, count=args.count)
+        samples = analysis.boundary_2param(beta, count=args.count)
         path = out / f"boundary_beta_{beta:.4f}.csv"
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["x", "z", "u", "v"])
-            w.writerows(curve.samples.tolist())
+            w.writerows(samples.tolist())
 
         rep = analysis.cr_bound_js_weight(synthetic_fd(beta))
         closed = 2 * 2.0 / (1.0 + math.sqrt(max(0.0, 1.0 - beta * beta)))
-        print(f"{beta:6.3f}  {curve.samples.shape[0]:5d}  "
+        print(f"{beta:6.3f}  {len(samples):5d}  "
               f"{rep.value:12.8f}  {closed:12.8f}")
     print(f"curves written to {out}/")
 

@@ -46,12 +46,6 @@ class BoundReport:
     Vn: Optional[np.ndarray] = None
 
 
-@dataclass
-class BoundaryCurve:
-    beta: float
-    samples: np.ndarray      # rows (x, z, u, v)
-
-
 class Spectrum:
     """The decompositions of one working point, each computed on first use.
 
@@ -206,12 +200,15 @@ def _curve_q(p, beta, c):
 
 
 def boundary_2param(beta, count=101, x_window=(-1.0, 1.0)):
-    """Sample the two-parameter stationary boundary in normalized coordinates.
+    """Samples of the two-parameter stationary boundary in normalized coordinates.
 
-    Rows are (x, z, u, v) with u = z + x, v = z - x, satisfying
-    sqrt(u-1) + sqrt(v-1) = beta * sqrt(u v). For beta = 1 the curve is the
-    hyperbola (z-1)^2 - x^2 = 1, sampled over x_window, which must be finite.
-    A count of samples that cannot be allocated is a DomainError.
+    Returns the samples, an array of rows (x, z, u, v) with u = z + x,
+    v = z - x, satisfying sqrt(u-1) + sqrt(v-1) = beta * sqrt(u v): one row
+    at beta = 0, else `count` rows. For beta = 1 the curve is the hyperbola
+    (u-1)(v-1) = 1, sampled over x_window, which must be finite: with
+    s = hypot(1, x), z = 1 + s, and the side of u, v that z +- x would cancel
+    is 1 + 1/(s + |x|). A window whose rows overflow, or a count of samples
+    that cannot be allocated, is a DomainError.
     """
     beta = float(beta)
     if not (0.0 <= beta <= 1.0):
@@ -223,12 +220,20 @@ def boundary_2param(beta, count=101, x_window=(-1.0, 1.0)):
     if count < 1:
         raise DomainError(f"count must be at least 1, got {count}")
     if beta <= TOL["boundary_beta"]:
-        return BoundaryCurve(beta=beta, samples=np.array([[0.0, 1.0, 1.0, 1.0]]))
+        return np.array([[0.0, 1.0, 1.0, 1.0]])
     samples = matkernel.zeros((count, 4))
     if beta >= 1.0 - TOL["boundary_beta"]:
         x = np.linspace(x0, x1, count)
-        z = 1.0 + np.sqrt(1.0 + x * x)
-        np.stack([x, z, z + x, z - x], axis=1, out=samples)
+        s = np.hypot(1.0, x)
+        z = 1.0 + s
+        with np.errstate(over="ignore"):
+            far = z + np.abs(x)
+        if not np.isfinite(far).all():
+            raise DomainError(f"x_window ({x0}, {x1}) puts the curve beyond the float range")
+        near = 1.0 + 1.0 / (s + np.abs(x))
+        pos = x >= 0.0
+        np.stack([x, z, np.where(pos, far, near), np.where(pos, near, far)], axis=1,
+                 out=samples)
     else:
         c = math.sqrt(1.0 - beta * beta)
         pmax = beta / c
@@ -244,7 +249,7 @@ def boundary_2param(beta, count=101, x_window=(-1.0, 1.0)):
         u = 1.0 + p * p
         v = 1.0 + q * q
         np.stack([(u - v) / 2.0, (u + v) / 2.0, u, v], axis=1, out=samples)
-    return BoundaryCurve(beta=beta, samples=samples)
+    return samples
 
 
 def _minimize_on_curve(g0, g1, beta):

@@ -26,9 +26,7 @@ def _exit_code(exc):
         return 2
     if isinstance(exc, errors.NonConvergence):
         return 4
-    if isinstance(exc, errors.QcrbError):
-        return 3
-    return 1
+    return 3
 
 
 @contextlib.contextmanager
@@ -74,9 +72,7 @@ def _resolve_weight(spec_str, js):
 
 def _model_and_point(args):
     doc = _load_json(args.config, "config")
-    model = model_mod.model_from_config(doc)
-    if model.theta0 is None:
-        raise errors.SchemaError("config must carry a working point 'theta'")
+    model = model_mod.model_from_config(doc)   # every config carries its theta
     frame = model_mod.tangent_frame(model, model.theta0)
     fd = model_mod.fisher_data(frame)
     return doc, model, frame, fd
@@ -172,10 +168,9 @@ def cmd_boundary(args):
             gvals = matkernel.psd_eig(matkernel.symmetrize(g), errors.DomainError)[0]
     else:
         raise errors.SchemaError("boundary needs --config or --beta")
-    curve = analysis.boundary_2param(beta, count=args.samples,
-                                     x_window=(args.window[0], args.window[1]))
+    rows = analysis.boundary_2param(beta, count=args.samples,
+                                    x_window=(args.window[0], args.window[1]))
     header = ["x", "z", "u", "v"]
-    rows = curve.samples
     if g is not None:
         tr = gvals[0] * rows[:, 2] + gvals[1] * rows[:, 3]
         rows = np.column_stack([rows, tr])
@@ -315,42 +310,40 @@ def build_parser():
 
     p = sub.add_parser("analyze", help="Fisher matrices, beta spectrum, classification")
     common(p)
+    p.set_defaults(run=cmd_analyze)
     p = sub.add_parser("bound", help="attainable bound for a weight matrix")
     common(p)
+    p.set_defaults(run=cmd_bound)
     p.add_argument("--oracle", action="store_true",
                    help="cross-check the closed form against the oracle")
     p = sub.add_parser("boundary", help="two-parameter stationary curve as CSV")
     common(p, config_required=False)
+    p.set_defaults(run=cmd_boundary)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--window", type=float, nargs=2, default=(-1.0, 1.0),
                    help="x-window for the beta = 1 hyperbola")
     p.add_argument("--samples", type=int, default=101, help="points on the curve")
     p = sub.add_parser("pvm", help="bound-attaining projective measurement")
     common(p)
+    p.set_defaults(run=cmd_pvm)
     p = sub.add_parser("simulate", help="sample outcomes of a stored PVM")
     common(p)
+    p.set_defaults(run=cmd_simulate)
     p.add_argument("--pvm", required=True, help="PVM JSON produced by the pvm command")
     p.add_argument("--samples", type=int, default=100000, help="number of shots")
     p.add_argument("--seed", type=int, default=0)
     p = sub.add_parser("oracle", help="Holevo SDP bound with duality gap and "
                                       "stationarity certificate")
     common(p)
+    p.set_defaults(run=cmd_oracle)
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "analyze": cmd_analyze,
-        "bound": cmd_bound,
-        "boundary": cmd_boundary,
-        "pvm": cmd_pvm,
-        "simulate": cmd_simulate,
-        "oracle": cmd_oracle,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except errors.QcrbError as exc:
         code = _exit_code(exc)
         _error_json(exc, code)

@@ -1,17 +1,20 @@
 """Projective measurements attaining the bound of every pure-state model.
 
-`pvm_space` picks where the PVM lives: the model's own frame for
-quasi-classical models, the 2m+1 Naimark embedding otherwise. There
-`optimal_vectors` builds the estimation vectors and reads the bound from
+A PVM lives in one `model.TangentFrame`: the model's own frame for
+quasi-classical models, the frame of the 2m+1 Naimark embedding
+(`naimark_frame`) otherwise; `pvm_space` picks it. There `optimal_vectors`
+builds the estimation vectors and reads the bound from
 `analysis.closed_form`'s one report. The vectors are built and checked in the
 parameters theta' = JS^{1/2} theta, where JS = I and the lifts are L' = L w
 (w = JS^{-1/2}); theta returns only with the outcome offsets. Quasi-classical
-models take X' = L w on any frame. Coherent and other closed-form models take
-X' = L' + B' in the embedding, where L' is the lift factor kh (kh* kh = I + iK)
-and B'*B' = V' - kh* kh, with V' = JS^{1/2} V JS^{1/2} the closed form's
-covariance as it built it there, fills the coordinates orthogonal to phi and
-the lifts. Generic models take the X' of one oracle solve as it stands: the
-embedding's lifts are the working point's lift factor, and so are the oracle's.
+models take X' = L w on the frame they are given, with its phi. Every other
+route works in the embedding and takes its phi there, whatever frame it is
+given: coherent and other closed-form models take X' = L' + B', where L' is
+the lift factor kh (kh* kh = I + iK) and B'*B' = V' - kh* kh, with
+V' = JS^{1/2} V JS^{1/2} the closed form's covariance as it built it there,
+fills the coordinates orthogonal to phi and the lifts. Generic models take the
+X' of one oracle solve as it stands: the embedding's lifts are the working
+point's lift factor, and so are the oracle's.
 
 Estimation vectors X with <x^i|phi> = 0, Re X*L = I and Im X*X = 0 are turned
 into a projective measurement whose covariance is exactly Re X*X. A `Pvm` is
@@ -47,6 +50,7 @@ from .errors import (
     SingularWeight,
 )
 from .matkernel import TOL, check
+from .model import TangentFrame
 
 BLOCK = 1 << 16          # shots drawn per Generator.random call in `sample_outcomes`
 
@@ -87,14 +91,6 @@ class Pvm:
 
 
 @dataclass
-class NaimarkFrame:
-    dim: int
-    phi: np.ndarray
-    lifts: np.ndarray        # shape (2m+1, m)
-    theta: Optional[np.ndarray] = None
-
-
-@dataclass
 class SampleResult:
     estimates: np.ndarray    # shape (K, m), theta + offset, one row per outcome
     drawn: np.ndarray        # shape (count,), outcome indices, smallest unsigned dtype for K - 1
@@ -115,17 +111,18 @@ class SampleResult:
 
 
 def naimark_frame(fd, theta=None):
-    """Embed the state and lifts of fd isometrically in a 2m+1 dimensional space.
+    """The TangentFrame of fd's state and lifts embedded isometrically in 2m+1 dimensions.
 
     phi' is the first basis vector and the lift images are the r rows of the
     lift factor R (r <= m) in coordinates 1..r, so <phi'|l'_i> = 0 holds
     exactly. R* R is the Gram of fd with the beta snap applied, as
-    `analysis.Spectrum.embedding` checks it. The oracle's lifts are the same
-    R, bit for bit.
+    `analysis.Spectrum.embedding` checks it. phi' and the lifts are that
+    embedding's read-only arrays, so the oracle's lifts are the same R, bit for
+    bit, and the frame carries no SVD of its own (`svd` None).
     """
     phi, lifts, _ = analysis.spectrum(fd).embedding
-    return NaimarkFrame(dim=len(phi), phi=phi, lifts=lifts,
-                        theta=None if theta is None else np.asarray(theta, dtype=float))
+    return TangentFrame(theta=None if theta is None else np.asarray(theta, dtype=float),
+                        phi=phi, lifts=lifts)
 
 
 def optimal_vectors_quasi_classical(frame, fd):
@@ -161,11 +158,12 @@ def _complete(spec, vn):
 
 
 def optimal_vectors_coherent(nf, fd, G):
-    """Estimation vectors in the Naimark frame nf attaining a coherent model's CR(G).
+    """Estimation vectors in the Naimark frame of fd attaining a coherent model's CR(G).
 
-    They are the vectors of `optimal_vectors` on a coherent model, so a bound
-    already computed for fd and G is not solved again. Raises NotCoherent, and
-    SingularWeight when no estimator attains the bound.
+    They are the vectors of `optimal_vectors(nf, fd, G)` on a coherent model,
+    so a bound already computed for fd and G is not solved again; like every
+    route but the quasi-classical one, they do not read the frame nf. Raises
+    NotCoherent, and SingularWeight when no estimator attains the bound.
     """
     if not analysis.coherent_test(fd):
         raise NotCoherent("model is not coherent (some beta < 1)")
@@ -173,21 +171,25 @@ def optimal_vectors_coherent(nf, fd, G):
 
 
 def pvm_space(frame, fd):
-    """Where the PVM of fd lives: the model frame if quasi-classical, else the embedding."""
+    """The frame the PVM of fd lives in: `frame` itself if quasi-classical, else
+    `naimark_frame` at frame.theta, the embedding that `optimal_vectors` builds in."""
     if analysis.quasi_classical_test(fd):
         return frame
     return naimark_frame(fd, theta=frame.theta)
 
 
 def optimal_vectors(space, fd, G):
-    """Estimation vectors in `space` attaining CR(G), and the report of CR(G).
+    """Estimation vectors attaining CR(G), and the report of CR(G).
 
     The vectors are X' in theta' = JS^{1/2} theta, with w = JS^{-1/2}.
-    Quasi-classical models take X' = L w on any frame. Other closed-form
-    models complete the lifts kh to the closed form's V' = JS^{1/2} V JS^{1/2}.
-    Generic models take the X' of one oracle solve as it stands: its lifts are
-    the Naimark frame's, so X' already lives there. Both need the Naimark frame
-    (`pvm_space`). Raises SingularWeight when no estimator attains the bound.
+    Quasi-classical models take X' = L w and phi on the frame `space`, the one
+    route that reads it. Every other route takes phi from the Naimark
+    embedding it builds X' in, `analysis.spectrum(fd).embedding`, so its
+    vectors are the same whatever frame is passed, and the PVM built from them
+    lives in `naimark_frame(fd)`. Other closed-form models complete the lifts
+    kh to the closed form's V' = JS^{1/2} V JS^{1/2}. Generic models take the
+    X' of one oracle solve as it stands: its lifts are the embedding's. Raises
+    SingularWeight when no estimator attains the bound.
     """
     cls = analysis.beta_spectrum(fd).classification
     report = None if cls == "generic" else analysis.closed_form(fd, G)
@@ -201,8 +203,8 @@ def optimal_vectors(space, fd, G):
     spec = analysis.spectrum(fd)
     if res is None:
         return _complete(spec, report.Vn), report
-    # the oracle checked X' against these lifts by the same rule
-    return EstimationVectors(X=res.Xn, phi=space.phi, w=spec.js_powers[1]), report
+    # the oracle checked X' against the embedding's lifts by the same rule
+    return EstimationVectors(X=res.Xn, phi=spec.embedding[0], w=spec.js_powers[1]), report
 
 
 @functools.lru_cache(maxsize=None)

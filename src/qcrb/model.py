@@ -61,10 +61,12 @@ class PureStateModel:
 
 @dataclass
 class TangentFrame:
-    theta: np.ndarray
+    """A state and its lifts at theta: the model's own (`tangent_frame`), or their
+    2m+1 dimensional Naimark embedding (`measurement.naimark_frame`)."""
+    theta: Optional[np.ndarray]   # the working point; None for an embedding built without it
     phi: np.ndarray          # unit vector, shape (d,)
     lifts: np.ndarray        # shape (d, m), column i = |l_i>
-    svd: Optional[tuple] = None   # matkernel.lift_svd of the lifts
+    svd: Optional[tuple] = None   # matkernel.lift_svd of the lifts; None in the embedding
 
 
 @dataclass

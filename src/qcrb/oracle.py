@@ -88,13 +88,14 @@ class RestartStat:
 class OracleResult:
     """The solve of one OracleProblem. It keeps the problem's gram and G, not the
     problem: a result cached on the Spectrum of an fd must not refer back to
-    that fd, so that reference counting frees the point."""
+    that fd, so that reference counting frees the point. X and the lifts live
+    in the Naimark embedding, whose phi the result does not copy: it is
+    `measurement.naimark_frame(fd).phi`."""
     value: float
     gap: float                            # value minus a dual lower bound
     attained: bool
     X: Optional[np.ndarray]               # (2m+1, m), column i = |x^i>, X = Xn w
     Xn: Optional[np.ndarray]              # the same in theta' = JS^{1/2} theta, as solved
-    phi: np.ndarray
     lifts: np.ndarray                     # embedded lifts, (2m+1, m)
     residuals: dict
     restarts: List[RestartStat]
@@ -364,7 +365,7 @@ def minimize(problem):
         value = dual = 0.0
         c, b, iterations = np.zeros((r, 0)), np.zeros((0, 0)), 0
     gap = value - dual
-    phi, lifts, liftn = spec.embedding
+    _, lifts, liftn = spec.embedding
     if p == m:
         cn, bfull = np.zeros((r, 0)), b
     else:
@@ -382,9 +383,8 @@ def minimize(problem):
         x = xn @ w
     check("gap", gap, abs(value), NonConvergence)
     stat = RestartStat(value=value, gap=gap, iterations=iterations, residual=residual)
-    return OracleResult(value=value, gap=gap, attained=x is not None, X=x, Xn=xn, phi=phi,
-                        lifts=lifts, residuals=residuals, restarts=[stat], gram=problem.gram,
-                        G=problem.G)
+    return OracleResult(value=value, gap=gap, attained=x is not None, X=x, Xn=xn, lifts=lifts,
+                        residuals=residuals, restarts=[stat], gram=problem.gram, G=problem.G)
 
 
 @dataclass

@@ -14,9 +14,9 @@ def fmt_float(x):
     return "%.17g" % x
 
 
-def _encode(obj, indent, level):
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _encode(obj, level):
+    pad = "  " * level
+    pad_in = "  " * (level + 1)
     if obj is None:
         return "null"
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
@@ -30,19 +30,19 @@ def _encode(obj, indent, level):
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, np.ndarray):
-        return _encode(obj.tolist(), indent, level)
+        return _encode(obj.tolist(), level)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = []
         for k, v in obj.items():
             items.append('%s%s: %s' % (pad_in, json.dumps(str(k)),
-                                       _encode(v, indent, level + 1)))
+                                       _encode(v, level + 1)))
         return "{\n%s\n%s}" % (",\n".join(items), pad)
     if isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             return "[]"
-        parts = [_encode(v, indent, level + 1) for v in obj]
+        parts = [_encode(v, level + 1) for v in obj]
         if all(isinstance(v, (int, float, complex, np.integer, np.floating,
                               np.complexfloating, str, bool)) for v in obj):
             return "[%s]" % ", ".join(parts)
@@ -50,8 +50,9 @@ def _encode(obj, indent, level):
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def dumps(obj, indent=2):
-    return _encode(obj, indent, 0) + "\n"
+def dumps(obj):
+    """JSON text indented by two spaces per level, newline included."""
+    return _encode(obj, 0) + "\n"
 
 
 def csv_row(row):

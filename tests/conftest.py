@@ -1,5 +1,7 @@
 """Shared test fixtures."""
 
+import json
+
 import pytest
 
 
@@ -19,3 +21,23 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture
+def cli_error(tmp_path, capsys):
+    """cli_error(argv, config=None) runs qcrb in process, with `config` (a JSON
+    document) written to a file and passed as --config; it returns the exit
+    code, stdout and the error JSON on stderr."""
+    from qcrb import cli
+
+    def run(argv, config=None):
+        argv = [str(a) for a in argv]
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        return code, out, json.loads(err)
+
+    return run

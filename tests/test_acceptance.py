@@ -107,7 +107,7 @@ def test_criterion_04_js_weight_triple_agreement():
         fd = synthetic_fd(beta)
         v1 = analysis.cr_bound_2param(fd, fd.JS).value
         v2 = analysis.cr_bound_js_weight(fd).value
-        curve = analysis.boundary_2param(beta, count=11).samples
+        curve = analysis.boundary_2param(beta, count=11)
         k = int(np.argmin(np.abs(curve[:, 0])))
         assert abs(curve[k, 0]) <= 1e-12  # x = 0 sample is exact
         v3 = curve[k, 2] + curve[k, 3]

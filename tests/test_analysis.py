@@ -1,7 +1,10 @@
 """Bound formulas, curve geometry, classification."""
 
+import decimal
+import fractions
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -153,10 +156,10 @@ def test_sld_bound_checks_the_weight_as_every_route(g, error):
 
 def test_boundary_degenerate_and_hyperbola():
     c0 = analysis.boundary_2param(0.0, count=7)
-    assert c0.samples.shape == (1, 4)
-    assert np.abs(c0.samples[0] - [0.0, 1.0, 1.0, 1.0]).max() <= 1e-12
+    assert c0.shape == (1, 4)
+    assert np.abs(c0[0] - [0.0, 1.0, 1.0, 1.0]).max() <= 1e-12
     c1 = analysis.boundary_2param(1.0, count=9, x_window=(-2.0, 2.0))
-    x, z = c1.samples[:, 0], c1.samples[:, 1]
+    x, z = c1[:, 0], c1[:, 1]
     assert np.abs((z - 1.0) ** 2 - x * x - 1.0).max() <= 1e-12
     assert abs(z[4] - 2.0) <= 1e-12  # x = 0 gives z = 2
 
@@ -165,11 +168,11 @@ def test_boundary_x0_anchor():
     # at x = 0 the curve passes through z = 1 + ((1 - sqrt(1-b^2))/b)^2
     beta = 0.6
     c = analysis.boundary_2param(beta, count=11)
-    mid = c.samples[5]
+    mid = c[5]
     w = (1.0 - math.sqrt(1.0 - beta ** 2)) / beta
     assert abs(mid[0]) <= 1e-12
     assert abs(mid[1] - (1.0 + w * w)) <= 1e-12
-    u, v = c.samples[:, 2], c.samples[:, 3]
+    u, v = c[:, 2], c[:, 3]
     resid = np.abs(np.sqrt(u - 1) + np.sqrt(v - 1) - beta * np.sqrt(u * v))
     assert resid.max() <= 1e-12
 
@@ -178,10 +181,10 @@ def test_boundary_endpoints_and_domain():
     beta = 0.8
     c = analysis.boundary_2param(beta, count=21)
     xmax = beta ** 2 / (2 * (1 - beta ** 2))
-    assert abs(c.samples[0, 0] + xmax) <= 1e-10
-    assert abs(c.samples[-1, 0] - xmax) <= 1e-10
-    assert c.samples[:, 2].min() >= 1.0 - 1e-12
-    assert c.samples[:, 3].min() >= 1.0 - 1e-12
+    assert abs(c[0, 0] + xmax) <= 1e-10
+    assert abs(c[-1, 0] - xmax) <= 1e-10
+    assert c[:, 2].min() >= 1.0 - 1e-12
+    assert c[:, 3].min() >= 1.0 - 1e-12
     with pytest.raises(errors.DomainError):
         analysis.boundary_2param(-0.1)
     with pytest.raises(errors.DomainError):
@@ -190,6 +193,46 @@ def test_boundary_endpoints_and_domain():
     for window in ((math.inf, 1.0), (-1.0, math.nan)):
         with pytest.raises(errors.DomainError, match="x_window"):
             analysis.boundary_2param(1.0, count=3, x_window=window)
+
+
+@pytest.mark.parametrize("window", [
+    (-2.0, 2.0), (1e8, 1e17), (0.0, 1e200), (-1e300, 1e300), (-1e300, -1e-300), (3e299, 1e300),
+])
+def test_hyperbola_rows_lie_on_the_curve(window):
+    # 1 + sqrt(1 + x^2) overflowed past |x| = 1.3e154, and z - x cancelled to
+    # v = 1 and then 0. Each row is checked in exact arithmetic on its floats:
+    # (u-1)(v-1) = 1 relative to the size of its terms, u |v-1| + |u-1| v (a v
+    # near 1 holds v - 1 only to its ulp), and each entry against the curve at x,
+    # to 50 digits, to 1e-15 relative.
+    for x, z, u, v in analysis.boundary_2param(1.0, count=9, x_window=window).tolist():
+        uq, vq = fractions.Fraction(u), fractions.Fraction(v)
+        miss = abs((uq - 1) * (vq - 1) - 1)
+        assert miss <= fractions.Fraction(1e-15) * (uq * abs(vq - 1) + abs(uq - 1) * vq), x
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            xd = decimal.Decimal(x)
+            s = (1 + xd * xd).sqrt()
+            far, near = 1 + s + abs(xd), 1 + 1 / (s + abs(xd))
+            exact = (1 + s, *((far, near) if x >= 0 else (near, far)))
+            for got, ref in zip((z, u, v), exact):
+                assert abs(decimal.Decimal(got) - ref) <= decimal.Decimal(1e-15) * ref, x
+        assert u >= 1.0 and v >= 1.0
+
+
+def test_hyperbola_beyond_the_float_range_is_a_domain_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for window in ((0.0, 1e308), (-1e308, 0.0)):
+            with pytest.raises(errors.DomainError, match="float range"):
+                analysis.boundary_2param(1.0, count=3, x_window=window)
+
+
+# Checks of the analysis layer that no other test reaches, called directly.
+@pytest.mark.parametrize("m", [1, 3])
+def test_two_parameter_bound_rejects_other_m(m):
+    fd = FisherData.from_gram(np.eye(m))
+    with pytest.raises(errors.DomainError, match="requires m = 2"):
+        analysis.cr_bound_2param(fd, np.eye(m))
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])

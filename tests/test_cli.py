@@ -1,6 +1,7 @@
 """End-to-end command-line checks, through subprocesses and in process."""
 
 import csv
+import dataclasses
 import json
 import math
 import pathlib
@@ -170,6 +171,49 @@ def test_unallocatable_or_non_finite_inputs_exit_2(tmp_path, capsys, argv, confi
     assert out == ""
     doc = json.loads(err)
     assert doc["error"] == "DomainError" and doc["exit_code"] == 2
+
+
+def test_hyperbola_window_up_to_the_float_range():
+    # a window of 1e200 overflowed x * x (a RuntimeWarning, then NonFinite, exit 3);
+    # one whose rows pass the float range is an input error, with JSON on stderr
+    proc = run_cli("boundary", "--beta", "1", "--window", "0", "1e200", "--samples", "3")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(proc.stdout.splitlines()) == 4
+    proc = run_cli("boundary", "--beta", "1", "--window", "0", "1e308", "--samples", "3")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert json.loads(proc.stderr)["error"] == "DomainError"
+
+
+def _disagreeing_oracle(monkeypatch):
+    solve = analysis.oracle_bound
+
+    def off(fd, g):
+        report, result = solve(fd, g)
+        return report, dataclasses.replace(result, value=1.5 * result.value)
+
+    monkeypatch.setattr(analysis, "oracle_bound", off)
+
+
+# Checks of the command layer that no other test reaches, in process.
+@pytest.mark.parametrize("argv, config, patch, code, error", [
+    (["bound", "--config", "{not_json}"], None, None, 2, "SchemaError"),
+    (["boundary"], None, None, 2, "SchemaError"),
+    (["bound", "--oracle"], N0, _disagreeing_oracle, 4, "ConsistencyError"),
+    (["oracle"], SPIN_GEN, lambda mp: mp.setattr(oracle_mod, "MAX_ITER", 2), 4,
+     "NonConvergence"),
+], ids=["config_not_json", "boundary_without_input", "oracle_disagrees", "nonconvergence"])
+def test_command_checks_reject_their_inputs(tmp_path, monkeypatch, cli_error, argv, config,
+                                            patch, code, error):
+    (tmp_path / "bad.json").write_text("{not json")
+    if patch is not None:
+        patch(monkeypatch)
+    argv = [a.format(not_json=tmp_path / "bad.json") for a in argv]
+    got, out, err = cli_error(argv, config)
+    assert (got, err["error"], err["exit_code"]) == (code, error, code)
+    if error == "ConsistencyError":
+        assert json.loads(out)["DISAGREEMENT"] is True
+    else:
+        assert out == ""
 
 
 def test_boundary_requires_two_params(tmp_path):

@@ -1,6 +1,7 @@
 """Projective measurement synthesis: algebra, attainment, sampling."""
 
 import functools
+import json
 import math
 import tracemalloc
 import types
@@ -211,7 +212,7 @@ def test_naimark_frame_reproduces_gram():
     mdl = model.catalog_shifted_number(0, [0.2, -0.4])
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
     nf = measurement.naimark_frame(fd)
-    assert nf.dim == 5
+    assert nf.phi.shape == (5,) and nf.svd is None
     assert abs(nf.phi[0] - 1.0) <= 1e-12
     assert np.abs(nf.lifts.conj().T @ nf.lifts - fd.gram).max() <= 1e-10
     assert np.abs(nf.lifts.conj().T @ nf.phi).max() <= 1e-12
@@ -325,7 +326,6 @@ def test_oracle_lifts_are_the_naimark_frame_lifts(build):
     res = oracle.minimize(oracle.OracleProblem(gram=fd.gram, G=np.eye(mdl.m), fd=fd))
     nf = measurement.naimark_frame(fd)
     assert np.array_equal(res.lifts, nf.lifts)
-    assert np.array_equal(res.phi, nf.phi)
 
 
 @pytest.mark.parametrize("build, g", [
@@ -377,6 +377,28 @@ def test_pvm_space_and_vectors(build, method):
     v, unbiased = measurement.covariance_of_pvm(pvm, space)
     assert unbiased
     assert abs(np.sum(g * v) - rep.value) <= 1e-8 * max(1.0, rep.value)
+
+
+@pytest.mark.parametrize("build, g", [
+    (lambda: model.catalog_spin_rotation(1.5, 0.5, [0.9, 0.3]), np.eye(2)),
+    (lambda: model.catalog_spin_rotation(2.0, 1.0, [0.9, 0.3]), np.eye(2)),
+    (lambda: model.catalog_shifted_number(3, [0.3, -0.2]), np.eye(2)),
+    (lambda: model.catalog_spin_rotation(1.5, 0.5, [0.9, 0.3]), np.diag([1.0, 0.0])),
+], ids=["spin_1.5", "spin_2", "shifted_n3", "spin_1.5_rank1"])
+def test_vectors_take_phi_from_the_embedding_they_are_built_in(build, g):
+    # every route but the quasi-classical one builds X' in the Naimark
+    # embedding and takes its phi there, so the model's own frame gives the
+    # vectors of pvm_space's frame, and their PVM attains the bound there
+    mdl = build()
+    frame = model.tangent_frame(mdl, mdl.theta0)
+    fd = model.fisher_data(frame)
+    space = measurement.pvm_space(frame, fd)
+    ev, rep = measurement.optimal_vectors(frame, fd, g)
+    ref, _ = measurement.optimal_vectors(space, fd, g)
+    assert np.array_equal(ev.X, ref.X) and np.array_equal(ev.phi, ref.phi)
+    v, unbiased = measurement.covariance_of_pvm(measurement.pvm_from_vectors(ev), space)
+    assert unbiased
+    assert abs(np.sum(g * v) - rep.value) <= 1e-9 * rep.value
 
 
 def test_zero_weight_on_a_coherent_model_is_attained():
@@ -730,3 +752,18 @@ def test_pvm_json_roundtrip():
 def test_pvm_from_obj_rejects_malformed_entries(entry):
     with pytest.raises(errors.SchemaError):
         measurement.pvm_from_obj([entry], 1)
+
+
+# Checks of the PVM file that no other test reaches, through `qcrb simulate` (exit 2).
+@pytest.mark.parametrize("pvm_doc, match", [
+    ([], "nonempty list"),
+    ([{"outcome": [0.1, 0.2], "projector": [[1.0, 0.0]] * 4},
+      {"outcome": [0.3, 0.4], "projector": [[1.0, 0.0]] * 9}], "inconsistent projector"),
+], ids=["empty", "mixed_dimensions"])
+def test_pvm_file_checks_reject_their_inputs(tmp_path, cli_error, pvm_doc, match):
+    path = tmp_path / "pvm.json"
+    path.write_text(json.dumps(pvm_doc))
+    config = {"model": "shifted_number", "n": 0, "theta": [0.2, -0.4]}
+    code, out, err = cli_error(["simulate", "--pvm", path], config)
+    assert (code, out, err["error"]) == (2, "", "SchemaError")
+    assert match in err["message"]

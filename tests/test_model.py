@@ -393,3 +393,39 @@ def test_model_from_config_roundtrip():
     fa = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
     fb = model.fisher_data(model.tangent_frame(direct, direct.theta0))
     assert np.abs(fa.gram - fb.gram).max() == 0.0
+
+
+CUSTOM_1D = {"model": "custom", "dim": 2, "m": 1, "phi": [[1, 0], [0, 0]],
+             "dphi": [[[0, 0], [1, 0]]], "theta": [0.0]}
+SPIN_CONFIG = {"model": "spin_rotation", "s": 1.5, "m_z": 0.5, "theta": [0.9, 0.3]}
+
+
+# Checks of the model layer that no other test reaches: through `qcrb analyze`
+# where a config reaches them (exit 2), else by a direct call.
+@pytest.mark.parametrize("case, error, match", [
+    ({**SPIN_CONFIG, "s": 0.0, "m_z": 0.0}, errors.DomainError, "at least 1/2"),
+    ({**SPIN_CONFIG, "theta": [0.9]}, errors.DomainError, "2-vector theta"),
+    ({**SPIN_CONFIG, "theta": [0.9, 7.0]}, errors.DomainError, "theta2"),
+    ({"model": "shifted_number", "n": -1, "theta": [0.3, 0.1]}, errors.DomainError,
+     "nonnegative integer"),
+    ({"model": "shifted_number", "n": 3, "theta": [0.3]}, errors.DomainError, "2-vector theta"),
+    ({"model": "squeezed", "theta": [0.1, -0.2, 0.4]}, errors.DomainError, "4-vector theta"),
+    ([1, 2], errors.SchemaError, "JSON object"),
+    ({**CUSTOM_1D, "dphi": [[[0, 0], [1, 0]]] * 2}, errors.SchemaError, "dphi must have"),
+    ({**CUSTOM_1D, "theta": [0.0, 0.0]}, errors.SchemaError, "theta must have length"),
+    ({**CUSTOM_1D, "phi": [[1, 0], [0, 0], [0, 0]]}, errors.SchemaError, "lengths must equal"),
+    (lambda: model.tangent_frame(model.catalog_shifted_number(0), [0.1]), errors.DomainError,
+     "theta must have length 2"),
+    (lambda: model.catalog_shifted_number(1.5), errors.DomainError, "nonnegative integer"),
+], ids=["spin_s_below_half", "spin_theta_shape", "spin_theta2_range", "shifted_n_negative",
+        "shifted_theta_shape", "squeezed_theta_shape", "config_not_object", "custom_dphi_rows",
+        "custom_theta_length", "custom_phi_length", "frame_theta_length",
+        "shifted_n_fractional"])
+def test_model_checks_reject_their_inputs(cli_error, case, error, match):
+    if callable(case):
+        with pytest.raises(error, match=match):
+            case()
+        return
+    code, out, err = cli_error(["analyze"], case)
+    assert (code, out, err["error"], err["exit_code"]) == (2, "", error.__name__, 2)
+    assert match in err["message"]

@@ -69,12 +69,12 @@ def test_quasi_classical_rule_is_scale_invariant(seed, m, beta, log_d):
 @given(st.floats(0.01, 0.99), st.integers(2, 60))
 def test_boundary_curve_contained(beta, count):
     curve = analysis.boundary_2param(beta, count=count)
-    u, v = curve.samples[:, 2], curve.samples[:, 3]
+    u, v = curve[:, 2], curve[:, 3]
     assert u.min() >= 1.0 - 1e-12 and v.min() >= 1.0 - 1e-12
     resid = np.abs(np.sqrt(u - 1) + np.sqrt(v - 1) - beta * np.sqrt(u * v))
     assert resid.max() <= 1e-9
     xmax = beta * beta / (2.0 * (1.0 - beta * beta))
-    assert np.abs(curve.samples[:, 0]).max() <= xmax + 1e-9
+    assert np.abs(curve[:, 0]).max() <= xmax + 1e-9
 
 
 @settings(max_examples=40, deadline=None)
