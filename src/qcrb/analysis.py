@@ -5,7 +5,8 @@ of locally unbiased measurements. Closed forms exist for quasi-classical
 models (the inverse Fisher matrix), two-parameter models (a one-dimensional
 stationary curve), the G = JS weight (a function of the beta spectrum), and
 coherent models (all beta equal to 1). Everything else goes to the oracle's
-Holevo SDP, which reads the same Spectrum of the working point.
+Holevo SDP. Every route reads one FisherData per working point, which owns
+the lifts' SVD and every decomposition taken from it.
 """
 
 import functools
@@ -46,47 +47,61 @@ class BoundReport:
     Vn: Optional[np.ndarray] = None
 
 
-class Spectrum:
-    """The decompositions of one working point, each computed on first use.
+@dataclass
+class FisherData:
+    """One working point: its Fisher matrices and every decomposition of them.
 
-    `svd` is the one factorization of the point: the thin SVD
-    [Re L; Im L] = U S V^T of the stacked lifts, U = [A; B] with A the first d
-    rows. It is the tangent frame's; Fisher data without lifts (a bare Gram)
-    take the Gram's PSD root L0 (L0* L0 = gram; matkernel.sqrt_psd decides PSD
-    at TOL "eigen_dust", else DomainError) through the same SVD, where a
-    singular JS raises SingularFisher. `js_powers` is (JS^{-1},
-    JS^{-1/2}, JS^{1/2}) = V S^{2p} V^T; w = JS^{-1/2} takes theta' = JS^{1/2}
-    theta, the parameters where JS = I, back to theta. There the lifts are
-    L' = L w = (A + iB) V^T, orthonormal in Re, and L'* L' = I + iK with
-    K = V (A^T B - B^T A) V^T. `canonical` is (K, (mu, U), beta, moved) from one
-    eigendecomposition iK = U diag(mu) U*: mu is made exactly +- symmetric, and
-    each mu within TOL "beta" * cond(L) of -1, 0 or 1 is set to it, the
-    one snap that the class, the betas (|mu| descending, the classified
-    BetaSpectrum) and the lift factor read; `moved` is ||JS|| max |mu - raw
-    mu|, the most the snap moves the Gram. `lift_factor` is (kh, R) from that
-    (mu, U): kh = sqrt(1 + mu) U* on the r directions where mu > -1, so
-    kh* kh = I + iK with the snapped mu; and R = kh JS^{1/2}. `embedding` is
-    (phi, R, kh) in the 2m+1 dimensional Naimark space: phi = e_0, and each
-    factor in coordinates 1..r; R* R must reproduce the Gram to TOL
-    "naimark_gram" beyond `moved` (ConsistencyError), checked once here for
-    every reader. The Naimark frame's lifts and the oracle's are that R, and
-    their lifts in theta' that kh: the SDP of `oracle_bound` reads
-    `js_powers` and `embedding` of this Spectrum. `reports` caches closed_form
-    by the bytes of the symmetrized weight: the one BoundReport (or None) that
-    every bound and measurement at this point reads. Beside it, under
-    ("oracle", those bytes), it caches oracle_bound's (BoundReport,
-    OracleResult), and under ("weight", those bytes) the weight's one
-    decomposition (`weight`). Their arrays are read-only. `spectrum(fd)`
-    caches the Spectrum on fd. It holds fd's gram and svd, not fd, and nothing
-    it caches refers to fd, so the point is acyclic: reference counting frees
-    fd, its Spectrum and their reports when the last reader drops fd.
+    JS (real symmetric, positive definite) and Jt (real antisymmetric) are the
+    real and imaginary parts of the lift Gram `gram` = L*L. `svd` is the one
+    factorization of the point: the thin SVD [Re L; Im L] = U S V^T of the
+    stacked lifts, U = [A; B] with A the first d rows, which
+    `model.fisher_data` takes and hands to `from_gram`. A bare Gram is
+    factored on first use through its PSD root L0 (L0* L0 = gram;
+    matkernel.sqrt_psd decides PSD at TOL "eigen_dust", else DomainError) and
+    the same SVD, where a singular JS raises SingularFisher. `js_powers` is
+    (JS^{-1}, JS^{-1/2}, JS^{1/2}) = V S^{2p} V^T; w = JS^{-1/2} takes
+    theta' = JS^{1/2} theta, the parameters where JS = I, back to theta. There
+    the lifts are L' = L w = (A + iB) V^T, orthonormal in Re, and
+    L'* L' = I + iK with K = V (A^T B - B^T A) V^T. `canonical` is
+    (K, (mu, U), beta, moved) from one eigendecomposition iK = U diag(mu) U*:
+    mu is made exactly +- symmetric, and each mu within TOL "beta" * cond(L)
+    of -1, 0 or 1 is set to it, the one snap that the class, the betas (|mu|
+    descending, the classified BetaSpectrum) and the lift factor read; `moved`
+    is ||JS|| max |mu - raw mu|, the most the snap moves the Gram.
+    `lift_factor` is (kh, R) from that (mu, U): kh = sqrt(1 + mu) U* on the r
+    directions where mu > -1, so kh* kh = I + iK with the snapped mu; and
+    R = kh JS^{1/2}. `embedding` is (phi, R, kh) in the 2m+1 dimensional
+    Naimark space: phi = e_0, and each factor in coordinates 1..r; R* R must
+    reproduce the Gram to TOL "naimark_gram" beyond `moved`
+    (ConsistencyError), checked once here for every reader. The Naimark
+    frame's lifts and the oracle's are that R, and their lifts in theta' that
+    kh: the SDP of `oracle_bound` reads `js_powers` and `embedding` of this
+    point. `reports` caches closed_form by the bytes of the symmetrized
+    weight: the one BoundReport (or None) that every bound and measurement at
+    this point reads. Beside it, under ("oracle", those bytes), it caches
+    oracle_bound's (BoundReport, OracleResult), and under ("weight", those
+    bytes) the weight's one decomposition (`weight`). Their arrays are
+    read-only. Each decomposition is computed on first use and cached here,
+    so JS, Jt and gram must not change once the point is built. Nothing
+    cached refers to the point, so it is acyclic: reference counting frees
+    it, its decompositions and its reports when the last reader drops it.
     """
+    JS: np.ndarray
+    Jt: np.ndarray
+    gram: np.ndarray
+    reports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __init__(self, gram, svd):
-        self.gram = gram
-        self.reports = {}
+    @classmethod
+    def from_gram(cls, gram, svd=None):
+        """The Hermitian part of a lift Gram, its real/imaginary split, and the
+        lifts' SVD when it is given."""
+        gram = np.asarray(gram, dtype=complex)
+        gram = 0.5 * (gram + gram.conj().T)
+        fd = cls(JS=matkernel.symmetrize(gram.real), Jt=matkernel.antisymmetrize(gram.imag),
+                 gram=gram)
         if svd is not None:
-            self.svd = svd   # the lifts' own; a bare Gram is factored on first use
+            fd.svd = svd   # the lifts' own; a bare Gram is factored on first use
+        return fd
 
     @functools.cached_property
     def svd(self):
@@ -160,20 +175,10 @@ class Spectrum:
             _read_only(gn, *self.reports[key][1])
         return self.reports[key]
 
-    js_inv = property(lambda self: self.js_powers[0])
-    beta = property(lambda self: self.canonical[2])
-
-
-def spectrum(fd):
-    """The Spectrum of fd, built on first use and cached on fd."""
-    if fd._spectrum is None:
-        fd._spectrum = Spectrum(fd.gram, fd.svd)
-    return fd._spectrum
-
 
 def beta_spectrum(fd):
     """|imaginary parts| of the eigenvalues of JS^{-1} Jt, with classification."""
-    return spectrum(fd).beta
+    return fd.canonical[2]
 
 
 def quasi_classical_test(fd):
@@ -182,12 +187,12 @@ def quasi_classical_test(fd):
     It reads the spectrum of JS^-1 Jt, so it does not change under a
     rescaling theta -> D theta; every one-parameter model passes.
     """
-    return spectrum(fd).beta.classification == "quasi_classical"
+    return fd.canonical[2].classification == "quasi_classical"
 
 
 def coherent_test(fd):
     """True iff all beta equal 1; cross-checks |det JS| = |det Jt|."""
-    ok = spectrum(fd).beta.classification == "coherent"
+    ok = fd.canonical[2].classification == "coherent"
     if ok:
         djs, djt = abs(np.linalg.det(fd.JS)), abs(np.linalg.det(fd.Jt))
         check("coherent_det", abs(djs - djt) / max(djs, djt), 1.0, ConsistencyError)
@@ -294,9 +299,9 @@ def cr_bound_2param(fd, G):
     if m != 2:
         raise DomainError(f"two-parameter bound requires m = 2, got {m}")
     G = check_weight(fd, G)
-    jsinv, w, _ = spectrum(fd).js_powers
-    g, r, keep = spectrum(fd).weight(G)[1]   # raises DomainError unless PSD
-    beta = float(spectrum(fd).beta.betas[0])
+    jsinv, w, _ = fd.js_powers
+    g, r, keep = fd.weight(G)[1]   # raises DomainError unless PSD
+    beta = float(fd.canonical[2].betas[0])
     c = math.sqrt(max(0.0, 1.0 - beta * beta))
     notes = {"beta": beta}
 
@@ -344,9 +349,8 @@ def cr_bound_js_weight(fd):
     K = JS^{-1/2} Jt JS^{-1/2}; both forms, and V_opt, come from the one
     eigendecomposition iK = U diag(mu) U*, with mu snapped.
     """
-    spec = spectrum(fd)
-    mu, u = spec.canonical[1]
-    betas = spec.beta.betas
+    mu, u = fd.canonical[1]
+    betas = fd.canonical[2].betas
     value = float(sum(2.0 / (1.0 + math.sqrt(max(0.0, 1.0 - b * b))) for b in betas))
     # the snapped mu lies in [-1, 1]
     inflation = 2.0 / (1.0 + np.sqrt(1.0 - mu * mu))
@@ -354,7 +358,7 @@ def cr_bound_js_weight(fd):
     r0inv = matkernel.inv_psd(r0)
     value_matrix = float(np.trace(r0inv @ r0inv))
     check("js_weight_forms", abs(value - value_matrix), 1.0, ConsistencyError)
-    w = spec.js_powers[1]
+    w = fd.js_powers[1]
     v_opt = matkernel.symmetrize(w @ ((u * inflation) @ u.conj().T).real @ w)
     return BoundReport(G=fd.JS.copy(), value=value, attained=True, V_opt=v_opt,
                        method="closed_form_JS_weight",
@@ -368,7 +372,7 @@ def cr_bound_coherent(fd, G):
     In the parameters where JS = I the weight is G' = w G w (w = JS^{-1/2}) and
     the lift Gram is I + iK, so the optimum is V' = I + G'^{-1/2} |M| G'^{-1/2}
     with M = G'^{1/2} K G'^{1/2}, and V = w V' w. G'^{+-1/2} come from the
-    weight's one decomposition on the Spectrum; a rank below m raises
+    weight's one decomposition on fd; a rank below m raises
     SingularWeight. The value Tr G' + Tr |M| and the check of Tr(G' V')
     against it are taken there too: Tr(G V) in theta cancels entries of the
     size of ||JS^{-1}||, and Tr(G JS^{-1}) those of ||G|| ||JS^{-1}||.
@@ -376,13 +380,12 @@ def cr_bound_coherent(fd, G):
     if not coherent_test(fd):
         raise NotCoherent("model is not coherent (some beta < 1)")
     G = check_weight(fd, G)
-    spec = spectrum(fd)
-    gn, (g, r, keep) = spec.weight(G)
+    gn, (g, r, keep) = fd.weight(G)
     if not keep.all():
         raise SingularWeight("weight matrix must be strictly positive definite")
     sq, isq = ((r * g ** p) @ r.T for p in (0.5, -0.5))
-    absm = matkernel.abs_sym(matkernel.antisymmetrize(sq @ spec.canonical[0] @ sq))
-    a, w, _ = spec.js_powers
+    absm = matkernel.abs_sym(matkernel.antisymmetrize(sq @ fd.canonical[0] @ sq))
+    a, w, _ = fd.js_powers
     sld_part, abs_part = float(np.trace(gn)), float(np.trace(absm))
     value = sld_part + abs_part
     v_opt = matkernel.symmetrize(a + w @ isq @ absm @ isq @ w)
@@ -436,13 +439,13 @@ def _read_only(*arrays):
 
 def _closed_form(fd, G):
     if quasi_classical_test(fd):
-        spectrum(fd).weight(G)   # raises DomainError unless PSD, NonFinite on NaN
-        jsinv = spectrum(fd).js_inv.copy()
+        fd.weight(G)   # raises DomainError unless PSD, NonFinite on NaN
+        jsinv = fd.js_powers[0].copy()
         return BoundReport(G=G, value=float(np.trace(G @ jsinv)), attained=True,
                            V_opt=jsinv, method="quasi_classical", notes={})
     if fd.JS.shape[0] == 2:
         return cr_bound_2param(fd, G)
-    if spectrum(fd).beta.classification == "coherent":
+    if fd.canonical[2].classification == "coherent":
         try:
             return cr_bound_coherent(fd, G)
         except SingularWeight:
@@ -457,11 +460,11 @@ def closed_form(fd, G):
 
     The one route decision from model class to closed form: quasi-classical,
     two-parameter, coherent, then the G = JS weight. The answer is cached on
-    the Spectrum of fd per weight, with G and V_opt read-only, so a bound and
+    fd per weight, with G and V_opt read-only, so a bound and
     the vectors that attain it share one solve.
     """
     G = check_weight(fd, G)
-    cache, key = spectrum(fd).reports, G.tobytes()
+    cache, key = fd.reports, G.tobytes()
     if key not in cache:
         cache[key] = report = _closed_form(fd, G)
         if report is not None:
@@ -472,15 +475,15 @@ def closed_form(fd, G):
 def oracle_bound(fd, G):
     """The Holevo SDP's BoundReport, with the OracleResult that carries its vectors.
 
-    The SDP reads the Spectrum of fd. The pair is cached on that Spectrum
-    beside the closed forms, with G, V_opt, X and X' read-only, so a bound and
-    the vectors that attain it share one solve. The OracleResult refers to no
+    The SDP reads the decompositions of fd. The pair is cached on fd beside
+    the closed forms, with G, V_opt, X and X' read-only, so a bound and the
+    vectors that attain it share one solve. The OracleResult refers to no
     FisherData, so the cache makes no cycle through fd.
     """
     G = check_weight(fd, G)
-    cache, key = spectrum(fd).reports, ("oracle", G.tobytes())
+    cache, key = fd.reports, ("oracle", G.tobytes())
     if key not in cache:
-        from . import oracle   # the oracle reads this module's spectrum
+        from . import oracle   # the oracle reads this module's FisherData
         result = oracle.minimize(oracle.OracleProblem(gram=fd.gram, G=G, fd=fd))
         x = result.X
         v = None if x is None else matkernel.symmetrize((x.conj().T @ x).real)

@@ -11,6 +11,7 @@ weight whose bound no estimator attains),
 import argparse
 import contextlib
 import json
+import re
 import sys
 
 import numpy as np
@@ -159,7 +160,7 @@ def cmd_boundary(args):
         beta = float(analysis.beta_spectrum(fd).betas[0])
         if args.weight is not None:
             g, _ = _resolve_weight(args.weight, fd.JS)
-            gvals = analysis.spectrum(fd).weight(analysis.check_weight(fd, g))[1][0]
+            gvals = fd.weight(analysis.check_weight(fd, g))[1][0]
     elif args.beta is not None:
         beta = args.beta
         if args.weight is not None:
@@ -317,6 +318,9 @@ def build_parser():
     p.add_argument("--oracle", action="store_true",
                    help="cross-check the closed form against the oracle")
     p = sub.add_parser("boundary", help="two-parameter stationary curve as CSV")
+    # --beta and --window read every negative float as a value: argparse before
+    # Python 3.13 reads only -1 and -1.5 so, and takes -1e300 and -inf for options
+    p._negative_number_matcher = re.compile(r"-(?:\.?\d|inf|nan)", re.IGNORECASE)
     common(p, config_required=False)
     p.set_defaults(run=cmd_boundary)
     p.add_argument("--beta", type=float, default=None)

@@ -7,7 +7,7 @@ snap, a rank cut, a branch) reads TOL directly. Whether a quantity is zero
 quantity's own scale. Eigenvalues within it of zero are exact zeros
 everywhere: `psd_eig` makes that one PSD decision and rank cut, for the PSD
 powers and order, for a completion's V' - kh* kh and, once per working point
-and weight, for the normalized weight w G w that `analysis.Spectrum.weight`
+and weight, for the normalized weight w G w that `analysis.FisherData.weight`
 caches.
 """
 

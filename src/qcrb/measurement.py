@@ -2,7 +2,8 @@
 
 A PVM lives in one `model.TangentFrame`: the model's own frame for
 quasi-classical models, the frame of the 2m+1 Naimark embedding
-(`naimark_frame`) otherwise; `pvm_space` picks it. There `optimal_vectors`
+(`naimark_frame`, over the `embedding` of the working point's
+`analysis.FisherData`) otherwise; `pvm_space` picks it. There `optimal_vectors`
 builds the estimation vectors and reads the bound from
 `analysis.closed_form`'s one report. The vectors are built and checked in the
 parameters theta' = JS^{1/2} theta, where JS = I and the lifts are L' = L w
@@ -116,11 +117,10 @@ def naimark_frame(fd, theta=None):
     phi' is the first basis vector and the lift images are the r rows of the
     lift factor R (r <= m) in coordinates 1..r, so <phi'|l'_i> = 0 holds
     exactly. R* R is the Gram of fd with the beta snap applied, as
-    `analysis.Spectrum.embedding` checks it. phi' and the lifts are that
-    embedding's read-only arrays, so the oracle's lifts are the same R, bit for
-    bit, and the frame carries no SVD of its own (`svd` None).
+    `FisherData.embedding` checks it. phi' and the lifts are that embedding's
+    read-only arrays, so the oracle's lifts are the same R, bit for bit.
     """
-    phi, lifts, _ = analysis.spectrum(fd).embedding
+    phi, lifts, _ = fd.embedding
     return TangentFrame(theta=None if theta is None else np.asarray(theta, dtype=float),
                         phi=phi, lifts=lifts)
 
@@ -129,11 +129,11 @@ def optimal_vectors_quasi_classical(frame, fd):
     """X' = L w: attains the inverse Fisher matrix for quasi-classical models."""
     if not analysis.quasi_classical_test(fd):
         raise NotQuasiClassical("Im X*X would not vanish: model is not quasi-classical")
-    w = analysis.spectrum(fd).js_powers[1]
+    w = fd.js_powers[1]
     return EstimationVectors(X=frame.lifts @ w, phi=frame.phi, w=w)
 
 
-def _complete(spec, vn):
+def _complete(fd, vn):
     """X' = L' + B' attaining the covariance V' in theta' = JS^{1/2} theta.
 
     V' = JS^{1/2} V JS^{1/2} is the closed form's covariance there (its `Vn`),
@@ -145,16 +145,16 @@ def _complete(spec, vn):
     eigenvalues are exact zeros: the roots of roundoff would put about 1e-8
     into B'.
     """
-    kh = spec.lift_factor[0]
+    kh = fd.lift_factor[0]
     m = kh.shape[1]
-    phi, _, lifts = spec.embedding
+    phi, _, lifts = fd.embedding
     h = vn - kh.conj().T @ kh
     # h's roundoff follows V', the larger input: V' >= kh* kh, whose diagonal is 1
     wh, uh, keep = matkernel.psd_eig(h, InfeasibleGram, scale=matkernel.mnorm(vn))
     x = lifts.copy()
     x[m + 1:, :] = (uh * np.sqrt(np.where(keep, wh, 0.0))) @ uh.conj().T
     analysis.estimation_residuals(x, phi, lifts, InfeasibleGram)
-    return EstimationVectors(X=x, phi=phi, w=spec.js_powers[1])
+    return EstimationVectors(X=x, phi=phi, w=fd.js_powers[1])
 
 
 def optimal_vectors_coherent(nf, fd, G):
@@ -184,7 +184,7 @@ def optimal_vectors(space, fd, G):
     The vectors are X' in theta' = JS^{1/2} theta, with w = JS^{-1/2}.
     Quasi-classical models take X' = L w and phi on the frame `space`, the one
     route that reads it. Every other route takes phi from the Naimark
-    embedding it builds X' in, `analysis.spectrum(fd).embedding`, so its
+    embedding it builds X' in, `fd.embedding`, so its
     vectors are the same whatever frame is passed, and the PVM built from them
     lives in `naimark_frame(fd)`. Other closed-form models complete the lifts
     kh to the closed form's V' = JS^{1/2} V JS^{1/2}. Generic models take the
@@ -200,11 +200,10 @@ def optimal_vectors(space, fd, G):
         report, res = analysis.oracle_bound(fd, G)
     if report.V_opt is None:
         raise SingularWeight("no estimator attains the bound for this singular weight")
-    spec = analysis.spectrum(fd)
     if res is None:
-        return _complete(spec, report.Vn), report
+        return _complete(fd, report.Vn), report
     # the oracle checked X' against the embedding's lifts by the same rule
-    return EstimationVectors(X=res.Xn, phi=spec.embedding[0], w=spec.js_powers[1]), report
+    return EstimationVectors(X=res.Xn, phi=fd.embedding[0], w=fd.js_powers[1]), report
 
 
 @functools.lru_cache(maxsize=None)

@@ -5,11 +5,12 @@ given by one callable `state: theta -> (phi, dphi)` that returns the state and
 the d x m matrix of its derivative columns d_i phi. The tangent frame at a
 point calls it once and carries the horizontal lifts
 l_i = 2 (I - |phi><phi|) d_i phi, which satisfy <phi|l_i> = 0 and reconstruct
-d_i rho = (|l_i><phi| + |phi><l_i|)/2. The Gram matrix L*L splits into the
-real symmetric Fisher matrix JS and the real antisymmetric Jt. The frame's one
-SVD of the stacked lifts [Re L; Im L], which checks them for degeneracy, is
-carried into the Fisher data: `analysis.Spectrum` reads JS^{+-1/2} and the
-complex structure K from it, never from the Gram.
+d_i rho = (|l_i><phi| + |phi><l_i|)/2. `fisher_data` takes the one SVD of the
+stacked lifts [Re L; Im L], which checks them for degeneracy and overflow, and
+builds the working point, an `analysis.FisherData`: the Gram matrix L*L,
+split into the real symmetric Fisher matrix JS and the real antisymmetric Jt,
+with that SVD, from which JS^{+-1/2} and the complex structure K are read,
+never from the Gram.
 
 A `state` may return the frame up to a unitary fixed at theta and a phase
 gauge (dphi may differ by an imaginary multiple of phi): the lifts change by
@@ -29,12 +30,13 @@ squeezed vacuum in 3, at every theta.
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from . import matkernel
+from .analysis import FisherData
 from .errors import (
     DegenerateModel,
     DomainError,
@@ -62,31 +64,11 @@ class PureStateModel:
 @dataclass
 class TangentFrame:
     """A state and its lifts at theta: the model's own (`tangent_frame`), or their
-    2m+1 dimensional Naimark embedding (`measurement.naimark_frame`)."""
+    2m+1 dimensional Naimark embedding (`measurement.naimark_frame`). It takes
+    no decomposition: `fisher_data` factors the lifts."""
     theta: Optional[np.ndarray]   # the working point; None for an embedding built without it
     phi: np.ndarray          # unit vector, shape (d,)
     lifts: np.ndarray        # shape (d, m), column i = |l_i>
-    svd: Optional[tuple] = None   # matkernel.lift_svd of the lifts; None in the embedding
-
-
-@dataclass
-class FisherData:
-    JS: np.ndarray           # real symmetric, positive definite
-    Jt: np.ndarray           # real antisymmetric
-    gram: np.ndarray         # L*L, Hermitian PSD
-    # (U, s, Vt) of the lifts [Re L; Im L], or None for a bare Gram, which
-    # analysis.Spectrum then factors once through its PSD root
-    svd: Optional[tuple] = field(default=None, repr=False, compare=False)
-    # analysis.Spectrum cache: the fields above must not change once it is set
-    _spectrum: object = field(default=None, init=False, repr=False, compare=False)
-
-    @classmethod
-    def from_gram(cls, gram, svd=None):
-        """The Hermitian part of a lift Gram and its real/imaginary split."""
-        gram = np.asarray(gram, dtype=complex)
-        gram = 0.5 * (gram + gram.conj().T)
-        return cls(JS=matkernel.symmetrize(gram.real), Jt=matkernel.antisymmetrize(gram.imag),
-                   gram=gram, svd=svd)
 
 
 def tangent_frame(model, theta):
@@ -108,13 +90,17 @@ def tangent_frame(model, theta):
     ph = phi[k] / abs(phi[k])
     phi = phi * ph.conjugate()
     lifts = lifts * ph.conjugate()
-    return TangentFrame(theta=theta, phi=phi, lifts=lifts,
-                        svd=matkernel.lift_svd(lifts, DegenerateModel))
+    return TangentFrame(theta=theta, phi=phi, lifts=lifts)
 
 
 def fisher_data(frame):
-    """Gram matrix of the lifts, its real/imaginary split and the frame's SVD."""
-    return FisherData.from_gram(frame.lifts.conj().T @ frame.lifts, svd=frame.svd)
+    """The working point of a frame: the lifts' SVD, their Gram and its split.
+
+    The SVD is taken first, so lifts whose Gram would overflow raise NonFinite
+    and degenerate ones DegenerateModel before the Gram is formed.
+    """
+    svd = matkernel.lift_svd(frame.lifts, DegenerateModel)
+    return FisherData.from_gram(frame.lifts.conj().T @ frame.lifts, svd=svd)
 
 
 # --- spin rotation family ---
@@ -208,11 +194,11 @@ def catalog_shifted_number(n, theta=None, trunc=None):
     if d < n + 2:
         raise TruncationError(f"trunc={trunc} is below n + 2 = {n + 2}, "
                               f"which holds |n> and its lifts")
-    phi = np.zeros(d, dtype=complex)
+    phi = matkernel.zeros(d, complex)
     phi[n] = 1.0
     # X|n> = (up|n+1> + down|n-1>), P|n> = i(up|n+1> - down|n-1>)
     up, down = math.sqrt(n + 1) / math.sqrt(2), math.sqrt(n) / math.sqrt(2)
-    dphi = np.zeros((d, 2), dtype=complex)
+    dphi = matkernel.zeros((d, 2), complex)
     dphi[n + 1] = [-1j * up, -up]
     if n:
         dphi[n - 1] = [-1j * down, down]

@@ -13,10 +13,10 @@ rank r: the factor drops the directions where analysis snaps beta to 1, so
 the Newton system stays nonsingular on the singular Grams of coherent models.
 The equality is eliminated with an SVD null space.
 
-The SDP reads JS^{-1/2} and R from `analysis.spectrum(problem.fd)`, the one
-Spectrum of the working point. `analysis.oracle_bound(fd, G)` hands over the
-caller's FisherData and caches its answer on that Spectrum beside the closed
-forms; an `OracleProblem` built from a bare Gram takes that Gram's FisherData.
+The SDP reads JS^{-1/2} and R from `problem.fd`, the one `analysis.FisherData`
+of the working point. `analysis.oracle_bound(fd, G)` hands over the caller's
+FisherData and caches its answer on it beside the closed forms; an
+`OracleProblem` built from a bare Gram takes that Gram's FisherData.
 `minimize` is the one function every solve passes through. Its `OracleResult`
 keeps the problem's gram and G but not the problem, whose fd would close a
 cycle through that cache; `stationarity_certificate` takes the problem it
@@ -53,7 +53,6 @@ from .errors import (
     PreconditionNotMet,
 )
 from .matkernel import TOL, check
-from .model import FisherData
 
 MAX_ITER = 60        # interior-point iterations before NonConvergence
 STEP = 0.95          # fraction of the step to the boundary of the cone
@@ -66,11 +65,11 @@ class OracleProblem:
     a given fd must carry that very Gram, else DomainError."""
     gram: np.ndarray                      # Hermitian PSD, m x m
     G: np.ndarray                         # real PSD weight, m x m
-    fd: Optional[FisherData] = None       # whose Spectrum the SDP reads
+    fd: Optional[analysis.FisherData] = None   # whose decompositions the SDP reads
 
     def __post_init__(self):
         if self.fd is None:
-            self.fd = FisherData.from_gram(self.gram)
+            self.fd = analysis.FisherData.from_gram(self.gram)
         elif self.fd.gram is not self.gram:
             raise DomainError("the problem's gram is not the gram of its fd")
 
@@ -87,8 +86,8 @@ class RestartStat:
 @dataclass
 class OracleResult:
     """The solve of one OracleProblem. It keeps the problem's gram and G, not the
-    problem: a result cached on the Spectrum of an fd must not refer back to
-    that fd, so that reference counting frees the point. X and the lifts live
+    problem: a result cached on an fd must not refer back to that fd, so that
+    reference counting frees the point. X and the lifts live
     in the Naimark embedding, whose phi the result does not copy: it is
     `measurement.naimark_frame(fd).phi`."""
     value: float
@@ -338,7 +337,7 @@ def minimize(problem):
 
     The SDP is solved in the normalized parameters theta' = JS^{1/2} theta,
     whose lift Gram is I + iK and whose weight is w G w (w = JS^{-1/2}), all
-    read from the Spectrum of problem.fd: kh* kh = I + iK and R = kh JS^{1/2}
+    read from problem.fd: kh* kh = I + iK and R = kh JS^{1/2}
     (r x m) on the directions where analysis does not snap beta to 1, and the
     weight's one decomposition. The vectors X' are checked there, against the
     lifts kh, by `analysis.estimation_residuals` (NonConvergence), and X = X' w
@@ -346,9 +345,9 @@ def minimize(problem):
     so X is valid in that frame and X' in the frame's parameters theta'.
     """
     g = analysis.check_weight(problem.fd, problem.G)
-    spec = analysis.spectrum(problem.fd)
-    w, kh = spec.js_powers[1], spec.lift_factor[0]
-    gn, eig = spec.weight(g)   # w G w; the Spectrum raises DomainError unless it is PSD
+    fd = problem.fd
+    w, kh = fd.js_powers[1], fd.lift_factor[0]
+    gn, eig = fd.weight(g)   # w G w; fd raises DomainError unless it is PSD
     m, r = gn.shape[0], kh.shape[0]
     # free directions of one column c of Y: the null space of c -> Re(c* kh)
     _, _, vt = np.linalg.svd(np.hstack([kh.real.T, kh.imag.T]))
@@ -365,7 +364,7 @@ def minimize(problem):
         value = dual = 0.0
         c, b, iterations = np.zeros((r, 0)), np.zeros((0, 0)), 0
     gap = value - dual
-    _, lifts, liftn = spec.embedding
+    _, lifts, liftn = fd.embedding
     if p == m:
         cn, bfull = np.zeros((r, 0)), b
     else:
@@ -402,15 +401,16 @@ def stationarity_certificate(result, problem=None):
     For two-parameter problems the quadratic multiplier identities are also
     reported, and for coherent problems the spectrum of the scaled multiplier.
     Both read the fd of `problem`, the problem the result solves: pass the
-    OracleProblem that holds the caller's fd, and they read the Spectrum the
-    solve read. A problem of another solver carries only a Gram, and is read
+    OracleProblem that holds the caller's fd, and they read the decompositions
+    the solve read. A problem of another solver carries only a Gram, and is read
     through its FisherData; so is a result given alone, as the problem of the
     gram and G it keeps.
     """
     if result.X is None:
         raise PreconditionNotMet("no estimation vectors: the bound is not attained")
     problem = result if problem is None else problem
-    fd = problem.fd if isinstance(problem, OracleProblem) else FisherData.from_gram(problem.gram)
+    fd = (problem.fd if isinstance(problem, OracleProblem)
+          else analysis.FisherData.from_gram(problem.gram))
     x = result.X
     lifts = result.lifts
     g = analysis.check_weight(fd, problem.G)
@@ -434,11 +434,10 @@ def stationarity_certificate(result, problem=None):
         extras["quadratic_sym"] = matkernel.mnorm(e1)
         extras["quadratic_antisym"] = matkernel.mnorm(e2)
     if analysis.beta_spectrum(fd).classification == "coherent":
-        spec = analysis.spectrum(fd)
-        gw, u, pos = spec.weight(g)[1]
+        gw, u, pos = fd.weight(g)[1]
         if pos.all():   # a singular weight has no scaled multiplier
             # t = w G'^{-1/2} with G' = w G w, so t t^T = G^{-1}: t^T Lambda t is similar
             # to G^{-1} Lambda
-            t = spec.js_powers[1] @ (u / np.sqrt(gw)) @ u.T
+            t = fd.js_powers[1] @ (u / np.sqrt(gw)) @ u.T
             extras["multiplier_spectrum"] = np.sort(np.abs(np.linalg.eigvals(t.T @ lam @ t).imag))
     return StationarityReport(Lambda=lam, residual=residual, extras=extras)

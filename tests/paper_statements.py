@@ -48,12 +48,11 @@ def psd_geq(a, b):
 def sld_bound(fd, G):
     """Tr(G JS^{-1}): a lower bound to CR(G), tight iff quasi-classical or m=1.
 
-    It is Tr(w G w), read from the weight's Spectrum entry, so the weight
+    It is Tr(w G w), read from the weight's entry on fd, so the weight
     passes the checks of every route: check_weight's shape (DomainError) and
-    the PSD decision of Spectrum.weight (DomainError, NonFinite on NaN).
+    the PSD decision of FisherData.weight (DomainError, NonFinite on NaN).
     """
-    spec = analysis.spectrum(fd)
-    return float(np.trace(spec.weight(analysis.check_weight(fd, G))[0]))
+    return float(np.trace(fd.weight(analysis.check_weight(fd, G))[0]))
 
 
 def marginal_infimum(fd, i):
@@ -145,7 +144,7 @@ def marginal_vectors(frame, fd, i):
     Its variance is exactly (JS^{-1})_ii and Im X*X vanishes trivially, so a
     projective measurement for the i-th parameter alone always exists.
     """
-    x = frame.lifts @ analysis.spectrum(fd).js_inv[:, [i]]
+    x = frame.lifts @ fd.js_powers[0][:, [i]]
     return measurement.EstimationVectors(X=x, phi=frame.phi)
 
 
@@ -157,7 +156,7 @@ def exclusiveness_extraction_check(pvm, frame, fd, j):
     """
     if pvm.m != 1:
         raise PreconditionNotMet("expected a single-parameter PVM")
-    target = analysis.spectrum(fd).js_inv[0, 0]
+    target = fd.js_powers[0][0, 0]
     v, _ = measurement.covariance_of_pvm(pvm, frame)
     if not abs(float(v[0, 0]) - target) <= MARGINAL_VARIANCE * target:
         raise PreconditionNotMet(f"PVM variance {float(v[0, 0])!r} misses (JS^-1)_11 = {target!r}")

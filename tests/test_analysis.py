@@ -90,8 +90,8 @@ def test_beta_spectrum_matches_schur(case, blocks, pairs):
     ref = _schur_betas(a)
     assert ref.size == pairs
     c = ref[0] if pairs else 1.0
-    spec = analysis.spectrum(structure_fd(a, c))
-    mu, beta = spec.canonical[1][0], spec.canonical[2]
+    fd = structure_fd(a, c)
+    mu, beta = fd.canonical[1][0], fd.canonical[2]
     found, zeros = mu[mu > 0][::-1], np.count_nonzero(mu == 0)
     assert found.size == pairs and 2 * pairs + zeros == n
     assert np.abs(found * c - ref).max(initial=0.0) <= 1e-12
@@ -119,7 +119,7 @@ def test_beta_spectrum_random_antisymmetric():
         a = b - b.T
         # the pairs are the singular values of a, each taken twice
         sv = np.linalg.svd(a, compute_uv=False)
-        mu = analysis.spectrum(structure_fd(a, sv[0])).canonical[1][0]
+        mu = structure_fd(a, sv[0]).canonical[1][0]
         found, zeros = mu[mu > 0][::-1], np.count_nonzero(mu == 0)
         assert 2 * found.size + zeros == n
         assert np.abs(found * sv[0] - sv[::2][:found.size]).max() <= 1e-9
@@ -400,7 +400,7 @@ def test_marginal_infimum_is_the_bound_of_a_unit_weight(build, attained):
     m = mdl.m
     if attained:
         assert analysis.beta_spectrum(fd).classification == "generic"
-    jsinv = analysis.spectrum(fd).js_inv
+    jsinv = fd.js_powers[0]
     for i in range(m):
         value, flag = paper_statements.marginal_infimum(fd, i)
         assert abs(value - jsinv[i, i]) <= 1e-12 * jsinv[i, i]
@@ -505,11 +505,10 @@ def test_each_working_point_is_decomposed_once(monkeypatch):
     # JS^{+-1/2} and K come from the frame's SVD, so iK is the point's one
     # eigh; the weight is decomposed in normalized form, w G w; the
     # completion's h = V' - kh* kh, from the closed form's V' where JS = I
-    spec = analysis.spectrum(fd)
-    w = spec.js_powers[1]
-    kh = spec.lift_factor[0]
+    w = fd.js_powers[1]
+    kh = fd.lift_factor[0]
     h = analysis.closed_form(fd, g).Vn - kh.conj().T @ kh
-    expected = {"iK": 1j * spec.canonical[0],
+    expected = {"iK": 1j * fd.canonical[0],
                 "wGw": matkernel.symmetrize(w @ g @ w), "h": 0.5 * (h + h.conj().T)}
     names = [name for x in seen for name, e in expected.items()
              if x.shape == e.shape and np.array_equal(x, e)]
@@ -539,11 +538,10 @@ def test_two_parameter_coherent_bound_and_vectors_share_one_solve(monkeypatch, c
     assert max(analysis.estimation_residuals(ev.X, ev.phi, nf.lifts @ ev.w,
                                              errors.InfeasibleGram).values()) <= 1e-8
     # no eigh of JS: its powers come from the frame's SVD
-    spec = analysis.spectrum(fd)
-    w = spec.js_powers[1]
-    kh = spec.lift_factor[0]
+    w = fd.js_powers[1]
+    kh = fd.lift_factor[0]
     h = rep.Vn - kh.conj().T @ kh
-    expected = {"iK": 1j * spec.canonical[0],
+    expected = {"iK": 1j * fd.canonical[0],
                 "wGw": matkernel.symmetrize(w @ g @ w),
                 "h": 0.5 * (h + h.conj().T)}
     names = [name for x in seen for name, e in expected.items()
@@ -560,7 +558,7 @@ def test_cr_bound_2param_at_tiny_beta_is_the_sld_bound(beta):
     rep = analysis.cr_bound_2param(fd, g)
     expect = paper_statements.sld_bound(fd, g)
     assert abs(rep.value - expect) <= 1e-13 * expect
-    assert np.abs(rep.V_opt - analysis.spectrum(fd).js_inv).max() <= 1e-8
+    assert np.abs(rep.V_opt - fd.js_powers[0]).max() <= 1e-8
 
 
 def test_cr_bound_2param_rejects_an_indefinite_weight():
@@ -602,7 +600,7 @@ def test_coherent_route_decomposes_the_weight_once(monkeypatch):
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
     analysis.beta_spectrum(fd)
     g = np.eye(4)
-    w = analysis.spectrum(fd).js_powers[1]
+    w = fd.js_powers[1]
     weights = {"G": g, "wGw": matkernel.symmetrize(w @ g @ w)}
     seen = []
     original = matkernel.hermitian_eig
@@ -668,24 +666,24 @@ def test_weight_of_the_wrong_shape_is_a_domain_error(build, method):
 
 def test_oracle_report_is_cached_beside_the_closed_forms(count_calls):
     # a generic m = 3 model has no closed form at this weight: the bound, the
-    # vectors and the bound again share one SDP solve on the point's Spectrum
+    # vectors and the bound again share one SDP solve on the point's FisherData
     rng = np.random.default_rng(4)
     phi = rng.normal(size=5) + 1j * rng.normal(size=5)
     dphi = 0.5 * (rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5)))
     mdl = model.custom_model(5, 3, phi / np.linalg.norm(phi), dphi, np.zeros(3))
-    fd = _fd(mdl)
     g = np.diag([1.0, 2.0, 0.5])
     solves = count_calls(oracle, "minimize")
-    spectra = count_calls(analysis, "Spectrum")
+    factored = count_calls(matkernel, "lift_svd")
+    fd = _fd(mdl)
     first = analysis.cr_bound(fd, g)
     nf = measurement.naimark_frame(fd, theta=mdl.theta0)
     ev, rep = measurement.optimal_vectors(nf, fd, g)
     again = analysis.cr_bound(fd, g)
     assert first.method == "oracle"
-    assert len(solves) == 1 and spectra == ["Spectrum"]   # built on first use
+    assert len(solves) == 1 and len(factored) == 1   # the point is factored once
     assert rep is first and again is first
     report, result = analysis.oracle_bound(fd, g)
-    # the result keeps the point's gram, not its fd, whose Spectrum caches it
+    # the result keeps the point's gram, not its fd, which caches it
     assert report is first and ev.X is result.Xn and result.gram is fd.gram
     for a in (report.G, report.V_opt, result.X, result.Xn):
         assert not a.flags.writeable
@@ -726,7 +724,7 @@ def _library_routes():
 
 
 def test_library_routes_leave_no_reference_cycles():
-    # a cycle through a working point frees its Fisher data, Spectrum and
+    # a cycle through a working point frees its Fisher data, decompositions and
     # reports only in a pass of the cyclic collector, in the middle of later work
     _library_routes()   # imports and per-process caches
     gc.collect()
@@ -754,10 +752,10 @@ def test_a_dropped_point_is_freed_by_reference_counting():
         analysis.cr_bound(fd, g)
         analysis.closed_form(fd, np.eye(3))
         measurement.optimal_vectors(measurement.pvm_space(frame, fd), fd, g)
-        spec = weakref.ref(analysis.spectrum(fd))
-        assert spec() is not None and spec().reports
+        point = weakref.ref(fd)
+        assert point() is not None and point().reports
         del frame, fd
-        assert spec() is None
+        assert point() is None
     finally:
         if enabled:
             gc.enable()

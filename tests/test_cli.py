@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import fractions
 import json
 import math
 import pathlib
@@ -149,8 +150,10 @@ def test_boundary_rejects_empty_sample_count(samples):
 
 
 # The infinite window gave a NaN curve (NonFinite, exit 3), and each size exited
-# 1 with a numpy traceback. numpy refuses each size before it touches any
-# memory; a size it could allocate is not tried here.
+# 1 with a numpy traceback: the Fock sizes are a truncation of 1e13 levels
+# (146 TiB for phi) and n = 1e14, whose n + 2 levels take 1.42 PiB. numpy
+# refuses each size before it touches any memory; a size it could allocate is
+# not tried here.
 @pytest.mark.parametrize("argv, config", [
     (["boundary", "--beta", "1", "--window", "inf", "1", "--samples", "3"], None),
     (["boundary", "--beta", "1", "--samples", "10000000000000"], None),
@@ -158,7 +161,11 @@ def test_boundary_rejects_empty_sample_count(samples):
      "n0_coherent_config.json"),
     (["analyze"], {"model": "spin_rotation", "s": 1e6, "m_z": 0.0, "theta": [0.9, 0.3]}),
     (["analyze"], {"model": "spin_rotation", "s": 1e300, "m_z": 0.0, "theta": [0.9, 0.3]}),
-], ids=["infinite_window", "boundary_samples", "simulate_samples", "spin_1e6", "spin_1e300"])
+    (["analyze"], {"model": "shifted_number", "n": 0, "trunc": 10000000000000,
+                   "theta": [0.1, 0.2]}),
+    (["analyze"], {"model": "shifted_number", "n": 100000000000000, "theta": [0.1, 0.2]}),
+], ids=["infinite_window", "boundary_samples", "simulate_samples", "spin_1e6", "spin_1e300",
+        "shifted_trunc_1e13", "shifted_n_1e14"])
 def test_unallocatable_or_non_finite_inputs_exit_2(tmp_path, capsys, argv, config):
     data = pathlib.Path(__file__).parent / "data"
     argv = [str(data / a) if a.endswith(".json") else a for a in argv]
@@ -182,6 +189,27 @@ def test_hyperbola_window_up_to_the_float_range():
     proc = run_cli("boundary", "--beta", "1", "--window", "0", "1e308", "--samples", "3")
     assert (proc.returncode, proc.stdout) == (2, "")
     assert json.loads(proc.stderr)["error"] == "DomainError"
+
+
+# argparse before Python 3.13 took a negative bound written with an exponent,
+# and -inf, for an option string: `boundary` exited 2 with its plain-text usage
+# error "expected 2 arguments". Each is now a value, checked by the route.
+def test_boundary_reads_every_negative_float():
+    proc = run_cli("boundary", "--beta", "1", "--window", "-1e300", "1e300", "--samples", "3")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rows = [[float(c) for c in line.split(",")] for line in proc.stdout.splitlines()[1:]]
+    assert rows == analysis.boundary_2param(1.0, count=3, x_window=(-1e300, 1e300)).tolist()
+    for x, _, u, v in rows:
+        # (u-1)(v-1) = 1 in exact arithmetic on the printed floats, relative to
+        # the size of its terms, as test_analysis checks the curve
+        uq, vq = fractions.Fraction(u), fractions.Fraction(v)
+        miss = abs((uq - 1) * (vq - 1) - 1)
+        assert miss <= fractions.Fraction(1e-15) * (uq * abs(vq - 1) + abs(uq - 1) * vq), x
+    for argv in (["--beta", "-1e-3"], ["--beta", "1", "--window", "-inf", "1"]):
+        proc = run_cli("boundary", *argv, "--samples", "3")
+        assert (proc.returncode, proc.stdout) == (2, ""), argv
+        err = json.loads(proc.stderr)
+        assert (err["error"], err["exit_code"]) == ("DomainError", 2), argv
 
 
 def _disagreeing_oracle(monkeypatch):
@@ -519,9 +547,9 @@ def test_pvm_decomposition_counts(tmp_path, capsys, count_calls, config, eighs, 
     assert (len(eigh), len(lstsq)) == (eighs, lstsqs)
 
 
-# `qcrb oracle` and `bound --oracle` decompose the working point once (iK;
-# the frame's SVD gives JS^{+-1/2}): the SDP and the stationarity certificate
-# read the Spectrum that the bound reads. The other eigh calls are the
+# `qcrb oracle` and `bound --oracle` factor the working point once (one lift
+# SVD, which gives JS^{+-1/2}; one eigh of iK): the SDP and the stationarity
+# certificate read the FisherData that the bound reads. The other eigh calls are the
 # normalized weight w G w, which the closed forms, the SDP and the certificate
 # share, and V - Y*Y in the SDP.
 @pytest.mark.parametrize("command, config, eighs", [
@@ -533,16 +561,16 @@ def test_oracle_commands_build_one_spectrum(tmp_path, capsys, count_calls, comma
                                             eighs):
     cfg = write_json(tmp_path / "m.json", config)
     model_mod.model_from_config(config)   # spin tables are cached per s
-    spectra = count_calls(analysis, "Spectrum")
+    factored = count_calls(matkernel, "lift_svd")
     eigh = count_calls(np.linalg, "eigh")
     solves = count_calls(oracle_mod, "minimize")
     assert cli.main([*command, "--config", cfg]) == 0
     capsys.readouterr()
-    assert (len(spectra), len(eigh), len(solves)) == (1, eighs, 1)
+    assert (len(factored), len(eigh), len(solves)) == (1, eighs, 1)
 
 
 # One decomposition per weight: the closed forms, the SDP, its certificate and
-# the CLI all read w G w from the working point's Spectrum, so a weight file
+# the CLI all read w G w from the working point's FisherData, so a weight file
 # adds no decomposition of its own.
 @pytest.mark.parametrize("command, config, weight, eighs", [
     (["bound"], SPIN_QC, [[2.0, 0.3], [0.3, 1.0]], 2),
@@ -730,7 +758,7 @@ def test_pvm_on_the_squeezed_grid(tmp_path, capsys, weight):
 def test_reparametrized_coherent_config(capsys):
     cfg = str(DATA / "custom_reparametrized_config.json")
     mdl = model_mod.model_from_config(json.loads(pathlib.Path(cfg).read_text()))
-    s = model_mod.tangent_frame(mdl, mdl.theta0).svd[1]
+    s = model_mod.fisher_data(model_mod.tangent_frame(mdl, mdl.theta0)).svd[1]
     assert 5e3 <= s[0] / s[-1] <= 2e4
     assert cli.main(["analyze", "--config", cfg]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -790,7 +818,7 @@ def test_tiny_weight_gets_its_bound_and_pvm(tmp_path, capsys):
 
 
 # np.linalg.svd calls per command outside the SDP's interior-point iterations
-# (one per iteration there): the tangent frame's one SVD, which now keeps its
+# (one per iteration there): the lifts' one SVD in fisher_data, which keeps its
 # vectors for JS^{+-1/2} and K, then the coherent closed form's |M| and the
 # SDP's null space. They are the counts of the Gram route this replaced.
 @pytest.mark.parametrize("command, config, svds", [

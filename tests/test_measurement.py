@@ -212,7 +212,7 @@ def test_naimark_frame_reproduces_gram():
     mdl = model.catalog_shifted_number(0, [0.2, -0.4])
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
     nf = measurement.naimark_frame(fd)
-    assert nf.phi.shape == (5,) and nf.svd is None
+    assert nf.phi.shape == (5,) and not hasattr(nf, "svd")
     assert abs(nf.phi[0] - 1.0) <= 1e-12
     assert np.abs(nf.lifts.conj().T @ nf.lifts - fd.gram).max() <= 1e-10
     assert np.abs(nf.lifts.conj().T @ nf.phi).max() <= 1e-12
@@ -222,15 +222,15 @@ def test_naimark_frame_reuses_the_gram_root(monkeypatch, count_calls):
     mdl = model.catalog_shifted_number(0, [0.2, -0.4])
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
     built = []
-    original = analysis.Spectrum.lift_factor
+    original = analysis.FisherData.lift_factor
 
     def counted(spec):
         built.append(spec)
         return original.func(spec)
 
     factor = functools.cached_property(counted)
-    factor.__set_name__(analysis.Spectrum, "lift_factor")
-    monkeypatch.setattr(analysis.Spectrum, "lift_factor", factor)
+    factor.__set_name__(analysis.FisherData, "lift_factor")
+    monkeypatch.setattr(analysis.FisherData, "lift_factor", factor)
     eighs = count_calls(np.linalg, "eigh")
     measurement.naimark_frame(fd)
     assert len(built) == 1   # the Fisher data do not take the factor
@@ -408,7 +408,7 @@ def test_zero_weight_on_a_coherent_model_is_attained():
     nf = measurement.naimark_frame(fd)
     ev, rep = measurement.optimal_vectors(nf, fd, np.zeros((2, 2)))
     assert rep.value == 0.0 and rep.attained
-    assert np.abs(rep.V_opt - 2.0 * analysis.spectrum(fd).js_inv).max() <= 1e-12
+    assert np.abs(rep.V_opt - 2.0 * fd.js_powers[0]).max() <= 1e-12
     for x in (ev, measurement.optimal_vectors_coherent(nf, fd, np.zeros((2, 2)))):
         v, unbiased = measurement.covariance_of_pvm(measurement.pvm_from_vectors(x), nf)
         assert unbiased and np.abs(v - rep.V_opt).max() <= 1e-8

@@ -15,7 +15,7 @@ import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 import fock_reference
-from qcrb import errors, matkernel, model
+from qcrb import analysis, errors, matkernel, model
 
 
 def spin_matrices(s):
@@ -245,7 +245,7 @@ def test_fock_frames_far_out():
                       (1e6, errors.NonFinite)):
         mdl = model.catalog_squeezed([0.0, 0.0, t3, 0.4])
         with pytest.raises(error):
-            model.tangent_frame(mdl, mdl.theta0)
+            model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
     # the closed forms overflow the same way: sinh^2(2 t3) from about 178 on,
     # cosh(2 t3) itself from about 355 on
     for t3 in (200.0, 400.0, 1e6):
@@ -322,7 +322,25 @@ def test_degenerate_model_detected():
     dphi = np.zeros((1, 2), dtype=complex)
     mdl = model.custom_model(2, 1, phi, dphi, [0.0])
     with pytest.raises(errors.DegenerateModel):
-        model.tangent_frame(mdl, [0.0])
+        model.fisher_data(model.tangent_frame(mdl, [0.0]))
+
+
+def test_one_working_point_object(count_calls):
+    # the frame takes no decomposition; fisher_data takes the lifts' one SVD,
+    # and the point caches every decomposition of it on itself
+    svds = count_calls(matkernel, "lift_svd")
+    for mdl in (model.catalog_spin_rotation(1.5, 0.5, [0.9, 0.3]),
+                model.catalog_shifted_number(0, [0.2, -0.4]),
+                model.catalog_squeezed([0.1, -0.2, 0.4, 0.3])):
+        frame = model.tangent_frame(mdl, mdl.theta0)
+        assert svds == [] and not hasattr(frame, "svd")
+        fd = model.fisher_data(frame)
+        assert len(svds) == 1
+        assert fd.js_powers is fd.js_powers and fd.canonical is fd.canonical
+        analysis.cr_bound(fd, np.eye(mdl.m))
+        assert len(svds) == 1
+        svds.clear()
+    assert model.FisherData is analysis.FisherData
 
 
 def test_model_from_config_errors():

@@ -175,7 +175,7 @@ def test_beta_snap_of_a_hand_built_gram():
 
 
 def test_every_reader_of_the_lift_factor_checks_it():
-    # Spectrum.embedding checks R* R against the Gram once for every reader, so
+    # FisherData.embedding checks R* R against the Gram once for every reader, so
     # the SDP, which reads R too, refuses Fisher data whose SVD is of other
     # lifts (it returned a value while only the Naimark frame checked)
     def fd_of(mdl):
@@ -302,7 +302,7 @@ def test_two_parameter_routes_share_the_weight_rank(small, rank):
     g = np.diag([1.0, small])
     rep = analysis.cr_bound_2param(fd, g)
     assert rep.notes.get("rank", 2) == rank
-    w = analysis.spectrum(fd).js_powers[1]
+    w = fd.js_powers[1]
     eig = matkernel.psd_eig(matkernel.symmetrize(w @ g @ w))
     assert oracle._weight_split(*eig)[1].shape[1] == rank
     res = oracle.minimize(oracle.OracleProblem(gram=fd.gram, G=g))
@@ -323,7 +323,7 @@ def test_a_problem_reads_the_fisher_data_it_is_given():
     # same point, to roundoff
     assert abs(a.value - b.value) <= 1e-13 * a.value
     assert np.abs(a.X - b.X).max() <= 1e-12 * np.abs(a.X).max()
-    assert analysis.spectrum(fd).lift_factor[1] is not analysis.spectrum(bare.fd).lift_factor[1]
+    assert fd.lift_factor[1] is not bare.fd.lift_factor[1]
     assert np.array_equal(a.lifts, measurement.naimark_frame(fd).lifts)
     with pytest.raises(errors.DomainError):
         oracle.OracleProblem(gram=fd.gram.copy(), G=g, fd=fd)
