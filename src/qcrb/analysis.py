@@ -41,7 +41,7 @@ class BoundReport:
     attained: bool
     V_opt: Optional[np.ndarray]
     method: str
-    notes: dict = field(default_factory=dict)
+    notes: dict
     # V' = JS^{1/2} V_opt JS^{1/2} as the two-parameter and coherent closed forms
     # build it, where JS = I; the completion of their vectors reads it
     Vn: Optional[np.ndarray] = None
@@ -204,7 +204,7 @@ def _curve_q(p, beta, c):
     return (beta - c * p) / (beta * p + c)
 
 
-def boundary_2param(beta, count=101, x_window=(-1.0, 1.0)):
+def boundary_2param(beta, count, x_window=(-1.0, 1.0)):
     """Samples of the two-parameter stationary boundary in normalized coordinates.
 
     Returns the samples, an array of rows (x, z, u, v) with u = z + x,

@@ -169,8 +169,7 @@ def cmd_boundary(args):
             gvals = matkernel.psd_eig(matkernel.symmetrize(g), errors.DomainError)[0]
     else:
         raise errors.SchemaError("boundary needs --config or --beta")
-    rows = analysis.boundary_2param(beta, count=args.samples,
-                                    x_window=(args.window[0], args.window[1]))
+    rows = analysis.boundary_2param(beta, args.samples, x_window=(args.window[0], args.window[1]))
     header = ["x", "z", "u", "v"]
     if g is not None:
         tr = gvals[0] * rows[:, 2] + gvals[1] * rows[:, 3]

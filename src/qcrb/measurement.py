@@ -19,12 +19,12 @@ point's lift factor, and so are the oracle's.
 
 Estimation vectors X with <x^i|phi> = 0, Re X*L = I and Im X*X = 0 are turned
 into a projective measurement whose covariance is exactly Re X*X. A `Pvm` is
-its rays and its offsets: the columns of B are the m+1 orthonormal rays of one
-QR of [phi, X] (their Gram is real, so the coefficients stay real), mixed by
-an orthogonal matrix whose first column is uniform, and each ray gets the
-outcome offset that reproduces the x-vectors. For X' the QR is of [phi, X'],
-whose span is that of [phi, X] (its Gram-Schmidt basis is not), and the
-offsets of X' map to theta by w. The complement I - BB*, with offset zero,
+its rays, its offsets and w: the columns of B are the m+1 orthonormal rays of
+one QR of [phi, X'] (their Gram is real, so the coefficients stay real), mixed
+by an orthogonal matrix whose first column is uniform, and each ray gets the
+offset in theta' that reproduces the x-vectors there; the span of [phi, X'] is
+that of [phi, X] (its Gram-Schmidt basis is not), and the outcomes in theta
+are the offsets times w. The complement I - BB*, with offset zero,
 closes the PVM when the rays do not span the space; its probability at the
 base state is reported, never assumed to vanish. Every check and moment reads
 the amplitudes B*phi and B*L and the Gram B*B; no projector is formed except
@@ -58,21 +58,36 @@ BLOCK = 1 << 16          # shots drawn per Generator.random call in `sample_outc
 
 @dataclass
 class EstimationVectors:
-    X: np.ndarray            # shape (D, m), column i = |x^i> in the parameters theta'
+    """Vectors |x^i> with <x^i|phi> = 0 in the parameters theta' of theta = w theta'.
+
+    Every route builds them where JS = I, with w = JS^{-1/2}; vectors built in
+    theta itself take w = I.
+    """
+    X: np.ndarray            # shape (D, m'), column i = |x^i> in the parameters theta'
     phi: np.ndarray          # unit vector, shape (D,)
-    w: Optional[np.ndarray] = None   # theta = w theta', m x m; None when theta' = theta
+    w: np.ndarray            # shape (m', m): theta = w theta'
 
 
 @dataclass
 class Pvm:
+    """One rank-1 outcome per ray, and the complement when the rays do not span.
+
+    The offsets are in the parameters theta' of the vectors the PVM was built
+    from; `outcomes` maps them to theta by w, afresh on each read. A stored PVM
+    is read in theta, with w = I.
+    """
     rays: np.ndarray         # shape (dim, n), orthonormal columns B, one rank-1 outcome each
-    outcomes: np.ndarray     # shape (K, m), offsets; K = n, or n + 1 with the complement last
-    # (offsets in theta', w) of vectors built there, outcomes = offsets' w
-    normalized: Optional[tuple] = None
+    offsets: np.ndarray      # shape (K, m'), in theta'; K = n, or n + 1 with the complement last
+    w: np.ndarray            # shape (m', m): theta = w theta'
+
+    @property
+    def outcomes(self):
+        """The offsets in theta, shape (K, m)."""
+        return self.offsets @ self.w
 
     @property
     def m(self):
-        return self.outcomes.shape[1]
+        return self.w.shape[1]
 
     @property
     def dim(self):
@@ -81,11 +96,11 @@ class Pvm:
     @property
     def complement(self):
         """Whether I - BB*, with offset zero, is the last outcome."""
-        return len(self.outcomes) > self.rays.shape[1]
+        return len(self.offsets) > self.rays.shape[1]
 
     def outcome_table(self, frame):
-        """(offsets, probs, analytic_cov) at frame.phi, from one probability pass;
-        the covariance is the finite sum about theta."""
+        """(offsets in theta, probs, analytic_cov) at frame.phi, from one probability
+        pass; the covariance is the finite sum about theta."""
         probs = outcome_probabilities(self, frame.phi)
         offsets = self.outcomes
         return offsets, probs, matkernel.symmetrize(offsets.T @ (offsets * probs[:, None]))
@@ -111,8 +126,9 @@ class SampleResult:
         return self.estimates[self.drawn]
 
 
-def naimark_frame(fd, theta=None):
-    """The TangentFrame of fd's state and lifts embedded isometrically in 2m+1 dimensions.
+def naimark_frame(fd, theta):
+    """The TangentFrame at theta of fd's state and lifts embedded isometrically in
+    2m+1 dimensions.
 
     phi' is the first basis vector and the lift images are the r rows of the
     lift factor R (r <= m) in coordinates 1..r, so <phi'|l'_i> = 0 holds
@@ -121,8 +137,7 @@ def naimark_frame(fd, theta=None):
     read-only arrays, so the oracle's lifts are the same R, bit for bit.
     """
     phi, lifts, _ = fd.embedding
-    return TangentFrame(theta=None if theta is None else np.asarray(theta, dtype=float),
-                        phi=phi, lifts=lifts)
+    return TangentFrame(theta=np.asarray(theta, dtype=float), phi=phi, lifts=lifts)
 
 
 def optimal_vectors_quasi_classical(frame, fd):
@@ -175,7 +190,7 @@ def pvm_space(frame, fd):
     `naimark_frame` at frame.theta, the embedding that `optimal_vectors` builds in."""
     if analysis.quasi_classical_test(fd):
         return frame
-    return naimark_frame(fd, theta=frame.theta)
+    return naimark_frame(fd, frame.theta)
 
 
 def optimal_vectors(space, fd, G):
@@ -229,13 +244,11 @@ def pvm_from_vectors(ev, seed=0):
     Gram-Schmidt basis), mixed by the Householder reflection; some |R_kk| of a
     vector (k >= 1) within TOL "eigen_dust" of |X| = sqrt(||X*X||) means the
     vectors are linearly dependent, and an X with no columns estimates
-    nothing: both are DomainErrors. The offsets are found
-    and checked in theta', then mapped to theta by ev.w. The construction is
-    deterministic: `seed` is accepted and has no effect.
+    nothing: both are DomainErrors. The offsets are found and checked in
+    theta', and the PVM keeps ev.w, which maps them to theta. The construction
+    is deterministic: `seed` is accepted and has no effect.
     """
     x = np.asarray(ev.X, dtype=complex)
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
     phi = np.asarray(ev.phi, dtype=complex)
     dim, m = x.shape
     if m == 0:
@@ -256,12 +269,10 @@ def pvm_from_vectors(ev, seed=0):
     offsets = (o @ lam) / o[:, :1]
     if dim > m + 1:
         offsets = np.vstack([offsets, np.zeros((1, m))])
-    pvm = Pvm(rays=(q * phase) @ o.T, outcomes=offsets)
+    pvm = Pvm(rays=(q * phase) @ o.T, offsets=offsets, w=ev.w)
 
     check("pvm_algebra", max(pvm_algebra_residuals(pvm).values()), 1.0, ConsistencyError)
     check("vectors", reconstruction_residual(pvm, ev), size, ConsistencyError)
-    if ev.w is not None:
-        pvm.normalized, pvm.outcomes = (offsets, ev.w), offsets @ ev.w
     return pvm
 
 
@@ -282,18 +293,13 @@ def pvm_algebra_residuals(pvm):
     }
 
 
-def _normalized(pvm):
-    """(offsets, w) in the parameters theta' its vectors were built in; w None if theta."""
-    return pvm.normalized if pvm.normalized is not None else (pvm.outcomes, None)
-
-
 def reconstruction_residual(pvm, ev):
     """Max-entry residual of sum_k offset_k E_k phi = B diag(B*phi) offsets against X.
 
     The offsets are those of the parameters theta' of ev.X.
     """
     amp = pvm.rays.conj().T @ ev.phi
-    return matkernel.mnorm(pvm.rays @ (amp[:, None] * _normalized(pvm)[0][:len(amp)]) - ev.X)
+    return matkernel.mnorm(pvm.rays @ (amp[:, None] * pvm.offsets[:len(amp)]) - ev.X)
 
 
 def _expectations(pvm, phi, v=None):
@@ -331,24 +337,24 @@ def outcome_probabilities(pvm, phi, rows=None):
 def outcome_statistics(pvm, frame):
     """(probabilities, covariance about theta, unbiased) from one probability pass.
 
-    The verdict reads the offsets in the parameters theta' of the vectors the
-    PVM was built from, against the lifts L' = L w there: their mean within
-    TOL "vectors" times the root |X| of the covariance in theta', and
-    Re xhat'* L' - I within it times |X| ||L'||, as estimation_residuals.
-    The probabilities and <phi|E_k|L'> share one product B*phi.
+    The PVM estimates every parameter of the frame: its w is m' x m for the
+    frame's m lifts. The verdict reads the offsets in the parameters theta' of
+    the vectors the PVM was built from, against the lifts L' = L w there:
+    their mean within TOL "vectors" times the root |X| of the covariance in
+    theta', and Re xhat'* L' - I within it times |X| ||L'||, as
+    estimation_residuals. The probabilities and <phi|E_k|L'> share one
+    product B*phi, and the outcomes in theta are formed once.
     """
-    offsets, w = _normalized(pvm)
-    lifts = frame.lifts if w is None else frame.lifts @ w
+    offsets, outcomes = pvm.offsets, pvm.outcomes
+    lifts = frame.lifts @ pvm.w
     prob_rows, lift_rows = _expectations(pvm, frame.phi, lifts)
     probs = outcome_probabilities(pvm, frame.phi, prob_rows)
-    v = matkernel.symmetrize(pvm.outcomes.T @ (pvm.outcomes * probs[:, None]))
+    v = matkernel.symmetrize(outcomes.T @ (outcomes * probs[:, None]))
     mean = probs @ offsets
     deriv = (offsets.T @ lift_rows).real   # Re xhat'* L'
-    # delta^i_j over i < pvm.m components, j < frame parameters
-    target = np.eye(pvm.m, lifts.shape[1])
     tol = TOL["vectors"] * math.sqrt(matkernel.mnorm(offsets.T @ (offsets * probs[:, None])))
-    unbiased = bool(matkernel.mnorm(mean) <= tol
-                    and matkernel.mnorm(deriv - target) <= tol * matkernel.mnorm(lifts))
+    unbiased = bool(matkernel.mnorm(mean) <= tol and matkernel.mnorm(deriv - np.eye(pvm.m))
+                    <= tol * matkernel.mnorm(lifts))
     return probs, v, unbiased
 
 
@@ -403,15 +409,13 @@ def sample_outcomes(measurement, frame, count, seed):
     except (TypeError, ValueError) as exc:
         raise DomainError(f"seed {seed!r} is not a nonnegative integer: {exc}") from exc
     offsets, probs, analytic = measurement.outcome_table(frame)
-    m = offsets.shape[1]
-    theta = frame.theta if frame.theta is not None else np.zeros(m)
     drawn, counts = _draw(rng, probs / probs.sum(), count)
     mean = cov = None
     if count:
         hits = counts / count
-        mean = theta + hits @ offsets
+        mean = frame.theta + hits @ offsets
         cov = matkernel.symmetrize(offsets.T @ (offsets * hits[:, None]))
-    return SampleResult(estimates=offsets + theta, drawn=drawn, counts=counts, mean=mean,
+    return SampleResult(estimates=offsets + frame.theta, drawn=drawn, counts=counts, mean=mean,
                         cov=cov, analytic_cov=analytic, seed=seed)
 
 
@@ -426,27 +430,33 @@ def _projectors(pvm):
     return projs
 
 
-def pvm_to_obj(pvm, theta=None):
-    """JSON-ready list of outcomes: estimates plus row-major [re, im] projectors."""
-    theta = np.zeros(pvm.m) if theta is None else np.asarray(theta, dtype=float)
+def pvm_to_obj(pvm, theta):
+    """JSON-ready list of outcomes: estimates theta + offset, in theta, plus
+    row-major [re, im] projectors."""
+    theta = np.asarray(theta, dtype=float)
     return [{
         "outcome": [float(t) for t in (theta + offset)],
         "projector": [[float(c.real), float(c.imag)] for c in proj.reshape(-1)],
     } for offset, proj in zip(pvm.outcomes, _projectors(pvm))]
 
 
-def pvm_from_obj(obj, m, theta=None):
-    """Rebuild the Pvm that `pvm_to_obj` wrote; offsets are outcome - theta.
+def pvm_from_obj(obj, m, theta):
+    """Rebuild the Pvm that `pvm_to_obj` wrote at theta, in theta itself (w = I):
+    its offsets are outcome - theta.
 
     A last entry with offset zero and trace above 1.5 is the complement
     I - BB*; every other entry is a ray's bb*, and b is read from its
     largest-diagonal column. The rays' Gram (`pvm_algebra_residuals`) and
     every entry must then match at TOL "pvm_algebra"; otherwise the document
-    is not a PVM file and raises SchemaError.
+    is not a PVM file and raises SchemaError, as does a non-finite outcome.
+    An offset past (float max / 4)^(1/4) is a DomainError: the z-scores of a
+    sample add two squares of covariance entries, which reach max|offset|^2,
+    and that sum must stay finite with a factor 2 to spare for roundoff. Both
+    are checked here, once, so sampling pays nothing for them.
     """
     if not isinstance(obj, list) or not obj:
         raise SchemaError("PVM document must be a nonempty list of outcomes")
-    theta = np.zeros(m) if theta is None else np.asarray(theta, dtype=float)
+    theta = np.asarray(theta, dtype=float)
     ests, projs = [], []
     for entry in obj:
         if not isinstance(entry, dict) or "outcome" not in entry or "projector" not in entry:
@@ -458,6 +468,8 @@ def pvm_from_obj(obj, m, theta=None):
             raise SchemaError("'outcome' and 'projector' must hold numbers") from exc
         if est.shape != (m,):
             raise SchemaError(f"outcome length {est.shape} does not match m = {m}")
+        if not np.isfinite(est).all():
+            raise SchemaError("PVM outcomes must be finite")
         if pairs.ndim != 2 or pairs.shape[1] != 2 or math.isqrt(len(pairs)) ** 2 != len(pairs):
             raise SchemaError("a projector must be d*d [re, im] pairs")
         d = math.isqrt(len(pairs))
@@ -465,13 +477,18 @@ def pvm_from_obj(obj, m, theta=None):
             raise SchemaError("inconsistent projector dimensions")
         ests.append(est)
         projs.append((pairs[:, 0] + 1j * pairs[:, 1]).reshape(d, d))
-    offsets = np.array(ests) - theta
+    with np.errstate(over="ignore"):
+        offsets = np.array(ests) - theta
+    limit = (np.finfo(float).max / 4.0) ** 0.25
+    if not np.abs(offsets).max() <= limit:
+        raise DomainError(f"a PVM outcome lies more than {limit:.3g} from theta: "
+                          f"its covariance would overflow")
     projs = np.array(projs)
     n = len(projs) - int(not offsets[-1].any() and projs[-1].trace().real > 1.5)
     k = np.arange(n)
     top = np.diagonal(projs[:n], axis1=1, axis2=2).real.argmax(axis=1)
     peak = np.clip(projs[k, top, top].real, np.finfo(float).tiny, None)
-    pvm = Pvm(rays=(projs[k, :, top] / np.sqrt(peak)[:, None]).T, outcomes=offsets)
+    pvm = Pvm(rays=(projs[k, :, top] / np.sqrt(peak)[:, None]).T, offsets=offsets, w=np.eye(m))
     check("pvm_algebra", max(pvm_algebra_residuals(pvm).values()), 1.0, SchemaError)
     check("pvm_algebra", matkernel.mnorm(projs - _projectors(pvm)), 1.0, SchemaError)
     return pvm

@@ -31,7 +31,7 @@ squeezed vacuum in 3, at every theta.
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -58,15 +58,16 @@ class PureStateModel:
     # and its derivative columns d_i phi, shape (d, m), both up to a unitary
     # fixed at theta and a phase gauge; see the module docstring
     state: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
-    theta0: Optional[np.ndarray] = None
+    theta0: np.ndarray       # the working point the model was built at
 
 
 @dataclass
 class TangentFrame:
     """A state and its lifts at theta: the model's own (`tangent_frame`), or their
-    2m+1 dimensional Naimark embedding (`measurement.naimark_frame`). It takes
+    2m+1 dimensional Naimark embedding (`measurement.naimark_frame`). Either
+    carries its theta, which sampling adds to the outcome offsets. It takes
     no decomposition: `fisher_data` factors the lifts."""
-    theta: Optional[np.ndarray]   # the working point; None for an embedding built without it
+    theta: np.ndarray        # the working point, shape (m,)
     phi: np.ndarray          # unit vector, shape (d,)
     lifts: np.ndarray        # shape (d, m), column i = |l_i>
 
@@ -132,7 +133,7 @@ def _check_half_integer(x, name):
     return round(2 * x) / 2.0
 
 
-def catalog_spin_rotation(s, m_z, theta=None):
+def catalog_spin_rotation(s, m_z, theta):
     """Rotated spin eigenstate exp(i theta1 A) |s, m_z>, A = sin theta2 Sx - cos theta2 Sy.
 
     A = Z (-S_y) Z^dagger with Z = exp(-i theta2 S_z) diagonal, so up to the phase
@@ -160,14 +161,13 @@ def catalog_spin_rotation(s, m_z, theta=None):
         aphi[1:] -= (0.5j * e) * plus * phi[:-1]
         return phi, np.column_stack([1j * aphi, -1j * mvals * phi])
 
-    if theta is not None:
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (2,):
-            raise DomainError("spin rotation model takes a 2-vector theta")
-        if not (0.0 < theta[0] < math.pi):
-            raise DomainError(f"theta1 = {theta[0]} outside (0, pi)")
-        if not (0.0 <= theta[1] < 2 * math.pi):
-            raise DomainError(f"theta2 = {theta[1]} outside [0, 2*pi)")
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (2,):
+        raise DomainError("spin rotation model takes a 2-vector theta")
+    if not (0.0 < theta[0] < math.pi):
+        raise DomainError(f"theta1 = {theta[0]} outside (0, pi)")
+    if not (0.0 <= theta[1] < 2 * math.pi):
+        raise DomainError(f"theta2 = {theta[1]} outside [0, 2*pi)")
 
     return PureStateModel(
         label=f"spin_rotation(s={s}, m_z={m_z})",
@@ -177,7 +177,7 @@ def catalog_spin_rotation(s, m_z, theta=None):
 
 # --- Fock-space families ---
 
-def catalog_shifted_number(n, theta=None, trunc=None):
+def catalog_shifted_number(n, theta, trunc=None):
     """Displaced number state D(theta)|n> with D = exp(i(-theta1 X + theta2 P)).
 
     Its frame transported by D(theta)^dagger is phi = |n>, dphi = (-iX|n>, iP|n>),
@@ -187,7 +187,7 @@ def catalog_shifted_number(n, theta=None, trunc=None):
     if n != int(n) or n < 0:
         raise DomainError(f"n must be a nonnegative integer, got {n}")
     n = int(n)
-    th0 = np.zeros(2) if theta is None else np.asarray(theta, dtype=float)
+    th0 = np.asarray(theta, dtype=float)
     if th0.shape != (2,):
         raise DomainError("shifted number model takes a 2-vector theta")
     d = n + 2 if trunc is None else int(trunc)

@@ -25,8 +25,6 @@ def _encode(obj, level):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return fmt_float(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return "[%s, %s]" % (fmt_float(obj.real), fmt_float(obj.imag))
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, np.ndarray):
@@ -43,8 +41,7 @@ def _encode(obj, level):
         if len(obj) == 0:
             return "[]"
         parts = [_encode(v, level + 1) for v in obj]
-        if all(isinstance(v, (int, float, complex, np.integer, np.floating,
-                              np.complexfloating, str, bool)) for v in obj):
+        if all(isinstance(v, (int, float, np.integer, np.floating, str, bool)) for v in obj):
             return "[%s]" % ", ".join(parts)
         return "[\n%s\n%s]" % (",\n".join(pad_in + p for p in parts), pad)
     raise TypeError(f"cannot serialize {type(obj)!r}")

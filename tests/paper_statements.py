@@ -11,9 +11,13 @@ working-point data through its public API:
   partition of the parameters;
 - `exclusiveness_test(fd, i, j)`: <l_i|l_j> purely imaginary with maximal
   magnitude;
-- `marginal_vectors` and `exclusiveness_extraction_check`: the one-parameter
-  PVM that attains (JS^{-1})_ii, and how much it extracts about another
-  parameter;
+- `marginal_vectors`, `marginal_covariance` and
+  `exclusiveness_extraction_check`: the one-parameter PVM that attains
+  (JS^{-1})_ii, its covariance and unbiasedness verdict, and how much it
+  extracts about another parameter. Its vectors are in theta (w = I, 1 x 1)
+  and it estimates 1 of the frame's m parameters, so the package's
+  `outcome_statistics`, which reads a PVM of all m, does not apply: the
+  verdict here reads the outcome table and `measurement._expectations`;
 - `inflate_covariance`: a classical mixture of offsets adding V0 to a PVM's
   covariance, sampled by `qcrb.measurement.sample_outcomes` like a Pvm;
 - `psd_geq`: the PSD order up to eigen dust.
@@ -139,13 +143,31 @@ def analytic_covariance(meas, frame):
 
 
 def marginal_vectors(frame, fd, i):
-    """Single-parameter estimation vector x = L JS^{-1} e_i.
+    """Single-parameter estimation vector x = L JS^{-1} e_i, in theta itself.
 
     Its variance is exactly (JS^{-1})_ii and Im X*X vanishes trivially, so a
     projective measurement for the i-th parameter alone always exists.
     """
     x = frame.lifts @ fd.js_powers[0][:, [i]]
-    return measurement.EstimationVectors(X=x, phi=frame.phi)
+    return measurement.EstimationVectors(X=x, phi=frame.phi, w=np.eye(1))
+
+
+def marginal_covariance(pvm, frame, i):
+    """The 1 x 1 covariance of a marginal PVM about theta_i, and whether it is
+    locally unbiased for theta_i.
+
+    The verdict is `outcome_statistics`' rule for one offset against all m
+    lifts: the mean within TOL "vectors" times the root |x| of the variance,
+    and Re xhat* L - e_i within it times |x| ||L||.
+    """
+    offsets, probs, v = pvm.outcome_table(frame)
+    lift_rows = measurement._expectations(pvm, frame.phi, frame.lifts)[1]
+    deriv = (offsets.T @ lift_rows).real
+    tol = TOL["vectors"] * math.sqrt(matkernel.mnorm(v))
+    unbiased = bool(matkernel.mnorm(probs @ offsets) <= tol
+                    and matkernel.mnorm(deriv - np.eye(1, frame.lifts.shape[1], i))
+                    <= tol * matkernel.mnorm(frame.lifts))
+    return v, unbiased
 
 
 def exclusiveness_extraction_check(pvm, frame, fd, j):
@@ -157,7 +179,7 @@ def exclusiveness_extraction_check(pvm, frame, fd, j):
     if pvm.m != 1:
         raise PreconditionNotMet("expected a single-parameter PVM")
     target = fd.js_powers[0][0, 0]
-    v, _ = measurement.covariance_of_pvm(pvm, frame)
+    v = pvm.outcome_table(frame)[2]
     if not abs(float(v[0, 0]) - target) <= MARGINAL_VARIANCE * target:
         raise PreconditionNotMet(f"PVM variance {float(v[0, 0])!r} misses (JS^-1)_11 = {target!r}")
     rows = measurement._expectations(pvm, frame.phi, frame.lifts[:, [j]])[1]

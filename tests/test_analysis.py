@@ -186,9 +186,9 @@ def test_boundary_endpoints_and_domain():
     assert c[:, 2].min() >= 1.0 - 1e-12
     assert c[:, 3].min() >= 1.0 - 1e-12
     with pytest.raises(errors.DomainError):
-        analysis.boundary_2param(-0.1)
+        analysis.boundary_2param(-0.1, 101)
     with pytest.raises(errors.DomainError):
-        analysis.boundary_2param(1.2)
+        analysis.boundary_2param(1.2, 101)
     # a non-finite window built a NaN curve, which the CSV writer refused (exit 3)
     for window in ((math.inf, 1.0), (-1.0, math.nan)):
         with pytest.raises(errors.DomainError, match="x_window"):

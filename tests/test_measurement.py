@@ -33,7 +33,7 @@ def test_qubit_hand_construction():
     # x = (0,1): projectors onto (1,+-1)/sqrt2, outcomes +-1, variance 1
     frame = qubit_frame()
     x = np.array([[0.0], [1.0]], dtype=complex)
-    ev = measurement.EstimationVectors(X=x, phi=frame.phi)
+    ev = measurement.EstimationVectors(X=x, phi=frame.phi, w=np.eye(1))
     pvm = measurement.pvm_from_vectors(ev)
     assert pvm.m == 1 and pvm.dim == 2 and len(pvm.outcomes) == 2
     offsets = sorted(float(o[0]) for o in pvm.outcomes)
@@ -51,7 +51,8 @@ def test_outcome_scaling():
     frame = qubit_frame()
     c = 1.7
     x = np.array([[0.0], [c]], dtype=complex)
-    pvm = measurement.pvm_from_vectors(measurement.EstimationVectors(X=x, phi=frame.phi))
+    pvm = measurement.pvm_from_vectors(measurement.EstimationVectors(X=x, phi=frame.phi,
+                                                                     w=np.eye(1)))
     v, _ = measurement.covariance_of_pvm(pvm, frame)
     assert abs(v[0, 0] - c * c) <= 1e-12
     offs = sorted(abs(float(o[0])) for o in pvm.outcomes)
@@ -62,7 +63,7 @@ def test_pvm_rejects_nonorthogonal_x():
     phi = np.array([1.0, 0.0], dtype=complex)
     x = np.array([[0.5], [1.0]], dtype=complex)  # <phi|x> != 0
     with pytest.raises(errors.DomainError):
-        measurement.pvm_from_vectors(measurement.EstimationVectors(X=x, phi=phi))
+        measurement.pvm_from_vectors(measurement.EstimationVectors(X=x, phi=phi, w=np.eye(1)))
 
 
 # dependence is |R_kk| within TOL "eigen_dust" of |X| = sqrt(||X*X||): a 1e-11
@@ -78,7 +79,7 @@ def test_pvm_rejects_dependent_x(x, dependent):
     x = np.array(x, dtype=complex)
     phi = np.zeros(x.shape[0], dtype=complex)
     phi[0] = 1.0
-    ev = measurement.EstimationVectors(X=x, phi=phi)
+    ev = measurement.EstimationVectors(X=x, phi=phi, w=np.eye(2))
     if dependent:
         with pytest.raises(errors.DomainError, match="linearly dependent"):
             measurement.pvm_from_vectors(ev)
@@ -95,14 +96,15 @@ def test_pvm_rejects_a_phi_that_is_not_a_unit_vector(scale):
     x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], dtype=complex)
     phi = np.array([scale, 0.0, 0.0], dtype=complex)
     with pytest.raises(errors.DomainError, match="norm"):
-        measurement.pvm_from_vectors(measurement.EstimationVectors(X=x, phi=phi))
+        measurement.pvm_from_vectors(measurement.EstimationVectors(X=x, phi=phi, w=np.eye(2)))
 
 
 def test_pvm_rejects_x_without_columns():
     # no estimation vectors: nothing to measure, rather than one ray and an
     # empty offset table
     phi = np.array([1.0, 0.0, 0.0], dtype=complex)
-    ev = measurement.EstimationVectors(X=np.zeros((3, 0), dtype=complex), phi=phi)
+    ev = measurement.EstimationVectors(X=np.zeros((3, 0), dtype=complex), phi=phi,
+                                       w=np.eye(0))
     with pytest.raises(errors.DomainError, match="no columns"):
         measurement.pvm_from_vectors(ev)
 
@@ -131,7 +133,7 @@ def test_corrupted_rays_fail_the_algebra_check(monkeypatch, corrupt, key):
     ev = _spin2_vectors()
     pvm = measurement.pvm_from_vectors(ev)
     assert pvm.complement and pvm.rays.shape == (5, 3)
-    bad = measurement.Pvm(rays=corrupt(pvm.rays), outcomes=pvm.outcomes)
+    bad = measurement.Pvm(rays=corrupt(pvm.rays), offsets=pvm.offsets, w=pvm.w)
     assert measurement.pvm_algebra_residuals(bad)[key] >= 9e-7
     qr = np.linalg.qr
 
@@ -147,11 +149,11 @@ def test_corrupted_rays_fail_the_algebra_check(monkeypatch, corrupt, key):
 def test_pvm_from_vectors_takes_one_qr_and_no_eigh(count_calls):
     evs = [_spin2_vectors(),
            measurement.EstimationVectors(X=np.array([[0.0], [1.0]], dtype=complex),
-                                         phi=np.array([1.0, 0.0], dtype=complex))]
+                                         phi=np.array([1.0, 0.0], dtype=complex), w=np.eye(1))]
     mdl = model.catalog_squeezed([0.3, -0.2, 0.4, 0.7])
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
-    evs.append(measurement.optimal_vectors_coherent(measurement.naimark_frame(fd), fd,
-                                                    np.eye(4)))
+    evs.append(measurement.optimal_vectors_coherent(measurement.naimark_frame(fd, mdl.theta0),
+                                                    fd, np.eye(4)))
     qrs = count_calls(np.linalg, "qr")
     eighs = count_calls(np.linalg, "eigh")
     for k, ev in enumerate(evs, start=1):
@@ -164,7 +166,7 @@ def test_coherent_completion_takes_no_roots_of_dust():
     # about 1e-8 into X and a stationarity residual of 5e-8
     mdl = model.catalog_squeezed([0.1, -0.2, 0.4, 0.3])
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
-    nf = measurement.naimark_frame(fd)
+    nf = measurement.naimark_frame(fd, mdl.theta0)
     g = np.diag([1.0, 2.0, 3.0, 4.0])
     ev, rep = measurement.optimal_vectors(nf, fd, g)
     assert rep.method == "closed_form_coherent"
@@ -179,7 +181,7 @@ def test_pvm_rejects_noncommuting_x():
     mdl = model.catalog_shifted_number(0, [0.0, 0.0])
     fr = model.tangent_frame(mdl, mdl.theta0)
     # the raw lifts have Im X*X = Jt != 0
-    ev = measurement.EstimationVectors(X=fr.lifts, phi=fr.phi)
+    ev = measurement.EstimationVectors(X=fr.lifts, phi=fr.phi, w=np.eye(2))
     with pytest.raises(errors.NotCommuting):
         measurement.pvm_from_vectors(ev)
 
@@ -206,12 +208,18 @@ def test_quasi_classical_requires_vanishing_jt():
     fd = model.fisher_data(fr)
     with pytest.raises(errors.NotQuasiClassical):
         measurement.optimal_vectors_quasi_classical(fr, fd)
+    # and the coherent route requires every beta at 1: spin (1.5, 0.5) is generic
+    mdl = model.catalog_spin_rotation(1.5, 0.5, [0.9, 0.3])
+    fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
+    with pytest.raises(errors.NotCoherent):
+        measurement.optimal_vectors_coherent(measurement.naimark_frame(fd, mdl.theta0), fd,
+                                             np.eye(2))
 
 
 def test_naimark_frame_reproduces_gram():
     mdl = model.catalog_shifted_number(0, [0.2, -0.4])
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
-    nf = measurement.naimark_frame(fd)
+    nf = measurement.naimark_frame(fd, mdl.theta0)
     assert nf.phi.shape == (5,) and not hasattr(nf, "svd")
     assert abs(nf.phi[0] - 1.0) <= 1e-12
     assert np.abs(nf.lifts.conj().T @ nf.lifts - fd.gram).max() <= 1e-10
@@ -232,10 +240,10 @@ def test_naimark_frame_reuses_the_gram_root(monkeypatch, count_calls):
     factor.__set_name__(analysis.FisherData, "lift_factor")
     monkeypatch.setattr(analysis.FisherData, "lift_factor", factor)
     eighs = count_calls(np.linalg, "eigh")
-    measurement.naimark_frame(fd)
+    measurement.naimark_frame(fd, mdl.theta0)
     assert len(built) == 1   # the Fisher data do not take the factor
     assert len(eighs) == 1   # iK; the factor itself decomposes nothing
-    measurement.naimark_frame(fd)
+    measurement.naimark_frame(fd, mdl.theta0)
     assert len(built) == 1 and len(eighs) == 1
 
 
@@ -324,7 +332,7 @@ def test_oracle_lifts_are_the_naimark_frame_lifts(build):
     mdl = build()
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
     res = oracle.minimize(oracle.OracleProblem(gram=fd.gram, G=np.eye(mdl.m), fd=fd))
-    nf = measurement.naimark_frame(fd)
+    nf = measurement.naimark_frame(fd, mdl.theta0)
     assert np.array_equal(res.lifts, nf.lifts)
 
 
@@ -405,7 +413,7 @@ def test_zero_weight_on_a_coherent_model_is_attained():
     # any estimator attains CR(0) = 0; the report's covariance must be feasible
     mdl = model.catalog_shifted_number(0, [0.2, -0.4])
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
-    nf = measurement.naimark_frame(fd)
+    nf = measurement.naimark_frame(fd, mdl.theta0)
     ev, rep = measurement.optimal_vectors(nf, fd, np.zeros((2, 2)))
     assert rep.value == 0.0 and rep.attained
     assert np.abs(rep.V_opt - 2.0 * fd.js_powers[0]).max() <= 1e-12
@@ -421,7 +429,7 @@ def test_zero_weight_on_a_coherent_model_is_attained():
 def test_optimal_vectors_singular_weight_on_coherent_model(build, g):
     mdl = build()
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
-    nf = measurement.naimark_frame(fd)
+    nf = measurement.naimark_frame(fd, mdl.theta0)
     with pytest.raises(errors.SingularWeight):
         measurement.optimal_vectors(nf, fd, g)
     with pytest.raises(errors.SingularWeight):
@@ -437,7 +445,7 @@ def test_naimark_lifts_vanish_on_the_gram_null_space(build):
     # leave its square root, 2.4e-8, along the null space
     mdl = build()
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
-    nf = measurement.naimark_frame(fd)
+    nf = measurement.naimark_frame(fd, mdl.theta0)
     w, u = np.linalg.eigh(fd.gram)
     null = u[:, w <= matkernel.TOL["eigen_dust"] * max(1.0, np.abs(fd.gram).max())]
     assert null.shape[1] > 0
@@ -448,7 +456,7 @@ def test_lemma_ordering_on_constructed_pvm():
     # V >= Re X*X >= JS^{-1} up to eigen dust
     mdl = model.catalog_shifted_number(0, [0.2, -0.4])
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
-    nf = measurement.naimark_frame(fd)
+    nf = measurement.naimark_frame(fd, mdl.theta0)
     ev = measurement.optimal_vectors_coherent(nf, fd, np.eye(2))
     pvm = measurement.pvm_from_vectors(ev)
     v, _ = measurement.covariance_of_pvm(pvm, nf)
@@ -481,7 +489,8 @@ def test_remainder_projector_completes():
 def test_inflate_covariance():
     frame = qubit_frame()
     x = np.array([[0.0], [1.0]], dtype=complex)
-    pvm = measurement.pvm_from_vectors(measurement.EstimationVectors(X=x, phi=frame.phi))
+    pvm = measurement.pvm_from_vectors(measurement.EstimationVectors(X=x, phi=frame.phi,
+                                                                     w=np.eye(1)))
     v, _ = measurement.covariance_of_pvm(pvm, frame)
     infl = paper_statements.inflate_covariance(pvm, np.array([[0.5]]))
     vi = paper_statements.analytic_covariance(infl, frame)
@@ -537,7 +546,8 @@ def test_sampling_deterministic_and_consistent():
 def test_sampling_single_outcome_identity():
     phi = np.array([1.0, 0.0], dtype=complex)
     # no rays: the one outcome is the complement, the identity
-    pvm = measurement.Pvm(rays=np.zeros((2, 0), dtype=complex), outcomes=np.zeros((1, 1)))
+    pvm = measurement.Pvm(rays=np.zeros((2, 0), dtype=complex), offsets=np.zeros((1, 1)),
+                          w=np.eye(1))
     frame = qubit_frame()
     r = measurement.sample_outcomes(pvm, frame, 100, 0)
     assert np.abs(r.samples - frame.theta[0]).max() == 0.0
@@ -634,7 +644,7 @@ def test_sampling_past_255_outcomes_uses_two_bytes():
     # 300 rays spanning C^300, one outcome each, with unequal probabilities
     rng = np.random.default_rng(2)
     rays = np.linalg.qr(rng.normal(size=(300, 300)) + 1j * rng.normal(size=(300, 300)))[0]
-    pvm = measurement.Pvm(rays=rays, outcomes=rng.normal(size=(300, 2)))
+    pvm = measurement.Pvm(rays=rays, offsets=rng.normal(size=(300, 2)), w=np.eye(2))
     phi = rng.normal(size=300) + 1j * rng.normal(size=300)
     frame = TangentFrame(theta=np.array([0.3, -0.1]), phi=phi / np.linalg.norm(phi),
                          lifts=np.zeros((300, 2), dtype=complex))
@@ -663,7 +673,7 @@ def test_bad_probability():
     # ray corrupted so the complement's <phi|E|phi> goes negative: 1.2 and -0.2
     phi = np.array([1.0, 0.0], dtype=complex)
     bad = np.array([[math.sqrt(1.2)], [0.0]], dtype=complex)
-    pvm = measurement.Pvm(rays=bad, outcomes=np.zeros((2, 1)))
+    pvm = measurement.Pvm(rays=bad, offsets=np.zeros((2, 1)), w=np.eye(1))
     with pytest.raises(errors.BadProbability):
         measurement.outcome_probabilities(pvm, phi)
 
@@ -676,7 +686,7 @@ def test_marginal_vectors_variance():
     for i in (0, 1):
         ev = paper_statements.marginal_vectors(fr, fd, i)
         pvm = measurement.pvm_from_vectors(ev)
-        v, unbiased = measurement.covariance_of_pvm(pvm, fr)
+        v, unbiased = paper_statements.marginal_covariance(pvm, fr, i)
         assert abs(v[0, 0] - jsinv[i, i]) <= (1e-10 if i == 0 else 1.0)
         if i == 0:
             assert unbiased
@@ -702,11 +712,11 @@ def _scaled_shifted_n0(c):
 def test_marginal_pvm_is_unbiased_in_any_units(c):
     fr, fd = _scaled_shifted_n0(c)
     ev = paper_statements.marginal_vectors(fr, fd, 0)
-    v, unbiased = measurement.covariance_of_pvm(measurement.pvm_from_vectors(ev), fr)
+    v, unbiased = paper_statements.marginal_covariance(measurement.pvm_from_vectors(ev), fr, 0)
     assert unbiased
     assert abs(v[0, 0] - 0.5 / c ** 2) <= 1e-12 * v[0, 0]
-    bad = measurement.EstimationVectors(X=1.1 * ev.X, phi=ev.phi)
-    assert not measurement.covariance_of_pvm(measurement.pvm_from_vectors(bad), fr)[1]
+    bad = measurement.EstimationVectors(X=1.1 * ev.X, phi=ev.phi, w=ev.w)
+    assert not paper_statements.marginal_covariance(measurement.pvm_from_vectors(bad), fr, 0)[1]
 
 
 def test_exclusiveness_extraction_check():
@@ -720,7 +730,7 @@ def test_exclusiveness_extraction_check():
         assert stat <= 1e-8, c
         # a detuned measurement misses the marginal bound
         bad = measurement.pvm_from_vectors(
-            measurement.EstimationVectors(X=1.1 * ev.X, phi=ev.phi))
+            measurement.EstimationVectors(X=1.1 * ev.X, phi=ev.phi, w=ev.w))
         with pytest.raises(errors.PreconditionNotMet):
             paper_statements.exclusiveness_extraction_check(bad, fr, fd, 1)
 
@@ -738,7 +748,7 @@ def test_pvm_json_roundtrip():
         assert np.abs(oa - ob).max() <= 1e-15
         assert np.abs(pa - pb).max() <= 1e-15
     with pytest.raises(errors.SchemaError):
-        measurement.pvm_from_obj([{"outcome": [0.0]}], 1)
+        measurement.pvm_from_obj([{"outcome": [0.0]}], 1, np.zeros(1))
 
 
 @pytest.mark.parametrize("entry", [
@@ -751,19 +761,57 @@ def test_pvm_json_roundtrip():
 ], ids=["scalar", "text_outcome", "triples", "text_entry", "not_square", "wrong_m"])
 def test_pvm_from_obj_rejects_malformed_entries(entry):
     with pytest.raises(errors.SchemaError):
-        measurement.pvm_from_obj([entry], 1)
+        measurement.pvm_from_obj([entry], 1, np.zeros(1))
+
+
+N0_CONFIG = {"model": "shifted_number", "n": 0, "theta": [0.2, -0.4]}
+
+
+def _stored_n0_pvm(tmp_path, outcome):
+    """The PVM file that `qcrb pvm` writes for N0_CONFIG, with the first entry of
+    its first outcome replaced by `outcome`."""
+    from qcrb import cli
+
+    config, path = tmp_path / "n0.json", tmp_path / "made.json"
+    config.write_text(json.dumps(N0_CONFIG))
+    assert cli.main(["pvm", "--config", str(config), "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())["pvm"]
+    doc[0]["outcome"][0] = outcome
+    return doc
 
 
 # Checks of the PVM file that no other test reaches, through `qcrb simulate` (exit 2).
-@pytest.mark.parametrize("pvm_doc, match", [
-    ([], "nonempty list"),
+# An outcome is finite, and no farther from theta than the z-scores of a sample,
+# which square the covariance, can stay finite (1e80 and 1e308 are too far).
+@pytest.mark.parametrize("pvm_doc, error, match", [
+    ([], "SchemaError", "nonempty list"),
     ([{"outcome": [0.1, 0.2], "projector": [[1.0, 0.0]] * 4},
-      {"outcome": [0.3, 0.4], "projector": [[1.0, 0.0]] * 9}], "inconsistent projector"),
-], ids=["empty", "mixed_dimensions"])
-def test_pvm_file_checks_reject_their_inputs(tmp_path, cli_error, pvm_doc, match):
+      {"outcome": [0.3, 0.4], "projector": [[1.0, 0.0]] * 9}], "SchemaError",
+     "inconsistent projector"),
+    (math.nan, "SchemaError", "finite"),
+    (math.inf, "SchemaError", "finite"),
+    (1e308, "DomainError", "overflow"),
+    (1e80, "DomainError", "overflow"),
+], ids=["empty", "mixed_dimensions", "nan_outcome", "infinite_outcome", "outcome_1e308",
+        "outcome_1e80"])
+def test_pvm_file_checks_reject_their_inputs(tmp_path, cli_error, pvm_doc, error, match):
+    if isinstance(pvm_doc, float):
+        pvm_doc = _stored_n0_pvm(tmp_path, pvm_doc)
     path = tmp_path / "pvm.json"
     path.write_text(json.dumps(pvm_doc))
-    config = {"model": "shifted_number", "n": 0, "theta": [0.2, -0.4]}
-    code, out, err = cli_error(["simulate", "--pvm", path], config)
-    assert (code, out, err["error"]) == (2, "", "SchemaError")
+    code, out, err = cli_error(["simulate", "--pvm", path], N0_CONFIG)
+    assert (code, out, err["error"]) == (2, "", error)
     assert match in err["message"]
+
+
+def test_a_stored_outcome_far_from_theta_is_sampled(tmp_path, capsys):
+    # 1e60 squared twice is 1e240: the z-scores stay finite, with no warning
+    from qcrb import cli
+
+    path = tmp_path / "pvm.json"
+    path.write_text(json.dumps(_stored_n0_pvm(tmp_path, 1e60)))
+    capsys.readouterr()
+    assert cli.main(["simulate", "--config", str(tmp_path / "n0.json"), "--pvm", str(path),
+                     "--samples", "1000"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["count"] == 1000

@@ -399,7 +399,8 @@ def test_phase_reference_is_deterministic_at_ties(theta):
             phi, dphi = base.state(theta)
             return unit * phi, unit * dphi
 
-        turned = model.PureStateModel(label="turned", dim=base.dim, m=2, state=state)
+        turned = model.PureStateModel(label="turned", dim=base.dim, m=2, state=state,
+                                      theta0=base.theta0)
         phi = model.tangent_frame(turned, base.theta0).phi
         assert np.abs(phi - ref).max() <= 1e-12
 
@@ -432,9 +433,11 @@ SPIN_CONFIG = {"model": "spin_rotation", "s": 1.5, "m_z": 0.5, "theta": [0.9, 0.
     ({**CUSTOM_1D, "dphi": [[[0, 0], [1, 0]]] * 2}, errors.SchemaError, "dphi must have"),
     ({**CUSTOM_1D, "theta": [0.0, 0.0]}, errors.SchemaError, "theta must have length"),
     ({**CUSTOM_1D, "phi": [[1, 0], [0, 0], [0, 0]]}, errors.SchemaError, "lengths must equal"),
-    (lambda: model.tangent_frame(model.catalog_shifted_number(0), [0.1]), errors.DomainError,
+    (lambda: model.tangent_frame(model.catalog_shifted_number(0, [0.1, 0.2]), [0.1]),
+     errors.DomainError,
      "theta must have length 2"),
-    (lambda: model.catalog_shifted_number(1.5), errors.DomainError, "nonnegative integer"),
+    (lambda: model.catalog_shifted_number(1.5, [0.1, 0.2]), errors.DomainError,
+     "nonnegative integer"),
 ], ids=["spin_s_below_half", "spin_theta_shape", "spin_theta2_range", "shifted_n_negative",
         "shifted_theta_shape", "squeezed_theta_shape", "config_not_object", "custom_dphi_rows",
         "custom_theta_length", "custom_phi_length", "frame_theta_length",

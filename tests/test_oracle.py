@@ -164,11 +164,11 @@ def test_beta_snap_of_a_hand_built_gram():
     assert analysis.beta_spectrum(fd).classification == "coherent"
     res = sdp(fd, np.eye(2))
     assert_sdp_value(res, analysis.cr_bound(synthetic_fd(1.0), np.eye(2)).value)
-    measurement.naimark_frame(fd)
+    measurement.naimark_frame(fd, np.zeros(2))
     # beyond it the Gram is not PSD, and both routes say so through the spectrum
     for beta in (1.0 + 5e-10, 1.0 + 1e-6):
         for route in (lambda fd: oracle.minimize(oracle.OracleProblem(gram=fd.gram, G=np.eye(2))),
-                      measurement.naimark_frame):
+                      lambda fd: measurement.naimark_frame(fd, np.zeros(2))):
             with pytest.raises(errors.DomainError) as exc:
                 route(synthetic_fd(beta))
             assert cli._exit_code(exc.value) == 2
@@ -182,7 +182,8 @@ def test_every_reader_of_the_lift_factor_checks_it():
         return model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
     spin = fd_of(model.catalog_spin_rotation(1.5, 0.5, [0.9, 0.3]))
     n0 = fd_of(model.catalog_shifted_number(0, [0.2, -0.4]))
-    for build in (lambda fd: analysis.oracle_bound(fd, np.eye(2)), measurement.naimark_frame):
+    for build in (lambda fd: analysis.oracle_bound(fd, np.eye(2)),
+                  lambda fd: measurement.naimark_frame(fd, np.zeros(2))):
         with pytest.raises(errors.ConsistencyError, match="naimark_gram"):
             build(FisherData.from_gram(spin.gram, svd=n0.svd))
 
@@ -324,6 +325,6 @@ def test_a_problem_reads_the_fisher_data_it_is_given():
     assert abs(a.value - b.value) <= 1e-13 * a.value
     assert np.abs(a.X - b.X).max() <= 1e-12 * np.abs(a.X).max()
     assert fd.lift_factor[1] is not bare.fd.lift_factor[1]
-    assert np.array_equal(a.lifts, measurement.naimark_frame(fd).lifts)
+    assert np.array_equal(a.lifts, measurement.naimark_frame(fd, mdl.theta0).lifts)
     with pytest.raises(errors.DomainError):
         oracle.OracleProblem(gram=fd.gram.copy(), G=g, fd=fd)

@@ -558,7 +558,7 @@ def test_near_beta_one_every_construction_succeeds(family, log_delta, seed):
         u = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))[0][:, :4]
         fd = _embedded(u @ l0 @ t)[1]
     m = fd.JS.shape[0]
-    nf = measurement.naimark_frame(fd)
+    nf = measurement.naimark_frame(fd, np.zeros(m))
     b = rng.normal(size=(m, m))
     for g in (np.eye(m), b @ b.T + 0.5 * np.eye(m)):
         ev, rep = measurement.optimal_vectors(nf, fd, g)
