@@ -208,6 +208,12 @@ def cmd_pvm(args):
     return 0
 
 
+def _z_scores(diff, se):
+    """diff / se entrywise; None (null in the report) where the standard error is 0."""
+    z = np.divide(diff, se, out=np.zeros_like(diff), where=se > 0)
+    return np.where(se > 0, z, None)
+
+
 def cmd_simulate(args):
     from . import measurement
 
@@ -233,11 +239,11 @@ def cmd_simulate(args):
         se_mean = np.sqrt(np.diag(result.analytic_cov) / result.count)
         summary["empirical_mean"] = result.mean
         summary["empirical_covariance"] = result.cov
-        summary["z_mean"] = (result.mean - theta) / se_mean
+        summary["z_mean"] = _z_scores(result.mean - theta, se_mean)
         va = result.analytic_cov
         se_cov = np.sqrt((np.outer(np.diag(va), np.diag(va)) + va * va)
                          / result.count)
-        summary["z_cov"] = (result.cov - va) / se_cov
+        summary["z_cov"] = _z_scores(result.cov - va, se_cov)
     if args.out:
         with _open(args.out, "w", "output") as fh:
             # each drawn outcome's row is formatted once, before any byte is written:

@@ -20,15 +20,13 @@ only one consistent frame; every other PVM lives in the Naimark embedding,
 which is built from the Fisher data alone.
 
 The catalog families take their frames in closed form, with no decomposition
-at a working point. The spin `state` takes phi and dphi from one
-eigendecomposition of S_y per s, shared by every model of that s, and is
-exact in the |s,m> basis. The Fock families return their frame transported by
-a unitary fixed at theta that undoes the displacement (and the squeezing): the
-displaced number state |n> is exact in n + 2 Fock levels and the displaced
-squeezed vacuum in 3, at every theta.
+at a working point. Every catalog frame is transported by a unitary fixed at
+theta that undoes the rotation, the displacement or the squeezing: the spin
+state |m_z> is exact in 3 levels, |m_z +- 1> and itself, at every s, the
+displaced number state |n> in n + 2 Fock levels and the displaced squeezed
+vacuum in 3, at every theta.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Tuple
@@ -106,27 +104,6 @@ def fisher_data(frame):
 
 # --- spin rotation family ---
 
-@functools.lru_cache(maxsize=16)
-def _spin_tables(s):
-    """m values, S_+ coefficients and S_y = V diag(mu) V^dagger for spin s.
-
-    Basis |s,m> with m = s..-s, and plus[k] = <m_k|S_+|m_(k+1)>. S_y does not
-    depend on theta, so it is decomposed once per s; the arrays are shared by
-    every model of that s and read-only. The dense S_y is allocated first: an
-    s whose d^2 entries cannot be allocated is a DomainError.
-    """
-    d = int(round(2 * s + 1))
-    sy = matkernel.zeros((d, d), complex)
-    mvals = s - np.arange(d)
-    plus = np.sqrt(s * (s + 1) - mvals[1:] * (mvals[1:] + 1))
-    k = np.arange(d - 1)
-    sy[k, k + 1], sy[k + 1, k] = -0.5j * plus, 0.5j * plus
-    mu, v = matkernel.hermitian_eig(sy)
-    for a in (mvals, plus, mu, v):
-        a.setflags(write=False)
-    return mvals, plus, mu, v
-
-
 def _check_half_integer(x, name):
     if abs(2 * x - round(2 * x)) > TOL["half_integer"]:
         raise DomainError(f"{name} must be a half-integer, got {x}")
@@ -136,10 +113,14 @@ def _check_half_integer(x, name):
 def catalog_spin_rotation(s, m_z, theta):
     """Rotated spin eigenstate exp(i theta1 A) |s, m_z>, A = sin theta2 Sx - cos theta2 Sy.
 
-    A = Z (-S_y) Z^dagger with Z = exp(-i theta2 S_z) diagonal, so up to the phase
-    e^{i theta2 m_z} the state is phi = Z V e^{-i theta1 mu} V^dagger |m_z>, and
-    its columns are i A phi (tridiagonal) and -i S_z phi: one matrix-vector
-    product per frame, in the |s,m> basis.
+    Its frame transported by exp(i theta1 A)^dagger is phi = |m_z> and
+    dphi = (iA|m_z>, i sin theta1 B|m_z>), B = dA/dtheta2 = cos theta2 Sx +
+    sin theta2 Sy, less the phase gauge term i m_z (1 - cos theta1)|m_z>: exact
+    in the three levels (|m_z+1>, |m_z>, |m_z-1>) at every s. With
+    e = e^{i theta2}, A = (i/2)(conj(e) S_+ - e S_-) and B = (conj(e) S_+ + e S_-)/2;
+    the ladder coefficients are written as products, with no cancellation. An s
+    whose lift Gram entry 2 s(s+1) would leave the float range when the working
+    point sums the Gram with its adjoint (s above about 6.7e153) is a DomainError.
     """
     s = _check_half_integer(s, "s")
     m_z = _check_half_integer(m_z, "m_z")
@@ -149,18 +130,8 @@ def catalog_spin_rotation(s, m_z, theta):
         raise DomainError(f"|m_z| = {abs(m_z)} exceeds s = {s}")
     if abs((s - m_z) - round(s - m_z)) > TOL["half_integer"]:
         raise DomainError(f"s - m_z must be an integer, got s={s}, m_z={m_z}")
-    mvals, plus, mu, v = _spin_tables(s)
-    row = v[int(round(s - m_z))].conj()   # V^dagger |m_z>
-
-    def state(theta):
-        phi = np.exp(-1j * theta[1] * mvals) * (v @ (np.exp(-1j * theta[0] * mu) * row))
-        # A = (i/2) e^{-i theta2} S_+ - (i/2) e^{i theta2} S_-
-        e = complex(math.cos(theta[1]), math.sin(theta[1]))
-        aphi = np.zeros_like(phi)
-        aphi[:-1] = (0.5j * e.conjugate()) * plus * phi[1:]
-        aphi[1:] -= (0.5j * e) * plus * phi[:-1]
-        return phi, np.column_stack([1j * aphi, -1j * mvals * phi])
-
+    if not math.isfinite(4 * s * (s + 1)):
+        raise DomainError(f"s = {s} is too large: twice its lift Gram 2 s(s+1) overflows")
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (2,):
         raise DomainError("spin rotation model takes a 2-vector theta")
@@ -168,10 +139,20 @@ def catalog_spin_rotation(s, m_z, theta):
         raise DomainError(f"theta1 = {theta[0]} outside (0, pi)")
     if not (0.0 <= theta[1] < 2 * math.pi):
         raise DomainError(f"theta2 = {theta[1]} outside [0, 2*pi)")
+    # <m_z +- 1|S_+-|m_z> / 2
+    up = math.sqrt((s - m_z) * (s + m_z + 1)) / 2
+    down = math.sqrt((s + m_z) * (s - m_z + 1)) / 2
+    phi = np.array([0.0, 1.0, 0.0], dtype=complex)
+
+    def state(theta):
+        e = complex(math.cos(theta[1]), math.sin(theta[1]))
+        b = np.array([up * e.conjugate(), 0.0, down * e])   # B|m_z>
+        a = np.array([-b[0], 0.0, b[2]])                     # iA|m_z>
+        return phi, np.column_stack([a, (1j * math.sin(theta[0])) * b])
 
     return PureStateModel(
         label=f"spin_rotation(s={s}, m_z={m_z})",
-        dim=mvals.size, m=2, state=state, theta0=theta,
+        dim=3, m=2, state=state, theta0=theta,
     )
 
 

@@ -41,7 +41,8 @@ def _encode(obj, level):
         if len(obj) == 0:
             return "[]"
         parts = [_encode(v, level + 1) for v in obj]
-        if all(isinstance(v, (int, float, np.integer, np.floating, str, bool)) for v in obj):
+        if all(v is None or isinstance(v, (int, float, np.integer, np.floating, str, bool))
+               for v in obj):
             return "[%s]" % ", ".join(parts)
         return "[\n%s\n%s]" % (",\n".join(pad_in + p for p in parts), pad)
     raise TypeError(f"cannot serialize {type(obj)!r}")

@@ -16,6 +16,7 @@ from qcrb import analysis, cli, errors, matkernel, measurement, reportio
 from qcrb import model as model_mod
 from qcrb import oracle as oracle_mod
 
+DATA = pathlib.Path(__file__).parent / "data"
 SPIN_QC = {"model": "spin_rotation", "s": 1.0, "m_z": 0.0, "theta": [0.7, 1.1]}
 SPIN_GEN = {"model": "spin_rotation", "s": 1.5, "m_z": 0.5, "theta": [0.9, 0.3]}
 N0 = {"model": "shifted_number", "n": 0, "theta": [0.2, -0.4]}
@@ -153,19 +154,20 @@ def test_boundary_rejects_empty_sample_count(samples):
 # 1 with a numpy traceback: the Fock sizes are a truncation of 1e13 levels
 # (146 TiB for phi) and n = 1e14, whose n + 2 levels take 1.42 PiB. numpy
 # refuses each size before it touches any memory; a size it could allocate is
-# not tried here.
+# not tried here. A spin s whose lift Gram, summed with its adjoint, would pass
+# the float range (from about 6.7e153) is refused before any array is formed.
 @pytest.mark.parametrize("argv, config", [
     (["boundary", "--beta", "1", "--window", "inf", "1", "--samples", "3"], None),
     (["boundary", "--beta", "1", "--samples", "10000000000000"], None),
     (["simulate", "--pvm", "n0_coherent_pvm.json", "--samples", "10000000000000"],
      "n0_coherent_config.json"),
-    (["analyze"], {"model": "spin_rotation", "s": 1e6, "m_z": 0.0, "theta": [0.9, 0.3]}),
+    (["analyze"], {"model": "spin_rotation", "s": 6.71e153, "m_z": 0.0, "theta": [0.9, 0.3]}),
     (["analyze"], {"model": "spin_rotation", "s": 1e300, "m_z": 0.0, "theta": [0.9, 0.3]}),
     (["analyze"], {"model": "shifted_number", "n": 0, "trunc": 10000000000000,
                    "theta": [0.1, 0.2]}),
     (["analyze"], {"model": "shifted_number", "n": 100000000000000, "theta": [0.1, 0.2]}),
-], ids=["infinite_window", "boundary_samples", "simulate_samples", "spin_1e6", "spin_1e300",
-        "shifted_trunc_1e13", "shifted_n_1e14"])
+], ids=["infinite_window", "boundary_samples", "simulate_samples", "spin_past_gram_range",
+        "spin_1e300", "shifted_trunc_1e13", "shifted_n_1e14"])
 def test_unallocatable_or_non_finite_inputs_exit_2(tmp_path, capsys, argv, config):
     data = pathlib.Path(__file__).parent / "data"
     argv = [str(data / a) if a.endswith(".json") else a for a in argv]
@@ -358,11 +360,11 @@ def custom_config(seed, dim, m):
             "dphi": [pairs(row) for row in dphi], "theta": [0.0] * m}
 
 
-# spin s = 2 has dimension 5 = 2m + 1, the size of the embedding
+# custom_dim5 has dimension 5 = 2m + 1, the size of the embedding
 @pytest.mark.parametrize("config", [
     SPIN_GEN, N3, custom_config(4, 5, 3),
-    {"model": "spin_rotation", "s": 2.0, "m_z": 1.0, "theta": [0.9, 0.3]},
-], ids=["spin", "shifted_n3", "custom_m3", "spin_dim_5"])
+    json.loads((DATA / "custom_dim5_config.json").read_text()),
+], ids=["spin", "shifted_n3", "custom_m3", "custom_dim_5"])
 def test_pvm_generic_model(tmp_path, capsys, config):
     cfg = write_json(tmp_path / "m.json", config)
     pvm_path = str(tmp_path / "pvm.json")
@@ -539,7 +541,6 @@ def test_pvm_coherent_computes_the_bound_once(tmp_path, count_calls, capsys):
 ], ids=["generic_spin", "generic_n3", "coherent_m2", "coherent_m4"])
 def test_pvm_decomposition_counts(tmp_path, capsys, count_calls, config, eighs, lstsqs):
     cfg = write_json(tmp_path / "m.json", config)
-    model_mod.model_from_config(config)   # spin tables are cached per s
     eigh = count_calls(np.linalg, "eigh")
     lstsq = count_calls(np.linalg, "lstsq")
     assert cli.main(["pvm", "--config", cfg]) == 0
@@ -560,7 +561,6 @@ def test_pvm_decomposition_counts(tmp_path, capsys, count_calls, config, eighs, 
 def test_oracle_commands_build_one_spectrum(tmp_path, capsys, count_calls, command, config,
                                             eighs):
     cfg = write_json(tmp_path / "m.json", config)
-    model_mod.model_from_config(config)   # spin tables are cached per s
     factored = count_calls(matkernel, "lift_svd")
     eigh = count_calls(np.linalg, "eigh")
     solves = count_calls(oracle_mod, "minimize")
@@ -584,7 +584,6 @@ def test_one_decomposition_per_weight(tmp_path, capsys, count_calls, command, co
                                       eighs):
     cfg = write_json(tmp_path / "m.json", config)
     extra = [] if weight is None else ["--weight", write_json(tmp_path / "w.json", weight)]
-    model_mod.model_from_config(config)   # spin tables are cached per s
     eigh = count_calls(np.linalg, "eigh")
     assert cli.main([*command, "--config", cfg, *extra]) == 0
     capsys.readouterr()
@@ -832,7 +831,6 @@ def test_tiny_weight_gets_its_bound_and_pvm(tmp_path, capsys):
         "oracle_squeezed"])
 def test_svd_calls_per_command(monkeypatch, tmp_path, capsys, command, config, svds):
     cfg = write_json(tmp_path / "m.json", config)
-    model_mod.model_from_config(config)   # spin tables are cached per s
     calls, inside = [], []
     svd, interior = np.linalg.svd, oracle_mod._interior_point
 
@@ -870,18 +868,53 @@ def test_misspelt_config_key_is_a_schema_error(tmp_path):
     assert err["error"] == "SchemaError" and "'trunk'" in err["message"]
 
 
-@pytest.mark.parametrize("s", [1.0, 2.0, 20.0])
+@pytest.mark.parametrize("s", [1.0, 2.0, 20.0, 1e6])
 def test_spin_pvm_lives_on_the_spin_space(tmp_path, capsys, s):
-    # a quasi-classical spin model is measured on its own 2s + 1 levels
+    # a quasi-classical spin model is measured on its own three levels,
+    # |m_z + 1>, |m_z> and |m_z - 1>, at every s: three rays and no complement
     cfg = write_json(tmp_path / "m.json", dict(SPIN_QC, s=s))
     assert cli.main(["pvm", "--config", cfg]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["classification"] == "quasi_classical"
-    d = int(2 * s + 1)
-    assert all(len(o["projector"]) == d * d for o in doc["pvm"])
+    assert len(doc["pvm"]) == 3
+    assert all(len(o["projector"]) == 3 * 3 for o in doc["pvm"])
 
 
-DATA = pathlib.Path(__file__).parent / "data"
+# The spin frame is exact in three levels, so s = 1e6 is analyzed in closed
+# form: beta = |m_z| / (s(s+1) - m_z^2), and the bound is Tr JS^{-1} at
+# m_z = 0, and 2 / (1 + sqrt(1 - beta^2)) per parameter under the weight JS.
+@pytest.mark.parametrize("m_z, weight", [(0.0, "identity"), (999999.0, "sld")],
+                         ids=["quasi_classical", "generic"])
+def test_spin_1e6_matches_its_exact_formulas(tmp_path, capsys, m_z, weight):
+    s, theta = 1e6, [0.9, 0.3]
+    cfg = write_json(tmp_path / "m.json", {"model": "spin_rotation", "s": s, "m_z": m_z,
+                                           "theta": theta})
+    c = fractions.Fraction(s) * (fractions.Fraction(s) + 1) - fractions.Fraction(m_z) ** 2
+    beta = float(abs(fractions.Fraction(m_z)) / c)
+    sin2 = fractions.Fraction(math.sin(theta[0])) ** 2
+    value = (float((1 + 1 / sin2) / (2 * c)) if weight == "identity"
+             else 4.0 / (1.0 + math.sqrt(1.0 - beta * beta)))
+    assert cli.main(["analyze", "--config", cfg]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    betas = json.loads(out)["betas"]
+    assert max(abs(b - beta) for b in betas) <= 1e-13 * beta   # exactly 0 at m_z = 0
+    assert cli.main(["bound", "--config", cfg, "--weight", weight]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert abs(json.loads(out)["bound"]["value"] - value) <= 1e-13 * value
+
+
+def test_spin_below_the_gram_edge_is_analyzed(tmp_path, capsys):
+    cfg = write_json(tmp_path / "m.json", {"model": "spin_rotation", "s": 6.7e153, "m_z": 0.0,
+                                           "theta": [0.9, 0.3]})
+    assert cli.main(["analyze", "--config", cfg]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    js = 2 * fractions.Fraction(6.7e153) * (fractions.Fraction(6.7e153) + 1)
+    assert abs(json.loads(out)["JS"][0][0] - float(js)) <= 1e-13 * float(js)
+
+
 PVM_FILES = ["n0_coherent", "spin2_quasi_classical", "spin15_generic"]
 
 
@@ -910,6 +943,36 @@ def test_simulate_reads_stored_pvm_files(tmp_path, capsys, name):
     summary = json.loads(capsys.readouterr().out)
     assert summary.pop("csv") == str(out)
     _close(summary, json.loads((DATA / f"{name}_simulate.json").read_text()), name)
+
+
+# The spin frame was 2s + 1 levels before it became three: a quasi-classical
+# spin PVM written then lives in five levels, which the model no longer has.
+def test_simulate_rejects_a_five_level_spin_pvm(capsys):
+    assert cli.main(["simulate", "--config", str(DATA / "spin2_quasi_classical_config.json"),
+                     "--pvm", str(DATA / "spin2_quasi_classical_5_levels_pvm.json"),
+                     "--samples", "10"]) == 2
+    out, err = capsys.readouterr()
+    doc = json.loads(err)
+    assert out == "" and doc["error"] == "SchemaError"
+    assert doc["message"] == "PVM dimension 5 does not match the model (3)"
+
+
+# Every outcome of this PVM is theta, so its analytic variance vanishes: each
+# z-score has a zero standard error and is null, with nothing on stderr.
+def test_simulate_writes_null_z_scores_for_zero_variance(tmp_path, capsys):
+    doc = json.loads((DATA / "n0_coherent_pvm.json").read_text())
+    for entry in doc["pvm"]:
+        entry["outcome"] = [0.2, -0.4]
+    pvm_path = write_json(tmp_path / "pvm.json", doc)
+    assert cli.main(["simulate", "--config", str(DATA / "n0_coherent_config.json"),
+                     "--pvm", pvm_path, "--samples", "100"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    summary = json.loads(out)
+    assert summary["analytic_covariance"] == [[0, 0], [0, 0]]
+    assert summary["empirical_mean"] == [0.2, -0.4]
+    assert summary["z_mean"] == [None, None]
+    assert summary["z_cov"] == [[None, None], [None, None]]
 
 
 # The CSV is written a block of shots at a time, from rows formatted once per outcome.

@@ -109,10 +109,20 @@ def test_pvm_rejects_x_without_columns():
         measurement.pvm_from_vectors(ev)
 
 
+def _spin2_frame_in_five_levels():
+    """Spin s = 2, m_z = 0 at (0.8, 0.5): its three-level frame padded with two
+    empty levels, as a custom model. It is quasi-classical in dim 5, so its PVM
+    has three rays and a rank-2 complement."""
+    spin = model.catalog_spin_rotation(2.0, 0.0, [0.8, 0.5])
+    phi, dphi = spin.state(spin.theta0)
+    pad = np.zeros((2, 2), dtype=complex)
+    mdl = model.custom_model(5, 2, np.r_[phi, pad[0]], np.vstack([dphi, pad]).T, spin.theta0)
+    return model.tangent_frame(mdl, mdl.theta0)
+
+
 def _spin2_vectors():
     # dim 5 and m = 2: three rays and a rank-2 complement
-    mdl = model.catalog_spin_rotation(2.0, 0.0, [0.8, 0.5])
-    fr = model.tangent_frame(mdl, mdl.theta0)
+    fr = _spin2_frame_in_five_levels()
     return measurement.optimal_vectors_quasi_classical(fr, model.fisher_data(fr))
 
 
@@ -468,8 +478,7 @@ def test_lemma_ordering_on_constructed_pvm():
 
 
 def test_remainder_projector_completes():
-    mdl = model.catalog_spin_rotation(2.0, 0.0, [0.8, 0.5])
-    fr = model.tangent_frame(mdl, mdl.theta0)
+    fr = _spin2_frame_in_five_levels()
     fd = model.fisher_data(fr)
     ev = measurement.optimal_vectors_quasi_classical(fr, fd)
     pvm = measurement.pvm_from_vectors(ev)

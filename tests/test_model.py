@@ -7,6 +7,7 @@ entirely. The squeezed model is checked against the Fock-space builder in
 `fock_reference` and against `squeezed_closed_forms`.
 """
 
+import fractions
 import math
 
 import numpy as np
@@ -106,9 +107,70 @@ def test_spin_frame_matches_expm_reference(two_s, k, t1, t2):
     phi, dphi = spin_frame_reference(s, m_z, theta)
     lifts = 2.0 * (dphi - np.outer(phi, phi.conj() @ dphi))
     gram = lifts.conj().T @ lifts
-    assert np.abs(fd.gram - gram).max() <= 1e-12 * max(1.0, np.linalg.norm(fd.JS, 2))
-    overlap = np.vdot(phi, fr.phi)
-    assert np.abs(fr.phi - phi * overlap / abs(overlap)).max() <= 1e-12
+    scale = max(1.0, np.linalg.norm(fd.JS, 2))
+    assert np.abs(fd.gram - gram).max() <= 1e-12 * scale
+    # the model's frame is the reference's up to the unitary exp(i theta1 A) fixed
+    # at theta: placed on |m_z + 1>, |m_z>, |m_z - 1> and rotated, it is the
+    # reference's phi and lifts, up to one common phase
+    sx, sy, _ = spin_matrices(s)
+    gen = np.sin(t2) * sx - np.cos(t2) * sy
+    rows = int(round(s - m_z)) + np.arange(-1, 2)
+    inside = (rows >= 0) & (rows < sx.shape[0])
+    assert np.abs(fr.phi[~inside]).max(initial=0.0) == 0.0
+    assert np.abs(fr.lifts[~inside]).max(initial=0.0) == 0.0
+    place = np.zeros((sx.shape[0], 3))
+    place[rows[inside], np.flatnonzero(inside)] = 1.0
+    rotate = scipy.linalg.expm(1j * t1 * gen) @ place
+    overlap = np.vdot(rotate @ fr.phi, phi)
+    unit = overlap / abs(overlap)
+    assert np.abs(unit * (rotate @ fr.phi) - phi).max() <= 1e-12
+    assert np.abs(unit * (rotate @ fr.lifts) - lifts).max() <= 1e-12 * math.sqrt(scale)
+
+
+def spin_exact_fisher(s, m_z, t1):
+    """JS and Jt of the spin model from s(s+1) - m_z^2 in exact rationals:
+    JS = 2 (s(s+1) - m_z^2) diag(1, sin^2 t1), Jt_12 = 2 m_z sin t1."""
+    s, m_z, sin = fractions.Fraction(s), fractions.Fraction(m_z), fractions.Fraction(math.sin(t1))
+    c = 2 * (s * (s + 1) - m_z * m_z)
+    js = np.array([[float(c), 0.0], [0.0, float(c * sin * sin)]])
+    jt = float(2 * m_z * sin)
+    return js, np.array([[0.0, jt], [-jt, 0.0]])
+
+
+# s(s+1) at s = 1e12 carries an absolute rounding error near 1e8, so ladder
+# coefficients written as s(s+1) - m_z(m_z +- 1) would miss this by about 1e-4
+# at m_z = +-s; as products they are exact to roundoff. Jt_12 is a difference
+# of the two squared coefficients, so it is held to the scale of JS.
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 2 * 10 ** 12), st.integers(0, 4), st.floats(1e-3, math.pi - 1e-3),
+       st.floats(0.0, 2 * math.pi, exclude_max=True))
+@example(2 * 10 ** 12, 0, 0.9, 0.3)
+@example(2 * 10 ** 12, 1, 0.9, 0.3)
+@example(2 * 10 ** 12, 2, 0.9, 0.3)
+@example(2 * 10 ** 12, 3, 0.9, 0.3)
+@example(2 * 10 ** 12, 4, 0.9, 0.3)
+@example(2 * 10 ** 12 - 1, 4, 0.9, 0.3)
+def test_spin_fisher_matches_exact_values(two_s, which, t1, t2):
+    s = two_s / 2
+    m_z = [s, -s, s - 1, 1 - s, (two_s % 2) / 2][which]
+    fd = model.fisher_data(model.tangent_frame(model.catalog_spin_rotation(s, m_z, [t1, t2]),
+                                               [t1, t2]))
+    js, jt = spin_exact_fisher(s, m_z, t1)
+    assert np.all(np.abs(np.diagonal(fd.JS) - np.diagonal(js)) <= 1e-13 * np.diagonal(js))
+    assert abs(fd.JS[0, 1]) <= 1e-13 * js[0, 0]
+    assert np.abs(fd.Jt - jt).max() <= 1e-13 * js[0, 0]
+
+
+def test_spin_s_up_to_the_float_range_of_its_gram():
+    # the working point sums the Gram with its adjoint, so the largest s is the
+    # one whose 4 s(s+1) stays finite, about 6.70e153
+    theta = [0.9, 0.3]
+    below = model.catalog_spin_rotation(6.7e153, 0.0, theta)
+    fd = model.fisher_data(model.tangent_frame(below, theta))
+    js, _ = spin_exact_fisher(6.7e153, 0.0, theta[0])
+    assert np.all(np.abs(np.diagonal(fd.JS) - np.diagonal(js)) <= 1e-13 * np.diagonal(js))
+    with pytest.raises(errors.DomainError, match="too large"):
+        model.catalog_spin_rotation(6.71e153, 0.0, theta)
 
 
 def test_spin_validation():
@@ -273,32 +335,19 @@ def test_squeezed_start_truncation_passes_the_tail_check(count_calls, t4):
         assert np.abs(gram - gram3).max() <= 1e-10 * max(1.0, np.abs(gram3).max()), theta
 
 
-@pytest.mark.parametrize("build, generators", [
-    (lambda: model.catalog_spin_rotation(2.0, 1.0, [0.7, 1.1]), 1),
-    (lambda: model.catalog_shifted_number(1, [0.4, -0.3]), 0),
-    (lambda: model.catalog_squeezed([0.1, 0.2, 0.4, 0.7]), 0),
+@pytest.mark.parametrize("build", [
+    lambda: model.catalog_spin_rotation(2.0, 1.0, [0.7, 1.1]),
+    lambda: model.catalog_shifted_number(1, [0.4, -0.3]),
+    lambda: model.catalog_squeezed([0.1, 0.2, 0.4, 0.7]),
 ], ids=["spin", "shifted", "squeezed"])
-def test_catalog_derivatives_take_one_decomposition_per_generator(
-        count_calls, build, generators):
-    # spin decomposes S_y once per s, at the first build of that s; after it
-    # a new build and a frame at another point decompose nothing
-    model._spin_tables.cache_clear()
+def test_catalog_derivatives_take_one_decomposition_per_generator(count_calls, build):
+    # every catalog frame is in closed form: a build and a frame at another
+    # point decompose nothing
     frechet = count_calls(scipy.linalg, "expm_frechet")
     eig = count_calls(matkernel, "hermitian_eig")
-    build()
-    assert len(eig) == generators
     mdl = build()
     model.tangent_frame(mdl, mdl.theta0 + 0.05)
-    assert len(eig) == generators
-    assert frechet == []
-
-
-def test_spin_tables_are_shared_and_read_only():
-    model.catalog_spin_rotation(5, 1, [0.3, 0.2])   # s is validated to a float
-    tables = model._spin_tables(5.0)
-    model.catalog_spin_rotation(5.0, -3.0, [1.3, 4.2])
-    assert model._spin_tables(5.0) is tables
-    assert not any(t.flags.writeable for t in tables)
+    assert eig == [] and frechet == []
 
 
 def test_squeezed_rejects_nonpositive_squeeze():
