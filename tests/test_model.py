@@ -161,18 +161,6 @@ def test_spin_fisher_matches_exact_values(two_s, which, t1, t2):
     assert np.abs(fd.Jt - jt).max() <= 1e-13 * js[0, 0]
 
 
-def test_spin_s_up_to_the_float_range_of_its_gram():
-    # the working point sums the Gram with its adjoint, so the largest s is the
-    # one whose 4 s(s+1) stays finite, about 6.70e153
-    theta = [0.9, 0.3]
-    below = model.catalog_spin_rotation(6.7e153, 0.0, theta)
-    fd = model.fisher_data(model.tangent_frame(below, theta))
-    js, _ = spin_exact_fisher(6.7e153, 0.0, theta[0])
-    assert np.all(np.abs(np.diagonal(fd.JS) - np.diagonal(js)) <= 1e-13 * np.diagonal(js))
-    with pytest.raises(errors.DomainError, match="too large"):
-        model.catalog_spin_rotation(6.71e153, 0.0, theta)
-
-
 def test_spin_validation():
     with pytest.raises(errors.DomainError):
         model.catalog_spin_rotation(0.7, 0.7, [0.5, 0.5])  # s not half-integer
