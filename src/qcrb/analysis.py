@@ -96,9 +96,10 @@ class FisherData:
         """The Hermitian part of a lift Gram, its real/imaginary split, and the
         lifts' SVD when it is given."""
         gram = np.asarray(gram, dtype=complex)
-        gram = 0.5 * (gram + gram.conj().T)
-        fd = cls(JS=matkernel.symmetrize(gram.real), Jt=matkernel.antisymmetrize(gram.imag),
-                 gram=gram)
+        # halved before the sum, which cannot then overflow; its real and
+        # imaginary parts are exactly symmetric and antisymmetric
+        gram = 0.5 * gram + 0.5 * gram.conj().T
+        fd = cls(JS=gram.real, Jt=gram.imag, gram=gram)
         if svd is not None:
             fd.svd = svd   # the lifts' own; a bare Gram is factored on first use
         return fd
@@ -149,7 +150,7 @@ class FisherData:
     @functools.cached_property
     def embedding(self):
         kh, root = self.lift_factor
-        gram = 0.5 * (self.gram + self.gram.conj().T)
+        gram = 0.5 * self.gram + 0.5 * self.gram.conj().T
         miss = matkernel.mnorm(root.conj().T @ root - gram) - self.canonical[3]
         check("naimark_gram", miss, matkernel.mnorm(gram), ConsistencyError)
         r, m = kh.shape
@@ -165,13 +166,18 @@ class FisherData:
 
         gn = w G w (w = JS^{-1/2}) is the weight in the parameters where JS = I,
         and (g, r, keep) is its one matkernel.psd_eig: the PSD decision at
-        gn's dust (DomainError) and the rank cut that every route reads.
+        gn's dust (DomainError) and the rank cut that every route reads. It is
+        taken on gn scaled to unit size by a power of two, which is exact:
+        LAPACK rescales a matrix near either end of the float range by a factor
+        that is not, and 2^k G would then not decompose as 2^k times G does.
         """
         key = ("weight", G.tobytes())
         if key not in self.reports:
             w = self.js_powers[1]
             gn = matkernel.symmetrize(w @ G @ w)
-            self.reports[key] = gn, matkernel.psd_eig(gn, DomainError)
+            e = math.frexp(matkernel.mnorm(gn))[1]
+            g, r, keep = matkernel.psd_eig(np.ldexp(gn, -e), DomainError)
+            self.reports[key] = gn, (np.ldexp(g, e), r, keep)
             _read_only(gn, *self.reports[key][1])
         return self.reports[key]
 
@@ -194,7 +200,9 @@ def coherent_test(fd):
     """True iff all beta equal 1; cross-checks |det JS| = |det Jt|."""
     ok = fd.canonical[2].classification == "coherent"
     if ok:
-        djs, djt = abs(np.linalg.det(fd.JS)), abs(np.linalg.det(fd.Jt))
+        # at the scale of JS, where neither determinant leaves the float range
+        n = matkernel.mnorm(fd.JS)
+        djs, djt = abs(np.linalg.det(fd.JS / n)), abs(np.linalg.det(fd.Jt / n))
         check("coherent_det", abs(djs - djt) / max(djs, djt), 1.0, ConsistencyError)
     return ok
 
@@ -258,88 +266,73 @@ def boundary_2param(beta, count, x_window=(-1.0, 1.0)):
 
 
 def _minimize_on_curve(g0, g1, beta):
-    """Minimize g0*(1+p^2) + g1*(1+q(p)^2) over the stationary curve, 0 <= beta < 1.
+    """The point (p, q) of the stationary curve minimizing g0*(1+p^2) + g1*(1+q(p)^2).
 
     Since q'(p) = -1/(beta p + c)^2, stationary points are the roots in
     [0, beta/c] of f(p) = g0 p (beta p + c)^3 - g1 (beta - c p). For p >= 0, f
     is increasing and convex, f(0) = -g1 beta <= 0, and f >= 0 at
     p0 = min(beta/c, (g1/(g0 beta^2))^(1/4)). So Newton from p0 falls
     monotonically onto the one root, and stops when a step no longer
-    decreases p. The minimum is taken over that root and both endpoints, each
-    a point of the curve; at beta = 0 the curve is the single point p = 0.
+    decreases p. At beta = 1 (c = 0) p0 is the root and q = 1/p; at beta = 0
+    the curve is the single point p = 0. The root reads g0/g1 alone, so the
+    weights are first scaled, exactly, by a power of two. A zero weight costs
+    0 everywhere and takes the midpoint p = q = beta/(1 + c); g0 = 0 takes the
+    end p = beta/c, q = 0, which is at infinity when beta = 1.
     """
     c = math.sqrt(max(0.0, 1.0 - beta * beta))
-    pmax = beta / c
-    p = 0.0
-    if beta > 0.0:
-        p = min(pmax, (g1 / (g0 * beta * beta)) ** 0.25)
-        while True:
-            s = beta * p + c
-            nxt = p - (g0 * p * s ** 3 - g1 * (beta - c * p)) / (
-                g0 * s * s * (s + 3.0 * beta * p) + g1 * c)
-            if not nxt < p:
-                break
-            p = nxt
-
-    def cost(p):
-        q = _curve_q(p, beta, c)
-        return g0 * (1.0 + p * p) + g1 * (1.0 + q * q)
-
-    pstar = min((p, 0.0, pmax), key=cost)
-    return pstar, _curve_q(pstar, beta, c)
+    if not (g0 or g1):
+        return (beta / (1.0 + c),) * 2
+    end = beta / c if c else math.inf
+    if not g0:
+        return end, 0.0
+    e = math.frexp(max(g0, g1))[1]
+    g0, g1 = math.ldexp(g0, -e), math.ldexp(g1, -e)
+    p = min(end, (g1 / (g0 * beta * beta)) ** 0.25) if beta else 0.0
+    while True:
+        s = beta * p + c
+        nxt = p - (g0 * p * s ** 3 - g1 * (beta - c * p)) / (
+            g0 * s * s * (s + 3.0 * beta * p) + g1 * c)
+        if not nxt < p:
+            break
+        p = nxt
+    return p, _curve_q(p, beta, c)
 
 
 def cr_bound_2param(fd, G):
-    """Attainable bound for two-parameter models via the stationary curve.
+    """Attainable bound for two-parameter models: one point of the stationary curve.
 
-    At beta = 0 the curve is the single point V = JS^{-1}, so the value is
-    Tr(G JS^{-1}) there too. A weight that is not PSD raises DomainError.
+    In the parameters where JS = I the weight is G' = w G w = r diag(g) r^T
+    (w = JS^{-1/2}, g ascending), and the optimum is V' = r diag(1 + p^2,
+    1 + q^2) r^T at the curve point (p, q) of `_minimize_on_curve`, with
+    V = w V' w. At beta = 0 that is V = JS^{-1}. A rank-1 weight at beta = 1
+    puts the point at infinity: the infimum, Tr(G JS^{-1}), is not attained
+    and V_opt is None. A weight that is not PSD raises DomainError.
     """
     m = fd.JS.shape[0]
     if m != 2:
         raise DomainError(f"two-parameter bound requires m = 2, got {m}")
     G = check_weight(fd, G)
-    jsinv, w, _ = fd.js_powers
     g, r, keep = fd.weight(G)[1]   # raises DomainError unless PSD
+    g0, g1 = g.tolist()
     beta = float(fd.canonical[2].betas[0])
-    c = math.sqrt(max(0.0, 1.0 - beta * beta))
+    p, q = _minimize_on_curve(g0, g1, beta)
+    u, v = 1.0 + p ** 2, 1.0 + q ** 2
+    # a direction of zero weight adds nothing, however large its variance
+    value = (g0 * u if g0 else 0.0) + g1 * v
     notes = {"beta": beta}
-
-    def back(vrot):
-        """V' = r diag(vrot) r^T and V = w V' w, as BoundReport fields."""
-        vn = r @ np.diag(vrot) @ r.T
-        return {"V_opt": matkernel.symmetrize(w @ vn @ w), "Vn": matkernel.symmetrize(vn)}
-
-    if not keep[-1]:
-        # zero weight: every feasible covariance gives zero; the G = JS
-        # optimum 2/(1+c) JS^{-1} is feasible at every beta
-        return BoundReport(G=G, value=0.0, attained=True, V_opt=2.0 / (1.0 + c) * jsinv,
-                           method="closed_form_2param", notes={**notes, "rank": 0},
-                           Vn=2.0 / (1.0 + c) * np.eye(2))
-    if not keep[0]:
-        # rank-1 weight: marginal semantics, attained iff beta < 1
-        value = float(np.trace(G @ jsinv))
-        attained = beta < 1.0
-        covs = {"V_opt": None}
-        if attained:
-            infl = 1.0 / (1.0 - beta * beta) if beta > 0 else 1.0
-            covs = back(np.array([infl, 1.0]))
-        return BoundReport(G=G, value=value, attained=attained, method="closed_form_2param",
-                           notes={**notes, "rank": 1}, **covs)
-
-    if beta == 1.0:
-        p2 = math.sqrt(g[1] / g[0])
-        pstar, qstar = math.sqrt(p2), 1.0 / math.sqrt(p2)
-        value = float(g[0] + g[1] + 2.0 * math.sqrt(g[0] * g[1]))
-        covs = back(np.array([1.0 + p2, 1.0 + 1.0 / p2]))
+    if keep[0]:
+        c = math.sqrt(max(0.0, 1.0 - beta * beta))
+        notes["stationary_residual"] = abs(beta * p * q + c * (p + q) - beta)
     else:
-        pstar, qstar = _minimize_on_curve(g[0], g[1], beta)
-        value = float(g[0] * (1.0 + pstar ** 2) + g[1] * (1.0 + qstar ** 2))
-        covs = back(np.array([1.0 + pstar ** 2, 1.0 + qstar ** 2]))
-    notes["stationary_residual"] = abs(
-        beta * pstar * qstar + c * (pstar + qstar) - beta)
-    return BoundReport(G=G, value=value, attained=True, method="closed_form_2param",
-                       notes=notes, **covs)
+        notes["rank"] = int(keep.sum())
+    attained = p < math.inf
+    vopt = vn = None
+    if attained:
+        vn = r @ np.diag([u, v]) @ r.T
+        w = fd.js_powers[1]
+        vopt, vn = matkernel.symmetrize(w @ vn @ w), matkernel.symmetrize(vn)
+    return BoundReport(G=G, value=value, attained=attained, V_opt=vopt,
+                       method="closed_form_2param", notes=notes, Vn=vn)
 
 
 def cr_bound_js_weight(fd):

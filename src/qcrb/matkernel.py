@@ -5,10 +5,10 @@ max-absolute-entry norm. A check raises through `check`; a decision (a dust
 snap, a rank cut, a branch) reads TOL directly. Whether a quantity is zero
 (or nonnegative) up to roundoff is one rule, TOL["eigen_dust"] at the
 quantity's own scale. Eigenvalues within it of zero are exact zeros
-everywhere: `psd_eig` makes that one PSD decision and rank cut, for the PSD
-powers and order, for a completion's V' - kh* kh and, once per working point
-and weight, for the normalized weight w G w that `analysis.FisherData.weight`
-caches.
+everywhere: `psd_eig` makes that one PSD decision and rank cut, and returns
+them as 0.0, for the PSD powers and order, for a completion's V' - kh* kh and,
+once per working point and weight, for the normalized weight w G w that
+`analysis.FisherData.weight` caches.
 """
 
 import numpy as np
@@ -166,16 +166,18 @@ def hermitian_eig(a):
 def psd_eig(a, error=NotPSD, scale=None):
     """The one PSD decision and rank cut: (w, u, keep) from one hermitian_eig.
 
-    w are the eigenvalues ascending, u the eigenvectors, and keep the mask of
-    eigenvalues above the dust TOL["eigen_dust"] * scale, where the scale is
-    ||a|| unless the caller names a larger input that a's roundoff follows.
-    An eigenvalue below minus the dust raises `error`.
+    w are the decided eigenvalues ascending, u the eigenvectors, and keep the
+    mask of eigenvalues above the dust TOL["eigen_dust"] * scale, where the
+    scale is ||a|| unless the caller names a larger input that a's roundoff
+    follows. Every eigenvalue within the dust is returned as exactly 0.0; one
+    below minus the dust raises `error`.
     """
     w, u = hermitian_eig(a)
     dust = TOL["eigen_dust"] * (mnorm(a) if scale is None else scale)
     if w.min(initial=0.0) < -dust:
         raise error(f"matrix is not PSD: min eigenvalue {w.min():.3e} below {-dust:.3e}")
-    return w, u, w > dust
+    keep = w > dust
+    return np.where(keep, w, 0.0), u, keep
 
 
 def psd_powers(a, *powers):
@@ -187,8 +189,8 @@ def psd_powers(a, *powers):
     """
     w, u, keep = psd_eig(a)
     if min(powers) < 0 and not keep.all():
-        raise NotPSD(f"matrix is singular at dust level (min eig {w.min():.3e})")
-    w = np.where(keep, w, 0.0)
+        raise NotPSD(f"matrix is singular: {(~keep).sum()} of {len(w)} eigenvalues "
+                     "within the dust")
     real = not np.iscomplexobj(np.asarray(a))
     out = []
     for p in powers:

@@ -165,9 +165,9 @@ def _complete(fd, vn):
     phi, _, lifts = fd.embedding
     h = vn - kh.conj().T @ kh
     # h's roundoff follows V', the larger input: V' >= kh* kh, whose diagonal is 1
-    wh, uh, keep = matkernel.psd_eig(h, InfeasibleGram, scale=matkernel.mnorm(vn))
+    wh, uh, _ = matkernel.psd_eig(h, InfeasibleGram, scale=matkernel.mnorm(vn))
     x = lifts.copy()
-    x[m + 1:, :] = (uh * np.sqrt(np.where(keep, wh, 0.0))) @ uh.conj().T
+    x[m + 1:, :] = (uh * np.sqrt(wh)) @ uh.conj().T
     analysis.estimation_residuals(x, phi, lifts, InfeasibleGram)
     return EstimationVectors(X=x, phi=phi, w=fd.js_powers[1])
 

@@ -119,8 +119,8 @@ def catalog_spin_rotation(s, m_z, theta):
     in the three levels (|m_z+1>, |m_z>, |m_z-1>) at every s. With
     e = e^{i theta2}, A = (i/2)(conj(e) S_+ - e S_-) and B = (conj(e) S_+ + e S_-)/2;
     the ladder coefficients are written as products, with no cancellation. An s
-    whose lift Gram entry 2 s(s+1) would leave the float range when the working
-    point sums the Gram with its adjoint (s above about 6.7e153) is a DomainError.
+    above 9.48e153, where the lift Gram entry 2 s(s+1) leaves the float range, is
+    a DomainError.
     """
     s = _check_half_integer(s, "s")
     m_z = _check_half_integer(m_z, "m_z")
@@ -130,8 +130,12 @@ def catalog_spin_rotation(s, m_z, theta):
         raise DomainError(f"|m_z| = {abs(m_z)} exceeds s = {s}")
     if abs((s - m_z) - round(s - m_z)) > TOL["half_integer"]:
         raise DomainError(f"s - m_z must be an integer, got s={s}, m_z={m_z}")
-    if not math.isfinite(4 * s * (s + 1)):
-        raise DomainError(f"s = {s} is too large: twice its lift Gram 2 s(s+1) overflows")
+    # 2 s(s+1) overflows from 9.4807519081091765e153, and the lifts' largest
+    # singular value sqrt(2 s(s+1)), as the SVD rounds it, reaches lift_svd's
+    # sqrt(float max) a few floats below that (measured: 9.480751908109173e153
+    # passes at theta1 = pi/2, the next float does not)
+    if not s <= 9.48e153:
+        raise DomainError(f"s = {s} is too large: its lift Gram 2 s(s+1) leaves the float range")
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (2,):
         raise DomainError("spin rotation model takes a 2-vector theta")

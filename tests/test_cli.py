@@ -154,14 +154,14 @@ def test_boundary_rejects_empty_sample_count(samples):
 # 1 with a numpy traceback: the Fock sizes are a truncation of 1e13 levels
 # (146 TiB for phi) and n = 1e14, whose n + 2 levels take 1.42 PiB. numpy
 # refuses each size before it touches any memory; a size it could allocate is
-# not tried here. A spin s whose lift Gram, summed with its adjoint, would pass
-# the float range (from about 6.7e153) is refused before any array is formed.
+# not tried here. A spin s whose lift Gram entry 2 s(s+1) would pass the float
+# range (from about 9.48e153) is refused before any array is formed.
 @pytest.mark.parametrize("argv, config", [
     (["boundary", "--beta", "1", "--window", "inf", "1", "--samples", "3"], None),
     (["boundary", "--beta", "1", "--samples", "10000000000000"], None),
     (["simulate", "--pvm", "n0_coherent_pvm.json", "--samples", "10000000000000"],
      "n0_coherent_config.json"),
-    (["analyze"], {"model": "spin_rotation", "s": 6.71e153, "m_z": 0.0, "theta": [0.9, 0.3]}),
+    (["analyze"], {"model": "spin_rotation", "s": 9.49e153, "m_z": 0.0, "theta": [0.9, 0.3]}),
     (["analyze"], {"model": "spin_rotation", "s": 1e300, "m_z": 0.0, "theta": [0.9, 0.3]}),
     (["analyze"], {"model": "shifted_number", "n": 0, "trunc": 10000000000000,
                    "theta": [0.1, 0.2]}),
@@ -906,13 +906,46 @@ def test_spin_1e6_matches_its_exact_formulas(tmp_path, capsys, m_z, weight):
 
 
 def test_spin_below_the_gram_edge_is_analyzed(tmp_path, capsys):
-    cfg = write_json(tmp_path / "m.json", {"model": "spin_rotation", "s": 6.7e153, "m_z": 0.0,
+    cfg = write_json(tmp_path / "m.json", {"model": "spin_rotation", "s": 9.48e153, "m_z": 0.0,
                                            "theta": [0.9, 0.3]})
     assert cli.main(["analyze", "--config", cfg]) == 0
     out, err = capsys.readouterr()
     assert err == ""
-    js = 2 * fractions.Fraction(6.7e153) * (fractions.Fraction(6.7e153) + 1)
+    js = 2 * fractions.Fraction(9.48e153) * (fractions.Fraction(9.48e153) + 1)
     assert abs(json.loads(out)["JS"][0][0] - float(js)) <= 1e-13 * float(js)
+
+
+# At beta = 1 the bound under c I is 2c. The curve's point reads only the ratio of
+# the weight's eigenvalues, so nothing overflows (sqrt(g0 g1) did from c = 1e160)
+# or underflows (it read c from 1e-165 down, and 1.99999997 c at 1e-158).
+@pytest.mark.parametrize("c", [1e-300, 1e-165, 1e-158, 1e160, 1e300])
+def test_n0_bound_is_homogeneous_over_the_float_range(tmp_path, capsys, c):
+    cfg = write_json(tmp_path / "m.json", N0)
+    weight = write_json(tmp_path / "w.json", [[c, 0.0], [0.0, c]])
+    for argv in (["bound"], ["bound", "--oracle"], ["pvm"]):
+        assert cli.main(argv + ["--config", cfg, "--weight", weight]) == 0, argv
+        out, err = capsys.readouterr()
+        assert err == "", argv
+        doc = json.loads(out)
+        value = doc["closed_form_value"] if argv == ["pvm"] else doc["bound"]["value"]
+        assert abs(value - 2 * c) <= 1e-15 * 2 * c, argv
+    ver = doc["verification"]   # of the pvm report, the last one read
+    assert ver["unbiased"] and abs(ver["trGV"] - 2 * c) <= 1e-15 * 2 * c
+
+
+# A lift Gram entry between float max/2 and float max passes lift_svd; the working
+# point halves the Gram before it sums it with its adjoint, so that sum cannot
+# overflow (it did, with two RuntimeWarnings and exit 3).
+def test_a_gram_entry_near_the_float_range_is_read(tmp_path, capsys):
+    x = math.sqrt(0.7 * sys.float_info.max / 4)
+    cfg = write_json(tmp_path / "m.json", {"model": "custom", "dim": 2, "m": 1,
+                                           "phi": [[1.0, 0.0], [0.0, 0.0]],
+                                           "dphi": [[[0.0, 0.0], [x, 0.0]]], "theta": [0.0]})
+    for cmd in ("analyze", "bound", "pvm", "oracle"):
+        assert cli.main([cmd, "--config", cfg]) == 0, cmd
+        out, err = capsys.readouterr()
+        assert err == "", cmd
+        json.loads(out)
 
 
 PVM_FILES = ["n0_coherent", "spin2_quasi_classical", "spin15_generic"]

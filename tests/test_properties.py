@@ -98,6 +98,46 @@ def test_2param_bound_between_sld_and_trace(beta, seed):
     assert w.min() >= -1e-10
 
 
+# Every weight of a two-parameter model, PD, rank 1 or zero, at every beta in
+# [0, 1], takes one point of the stationary curve, and in any units of the
+# weight: G' = R diag(g0, g1) R^T where JS = I, scaled by 2^k.
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 1.0), st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+       st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), st.floats(0.0, math.pi),
+       st.integers(-1000, 1000))
+@example(0.0, 1.0, 4.0, 0.3, 0)
+@example(1.0, 1.0, 4.0, 0.3, 0)
+@example(1.0, 0.0, 4.0, 0.3, 900)
+@example(1.0, 0.0, 0.0, 0.3, -900)
+@example(1.0, 1e-3, 1e3, 1.0, -1000)
+@example(1.0, 1e3, 1e3, 0.0, 1000)
+@example(1.0 - 1e-13, 0.0, 1.0, 0.7, 0)
+def test_2param_bound_is_one_curve_point_in_any_units(beta, ga, gb, angle, k):
+    jt = beta * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    fd = FisherData.from_gram(np.eye(2) + 1j * jt)
+    g0, g1 = sorted((ga, gb))
+    r = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    g = r @ np.diag([g0, g1]) @ r.T
+    rep = analysis.cr_bound_2param(fd, g)
+    at_one = rep.notes["beta"] == 1.0
+    assert rep.attained == (not (at_one and g0 == 0.0 < g1))
+    if at_one:
+        exact = (math.sqrt(g0) + math.sqrt(g1)) ** 2
+        assert abs(rep.value - exact) <= 1e-12 * exact
+    if rep.attained:
+        # Tr(G V_opt) to 1e-12 of the size of its terms, which a rank-1 weight
+        # near beta = 1 makes far larger than the value
+        terms = g * rep.V_opt
+        assert abs(terms.sum() - rep.value) <= 1e-12 * np.abs(terms).sum()
+    else:
+        assert rep.V_opt is None
+    scaled = analysis.cr_bound_2param(fd, np.ldexp(g, k))
+    assert (scaled.attained, scaled.notes.get("rank")) == (rep.attained, rep.notes.get("rank"))
+    expect = rep.value * 2.0 ** k
+    if 1e-300 <= expect <= 1e300:
+        assert abs(scaled.value - expect) <= 1e-14 * expect
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000), st.integers(2, 4))
 def test_js_weight_reparametrization_invariant(seed, m):
