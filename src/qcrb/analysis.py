@@ -79,10 +79,12 @@ class FisherData:
     point. `reports` caches closed_form by the bytes of the symmetrized
     weight: the one BoundReport (or None) that every bound and measurement at
     this point reads. Beside it, under ("oracle", those bytes), it caches
-    oracle_bound's (BoundReport, OracleResult), and under ("weight", those
-    bytes) the weight's one decomposition (`weight`). Their arrays are
-    read-only. Each decomposition is computed on first use and cached here,
-    so JS, Jt and gram must not change once the point is built. Nothing
+    oracle_bound's (BoundReport, OracleResult), under ("weight", those bytes)
+    the weight's one decomposition (`weight`), and under "coherent" that
+    `coherent_test`'s determinant check passed, so the bound and the vectors
+    of a coherent point take it once. Their arrays are read-only. Each
+    decomposition is computed on first use and cached here, so JS, Jt and
+    gram must not change once the point is built. Nothing
     cached refers to the point, so it is acyclic: reference counting frees
     it, its decompositions and its reports when the last reader drops it.
     """
@@ -197,13 +199,18 @@ def quasi_classical_test(fd):
 
 
 def coherent_test(fd):
-    """True iff all beta equal 1; cross-checks |det JS| = |det Jt|."""
+    """True iff all beta equal 1; cross-checks |det JS| = |det Jt| once per point.
+
+    A passed check is recorded in fd.reports under "coherent"; a failed one
+    raises ConsistencyError on every call.
+    """
     ok = fd.canonical[2].classification == "coherent"
-    if ok:
+    if ok and "coherent" not in fd.reports:
         # at the scale of JS, where neither determinant leaves the float range
         n = matkernel.mnorm(fd.JS)
         djs, djt = abs(np.linalg.det(fd.JS / n)), abs(np.linalg.det(fd.Jt / n))
         check("coherent_det", abs(djs - djt) / max(djs, djt), 1.0, ConsistencyError)
+        fd.reports["coherent"] = True
     return ok
 
 
@@ -398,7 +405,7 @@ def check_weight(fd, G):
     return matkernel.symmetrize(G)
 
 
-def estimation_residuals(x, phi, lifts, error, xx=None):
+def estimation_residuals(x, phi, lifts, error, products=None):
     """The residuals of estimation vectors X (columns) in the parameters where JS = I.
 
     <x^i|phi> (given phi), Im X*X and Re X*L - I (given the lifts L of those
@@ -407,12 +414,14 @@ def estimation_residuals(x, phi, lifts, error, xx=None):
     root: |X| (phi has unit norm), |X|^2 and |X| ||L||. The rule then reads the
     same in any units of theta, where the vectors are given in theta.
     `error` is the error type raised, or a dict of them by residual name.
-    `xx` is X*X when the caller has formed it. Returns the residuals by name.
+    `products` is (X*, X*X, |X|) when the caller has formed them. Returns the
+    residuals by name.
     """
-    xh = x.conj().T
-    if xx is None:
+    if products is None:
+        xh = x.conj().T
         xx = xh @ x
-    size = math.sqrt(matkernel.mnorm(xx))
+        products = xh, xx, math.sqrt(matkernel.mnorm(xx))
+    xh, xx, size = products
     res = {} if phi is None else {"orthogonality": (matkernel.mnorm(xh @ phi), size)}
     res["im_xx"] = matkernel.mnorm(xx.imag), size ** 2
     if lifts is not None:

@@ -11,6 +11,8 @@ once per working point and weight, for the normalized weight w G w that
 `analysis.FisherData.weight` caches.
 """
 
+import math
+
 import numpy as np
 
 from .errors import DomainError, NonFinite, NonHermitian, NotPSD
@@ -92,11 +94,8 @@ def check(name, residual, scale, error):
 
 
 def mnorm(a):
-    """Max-absolute-entry norm."""
-    a = np.asarray(a)
-    if a.size == 0:
-        return 0.0
-    return float(np.abs(a).max())
+    """Max-absolute-entry norm: 0 for an empty array, NaN if an entry is NaN."""
+    return float(np.abs(a).max(initial=0.0))
 
 
 def zeros(shape, dtype=float):
@@ -121,10 +120,21 @@ def check_finite(a):
 
 
 def check_hermitian(a):
-    """Validate Hermitian symmetry and return the symmetrized matrix."""
-    a = np.asarray(check_finite(a))
-    check("hermitian", mnorm(a - a.conj().T), mnorm(a), NonHermitian)
-    return 0.5 * (a + a.conj().T)
+    """Validate Hermitian symmetry; return the symmetrized matrix and ||a||.
+
+    A NaN or Inf part raises NonFinite, a deviation past TOL "hermitian" times
+    ||a|| NonHermitian. The norm is read once: a finite ||a|| means every
+    entry is finite, so only a NaN or infinite one takes the entrywise
+    check_finite, which passes an entry with finite parts whose modulus
+    overflows.
+    """
+    a = np.asarray(a)
+    size = mnorm(a)
+    if not math.isfinite(size):
+        check_finite(a)
+    ah = a.conj().T
+    check("hermitian", mnorm(a - ah), size, NonHermitian)
+    return 0.5 * (a + ah), size
 
 
 def symmetrize(a):
@@ -154,13 +164,14 @@ def lift_svd(lifts, error):
 
 
 def hermitian_eig(a):
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, checked as check_hermitian does.
 
-    Returns (eigenvalues ascending, unitary eigenvector matrix).
+    Returns (eigenvalues ascending, unitary eigenvector matrix, ||a||): the
+    norm is the one the Hermitian check read.
     """
-    h = check_hermitian(a)
+    h, size = check_hermitian(a)
     w, u = np.linalg.eigh(h)
-    return w, u
+    return w, u, size
 
 
 def psd_eig(a, error=NotPSD, scale=None):
@@ -168,14 +179,14 @@ def psd_eig(a, error=NotPSD, scale=None):
 
     w are the decided eigenvalues ascending, u the eigenvectors, and keep the
     mask of eigenvalues above the dust TOL["eigen_dust"] * scale, where the
-    scale is ||a|| unless the caller names a larger input that a's roundoff
-    follows. Every eigenvalue within the dust is returned as exactly 0.0; one
-    below minus the dust raises `error`.
+    scale is ||a||, as the Hermitian check read it, unless the caller names a
+    larger input that a's roundoff follows. Every eigenvalue within the dust
+    is returned as exactly 0.0; one below minus the dust raises `error`.
     """
-    w, u = hermitian_eig(a)
-    dust = TOL["eigen_dust"] * (mnorm(a) if scale is None else scale)
-    if w.min(initial=0.0) < -dust:
-        raise error(f"matrix is not PSD: min eigenvalue {w.min():.3e} below {-dust:.3e}")
+    w, u, size = hermitian_eig(a)
+    dust = TOL["eigen_dust"] * (size if scale is None else scale)
+    if len(w) and w[0] < -dust:   # eigh's eigenvalues ascend
+        raise error(f"matrix is not PSD: min eigenvalue {w[0]:.3e} below {-dust:.3e}")
     keep = w > dust
     return np.where(keep, w, 0.0), u, keep
 

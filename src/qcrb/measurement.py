@@ -33,7 +33,7 @@ in the file format, which lists them densely.
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -74,11 +74,20 @@ class Pvm:
 
     The offsets are in the parameters theta' of the vectors the PVM was built
     from; `outcomes` maps them to theta by w, afresh on each read. A stored PVM
-    is read in theta, with w = I.
+    is read in theta, with w = I. The rays and offsets are read-only, and
+    `probs` caches, by the bytes of the state phi, the validated probabilities
+    at phi (read-only too): `outcome_statistics` fills it, and `outcome_table`
+    reads it, so a covariance and a sample at one state take one probability
+    pass. Nothing cached refers to the PVM.
     """
     rays: np.ndarray         # shape (dim, n), orthonormal columns B, one rank-1 outcome each
     offsets: np.ndarray      # shape (K, m'), in theta'; K = n, or n + 1 with the complement last
     w: np.ndarray            # shape (m', m): theta = w theta'
+    probs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.rays.setflags(write=False)
+        self.offsets.setflags(write=False)
 
     @property
     def outcomes(self):
@@ -99,11 +108,22 @@ class Pvm:
         return len(self.offsets) > self.rays.shape[1]
 
     def outcome_table(self, frame):
-        """(offsets in theta, probs, analytic_cov) at frame.phi, from one probability
-        pass; the covariance is the finite sum about theta."""
-        probs = outcome_probabilities(self, frame.phi)
+        """(offsets in theta, probs, analytic_cov) at frame.phi, from the cached
+        probability pass, or one that fills the cache; the covariance is the
+        finite sum about theta."""
+        probs = self._probabilities(frame.phi)
         offsets = self.outcomes
         return offsets, probs, matkernel.symmetrize(offsets.T @ (offsets * probs[:, None]))
+
+    def _probabilities(self, phi, rows=None):
+        """outcome_probabilities at phi, from `rows` when given, cached by the bytes of phi."""
+        key = np.asarray(phi, dtype=complex).tobytes()
+        if key not in self.probs:
+            probs = (outcome_probabilities(self, phi) if rows is None
+                     else outcome_probabilities(self, phi, rows))
+            probs.setflags(write=False)
+            self.probs[key] = probs
+        return self.probs[key]
 
 
 @dataclass
@@ -254,10 +274,12 @@ def pvm_from_vectors(ev, seed=0):
     if m == 0:
         raise DomainError("no estimation vectors: X has no columns")
     check("norm", abs(np.linalg.norm(phi) - 1.0), 1.0, DomainError)
-    xx = x.conj().T @ x
-    analysis.estimation_residuals(x, phi, None,
-                                  {"orthogonality": DomainError, "im_xx": NotCommuting}, xx)
+    xh = x.conj().T
+    xx = xh @ x
     size = math.sqrt(matkernel.mnorm(xx))
+    analysis.estimation_residuals(x, phi, None,
+                                  {"orthogonality": DomainError, "im_xx": NotCommuting},
+                                  (xh, xx, size))
 
     q, r = np.linalg.qr(np.column_stack([phi, x]))
     diag = np.diagonal(r)
@@ -284,11 +306,12 @@ def pvm_algebra_residuals(pvm):
     defects are those of B*B - I. The complement completes the PVM by
     construction; without it the rays must span the space.
     """
-    err = pvm.rays.conj().T @ pvm.rays - np.eye(pvm.rays.shape[1])
-    diag = np.diagonal(err)
+    err = np.abs(pvm.rays.conj().T @ pvm.rays - np.eye(pvm.rays.shape[1]))
+    idempotent = float(np.diagonal(err).max(initial=0.0))
+    np.fill_diagonal(err, 0.0)
     return {
-        "idempotent": matkernel.mnorm(diag),
-        "orthogonal": matkernel.mnorm(err - np.diag(diag)),
+        "idempotent": idempotent,
+        "orthogonal": float(err.max(initial=0.0)),
         "complete": 0.0 if pvm.complement else float(pvm.dim - len(err)),
     }
 
@@ -343,12 +366,14 @@ def outcome_statistics(pvm, frame):
     their mean within TOL "vectors" times the root |X| of the covariance in
     theta', and Re xhat'* L' - I within it times |X| ||L'||, as
     estimation_residuals. The probabilities and <phi|E_k|L'> share one
-    product B*phi, and the outcomes in theta are formed once.
+    product B*phi, and the outcomes in theta are formed once. The
+    probabilities are those the PVM caches at frame.phi, validated here if
+    none are.
     """
     offsets, outcomes = pvm.offsets, pvm.outcomes
     lifts = frame.lifts @ pvm.w
     prob_rows, lift_rows = _expectations(pvm, frame.phi, lifts)
-    probs = outcome_probabilities(pvm, frame.phi, prob_rows)
+    probs = pvm._probabilities(frame.phi, prob_rows)
     v = matkernel.symmetrize(outcomes.T @ (outcomes * probs[:, None]))
     mean = probs @ offsets
     deriv = (offsets.T @ lift_rows).real   # Re xhat'* L'

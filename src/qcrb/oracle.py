@@ -41,6 +41,7 @@ X*X stays real. When no completion exists the bound is an infimum that no
 estimator attains, and the result carries `attained = False` and `X = None`.
 """
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -324,7 +325,7 @@ def _complete(c, b, c0n, null):
     wn = np.linalg.lstsq(b.conj().T, d, rcond=None)[0] if b.size else np.zeros((0, n))
     t = cn.conj().T @ cn + wn.conj().T @ wn
     shift = 1j * matkernel.antisymmetrize(t.imag)
-    ws, us = matkernel.hermitian_eig(shift)
+    ws, us, _ = matkernel.hermitian_eig(shift)
     lower = (us * np.sqrt(np.clip(ws[-1] - ws, 0.0, None))) @ us.conj().T
     k = b.shape[0]
     bfull = np.zeros((k + n, p + n), dtype=complex)
@@ -399,7 +400,8 @@ def stationarity_certificate(result, problem=None):
     The first-order condition at an optimum is X(G - i Lambda) = L V G for
     some real antisymmetric Lambda; Lambda is fit by linear least squares.
     For two-parameter problems the quadratic multiplier identities are also
-    reported, and for coherent problems the spectrum of the scaled multiplier.
+    reported, relative to the largest of their terms, and for coherent
+    problems the spectrum of the scaled multiplier.
     Both read the fd of `problem`, the problem the result solves: pass the
     OracleProblem that holds the caller's fd, and they read the decompositions
     the solve read. A problem of another solver carries only a Gram, and is read
@@ -429,10 +431,18 @@ def stationarity_certificate(result, problem=None):
     residual = matkernel.mnorm(x @ (g - 1j * lam) - lifts @ (v @ g))
     extras = {}
     if m == 2:
-        e1 = g @ v @ g - lam @ v @ lam - g @ v @ fd.JS @ v @ g
-        e2 = g @ v @ lam + lam @ v @ g + g @ v @ fd.Jt @ v @ g
-        extras["quadratic_sym"] = matkernel.mnorm(e1)
-        extras["quadratic_antisym"] = matkernel.mnorm(e2)
+        # the real and imaginary parts of one identity, quadratic in (G, Lambda):
+        # taken on both scaled by one power of two, exactly, so that no product
+        # leaves the float range, and reported relative to the largest of their
+        # terms (G V G at least, where Lambda and Jt vanish)
+        e = math.frexp(max(matkernel.mnorm(g), matkernel.mnorm(lam)))[1]
+        gs, ls = np.ldexp(g, -e), np.ldexp(lam, -e)
+        gv = gs @ v
+        terms = {"quadratic_sym": (gv @ gs, -ls @ v @ ls, -gv @ fd.JS @ v @ gs),
+                 "quadratic_antisym": (gv @ ls, ls @ v @ gs, gv @ fd.Jt @ v @ gs)}
+        size = max(matkernel.mnorm(t) for ts in terms.values() for t in ts)
+        for name, ts in terms.items():
+            extras[name] = matkernel.mnorm(sum(ts)) / size if size else 0.0
     if analysis.beta_spectrum(fd).classification == "coherent":
         gw, u, pos = fd.weight(g)[1]
         if pos.all():   # a singular weight has no scaled multiplier

@@ -619,6 +619,23 @@ def test_coherent_route_decomposes_the_weight_once(monkeypatch):
     assert seen == ["wGw"]
 
 
+# The |det JS| = |det Jt| cross-check of a coherent point runs once, whichever of
+# the bound, the vectors and coherent_test reads it first.
+@pytest.mark.parametrize("build", [
+    lambda: model.catalog_squeezed([0.1, 0.2, 0.4, 0.7]),
+    lambda: model.catalog_shifted_number(0, [0.2, -0.4]),
+], ids=["squeezed", "shifted_n0"])
+def test_coherent_point_takes_the_determinants_once(count_calls, build):
+    mdl = build()
+    fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
+    dets = count_calls(np.linalg, "det")
+    g = np.eye(mdl.m)
+    analysis.cr_bound(fd, g)
+    measurement.optimal_vectors_coherent(measurement.naimark_frame(fd, mdl.theta0), fd, g)
+    assert analysis.coherent_test(fd) and analysis.coherent_test(fd)
+    assert dets == ["det", "det"]
+
+
 def test_coherent_route_with_singular_weight_goes_to_the_oracle():
     mdl = model.catalog_squeezed([0.1, 0.2, 0.4, 0.7])
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))

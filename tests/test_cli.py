@@ -933,6 +933,27 @@ def test_n0_bound_is_homogeneous_over_the_float_range(tmp_path, capsys, c):
     assert ver["unbiased"] and abs(ver["trGV"] - 2 * c) <= 1e-15 * 2 * c
 
 
+# The certificate's m = 2 identities are quadratic in the weight: taken on it
+# scaled by a power of two, they do not overflow (NonFinite, exit 3, from
+# c = 1e154), and reported relative to the size of their terms they read
+# roundoff at every c (they read 0 from underflow at c = 1e-300).
+# Spin (1.5, 0.5) at (0.7, 0.3), CR(I) = 0.4891628838117551, exited 3 from
+# c = 1e160 the same way.
+@pytest.mark.parametrize("config, unit_value", [
+    (N0, 2.0), ({**SPIN_GEN, "theta": [0.7, 0.3]}, 0.4891628838117551)], ids=["n0", "spin"])
+@pytest.mark.parametrize("c", [1e-300, 1e-165, 1.0, 1e154, 1e160, 1e300])
+def test_oracle_certificate_over_the_float_range(tmp_path, capsys, config, unit_value, c):
+    cfg = write_json(tmp_path / "m.json", config)
+    weight = write_json(tmp_path / "w.json", [[c, 0.0], [0.0, c]])
+    assert cli.main(["oracle", "--config", cfg, "--weight", weight]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    doc = json.loads(out)
+    assert abs(doc["value"] - unit_value * c) <= 1e-12 * unit_value * c
+    extras = doc["certificate"]["extras"]
+    assert extras["quadratic_sym"] <= 1e-14 and extras["quadratic_antisym"] <= 1e-14
+
+
 # A lift Gram entry between float max/2 and float max passes lift_svd; the working
 # point halves the Gram before it sums it with its adjoint, so that sum cannot
 # overflow (it did, with two RuntimeWarnings and exit 3).

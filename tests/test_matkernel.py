@@ -29,8 +29,10 @@ def random_psd(rng, n):
 def test_check_hermitian_accepts_and_symmetrizes():
     rng = np.random.default_rng(0)
     h = random_hermitian(rng, 4)
-    out = matkernel.check_hermitian(h + 1e-14 * 1j * np.eye(4))
+    a = h + 1e-14 * 1j * np.eye(4)
+    out, size = matkernel.check_hermitian(a)
     assert np.abs(out - out.conj().T).max() == 0.0
+    assert size == np.abs(a).max()
 
 
 def test_check_hermitian_rejects():
@@ -52,6 +54,49 @@ def test_check_finite_rejects_complex_entries(bad):
     a[0, 1] = bad
     with pytest.raises(errors.NonFinite):
         matkernel.check_finite(a)
+
+
+# check_hermitian reads finiteness from its one norm, and takes the entrywise
+# check only when that norm is not finite: NaN and Inf still raise NonFinite,
+# in real and complex matrices alike
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf),
+                                 complex(np.nan, 1.0), complex(-np.inf, np.nan)])
+def test_check_hermitian_rejects_non_finite_entries(bad):
+    dtype = complex if isinstance(bad, complex) else float
+    for i, j in ((0, 0), (0, 1)):
+        a = np.eye(2, dtype=dtype)
+        a[i, j] = bad
+        a[j, i] = np.conj(bad)
+        with pytest.raises(errors.NonFinite):
+            matkernel.check_hermitian(a)
+
+
+def test_check_hermitian_passes_a_modulus_past_the_float_range():
+    # finite parts whose modulus overflows: the norm is infinite, the entrywise
+    # check passes, and an infinite norm admits any deviation
+    x = complex(1.3e308, 1.3e308)
+    for a in (np.array([[0.0, x], [np.conj(x), 0.0]]), np.array([[0.0, x], [0.0, 0.0]])):
+        with np.errstate(over="ignore", invalid="ignore"):
+            out, size = matkernel.check_hermitian(a)
+            ref = 0.5 * (a + a.conj().T)
+        assert size == np.inf
+        assert np.array_equal(out, ref, equal_nan=True)
+
+
+def test_psd_eig_reads_its_input_once(monkeypatch):
+    # one max-abs pass of the input serves the finiteness check, the Hermitian
+    # check's scale and the dust; no entrywise isfinite pass
+    a = random_psd(np.random.default_rng(3), 4)
+    passes, isfinite = [], []
+    absolute, finite = np.abs, np.isfinite
+    monkeypatch.setattr(np, "abs", lambda x, *args, **kw: (
+        passes.append(x is a), absolute(x, *args, **kw))[1])
+    monkeypatch.setattr(np, "isfinite", lambda x, *args, **kw: (
+        isfinite.append(x), finite(x, *args, **kw))[1])
+    w, _, keep = matkernel.psd_eig(a)
+    monkeypatch.undo()
+    assert passes.count(True) == 1 and isfinite == []
+    assert keep.all() and np.abs(w - np.linalg.eigvalsh(a)).max() <= 1e-12 * np.abs(a).max()
 
 
 def test_sqrt_psd_squares_back():

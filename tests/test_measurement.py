@@ -678,6 +678,26 @@ def test_sampling_memory_is_one_byte_per_shot():
     assert peak < 4 * 2 ** 20, peak
 
 
+# A PVM keeps the validated probabilities of each state it was read at: the
+# covariance fills that cache and sampling reads it, so the pair takes one
+# probability pass. The rays, offsets and cached probabilities are read-only.
+@pytest.mark.parametrize("case", [0, 1], ids=["quasi_classical", "naimark"])
+def test_covariance_then_sampling_take_one_probability_pass(count_calls, case):
+    _, pvm, frame, _, probs = _sampling_cases()[case]
+    pvm = measurement.Pvm(rays=pvm.rays, offsets=pvm.offsets, w=pvm.w)
+    rows = count_calls(measurement, "_expectations")
+    checked = count_calls(measurement, "outcome_probabilities")
+    measurement.covariance_of_pvm(pvm, frame)
+    r = measurement.sample_outcomes(pvm, frame, 1000, 4)
+    measurement.sample_outcomes(pvm, frame, 10, 5)
+    assert rows == ["_expectations"] and checked == ["outcome_probabilities"]
+    cached, = pvm.probs.values()
+    assert np.array_equal(cached, probs) and r.count == 1000
+    for a in (pvm.rays, pvm.offsets, cached):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
 def test_bad_probability():
     # ray corrupted so the complement's <phi|E|phi> goes negative: 1.2 and -0.2
     phi = np.array([1.0, 0.0], dtype=complex)

@@ -356,6 +356,43 @@ def test_sampling_draw_is_generator_choice(weights, zero_last, count, seed):
     assert np.all(p[idx] > 0.0)
 
 
+# catalog points with a PVM, by class; (r, angle, t) set the working point
+CATALOG_PVM_POINTS = {
+    "spin_quasi_classical": lambda r, a, t: model.catalog_spin_rotation(
+        round(1 + 4 * t), 0.0, [0.2 + 0.9 * r, a]),
+    "spin_generic": lambda r, a, t: model.catalog_spin_rotation(1.5, 0.5, [0.2 + 0.9 * r, a]),
+    "shifted_n0": lambda r, a, t: model.catalog_shifted_number(
+        0, [r * math.cos(a), r * math.sin(a)]),
+    "squeezed": lambda r, a, t: model.catalog_squeezed(
+        [0.3 * r * math.cos(a), 0.3 * r * math.sin(a), 0.2 + 0.4 * t, a / 2]),
+}
+
+
+# Sampling reads the probabilities that the covariance validated and cached on
+# the PVM: it draws the same shots, bit for bit, as a fresh PVM of the same rays
+# whose one probability pass is its own.
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(CATALOG_PVM_POINTS)), st.floats(0.0, 2.5),
+       st.floats(0.0, 2 * math.pi), st.floats(0.0, 1.0), st.integers(0, 2 ** 63 - 1),
+       st.integers(0, 5000))
+@example("shifted_n0", 0.5, 1.0, 0.0, 7, 2000)
+@example("spin_quasi_classical", 1.0, 0.3, 1.0, 0, 1)
+def test_sampling_after_the_covariance_is_a_fresh_pass(point, r, angle, t, seed, count):
+    mdl = CATALOG_PVM_POINTS[point](r, angle, t)
+    frame = model.tangent_frame(mdl, mdl.theta0)
+    fd = model.fisher_data(frame)
+    space = measurement.pvm_space(frame, fd)
+    pvm = measurement.pvm_from_vectors(measurement.optimal_vectors(space, fd, np.eye(mdl.m))[0])
+    fresh = measurement.Pvm(rays=pvm.rays.copy(), offsets=pvm.offsets.copy(), w=pvm.w.copy())
+    measurement.covariance_of_pvm(pvm, space)
+    assert len(pvm.probs) == 1 and not fresh.probs
+    ours = measurement.sample_outcomes(pvm, space, count, seed)
+    ref = measurement.sample_outcomes(fresh, space, count, seed)
+    for name in ("drawn", "counts", "analytic_cov", "estimates"):
+        a, b = getattr(ours, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 def _custom_generic(seed, dim, m):
     rng = np.random.default_rng(seed)
     phi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
