@@ -1,5 +1,5 @@
 import sys
 
-from .cli import main
+from .cli import console_main
 
-sys.exit(main())
+sys.exit(console_main())

@@ -5,11 +5,16 @@ CSV. Errors print a machine-readable JSON object to stderr and exit with
 2 (schema/domain, an input sized past what can be allocated, or a singular
 weight whose bound no estimator attains),
 3 (model), or 4 (oracle: the duality gap missed its target, or
-`bound --oracle` disagrees with the closed form).
+`bound --oracle` disagrees with the closed form). A report that cannot be
+written, to --out or to stdout, is a SchemaError (exit 2).
+
+`console_main` is the process entry (`qcrb`, `python -m qcrb`); in-process
+callers call `main`.
 """
 
 import argparse
 import contextlib
+import gc
 import json
 import re
 import sys
@@ -90,12 +95,22 @@ def _bound_report_obj(rep):
     }
 
 
+def _print(text):
+    """Write and flush stdout. An OSError is a SchemaError (exit 2), as for --out:
+    the flush comes inside the check, not at the interpreter's exit."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        raise errors.SchemaError(f"cannot write output to stdout: {exc}") from exc
+
+
 def _emit(text, out_path):
     if out_path:
         with _open(out_path, "w", "output") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
+        _print(text)
 
 
 def _base_report(command, doc, model, args):
@@ -255,7 +270,7 @@ def cmd_simulate(args):
                 block = result.drawn[start:start + measurement.BLOCK].tolist()
                 fh.write("".join([rows[k] for k in block]))
         summary["csv"] = args.out
-    sys.stdout.write(reportio.dumps(summary))
+    _print(reportio.dumps(summary))
     return 0
 
 
@@ -359,5 +374,20 @@ def main(argv=None):
         return code
 
 
+def console_main():
+    """main() on sys.argv, then freeze the collector's heap on every way out.
+
+    Interpreter finalization runs full collections over every tracked object,
+    whether or not the collector is enabled, though what the interpreter and
+    numpy built on import is not read again; frozen objects sit in the
+    permanent generation, which those collections skip. atexit handlers, stream flushes and module teardown run as before.
+    `main` freezes nothing, so an in-process caller keeps its heap collectable.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

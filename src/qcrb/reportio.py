@@ -1,6 +1,7 @@
 """Diff-stable JSON and CSV writers: floats carry 17 significant digits."""
 
 import json
+import math
 
 import numpy as np
 
@@ -9,7 +10,7 @@ from .errors import NonFinite
 
 def fmt_float(x):
     x = float(x)
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise NonFinite(f"cannot serialize non-finite value {x!r}")
     return "%.17g" % x
 

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import fractions
+import gc
 import json
 import math
 import pathlib
@@ -1105,3 +1106,91 @@ def test_simulate_decomposes_nothing_of_the_pvm_document(monkeypatch, capsys, na
     assert cli.main(["simulate", "--config", str(DATA / f"{name}_config.json"),
                      "--pvm", str(DATA / f"{name}_pvm.json"), "--samples", "100"]) == 0
     assert eighs == []
+
+
+# The seven commands of a cold-process round, a SchemaError (exit 2), a model
+# error (exit 3) and an argparse usage error (exit 2 from SystemExit).
+ENTRY_RUNS = {
+    "analyze": (["analyze"], SPIN_GEN),
+    "bound": (["bound"], SQUEEZED),
+    "bound_oracle": (["bound", "--oracle"], SPIN_GEN),
+    "pvm": (["pvm"], SQUEEZED),
+    "simulate": (["simulate"], N0),
+    "boundary": (["boundary"], SPIN_GEN),
+    "oracle": (["oracle"], N3),
+    "schema_error": (["analyze"], {"model": "nope", "theta": [0.0]}),
+    "model_error": (["bound"], _squeezed(4.5)),
+    "usage_error": (["bound", "--no-such-flag"], N0),
+}
+
+
+def _entry_argv(tmp_path, name):
+    argv, config = ENTRY_RUNS[name]
+    argv = argv + ["--config", write_json(tmp_path / "m.json", config)]
+    if argv[0] == "simulate":
+        pvm_path = str(tmp_path / "pvm.json")
+        assert cli.main(["pvm", "--config", argv[-1], "--out", pvm_path]) == 0
+        argv += ["--pvm", pvm_path]
+    return argv
+
+
+def _main_in_process(argv, capsys):
+    capsys.readouterr()
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:   # argparse's usage error
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("name", list(ENTRY_RUNS))
+def test_main_in_process_freezes_nothing(tmp_path, capsys, name):
+    argv = _entry_argv(tmp_path, name)
+    frozen = gc.get_freeze_count()
+    code = _main_in_process(argv, capsys)[0]
+    assert code == {"schema_error": 2, "model_error": 3, "usage_error": 2}.get(name, 0)
+    assert gc.get_freeze_count() == frozen
+
+
+# `python -m qcrb` runs the process entry; an atexit handler, which runs after the
+# command and after the entry's `finally`, reads the frozen count on every way out.
+FREEZE_PROBE = (
+    "import atexit, gc, runpy, sys\n"
+    "atexit.register(lambda: sys.stderr.write('frozen %d' % gc.get_freeze_count()))\n"
+    "sys.argv[0] = 'qcrb'\n"
+    "runpy.run_module('qcrb', run_name='__main__')\n"
+)
+
+
+@pytest.mark.parametrize("name, code", [("analyze", 0), ("schema_error", 2),
+                                        ("model_error", 3), ("usage_error", 2)])
+def test_process_entry_freezes_the_heap_after_the_command(tmp_path, name, code):
+    argv = _entry_argv(tmp_path, name)
+    proc = subprocess.run([sys.executable, "-c", FREEZE_PROBE, *argv],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == code, proc.stderr
+    frozen = proc.stderr.rsplit("frozen ", 1)[1]
+    assert int(frozen) > 0
+
+
+@pytest.mark.parametrize("name", list(ENTRY_RUNS))
+def test_python_m_matches_main_in_process(tmp_path, capsys, name):
+    argv = _entry_argv(tmp_path, name)
+    proc = run_cli(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == _main_in_process(argv, capsys)
+
+
+# A report that cannot be written to stdout is a SchemaError, as with --out: the
+# write and its flush fail inside the check, so stderr is the error JSON alone.
+@pytest.mark.skipif(not pathlib.Path("/dev/full").exists(), reason="no /dev/full")
+@pytest.mark.parametrize("name", ["analyze", "pvm", "simulate", "boundary"])
+def test_a_full_stdout_exits_2(tmp_path, name):
+    argv = _entry_argv(tmp_path, name)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "qcrb", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, timeout=300)
+    assert proc.returncode == 2, proc.stderr
+    err = json.loads(proc.stderr)
+    assert err["error"] == "SchemaError" and err["exit_code"] == 2
+    assert "stdout" in err["message"]
