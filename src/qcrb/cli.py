@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import gc
 import json
+import os
 import re
 import sys
 
@@ -102,6 +103,13 @@ def _print(text):
         sys.stdout.write(text)
         sys.stdout.flush()
     except OSError as exc:
+        if sys.stdout is sys.__stdout__:
+            # A buffer may keep the bytes that failed; the interpreter's exit flush
+            # would fail on them again ("Exception ignored", exit 120). With fd 1 on
+            # devnull, as in the Python docs' note on SIGPIPE, that flush succeeds.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         raise errors.SchemaError(f"cannot write output to stdout: {exc}") from exc
 
 
@@ -380,8 +388,9 @@ def console_main():
     Interpreter finalization runs full collections over every tracked object,
     whether or not the collector is enabled, though what the interpreter and
     numpy built on import is not read again; frozen objects sit in the
-    permanent generation, which those collections skip. atexit handlers, stream flushes and module teardown run as before.
-    `main` freezes nothing, so an in-process caller keeps its heap collectable.
+    permanent generation, which those collections skip. atexit handlers, stream
+    flushes and module teardown run as before. `main` freezes nothing, so an
+    in-process caller keeps its heap collectable.
     """
     try:
         return main()

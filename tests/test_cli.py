@@ -1194,3 +1194,26 @@ def test_a_full_stdout_exits_2(tmp_path, name):
     err = json.loads(proc.stderr)
     assert err["error"] == "SchemaError" and err["exit_code"] == 2
     assert "stdout" in err["message"]
+
+
+# A stdout whose buffer keeps the bytes that failed (the pure-Python io stack does)
+# leaves them for the interpreter's exit flush; that flush must not fail again.
+KEEPING_STDOUT = (
+    "import _pyio, runpy, sys\n"
+    "sys.stdout = sys.__stdout__ = _pyio.TextIOWrapper(\n"
+    "    _pyio.BufferedWriter(_pyio.FileIO(1, 'w', closefd=False)))\n"
+    "sys.argv[0] = 'qcrb'\n"
+    "runpy.run_module('qcrb', run_name='__main__')\n"
+)
+
+
+@pytest.mark.skipif(not pathlib.Path("/dev/full").exists(), reason="no /dev/full")
+@pytest.mark.parametrize("name", ["analyze", "simulate"])
+def test_a_full_stdout_that_keeps_its_bytes_exits_2(tmp_path, name):
+    argv = _entry_argv(tmp_path, name)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-c", KEEPING_STDOUT, *argv],
+                              stdout=full, stderr=subprocess.PIPE, text=True,
+                              timeout=300)
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stderr)["exit_code"] == 2

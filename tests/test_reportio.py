@@ -1,7 +1,6 @@
-"""reportio writes the same bytes, and rejects the same values, as the encoder
-that checked each float with np.isfinite."""
-
-import json
+"""reportio.fmt_float gives the same string, and rejects the same values, as the
+version that checked each float with np.isfinite. The fixture byte tests pin
+`dumps` and `csv_rows`, which call it."""
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from qcrb import errors, reportio
 
 
-# The previous encoder, kept as the reference.
+# The previous fmt_float, kept as the reference.
 def _previous_fmt_float(x):
     x = float(x)
     if not np.isfinite(x):
@@ -18,100 +17,29 @@ def _previous_fmt_float(x):
     return "%.17g" % x
 
 
-def _previous_encode(obj, level):
-    pad = "  " * level
-    pad_in = "  " * (level + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _previous_fmt_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, np.ndarray):
-        return _previous_encode(obj.tolist(), level)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = []
-        for k, v in obj.items():
-            items.append('%s%s: %s' % (pad_in, json.dumps(str(k)),
-                                       _previous_encode(v, level + 1)))
-        return "{\n%s\n%s}" % (",\n".join(items), pad)
-    if isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            return "[]"
-        parts = [_previous_encode(v, level + 1) for v in obj]
-        if all(v is None or isinstance(v, (int, float, np.integer, np.floating, str, bool))
-               for v in obj):
-            return "[%s]" % ", ".join(parts)
-        return "[\n%s\n%s]" % (",\n".join(pad_in + p for p in parts), pad)
-    raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def _previous_csv_rows(header, rows):
-    return ",".join(header) + "\n" + "".join(
-        ",".join(_previous_fmt_float(x) for x in row) + "\n" for row in rows)
-
-
-def _outcome(fn, *args):
-    """fn(*args), or the type and message of what it raised."""
+def _outcome(fn, x):
+    """fn(x), or the type and message of what it raised."""
     try:
-        return fn(*args)
+        return fn(x)
     except (errors.NonFinite, TypeError) as exc:
         return type(exc), str(exc)
 
 
-FLOATS = st.floats(allow_nan=False, allow_infinity=False)
-FLOATS32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
-SCALARS = st.one_of(
-    st.none(), st.booleans(), st.builds(np.bool_, st.booleans()),
+FLOATS = st.floats()   # NaN and ±Inf included
+VALUES = st.one_of(
+    FLOATS, st.builds(np.float64, FLOATS), st.builds(np.float32, st.floats(width=32)),
     st.integers(-2**70, 2**70), st.builds(np.int64, st.integers(-2**63, 2**63 - 1)),
-    FLOATS, st.builds(np.float64, FLOATS), st.builds(np.float32, FLOATS32),
-    st.text(max_size=8))
-FLOAT_ROWS = st.lists(FLOATS, max_size=6)
-ARRAYS = st.one_of(FLOAT_ROWS.map(np.array),
-                   st.lists(st.tuples(FLOATS, FLOATS), min_size=1, max_size=4).map(np.array),
-                   st.lists(st.integers(-9, 9), max_size=4).map(np.array))
-DOCS = st.recursive(
-    st.one_of(SCALARS, FLOAT_ROWS, ARRAYS),
-    lambda inner: st.one_of(st.lists(inner, max_size=5),
-                            st.lists(inner, max_size=3).map(tuple),
-                            st.dictionaries(st.text(max_size=5), inner, max_size=4)),
-    max_leaves=25)
+    st.booleans(), st.builds(np.bool_, st.booleans()))
 
 
-@settings(max_examples=300, deadline=None)
-@given(DOCS)
-def test_dumps_matches_the_previous_encoder(doc):
-    assert reportio.dumps(doc) == _previous_encode(doc, 0) + "\n"
+@settings(max_examples=500, deadline=None)
+@given(VALUES)
+def test_fmt_float_matches_the_previous_check(x):
+    assert _outcome(reportio.fmt_float, x) == _outcome(_previous_fmt_float, x)
 
 
-@pytest.mark.parametrize("doc", [
-    [1.0, float("nan")], [0.5, [2.0, float("-inf")]], {"a": [1.0, 2.0], "b": float("inf")},
-    [np.float64("nan"), 1.0], np.array([1.0, np.inf]), [1.0, 2.0j], [float("nan"), 1j],
-    [1.0, object()], (3.0, {"k": {1.5}})])
-def test_dumps_rejects_what_the_previous_encoder_rejected(doc):
-    previous = _outcome(lambda d: _previous_encode(d, 0) + "\n", doc)
-    assert isinstance(previous, tuple)
-    assert _outcome(reportio.dumps, doc) == previous
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.lists(FLOATS, min_size=3, max_size=3), max_size=6), st.booleans())
-def test_csv_rows_match_the_previous_encoder(rows, as_array):
-    header = ["x", "y", "z"]
-    data = np.array(rows, dtype=float).reshape(-1, 3) if as_array else rows
-    assert reportio.csv_rows(header, data) == _previous_csv_rows(header, data)
-    for row in data:
-        assert reportio.csv_row(row) == _previous_csv_rows([], [row])[1:]
-
-
-@pytest.mark.parametrize("row", [[1.0, float("nan")], np.array([-np.inf, 0.0]),
-                                 [np.float32("inf")], [1, True, np.int64(3)]])
-def test_csv_row_keeps_the_previous_verdict(row):
-    assert _outcome(reportio.csv_row, row) == _outcome(
-        lambda r: _previous_csv_rows([], [r])[1:], row)
+@pytest.mark.parametrize("x", [
+    float("nan"), float("inf"), float("-inf"), np.float64("nan"), np.float32("-inf"),
+    np.float64(np.finfo(float).max), 5e-324, -0.0, 1j, 2.0 + 0j, "1.0", None])
+def test_fmt_float_keeps_the_previous_verdict(x):
+    assert _outcome(reportio.fmt_float, x) == _outcome(_previous_fmt_float, x)
