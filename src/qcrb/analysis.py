@@ -11,7 +11,7 @@ the lifts' SVD and every decomposition taken from it.
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -76,17 +76,15 @@ class FisherData:
     (ConsistencyError), checked once here for every reader. The Naimark
     frame's lifts and the oracle's are that R, and their lifts in theta' that
     kh: the SDP of `oracle_bound` reads `js_powers` and `embedding` of this
-    point. `reports` caches closed_form by the bytes of the symmetrized
-    weight: the one BoundReport (or None) that every bound and measurement at
-    this point reads. Beside it, under ("oracle", those bytes), it caches
-    oracle_bound's (BoundReport, OracleResult), under ("weight", those bytes)
-    the weight's one decomposition (`weight`), and under "coherent" that
-    `coherent_test`'s determinant check passed, so the bound and the vectors
-    of a coherent point take it once. Their arrays are read-only. Each
-    decomposition is computed on first use and cached here, so JS, Jt and
-    gram must not change once the point is built. Nothing
-    cached refers to the point, so it is acyclic: reference counting frees
-    it, its decompositions and its reports when the last reader drops it.
+    point. `coherent` is the class's determinant cross-check, taken once.
+    `reports` holds one `Weight` per weight, keyed by the bytes of the
+    symmetrized weight: its decomposition at unit scale, and the closed form
+    and the oracle's solve that every bound and measurement at this point
+    reads. Their arrays are read-only. Each decomposition is computed on first
+    use and cached here, so JS, Jt and gram must not change once the point is
+    built. Nothing cached refers to the point, so it is acyclic: reference
+    counting frees it, its decompositions and its reports when the last
+    reader drops it.
     """
     JS: np.ndarray
     Jt: np.ndarray
@@ -163,25 +161,89 @@ class FisherData:
         _read_only(phi, lifts)
         return phi, lifts[0], lifts[1]
 
-    def weight(self, G):
-        """(gn, (g, r, keep)) of a symmetrized weight G, as check_weight returns it.
+    @functools.cached_property
+    def coherent(self):
+        """True iff all beta equal 1; then |det JS| = |det Jt| is cross-checked.
 
-        gn = w G w (w = JS^{-1/2}) is the weight in the parameters where JS = I,
-        and (g, r, keep) is its one matkernel.psd_eig: the PSD decision at
-        gn's dust (DomainError) and the rank cut that every route reads. It is
-        taken on gn scaled to unit size by a power of two, which is exact:
-        LAPACK rescales a matrix near either end of the float range by a factor
-        that is not, and 2^k G would then not decompose as 2^k times G does.
+        A passed check is cached; a failed one raises ConsistencyError on every
+        read.
         """
-        key = ("weight", G.tobytes())
+        ok = self.canonical[2].classification == "coherent"
+        if ok:
+            # at the scale of JS, where neither determinant leaves the float range
+            n = matkernel.mnorm(self.JS)
+            djs, djt = abs(np.linalg.det(self.JS / n)), abs(np.linalg.det(self.Jt / n))
+            check("coherent_det", abs(djs - djt) / max(djs, djt), 1.0, ConsistencyError)
+        return ok
+
+    def weight(self, G):
+        """The `Weight` of G at this point: the one place where a weight enters.
+
+        G must be finite (NonFinite) and m x m (DomainError). It is
+        symmetrized, halved before the sum, and scaled to unit = 2^-(e+f) G,
+        exactly, where w G w (w = JS^{-1/2}) is formed as gn = w unit w:
+        neither overflows at either end of the float range, and gn is of size
+        near 1 whatever the units of G and theta. Its one matkernel.psd_eig
+        makes the PSD decision at its dust (DomainError) and the rank cut that
+        every route reads. e + f is the even power at or below ||w G w||, so
+        2^k G, for even k, has the same unit and gn as G, and every route's
+        result for it is 2^k times that for G, bit for bit; square roots at
+        unit scale are those at G's scale times a power of two. The Weight is
+        cached by the bytes of the symmetrized G.
+        """
+        G = np.asarray(G, dtype=float)
+        if G.shape != self.JS.shape:
+            raise DomainError(f"weight shape {G.shape} does not match m = {len(self.JS)}")
+        G = matkernel.symmetrize(G)
+        key = G.tobytes()
         if key not in self.reports:
-            w = self.js_powers[1]
-            gn = matkernel.symmetrize(w @ G @ w)
-            e = math.frexp(matkernel.mnorm(gn))[1]
-            g, r, keep = matkernel.psd_eig(np.ldexp(gn, -e), DomainError)
-            self.reports[key] = gn, (np.ldexp(g, e), r, keep)
-            _read_only(gn, *self.reports[key][1])
+            self.reports[key] = Weight(matkernel.check_finite(G), self.js_powers[1])
         return self.reports[key]
+
+
+class Weight:
+    """A weight G at one working point, at unit scale: G = 2^(e+f) unit.
+
+    2^e is the even power of two at or below ||G||, the weight's scale, and
+    2^f the one at or below ||w 2^-e G w|| (w = JS^{-1/2}), the point's, but
+    no less than 2^-1022, so that unit has entries below 2^1023.
+    gn = w unit w is the weight in the parameters where JS = I, of size near
+    1, and (g, r, keep) its eigenvalues ascending, eigenvectors and rank mask
+    from one matkernel.psd_eig. Every route computes at unit scale and
+    returns its result through `back`; V_opt, V' and the estimation vectors
+    do not depend on the weight's scale. `closed` caches closed_form's
+    report, as (report,) once it is taken, and `oracle` oracle_bound's
+    (BoundReport, OracleResult). The arrays are read-only, and nothing here
+    refers to the working point.
+    """
+
+    def __init__(self, G, w):
+        self.G, self.e = G, math.frexp(matkernel.mnorm(G))[1] & -2
+        self.f = max(math.frexp(matkernel.mnorm(w @ np.ldexp(G, -self.e) @ w))[1] & -2, -1022)
+        self.unit = np.ldexp(G, -self.e - self.f)
+        self.gn = matkernel.symmetrize(w @ self.unit @ w)
+        self.g, self.r, self.keep = matkernel.psd_eig(self.gn, DomainError)
+        _read_only(G, self.unit, self.gn, self.g, self.r, self.keep)
+        self.closed, self.oracle = (), None
+
+    def back(self, value, *fields):
+        """value, then each of `fields`, from unit scale to G's units: times 2^(e+f), exactly.
+
+        value is a bound, a float or an array of them (None passes as None).
+        One that is nonzero and a normal float at the point's scale, times 2^f,
+        but not times 2^(e+f), has left the float range by the weight's scale:
+        DomainError. The fields are quantities in G's units beside it, such as
+        parts of a bound, a duality gap or a multiplier. Returns the scaled
+        value alone, or with the scaled fields as a tuple.
+        """
+        # a normal float's frexp exponent lies in -1021..1024
+        for x in [] if value is None else np.ravel(value).tolist():
+            exp = math.frexp(x)[1] + self.f
+            if x and -1021 <= exp <= 1024 and not -1021 <= exp + self.e <= 1024:
+                raise DomainError(f"the bound at this weight, 2^{self.e} times "
+                                  f"{math.ldexp(x, self.f)!r}, is not a normal float")
+        out = [x if x is None else np.ldexp(x, self.e + self.f) for x in (value, *fields)]
+        return out[0] if not fields else tuple(out)
 
 
 def beta_spectrum(fd):
@@ -199,19 +261,8 @@ def quasi_classical_test(fd):
 
 
 def coherent_test(fd):
-    """True iff all beta equal 1; cross-checks |det JS| = |det Jt| once per point.
-
-    A passed check is recorded in fd.reports under "coherent"; a failed one
-    raises ConsistencyError on every call.
-    """
-    ok = fd.canonical[2].classification == "coherent"
-    if ok and "coherent" not in fd.reports:
-        # at the scale of JS, where neither determinant leaves the float range
-        n = matkernel.mnorm(fd.JS)
-        djs, djt = abs(np.linalg.det(fd.JS / n)), abs(np.linalg.det(fd.Jt / n))
-        check("coherent_det", abs(djs - djt) / max(djs, djt), 1.0, ConsistencyError)
-        fd.reports["coherent"] = True
-    return ok
+    """True iff all beta equal 1, cross-checked once per point (`FisherData.coherent`)."""
+    return fd.coherent
 
 
 def _curve_q(p, beta, c):
@@ -281,9 +332,9 @@ def _minimize_on_curve(g0, g1, beta):
     p0 = min(beta/c, (g1/(g0 beta^2))^(1/4)). So Newton from p0 falls
     monotonically onto the one root, and stops when a step no longer
     decreases p. At beta = 1 (c = 0) p0 is the root and q = 1/p; at beta = 0
-    the curve is the single point p = 0. The root reads g0/g1 alone, so the
-    weights are first scaled, exactly, by a power of two. A zero weight costs
-    0 everywhere and takes the midpoint p = q = beta/(1 + c); g0 = 0 takes the
+    the curve is the single point p = 0. The root reads g0/g1 alone; the
+    weights come at unit scale (`FisherData.weight`). A zero weight costs 0
+    everywhere and takes the midpoint p = q = beta/(1 + c); g0 = 0 takes the
     end p = beta/c, q = 0, which is at infinity when beta = 1.
     """
     c = math.sqrt(max(0.0, 1.0 - beta * beta))
@@ -292,8 +343,6 @@ def _minimize_on_curve(g0, g1, beta):
     end = beta / c if c else math.inf
     if not g0:
         return end, 0.0
-    e = math.frexp(max(g0, g1))[1]
-    g0, g1 = math.ldexp(g0, -e), math.ldexp(g1, -e)
     p = min(end, (g1 / (g0 * beta * beta)) ** 0.25) if beta else 0.0
     while True:
         s = beta * p + c
@@ -308,37 +357,37 @@ def _minimize_on_curve(g0, g1, beta):
 def cr_bound_2param(fd, G):
     """Attainable bound for two-parameter models: one point of the stationary curve.
 
-    In the parameters where JS = I the weight is G' = w G w = r diag(g) r^T
-    (w = JS^{-1/2}, g ascending), and the optimum is V' = r diag(1 + p^2,
-    1 + q^2) r^T at the curve point (p, q) of `_minimize_on_curve`, with
-    V = w V' w. At beta = 0 that is V = JS^{-1}. A rank-1 weight at beta = 1
-    puts the point at infinity: the infimum, Tr(G JS^{-1}), is not attained
-    and V_opt is None. A weight that is not PSD raises DomainError.
+    In the parameters where JS = I the weight at unit scale is
+    G' = w G w = r diag(g) r^T (w = JS^{-1/2}, g ascending), and the optimum
+    is V' = r diag(1 + p^2, 1 + q^2) r^T at the curve point (p, q) of
+    `_minimize_on_curve`, with V = w V' w. At beta = 0 that is V = JS^{-1}. A
+    rank-1 weight at beta = 1 puts the point at infinity: the infimum,
+    Tr(G JS^{-1}), is not attained and V_opt is None. A weight that is not
+    PSD raises DomainError.
     """
     m = fd.JS.shape[0]
     if m != 2:
         raise DomainError(f"two-parameter bound requires m = 2, got {m}")
-    G = check_weight(fd, G)
-    g, r, keep = fd.weight(G)[1]   # raises DomainError unless PSD
-    g0, g1 = g.tolist()
+    wt = fd.weight(G)   # raises DomainError unless PSD
+    g0, g1 = wt.g.tolist()
     beta = float(fd.canonical[2].betas[0])
     p, q = _minimize_on_curve(g0, g1, beta)
     u, v = 1.0 + p ** 2, 1.0 + q ** 2
     # a direction of zero weight adds nothing, however large its variance
-    value = (g0 * u if g0 else 0.0) + g1 * v
+    value = wt.back((g0 * u if g0 else 0.0) + g1 * v)
     notes = {"beta": beta}
-    if keep[0]:
+    if wt.keep[0]:
         c = math.sqrt(max(0.0, 1.0 - beta * beta))
         notes["stationary_residual"] = abs(beta * p * q + c * (p + q) - beta)
     else:
-        notes["rank"] = int(keep.sum())
+        notes["rank"] = int(wt.keep.sum())
     attained = p < math.inf
     vopt = vn = None
     if attained:
-        vn = r @ np.diag([u, v]) @ r.T
+        vn = wt.r @ np.diag([u, v]) @ wt.r.T
         w = fd.js_powers[1]
         vopt, vn = matkernel.symmetrize(w @ vn @ w), matkernel.symmetrize(vn)
-    return BoundReport(G=G, value=value, attained=attained, V_opt=vopt,
+    return BoundReport(G=wt.G, value=value, attained=attained, V_opt=vopt,
                        method="closed_form_2param", notes=notes, Vn=vn)
 
 
@@ -369,40 +418,32 @@ def cr_bound_js_weight(fd):
 def cr_bound_coherent(fd, G):
     """Bound for coherent models with strictly positive weight.
 
-    In the parameters where JS = I the weight is G' = w G w (w = JS^{-1/2}) and
-    the lift Gram is I + iK, so the optimum is V' = I + G'^{-1/2} |M| G'^{-1/2}
-    with M = G'^{1/2} K G'^{1/2}, and V = w V' w. G'^{+-1/2} come from the
-    weight's one decomposition on fd; a rank below m raises
-    SingularWeight. The value Tr G' + Tr |M| and the check of Tr(G' V')
-    against it are taken there too: Tr(G V) in theta cancels entries of the
-    size of ||JS^{-1}||, and Tr(G JS^{-1}) those of ||G|| ||JS^{-1}||.
+    In the parameters where JS = I the weight at unit scale is G' = w G w
+    (w = JS^{-1/2}) and the lift Gram is I + iK, so the optimum is
+    V' = I + G'^{-1/2} |M| G'^{-1/2} with M = G'^{1/2} K G'^{1/2}, and
+    V = w V' w. G'^{+-1/2} come from the weight's one decomposition on fd; a
+    rank below m raises SingularWeight. The value Tr G' + Tr |M| and the
+    check of Tr(G' V') against it are taken there too: Tr(G V) in theta
+    cancels entries of the size of ||JS^{-1}||, and Tr(G JS^{-1}) those of
+    ||G|| ||JS^{-1}||. The value and its two parts are then scaled back.
     """
     if not coherent_test(fd):
         raise NotCoherent("model is not coherent (some beta < 1)")
-    G = check_weight(fd, G)
-    gn, (g, r, keep) = fd.weight(G)
-    if not keep.all():
+    wt = fd.weight(G)
+    if not wt.keep.all():
         raise SingularWeight("weight matrix must be strictly positive definite")
-    sq, isq = ((r * g ** p) @ r.T for p in (0.5, -0.5))
+    sq, isq = ((wt.r * wt.g ** p) @ wt.r.T for p in (0.5, -0.5))
     absm = matkernel.abs_sym(matkernel.antisymmetrize(sq @ fd.canonical[0] @ sq))
     a, w, _ = fd.js_powers
-    sld_part, abs_part = float(np.trace(gn)), float(np.trace(absm))
+    sld_part, abs_part = float(np.trace(wt.gn)), float(np.trace(absm))
     value = sld_part + abs_part
     v_opt = matkernel.symmetrize(a + w @ isq @ absm @ isq @ w)
-    vn = matkernel.symmetrize(np.eye(len(g)) + isq @ absm @ isq)
-    check("coherent_trace", abs(float(np.sum(gn * vn)) - value), abs(value), ConsistencyError)
+    vn = matkernel.symmetrize(np.eye(len(wt.g)) + isq @ absm @ isq)
+    check("coherent_trace", abs(float(np.sum(wt.gn * vn)) - value), abs(value), ConsistencyError)
+    value, sld_part, abs_part = wt.back(value, sld_part, abs_part)
     return BoundReport(
-        G=G, value=value, attained=True, V_opt=v_opt, method="closed_form_coherent",
+        G=wt.G, value=value, attained=True, V_opt=v_opt, method="closed_form_coherent",
         notes={"sld_part": sld_part, "abs_part": abs_part}, Vn=vn)
-
-
-def check_weight(fd, G):
-    """G as a symmetrized float array; DomainError unless it is m x m."""
-    G = np.asarray(G, dtype=float)
-    m = fd.JS.shape[0]
-    if G.shape != (m, m):
-        raise DomainError(f"weight shape {G.shape} does not match m = {m}")
-    return matkernel.symmetrize(G)
 
 
 def estimation_residuals(x, phi, lifts, error, products=None):
@@ -439,21 +480,26 @@ def _read_only(*arrays):
             a.setflags(write=False)
 
 
-def _closed_form(fd, G):
+def _closed_form(fd, wt):
     if quasi_classical_test(fd):
-        fd.weight(G)   # raises DomainError unless PSD, NonFinite on NaN
         jsinv = fd.js_powers[0].copy()
-        return BoundReport(G=G, value=float(np.trace(G @ jsinv)), attained=True,
-                           V_opt=jsinv, method="quasi_classical", notes={})
+        return BoundReport(G=wt.G, value=wt.back(float(np.trace(wt.unit @ jsinv))),
+                           attained=True, V_opt=jsinv, method="quasi_classical", notes={})
     if fd.JS.shape[0] == 2:
-        return cr_bound_2param(fd, G)
+        return cr_bound_2param(fd, wt.G)
     if fd.canonical[2].classification == "coherent":
         try:
-            return cr_bound_coherent(fd, G)
+            return cr_bound_coherent(fd, wt.G)
         except SingularWeight:
             pass   # a singular G has no coherent closed form
-    if matkernel.mnorm(G - fd.JS) <= TOL["eigen_dust"] * matkernel.mnorm(fd.JS):
-        return cr_bound_js_weight(fd)
+    # the G = JS weight at unit scale, so G = 4^k JS for an integer k: at unit
+    # scale the bound is that of JS times c, the power of two that scales JS there
+    js = fd.weight(fd.JS).unit
+    if matkernel.mnorm(wt.unit - js) <= TOL["eigen_dust"] * matkernel.mnorm(js):
+        c = matkernel.mnorm(js) / matkernel.mnorm(fd.JS)
+        report = cr_bound_js_weight(fd)
+        value, form = wt.back(c * report.value, c * report.notes["matrix_form"])
+        return replace(report, G=wt.G, value=value, notes={**report.notes, "matrix_form": form})
     return None
 
 
@@ -461,40 +507,40 @@ def closed_form(fd, G):
     """The applicable closed-form BoundReport, or None if only the oracle applies.
 
     The one route decision from model class to closed form: quasi-classical,
-    two-parameter, coherent, then the G = JS weight. The answer is cached on
-    fd per weight, with G and V_opt read-only, so a bound and
-    the vectors that attain it share one solve.
+    two-parameter, coherent, then the G = JS weight at unit scale. The answer
+    is cached on the weight's entry of fd, with G and V_opt read-only, so a
+    bound and the vectors that attain it share one solve.
     """
-    G = check_weight(fd, G)
-    cache, key = fd.reports, G.tobytes()
-    if key not in cache:
-        cache[key] = report = _closed_form(fd, G)
+    wt = fd.weight(G)
+    if not wt.closed:
+        report = _closed_form(fd, wt)
         if report is not None:
-            _read_only(report.G, report.V_opt, report.Vn)
-    return cache[key]
+            _read_only(report.V_opt, report.Vn)
+        wt.closed = (report,)
+    return wt.closed[0]
 
 
 def oracle_bound(fd, G):
     """The Holevo SDP's BoundReport, with the OracleResult that carries its vectors.
 
-    The SDP reads the decompositions of fd. The pair is cached on fd beside
-    the closed forms, with G, V_opt, X and X' read-only, so a bound and the
-    vectors that attain it share one solve. The OracleResult refers to no
-    FisherData, so the cache makes no cycle through fd.
+    The SDP reads the decompositions of fd. The pair is cached on the
+    weight's entry of fd beside the closed form, with G, V_opt, X and X'
+    read-only, so a bound and the vectors that attain it share one solve. The
+    OracleResult refers to no FisherData, so the cache makes no cycle through
+    fd.
     """
-    G = check_weight(fd, G)
-    cache, key = fd.reports, ("oracle", G.tobytes())
-    if key not in cache:
+    wt = fd.weight(G)
+    if wt.oracle is None:
         from . import oracle   # the oracle reads this module's FisherData
-        result = oracle.minimize(oracle.OracleProblem(gram=fd.gram, G=G, fd=fd))
+        result = oracle.minimize(oracle.OracleProblem(gram=fd.gram, G=wt.G, fd=fd))
         x = result.X
         v = None if x is None else matkernel.symmetrize((x.conj().T @ x).real)
-        report = BoundReport(G=G, value=result.value, attained=result.attained, V_opt=v,
+        report = BoundReport(G=wt.G, value=result.value, attained=result.attained, V_opt=v,
                              method="oracle",
                              notes={"residuals": result.residuals, "gap": result.gap})
-        _read_only(G, v, x, result.Xn)
-        cache[key] = report, result
-    return cache[key]
+        _read_only(v, x, result.Xn)
+        wt.oracle = report, result
+    return wt.oracle
 
 
 def cr_bound(fd, G):

@@ -175,28 +175,23 @@ def cmd_bound(args):
 
 
 def cmd_boundary(args):
-    g = None
     if args.config:
         doc, model, frame, fd = _model_and_point(args)
         if fd.JS.shape[0] != 2:
             raise errors.DomainError("boundary curve requires a two-parameter model")
         beta = float(analysis.beta_spectrum(fd).betas[0])
-        if args.weight is not None:
-            g, _ = _resolve_weight(args.weight, fd.JS)
-            gvals = fd.weight(analysis.check_weight(fd, g))[1][0]
     elif args.beta is not None:
         beta = args.beta
-        if args.weight is not None:
-            # normalized coordinates, where JS is the identity and w G w is G
-            g, _ = _resolve_weight(args.weight, np.eye(2))
-            gvals = matkernel.psd_eig(matkernel.symmetrize(g), errors.DomainError)[0]
+        # normalized coordinates: the point of the identity Gram, where w G w is G
+        fd = analysis.FisherData.from_gram(np.eye(2))
     else:
         raise errors.SchemaError("boundary needs --config or --beta")
+    wt = None if args.weight is None else fd.weight(_resolve_weight(args.weight, fd.JS)[0])
     rows = analysis.boundary_2param(beta, args.samples, x_window=(args.window[0], args.window[1]))
     header = ["x", "z", "u", "v"]
-    if g is not None:
-        tr = gvals[0] * rows[:, 2] + gvals[1] * rows[:, 3]
-        rows = np.column_stack([rows, tr])
+    if wt is not None:
+        # Tr(G' V') = g0 u + g1 v, at unit scale and scaled back
+        rows = np.column_stack([rows, wt.back(wt.g[0] * rows[:, 2] + wt.g[1] * rows[:, 3])])
         header.append("trGV")
     _emit(reportio.csv_rows(header, rows), args.out)
     return 0
@@ -212,6 +207,7 @@ def cmd_pvm(args):
     ev, closed = measurement.optimal_vectors(space, fd, g)
     pvm = measurement.pvm_from_vectors(ev)
     probs, v, unbiased = measurement.outcome_statistics(pvm, space)
+    wt = fd.weight(g)   # Tr(G V) at unit scale, scaled back
     rep = _base_report("pvm", doc, model, args)
     rep.update({
         "weight": wname,
@@ -222,7 +218,7 @@ def cmd_pvm(args):
             "algebra_residuals": measurement.pvm_algebra_residuals(pvm),
             "unbiased": unbiased,
             "covariance": v,
-            "trGV": float(np.sum(closed.G * v)),
+            "trGV": wt.back(float(np.sum(wt.unit * v))),
             "probabilities": probs,
         },
         "pvm": measurement.pvm_to_obj(pvm, theta=model.theta0),

@@ -138,13 +138,15 @@ def check_hermitian(a):
 
 
 def symmetrize(a):
-    a = np.asarray(a, dtype=float)
-    return 0.5 * (a + a.T)
+    """(A + A^T)/2, halved before the sum, which then cannot overflow."""
+    h = 0.5 * np.asarray(a, dtype=float)
+    return h + h.T
 
 
 def antisymmetrize(a):
-    a = np.asarray(a, dtype=float)
-    return 0.5 * (a - a.T)
+    """(A - A^T)/2, halved before the difference, which then cannot overflow."""
+    h = 0.5 * np.asarray(a, dtype=float)
+    return h - h.T
 
 
 def lift_svd(lifts, error):

@@ -14,7 +14,9 @@ the Newton system stays nonsingular on the singular Grams of coherent models.
 The equality is eliminated with an SVD null space.
 
 The SDP reads JS^{-1/2} and R from `problem.fd`, the one `analysis.FisherData`
-of the working point. `analysis.oracle_bound(fd, G)` hands over the caller's
+of the working point, and the weight from its `weight(G)`, at unit scale,
+whose `back` returns the value, the gap and the certificate's multiplier in
+the weight's units. `analysis.oracle_bound(fd, G)` hands over the caller's
 FisherData and caches its answer on it beside the closed forms; an
 `OracleProblem` built from a bare Gram takes that Gram's FisherData.
 `minimize` is the one function every solve passes through. Its `OracleResult`
@@ -41,7 +43,6 @@ X*X stays real. When no completion exists the bound is an infimum that no
 estimator attains, and the result carries `attained = False` and `X = None`.
 """
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -241,16 +242,6 @@ def _polish(c, b, lam, g, kh, target):
     return split(best[1])[:2]
 
 
-def _weight_split(vals, u, pos):
-    """(scale, P, Q) from a weight's eigenpairs and rank mask: g = scale * P gp P^T
-    with gp of unit norm on range P, and Q spanning null(g). P is the identity
-    when g is positive definite."""
-    scale = float(vals[-1]) if pos.any() else 1.0
-    if pos.all():
-        return scale, np.eye(len(vals)), np.zeros((len(vals), 0))
-    return scale, u[:, pos], u[:, ~pos]
-
-
 def _solve_range(gp, kh, c0, target, null):
     """The SDP restricted to p = gp.shape[0] columns.
 
@@ -340,27 +331,30 @@ def minimize(problem):
     whose lift Gram is I + iK and whose weight is w G w (w = JS^{-1/2}), all
     read from problem.fd: kh* kh = I + iK and R = kh JS^{1/2}
     (r x m) on the directions where analysis does not snap beta to 1, and the
-    weight's one decomposition. The vectors X' are checked there, against the
-    lifts kh, by `analysis.estimation_residuals` (NonConvergence), and X = X' w
-    maps them back. The lifts are R in coordinates 1..r, the Naimark frame's,
-    so X is valid in that frame and X' in the frame's parameters theta'.
+    weight's one decomposition, at unit scale. The vectors X' are checked
+    there, against the lifts kh, by `analysis.estimation_residuals`
+    (NonConvergence), and X = X' w maps them back. The lifts are R in
+    coordinates 1..r, the Naimark frame's, so X is valid in that frame and X'
+    in the frame's parameters theta'. The gap is checked at unit scale; the
+    value and the gap are then scaled back to G's units, and X does not
+    depend on that scale.
     """
-    g = analysis.check_weight(problem.fd, problem.G)
     fd = problem.fd
+    wt = fd.weight(problem.G)   # fd raises DomainError unless it is PSD
     w, kh = fd.js_powers[1], fd.lift_factor[0]
-    gn, eig = fd.weight(g)   # w G w; fd raises DomainError unless it is PSD
-    m, r = gn.shape[0], kh.shape[0]
+    m, r = wt.gn.shape[0], kh.shape[0]
     # free directions of one column c of Y: the null space of c -> Re(c* kh)
     _, _, vt = np.linalg.svd(np.hstack([kh.real.T, kh.imag.T]))
     null = vt[m:, :r] + 1j * vt[m:, r:]
-    scale, pb, qb = _weight_split(*eig)
+    # P spans range(G') and Q null(G'), so G' = P gp P^T; P = I for a PD weight
+    keep = wt.keep
+    pb, qb = (np.eye(m), np.zeros((m, 0))) if keep.all() else (wt.r[:, keep], wt.r[:, ~keep])
     p = pb.shape[1]
     if p:
-        gp = matkernel.symmetrize(pb.T @ gn @ pb) / scale
+        gp = matkernel.symmetrize(pb.T @ wt.gn @ pb)
         # kh is also the SLD estimator, since JS = I in these parameters
         dual, c, b, iterations = _solve_range(gp, kh, kh @ pb, pb.T, null)
-        value = scale * float(np.sum(gp * (c.conj().T @ c + b.conj().T @ b).real))
-        dual *= scale
+        value = float(np.sum(gp * (c.conj().T @ c + b.conj().T @ b).real))
     else:
         value = dual = 0.0
         c, b, iterations = np.zeros((r, 0)), np.zeros((0, 0)), 0
@@ -382,6 +376,7 @@ def minimize(problem):
         residual = max(residuals.values())
         x = xn @ w
     check("gap", gap, abs(value), NonConvergence)
+    value, gap = wt.back(value, gap)
     stat = RestartStat(value=value, gap=gap, iterations=iterations, residual=residual)
     return OracleResult(value=value, gap=gap, attained=x is not None, X=x, Xn=xn, lifts=lifts,
                         residuals=residuals, restarts=[stat], gram=problem.gram, G=problem.G)
@@ -401,7 +396,10 @@ def stationarity_certificate(result, problem=None):
     some real antisymmetric Lambda; Lambda is fit by linear least squares.
     For two-parameter problems the quadratic multiplier identities are also
     reported, relative to the largest of their terms, and for coherent
-    problems the spectrum of the scaled multiplier.
+    problems the spectrum of the scaled multiplier. All are taken on the
+    weight at unit scale (`FisherData.weight`), so no product leaves the
+    float range; Lambda and the residual are then scaled back to G's units,
+    and the identities and the spectrum do not depend on that scale.
     Both read the fd of `problem`, the problem the result solves: pass the
     OracleProblem that holds the caller's fd, and they read the decompositions
     the solve read. A problem of another solver carries only a Gram, and is read
@@ -415,7 +413,8 @@ def stationarity_certificate(result, problem=None):
           else analysis.FisherData.from_gram(problem.gram))
     x = result.X
     lifts = result.lifts
-    g = analysis.check_weight(fd, problem.G)
+    wt = fd.weight(problem.G)
+    g = wt.unit
     m = g.shape[0]
     v = matkernel.symmetrize((x.conj().T @ x).real)
     c = x @ g - lifts @ (v @ g)
@@ -431,23 +430,20 @@ def stationarity_certificate(result, problem=None):
     residual = matkernel.mnorm(x @ (g - 1j * lam) - lifts @ (v @ g))
     extras = {}
     if m == 2:
-        # the real and imaginary parts of one identity, quadratic in (G, Lambda):
-        # taken on both scaled by one power of two, exactly, so that no product
-        # leaves the float range, and reported relative to the largest of their
-        # terms (G V G at least, where Lambda and Jt vanish)
-        e = math.frexp(max(matkernel.mnorm(g), matkernel.mnorm(lam)))[1]
-        gs, ls = np.ldexp(g, -e), np.ldexp(lam, -e)
-        gv = gs @ v
-        terms = {"quadratic_sym": (gv @ gs, -ls @ v @ ls, -gv @ fd.JS @ v @ gs),
-                 "quadratic_antisym": (gv @ ls, ls @ v @ gs, gv @ fd.Jt @ v @ gs)}
+        # the real and imaginary parts of one identity, quadratic in (G, Lambda),
+        # reported relative to the largest of their terms (G V G at least, where
+        # Lambda and Jt vanish)
+        gv = g @ v
+        terms = {"quadratic_sym": (gv @ g, -lam @ v @ lam, -gv @ fd.JS @ v @ g),
+                 "quadratic_antisym": (gv @ lam, lam @ v @ g, gv @ fd.Jt @ v @ g)}
         size = max(matkernel.mnorm(t) for ts in terms.values() for t in ts)
         for name, ts in terms.items():
             extras[name] = matkernel.mnorm(sum(ts)) / size if size else 0.0
-    if analysis.beta_spectrum(fd).classification == "coherent":
-        gw, u, pos = fd.weight(g)[1]
-        if pos.all():   # a singular weight has no scaled multiplier
-            # t = w G'^{-1/2} with G' = w G w, so t t^T = G^{-1}: t^T Lambda t is similar
-            # to G^{-1} Lambda
-            t = fd.js_powers[1] @ (u / np.sqrt(gw)) @ u.T
-            extras["multiplier_spectrum"] = np.sort(np.abs(np.linalg.eigvals(t.T @ lam @ t).imag))
+    # a singular weight has no scaled multiplier
+    if analysis.beta_spectrum(fd).classification == "coherent" and wt.keep.all():
+        # t = w G'^{-1/2} with G' = w G w, so t t^T = G^{-1}: t^T Lambda t is similar
+        # to G^{-1} Lambda
+        t = fd.js_powers[1] @ (wt.r / np.sqrt(wt.g)) @ wt.r.T
+        extras["multiplier_spectrum"] = np.sort(np.abs(np.linalg.eigvals(t.T @ lam @ t).imag))
+    lam, residual = wt.back(None, lam, residual)[1:]
     return StationarityReport(Lambda=lam, residual=residual, extras=extras)

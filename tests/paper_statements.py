@@ -52,11 +52,13 @@ def psd_geq(a, b):
 def sld_bound(fd, G):
     """Tr(G JS^{-1}): a lower bound to CR(G), tight iff quasi-classical or m=1.
 
-    It is Tr(w G w), read from the weight's entry on fd, so the weight
-    passes the checks of every route: check_weight's shape (DomainError) and
-    the PSD decision of FisherData.weight (DomainError, NonFinite on NaN).
+    It is Tr(w G w), read from the weight's entry on fd and scaled back from
+    unit scale, so the weight passes the checks of every route: the
+    finiteness (NonFinite), shape and PSD decision (DomainError) of
+    FisherData.weight.
     """
-    return float(np.trace(fd.weight(analysis.check_weight(fd, G))[0]))
+    wt = fd.weight(G)
+    return wt.back(float(np.trace(wt.gn)))
 
 
 def marginal_infimum(fd, i):

@@ -636,6 +636,21 @@ def test_coherent_point_takes_the_determinants_once(count_calls, build):
     assert dets == ["det", "det"]
 
 
+# A failed determinant check is not cached: it raises on every read, and once the
+# check can pass, it is taken once more and then cached.
+def test_a_failed_coherent_check_raises_on_every_read(monkeypatch, count_calls):
+    mdl = model.catalog_shifted_number(0, [0.2, -0.4])
+    fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
+    dets = count_calls(np.linalg, "det")
+    monkeypatch.setitem(matkernel.TOL, "coherent_det", -1.0)
+    for _ in range(2):
+        with pytest.raises(errors.ConsistencyError):
+            analysis.coherent_test(fd)
+    monkeypatch.setitem(matkernel.TOL, "coherent_det", 1e-6)
+    assert analysis.coherent_test(fd) and analysis.coherent_test(fd)
+    assert len(dets) == 6
+
+
 def test_coherent_route_with_singular_weight_goes_to_the_oracle():
     mdl = model.catalog_squeezed([0.1, 0.2, 0.4, 0.7])
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
@@ -659,9 +674,11 @@ def _fd(mdl):
 @pytest.mark.parametrize("g, error", [
     (np.diag([1.0, -1.0]), errors.DomainError),
     (np.array([[1.0, np.nan], [np.nan, 1.0]]), errors.NonFinite),
-], ids=["indefinite", "nan"])
+    (np.array([[np.inf, 0.0], [0.0, 1.0]]), errors.NonFinite),
+], ids=["indefinite", "nan", "inf"])
 def test_quasi_classical_route_validates_the_weight(g, error):
-    # the quasi-classical value Tr(G JS^-1) read -0.352 and nan for these
+    # the quasi-classical value Tr(G JS^-1) read -0.352 and nan for the first two;
+    # an infinite entry made w G w warn ("invalid value encountered in matmul")
     fd = _fd(model.catalog_spin_rotation(*SPIN_QC_POINT))
     assert analysis.beta_spectrum(fd).classification == "quasi_classical"
     with pytest.raises(error):

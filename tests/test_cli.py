@@ -955,6 +955,80 @@ def test_oracle_certificate_over_the_float_range(tmp_path, capsys, config, unit_
     assert extras["quadratic_sym"] <= 1e-14 and extras["quadratic_antisym"] <= 1e-14
 
 
+# A weight enters at unit scale (`FisherData.weight`), and its bound is scaled back
+# in one place. At G = 1.7e308 I neither its symmetrization nor w G w overflows, so
+# spin (1.5, 0.5) at (0.9, 0.3) gets its bound 0.37750131278087606 c, where `bound`
+# and `oracle` exited 3 after numpy warnings. A bound past the normal float range
+# is a DomainError (exit 2), with one line of error JSON: shifted n = 0 there
+# (CR = 3.4e308) exited 3 after warnings. Under 1e-320 I, spin (2, 0) printed
+# 2.4555e-321 for 2.4527e-321, `bound --oracle` on spin (1.5, 0.5) exited 4 on a
+# 5e-324 disagreement, and squeezed failed coherent_trace against a limit of 0.
+@pytest.mark.parametrize("config, c, unit_value", [
+    (SPIN_GEN, 1.7e308, 0.37750131278087606),
+    (N0, 1.7e308, None),
+    ({"model": "spin_rotation", "s": 2.0, "m_z": 0.0, "theta": [0.8, 0.5]}, 1e-320, None),
+    (SPIN_GEN, 1e-320, None),
+    (SQUEEZED, 1e-320, None),
+], ids=["spin15_max", "n0_max", "spin2_tiny", "spin15_tiny", "squeezed_tiny"])
+@pytest.mark.parametrize("argv", [["bound"], ["bound", "--oracle"], ["oracle"], ["pvm"]],
+                         ids=["bound", "bound_oracle", "oracle", "pvm"])
+def test_a_weight_at_the_ends_of_the_float_range(tmp_path, capsys, config, c, unit_value,
+                                                 argv):
+    cfg = write_json(tmp_path / "m.json", config)
+    weight = write_json(tmp_path / "w.json", (c * np.eye(len(config["theta"]))).tolist())
+    code = cli.main(argv + ["--config", cfg, "--weight", weight])
+    out, err = capsys.readouterr()
+    if unit_value is None:
+        assert code == 2 and out == "" and err.count("\n") == 1
+        doc = json.loads(err)
+        assert doc["error"] == "DomainError" and doc["exit_code"] == 2
+        return
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    value = {"bound": doc.get("bound", {}).get("value"), "oracle": doc.get("value"),
+             "pvm": doc.get("closed_form_value")}[argv[0]]
+    assert abs(value - unit_value * c) <= 1e-14 * value
+
+
+# `pvm` takes its trGV, Tr(G V), at unit scale too: on shifted n = 0 under a weight
+# near rank 1 at 6.8e307, whose bound is 6.8e307, G * V overflowed (exit 3 after
+# numpy warnings).
+def test_pvm_trgv_near_the_top_of_the_float_range(tmp_path, capsys):
+    c = 6.8e307
+    cfg = write_json(tmp_path / "m.json", N0)
+    weight = write_json(tmp_path / "w.json", [[c, c * (1 - 1e-6)], [c * (1 - 1e-6), c]])
+    assert cli.main(["pvm", "--config", cfg, "--weight", weight]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    doc = json.loads(out)
+    ver = doc["verification"]
+    assert ver["unbiased"]
+    assert abs(ver["trGV"] - doc["closed_form_value"]) <= 1e-9 * doc["closed_form_value"]
+
+
+# The trGV column of `boundary --weight` is taken at unit scale and scaled back by
+# the same rule: with --beta 0.5, 1.7e308 I exited 3, and 1e-320 I printed
+# 2.3334720453e-320 for c (u + v) = 2.3333e-320. Both are DomainErrors now; from
+# 1e-300 to 1e300 the column is c times the column of I.
+@pytest.mark.parametrize("source", ["beta", "config"])
+def test_boundary_trgv_over_the_float_range(tmp_path, capsys, source):
+    args = ["--beta", "0.5"] if source == "beta" else \
+        ["--config", write_json(tmp_path / "m.json", N0)]
+    columns = {}
+    for c in (1.0, 1e-300, 1e300, 1.7e308, 1e-320):
+        weight = write_json(tmp_path / "w.json", [[c, 0.0], [0.0, c]])
+        code = cli.main(["boundary", *args, "--samples", "7", "--weight", weight])
+        out, err = capsys.readouterr()
+        if c in (1.7e308, 1e-320):
+            assert code == 2 and out == ""
+            assert json.loads(err)["error"] == "DomainError"
+            continue
+        assert code == 0 and err == ""
+        columns[c] = np.array([float(row[4]) for row in list(csv.reader(out.splitlines()))[1:]])
+    for c in (1e-300, 1e300):
+        assert np.abs(columns[c] - c * columns[1.0]).max() <= 1e-15 * c * columns[1.0].max()
+
+
 # A lift Gram entry between float max/2 and float max passes lift_svd; the working
 # point halves the Gram before it sums it with its adjoint, so that sum cannot
 # overflow (it did, with two RuntimeWarnings and exit 3).

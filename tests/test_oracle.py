@@ -303,10 +303,10 @@ def test_two_parameter_routes_share_the_weight_rank(small, rank):
     g = np.diag([1.0, small])
     rep = analysis.cr_bound_2param(fd, g)
     assert rep.notes.get("rank", 2) == rank
-    w = fd.js_powers[1]
-    eig = matkernel.psd_eig(matkernel.symmetrize(w @ g @ w))
-    assert oracle._weight_split(*eig)[1].shape[1] == rank
-    res = oracle.minimize(oracle.OracleProblem(gram=fd.gram, G=g))
+    problem = oracle.OracleProblem(gram=fd.gram, G=g)
+    # the oracle splits range and null space on its weight's rank mask
+    assert problem.fd.weight(g).keep.sum() == rank
+    res = oracle.minimize(problem)
     assert abs(res.value - rep.value) <= matkernel.TOL["oracle_agreement"] * rep.value
     assert res.attained == rep.attained == (rank == 2)
 

@@ -3,7 +3,8 @@
 import math
 
 import numpy as np
-from hypothesis import example, given, settings, strategies as st
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import fock_reference
 import paper_statements
@@ -136,6 +137,76 @@ def test_2param_bound_is_one_curve_point_in_any_units(beta, ga, gb, angle, k):
     expect = rep.value * 2.0 ** k
     if 1e-300 <= expect <= 1e300:
         assert abs(scaled.value - expect) <= 1e-14 * expect
+
+
+# A working point of each of the five routes, and a weight that takes it: the
+# G = JS weight on a generic m = 3 Gram, and elsewhere a random one whose entries
+# are multiples of 2^-8 with at most 15 significant bits (rank 1 in a third of the
+# two-parameter draws), so that 2^k G stays exact far into the subnormals.
+ROUTE_POINTS = {
+    "quasi_classical": lambda seed: model.catalog_spin_rotation(1.0, 0.0, [0.7, 1.1]),
+    "closed_form_2param": lambda seed: model.catalog_spin_rotation(1.5, 0.5, [0.9, 0.3]),
+    "closed_form_coherent": lambda seed: model.catalog_squeezed([0.1, -0.2, 0.4, 0.3]),
+    "closed_form_JS_weight": lambda seed: gram_from_seed(seed, 3),
+    "oracle": lambda seed: gram_from_seed(seed, 3),
+}
+
+
+def _route_point(route, seed):
+    point = ROUTE_POINTS[route](seed)
+    fd = point if isinstance(point, FisherData) else \
+        model.fisher_data(model.tangent_frame(point, point.theta0))
+    if route == "closed_form_JS_weight":
+        return fd, fd.JS.copy()
+    b = np.round(16.0 * np.random.default_rng(seed).normal(size=(len(fd.JS),) * 2)) / 16.0
+    if route == "closed_form_2param" and seed % 3 == 0:
+        return fd, np.outer(b[0], b[0])
+    return fd, b @ b.T + 0.125 * np.eye(len(b))
+
+
+# The bound is homogeneous in the weight, CR(cG) = c CR(G), and every route computes
+# it at unit scale (`FisherData.weight`), where 2^k G is the same weight as G for
+# even k. So where 2^k G is exact, the bound is a DomainError exactly when 2^k CR(G)
+# is nonzero and outside [tiny, max]; otherwise, for even k, a route returns exactly
+# 2^k times its bound for G, with the same method, attainment and V_opt, and for
+# odd k the same value to the oracle's agreement (G = 2 JS is not the JS weight at
+# unit scale). 2^k G must be finite; where it rounds, the bound is still a normal
+# float, zero, or a DomainError.
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(ROUTE_POINTS)), st.integers(-1100, 1100), st.integers(0, 10_000))
+@example("closed_form_2param", 1022, 0)
+@example("closed_form_2param", -1060, 1)
+@example("closed_form_2param", -1075, 1)
+@example("closed_form_coherent", -1030, 2)
+@example("closed_form_JS_weight", 1000, 3)
+@example("oracle", -1000, 4)
+@example("quasi_classical", 1, 5)
+def test_every_route_is_homogeneous_in_the_weight(route, k, seed):
+    fd, g = _route_point(route, seed)
+    assume(k + math.frexp(np.abs(g).max())[1] <= 1024)
+    base = analysis.cr_bound(fd, g)
+    assert base.method == route
+    gk = np.ldexp(g, k)
+    if not np.array_equal(np.ldexp(gk, -k), g):
+        try:
+            value = analysis.cr_bound(fd, gk).value
+        except errors.DomainError:
+            return
+        assert value == 0.0 or -1021 <= math.frexp(value)[1] <= 1024
+        return
+    if base.value != 0.0 and not -1021 <= math.frexp(base.value)[1] + k <= 1024:
+        with pytest.raises(errors.DomainError):
+            analysis.cr_bound(fd, gk)
+        return
+    rep = analysis.cr_bound(fd, gk)
+    expect = np.ldexp(base.value, k)
+    if k % 2:
+        assert abs(rep.value - expect) <= matkernel.TOL["oracle_agreement"] * expect
+        return
+    assert (rep.method, rep.attained) == (base.method, base.attained)
+    assert rep.value == expect
+    assert (rep.V_opt is None) == (base.V_opt is None)
+    assert rep.V_opt is None or np.array_equal(rep.V_opt, base.V_opt)
 
 
 @settings(max_examples=30, deadline=None)
@@ -373,7 +444,8 @@ CATALOG_PVM_POINTS = {
 # whose one probability pass is its own.
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(sorted(CATALOG_PVM_POINTS)), st.floats(0.0, 2.5),
-       st.floats(0.0, 2 * math.pi), st.floats(0.0, 1.0), st.integers(0, 2 ** 63 - 1),
+       st.floats(0.0, 2 * math.pi, exclude_max=True), st.floats(0.0, 1.0),
+       st.integers(0, 2 ** 63 - 1),
        st.integers(0, 5000))
 @example("shifted_n0", 0.5, 1.0, 0.0, 7, 2000)
 @example("spin_quasi_classical", 1.0, 0.3, 1.0, 0, 1)
