@@ -3,15 +3,18 @@
 The attainable bound CR(G) is the infimum of Tr(G V) over covariance matrices
 of locally unbiased measurements. Closed forms exist for quasi-classical
 models (the inverse Fisher matrix), two-parameter models (a one-dimensional
-stationary curve), the G = JS weight (a function of the beta spectrum), and
-coherent models (all beta equal to 1). Everything else goes to the oracle's
-Holevo SDP. Every route reads one FisherData per working point, which owns
-the lifts' SVD and every decomposition taken from it.
+stationary curve), coherent models (all beta equal to 1) under a positive
+definite weight, and the G = JS weight (a function of the beta spectrum).
+The route table `_ROUTES` lists them in that order, and is the one route
+decision: the first entry that applies answers, and where none does the
+oracle's Holevo SDP does. Every route reads one FisherData per working point,
+which owns the lifts' SVD and every decomposition taken from it, and one
+`Weight` of G from it.
 """
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -20,10 +23,8 @@ from . import matkernel
 from .errors import (
     ConsistencyError,
     DomainError,
-    NotCoherent,
     NotPSD,
     SingularFisher,
-    SingularWeight,
 )
 from .matkernel import TOL, check
 
@@ -77,14 +78,15 @@ class FisherData:
     frame's lifts and the oracle's are that R, and their lifts in theta' that
     kh: the SDP of `oracle_bound` reads `js_powers` and `embedding` of this
     point. `coherent` is the class's determinant cross-check, taken once.
-    `reports` holds one `Weight` per weight, keyed by the bytes of the
-    symmetrized weight: its decomposition at unit scale, and the closed form
-    and the oracle's solve that every bound and measurement at this point
-    reads. Their arrays are read-only. Each decomposition is computed on first
-    use and cached here, so JS, Jt and gram must not change once the point is
-    built. Nothing cached refers to the point, so it is acyclic: reference
-    counting frees it, its decompositions and its reports when the last
-    reader drops it.
+    `_js_unit` is JS at the unit scale of `weight`, which the G = JS entry of
+    the route table compares a weight with. `reports` holds one `Weight` per
+    weight, keyed by the bytes of the symmetrized weight: its decomposition
+    at unit scale, and the closed form and the oracle's solve that every
+    bound and measurement at this point reads. Their arrays are read-only.
+    Each decomposition is computed on first use and cached here, so JS, Jt
+    and gram must not change once the point is built. Nothing cached refers
+    to the point, so it is acyclic: reference counting frees it, its
+    decompositions and its reports when the last reader drops it.
     """
     JS: np.ndarray
     Jt: np.ndarray
@@ -162,6 +164,13 @@ class FisherData:
         return phi, lifts[0], lifts[1]
 
     @functools.cached_property
+    def _js_unit(self):
+        """(JS at the unit scale of `weight`, s): JS is 2^s times it."""
+        js = matkernel.symmetrize(self.JS)
+        e, f = _unit_scale(js, self.js_powers[1])
+        return np.ldexp(js, -e - f), e + f
+
+    @functools.cached_property
     def coherent(self):
         """True iff all beta equal 1; then |det JS| = |det Jt| is cross-checked.
 
@@ -211,15 +220,14 @@ class Weight:
     1, and (g, r, keep) its eigenvalues ascending, eigenvectors and rank mask
     from one matkernel.psd_eig. Every route computes at unit scale and
     returns its result through `back`; V_opt, V' and the estimation vectors
-    do not depend on the weight's scale. `closed` caches closed_form's
+    do not depend on the weight's scale. `closed` caches the route table's
     report, as (report,) once it is taken, and `oracle` oracle_bound's
     (BoundReport, OracleResult). The arrays are read-only, and nothing here
     refers to the working point.
     """
 
     def __init__(self, G, w):
-        self.G, self.e = G, math.frexp(matkernel.mnorm(G))[1] & -2
-        self.f = max(math.frexp(matkernel.mnorm(w @ np.ldexp(G, -self.e) @ w))[1] & -2, -1022)
+        self.G, (self.e, self.f) = G, _unit_scale(G, w)
         self.unit = np.ldexp(G, -self.e - self.f)
         self.gn = matkernel.symmetrize(w @ self.unit @ w)
         self.g, self.r, self.keep = matkernel.psd_eig(self.gn, DomainError)
@@ -246,23 +254,15 @@ class Weight:
         return out[0] if not fields else tuple(out)
 
 
+def _unit_scale(G, w):
+    """(e, f) of `Weight`: the even powers of two at or below ||G|| and ||w 2^-e G w||."""
+    e = math.frexp(matkernel.mnorm(G))[1] & -2
+    return e, max(math.frexp(matkernel.mnorm(w @ np.ldexp(G, -e) @ w))[1] & -2, -1022)
+
+
 def beta_spectrum(fd):
     """|imaginary parts| of the eigenvalues of JS^{-1} Jt, with classification."""
     return fd.canonical[2]
-
-
-def quasi_classical_test(fd):
-    """True iff every beta is 0 at the dust level: the one quasi-classical rule.
-
-    It reads the spectrum of JS^-1 Jt, so it does not change under a
-    rescaling theta -> D theta; every one-parameter model passes.
-    """
-    return fd.canonical[2].classification == "quasi_classical"
-
-
-def coherent_test(fd):
-    """True iff all beta equal 1, cross-checked once per point (`FisherData.coherent`)."""
-    return fd.coherent
 
 
 def _curve_q(p, beta, c):
@@ -354,98 +354,6 @@ def _minimize_on_curve(g0, g1, beta):
     return p, _curve_q(p, beta, c)
 
 
-def cr_bound_2param(fd, G):
-    """Attainable bound for two-parameter models: one point of the stationary curve.
-
-    In the parameters where JS = I the weight at unit scale is
-    G' = w G w = r diag(g) r^T (w = JS^{-1/2}, g ascending), and the optimum
-    is V' = r diag(1 + p^2, 1 + q^2) r^T at the curve point (p, q) of
-    `_minimize_on_curve`, with V = w V' w. At beta = 0 that is V = JS^{-1}. A
-    rank-1 weight at beta = 1 puts the point at infinity: the infimum,
-    Tr(G JS^{-1}), is not attained and V_opt is None. A weight that is not
-    PSD raises DomainError.
-    """
-    m = fd.JS.shape[0]
-    if m != 2:
-        raise DomainError(f"two-parameter bound requires m = 2, got {m}")
-    wt = fd.weight(G)   # raises DomainError unless PSD
-    g0, g1 = wt.g.tolist()
-    beta = float(fd.canonical[2].betas[0])
-    p, q = _minimize_on_curve(g0, g1, beta)
-    u, v = 1.0 + p ** 2, 1.0 + q ** 2
-    # a direction of zero weight adds nothing, however large its variance
-    value = wt.back((g0 * u if g0 else 0.0) + g1 * v)
-    notes = {"beta": beta}
-    if wt.keep[0]:
-        c = math.sqrt(max(0.0, 1.0 - beta * beta))
-        notes["stationary_residual"] = abs(beta * p * q + c * (p + q) - beta)
-    else:
-        notes["rank"] = int(wt.keep.sum())
-    attained = p < math.inf
-    vopt = vn = None
-    if attained:
-        vn = wt.r @ np.diag([u, v]) @ wt.r.T
-        w = fd.js_powers[1]
-        vopt, vn = matkernel.symmetrize(w @ vn @ w), matkernel.symmetrize(vn)
-    return BoundReport(G=wt.G, value=value, attained=attained, V_opt=vopt,
-                       method="closed_form_2param", notes=notes, Vn=vn)
-
-
-def cr_bound_js_weight(fd):
-    """Bound for the weight G = JS: sum of 2/(1 + sqrt(1 - beta_j^2)).
-
-    Cross-checked against the matrix form Tr {Re sqrt(I + i K)}^{-2} with
-    K = JS^{-1/2} Jt JS^{-1/2}; both forms, and V_opt, come from the one
-    eigendecomposition iK = U diag(mu) U*, with mu snapped.
-    """
-    mu, u = fd.canonical[1]
-    betas = fd.canonical[2].betas
-    value = float(sum(2.0 / (1.0 + math.sqrt(max(0.0, 1.0 - b * b))) for b in betas))
-    # the snapped mu lies in [-1, 1]
-    inflation = 2.0 / (1.0 + np.sqrt(1.0 - mu * mu))
-    r0 = matkernel.symmetrize(((u * np.sqrt(1.0 + mu)) @ u.conj().T).real)
-    r0inv = matkernel.inv_psd(r0)
-    value_matrix = float(np.trace(r0inv @ r0inv))
-    check("js_weight_forms", abs(value - value_matrix), 1.0, ConsistencyError)
-    w = fd.js_powers[1]
-    v_opt = matkernel.symmetrize(w @ ((u * inflation) @ u.conj().T).real @ w)
-    return BoundReport(G=fd.JS.copy(), value=value, attained=True, V_opt=v_opt,
-                       method="closed_form_JS_weight",
-                       notes={"betas": betas.tolist(),
-                              "matrix_form": value_matrix})
-
-
-def cr_bound_coherent(fd, G):
-    """Bound for coherent models with strictly positive weight.
-
-    In the parameters where JS = I the weight at unit scale is G' = w G w
-    (w = JS^{-1/2}) and the lift Gram is I + iK, so the optimum is
-    V' = I + G'^{-1/2} |M| G'^{-1/2} with M = G'^{1/2} K G'^{1/2}, and
-    V = w V' w. G'^{+-1/2} come from the weight's one decomposition on fd; a
-    rank below m raises SingularWeight. The value Tr G' + Tr |M| and the
-    check of Tr(G' V') against it are taken there too: Tr(G V) in theta
-    cancels entries of the size of ||JS^{-1}||, and Tr(G JS^{-1}) those of
-    ||G|| ||JS^{-1}||. The value and its two parts are then scaled back.
-    """
-    if not coherent_test(fd):
-        raise NotCoherent("model is not coherent (some beta < 1)")
-    wt = fd.weight(G)
-    if not wt.keep.all():
-        raise SingularWeight("weight matrix must be strictly positive definite")
-    sq, isq = ((wt.r * wt.g ** p) @ wt.r.T for p in (0.5, -0.5))
-    absm = matkernel.abs_sym(matkernel.antisymmetrize(sq @ fd.canonical[0] @ sq))
-    a, w, _ = fd.js_powers
-    sld_part, abs_part = float(np.trace(wt.gn)), float(np.trace(absm))
-    value = sld_part + abs_part
-    v_opt = matkernel.symmetrize(a + w @ isq @ absm @ isq @ w)
-    vn = matkernel.symmetrize(np.eye(len(wt.g)) + isq @ absm @ isq)
-    check("coherent_trace", abs(float(np.sum(wt.gn * vn)) - value), abs(value), ConsistencyError)
-    value, sld_part, abs_part = wt.back(value, sld_part, abs_part)
-    return BoundReport(
-        G=wt.G, value=value, attained=True, V_opt=v_opt, method="closed_form_coherent",
-        notes={"sld_part": sld_part, "abs_part": abs_part}, Vn=vn)
-
-
 def estimation_residuals(x, phi, lifts, error, products=None):
     """The residuals of estimation vectors X (columns) in the parameters where JS = I.
 
@@ -480,59 +388,145 @@ def _read_only(*arrays):
             a.setflags(write=False)
 
 
-def _closed_form(fd, wt):
-    if quasi_classical_test(fd):
-        jsinv = fd.js_powers[0].copy()
-        return BoundReport(G=wt.G, value=wt.back(float(np.trace(wt.unit @ jsinv))),
-                           attained=True, V_opt=jsinv, method="quasi_classical", notes={})
-    if fd.JS.shape[0] == 2:
-        return cr_bound_2param(fd, wt.G)
-    if fd.canonical[2].classification == "coherent":
-        try:
-            return cr_bound_coherent(fd, wt.G)
-        except SingularWeight:
-            pass   # a singular G has no coherent closed form
-    # the G = JS weight at unit scale, so G = 4^k JS for an integer k: at unit
-    # scale the bound is that of JS times c, the power of two that scales JS there
-    js = fd.weight(fd.JS).unit
-    if matkernel.mnorm(wt.unit - js) <= TOL["eigen_dust"] * matkernel.mnorm(js):
-        c = matkernel.mnorm(js) / matkernel.mnorm(fd.JS)
-        report = cr_bound_js_weight(fd)
-        value, form = wt.back(c * report.value, c * report.notes["matrix_form"])
-        return replace(report, G=wt.G, value=value, notes={**report.notes, "matrix_form": form})
-    return None
+def _quasi_classical(fd, wt):
+    """Bound for quasi-classical models: Tr(G JS^{-1}), attained by V = JS^{-1}."""
+    jsinv = fd.js_powers[0].copy()
+    return BoundReport(G=wt.G, value=wt.back(float(np.trace(wt.unit @ jsinv))),
+                       attained=True, V_opt=jsinv, method="quasi_classical", notes={})
 
 
-def closed_form(fd, G):
-    """The applicable closed-form BoundReport, or None if only the oracle applies.
+def _two_param(fd, wt):
+    """Bound for two-parameter models: one point of the stationary curve.
 
-    The one route decision from model class to closed form: quasi-classical,
-    two-parameter, coherent, then the G = JS weight at unit scale. The answer
-    is cached on the weight's entry of fd, with G and V_opt read-only, so a
-    bound and the vectors that attain it share one solve.
+    In the parameters where JS = I the weight at unit scale is
+    G' = w G w = r diag(g) r^T (w = JS^{-1/2}, g ascending), and the optimum
+    is V' = r diag(1 + p^2, 1 + q^2) r^T at the curve point (p, q) of
+    `_minimize_on_curve`, with V = w V' w. At beta = 0 that is V = JS^{-1}. A
+    rank-1 weight at beta = 1 puts the point at infinity: the infimum,
+    Tr(G JS^{-1}), is not attained and V_opt is None.
     """
-    wt = fd.weight(G)
+    g0, g1 = wt.g.tolist()
+    beta = float(fd.canonical[2].betas[0])
+    p, q = _minimize_on_curve(g0, g1, beta)
+    u, v = 1.0 + p ** 2, 1.0 + q ** 2
+    # a direction of zero weight adds nothing, however large its variance
+    value = wt.back((g0 * u if g0 else 0.0) + g1 * v)
+    notes = {"beta": beta}
+    if wt.keep[0]:
+        c = math.sqrt(max(0.0, 1.0 - beta * beta))
+        notes["stationary_residual"] = abs(beta * p * q + c * (p + q) - beta)
+    else:
+        notes["rank"] = int(wt.keep.sum())
+    attained = p < math.inf
+    vopt = vn = None
+    if attained:
+        vn = wt.r @ np.diag([u, v]) @ wt.r.T
+        w = fd.js_powers[1]
+        vopt, vn = matkernel.symmetrize(w @ vn @ w), matkernel.symmetrize(vn)
+    return BoundReport(G=wt.G, value=value, attained=attained, V_opt=vopt,
+                       method="closed_form_2param", notes=notes, Vn=vn)
+
+
+def _coherent(fd, wt):
+    """Bound for coherent models with a positive definite weight.
+
+    In the parameters where JS = I the weight at unit scale is G' = w G w
+    (w = JS^{-1/2}) and the lift Gram is I + iK, so the optimum is
+    V' = I + G'^{-1/2} |M| G'^{-1/2} with M = G'^{1/2} K G'^{1/2}, and
+    V = w V' w. G'^{+-1/2} come from the weight's one decomposition. The value
+    Tr G' + Tr |M| and the check of Tr(G' V') against it are taken there too:
+    Tr(G V) in theta cancels entries of the size of ||JS^{-1}||, and
+    Tr(G JS^{-1}) those of ||G|| ||JS^{-1}||. The value and its two parts are
+    then scaled back.
+    """
+    sq, isq = ((wt.r * wt.g ** p) @ wt.r.T for p in (0.5, -0.5))
+    absm = matkernel.abs_sym(matkernel.antisymmetrize(sq @ fd.canonical[0] @ sq))
+    a, w, _ = fd.js_powers
+    sld_part, abs_part = float(np.trace(wt.gn)), float(np.trace(absm))
+    value = sld_part + abs_part
+    v_opt = matkernel.symmetrize(a + w @ isq @ absm @ isq @ w)
+    vn = matkernel.symmetrize(np.eye(len(wt.g)) + isq @ absm @ isq)
+    check("coherent_trace", abs(float(np.sum(wt.gn * vn)) - value), abs(value), ConsistencyError)
+    value, sld_part, abs_part = wt.back(value, sld_part, abs_part)
+    return BoundReport(
+        G=wt.G, value=value, attained=True, V_opt=v_opt, method="closed_form_coherent",
+        notes={"sld_part": sld_part, "abs_part": abs_part}, Vn=vn)
+
+
+def _is_js_weight(fd, wt):
+    """Whether G is JS at unit scale, to its dust: G = 4^k JS for an integer k."""
+    js = fd._js_unit[0]
+    return matkernel.mnorm(wt.unit - js) <= TOL["eigen_dust"] * matkernel.mnorm(js)
+
+
+def _js_weight(fd, wt):
+    """Bound for the weights that are JS at unit scale: sum of 2/(1 + sqrt(1 - beta_j^2)).
+
+    That sum is the bound of G = JS. JS is 2^s times its unit, so it is scaled
+    by 2^-s to unit scale and then back to G's units. It is cross-checked
+    against the matrix form Tr {Re sqrt(I + i K)}^{-2} with
+    K = JS^{-1/2} Jt JS^{-1/2}; both forms, and V_opt, come from the one
+    eigendecomposition iK = U diag(mu) U*, with mu snapped.
+    """
+    mu, u = fd.canonical[1]
+    betas = fd.canonical[2].betas
+    value = float(sum(2.0 / (1.0 + math.sqrt(max(0.0, 1.0 - b * b))) for b in betas))
+    # the snapped mu lies in [-1, 1]
+    inflation = 2.0 / (1.0 + np.sqrt(1.0 - mu * mu))
+    r0 = matkernel.symmetrize(((u * np.sqrt(1.0 + mu)) @ u.conj().T).real)
+    r0inv = matkernel.inv_psd(r0)
+    value_matrix = float(np.trace(r0inv @ r0inv))
+    check("js_weight_forms", abs(value - value_matrix), 1.0, ConsistencyError)
+    w = fd.js_powers[1]
+    v_opt = matkernel.symmetrize(w @ ((u * inflation) @ u.conj().T).real @ w)
+    s = fd._js_unit[1]
+    value, form = wt.back(math.ldexp(value, -s), math.ldexp(value_matrix, -s))
+    return BoundReport(G=wt.G, value=value, attained=True, V_opt=v_opt,
+                       method="closed_form_JS_weight",
+                       notes={"betas": betas.tolist(), "matrix_form": form})
+
+
+# The one route decision: the first entry whose applies(fd, wt) holds gives
+# the closed form, solve(fd, wt), at the weight's unit scale; where none
+# applies, the oracle's SDP answers. Each applies reads properties of the
+# point and the weight that are cached, and no solve repeats its check.
+_ROUTES = (
+    (lambda fd, wt: fd.canonical[2].classification == "quasi_classical", _quasi_classical),
+    (lambda fd, wt: len(fd.JS) == 2, _two_param),
+    # a singular weight has no coherent closed form
+    (lambda fd, wt: fd.coherent and wt.keep.all(), _coherent),
+    (_is_js_weight, _js_weight),
+)
+
+
+def cr_bound_2param(fd, G):
+    """The two-parameter entry's report at G, solved afresh; m != 2 is a DomainError,
+    and so is a weight that is not PSD."""
+    if len(fd.JS) != 2:
+        raise DomainError(f"two-parameter bound requires m = 2, got {len(fd.JS)}")
+    return _two_param(fd, fd.weight(G))
+
+
+def cr_bound_js_weight(fd):
+    """The G = JS entry's report at G = JS, solved afresh."""
+    return _js_weight(fd, fd.weight(fd.JS))
+
+
+def _closed(fd, wt):
+    """closed_form at the Weight wt of fd: the table's answer, cached on wt."""
     if not wt.closed:
-        report = _closed_form(fd, wt)
+        report = next((solve(fd, wt) for applies, solve in _ROUTES if applies(fd, wt)), None)
         if report is not None:
             _read_only(report.V_opt, report.Vn)
         wt.closed = (report,)
     return wt.closed[0]
 
 
-def oracle_bound(fd, G):
-    """The Holevo SDP's BoundReport, with the OracleResult that carries its vectors.
-
-    The SDP reads the decompositions of fd. The pair is cached on the
-    weight's entry of fd beside the closed form, with G, V_opt, X and X'
-    read-only, so a bound and the vectors that attain it share one solve. The
-    OracleResult refers to no FisherData, so the cache makes no cycle through
-    fd.
-    """
-    wt = fd.weight(G)
+def _oracle(fd, wt):
+    """oracle_bound at the Weight wt of fd, cached on wt."""
     if wt.oracle is None:
         from . import oracle   # the oracle reads this module's FisherData
-        result = oracle.minimize(oracle.OracleProblem(gram=fd.gram, G=wt.G, fd=fd))
+        result = oracle._minimize(oracle.OracleProblem(gram=fd.gram, G=wt.G, fd=fd), wt)
         x = result.X
         v = None if x is None else matkernel.symmetrize((x.conj().T @ x).real)
         report = BoundReport(G=wt.G, value=result.value, attained=result.attained, V_opt=v,
@@ -543,7 +537,31 @@ def oracle_bound(fd, G):
     return wt.oracle
 
 
+def closed_form(fd, G):
+    """The applicable closed-form BoundReport, or None if only the oracle applies.
+
+    It walks the route table `_ROUTES` once per weight: quasi-classical,
+    two-parameter, coherent with a positive definite weight, then the G = JS
+    weight at unit scale. The answer is cached on the weight's entry of fd,
+    with G and V_opt read-only, so a bound and the vectors that attain it
+    share one solve.
+    """
+    return _closed(fd, fd.weight(G))
+
+
+def oracle_bound(fd, G):
+    """The Holevo SDP's BoundReport, with the OracleResult that carries its vectors.
+
+    The SDP reads the decompositions of fd and its Weight of G. The pair is
+    cached on the weight's entry of fd beside the closed form, with G, V_opt,
+    X and X' read-only, so a bound and the vectors that attain it share one
+    solve. The OracleResult refers to no FisherData, so the cache makes no
+    cycle through fd.
+    """
+    return _oracle(fd, fd.weight(G))
+
+
 def cr_bound(fd, G):
-    """The applicable closed form, else the Holevo SDP of the oracle."""
-    report = closed_form(fd, G)
-    return report if report is not None else oracle_bound(fd, G)[0]
+    """The route table's closed form, else the Holevo SDP of the oracle, from one Weight."""
+    wt = fd.weight(G)
+    return _closed(fd, wt) or _oracle(fd, wt)[0]

@@ -138,8 +138,8 @@ def cmd_analyze(args):
         "Jt": fd.Jt,
         "betas": spec.betas,
         "classification": spec.classification,
-        "quasi_classical": analysis.quasi_classical_test(fd),
-        "coherent": analysis.coherent_test(fd),
+        "quasi_classical": spec.classification == "quasi_classical",
+        "coherent": fd.coherent,
     })
     _emit(reportio.dumps(rep), args.out)
     return 0
@@ -182,11 +182,14 @@ def cmd_boundary(args):
         beta = float(analysis.beta_spectrum(fd).betas[0])
     elif args.beta is not None:
         beta = args.beta
-        # normalized coordinates: the point of the identity Gram, where w G w is G
-        fd = analysis.FisherData.from_gram(np.eye(2))
     else:
         raise errors.SchemaError("boundary needs --config or --beta")
-    wt = None if args.weight is None else fd.weight(_resolve_weight(args.weight, fd.JS)[0])
+    wt = None
+    if args.weight is not None:
+        # --beta reads normalized coordinates, where JS = I and w G w is G; there
+        # _resolve_weight makes the checks of fd.weight but PSD, which Weight makes
+        g = _resolve_weight(args.weight, fd.JS if args.config else np.eye(2))[0]
+        wt = fd.weight(g) if args.config else analysis.Weight(matkernel.symmetrize(g), np.eye(2))
     rows = analysis.boundary_2param(beta, args.samples, x_window=(args.window[0], args.window[1]))
     header = ["x", "z", "u", "v"]
     if wt is not None:

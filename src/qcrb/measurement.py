@@ -4,18 +4,23 @@ A PVM lives in one `model.TangentFrame`: the model's own frame for
 quasi-classical models, the frame of the 2m+1 Naimark embedding
 (`naimark_frame`, over the `embedding` of the working point's
 `analysis.FisherData`) otherwise; `pvm_space` picks it. There `optimal_vectors`
-builds the estimation vectors and reads the bound from
-`analysis.closed_form`'s one report. The vectors are built and checked in the
-parameters theta' = JS^{1/2} theta, where JS = I and the lifts are L' = L w
-(w = JS^{-1/2}); theta returns only with the outcome offsets. Quasi-classical
-models take X' = L w on the frame they are given, with its phi. Every other
-route works in the embedding and takes its phi there, whatever frame it is
-given: coherent and other closed-form models take X' = L' + B', where L' is
-the lift factor kh (kh* kh = I + iK) and B'*B' = V' - kh* kh, with
-V' = JS^{1/2} V JS^{1/2} the closed form's covariance as it built it there,
-fills the coordinates orthogonal to phi and the lifts. Generic models take the
-X' of one oracle solve as it stands: the embedding's lifts are the working
-point's lift factor, and so are the oracle's.
+builds the estimation vectors from one `Weight` of G, and on models that are
+not generic reads the bound from the route table's one cached report. The
+vectors are built and checked in the parameters theta' = JS^{1/2} theta, where
+JS = I and the lifts are L' = L w (w = JS^{-1/2}); theta returns only with the
+outcome offsets. Quasi-classical models take X' = L w on the frame they are
+given, with its phi. Every other route works in the embedding and takes its phi
+there, whatever frame it is given: coherent and other closed-form models take
+X' = L' + B', where L' is the lift factor kh (kh* kh = I + iK) and
+B'*B' = V' - kh* kh, with V' = JS^{1/2} V JS^{1/2} the closed form's
+covariance as it built it there, fills the coordinates orthogonal to phi and
+the lifts. Generic models take the X' of one oracle solve as it stands: the
+embedding's lifts are the working point's lift factor, and so are the
+oracle's. They do so even where the two-parameter or G = JS closed form gives the bound, because at beta < 1 its
+V' need not dominate kh* kh = I + iK, and then no B' exists: completing kh to
+that V' on 318 generic points and weights (custom models with m = 2 to 5,
+spin (1.5, 0.5) and (2, 1), shifted n = 3) raised InfeasibleGram every time,
+with the lowest eigenvalue of V' - kh* kh down to -0.55.
 
 Estimation vectors X with <x^i|phi> = 0, Re X*L = I and Im X*X = 0 are turned
 into a projective measurement whose covariance is exactly Re X*X. A `Pvm` is
@@ -162,7 +167,7 @@ def naimark_frame(fd, theta):
 
 def optimal_vectors_quasi_classical(frame, fd):
     """X' = L w: attains the inverse Fisher matrix for quasi-classical models."""
-    if not analysis.quasi_classical_test(fd):
+    if fd.canonical[2].classification != "quasi_classical":
         raise NotQuasiClassical("Im X*X would not vanish: model is not quasi-classical")
     w = fd.js_powers[1]
     return EstimationVectors(X=frame.lifts @ w, phi=frame.phi, w=w)
@@ -196,11 +201,12 @@ def optimal_vectors_coherent(nf, fd, G):
     """Estimation vectors in the Naimark frame of fd attaining a coherent model's CR(G).
 
     They are the vectors of `optimal_vectors(nf, fd, G)` on a coherent model,
-    so a bound already computed for fd and G is not solved again; like every
-    route but the quasi-classical one, they do not read the frame nf. Raises
+    so a bound already computed for fd and G is not solved again. Its one
+    remaining caller is perfbench/wl_catalog.py; the frame nf, which nothing
+    here reads, stays in the signature until the benchmark changes. Raises
     NotCoherent, and SingularWeight when no estimator attains the bound.
     """
-    if not analysis.coherent_test(fd):
+    if not fd.coherent:
         raise NotCoherent("model is not coherent (some beta < 1)")
     return optimal_vectors(nf, fd, G)[0]
 
@@ -208,31 +214,34 @@ def optimal_vectors_coherent(nf, fd, G):
 def pvm_space(frame, fd):
     """The frame the PVM of fd lives in: `frame` itself if quasi-classical, else
     `naimark_frame` at frame.theta, the embedding that `optimal_vectors` builds in."""
-    if analysis.quasi_classical_test(fd):
+    if fd.canonical[2].classification == "quasi_classical":
         return frame
     return naimark_frame(fd, frame.theta)
 
 
 def optimal_vectors(space, fd, G):
-    """Estimation vectors attaining CR(G), and the report of CR(G).
+    """Estimation vectors attaining CR(G), and the report of CR(G), from one Weight of G.
 
     The vectors are X' in theta' = JS^{1/2} theta, with w = JS^{-1/2}.
     Quasi-classical models take X' = L w and phi on the frame `space`, the one
     route that reads it. Every other route takes phi from the Naimark
-    embedding it builds X' in, `fd.embedding`, so its
-    vectors are the same whatever frame is passed, and the PVM built from them
-    lives in `naimark_frame(fd)`. Other closed-form models complete the lifts
-    kh to the closed form's V' = JS^{1/2} V JS^{1/2}. Generic models take the
-    X' of one oracle solve as it stands: its lifts are the embedding's. Raises
-    SingularWeight when no estimator attains the bound.
+    embedding it builds X' in, `fd.embedding`, so its vectors are the same
+    whatever frame is passed, and the PVM built from them lives in
+    `naimark_frame(fd)`. On models that are not generic the report is the
+    route table's cached one, and models with a closed form complete the
+    lifts kh to its V' = JS^{1/2} V JS^{1/2}. Generic models take the X' of
+    one oracle solve as it stands, even where a closed form gives the bound:
+    its lifts are the embedding's. Raises SingularWeight when no estimator
+    attains the bound.
     """
-    cls = analysis.beta_spectrum(fd).classification
-    report = None if cls == "generic" else analysis.closed_form(fd, G)
+    wt = fd.weight(G)
+    cls = fd.canonical[2].classification
+    report = None if cls == "generic" else analysis._closed(fd, wt)
     if cls == "quasi_classical":
         return optimal_vectors_quasi_classical(space, fd), report
     res = None
     if report is None:
-        report, res = analysis.oracle_bound(fd, G)
+        report, res = analysis._oracle(fd, wt)
     if report.V_opt is None:
         raise SingularWeight("no estimator attains the bound for this singular weight")
     if res is None:

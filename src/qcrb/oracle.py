@@ -19,10 +19,11 @@ whose `back` returns the value, the gap and the certificate's multiplier in
 the weight's units. `analysis.oracle_bound(fd, G)` hands over the caller's
 FisherData and caches its answer on it beside the closed forms; an
 `OracleProblem` built from a bare Gram takes that Gram's FisherData.
-`minimize` is the one function every solve passes through. Its `OracleResult`
-keeps the problem's gram and G but not the problem, whose fd would close a
-cycle through that cache; `stationarity_certificate` takes the problem it
-certifies as an argument.
+`_minimize` is the one body every solve runs, at a `Weight`: `minimize` reads
+it from the problem's fd, and `analysis.oracle_bound` passes the one it read.
+Its `OracleResult` keeps the problem's gram and G but not the problem, whose
+fd would close a cycle through that cache; `stationarity_certificate` takes
+the problem it certifies as an argument.
 
 The solver is a primal-dual interior-point method with Nesterov-Todd scaling
 and Mehrotra's predictor-corrector (Vandenberghe and Boyd, SIAM Rev. 38, 49
@@ -325,7 +326,13 @@ def _complete(c, b, c0n, null):
 
 
 def minimize(problem):
-    """The Holevo bound of the problem, its duality gap and attaining vectors.
+    """The Holevo bound of the problem, its duality gap and attaining vectors:
+    `_minimize` at problem.fd's Weight of problem.G (DomainError unless PSD)."""
+    return _minimize(problem, problem.fd.weight(problem.G))
+
+
+def _minimize(problem, wt):
+    """The solve of `minimize`, at wt, the Weight of problem.G on problem.fd.
 
     The SDP is solved in the normalized parameters theta' = JS^{1/2} theta,
     whose lift Gram is I + iK and whose weight is w G w (w = JS^{-1/2}), all
@@ -340,7 +347,6 @@ def minimize(problem):
     depend on that scale.
     """
     fd = problem.fd
-    wt = fd.weight(problem.G)   # fd raises DomainError unless it is PSD
     w, kh = fd.js_powers[1], fd.lift_factor[0]
     m, r = wt.gn.shape[0], kh.shape[0]
     # free directions of one column c of Y: the null space of c -> Re(c* kh)

@@ -24,6 +24,26 @@ def count_calls(monkeypatch):
 
 
 @pytest.fixture
+def table_solves(monkeypatch):
+    """The method of each report that an entry of analysis's route table solves,
+    one per solve, from here on."""
+    from qcrb import analysis
+
+    solved = []
+
+    def counted(solve):
+        def run(fd, wt):
+            report = solve(fd, wt)
+            solved.append(report.method)
+            return report
+        return run
+
+    monkeypatch.setattr(analysis, "_ROUTES",
+                        tuple((applies, counted(solve)) for applies, solve in analysis._ROUTES))
+    return solved
+
+
+@pytest.fixture
 def cli_error(tmp_path, capsys):
     """cli_error(argv, config=None) runs qcrb in process, with `config` (a JSON
     document) written to a file and passed as --config; it returns the exit

@@ -126,10 +126,10 @@ def test_beta_spectrum_random_antisymmetric():
 
 
 def test_classification_tests():
-    assert analysis.quasi_classical_test(synthetic_fd(0.0))
-    assert not analysis.quasi_classical_test(synthetic_fd(0.2))
-    assert analysis.coherent_test(synthetic_fd(1.0))
-    assert not analysis.coherent_test(synthetic_fd(0.9))
+    assert synthetic_fd(0.0).canonical[2].classification == "quasi_classical"
+    assert synthetic_fd(0.2).canonical[2].classification != "quasi_classical"
+    assert synthetic_fd(1.0).coherent
+    assert not synthetic_fd(0.9).coherent
 
 
 def test_sld_bound_is_trace_form():
@@ -329,28 +329,46 @@ def test_cr_bound_js_weight_matches_2param():
 
 
 def test_cr_bound_coherent_n0_value():
+    # at m = 2 the table's two-parameter entry answers first; the coherent
+    # entry's own solve gives the same value, Tr(G JS^-1) + Tr|M| = 1 + 1
     mdl = model.catalog_shifted_number(0, [0.2, -0.4])
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
-    rep = analysis.cr_bound_coherent(fd, np.eye(2))
+    rep = analysis.closed_form(fd, np.eye(2))
+    assert rep.method == "closed_form_2param"
     assert abs(rep.value - 2.0) <= 1e-9
     assert abs(np.trace(rep.V_opt) - rep.value) <= 1e-9
-    assert rep.notes["sld_part"] == pytest.approx(1.0, abs=1e-9)
-    assert rep.notes["abs_part"] == pytest.approx(1.0, abs=1e-9)
+    coherent = analysis._coherent(fd, fd.weight(np.eye(2)))
+    assert coherent.value == pytest.approx(rep.value, rel=1e-14)
+    assert coherent.notes["sld_part"] == pytest.approx(1.0, abs=1e-9)
+    assert coherent.notes["abs_part"] == pytest.approx(1.0, abs=1e-9)
     # closed_form caches its report per weight, read-only where it is shared
-    cached = analysis.closed_form(fd, np.eye(2))
-    assert analysis.closed_form(fd, np.eye(2)) is cached
-    assert analysis.cr_bound(fd, np.eye(2)) is cached
-    assert not cached.G.flags.writeable and not cached.V_opt.flags.writeable
-    assert cached.value == pytest.approx(rep.value, rel=1e-14)
+    assert analysis.closed_form(fd, np.eye(2)) is rep
+    assert analysis.cr_bound(fd, np.eye(2)) is rep
+    assert not rep.G.flags.writeable and not rep.V_opt.flags.writeable
     other = analysis.closed_form(fd, np.diag([2.0, 1.0]))
-    assert other is not cached and other.value > cached.value
+    assert other is not rep and other.value > rep.value
+    # the coherent entry's two parts, on a coherent point at m = 4 under G = JS,
+    # where G' = I and |M| = |K| has every eigenvalue 1: each part is m
+    sq = model.catalog_squeezed([0.1, -0.2, 0.4, 0.3])
+    fd4 = model.fisher_data(model.tangent_frame(sq, sq.theta0))
+    rep4 = analysis.closed_form(fd4, fd4.JS)
+    assert rep4.method == "closed_form_coherent"
+    assert rep4.notes["sld_part"] == pytest.approx(4.0, abs=1e-9)
+    assert rep4.notes["abs_part"] == pytest.approx(4.0, abs=1e-9)
+    assert rep4.value == pytest.approx(8.0, abs=1e-9)
 
 
-def test_cr_bound_coherent_rejections():
-    with pytest.raises(errors.NotCoherent):
-        analysis.cr_bound_coherent(synthetic_fd(0.5), np.eye(2))
-    with pytest.raises(errors.SingularWeight):
-        analysis.cr_bound_coherent(synthetic_fd(1.0), np.diag([1.0, 0.0]))
+def test_cr_bound_coherent_rejections(table_solves):
+    # a point that is not coherent, and a coherent one under a singular weight,
+    # fall past the coherent entry: no coherent solve, and the oracle answers
+    sq = model.catalog_squeezed([0.1, -0.2, 0.4, 0.3])
+    cases = [(built_fd(custom_generic(5, 3, 3)), np.diag([1.0, 2.0, 0.5])),
+             (built_fd(sq), np.diag([1.0, 2.0, 3.0, 0.0]))]
+    for fd, g in cases:
+        assert analysis.closed_form(fd, g) is None
+        assert analysis.cr_bound(fd, g).method == "oracle"
+    assert cases[1][0].coherent and not cases[0][0].coherent
+    assert table_solves == []
 
 
 def test_marginal_infimum():
@@ -497,7 +515,7 @@ def test_each_working_point_is_decomposed_once(monkeypatch):
     assert seen == []   # the three-level frame is in closed form
     fd = model.fisher_data(frame)
     assert analysis.beta_spectrum(fd).classification == "coherent"
-    assert analysis.coherent_test(fd)
+    assert fd.coherent
     g = np.eye(4)
     assert analysis.cr_bound(fd, g).method == "closed_form_coherent"
     nf = measurement.naimark_frame(fd, theta=mdl.theta0)
@@ -515,7 +533,7 @@ def test_each_working_point_is_decomposed_once(monkeypatch):
     assert sorted(names) == sorted(expected) and len(seen) == len(expected)
 
 
-def test_two_parameter_coherent_bound_and_vectors_share_one_solve(monkeypatch, count_calls):
+def test_two_parameter_coherent_bound_and_vectors_share_one_solve(monkeypatch, table_solves):
     mdl = model.catalog_shifted_number(0, [0.2, -0.4])
     frame = model.tangent_frame(mdl, mdl.theta0)
     seen = []
@@ -526,15 +544,13 @@ def test_two_parameter_coherent_bound_and_vectors_share_one_solve(monkeypatch, c
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", recording)
-    coherent = count_calls(analysis, "cr_bound_coherent")
-    two_param = count_calls(analysis, "cr_bound_2param")
     fd = model.fisher_data(frame)
     g = np.eye(2)
     rep = analysis.cr_bound(fd, g)
     assert rep.method == "closed_form_2param"
     nf = measurement.naimark_frame(fd, theta=mdl.theta0)
     ev = measurement.optimal_vectors_coherent(nf, fd, g)
-    assert coherent == [] and len(two_param) == 1
+    assert table_solves == ["closed_form_2param"]
     assert max(analysis.estimation_residuals(ev.X, ev.phi, nf.lifts @ ev.w,
                                              errors.InfeasibleGram).values()) <= 1e-8
     # no eigh of JS: its powers come from the frame's SVD
@@ -620,7 +636,7 @@ def test_coherent_route_decomposes_the_weight_once(monkeypatch):
 
 
 # The |det JS| = |det Jt| cross-check of a coherent point runs once, whichever of
-# the bound, the vectors and coherent_test reads it first.
+# the bound, the vectors and FisherData.coherent reads it first.
 @pytest.mark.parametrize("build", [
     lambda: model.catalog_squeezed([0.1, 0.2, 0.4, 0.7]),
     lambda: model.catalog_shifted_number(0, [0.2, -0.4]),
@@ -632,23 +648,32 @@ def test_coherent_point_takes_the_determinants_once(count_calls, build):
     g = np.eye(mdl.m)
     analysis.cr_bound(fd, g)
     measurement.optimal_vectors_coherent(measurement.naimark_frame(fd, mdl.theta0), fd, g)
-    assert analysis.coherent_test(fd) and analysis.coherent_test(fd)
+    assert fd.coherent and fd.coherent
     assert dets == ["det", "det"]
 
 
 # A failed determinant check is not cached: it raises on every read, and once the
-# check can pass, it is taken once more and then cached.
+# check can pass, it is taken once more and then cached. The coherent entry's
+# applies reads it, so at m = 4 a walk of the route table raises it too, and
+# caches no answer for the weight; at m = 2 the two-parameter entry answers first.
 def test_a_failed_coherent_check_raises_on_every_read(monkeypatch, count_calls):
-    mdl = model.catalog_shifted_number(0, [0.2, -0.4])
-    fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
     dets = count_calls(np.linalg, "det")
-    monkeypatch.setitem(matkernel.TOL, "coherent_det", -1.0)
-    for _ in range(2):
-        with pytest.raises(errors.ConsistencyError):
-            analysis.coherent_test(fd)
-    monkeypatch.setitem(matkernel.TOL, "coherent_det", 1e-6)
-    assert analysis.coherent_test(fd) and analysis.coherent_test(fd)
-    assert len(dets) == 6
+    for mdl, method in ((model.catalog_shifted_number(0, [0.2, -0.4]), "closed_form_2param"),
+                        (model.catalog_squeezed([0.1, -0.2, 0.4, 0.3]), "closed_form_coherent")):
+        fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
+        g = np.eye(mdl.m)
+        dets.clear()
+        monkeypatch.setitem(matkernel.TOL, "coherent_det", -1.0)
+        for _ in range(2):
+            with pytest.raises(errors.ConsistencyError):
+                fd.coherent
+            if mdl.m > 2:
+                with pytest.raises(errors.ConsistencyError):
+                    analysis.closed_form(fd, g)
+        monkeypatch.setitem(matkernel.TOL, "coherent_det", 1e-6)
+        assert fd.coherent and fd.coherent
+        assert len(dets) == (6 if mdl.m == 2 else 10)
+        assert analysis.closed_form(fd, g).method == method
 
 
 def test_coherent_route_with_singular_weight_goes_to_the_oracle():
@@ -660,7 +685,8 @@ def test_coherent_route_with_singular_weight_goes_to_the_oracle():
     assert rep.method == "oracle"
     assert abs(rep.notes["gap"]) <= 1e-9 * max(1.0, rep.value)
     # dropping a weight can only lower the bound below the full coherent one
-    assert rep.value <= analysis.cr_bound_coherent(fd, np.diag([2.0, 1.0, 1.0, 1e-3])).value
+    full = analysis.closed_form(fd, np.diag([2.0, 1.0, 1.0, 1e-3]))
+    assert full.method == "closed_form_coherent" and rep.value <= full.value
     assert rep.value >= paper_statements.sld_bound(fd, g) - 1e-12
 
 
@@ -706,7 +732,7 @@ def test_oracle_report_is_cached_beside_the_closed_forms(count_calls):
     dphi = 0.5 * (rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5)))
     mdl = model.custom_model(5, 3, phi / np.linalg.norm(phi), dphi, np.zeros(3))
     g = np.diag([1.0, 2.0, 0.5])
-    solves = count_calls(oracle, "minimize")
+    solves = count_calls(oracle, "_minimize")
     factored = count_calls(matkernel, "lift_svd")
     fd = _fd(mdl)
     first = analysis.cr_bound(fd, g)

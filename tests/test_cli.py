@@ -399,7 +399,7 @@ def test_pvm_runs_the_oracle_only_for_generic_models(tmp_path, capsys, count_cal
                                                      weight, method, oracle_calls):
     cfg = write_json(tmp_path / "m.json", config)
     extra = [] if weight is None else ["--weight", write_json(tmp_path / "w.json", weight)]
-    calls = count_calls(oracle_mod, "minimize")
+    calls = count_calls(oracle_mod, "_minimize")
     assert cli.main(["pvm", "--config", cfg, *extra]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["method"] == method
@@ -518,14 +518,13 @@ def test_non_finite_config_numbers_schema_error(tmp_path, config):
     assert err["exit_code"] == 2
 
 
-def test_pvm_coherent_computes_the_bound_once(tmp_path, count_calls, capsys):
+def test_pvm_coherent_computes_the_bound_once(tmp_path, table_solves, capsys):
     cfg = write_json(tmp_path / "sq.json", SQUEEZED)
-    calls = count_calls(analysis, "cr_bound_coherent")
     assert cli.main(["pvm", "--config", cfg]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["classification"] == "coherent"
     assert abs(doc["verification"]["trGV"] - doc["closed_form_value"]) <= 1e-8
-    assert len(calls) == 1
+    assert table_solves == ["closed_form_coherent"]
 
 
 # Decompositions per `qcrb pvm`, after the model family's own tables are
@@ -564,7 +563,7 @@ def test_oracle_commands_build_one_spectrum(tmp_path, capsys, count_calls, comma
     cfg = write_json(tmp_path / "m.json", config)
     factored = count_calls(matkernel, "lift_svd")
     eigh = count_calls(np.linalg, "eigh")
-    solves = count_calls(oracle_mod, "minimize")
+    solves = count_calls(oracle_mod, "_minimize")
     assert cli.main([*command, "--config", cfg]) == 0
     capsys.readouterr()
     assert (len(factored), len(eigh), len(solves)) == (1, eighs, 1)
@@ -1291,3 +1290,28 @@ def test_a_full_stdout_that_keeps_its_bytes_exits_2(tmp_path, name):
                               timeout=300)
     assert proc.returncode == 2, proc.stderr
     assert json.loads(proc.stderr)["exit_code"] == 2
+
+
+# Each command reads the Weight of its --weight from the working point once per
+# entry point it calls: `bound` once, through the route table and the oracle
+# behind it; `bound --oracle` once more for the cross-check's oracle_bound;
+# `oracle` once for oracle_bound, once for the certificate of an attained bound
+# and once for closed_form; `pvm` once in optimal_vectors and once for Tr(G V).
+@pytest.mark.parametrize("weight", ["identity", "sld"])
+@pytest.mark.parametrize("config", sorted(DATA.glob("*_config.json")),
+                         ids=lambda p: p.name[:-len("_config.json")])
+def test_weight_lookups_per_command(capsys, count_calls, config, weight):
+    calls = count_calls(analysis.FisherData, "weight")
+    for command in (["bound"], ["bound", "--oracle"], ["oracle"], ["pvm"]):
+        calls.clear()
+        assert cli.main([*command, "--config", str(config), "--weight", weight]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        if command == ["bound"]:
+            expected = 1
+        elif command == ["bound", "--oracle"]:
+            expected = 1 if doc["bound"]["method"] == "oracle" else 2
+        elif command == ["oracle"]:
+            expected = 3 if doc["attained"] else 2
+        else:
+            expected = 2
+        assert len(calls) == expected, command

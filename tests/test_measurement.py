@@ -262,7 +262,8 @@ def test_coherent_pvm_attains_bound():
     fr = model.tangent_frame(mdl, mdl.theta0)
     fd = model.fisher_data(fr)
     for g in (np.eye(2), np.array([[2.0, 0.4], [0.4, 1.0]])):
-        rep = analysis.cr_bound_coherent(fd, g)
+        rep = analysis.closed_form(fd, g)
+        assert rep.method == "closed_form_2param"
         nf = measurement.naimark_frame(fd, theta=mdl.theta0)
         ev = measurement.optimal_vectors_coherent(nf, fd, g)
         pvm = measurement.pvm_from_vectors(ev)
@@ -278,7 +279,8 @@ def test_coherent_pvm_squeezed_model():
     fr = model.tangent_frame(mdl, mdl.theta0)
     fd = model.fisher_data(fr)
     g = np.diag([1.0, 2.0, 1.0, 3.0])
-    rep = analysis.cr_bound_coherent(fd, g)
+    rep = analysis.closed_form(fd, g)
+    assert rep.method == "closed_form_coherent"
     nf = measurement.naimark_frame(fd, theta=mdl.theta0)
     ev = measurement.optimal_vectors_coherent(nf, fd, g)
     pvm = measurement.pvm_from_vectors(ev)
@@ -312,7 +314,7 @@ def test_optimal_vectors_every_class(count_calls, build, g, method, oracle_calls
     mdl = build()
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
     nf = measurement.naimark_frame(fd, theta=mdl.theta0)
-    calls = count_calls(oracle, "minimize")
+    calls = count_calls(oracle, "_minimize")
     ev, rep = measurement.optimal_vectors(nf, fd, g)
     assert rep.method == method
     assert len(calls) == oracle_calls
@@ -356,13 +358,13 @@ def test_generic_vectors_are_the_oracle_vectors(monkeypatch, build, g):
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
     nf = measurement.naimark_frame(fd, theta=mdl.theta0)
     solved = []
-    original = analysis.oracle_bound
+    original = analysis._oracle
 
     def recording(*args):
         solved.append(original(*args))
         return solved[-1]
 
-    monkeypatch.setattr(analysis, "oracle_bound", recording)
+    monkeypatch.setattr(analysis, "_oracle", recording)
     ev, rep = measurement.optimal_vectors(nf, fd, g)
     (report, res), = solved
     assert rep is report and ev.X is res.Xn and ev.phi is nf.phi

@@ -244,7 +244,8 @@ def test_stationarity_certificate_does_not_swallow_checks(monkeypatch):
 def test_feasible_scan_reaches_attainable_targets():
     mdl = model.catalog_shifted_number(0, [0.2, -0.4])
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
-    rep = analysis.cr_bound_coherent(fd, np.eye(2))
+    rep = analysis.closed_form(fd, np.eye(2))
+    assert rep.method == "closed_form_2param"
     problem = penalty_oracle.OracleProblem(gram=fd.gram, G=np.eye(2), restarts=4, seed=3)
     assert penalty_oracle.feasible_scan(problem, rep.V_opt)
     # upward closedness

@@ -1,5 +1,6 @@
 """Property-based invariants over randomized models and matrices."""
 
+import itertools
 import math
 
 import numpy as np
@@ -60,7 +61,7 @@ def test_quasi_classical_rule_is_scale_invariant(seed, m, beta, log_d):
     verdicts = []
     for a, b in ((js, jt), (d @ js @ d, d @ jt @ d)):
         fd = FisherData(JS=a, Jt=b, gram=a + 1j * b)
-        verdicts.append((analysis.quasi_classical_test(fd),
+        verdicts.append((analysis.closed_form(fd, fd.JS).method == "quasi_classical",
                          analysis.beta_spectrum(fd).classification))
     assert verdicts[0] == verdicts[1]
     assert verdicts[0][0] == (verdicts[0][1] == "quasi_classical")
@@ -255,7 +256,7 @@ def test_quasi_classical_pvm_invariants(seed):
     except (model.DegenerateModel, model.SingularFisher):
         return
     # real amplitudes force Jt = 0
-    assert analysis.quasi_classical_test(fd)
+    assert analysis.closed_form(fd, np.eye(m)).method == "quasi_classical"
     ev = measurement.optimal_vectors_quasi_classical(fr, fd)
     pvm = measurement.pvm_from_vectors(ev)
     assert max(measurement.pvm_algebra_residuals(pvm).values()) <= 1e-9
@@ -352,7 +353,9 @@ def test_holevo_sdp_matches_closed_forms(seed, m, kind, weight):
     if weight == "JS":
         refs.append(analysis.cr_bound_js_weight(fd).value)
     if kind == "one" and m % 2 == 0:
-        refs.append(analysis.cr_bound_coherent(fd, g).value)
+        closed = analysis.closed_form(fd, g)
+        assert closed.method == ("closed_form_2param" if m == 2 else "closed_form_coherent")
+        refs.append(closed.value)
     for ref in refs:
         assert abs(res.value - ref) <= 1e-8 * max(1.0, abs(ref)), (res.value, ref)
     # SLD bound <= value <= the Holevo function at the SLD estimator L JS^{-1}
@@ -540,6 +543,59 @@ def test_bound_is_homogeneous_in_the_weight(point, seed, log_c):
         assert abs(scaled.value - c * one.value) <= tol * c * one.value
 
 
+def _call_in_order(frame, g, order):
+    """{name: (method, value) or error name} of the four entry points, called in
+    `order` on a fresh working point; `same` is whether optimal_vectors returned
+    the report object that the table's walk, else the oracle, cached."""
+    fd = model.fisher_data(frame)
+    space = measurement.pvm_space(frame, fd)
+    calls = {
+        "cr_bound": lambda: analysis.cr_bound(fd, g),
+        "closed_form": lambda: analysis.closed_form(fd, g),
+        "optimal_vectors": lambda: measurement.optimal_vectors(space, fd, g)[1],
+        "oracle_bound": lambda: analysis.oracle_bound(fd, g)[0],
+    }
+    reports, out = {}, {}
+    for name in order:
+        try:
+            reports[name] = calls[name]()
+        except errors.QcrbError as exc:
+            out[name] = type(exc).__name__
+            continue
+        rep = reports[name]
+        out[name] = None if rep is None else (rep.method, rep.value.hex())
+    vectors = reports.get("optimal_vectors")
+    cached = reports["closed_form"]
+    if fd.canonical[2].classification == "generic" or cached is None:
+        cached = reports["oracle_bound"]
+    return out, vectors is None or vectors is cached
+
+
+# One dispatcher: whichever entry point reads a weight first, each gives the
+# same route and the same value, bit for bit, and on models that are not
+# generic optimal_vectors returns the table's cached report itself.
+@pytest.mark.parametrize("weight", ["identity", "sld", "random", "rank_deficient"])
+@pytest.mark.parametrize("point", sorted(STRADDLE_POINTS))
+def test_one_dispatcher_in_any_call_order(point, weight):
+    mdl = STRADDLE_POINTS[point]()
+    frame = model.tangent_frame(mdl, mdl.theta0)
+    m = mdl.m
+    a = np.random.default_rng(m).normal(size=(m, m))
+    g = {"identity": np.eye(m), "sld": model.fisher_data(frame).JS,
+         "random": a @ a.T + 0.1 * np.eye(m),
+         "rank_deficient": np.diag([1.0] * (m - 1) + [0.0])}[weight]
+    names = ("cr_bound", "closed_form", "optimal_vectors", "oracle_bound")
+    first = None
+    for order in itertools.permutations(names):
+        out, same = _call_in_order(frame, g, order)
+        assert same, order
+        if first is None:
+            first = out
+        assert out == first, order
+    if point == "generic_m3" and weight == "sld":
+        assert first["closed_form"][0] == "closed_form_JS_weight"
+
+
 def _lifted(phi, lifts):
     """The frame and Fisher data of the custom model with state phi and lifts
     `lifts` (orthogonal to phi) at theta = 0."""
@@ -655,7 +711,7 @@ def test_reparametrized_coherent_models_stay_coherent(seed, log_cond):
     t = _random_t(rng, 4, log_cond)
     _, fd = _lifted(frame.phi, frame.lifts @ t)
     assert analysis.beta_spectrum(fd).classification == "coherent"
-    assert analysis.coherent_test(fd)
+    assert fd.coherent
     b = rng.normal(size=(4, 4))
     for g in (np.eye(4), b @ b.T + 0.5 * np.eye(4)):
         ref = analysis.cr_bound(fd0, g).value
