@@ -53,8 +53,7 @@ def main():
         for g in random_weights(cfg.seed + 97 * k, cfg.weights_per_beta):
             closed = analysis.cr_bound_2param(fd, g).value
             res = analysis.oracle_bound(fd, g)[1]
-            cert = oracle.stationarity_certificate(
-                res, oracle.OracleProblem(gram=fd.gram, G=g, fd=fd))
+            cert = oracle.stationarity_certificate(res, fd)
             diff = abs(res.value - closed)
             worst = max(worst, diff / closed)
             print(f"{beta:5.2f}  {closed:14.10f}  {res.value:14.10f}  "

@@ -78,11 +78,10 @@ class FisherData:
     frame's lifts and the oracle's are that R, and their lifts in theta' that
     kh: the SDP of `oracle_bound` reads `js_powers` and `embedding` of this
     point. `coherent` is the class's determinant cross-check, taken once.
-    `_js_unit` is JS at the unit scale of `weight`, which the G = JS entry of
-    the route table compares a weight with. `reports` holds one `Weight` per
-    weight, keyed by the bytes of the symmetrized weight: its decomposition
-    at unit scale, and the closed form and the oracle's solve that every
-    bound and measurement at this point reads. Their arrays are read-only.
+    `reports` holds one `Weight` per weight, keyed by the bytes of the
+    symmetrized weight: its decomposition at unit scale, and the closed form
+    and the oracle's solve that every bound and measurement at this point
+    reads. Their arrays are read-only.
     Each decomposition is computed on first use and cached here, so JS, Jt
     and gram must not change once the point is built. Nothing cached refers
     to the point, so it is acyclic: reference counting frees it, its
@@ -164,13 +163,6 @@ class FisherData:
         return phi, lifts[0], lifts[1]
 
     @functools.cached_property
-    def _js_unit(self):
-        """(JS at the unit scale of `weight`, s): JS is 2^s times it."""
-        js = matkernel.symmetrize(self.JS)
-        e, f = _unit_scale(js, self.js_powers[1])
-        return np.ldexp(js, -e - f), e + f
-
-    @functools.cached_property
     def coherent(self):
         """True iff all beta equal 1; then |det JS| = |det Jt| is cross-checked.
 
@@ -215,10 +207,11 @@ class Weight:
 
     2^e is the even power of two at or below ||G||, the weight's scale, and
     2^f the one at or below ||w 2^-e G w|| (w = JS^{-1/2}), the point's, but
-    no less than 2^-1022, so that unit has entries below 2^1023.
-    gn = w unit w is the weight in the parameters where JS = I, of size near
-    1, and (g, r, keep) its eigenvalues ascending, eigenvectors and rank mask
-    from one matkernel.psd_eig. Every route computes at unit scale and
+    no less than 2^-1022, so that unit has entries below 2^1023. JS is its
+    own unit, since w JS w = I, unless ||JS|| >= 2^1023, where that floor
+    makes its unit JS/4 (`_js_scale`). gn = w unit w is the weight in the
+    parameters where JS = I, of size near 1, and (g, r, keep) its eigenvalues
+    ascending, eigenvectors and rank mask from one matkernel.psd_eig. Every route computes at unit scale and
     returns its result through `back`; V_opt, V' and the estimation vectors
     do not depend on the weight's scale. `closed` caches the route table's
     report, as (report,) once it is taken, and `oracle` oracle_bound's
@@ -227,7 +220,9 @@ class Weight:
     """
 
     def __init__(self, G, w):
-        self.G, (self.e, self.f) = G, _unit_scale(G, w)
+        self.G, self.e = G, math.frexp(matkernel.mnorm(G))[1] & -2
+        f = math.frexp(matkernel.mnorm(w @ np.ldexp(G, -self.e) @ w))[1] & -2
+        self.f = max(f, -1022)
         self.unit = np.ldexp(G, -self.e - self.f)
         self.gn = matkernel.symmetrize(w @ self.unit @ w)
         self.g, self.r, self.keep = matkernel.psd_eig(self.gn, DomainError)
@@ -252,12 +247,6 @@ class Weight:
                                   f"{math.ldexp(x, self.f)!r}, is not a normal float")
         out = [x if x is None else np.ldexp(x, self.e + self.f) for x in (value, *fields)]
         return out[0] if not fields else tuple(out)
-
-
-def _unit_scale(G, w):
-    """(e, f) of `Weight`: the even powers of two at or below ||G|| and ||w 2^-e G w||."""
-    e = math.frexp(matkernel.mnorm(G))[1] & -2
-    return e, max(math.frexp(matkernel.mnorm(w @ np.ldexp(G, -e) @ w))[1] & -2, -1022)
 
 
 def beta_spectrum(fd):
@@ -453,20 +442,27 @@ def _coherent(fd, wt):
         notes={"sld_part": sld_part, "abs_part": abs_part}, Vn=vn)
 
 
+def _js_scale(fd):
+    """s with JS = 2^s times its unit (`Weight`): 0, since w JS w = I, unless
+    ||JS|| >= 2^1023, where the floor on 2^f makes it 2."""
+    return 0 if matkernel.mnorm(fd.JS) < 2.0 ** 1023 else 2
+
+
 def _is_js_weight(fd, wt):
     """Whether G is JS at unit scale, to its dust: G = 4^k JS for an integer k."""
-    js = fd._js_unit[0]
+    js = np.ldexp(fd.JS, -_js_scale(fd))
     return matkernel.mnorm(wt.unit - js) <= TOL["eigen_dust"] * matkernel.mnorm(js)
 
 
 def _js_weight(fd, wt):
     """Bound for the weights that are JS at unit scale: sum of 2/(1 + sqrt(1 - beta_j^2)).
 
-    That sum is the bound of G = JS. JS is 2^s times its unit, so it is scaled
-    by 2^-s to unit scale and then back to G's units. It is cross-checked
-    against the matrix form Tr {Re sqrt(I + i K)}^{-2} with
-    K = JS^{-1/2} Jt JS^{-1/2}; both forms, and V_opt, come from the one
-    eigendecomposition iK = U diag(mu) U*, with mu snapped.
+    That sum is the bound of G = JS, which is 2^s times its unit
+    (`_js_scale`), so it is scaled by 2^-s to unit scale and then back to G's
+    units. It is cross-checked against the matrix form
+    Tr {Re sqrt(I + i K)}^{-2} with K = JS^{-1/2} Jt JS^{-1/2}; both forms,
+    and V_opt, come from the one eigendecomposition iK = U diag(mu) U*, with
+    mu snapped.
     """
     mu, u = fd.canonical[1]
     betas = fd.canonical[2].betas
@@ -479,7 +475,7 @@ def _js_weight(fd, wt):
     check("js_weight_forms", abs(value - value_matrix), 1.0, ConsistencyError)
     w = fd.js_powers[1]
     v_opt = matkernel.symmetrize(w @ ((u * inflation) @ u.conj().T).real @ w)
-    s = fd._js_unit[1]
+    s = _js_scale(fd)
     value, form = wt.back(math.ldexp(value, -s), math.ldexp(value_matrix, -s))
     return BoundReport(G=wt.G, value=value, attained=True, V_opt=v_opt,
                        method="closed_form_JS_weight",
@@ -526,7 +522,7 @@ def _oracle(fd, wt):
     """oracle_bound at the Weight wt of fd, cached on wt."""
     if wt.oracle is None:
         from . import oracle   # the oracle reads this module's FisherData
-        result = oracle._minimize(oracle.OracleProblem(gram=fd.gram, G=wt.G, fd=fd), wt)
+        result = oracle._minimize(fd, wt)
         x = result.X
         v = None if x is None else matkernel.symmetrize((x.conj().T @ x).real)
         report = BoundReport(G=wt.G, value=result.value, attained=result.attained, V_opt=v,

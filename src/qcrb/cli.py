@@ -54,7 +54,7 @@ def _load_json(path, what):
     with _open(path, "r", what) as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise errors.SchemaError(f"{what} is not valid JSON: {exc}") from exc
 
 
@@ -68,7 +68,7 @@ def _resolve_weight(spec_str, js):
     doc = _load_json(spec_str, "weight")
     try:
         g = np.asarray(doc, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise errors.SchemaError("weight file must hold a numeric matrix") from exc
     if g.shape != (m, m):
         raise errors.SchemaError(f"weight shape {g.shape} does not match m = {m}")
@@ -296,8 +296,7 @@ def cmd_oracle(args):
     })
     if result.attained:
         from . import oracle   # analysis.oracle_bound has loaded it
-        cert = oracle.stationarity_certificate(
-            result, oracle.OracleProblem(gram=fd.gram, G=g, fd=fd))
+        cert = oracle.stationarity_certificate(result, fd)
         rep["certificate"] = {
             "Lambda": cert.Lambda,
             "residual": cert.residual,

@@ -498,7 +498,7 @@ def pvm_from_obj(obj, m, theta):
         try:
             est = np.asarray(entry["outcome"], dtype=float)
             pairs = np.asarray(entry["projector"], dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError("'outcome' and 'projector' must hold numbers") from exc
         if est.shape != (m,):
             raise SchemaError(f"outcome length {est.shape} does not match m = {m}")

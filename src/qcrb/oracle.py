@@ -13,17 +13,15 @@ rank r: the factor drops the directions where analysis snaps beta to 1, so
 the Newton system stays nonsingular on the singular Grams of coherent models.
 The equality is eliminated with an SVD null space.
 
-The SDP reads JS^{-1/2} and R from `problem.fd`, the one `analysis.FisherData`
-of the working point, and the weight from its `weight(G)`, at unit scale,
-whose `back` returns the value, the gap and the certificate's multiplier in
-the weight's units. `analysis.oracle_bound(fd, G)` hands over the caller's
-FisherData and caches its answer on it beside the closed forms; an
-`OracleProblem` built from a bare Gram takes that Gram's FisherData.
-`_minimize` is the one body every solve runs, at a `Weight`: `minimize` reads
-it from the problem's fd, and `analysis.oracle_bound` passes the one it read.
-Its `OracleResult` keeps the problem's gram and G but not the problem, whose
-fd would close a cycle through that cache; `stationarity_certificate` takes
-the problem it certifies as an argument.
+`_minimize(fd, wt)` is the one body every solve runs. It reads JS^{-1/2} and
+R from fd, the one `analysis.FisherData` of the working point, and the
+weight from wt, its `Weight` of G at unit scale, whose `back` returns the
+value, the gap and the certificate's multiplier in the weight's units.
+`analysis.oracle_bound(fd, G)` passes the pair it holds and caches the
+answer on the weight beside the closed forms. `minimize(OracleProblem(gram,
+G))` is the one place that builds a working point from a bare Gram.
+`stationarity_certificate(result, fd)` reads the point the caller solved at;
+given the result alone, it reads the point of the result's gram.
 
 The solver is a primal-dual interior-point method with Nesterov-Todd scaling
 and Mehrotra's predictor-corrector (Vandenberghe and Boyd, SIAM Rev. 38, 49
@@ -50,11 +48,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import analysis, matkernel
-from .errors import (
-    DomainError,
-    NonConvergence,
-    PreconditionNotMet,
-)
+from .errors import NonConvergence, PreconditionNotMet
 from .matkernel import TOL, check
 
 MAX_ITER = 60        # interior-point iterations before NonConvergence
@@ -64,17 +58,9 @@ POLISH_STEPS = 3     # Gauss-Newton steps on the first-order conditions
 
 @dataclass
 class OracleProblem:
-    """The SDP of weight G at a working point. Given only a Gram, fd is its FisherData;
-    a given fd must carry that very Gram, else DomainError."""
+    """The SDP of weight G at the working point of a bare lift Gram (`minimize`)."""
     gram: np.ndarray                      # Hermitian PSD, m x m
     G: np.ndarray                         # real PSD weight, m x m
-    fd: Optional[analysis.FisherData] = None   # whose decompositions the SDP reads
-
-    def __post_init__(self):
-        if self.fd is None:
-            self.fd = analysis.FisherData.from_gram(self.gram)
-        elif self.fd.gram is not self.gram:
-            raise DomainError("the problem's gram is not the gram of its fd")
 
 
 @dataclass
@@ -88,11 +74,11 @@ class RestartStat:
 
 @dataclass
 class OracleResult:
-    """The solve of one OracleProblem. It keeps the problem's gram and G, not the
-    problem: a result cached on an fd must not refer back to that fd, so that
-    reference counting frees the point. X and the lifts live
-    in the Naimark embedding, whose phi the result does not copy: it is
-    `measurement.naimark_frame(fd).phi`."""
+    """The solve at one working point and weight. It keeps the point's gram and the
+    symmetrized G, which a certificate given no fd reads, and no FisherData: a
+    result cached on an fd must not refer back to that fd, so that reference
+    counting frees the point. X and the lifts live in the Naimark embedding,
+    whose phi the result does not copy: it is `measurement.naimark_frame(fd).phi`."""
     value: float
     gap: float                            # value minus a dual lower bound
     attained: bool
@@ -327,16 +313,18 @@ def _complete(c, b, c0n, null):
 
 def minimize(problem):
     """The Holevo bound of the problem, its duality gap and attaining vectors:
-    `_minimize` at problem.fd's Weight of problem.G (DomainError unless PSD)."""
-    return _minimize(problem, problem.fd.weight(problem.G))
+    `_minimize` at the FisherData of the bare Gram problem.gram and its Weight
+    of problem.G (DomainError unless PSD)."""
+    fd = analysis.FisherData.from_gram(problem.gram)
+    return _minimize(fd, fd.weight(problem.G))
 
 
-def _minimize(problem, wt):
-    """The solve of `minimize`, at wt, the Weight of problem.G on problem.fd.
+def _minimize(fd, wt):
+    """The Holevo bound at the working point fd and its Weight wt of G.
 
     The SDP is solved in the normalized parameters theta' = JS^{1/2} theta,
     whose lift Gram is I + iK and whose weight is w G w (w = JS^{-1/2}), all
-    read from problem.fd: kh* kh = I + iK and R = kh JS^{1/2}
+    read from fd: kh* kh = I + iK and R = kh JS^{1/2}
     (r x m) on the directions where analysis does not snap beta to 1, and the
     weight's one decomposition, at unit scale. The vectors X' are checked
     there, against the lifts kh, by `analysis.estimation_residuals`
@@ -346,7 +334,6 @@ def _minimize(problem, wt):
     value and the gap are then scaled back to G's units, and X does not
     depend on that scale.
     """
-    fd = problem.fd
     w, kh = fd.js_powers[1], fd.lift_factor[0]
     m, r = wt.gn.shape[0], kh.shape[0]
     # free directions of one column c of Y: the null space of c -> Re(c* kh)
@@ -385,7 +372,7 @@ def _minimize(problem, wt):
     value, gap = wt.back(value, gap)
     stat = RestartStat(value=value, gap=gap, iterations=iterations, residual=residual)
     return OracleResult(value=value, gap=gap, attained=x is not None, X=x, Xn=xn, lifts=lifts,
-                        residuals=residuals, restarts=[stat], gram=problem.gram, G=problem.G)
+                        residuals=residuals, restarts=[stat], gram=fd.gram, G=wt.G)
 
 
 @dataclass
@@ -395,7 +382,7 @@ class StationarityReport:
     extras: dict
 
 
-def stationarity_certificate(result, problem=None):
+def stationarity_certificate(result, fd=None):
     """Recover the antisymmetric multiplier and report the stationarity residual.
 
     The first-order condition at an optimum is X(G - i Lambda) = L V G for
@@ -406,20 +393,17 @@ def stationarity_certificate(result, problem=None):
     weight at unit scale (`FisherData.weight`), so no product leaves the
     float range; Lambda and the residual are then scaled back to G's units,
     and the identities and the spectrum do not depend on that scale.
-    Both read the fd of `problem`, the problem the result solves: pass the
-    OracleProblem that holds the caller's fd, and they read the decompositions
-    the solve read. A problem of another solver carries only a Gram, and is read
-    through its FisherData; so is a result given alone, as the problem of the
-    gram and G it keeps.
+    They read fd, the working point the caller solved at, and its Weight of
+    result.G, so they read the decompositions the solve read. Without fd they
+    read the FisherData of the bare Gram result.gram. result is anything that
+    holds X, lifts and G (and gram, when fd is not given).
     """
     if result.X is None:
         raise PreconditionNotMet("no estimation vectors: the bound is not attained")
-    problem = result if problem is None else problem
-    fd = (problem.fd if isinstance(problem, OracleProblem)
-          else analysis.FisherData.from_gram(problem.gram))
+    fd = analysis.FisherData.from_gram(result.gram) if fd is None else fd
     x = result.X
     lifts = result.lifts
-    wt = fd.weight(problem.G)
+    wt = fd.weight(result.G)
     g = wt.unit
     m = g.shape[0]
     v = matkernel.symmetrize((x.conj().T @ x).real)

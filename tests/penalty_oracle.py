@@ -64,6 +64,14 @@ class OracleResult:
     restarts: List[RestartStat]
     problem: OracleProblem
 
+    @property
+    def gram(self):
+        return self.problem.gram
+
+    @property
+    def G(self):
+        return self.problem.G
+
 
 def _setup(problem):
     import scipy.linalg

@@ -485,6 +485,26 @@ def test_js_scale_zeros_scale_with_js(s):
                                        0, 1)
 
 
+# JS is its own unit, since w JS w = I, below ||JS|| = 2^1023; from there the
+# floor on the weight's 2^f makes the unit JS/4. The G = JS entry takes G = JS
+# on both sides, with the same bound, which does not depend on the units of
+# theta. Compared with JS itself, the entry missed G = JS from 2^1023 on, and
+# cr_bound_js_weight read 4 times the bound.
+@pytest.mark.parametrize("k", [510, 511])
+def test_js_weight_entry_at_the_top_of_the_float_range(k):
+    phi = np.eye(5)[0]
+    dphi = np.array([[0, 0.8, 0.25j, 0, 0], [0, 0.1j, 0.05, 0.2, 0], [0, 0, 0.1, 0.05j, 0.15]])
+    fd0, fd = (model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
+               for mdl in (model.custom_model(5, 3, phi, c * dphi, np.zeros(3))
+                           for c in (1.0, 2.0 ** k)))
+    assert (matkernel.mnorm(fd.JS) >= 2.0 ** 1023) == (k == 511)
+    value = analysis.cr_bound(fd0, fd0.JS).value
+    rep = analysis.cr_bound(fd, fd.JS)
+    assert rep.method == "closed_form_JS_weight"
+    for v in (rep.value, analysis.cr_bound_js_weight(fd).value):
+        assert abs(v - value) <= 1e-14 * value
+
+
 def test_cr_bound_dispatch_methods():
     g = np.array([[1.5, 0.2], [0.2, 0.8]])
     assert analysis.cr_bound(synthetic_fd(0.0), g).method == "quasi_classical"
@@ -630,8 +650,7 @@ def test_coherent_route_decomposes_the_weight_once(monkeypatch):
     assert analysis.cr_bound(fd, g).method == "closed_form_coherent"
     # the stationarity certificate reads the same decomposition
     report, result = analysis.oracle_bound(fd, g)
-    problem = oracle.OracleProblem(gram=fd.gram, G=g, fd=fd)
-    assert "multiplier_spectrum" in oracle.stationarity_certificate(result, problem).extras
+    assert "multiplier_spectrum" in oracle.stationarity_certificate(result, fd).extras
     assert seen == ["wGw"]
 
 
@@ -779,8 +798,7 @@ def _library_routes():
     frame, fd = _generic_point()
     g = np.diag([1.0, 2.0, 0.5])
     measurement.optimal_vectors(measurement.pvm_space(frame, fd), fd, g)
-    oracle.stationarity_certificate(analysis.oracle_bound(fd, g)[1],
-                                    oracle.OracleProblem(gram=fd.gram, G=g, fd=fd))
+    oracle.stationarity_certificate(analysis.oracle_bound(fd, g)[1], fd)
 
 
 def test_library_routes_leave_no_reference_cycles():

@@ -132,6 +132,8 @@ def test_boundary_from_model_with_weight(tmp_path):
     # json writes these as NaN and Infinity, which json also reads back
     ([[1.0, 0.0], [0.0, float("nan")]], "SchemaError"),
     ([[1.0, 0.0], [0.0, float("inf")]], "SchemaError"),
+    # an integer past the float range, which numpy cannot convert
+    ([[10 ** 400, 0], [0, 1]], "SchemaError"),
 ])
 def test_boundary_beta_validates_weight(tmp_path, weight, error):
     wpath = write_json(tmp_path / "w.json", weight)
@@ -348,6 +350,43 @@ def test_unusable_files_are_schema_errors(tmp_path, capsys, command, bad):
     err = json.loads(captured.err)
     assert err["error"] == "SchemaError" and str(paths[bad]) in err["message"]
     assert captured.out == ""
+
+
+def _pvm_with(key, value):
+    """The n0_coherent PVM file with one number of its first entry's `key` replaced."""
+    doc = json.loads((DATA / "n0_coherent_pvm.json").read_text())
+    doc["pvm"][0][key][0] = value
+    return json.dumps(doc)
+
+
+BIG = 10 ** 400
+DEEP = "[" * 100000 + "]" * 100000
+
+
+# An integer past the float range, where numpy reads numbers, and a document
+# nested past the recursion limit of the JSON reader, are input errors: exit 2
+# with one line of error JSON. Both exited 1 with a traceback.
+@pytest.mark.parametrize("command, text", [
+    (["bound", "--config", "{cfg}", "--weight", "{bad}"], json.dumps([[BIG, 0], [0, 1]])),
+    (["pvm", "--config", "{cfg}", "--weight", "{bad}"], json.dumps([[1, 0], [0, BIG]])),
+    (["oracle", "--config", "{cfg}", "--weight", "{bad}"], json.dumps([[1, BIG], [BIG, 1]])),
+    (["boundary", "--config", "{cfg}", "--weight", "{bad}"], json.dumps([[BIG, 0], [0, 1]])),
+    (["simulate", "--config", "{cfg}", "--pvm", "{bad}"], _pvm_with("outcome", BIG)),
+    (["simulate", "--config", "{cfg}", "--pvm", "{bad}"], _pvm_with("projector", [BIG, 0])),
+    (["analyze", "--config", "{bad}"], DEEP),
+    (["bound", "--config", "{cfg}", "--weight", "{bad}"], DEEP),
+    (["simulate", "--config", "{cfg}", "--pvm", "{bad}"], DEEP),
+], ids=["bound_weight_big", "pvm_weight_big", "oracle_weight_big", "boundary_weight_big",
+        "simulate_outcome_big", "simulate_projector_big", "config_deep", "weight_deep",
+        "pvm_deep"])
+def test_oversized_integers_and_deep_nesting_exit_2(tmp_path, capsys, command, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    fields = {"bad": str(bad), "cfg": str(DATA / "n0_coherent_config.json")}
+    assert cli.main([arg.format(**fields) for arg in command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert json.loads(captured.err)["error"] == "SchemaError"
 
 
 def custom_config(seed, dim, m):

@@ -181,8 +181,7 @@ def test_coherent_completion_takes_no_roots_of_dust():
     ev, rep = measurement.optimal_vectors(nf, fd, g)
     assert rep.method == "closed_form_coherent"
     x = ev.X @ ev.w   # the vectors in theta
-    cert = oracle.stationarity_certificate(types.SimpleNamespace(X=x, lifts=nf.lifts),
-                                           oracle.OracleProblem(gram=fd.gram, G=g))
+    cert = oracle.stationarity_certificate(types.SimpleNamespace(X=x, lifts=nf.lifts, G=g), fd)
     assert cert.residual <= 1e-12
     assert abs(np.sum(g * (x.conj().T @ x).real) - rep.value) <= 1e-12 * rep.value
 
@@ -343,7 +342,7 @@ def test_oracle_lifts_are_the_naimark_frame_lifts(build):
     # bit, with fewer than m rows where a beta is snapped to 1
     mdl = build()
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
-    res = oracle.minimize(oracle.OracleProblem(gram=fd.gram, G=np.eye(mdl.m), fd=fd))
+    res = analysis.oracle_bound(fd, np.eye(mdl.m))[1]
     nf = measurement.naimark_frame(fd, mdl.theta0)
     assert np.array_equal(res.lifts, nf.lifts)
 

@@ -5,6 +5,9 @@ Each problem with a known answer is solved by both: the penalty reference
 relative with its duality gap.
 """
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from qcrb import analysis, cli, errors, matkernel, measurement, model, oracle
 from qcrb.model import FisherData
 
 SDP_TOL = 1e-8     # relative agreement of the SDP with a known value
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def synthetic_fd(beta):
@@ -194,7 +198,7 @@ def test_stationarity_certificate_on_closed_form_problems():
     res = penalty_oracle.minimize(penalty_oracle.OracleProblem(gram=fd.gram, G=g,
                                                                restarts=4, seed=2))
     for result in (res, sdp(fd, g)):
-        cert = oracle.stationarity_certificate(result, oracle.OracleProblem(gram=fd.gram, G=g))
+        cert = oracle.stationarity_certificate(result)
         assert cert.residual <= 1e-6
         assert np.abs(cert.Lambda + cert.Lambda.T).max() <= 1e-12
         assert "quadratic_sym" in cert.extras and "quadratic_antisym" in cert.extras
@@ -212,8 +216,8 @@ def test_multiplier_fit_matches_the_loop_reference(m):
     b = rng.normal(size=(m, m))
     problem = oracle.OracleProblem(gram=lifts.conj().T @ lifts, G=b @ b.T + 0.5 * np.eye(m))
     result = oracle.minimize(problem)
-    ours, ref = (mod.stationarity_certificate(result, problem)
-                 for mod in (oracle, penalty_oracle))
+    ours = oracle.stationarity_certificate(result)
+    ref = penalty_oracle.stationarity_certificate(result, problem)
     assert np.array_equal(ours.Lambda, ref.Lambda) and ours.residual == ref.residual
 
 
@@ -224,10 +228,28 @@ def test_stationarity_multiplier_spectrum_coherent():
     res = penalty_oracle.minimize(penalty_oracle.OracleProblem(gram=fd.gram, G=g,
                                                                restarts=4, seed=6))
     for result in (res, sdp(fd, g)):
-        cert = oracle.stationarity_certificate(result, oracle.OracleProblem(gram=fd.gram, G=g))
+        cert = oracle.stationarity_certificate(result)
         assert cert.residual <= 1e-6
         spec = cert.extras["multiplier_spectrum"]
         assert np.abs(np.asarray(spec) - 1.0).max() <= 1e-5
+
+
+# Given the working point that the solve read, the certificate reads its
+# decompositions and takes none afresh; given the result alone, it rebuilds the
+# point from the result's Gram. Both fit the same multiplier.
+@pytest.mark.parametrize("config", sorted(p.name for p in DATA.glob("*_config.json")))
+def test_certificate_reads_the_point_it_is_given(count_calls, config):
+    mdl = model.model_from_config(json.loads((DATA / config).read_text()))
+    fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
+    results = [analysis.oracle_bound(fd, g)[1] for g in (np.eye(mdl.m), fd.JS)]
+    svds, roots = count_calls(matkernel, "lift_svd"), count_calls(matkernel, "sqrt_psd")
+    given = [oracle.stationarity_certificate(result, fd) for result in results]
+    assert svds == roots == []
+    alone = [oracle.stationarity_certificate(result) for result in results]
+    assert len(svds) == len(roots) == len(results)
+    for a, b in zip(given, alone):
+        assert np.abs(a.Lambda - b.Lambda).max() <= 1e-12 * np.abs(a.Lambda).max()
+        assert a.residual == pytest.approx(b.residual, rel=1e-9)
 
 
 def test_stationarity_certificate_does_not_swallow_checks(monkeypatch):
@@ -305,8 +327,9 @@ def test_two_parameter_routes_share_the_weight_rank(small, rank):
     rep = analysis.cr_bound_2param(fd, g)
     assert rep.notes.get("rank", 2) == rank
     problem = oracle.OracleProblem(gram=fd.gram, G=g)
-    # the oracle splits range and null space on its weight's rank mask
-    assert problem.fd.weight(g).keep.sum() == rank
+    # the oracle splits range and null space on its weight's rank mask, here
+    # that of the point `minimize` builds from the bare Gram
+    assert FisherData.from_gram(problem.gram).weight(g).keep.sum() == rank
     res = oracle.minimize(problem)
     assert abs(res.value - rep.value) <= matkernel.TOL["oracle_agreement"] * rep.value
     assert res.attained == rep.attained == (rank == 2)
@@ -316,16 +339,13 @@ def test_a_problem_reads_the_fisher_data_it_is_given():
     mdl = model.catalog_spin_rotation(1.5, 0.5, [0.9, 0.3])
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
     g = np.array([[1.4, 0.3], [0.3, 0.9]])
-    given = oracle.OracleProblem(gram=fd.gram, G=g, fd=fd)
-    bare = oracle.OracleProblem(gram=fd.gram, G=g)
-    assert given.fd is fd and bare.fd is not fd
-    assert np.array_equal(bare.fd.JS, fd.JS) and np.array_equal(bare.fd.Jt, fd.Jt)
-    a, b = oracle.minimize(given), oracle.minimize(bare)
-    # the given fd reads the frame's SVD, the bare one its Gram's root: the
-    # same point, to roundoff
+    bare = FisherData.from_gram(fd.gram)   # the point `minimize` builds from the Gram
+    assert np.array_equal(bare.JS, fd.JS) and np.array_equal(bare.Jt, fd.Jt)
+    a = analysis.oracle_bound(fd, g)[1]
+    b = oracle.minimize(oracle.OracleProblem(gram=fd.gram, G=g))
+    # the model's fd reads the frame's SVD, the bare Gram its root: the same
+    # point, to roundoff
     assert abs(a.value - b.value) <= 1e-13 * a.value
     assert np.abs(a.X - b.X).max() <= 1e-12 * np.abs(a.X).max()
-    assert fd.lift_factor[1] is not bare.fd.lift_factor[1]
+    assert not np.shares_memory(a.lifts, b.lifts)
     assert np.array_equal(a.lifts, measurement.naimark_frame(fd, mdl.theta0).lifts)
-    with pytest.raises(errors.DomainError):
-        oracle.OracleProblem(gram=fd.gram.copy(), G=g, fd=fd)
