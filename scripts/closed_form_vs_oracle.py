@@ -52,7 +52,7 @@ def main():
         fd = synthetic_fd(beta)
         for g in random_weights(cfg.seed + 97 * k, cfg.weights_per_beta):
             closed = analysis.cr_bound_2param(fd, g).value
-            res = analysis.oracle_bound(fd, g)[1]
+            res = analysis.oracle_bound(fd, fd.weight(g))[1]
             cert = oracle.stationarity_certificate(res, fd)
             diff = abs(res.value - closed)
             worst = max(worst, diff / closed)

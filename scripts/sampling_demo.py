@@ -35,7 +35,7 @@ def main():
     print(f"bound (identity weight, {rep.method}): {rep.value:.12f}")
 
     nf = measurement.naimark_frame(fd, theta=mdl.theta0)
-    ev = measurement.optimal_vectors(nf, fd, g)[0]
+    ev = measurement.optimal_vectors(nf, fd, fd.weight(g))[0]
     pvm = measurement.pvm_from_vectors(ev)
     v, unbiased = measurement.covariance_of_pvm(pvm, nf)
     print(f"pvm outcomes: {len(pvm.outcomes)}  locally unbiased: {unbiased}")

@@ -9,7 +9,9 @@ The route table `_ROUTES` lists them in that order, and is the one route
 decision: the first entry that applies answers, and where none does the
 oracle's Holevo SDP does. Every route reads one FisherData per working point,
 which owns the lifts' SVD and every decomposition taken from it, and one
-`Weight` of G from it.
+`Weight` of G from it. `closed_form(fd, wt)` and `oracle_bound(fd, wt)` take
+that Weight, so a caller that reads both looks its weight up once;
+`cr_bound(fd, G)` looks it up for them.
 """
 
 import functools
@@ -180,22 +182,28 @@ class FisherData:
     def weight(self, G):
         """The `Weight` of G at this point: the one place where a weight enters.
 
-        G must be finite (NonFinite) and m x m (DomainError). It is
-        symmetrized, halved before the sum, and scaled to unit = 2^-(e+f) G,
-        exactly, where w G w (w = JS^{-1/2}) is formed as gn = w unit w:
-        neither overflows at either end of the float range, and gn is of size
-        near 1 whatever the units of G and theta. Its one matkernel.psd_eig
+        G must be finite (NonFinite) and m x m (DomainError). A G that is
+        symmetric bit for bit is taken as a copy; any other is symmetrized,
+        halved before the sum, once. So the Weight's G is symmetric, and
+        `fd.weight(wt.G)` is wt. G is scaled to unit = 2^-(e+f) G, exactly,
+        where w G w (w = JS^{-1/2}) is formed as gn = w unit w: neither
+        overflows at either end of the float range, and gn is of size near 1
+        whatever the units of G and theta. Its one matkernel.psd_eig
         makes the PSD decision at its dust (DomainError) and the rank cut that
         every route reads. e + f is the even power at or below ||w G w||, so
         2^k G, for even k, has the same unit and gn as G, and every route's
         result for it is 2^k times that for G, bit for bit; square roots at
         unit scale are those at G's scale times a power of two. The Weight is
-        cached by the bytes of the symmetrized G.
+        cached by the bytes of that symmetric G. The route entries
+        `closed_form`, `oracle_bound` and `measurement.optimal_vectors` take
+        the Weight, so a caller looks its weight up once.
         """
-        G = np.asarray(G, dtype=float)
+        G = np.array(G, dtype=float)
         if G.shape != self.JS.shape:
             raise DomainError(f"weight shape {G.shape} does not match m = {len(self.JS)}")
-        G = matkernel.symmetrize(G)
+        # symmetrize rounds an odd multiple of 2^-1074 again on each pass
+        if G.tobytes() != G.T.tobytes():
+            G = matkernel.symmetrize(G)
         key = G.tobytes()
         if key not in self.reports:
             self.reports[key] = Weight(matkernel.check_finite(G), self.js_powers[1])
@@ -211,12 +219,13 @@ class Weight:
     own unit, since w JS w = I, unless ||JS|| >= 2^1023, where that floor
     makes its unit JS/4 (`_js_scale`). gn = w unit w is the weight in the
     parameters where JS = I, of size near 1, and (g, r, keep) its eigenvalues
-    ascending, eigenvectors and rank mask from one matkernel.psd_eig. Every route computes at unit scale and
-    returns its result through `back`; V_opt, V' and the estimation vectors
-    do not depend on the weight's scale. `closed` caches the route table's
-    report, as (report,) once it is taken, and `oracle` oracle_bound's
-    (BoundReport, OracleResult). The arrays are read-only, and nothing here
-    refers to the working point.
+    ascending, eigenvectors and rank mask from one matkernel.psd_eig. Every
+    route computes at unit scale and returns its result through `back`; V_opt,
+    V' and the estimation vectors do not depend on the weight's scale. A
+    working point's Weight is built by `FisherData.weight` and handed down to
+    the routes as it is: `closed` caches `closed_form`'s report, as (report,)
+    once it is taken, and `oracle` oracle_bound's (BoundReport, OracleResult).
+    The arrays are read-only, and nothing here refers to the working point.
     """
 
     def __init__(self, G, w):
@@ -508,8 +517,15 @@ def cr_bound_js_weight(fd):
     return _js_weight(fd, fd.weight(fd.JS))
 
 
-def _closed(fd, wt):
-    """closed_form at the Weight wt of fd: the table's answer, cached on wt."""
+def closed_form(fd, wt):
+    """The applicable closed-form BoundReport at the Weight wt of fd, or None if
+    only the oracle applies.
+
+    It walks the route table `_ROUTES` once per weight: quasi-classical,
+    two-parameter, coherent with a positive definite weight, then the G = JS
+    weight at unit scale. The answer is cached on wt, with G and V_opt
+    read-only, so a bound and the vectors that attain it share one solve.
+    """
     if not wt.closed:
         report = next((solve(fd, wt) for applies, solve in _ROUTES if applies(fd, wt)), None)
         if report is not None:
@@ -518,8 +534,15 @@ def _closed(fd, wt):
     return wt.closed[0]
 
 
-def _oracle(fd, wt):
-    """oracle_bound at the Weight wt of fd, cached on wt."""
+def oracle_bound(fd, wt):
+    """The Holevo SDP's BoundReport at the Weight wt of fd, with the OracleResult
+    that carries its vectors.
+
+    The SDP reads the decompositions of fd and of wt. The pair is cached on wt
+    beside the closed form, with G, V_opt, X and X' read-only, so a bound and
+    the vectors that attain it share one solve. The OracleResult refers to no
+    FisherData, so the cache makes no cycle through fd.
+    """
     if wt.oracle is None:
         from . import oracle   # the oracle reads this module's FisherData
         result = oracle._minimize(fd, wt)
@@ -533,31 +556,8 @@ def _oracle(fd, wt):
     return wt.oracle
 
 
-def closed_form(fd, G):
-    """The applicable closed-form BoundReport, or None if only the oracle applies.
-
-    It walks the route table `_ROUTES` once per weight: quasi-classical,
-    two-parameter, coherent with a positive definite weight, then the G = JS
-    weight at unit scale. The answer is cached on the weight's entry of fd,
-    with G and V_opt read-only, so a bound and the vectors that attain it
-    share one solve.
-    """
-    return _closed(fd, fd.weight(G))
-
-
-def oracle_bound(fd, G):
-    """The Holevo SDP's BoundReport, with the OracleResult that carries its vectors.
-
-    The SDP reads the decompositions of fd and its Weight of G. The pair is
-    cached on the weight's entry of fd beside the closed form, with G, V_opt,
-    X and X' read-only, so a bound and the vectors that attain it share one
-    solve. The OracleResult refers to no FisherData, so the cache makes no
-    cycle through fd.
-    """
-    return _oracle(fd, fd.weight(G))
-
-
 def cr_bound(fd, G):
-    """The route table's closed form, else the Holevo SDP of the oracle, from one Weight."""
+    """The route table's closed form, else the Holevo SDP of the oracle, at
+    G's one Weight `fd.weight(G)`."""
     wt = fd.weight(G)
-    return _closed(fd, wt) or _oracle(fd, wt)[0]
+    return closed_form(fd, wt) or oracle_bound(fd, wt)[0]

@@ -85,6 +85,13 @@ def _model_and_point(args):
     return doc, model, frame, fd
 
 
+def _weighted_point(args):
+    """The point of --config and its one Weight of --weight, with the weight's name."""
+    doc, model, frame, fd = _model_and_point(args)
+    g, wname = _resolve_weight(args.weight, fd.JS)
+    return doc, model, frame, fd, fd.weight(g), wname
+
+
 def _bound_report_obj(rep):
     return {
         "G": rep.G,
@@ -146,15 +153,15 @@ def cmd_analyze(args):
 
 
 def cmd_bound(args):
-    doc, model, frame, fd = _model_and_point(args)
-    g, wname = _resolve_weight(args.weight, fd.JS)
-    bound = analysis.cr_bound(fd, g)
+    doc, model, frame, fd, wt, wname = _weighted_point(args)
+    closed = analysis.closed_form(fd, wt)
+    bound = closed or analysis.oracle_bound(fd, wt)[0]
     rep = _base_report("bound", doc, model, args)
     rep["weight"] = wname
     rep["bound"] = _bound_report_obj(bound)
     code = 0
-    if args.oracle and bound.method != "oracle":
-        result = analysis.oracle_bound(fd, g)[1]
+    if args.oracle and closed is not None:
+        result = analysis.oracle_bound(fd, wt)[1]
         diff = abs(result.value - bound.value)
         agree = diff <= matkernel.TOL["oracle_agreement"] * abs(bound.value)
         rep["oracle"] = {
@@ -203,14 +210,12 @@ def cmd_boundary(args):
 def cmd_pvm(args):
     from . import measurement   # only the PVM commands load it
 
-    doc, model, frame, fd = _model_and_point(args)
-    g, wname = _resolve_weight(args.weight, fd.JS)
+    doc, model, frame, fd, wt, wname = _weighted_point(args)
     spec = analysis.beta_spectrum(fd)
     space = measurement.pvm_space(frame, fd)
-    ev, closed = measurement.optimal_vectors(space, fd, g)
+    ev, closed = measurement.optimal_vectors(space, fd, wt)
     pvm = measurement.pvm_from_vectors(ev)
     probs, v, unbiased = measurement.outcome_statistics(pvm, space)
-    wt = fd.weight(g)   # Tr(G V) at unit scale, scaled back
     rep = _base_report("pvm", doc, model, args)
     rep.update({
         "weight": wname,
@@ -221,7 +226,7 @@ def cmd_pvm(args):
             "algebra_residuals": measurement.pvm_algebra_residuals(pvm),
             "unbiased": unbiased,
             "covariance": v,
-            "trGV": wt.back(float(np.sum(wt.unit * v))),
+            "trGV": wt.back(float(np.sum(wt.unit * v))),   # Tr(G V) at unit scale
             "probabilities": probs,
         },
         "pvm": measurement.pvm_to_obj(pvm, theta=model.theta0),
@@ -282,9 +287,8 @@ def cmd_simulate(args):
 
 
 def cmd_oracle(args):
-    doc, model, frame, fd = _model_and_point(args)
-    g, wname = _resolve_weight(args.weight, fd.JS)
-    result = analysis.oracle_bound(fd, g)[1]
+    doc, model, frame, fd, wt, wname = _weighted_point(args)
+    result = analysis.oracle_bound(fd, wt)[1]
     rep = _base_report("oracle", doc, model, args)
     rep.update({
         "weight": wname,
@@ -302,7 +306,7 @@ def cmd_oracle(args):
             "residual": cert.residual,
             "extras": cert.extras,
         }
-    closed = analysis.closed_form(fd, g)
+    closed = analysis.closed_form(fd, wt)
     if closed is not None:
         rep["closed_form"] = {
             "method": closed.method,
@@ -328,15 +332,14 @@ def build_parser():
                     "bound-attaining projective measurements for pure-state models")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required,
-                       help="model config JSON")
-        p.add_argument("--weight", default=None,
-                       help="identity | sld | path to a JSON matrix")
+    def common(p, config_required=True, weight=True):
+        p.add_argument("--config", required=config_required, help="model config JSON")
+        if weight:   # the commands that read a weight
+            p.add_argument("--weight", help="identity | sld | path to a JSON matrix")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("analyze", help="Fisher matrices, beta spectrum, classification")
-    common(p)
+    common(p, weight=False)
     p.set_defaults(run=cmd_analyze)
     p = sub.add_parser("bound", help="attainable bound for a weight matrix")
     common(p)
@@ -357,7 +360,7 @@ def build_parser():
     common(p)
     p.set_defaults(run=cmd_pvm)
     p = sub.add_parser("simulate", help="sample outcomes of a stored PVM")
-    common(p)
+    common(p, weight=False)
     p.set_defaults(run=cmd_simulate)
     p.add_argument("--pvm", required=True, help="PVM JSON produced by the pvm command")
     p.add_argument("--samples", type=int, default=100000, help="number of shots")

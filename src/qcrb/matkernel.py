@@ -132,9 +132,11 @@ def check_hermitian(a):
     size = mnorm(a)
     if not math.isfinite(size):
         check_finite(a)
-    ah = a.conj().T
-    check("hermitian", mnorm(a - ah), size, NonHermitian)
-    return 0.5 * (a + ah), size
+    # halved before the difference and the sum, which then cannot overflow
+    h = 0.5 * a
+    hh = h.conj().T
+    check("hermitian", 2.0 * mnorm(h - hh), size, NonHermitian)
+    return h + hh, size
 
 
 def symmetrize(a):
@@ -169,10 +171,13 @@ def hermitian_eig(a):
     """Eigendecomposition of a Hermitian matrix, checked as check_hermitian does.
 
     Returns (eigenvalues ascending, unitary eigenvector matrix, ||a||): the
-    norm is the one the Hermitian check read.
+    norm is the one the Hermitian check read. An eigenvalue past the float
+    range, of a finite matrix near its top, raises NonFinite.
     """
     h, size = check_hermitian(a)
     w, u = np.linalg.eigh(h)
+    if not math.isfinite(mnorm(w)):
+        raise NonFinite(f"an eigenvalue leaves the float range at ||A|| = {size:.3e}")
     return w, u, size
 
 

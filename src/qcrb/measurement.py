@@ -4,8 +4,9 @@ A PVM lives in one `model.TangentFrame`: the model's own frame for
 quasi-classical models, the frame of the 2m+1 Naimark embedding
 (`naimark_frame`, over the `embedding` of the working point's
 `analysis.FisherData`) otherwise; `pvm_space` picks it. There `optimal_vectors`
-builds the estimation vectors from one `Weight` of G, and on models that are
-not generic reads the bound from the route table's one cached report. The
+builds the estimation vectors from the `Weight` of G it is handed, and on
+models that are not generic reads the bound from `analysis.closed_form`'s one
+report cached on it, on generic ones from `analysis.oracle_bound`'s. The
 vectors are built and checked in the parameters theta' = JS^{1/2} theta, where
 JS = I and the lifts are L' = L w (w = JS^{-1/2}); theta returns only with the
 outcome offsets. Quasi-classical models take X' = L w on the frame they are
@@ -200,15 +201,16 @@ def _complete(fd, vn):
 def optimal_vectors_coherent(nf, fd, G):
     """Estimation vectors in the Naimark frame of fd attaining a coherent model's CR(G).
 
-    They are the vectors of `optimal_vectors(nf, fd, G)` on a coherent model,
-    so a bound already computed for fd and G is not solved again. Its one
-    remaining caller is perfbench/wl_catalog.py; the frame nf, which nothing
-    here reads, stays in the signature until the benchmark changes. Raises
-    NotCoherent, and SingularWeight when no estimator attains the bound.
+    They are the vectors of `optimal_vectors(nf, fd, fd.weight(G))` on a
+    coherent model, so a bound already computed for fd and G is not solved
+    again. Its one remaining caller is perfbench/wl_catalog.py, so G, not the
+    Weight, and the frame nf, which nothing here reads, stay in the signature
+    until the benchmark changes. Raises NotCoherent, and SingularWeight when
+    no estimator attains the bound.
     """
     if not fd.coherent:
         raise NotCoherent("model is not coherent (some beta < 1)")
-    return optimal_vectors(nf, fd, G)[0]
+    return optimal_vectors(nf, fd, fd.weight(G))[0]
 
 
 def pvm_space(frame, fd):
@@ -219,29 +221,29 @@ def pvm_space(frame, fd):
     return naimark_frame(fd, frame.theta)
 
 
-def optimal_vectors(space, fd, G):
-    """Estimation vectors attaining CR(G), and the report of CR(G), from one Weight of G.
+def optimal_vectors(space, fd, wt):
+    """Estimation vectors attaining CR(G), and the report of CR(G), at the Weight
+    wt = fd.weight(G).
 
     The vectors are X' in theta' = JS^{1/2} theta, with w = JS^{-1/2}.
     Quasi-classical models take X' = L w and phi on the frame `space`, the one
     route that reads it. Every other route takes phi from the Naimark
     embedding it builds X' in, `fd.embedding`, so its vectors are the same
     whatever frame is passed, and the PVM built from them lives in
-    `naimark_frame(fd)`. On models that are not generic the report is the
-    route table's cached one, and models with a closed form complete the
-    lifts kh to its V' = JS^{1/2} V JS^{1/2}. Generic models take the X' of
-    one oracle solve as it stands, even where a closed form gives the bound:
-    its lifts are the embedding's. Raises SingularWeight when no estimator
-    attains the bound.
+    `naimark_frame(fd)`. On models that are not generic the report is
+    `analysis.closed_form`'s, cached on wt, and models with a closed form
+    complete the lifts kh to its V' = JS^{1/2} V JS^{1/2}. Generic models take
+    the X' of the one `analysis.oracle_bound` solve cached on wt as it stands,
+    even where a closed form gives the bound: its lifts are the embedding's.
+    Raises SingularWeight when no estimator attains the bound.
     """
-    wt = fd.weight(G)
     cls = fd.canonical[2].classification
-    report = None if cls == "generic" else analysis._closed(fd, wt)
+    report = None if cls == "generic" else analysis.closed_form(fd, wt)
     if cls == "quasi_classical":
         return optimal_vectors_quasi_classical(space, fd), report
     res = None
     if report is None:
-        report, res = analysis._oracle(fd, wt)
+        report, res = analysis.oracle_bound(fd, wt)
     if report.V_opt is None:
         raise SingularWeight("no estimator attains the bound for this singular weight")
     if res is None:

@@ -17,8 +17,8 @@ The equality is eliminated with an SVD null space.
 R from fd, the one `analysis.FisherData` of the working point, and the
 weight from wt, its `Weight` of G at unit scale, whose `back` returns the
 value, the gap and the certificate's multiplier in the weight's units.
-`analysis.oracle_bound(fd, G)` passes the pair it holds and caches the
-answer on the weight beside the closed forms. `minimize(OracleProblem(gram,
+`analysis.oracle_bound(fd, wt)` passes the pair it is handed and caches the
+answer on wt beside the closed form. `minimize(OracleProblem(gram,
 G))` is the one place that builds a working point from a bare Gram.
 `stationarity_certificate(result, fd)` reads the point the caller solved at;
 given the result alone, it reads the point of the result's gram.
@@ -393,10 +393,11 @@ def stationarity_certificate(result, fd=None):
     weight at unit scale (`FisherData.weight`), so no product leaves the
     float range; Lambda and the residual are then scaled back to G's units,
     and the identities and the spectrum do not depend on that scale.
-    They read fd, the working point the caller solved at, and its Weight of
-    result.G, so they read the decompositions the solve read. Without fd they
-    read the FisherData of the bare Gram result.gram. result is anything that
-    holds X, lifts and G (and gram, when fd is not given).
+    They read fd, the working point the caller solved at, and fd.weight of
+    result.G, the solve's own Weight's G, which returns that Weight: so they
+    read the decompositions the solve read. Without fd they read the
+    FisherData of the bare Gram result.gram. result is anything that holds X,
+    lifts and G (and gram, when fd is not given).
     """
     if result.X is None:
         raise PreconditionNotMet("no estimation vectors: the bound is not attained")

@@ -123,13 +123,13 @@ def test_criterion_05_coherent_bound_vs_oracle():
     cases = [(fd0, np.eye(2)), (fd0, seeded_pd_weights(55, 1)[0]),
              (fds, np.eye(4)), (fds, seeded_pd_weights(56, 1, m=4)[0])]
     for fd, g in cases:
-        closed = analysis.closed_form(fd, g)
+        closed = analysis.closed_form(fd, fd.weight(g))
         assert closed.method == ("closed_form_2param" if len(g) == 2 else "closed_form_coherent")
         res = penalty_oracle.minimize(penalty_oracle.OracleProblem(gram=fd.gram, G=g,
                                                                    restarts=6, seed=5))
         assert abs(closed.value - res.value) <= 1e-4, g.shape
         assert sdp_value_agrees(g, fd.gram, closed.value), g.shape
-    rep = analysis.closed_form(fd0, np.eye(2))
+    rep = analysis.closed_form(fd0, fd0.weight(np.eye(2)))
     assert abs(rep.value - 2.0) <= 1e-9
     assert abs(np.trace(rep.V_opt) - rep.value) <= 1e-9
 
@@ -156,7 +156,7 @@ def test_criterion_06_pvm_attainment():
                    (sq, np.eye(4))):
         fr = model.tangent_frame(mdl, mdl.theta0)
         fd = model.fisher_data(fr)
-        closed = analysis.closed_form(fd, g)
+        closed = analysis.closed_form(fd, fd.weight(g))
         assert closed.method == ("closed_form_2param" if len(g) == 2 else "closed_form_coherent")
         nf = measurement.naimark_frame(fd, theta=mdl.theta0)
         ev = measurement.optimal_vectors_coherent(nf, fd, g)
@@ -267,7 +267,8 @@ def test_criterion_09_structural_properties():
     gj = np.zeros((4, 4))
     gj[:2, :2] = ga
     gj[2:, 2:] = gb
-    whole, part_a, part_b = (analysis.closed_form(f, g) for f, g in ((fj, gj), (fa, ga), (fb, gb)))
+    whole, part_a, part_b = (analysis.closed_form(f, f.weight(g))
+                             for f, g in ((fj, gj), (fa, ga), (fb, gb)))
     assert whole.method == "closed_form_coherent"
     assert part_a.method == part_b.method == "closed_form_2param"
     assert abs(whole.value - (part_a.value + part_b.value)) <= 1e-8

@@ -333,7 +333,7 @@ def test_cr_bound_coherent_n0_value():
     # entry's own solve gives the same value, Tr(G JS^-1) + Tr|M| = 1 + 1
     mdl = model.catalog_shifted_number(0, [0.2, -0.4])
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
-    rep = analysis.closed_form(fd, np.eye(2))
+    rep = analysis.closed_form(fd, fd.weight(np.eye(2)))
     assert rep.method == "closed_form_2param"
     assert abs(rep.value - 2.0) <= 1e-9
     assert abs(np.trace(rep.V_opt) - rep.value) <= 1e-9
@@ -342,16 +342,16 @@ def test_cr_bound_coherent_n0_value():
     assert coherent.notes["sld_part"] == pytest.approx(1.0, abs=1e-9)
     assert coherent.notes["abs_part"] == pytest.approx(1.0, abs=1e-9)
     # closed_form caches its report per weight, read-only where it is shared
-    assert analysis.closed_form(fd, np.eye(2)) is rep
+    assert analysis.closed_form(fd, fd.weight(np.eye(2))) is rep
     assert analysis.cr_bound(fd, np.eye(2)) is rep
     assert not rep.G.flags.writeable and not rep.V_opt.flags.writeable
-    other = analysis.closed_form(fd, np.diag([2.0, 1.0]))
+    other = analysis.closed_form(fd, fd.weight(np.diag([2.0, 1.0])))
     assert other is not rep and other.value > rep.value
     # the coherent entry's two parts, on a coherent point at m = 4 under G = JS,
     # where G' = I and |M| = |K| has every eigenvalue 1: each part is m
     sq = model.catalog_squeezed([0.1, -0.2, 0.4, 0.3])
     fd4 = model.fisher_data(model.tangent_frame(sq, sq.theta0))
-    rep4 = analysis.closed_form(fd4, fd4.JS)
+    rep4 = analysis.closed_form(fd4, fd4.weight(fd4.JS))
     assert rep4.method == "closed_form_coherent"
     assert rep4.notes["sld_part"] == pytest.approx(4.0, abs=1e-9)
     assert rep4.notes["abs_part"] == pytest.approx(4.0, abs=1e-9)
@@ -365,7 +365,7 @@ def test_cr_bound_coherent_rejections(table_solves):
     cases = [(built_fd(custom_generic(5, 3, 3)), np.diag([1.0, 2.0, 0.5])),
              (built_fd(sq), np.diag([1.0, 2.0, 3.0, 0.0]))]
     for fd, g in cases:
-        assert analysis.closed_form(fd, g) is None
+        assert analysis.closed_form(fd, fd.weight(g)) is None
         assert analysis.cr_bound(fd, g).method == "oracle"
     assert cases[1][0].coherent and not cases[0][0].coherent
     assert table_solves == []
@@ -505,6 +505,23 @@ def test_js_weight_entry_at_the_top_of_the_float_range(k):
         assert abs(v - value) <= 1e-14 * value
 
 
+# A bare Gram's Hermitian part is halved before its sum and its difference, so
+# entries up to the top of the float range do not overflow there: G = JS gets
+# its bound where the spectrum of the Gram, up to 1.5 s, is finite, and past
+# that the eigendecomposition's infinite eigenvalue is NonFinite.
+@pytest.mark.parametrize("c", [1.0, 1.3, 1.5, 1.99])
+def test_bare_gram_at_the_top_of_the_float_range(c):
+    fd = _pair_and_zero(c * 2.0 ** 1023)
+    if c < 1.5:
+        rep = analysis.cr_bound(fd, fd.JS)
+        assert rep.method == "closed_form_JS_weight"
+        value = 4.0 / (1.0 + math.sqrt(0.75)) + 1.0
+        assert abs(rep.value - value) <= 1e-14 * value
+    else:
+        with pytest.raises(errors.NonFinite):
+            analysis.cr_bound(fd, fd.JS)
+
+
 def test_cr_bound_dispatch_methods():
     g = np.array([[1.5, 0.2], [0.2, 0.8]])
     assert analysis.cr_bound(synthetic_fd(0.0), g).method == "quasi_classical"
@@ -545,7 +562,7 @@ def test_each_working_point_is_decomposed_once(monkeypatch):
     # completion's h = V' - kh* kh, from the closed form's V' where JS = I
     w = fd.js_powers[1]
     kh = fd.lift_factor[0]
-    h = analysis.closed_form(fd, g).Vn - kh.conj().T @ kh
+    h = analysis.closed_form(fd, fd.weight(g)).Vn - kh.conj().T @ kh
     expected = {"iK": 1j * fd.canonical[0],
                 "wGw": matkernel.symmetrize(w @ g @ w), "h": 0.5 * (h + h.conj().T)}
     names = [name for x in seen for name, e in expected.items()
@@ -618,8 +635,8 @@ def built_fd(mdl):
 def test_closed_form_is_cached_per_weight_and_read_only(build, g, method):
     fd = build()
     g = fd.JS.copy() if g is None else g
-    rep = analysis.closed_form(fd, g)
-    assert analysis.closed_form(fd, g.copy()) is rep
+    rep = analysis.closed_form(fd, fd.weight(g))
+    assert analysis.closed_form(fd, fd.weight(g.copy())) is rep
     if method is None:
         assert rep is None
         return
@@ -649,7 +666,7 @@ def test_coherent_route_decomposes_the_weight_once(monkeypatch):
     monkeypatch.setattr(matkernel, "hermitian_eig", recording)
     assert analysis.cr_bound(fd, g).method == "closed_form_coherent"
     # the stationarity certificate reads the same decomposition
-    report, result = analysis.oracle_bound(fd, g)
+    report, result = analysis.oracle_bound(fd, fd.weight(g))
     assert "multiplier_spectrum" in oracle.stationarity_certificate(result, fd).extras
     assert seen == ["wGw"]
 
@@ -688,23 +705,23 @@ def test_a_failed_coherent_check_raises_on_every_read(monkeypatch, count_calls):
                 fd.coherent
             if mdl.m > 2:
                 with pytest.raises(errors.ConsistencyError):
-                    analysis.closed_form(fd, g)
+                    analysis.closed_form(fd, fd.weight(g))
         monkeypatch.setitem(matkernel.TOL, "coherent_det", 1e-6)
         assert fd.coherent and fd.coherent
         assert len(dets) == (6 if mdl.m == 2 else 10)
-        assert analysis.closed_form(fd, g).method == method
+        assert analysis.closed_form(fd, fd.weight(g)).method == method
 
 
 def test_coherent_route_with_singular_weight_goes_to_the_oracle():
     mdl = model.catalog_squeezed([0.1, 0.2, 0.4, 0.7])
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
     g = np.diag([2.0, 1.0, 1.0, 0.0])
-    assert analysis.closed_form(fd, g) is None
+    assert analysis.closed_form(fd, fd.weight(g)) is None
     rep = analysis.cr_bound(fd, g)
     assert rep.method == "oracle"
     assert abs(rep.notes["gap"]) <= 1e-9 * max(1.0, rep.value)
     # dropping a weight can only lower the bound below the full coherent one
-    full = analysis.closed_form(fd, np.diag([2.0, 1.0, 1.0, 1e-3]))
+    full = analysis.closed_form(fd, fd.weight(np.diag([2.0, 1.0, 1.0, 1e-3])))
     assert full.method == "closed_form_coherent" and rep.value <= full.value
     assert rep.value >= paper_statements.sld_bound(fd, g) - 1e-12
 
@@ -738,7 +755,8 @@ def test_quasi_classical_route_validates_the_weight(g, error):
 def test_weight_of_the_wrong_shape_is_a_domain_error(build, method):
     fd = _fd(build())
     assert analysis.cr_bound(fd, np.eye(2)).method == method
-    for route in (analysis.cr_bound, analysis.closed_form, analysis.oracle_bound):
+    # closed_form and oracle_bound take the Weight that fd.weight builds
+    for route in (analysis.cr_bound, FisherData.weight):
         with pytest.raises(errors.DomainError, match="does not match m = 2"):
             route(fd, np.eye(3))
 
@@ -756,18 +774,18 @@ def test_oracle_report_is_cached_beside_the_closed_forms(count_calls):
     fd = _fd(mdl)
     first = analysis.cr_bound(fd, g)
     nf = measurement.naimark_frame(fd, theta=mdl.theta0)
-    ev, rep = measurement.optimal_vectors(nf, fd, g)
+    ev, rep = measurement.optimal_vectors(nf, fd, fd.weight(g))
     again = analysis.cr_bound(fd, g)
     assert first.method == "oracle"
     assert len(solves) == 1 and len(factored) == 1   # the point is factored once
     assert rep is first and again is first
-    report, result = analysis.oracle_bound(fd, g)
+    report, result = analysis.oracle_bound(fd, fd.weight(g))
     # the result keeps the point's gram, not its fd, which caches it
     assert report is first and ev.X is result.Xn and result.gram is fd.gram
     for a in (report.G, report.V_opt, result.X, result.Xn):
         assert not a.flags.writeable
     # the closed-form entry of the same weight is a separate key
-    assert analysis.closed_form(fd, g) is None
+    assert analysis.closed_form(fd, fd.weight(g)) is None
 
 
 def _generic_point():
@@ -790,15 +808,15 @@ def _library_routes():
         g = np.eye(mdl.m)
         analysis.cr_bound(fd, g)
         space = measurement.pvm_space(frame, fd)
-        pvm = measurement.pvm_from_vectors(measurement.optimal_vectors(space, fd, g)[0])
+        pvm = measurement.pvm_from_vectors(measurement.optimal_vectors(space, fd, fd.weight(g))[0])
         measurement.covariance_of_pvm(pvm, space)
         measurement.sample_outcomes(pvm, space, 1000, 3)
-    analysis.oracle_bound(_fd(model.catalog_spin_rotation(1.5, 0.5, [0.9, 0.3])),
-                          np.diag([1.0, 0.0]))
+    fd = _fd(model.catalog_spin_rotation(1.5, 0.5, [0.9, 0.3]))
+    analysis.oracle_bound(fd, fd.weight(np.diag([1.0, 0.0])))
     frame, fd = _generic_point()
     g = np.diag([1.0, 2.0, 0.5])
-    measurement.optimal_vectors(measurement.pvm_space(frame, fd), fd, g)
-    oracle.stationarity_certificate(analysis.oracle_bound(fd, g)[1], fd)
+    measurement.optimal_vectors(measurement.pvm_space(frame, fd), fd, fd.weight(g))
+    oracle.stationarity_certificate(analysis.oracle_bound(fd, fd.weight(g))[1], fd)
 
 
 def test_library_routes_leave_no_reference_cycles():
@@ -828,8 +846,8 @@ def test_a_dropped_point_is_freed_by_reference_counting():
         frame, fd = _generic_point()
         g = np.diag([1.0, 2.0, 0.5])
         analysis.cr_bound(fd, g)
-        analysis.closed_form(fd, np.eye(3))
-        measurement.optimal_vectors(measurement.pvm_space(frame, fd), fd, g)
+        analysis.closed_form(fd, fd.weight(np.eye(3)))
+        measurement.optimal_vectors(measurement.pvm_space(frame, fd), fd, fd.weight(g))
         point = weakref.ref(fd)
         assert point() is not None and point().reports
         del frame, fd

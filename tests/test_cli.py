@@ -694,7 +694,7 @@ def test_pvm_reads_the_probabilities_once(tmp_path, capsys, count_calls, config)
     frame = model_mod.tangent_frame(mdl, mdl.theta0)
     fd = model_mod.fisher_data(frame)
     space = measurement.pvm_space(frame, fd)
-    ev, _ = measurement.optimal_vectors(space, fd, np.eye(len(mdl.theta0)))
+    ev, _ = measurement.optimal_vectors(space, fd, fd.weight(np.eye(len(mdl.theta0))))
     pvm = measurement.pvm_from_vectors(ev)
     v, unbiased = measurement.covariance_of_pvm(pvm, space)
     ver = doc["verification"]
@@ -766,7 +766,7 @@ def test_coherent_trace_near_the_weight_dust(tmp_path, capsys, seed, ratio):
     g = _near_dust_weight(fd, seed, ratio)
     rep = analysis.cr_bound(fd, g)
     assert rep.method == "closed_form_coherent"
-    oracle_value = analysis.oracle_bound(fd, g)[0].value
+    oracle_value = analysis.oracle_bound(fd, fd.weight(g))[0].value
     assert abs(rep.value - oracle_value) <= \
         matkernel.TOL["oracle_agreement"] * max(1.0, abs(rep.value))
     wpath = write_json(tmp_path / "w.json", g.tolist())
@@ -816,7 +816,7 @@ def test_small_fisher_config_is_not_taken_for_the_js_weight(capsys):
     fd = model_mod.fisher_data(model_mod.tangent_frame(mdl, mdl.theta0))
     assert np.abs(fd.JS - 3e-10 * np.eye(3)).max() <= 1e-24
     g = np.array(json.loads(pathlib.Path(wfile).read_text()))
-    expect = analysis.oracle_bound(fd, g)[0].value
+    expect = analysis.oracle_bound(fd, fd.weight(g))[0].value
     assert cli.main(["bound", "--config", cfg, "--weight", wfile]) == 0
     bound = json.loads(capsys.readouterr().out)["bound"]
     assert bound["method"] == "oracle"
@@ -1331,26 +1331,50 @@ def test_a_full_stdout_that_keeps_its_bytes_exits_2(tmp_path, name):
     assert json.loads(proc.stderr)["exit_code"] == 2
 
 
-# Each command reads the Weight of its --weight from the working point once per
-# entry point it calls: `bound` once, through the route table and the oracle
-# behind it; `bound --oracle` once more for the cross-check's oracle_bound;
-# `oracle` once for oracle_bound, once for the certificate of an attained bound
-# and once for closed_form; `pvm` once in optimal_vectors and once for Tr(G V).
+# Each command that reads a weight builds one Weight of its --weight, with one
+# FisherData.weight, and hands it down: `bound`, `bound --oracle` (whose
+# cross-check solves the oracle at the closed form's Weight), `oracle` and
+# `pvm` (whose Tr(G V) reads it too) each look it up once. The certificate of
+# an attained `oracle` bound looks up the solve's own G once more, and that
+# returns the same Weight.
 @pytest.mark.parametrize("weight", ["identity", "sld"])
 @pytest.mark.parametrize("config", sorted(DATA.glob("*_config.json")),
                          ids=lambda p: p.name[:-len("_config.json")])
 def test_weight_lookups_per_command(capsys, count_calls, config, weight):
     calls = count_calls(analysis.FisherData, "weight")
+    built = count_calls(analysis, "Weight")
     for command in (["bound"], ["bound", "--oracle"], ["oracle"], ["pvm"]):
         calls.clear()
+        built.clear()
         assert cli.main([*command, "--config", str(config), "--weight", weight]) == 0
         doc = json.loads(capsys.readouterr().out)
-        if command == ["bound"]:
-            expected = 1
-        elif command == ["bound", "--oracle"]:
-            expected = 1 if doc["bound"]["method"] == "oracle" else 2
-        elif command == ["oracle"]:
-            expected = 3 if doc["attained"] else 2
-        else:
-            expected = 2
+        expected = 2 if command == ["oracle"] and doc["attained"] else 1
         assert len(calls) == expected, command
+        assert len(built) == 1, command
+
+
+# A weight that is symmetric bit for bit is taken as it is. Symmetrizing rounds
+# an odd multiple of 2^-1074 again on each pass: the off-diagonal 5e-324 above
+# and 1e-323 below read 5e-324, and that again 0, so the certificate's lookup of
+# the solve's own G built a second Weight.
+def test_certificate_reads_the_commands_weight_on_subnormal_entries(tmp_path, capsys,
+                                                                    count_calls):
+    cfg = write_json(tmp_path / "m.json", SPIN_GEN)
+    wpath = write_json(tmp_path / "w.json", [[1.0, 5e-324], [1e-323, 1.0]])
+    built = count_calls(analysis, "Weight")
+    assert cli.main(["oracle", "--config", cfg, "--weight", wpath]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["certificate"] is not None
+    assert len(built) == 1
+
+
+# --weight is an option of the commands that read a weight; analyze and
+# simulate reject it as any unknown option, and never open the file
+@pytest.mark.parametrize("command", [["analyze"], ["simulate", "--pvm", "p.json"]],
+                         ids=["analyze", "simulate"])
+def test_weight_is_no_option_of_commands_that_read_none(tmp_path, capsys, command):
+    cfg = write_json(tmp_path / "m.json", N0)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--config", cfg, "--weight", str(tmp_path / "missing.json")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --weight" in capsys.readouterr().err

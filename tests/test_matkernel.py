@@ -73,12 +73,13 @@ def test_check_hermitian_rejects_non_finite_entries(bad):
 
 def test_check_hermitian_passes_a_modulus_past_the_float_range():
     # finite parts whose modulus overflows: the norm is infinite, the entrywise
-    # check passes, and an infinite norm admits any deviation
+    # check passes, and an infinite norm admits any deviation; the Hermitian
+    # part is halved before the sum, so it stays finite
     x = complex(1.3e308, 1.3e308)
     for a in (np.array([[0.0, x], [np.conj(x), 0.0]]), np.array([[0.0, x], [0.0, 0.0]])):
         with np.errstate(over="ignore", invalid="ignore"):
             out, size = matkernel.check_hermitian(a)
-            ref = 0.5 * (a + a.conj().T)
+        ref = 0.5 * a + 0.5 * a.conj().T
         assert size == np.inf
         assert np.array_equal(out, ref, equal_nan=True)
 

@@ -178,7 +178,7 @@ def test_coherent_completion_takes_no_roots_of_dust():
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
     nf = measurement.naimark_frame(fd, mdl.theta0)
     g = np.diag([1.0, 2.0, 3.0, 4.0])
-    ev, rep = measurement.optimal_vectors(nf, fd, g)
+    ev, rep = measurement.optimal_vectors(nf, fd, fd.weight(g))
     assert rep.method == "closed_form_coherent"
     x = ev.X @ ev.w   # the vectors in theta
     cert = oracle.stationarity_certificate(types.SimpleNamespace(X=x, lifts=nf.lifts, G=g), fd)
@@ -261,7 +261,7 @@ def test_coherent_pvm_attains_bound():
     fr = model.tangent_frame(mdl, mdl.theta0)
     fd = model.fisher_data(fr)
     for g in (np.eye(2), np.array([[2.0, 0.4], [0.4, 1.0]])):
-        rep = analysis.closed_form(fd, g)
+        rep = analysis.closed_form(fd, fd.weight(g))
         assert rep.method == "closed_form_2param"
         nf = measurement.naimark_frame(fd, theta=mdl.theta0)
         ev = measurement.optimal_vectors_coherent(nf, fd, g)
@@ -278,7 +278,7 @@ def test_coherent_pvm_squeezed_model():
     fr = model.tangent_frame(mdl, mdl.theta0)
     fd = model.fisher_data(fr)
     g = np.diag([1.0, 2.0, 1.0, 3.0])
-    rep = analysis.closed_form(fd, g)
+    rep = analysis.closed_form(fd, fd.weight(g))
     assert rep.method == "closed_form_coherent"
     nf = measurement.naimark_frame(fd, theta=mdl.theta0)
     ev = measurement.optimal_vectors_coherent(nf, fd, g)
@@ -314,7 +314,7 @@ def test_optimal_vectors_every_class(count_calls, build, g, method, oracle_calls
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
     nf = measurement.naimark_frame(fd, theta=mdl.theta0)
     calls = count_calls(oracle, "_minimize")
-    ev, rep = measurement.optimal_vectors(nf, fd, g)
+    ev, rep = measurement.optimal_vectors(nf, fd, fd.weight(g))
     assert rep.method == method
     assert len(calls) == oracle_calls
     assert max(analysis.estimation_residuals(ev.X, ev.phi, nf.lifts @ ev.w,
@@ -326,7 +326,7 @@ def test_optimal_vectors_every_class(count_calls, build, g, method, oracle_calls
     tol = 1e-8 * max(1.0, abs(rep.value))
     assert abs(np.sum(g * v) - rep.value) <= tol
     # the closed forms are an independent route to the same value
-    closed = analysis.closed_form(fd, g)
+    closed = analysis.closed_form(fd, fd.weight(g))
     if closed is not None:
         assert abs(closed.value - rep.value) <= tol
 
@@ -342,7 +342,7 @@ def test_oracle_lifts_are_the_naimark_frame_lifts(build):
     # bit, with fewer than m rows where a beta is snapped to 1
     mdl = build()
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
-    res = analysis.oracle_bound(fd, np.eye(mdl.m))[1]
+    res = analysis.oracle_bound(fd, fd.weight(np.eye(mdl.m)))[1]
     nf = measurement.naimark_frame(fd, mdl.theta0)
     assert np.array_equal(res.lifts, nf.lifts)
 
@@ -357,14 +357,14 @@ def test_generic_vectors_are_the_oracle_vectors(monkeypatch, build, g):
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
     nf = measurement.naimark_frame(fd, theta=mdl.theta0)
     solved = []
-    original = analysis._oracle
+    original = analysis.oracle_bound
 
     def recording(*args):
         solved.append(original(*args))
         return solved[-1]
 
-    monkeypatch.setattr(analysis, "_oracle", recording)
-    ev, rep = measurement.optimal_vectors(nf, fd, g)
+    monkeypatch.setattr(analysis, "oracle_bound", recording)
+    ev, rep = measurement.optimal_vectors(nf, fd, fd.weight(g))
     (report, res), = solved
     assert rep is report and ev.X is res.Xn and ev.phi is nf.phi
     assert np.array_equal(res.X, res.Xn @ ev.w)
@@ -390,7 +390,7 @@ def test_pvm_space_and_vectors(build, method):
     assert space.phi.shape == ((2 * mdl.m + 1,) if embedded else (mdl.dim,))
     assert np.array_equal(space.theta, mdl.theta0)
     g = np.diag([1.0, 2.0])
-    ev, rep = measurement.optimal_vectors(space, fd, g)
+    ev, rep = measurement.optimal_vectors(space, fd, fd.weight(g))
     assert rep.method == method
     pvm = measurement.pvm_from_vectors(ev)
     v, unbiased = measurement.covariance_of_pvm(pvm, space)
@@ -412,8 +412,8 @@ def test_vectors_take_phi_from_the_embedding_they_are_built_in(build, g):
     frame = model.tangent_frame(mdl, mdl.theta0)
     fd = model.fisher_data(frame)
     space = measurement.pvm_space(frame, fd)
-    ev, rep = measurement.optimal_vectors(frame, fd, g)
-    ref, _ = measurement.optimal_vectors(space, fd, g)
+    ev, rep = measurement.optimal_vectors(frame, fd, fd.weight(g))
+    ref, _ = measurement.optimal_vectors(space, fd, fd.weight(g))
     assert np.array_equal(ev.X, ref.X) and np.array_equal(ev.phi, ref.phi)
     v, unbiased = measurement.covariance_of_pvm(measurement.pvm_from_vectors(ev), space)
     assert unbiased
@@ -425,7 +425,7 @@ def test_zero_weight_on_a_coherent_model_is_attained():
     mdl = model.catalog_shifted_number(0, [0.2, -0.4])
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
     nf = measurement.naimark_frame(fd, mdl.theta0)
-    ev, rep = measurement.optimal_vectors(nf, fd, np.zeros((2, 2)))
+    ev, rep = measurement.optimal_vectors(nf, fd, fd.weight(np.zeros((2, 2))))
     assert rep.value == 0.0 and rep.attained
     assert np.abs(rep.V_opt - 2.0 * fd.js_powers[0]).max() <= 1e-12
     for x in (ev, measurement.optimal_vectors_coherent(nf, fd, np.zeros((2, 2)))):
@@ -442,7 +442,7 @@ def test_optimal_vectors_singular_weight_on_coherent_model(build, g):
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
     nf = measurement.naimark_frame(fd, mdl.theta0)
     with pytest.raises(errors.SingularWeight):
-        measurement.optimal_vectors(nf, fd, g)
+        measurement.optimal_vectors(nf, fd, fd.weight(g))
     with pytest.raises(errors.SingularWeight):
         measurement.optimal_vectors_coherent(nf, fd, g)
 

@@ -186,7 +186,7 @@ def test_every_reader_of_the_lift_factor_checks_it():
         return model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
     spin = fd_of(model.catalog_spin_rotation(1.5, 0.5, [0.9, 0.3]))
     n0 = fd_of(model.catalog_shifted_number(0, [0.2, -0.4]))
-    for build in (lambda fd: analysis.oracle_bound(fd, np.eye(2)),
+    for build in (lambda fd: analysis.oracle_bound(fd, fd.weight(np.eye(2))),
                   lambda fd: measurement.naimark_frame(fd, np.zeros(2))):
         with pytest.raises(errors.ConsistencyError, match="naimark_gram"):
             build(FisherData.from_gram(spin.gram, svd=n0.svd))
@@ -241,7 +241,7 @@ def test_stationarity_multiplier_spectrum_coherent():
 def test_certificate_reads_the_point_it_is_given(count_calls, config):
     mdl = model.model_from_config(json.loads((DATA / config).read_text()))
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
-    results = [analysis.oracle_bound(fd, g)[1] for g in (np.eye(mdl.m), fd.JS)]
+    results = [analysis.oracle_bound(fd, fd.weight(g))[1] for g in (np.eye(mdl.m), fd.JS)]
     svds, roots = count_calls(matkernel, "lift_svd"), count_calls(matkernel, "sqrt_psd")
     given = [oracle.stationarity_certificate(result, fd) for result in results]
     assert svds == roots == []
@@ -266,7 +266,7 @@ def test_stationarity_certificate_does_not_swallow_checks(monkeypatch):
 def test_feasible_scan_reaches_attainable_targets():
     mdl = model.catalog_shifted_number(0, [0.2, -0.4])
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
-    rep = analysis.closed_form(fd, np.eye(2))
+    rep = analysis.closed_form(fd, fd.weight(np.eye(2)))
     assert rep.method == "closed_form_2param"
     problem = penalty_oracle.OracleProblem(gram=fd.gram, G=np.eye(2), restarts=4, seed=3)
     assert penalty_oracle.feasible_scan(problem, rep.V_opt)
@@ -341,7 +341,7 @@ def test_a_problem_reads_the_fisher_data_it_is_given():
     g = np.array([[1.4, 0.3], [0.3, 0.9]])
     bare = FisherData.from_gram(fd.gram)   # the point `minimize` builds from the Gram
     assert np.array_equal(bare.JS, fd.JS) and np.array_equal(bare.Jt, fd.Jt)
-    a = analysis.oracle_bound(fd, g)[1]
+    a = analysis.oracle_bound(fd, fd.weight(g))[1]
     b = oracle.minimize(oracle.OracleProblem(gram=fd.gram, G=g))
     # the model's fd reads the frame's SVD, the bare Gram its root: the same
     # point, to roundoff
