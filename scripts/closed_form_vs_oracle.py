@@ -10,7 +10,6 @@ the closed form.
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,11 +18,8 @@ from qcrb.matkernel import TOL
 from qcrb.model import FisherData
 
 
-@dataclass
-class SweepConfig:
-    betas: tuple = (0.0, 0.25, 0.5, 0.75, 0.9, 1.0)
-    weights_per_beta: int = 4
-    seed: int = 2026
+BETAS = (0.0, 0.25, 0.5, 0.75, 0.9, 1.0)
+SEED = 2026
 
 
 def synthetic_fd(beta):
@@ -42,15 +38,14 @@ def random_weights(seed, count):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--weights", type=int, default=SweepConfig.weights_per_beta)
+    ap.add_argument("--weights", type=int, default=4, help="weights drawn per beta")
     args = ap.parse_args()
-    cfg = SweepConfig(weights_per_beta=args.weights)
 
     worst = 0.0
     print(f"{'beta':>5}  {'closed':>14}  {'oracle':>14}  {'|diff|':>9}  {'gap':>9}  {'cert':>9}")
-    for k, beta in enumerate(cfg.betas):
+    for k, beta in enumerate(BETAS):
         fd = synthetic_fd(beta)
-        for g in random_weights(cfg.seed + 97 * k, cfg.weights_per_beta):
+        for g in random_weights(SEED + 97 * k, args.weights):
             closed = analysis.cr_bound_2param(fd, g).value
             res = analysis.oracle_bound(fd, fd.weight(g))[1]
             cert = oracle.stationarity_certificate(res, fd)

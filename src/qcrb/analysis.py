@@ -182,14 +182,13 @@ class FisherData:
     def weight(self, G):
         """The `Weight` of G at this point: the one place where a weight enters.
 
-        G must be finite (NonFinite) and m x m (DomainError). A G that is
-        symmetric bit for bit is taken as a copy; any other is symmetrized,
-        halved before the sum, once. So the Weight's G is symmetric, and
-        `fd.weight(wt.G)` is wt. G is scaled to unit = 2^-(e+f) G, exactly,
-        where w G w (w = JS^{-1/2}) is formed as gn = w unit w: neither
-        overflows at either end of the float range, and gn is of size near 1
-        whatever the units of G and theta. Its one matkernel.psd_eig
-        makes the PSD decision at its dust (DomainError) and the rank cut that
+        G must be finite (NonFinite) and m x m (DomainError). It is held as
+        every Weight holds it (`_symmetric_copy`), so the Weight's G is
+        symmetric, and `fd.weight(wt.G)` is wt. G is scaled to
+        unit = 2^-(e+f) G, exactly, where w G w (w = JS^{-1/2}) is formed as
+        gn = w unit w: neither overflows at either end of the float range,
+        and gn is of size near 1 whatever the units of G and theta. Its one
+        matkernel.psd_eig makes the PSD decision at its dust (DomainError) and the rank cut that
         every route reads. e + f is the even power at or below ||w G w||, so
         2^k G, for even k, has the same unit and gn as G, and every route's
         result for it is 2^k times that for G, bit for bit; square roots at
@@ -198,23 +197,30 @@ class FisherData:
         `closed_form`, `oracle_bound` and `measurement.optimal_vectors` take
         the Weight, so a caller looks its weight up once.
         """
-        G = np.array(G, dtype=float)
+        G = np.asarray(G, dtype=float)
         if G.shape != self.JS.shape:
             raise DomainError(f"weight shape {G.shape} does not match m = {len(self.JS)}")
-        # symmetrize rounds an odd multiple of 2^-1074 again on each pass
-        if G.tobytes() != G.T.tobytes():
-            G = matkernel.symmetrize(G)
+        G = _symmetric_copy(G)
         key = G.tobytes()
         if key not in self.reports:
             self.reports[key] = Weight(matkernel.check_finite(G), self.js_powers[1])
         return self.reports[key]
 
 
+def _symmetric_copy(G):
+    """A copy of G, kept if symmetric bit for bit, else symmetrized, halved
+    before the sum, once: the G that every Weight holds."""
+    G = np.array(G, dtype=float)
+    # symmetrize rounds an odd multiple of 2^-1074 again on each pass
+    return G if G.tobytes() == G.T.tobytes() else matkernel.symmetrize(G)
+
+
 class Weight:
     """A weight G at one working point, at unit scale: G = 2^(e+f) unit.
 
-    2^e is the even power of two at or below ||G||, the weight's scale, and
-    2^f the one at or below ||w 2^-e G w|| (w = JS^{-1/2}), the point's, but
+    G is held as `_symmetric_copy` makes it, whoever builds the Weight. 2^e
+    is the even power of two at or below ||G||, the weight's scale, and 2^f
+    the one at or below ||w 2^-e G w|| (w = JS^{-1/2}), the point's, but
     no less than 2^-1022, so that unit has entries below 2^1023. JS is its
     own unit, since w JS w = I, unless ||JS|| >= 2^1023, where that floor
     makes its unit JS/4 (`_js_scale`). gn = w unit w is the weight in the
@@ -229,6 +235,7 @@ class Weight:
     """
 
     def __init__(self, G, w):
+        G = _symmetric_copy(G)
         self.G, self.e = G, math.frexp(matkernel.mnorm(G))[1] & -2
         f = math.frexp(matkernel.mnorm(w @ np.ldexp(G, -self.e) @ w))[1] & -2
         self.f = max(f, -1022)

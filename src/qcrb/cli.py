@@ -182,6 +182,8 @@ def cmd_bound(args):
 
 
 def cmd_boundary(args):
+    if args.config is not None and args.beta is not None:
+        raise errors.SchemaError("boundary takes --config or --beta, not both")
     if args.config:
         doc, model, frame, fd = _model_and_point(args)
         if fd.JS.shape[0] != 2:
@@ -196,7 +198,7 @@ def cmd_boundary(args):
         # --beta reads normalized coordinates, where JS = I and w G w is G; there
         # _resolve_weight makes the checks of fd.weight but PSD, which Weight makes
         g = _resolve_weight(args.weight, fd.JS if args.config else np.eye(2))[0]
-        wt = fd.weight(g) if args.config else analysis.Weight(matkernel.symmetrize(g), np.eye(2))
+        wt = fd.weight(g) if args.config else analysis.Weight(g, np.eye(2))
     rows = analysis.boundary_2param(beta, args.samples, x_window=(args.window[0], args.window[1]))
     header = ["x", "z", "u", "v"]
     if wt is not None:

@@ -44,10 +44,6 @@ class SingularFisher(QcrbError):
     """J^S has an eigenvalue below the dust threshold."""
 
 
-class TruncationError(QcrbError):
-    """An explicit Fock truncation is too small to hold the state and its lifts."""
-
-
 # --- measurement (CLI exit code 3 unless noted) ---
 
 class NotCommuting(QcrbError):

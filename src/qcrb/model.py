@@ -24,7 +24,9 @@ at a working point. Every catalog frame is transported by a unitary fixed at
 theta that undoes the rotation, the displacement or the squeezing: the spin
 state |m_z> is exact in 3 levels, |m_z +- 1> and itself, at every s, the
 displaced number state |n> in n + 2 Fock levels and the displaced squeezed
-vacuum in 3, at every theta.
+vacuum in 3, at every theta. So every model is exact as built, and its config
+names the model and the fields its builder takes, no other key
+(`model_from_config`).
 """
 
 import math
@@ -42,7 +44,6 @@ from .errors import (
     NormDrift,
     SchemaError,
     SingularFisher,
-    TruncationError,
 )
 from .matkernel import TOL, check
 
@@ -162,12 +163,11 @@ def catalog_spin_rotation(s, m_z, theta):
 
 # --- Fock-space families ---
 
-def catalog_shifted_number(n, theta, trunc=None):
+def catalog_shifted_number(n, theta):
     """Displaced number state D(theta)|n> with D = exp(i(-theta1 X + theta2 P)).
 
     Its frame transported by D(theta)^dagger is phi = |n>, dphi = (-iX|n>, iP|n>),
-    supported on n - 1..n + 1: exact in n + 2 Fock levels at every theta. An
-    explicit `trunc` pads these vectors with zeros.
+    supported on n - 1..n + 1: exact in d = n + 2 Fock levels at every theta.
     """
     if n != int(n) or n < 0:
         raise DomainError(f"n must be a nonnegative integer, got {n}")
@@ -175,10 +175,7 @@ def catalog_shifted_number(n, theta, trunc=None):
     th0 = np.asarray(theta, dtype=float)
     if th0.shape != (2,):
         raise DomainError("shifted number model takes a 2-vector theta")
-    d = n + 2 if trunc is None else int(trunc)
-    if d < n + 2:
-        raise TruncationError(f"trunc={trunc} is below n + 2 = {n + 2}, "
-                              f"which holds |n> and its lifts")
+    d = n + 2
     phi = matkernel.zeros(d, complex)
     phi[n] = 1.0
     # X|n> = (up|n+1> + down|n-1>), P|n> = i(up|n+1> - down|n-1>)
@@ -291,6 +288,20 @@ def custom_model(dim, m, phi, dphi, theta):
     return PureStateModel(label="custom", dim=dim, m=m, state=state, theta0=theta0)
 
 
+def _custom_from_config(dim, m, phi, dphi, theta):
+    """custom_model on config fields: phi and the m rows of dphi as [re, im]
+    pairs, each of length dim, and theta of length m (SchemaError)."""
+    phi = _parse_complex_vector(phi, "phi")
+    if len(dphi) != m:
+        raise SchemaError(f"custom: dphi must have m = {m} rows")
+    dphi = [_parse_complex_vector(r, "dphi") for r in dphi]
+    if len(theta) != m:
+        raise SchemaError(f"custom: theta must have length m = {m}")
+    if phi.shape != (dim,) or any(dv.shape != (dim,) for dv in dphi):
+        raise SchemaError("custom: phi/dphi lengths must equal dim")
+    return custom_model(dim, m, phi, np.array(dphi), theta)
+
+
 def _is_number(v):
     """A finite number; json also reads NaN and +-Infinity, which are not."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -322,51 +333,30 @@ def _require(doc, key, kind, what):
     return [float(t) for t in v] if kind == "numbers" else v
 
 
-_CONFIG_KEYS = {   # model name: the keys its config may hold besides "model"
-    "spin_rotation": {"s", "m_z", "theta"},
-    "shifted_number": {"n", "theta", "trunc"},
-    "squeezed": {"theta"},
-    "custom": {"dim", "m", "phi", "dphi", "theta"},
+_CONFIGS = {   # model name: its builder and the (key, kind) fields it takes, in order
+    "spin_rotation": (catalog_spin_rotation,
+                      (("s", "number"), ("m_z", "number"), ("theta", "numbers"))),
+    "shifted_number": (catalog_shifted_number, (("n", "integer"), ("theta", "numbers"))),
+    "squeezed": (catalog_squeezed, (("theta", "numbers"),)),
+    "custom": (_custom_from_config, (("dim", "count"), ("m", "count"), ("phi", "list"),
+                                     ("dphi", "list"), ("theta", "numbers"))),
 }
 
 
 def model_from_config(doc):
     """Build a PureStateModel from a parsed config document.
 
-    A key the model does not read is a SchemaError that names it; only
-    shifted_number takes a truncation.
+    `_CONFIGS` holds each model's fields: a key the model does not read is a
+    SchemaError that names it, and so is a missing or ill-typed field. The
+    builder is called on the fields in their order.
     """
     if not isinstance(doc, dict):
         raise SchemaError("config document must be a JSON object")
     name = doc.get("model")
-    if not isinstance(name, str) or name not in _CONFIG_KEYS:
+    if not isinstance(name, str) or name not in _CONFIGS:
         raise SchemaError(f"unknown model '{name}'")
-    extra = sorted(str(k) for k in set(doc) - _CONFIG_KEYS[name] - {"model"})
-    if "trunc" in extra:
-        raise SchemaError(f"{name}: the model is exact as built and takes no 'trunc' key")
+    build, fields = _CONFIGS[name]
+    extra = sorted(str(k) for k in set(doc) - {key for key, _ in fields} - {"model"})
     if extra:
         raise SchemaError(f"{name}: unknown key " + ", ".join(f"'{k}'" for k in extra))
-    if name == "spin_rotation":
-        s = _require(doc, "s", "number", name)
-        m_z = _require(doc, "m_z", "number", name)
-        return catalog_spin_rotation(s, m_z, theta=_require(doc, "theta", "numbers", name))
-    if name == "shifted_number":
-        n = _require(doc, "n", "integer", name)
-        trunc = None if doc.get("trunc") is None else _require(doc, "trunc", "count", name)
-        return catalog_shifted_number(n, theta=_require(doc, "theta", "numbers", name),
-                                      trunc=trunc)
-    if name == "squeezed":
-        return catalog_squeezed(_require(doc, "theta", "numbers", name))
-    dim = _require(doc, "dim", "count", name)
-    m = _require(doc, "m", "count", name)
-    phi = _parse_complex_vector(_require(doc, "phi", "list", name), "phi")
-    dphi_rows = _require(doc, "dphi", "list", name)
-    if len(dphi_rows) != m:
-        raise SchemaError(f"custom: dphi must have m = {m} rows")
-    dphi = [_parse_complex_vector(r, "dphi") for r in dphi_rows]
-    theta = _require(doc, "theta", "numbers", name)
-    if len(theta) != m:
-        raise SchemaError(f"custom: theta must have length m = {m}")
-    if phi.shape != (dim,) or any(dv.shape != (dim,) for dv in dphi):
-        raise SchemaError("custom: phi/dphi lengths must equal dim")
-    return custom_model(dim, m, phi, np.array(dphi), theta)
+    return build(*[_require(doc, key, kind, name) for key, kind in fields])

@@ -154,10 +154,9 @@ def test_boundary_rejects_empty_sample_count(samples):
 
 
 # The infinite window gave a NaN curve (NonFinite, exit 3), and each size exited
-# 1 with a numpy traceback: the Fock sizes are a truncation of 1e13 levels
-# (146 TiB for phi) and n = 1e14, whose n + 2 levels take 1.42 PiB. numpy
-# refuses each size before it touches any memory; a size it could allocate is
-# not tried here. A spin s whose lift Gram entry 2 s(s+1) would pass the float
+# 1 with a numpy traceback: the Fock size is n = 1e14, whose n + 2 levels
+# take 1.42 PiB. numpy refuses each size before it touches any memory; a size
+# it could allocate is not tried here. A spin s whose lift Gram entry 2 s(s+1) would pass the float
 # range (from about 9.48e153) is refused before any array is formed.
 @pytest.mark.parametrize("argv, config", [
     (["boundary", "--beta", "1", "--window", "inf", "1", "--samples", "3"], None),
@@ -166,11 +165,9 @@ def test_boundary_rejects_empty_sample_count(samples):
      "n0_coherent_config.json"),
     (["analyze"], {"model": "spin_rotation", "s": 9.49e153, "m_z": 0.0, "theta": [0.9, 0.3]}),
     (["analyze"], {"model": "spin_rotation", "s": 1e300, "m_z": 0.0, "theta": [0.9, 0.3]}),
-    (["analyze"], {"model": "shifted_number", "n": 0, "trunc": 10000000000000,
-                   "theta": [0.1, 0.2]}),
     (["analyze"], {"model": "shifted_number", "n": 100000000000000, "theta": [0.1, 0.2]}),
 ], ids=["infinite_window", "boundary_samples", "simulate_samples", "spin_past_gram_range",
-        "spin_1e300", "shifted_trunc_1e13", "shifted_n_1e14"])
+        "spin_1e300", "shifted_n_1e14"])
 def test_unallocatable_or_non_finite_inputs_exit_2(tmp_path, capsys, argv, config):
     data = pathlib.Path(__file__).parent / "data"
     argv = [str(data / a) if a.endswith(".json") else a for a in argv]
@@ -231,10 +228,12 @@ def _disagreeing_oracle(monkeypatch):
 @pytest.mark.parametrize("argv, config, patch, code, error", [
     (["bound", "--config", "{not_json}"], None, None, 2, "SchemaError"),
     (["boundary"], None, None, 2, "SchemaError"),
+    (["boundary", "--beta", "0.3"], SPIN_GEN, None, 2, "SchemaError"),
     (["bound", "--oracle"], N0, _disagreeing_oracle, 4, "ConsistencyError"),
     (["oracle"], SPIN_GEN, lambda mp: mp.setattr(oracle_mod, "MAX_ITER", 2), 4,
      "NonConvergence"),
-], ids=["config_not_json", "boundary_without_input", "oracle_disagrees", "nonconvergence"])
+], ids=["config_not_json", "boundary_without_input", "boundary_config_and_beta",
+        "oracle_disagrees", "nonconvergence"])
 def test_command_checks_reject_their_inputs(tmp_path, monkeypatch, cli_error, argv, config,
                                             patch, code, error):
     (tmp_path / "bad.json").write_text("{not json")
@@ -1065,6 +1064,27 @@ def test_boundary_trgv_over_the_float_range(tmp_path, capsys, source):
         columns[c] = np.array([float(row[4]) for row in list(csv.reader(out.splitlines()))[1:]])
     for c in (1e-300, 1e300):
         assert np.abs(columns[c] - c * columns[1.0]).max() <= 1e-15 * c * columns[1.0].max()
+
+
+# `boundary --beta --weight` builds its Weight outside a working point, by the
+# rule of fd.weight: a G symmetric bit for bit is kept, and its subnormal
+# off-diagonal stays 5e-324 (it was symmetrized again, to 0.0, under --beta).
+@pytest.mark.parametrize("source", ["beta", "config"])
+def test_boundary_weight_keeps_a_symmetric_g(tmp_path, capsys, monkeypatch, source):
+    built, build = [], analysis.Weight
+
+    def spy(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(analysis, "Weight", spy)
+    args = ["--beta", "1"] if source == "beta" else \
+        ["--config", write_json(tmp_path / "m.json", N0)]
+    weight = write_json(tmp_path / "w.json", [[1.0, 5e-324], [5e-324, 1.0]])
+    assert cli.main(["boundary", *args, "--samples", "3", "--weight", weight]) == 0
+    capsys.readouterr()
+    assert len(built) == 1
+    assert built[0].G[0, 1] == built[0].G[1, 0] == 5e-324
 
 
 # A lift Gram entry between float max/2 and float max passes lift_svd; the working

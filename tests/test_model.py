@@ -225,17 +225,6 @@ def test_truncation_does_not_depend_on_displacement():
     assert np.abs(fd.JS - 2.0 * np.eye(2)).max() <= 1e-7
 
 
-def test_explicit_truncation_too_small():
-    # |3> and its lifts need n + 2 = 5 levels
-    with pytest.raises(errors.TruncationError):
-        model.catalog_shifted_number(3, [4.0, 4.0], trunc=4)
-    # the squeezed model is exact in three levels and takes no truncation
-    for trunc in (2, 16, 4096, None):
-        with pytest.raises(errors.SchemaError, match="trunc"):
-            model.model_from_config({"model": "squeezed", "theta": [0.2, 0.1, 1.5, 0.3],
-                                     "trunc": trunc})
-
-
 def test_squeezed_closed_forms_at_origin():
     theta = [0.0, 0.0, 0.3, 0.2]
     js, jt = model.squeezed_closed_forms(theta)
@@ -266,8 +255,9 @@ def test_squeezed_fisher_at_large_truncation(theta):
 
 
 def test_shifted_number_fisher_at_large_truncation():
-    mdl = model.catalog_shifted_number(3, [6.0, -5.0], trunc=300)
-    assert mdl.dim == 300
+    # far from the origin the frame keeps its n + 2 levels
+    mdl = model.catalog_shifted_number(3, [6.0, -5.0])
+    assert mdl.dim == 5
     fd = model.fisher_data(model.tangent_frame(mdl, mdl.theta0))
     assert np.abs(fd.JS - 14.0 * np.eye(2)).max() <= 1e-10
 
@@ -391,10 +381,10 @@ def test_model_from_config_errors():
 
 
 @pytest.mark.parametrize("doc", [
-    {"model": "squeezed", "theta": [0.0, 0.0, 0.4, 0.1], "trunc": "abc"},
-    {"model": "squeezed", "theta": [0.0, 0.0, 0.4, 0.1], "trunc": -4},
-    {"model": "shifted_number", "n": 0, "theta": [0.2, 0.1], "trunc": 0},
-    {"model": "shifted_number", "n": 0, "theta": [0.2, 0.1], "trunc": 40.0},
+    {"model": "squeezed", "theta": "abc"},
+    {"model": "squeezed", "theta": [0.0, 0.0, "0.4", 0.1]},
+    {"model": "shifted_number", "n": "0", "theta": [0.2, 0.1]},
+    {"model": "shifted_number", "n": True, "theta": [0.2, 0.1]},
     {"model": "spin_rotation", "s": 1.0, "m_z": 0.0, "theta": ["x", 0.1]},
     {"model": "custom", "dim": 2, "m": 1, "phi": [[1, 0], [0, 0]],
      "dphi": [[[0, 0], [1, 0]]], "theta": [None]},
@@ -419,6 +409,11 @@ def test_model_from_config_rejects_bad_fields(doc):
     ({"model": "custom", "dim": 2, "m": 1, "phi": [[1, 0], [0, 0]],
       "dphi": [[[0, 0], [1, 0]]], "theta": [0.0], "trunc": 8}, "trunc"),
     ({"model": "squeezed", "theta": [0.1, 0.2, 0.4, 0.3], "weight": "sld"}, "weight"),
+    # every model is exact as built: none takes a Fock truncation
+    *[({"model": "squeezed", "theta": [0.2, 0.1, 1.5, 0.3], "trunc": trunc}, "trunc")
+      for trunc in (2, 16, 4096, None)],
+    *[({"model": "shifted_number", "n": 3, "theta": [4.0, 4.0], "trunc": trunc}, "trunc")
+      for trunc in (4, 5, 300)],
 ])
 def test_model_from_config_names_the_key_it_does_not_read(doc, key):
     with pytest.raises(errors.SchemaError, match=f"'{key}'"):
